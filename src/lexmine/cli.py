@@ -275,33 +275,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _tokenizer_from(mapping: dict[str, str]) -> TokenizerConfig:
-    kwargs = {}
-    for key in ("lowercase", "cjk_char_split", "min_token_len"):
-        if key in mapping:
-            kwargs[key] = (
-                _parse_bool(mapping[key], key) if key != "min_token_len" else int(mapping[key])
-            )
-    return TokenizerConfig(**kwargs)
-
-
-def _bm25_from(mapping: dict[str, str]) -> BM25Params:
-    kwargs = {}
-    if "bm25_k1" in mapping:
-        kwargs["k1"] = float(mapping["bm25_k1"])
-    if "bm25_b" in mapping:
-        kwargs["b"] = float(mapping["bm25_b"])
-    return BM25Params(**kwargs)
-
-
 def _cmd_index(args: argparse.Namespace) -> int:
     mapping = _load_config(args)
     allowed = {"bm25_k1", "bm25_b", "lowercase", "cjk_char_split", "min_token_len"}
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r}", key=key)
+    # the index depends on no seed; the config only carries the BM25 and tokenizer keys
+    cfg = pipeline_config_from_mapping(mapping, seed=0)
     corpus = load_passages(data_path(args.passages))
-    index = build_index(corpus, _tokenizer_from(mapping), _bm25_from(mapping))
+    index = build_index(corpus, cfg.tokenizer, cfg.bm25)
     from .sparse import save_index
 
     out = Path(args.out)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import unicodedata
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -17,6 +17,7 @@ __all__ = [
     "Judgment",
     "TokenizerConfig",
     "tokenize",
+    "TokenizedCorpus",
     "Corpus",
     "QuerySet",
     "JudgmentSet",
@@ -112,43 +113,60 @@ _CHAR_SPLIT_RANGES = (
     (0xAC00, 0xD7A3),  # Hangul syllables
     (0xF900, 0xFAFF),  # CJK compatibility ideographs
 )
-
-
-def _is_char_split(cp: int) -> bool:
-    for lo, hi in _CHAR_SPLIT_RANGES:
-        if lo <= cp <= hi:
-            return True
-    return False
+_SPLIT_CLASS = "".join(f"\\u{lo:04X}-\\u{hi:04X}" for lo, hi in _CHAR_SPLIT_RANGES)
+# [^\W_] is exactly the Unicode L* and N* categories: runs of letters and digits.
+_TOKEN_RE = {
+    True: re.compile(f"[{_SPLIT_CLASS}]|[^\\W_{_SPLIT_CLASS}]+"),
+    False: re.compile(r"[^\W_]+"),
+}
 
 
 def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     """Deterministic Unicode tokenization shared by the sparse and dense retrievers.
 
-    Runs of letters/digits form tokens; when ``cfg.cjk_char_split`` each CJK/Thai/
-    Hangul codepoint becomes its own token. Lowercasing and a minimum token length
-    are applied per config.
+    The text is lowercased when ``cfg.lowercase``; then each maximal run of
+    letters and digits (Unicode categories L* and N*) is one token, and every
+    other character, ``_`` and punctuation included, separates tokens. When
+    ``cfg.cjk_char_split`` each codepoint of a script written without word
+    boundaries (Thai, Hangul, kana, CJK ideographs) is a token of its own,
+    whatever its category. Tokens shorter than ``cfg.min_token_len`` are dropped.
     """
     if cfg.lowercase:
         text = text.lower()
-    tokens: list[str] = []
-    buf: list[str] = []
-    for ch in text:
-        if cfg.cjk_char_split and _is_char_split(ord(ch)):
-            if buf:
-                tokens.append("".join(buf))
-                buf.clear()
-            tokens.append(ch)
-        elif unicodedata.category(ch)[0] in ("L", "N"):
-            buf.append(ch)
-        else:
-            if buf:
-                tokens.append("".join(buf))
-                buf.clear()
-    if buf:
-        tokens.append("".join(buf))
+    tokens = _TOKEN_RE[cfg.cjk_char_split].findall(text)
     if cfg.min_token_len > 1:
         tokens = [t for t in tokens if len(t) >= cfg.min_token_len]
     return tokens
+
+
+@dataclass(frozen=True)
+class TokenizedCorpus:
+    """A corpus tokenized once under one tokenizer config, as integer token ids.
+
+    ``vocab`` holds the sorted unique tokens. ``ids`` holds the int32 vocabulary
+    index of every token, passages concatenated in corpus order with each
+    passage's tokens in text order; passage ``i`` is
+    ``ids[offsets[i]:offsets[i + 1]]``.
+    """
+
+    tokenizer: TokenizerConfig
+    vocab: tuple[str, ...]
+    ids: np.ndarray
+    offsets: np.ndarray
+
+
+def _tokenize_corpus(passages: Iterable[Passage], tok: TokenizerConfig) -> TokenizedCorpus:
+    first_seen: dict[str, int] = {}
+    chunks = []
+    for p in passages:
+        tokens = tokenize(p.text, tok)
+        chunks.append(np.array([first_seen.setdefault(t, len(first_seen)) for t in tokens], dtype=np.int32))
+    vocab = sorted(first_seen)
+    rank = np.empty(len(vocab), dtype=np.int32)
+    rank[[first_seen[t] for t in vocab]] = np.arange(len(vocab), dtype=np.int32)
+    offsets = np.concatenate(([0], np.cumsum([c.size for c in chunks], dtype=np.int64)))
+    ids = rank[np.concatenate(chunks)] if chunks else np.zeros(0, dtype=np.int32)
+    return TokenizedCorpus(tokenizer=tok, vocab=tuple(vocab), ids=ids, offsets=offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +183,7 @@ class Corpus:
             if p.id in self._by_id:
                 raise DataFormatError(f"duplicate passage id {p.id!r}")
             self._by_id[p.id] = p
+        self._tokenized: TokenizedCorpus | None = None
 
     @property
     def ids(self) -> list[str]:
@@ -181,6 +200,16 @@ class Corpus:
 
     def __getitem__(self, passage_id: str) -> Passage:
         return self._by_id[passage_id]
+
+    def tokenized(self, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenizedCorpus:
+        """Every passage tokenized under ``tok``, memoized for the last config asked.
+
+        The BM25 index, the dense vocabulary and the per-passage embedding rows
+        all derive from this, so one run tokenizes each passage once.
+        """
+        if self._tokenized is None or self._tokenized.tokenizer != tok:
+            self._tokenized = _tokenize_corpus(self, tok)
+        return self._tokenized
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):

@@ -93,10 +93,7 @@ class EncoderParams:
 
 def vocab_from_corpus(corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     """Sorted unique tokens over the whole corpus."""
-    seen: set[str] = set()
-    for p in corpus:
-        seen.update(tokenize(p.text, tok))
-    return sorted(seen)
+    return list(corpus.tokenized(tok).vocab)
 
 
 def init_params(
@@ -147,8 +144,16 @@ def similarity(qv: np.ndarray, pv: np.ndarray) -> float:
 def corpus_token_rows(
     params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> dict[str, np.ndarray]:
-    """Per-passage embedding-row indices, cached once per (vocab, corpus)."""
-    return {p.id: _token_rows(params.vocab, tokenize(p.text, tok)) for p in corpus}
+    """Per-passage embedding-row indices, cached once per (vocab, corpus).
+
+    Out-of-vocabulary tokens are skipped, as ``encode`` skips them.
+    """
+    tc = corpus.tokenized(tok)
+    row_of = np.array([params.vocab.get(t, -1) for t in tc.vocab], dtype=np.int64)
+    rows = row_of[tc.ids]
+    kept = rows >= 0
+    ends = np.concatenate(([0], np.cumsum(kept)))[tc.offsets]
+    return dict(zip(corpus.ids, np.split(rows[kept], ends[1:-1])))
 
 
 # ---------------------------------------------------------------------------

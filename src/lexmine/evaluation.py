@@ -187,7 +187,13 @@ def save_run(run: RunFile, path: str | Path, tag: str = "lexmine") -> None:
 
 
 def load_run(path: str | Path) -> RunFile:
-    run: RunFile = {}
+    """Read `query_id Q0 passage_id rank score tag` lines; each query's results
+    come back ordered by the rank column, whatever the line order.
+
+    A passage listed twice for one query, or a rank used twice, is a data error.
+    """
+    by_query: dict[str, dict[int, tuple[str, float]]] = {}
+    pids_of: dict[str, set[str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -199,11 +205,18 @@ def load_run(path: str | Path) -> RunFile:
                 )
             qid, _, pid, rank_s, score_s, _ = parts
             try:
-                int(rank_s), float(score_s)
+                rank, score = int(rank_s), float(score_s)
             except ValueError as exc:
                 raise DataFormatError(f"bad rank/score: {exc}", path, lineno) from exc
-            run.setdefault(qid, []).append((pid, float(score_s)))
-    return run
+            ranked = by_query.setdefault(qid, {})
+            pids = pids_of.setdefault(qid, set())
+            if pid in pids:
+                raise DataFormatError(f"passage {pid!r} listed twice for query {qid!r}", path, lineno)
+            if rank in ranked:
+                raise DataFormatError(f"rank {rank} used twice for query {qid!r}", path, lineno)
+            pids.add(pid)
+            ranked[rank] = (pid, score)
+    return {qid: [ranked[r] for r in sorted(ranked)] for qid, ranked in by_query.items()}
 
 
 def format_lang_table(reports: dict[str, MetricsReport]) -> str:

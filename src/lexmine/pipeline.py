@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -269,14 +270,20 @@ def _train_epochs(
     rows_cache: dict[str, np.ndarray],
 ) -> float:
     last_loss = 0.0
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(len(samples))
-        for start in range(0, len(order), cfg.batch_size):
+        for step, start in enumerate(range(0, len(order), cfg.batch_size), 1):
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
             _, _, last_loss = train_step(
                 params, opt, batch, corpus, cfg.tokenizer, rows_cache=rows_cache
             )
+            _check_loss(last_loss, f"warm-up epoch {epoch} step {step}")
     return last_loss
+
+
+def _check_loss(loss: float, where: str) -> None:
+    if not math.isfinite(loss):
+        raise PipelineError(f"{where}: training loss is {loss}")
 
 
 def warmup(
@@ -548,7 +555,7 @@ def run_iteration(
     losses = []
     order = rng_train.permutation(len(dataset))
     pos = 0
-    for _ in range(cfg.minibatches_per_iter):
+    for step in range(1, cfg.minibatches_per_iter + 1):
         if pos >= len(order):
             order = rng_train.permutation(len(dataset))
             pos = 0
@@ -557,6 +564,7 @@ def run_iteration(
         _, _, loss = train_step(
             state.params, opt, batch, corpus, cfg.tokenizer, rows_cache=state.rows_cache
         )
+        _check_loss(loss, f"iteration {iteration} step {step}")
         losses.append(loss)
 
     state.dense_index = build_dense_index(

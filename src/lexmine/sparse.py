@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, tokenize
 
 __all__ = [
@@ -64,24 +66,30 @@ def build_index(
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
     params: BM25Params = BM25Params(),
 ) -> InvertedIndex:
-    """Build the inverted index with corpus statistics for BM25."""
+    """Build the inverted index with corpus statistics for BM25.
+
+    Postings list (passage id, term frequency) pairs in ascending id order.
+    """
     if len(corpus) == 0:
         raise ValueError("cannot build an index over an empty corpus")
-    postings: dict[str, dict[str, int]] = {}
-    doc_len: dict[str, int] = {}
-    for passage in corpus:
-        tokens = tokenize(passage.text, tok)
-        doc_len[passage.id] = len(tokens)
-        for t in tokens:
-            tf = postings.setdefault(t, {})
-            tf[passage.id] = tf.get(passage.id, 0) + 1
-    sorted_postings = {
-        term: sorted(tfs.items()) for term, tfs in sorted(postings.items())
-    }
-    n = len(corpus)
+    tc = corpus.tokenized(tok)
+    ids = corpus.ids
+    n = len(ids)
+    lens = np.diff(tc.offsets)
+    by_id = sorted(range(n), key=ids.__getitem__)
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[by_id] = np.arange(n)
+    # one key per (term, passage) occurrence, ordered by term, then passage id
+    keys, tfs = np.unique(tc.ids.astype(np.int64) * n + np.repeat(id_rank, lens), return_counts=True)
+    terms, ranks = np.divmod(keys, n)
+    sorted_ids = np.array([ids[i] for i in by_id], dtype=object)
+    pairs = list(zip(sorted_ids[ranks].tolist(), tfs.tolist()))
+    bounds = np.searchsorted(terms, np.arange(len(tc.vocab) + 1)).tolist()
+    postings = {term: pairs[lo:hi] for term, lo, hi in zip(tc.vocab, bounds, bounds[1:])}
+    doc_len = dict(zip(ids, lens.tolist()))
     avgdl = sum(doc_len.values()) / n
     return InvertedIndex(
-        postings=sorted_postings, doc_len=doc_len, N=n, avgdl=avgdl, params=params, tokenizer=tok
+        postings=postings, doc_len=doc_len, N=n, avgdl=avgdl, params=params, tokenizer=tok
     )
 
 

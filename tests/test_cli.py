@@ -153,6 +153,41 @@ def test_index_command(tmp_path, synth_dir):
     assert Path(str(out) + ".manifest.json").exists()
 
 
+@pytest.mark.parametrize("setting", ["bm25_k1=abc", "bm25_b=2", "min_token_len=0"])
+def test_index_bad_value_exit_2(tmp_path, synth_dir, capsys, setting):
+    out = tmp_path / "idx.json"
+    code = dispatch(
+        ["index", "--passages", str(synth_dir / "passages.jsonl"), "--out", str(out), "--set", setting]
+    )
+    assert code == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_orders_run_by_rank(tmp_path):
+    run = tmp_path / "run.trec"
+    run.write_text("q1 Q0 p2 2 1.0 t\nq1 Q0 p1 1 2.0 t\n")
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q1 0 p1 1\n")
+    report = tmp_path / "eval.json"
+    assert dispatch(["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(report)]) == EXIT_OK
+    assert json.loads(report.read_text())["mrr@10"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "lines",
+    ["q1 Q0 p1 1 2.0 t\nq1 Q0 p1 2 1.0 t\n", "q1 Q0 p1 1 2.0 t\nq1 Q0 p2 1 1.0 t\n"],
+    ids=["duplicate_passage", "duplicate_rank"],
+)
+def test_eval_duplicate_run_entry_exit_3(tmp_path, capsys, lines):
+    run = tmp_path / "run.trec"
+    run.write_text(lines)
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q1 0 p1 1\n")
+    assert dispatch(["eval", "--run", str(run), "--qrels", str(qrels)]) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+
+
 def test_data_error_exit_3(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "p1", "text": "ok"}\nnot-json\n')

@@ -1,5 +1,8 @@
 import json
+import sys
+import unicodedata
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,9 @@ from lexmine.corpus import (
     synth_benchmark,
     tokenize,
 )
+from lexmine.corpus import _CHAR_SPLIT_RANGES
+from lexmine.dense import corpus_token_rows, init_params, vocab_from_corpus
+from lexmine.sparse import build_index
 
 # ---------------------------------------------------------------------------
 # tokenize
@@ -69,6 +75,120 @@ def test_tokenize_idempotent_on_non_cjk(text):
     once = tokenize(text)
     again = tokenize(" ".join(once))
     assert once == again
+
+
+def _is_char_split(cp: int) -> bool:
+    for lo, hi in _CHAR_SPLIT_RANGES:
+        if lo <= cp <= hi:
+            return True
+    return False
+
+
+def _reference_tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
+    """The tokenizer's definition, one codepoint at a time: the oracle for the regex."""
+    if cfg.lowercase:
+        text = text.lower()
+    category, split = unicodedata.category, cfg.cjk_char_split
+    tokens: list[str] = []
+    buf: list[str] = []
+    for ch in text:
+        if split and _is_char_split(ord(ch)):
+            if buf:
+                tokens.append("".join(buf))
+                buf.clear()
+            tokens.append(ch)
+        elif category(ch)[0] in ("L", "N"):
+            buf.append(ch)
+        else:
+            if buf:
+                tokens.append("".join(buf))
+                buf.clear()
+    if buf:
+        tokens.append("".join(buf))
+    if cfg.min_token_len > 1:
+        tokens = [t for t in tokens if len(t) >= cfg.min_token_len]
+    return tokens
+
+
+ALL_TOKENIZER_CONFIGS = [
+    TokenizerConfig(lowercase=lc, cjk_char_split=split, min_token_len=n)
+    for lc in (True, False)
+    for split in (True, False)
+    for n in (1, 2)
+]
+
+
+def test_tokenize_matches_reference_on_every_codepoint():
+    # Each codepoint appears doubled between two letters, so the test sees
+    # whether it joins a run, splits one, or stands alone.
+    text = "".join(
+        f"a{chr(cp)}{chr(cp)}b " for cp in range(sys.maxunicode + 1) if not 0xD800 <= cp <= 0xDFFF
+    )
+    for cfg in (TokenizerConfig(), TokenizerConfig(cjk_char_split=False), TokenizerConfig(lowercase=False)):
+        assert tokenize(text, cfg) == _reference_tokenize(text, cfg), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80),
+    st.sampled_from(ALL_TOKENIZER_CONFIGS),
+)
+def test_tokenize_matches_reference(text, cfg):
+    assert tokenize(text, cfg) == _reference_tokenize(text, cfg)
+
+
+MIXED_SCRIPT_CORPUS = Corpus(
+    [
+        Passage(id="p3", text="東京タワー is tall, 東京 is big", lang="ja"),
+        Passage(id="p1", text="กรุงเทพมหานคร เมืองหลวง 123 bangkok", lang="th"),
+        Passage(id="p10", text="서울 특별시 Seoul_city Seoul", lang="ko"),
+        Passage(id="p2", text="Ünïcode wörds, a b cc ddd!", lang="de"),
+        Passage(id="p0", text="!!! ...", lang="xx"),
+    ]
+)
+
+
+def _reference_postings(corpus: Corpus, cfg: TokenizerConfig):
+    postings: dict[str, dict[str, int]] = {}
+    doc_len: dict[str, int] = {}
+    for p in corpus:
+        tokens = _reference_tokenize(p.text, cfg)
+        doc_len[p.id] = len(tokens)
+        for t in tokens:
+            tf = postings.setdefault(t, {})
+            tf[p.id] = tf.get(p.id, 0) + 1
+    return {t: sorted(tfs.items()) for t, tfs in sorted(postings.items())}, doc_len
+
+
+@pytest.mark.parametrize("cfg", ALL_TOKENIZER_CONFIGS)
+@pytest.mark.parametrize("which", ["synthetic", "mixed_script"])
+def test_tokenized_corpus_derivations_match_per_passage_construction(which, cfg):
+    corpus = synth_benchmark(SMALL_SPEC, seed=4).corpus if which == "synthetic" else MIXED_SCRIPT_CORPUS
+    postings, doc_len = _reference_postings(corpus, cfg)
+    index = build_index(corpus, cfg)
+    assert list(index.postings.items()) == list(postings.items())
+    assert list(index.doc_len.items()) == list(doc_len.items())
+    vocab = sorted({t for p in corpus for t in _reference_tokenize(p.text, cfg)})
+    assert vocab_from_corpus(corpus, cfg) == vocab
+    # a model vocabulary that misses every other corpus token and knows one extra
+    params = init_params(["zz-not-in-corpus", *vocab[::-2]], dim=2)
+    rows = corpus_token_rows(params, corpus, cfg)
+    assert list(rows) == corpus.ids
+    for p in corpus:
+        want = [params.vocab[t] for t in _reference_tokenize(p.text, cfg) if t in params.vocab]
+        assert rows[p.id].dtype == np.int64
+        assert rows[p.id].tolist() == want
+
+
+def test_corpus_tokenized_memo_follows_config():
+    corpus = Corpus([Passage(id="p1", text="東京 Tower")])
+    split = corpus.tokenized()
+    assert corpus.tokenized() is split
+    assert split.vocab == ("tower", "京", "東")
+    assert split.ids.dtype == np.int32 and split.offsets.tolist() == [0, 3]
+    joined = corpus.tokenized(TokenizerConfig(cjk_char_split=False))
+    assert joined.vocab == ("tower", "東京")
+    assert corpus.tokenized() is not split and corpus.tokenized().vocab == split.vocab
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lexmine.corpus import Judgment, JudgmentSet
+from lexmine.corpus import DataFormatError, Judgment, JudgmentSet
 from lexmine.evaluation import (
     MetricsReport,
     format_lang_table,
@@ -255,6 +255,31 @@ def test_load_run_rejects_malformed(tmp_path):
     path.write_text("q1 Q0 p1 1\n")
     with pytest.raises(Exception):
         load_run(path)
+
+
+def test_load_run_orders_by_rank_column(tmp_path):
+    # the relevant passage has rank 1 but is listed second: MRR@10 is 1, not 1/2
+    path = tmp_path / "run.trec"
+    path.write_text("q1 Q0 p2 2 1.0 t\nq1 Q0 p1 1 2.0 t\nq2 Q0 p3 1 0.5 t\n")
+    run = load_run(path)
+    assert run == {"q1": [("p1", 2.0), ("p2", 1.0)], "q2": [("p3", 0.5)]}
+    assert mrr_at_k(run, qrels([("q1", "p1", 1)]), 10).mean == 1.0
+
+
+@pytest.mark.parametrize(
+    "lines, match",
+    [
+        ("q1 Q0 p1 1 2.0 t\nq1 Q0 p1 2 1.0 t\n", "p1"),
+        ("q1 Q0 p1 1 2.0 t\nq1 Q0 p2 1 1.0 t\n", "rank 1"),
+    ],
+    ids=["duplicate_passage", "duplicate_rank"],
+)
+def test_load_run_rejects_duplicates(tmp_path, lines, match):
+    path = tmp_path / "run.trec"
+    path.write_text("q0 Q0 p1 1 1.0 t\n" + lines)
+    with pytest.raises(DataFormatError, match=match) as exc:
+        load_run(path)
+    assert exc.value.line == 3
 
 
 def test_format_lang_table():

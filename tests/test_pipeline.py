@@ -256,6 +256,19 @@ def test_iteration_zero_mined_errors(data):
         run_iteration(state, {"tgta": []}, data.corpus, cfg, data)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_loss_raises(data, monkeypatch, bad):
+    import lexmine.pipeline as pipeline_mod
+
+    cfg = small_cfg()
+    state = make_state(data, cfg)
+    monkeypatch.setattr(pipeline_mod, "train_step", lambda params, opt, *a, **k: (params, opt, bad))
+    with pytest.raises(PipelineError, match="iteration 1 step 1: training loss is"):
+        run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
+    with pytest.raises(PipelineError, match="warm-up epoch 1 step 1: training loss is"):
+        make_state(data, cfg)
+
+
 def test_iteration_sample_count_matches_recount(data, tmp_path):
     from lexmine.dense import search_dense
     from lexmine.mining import mine_pairs, save_samples
