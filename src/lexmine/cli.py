@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    Corpus,
     DataFormatError,
     SynthSpec,
     TokenizerConfig,
@@ -31,41 +32,24 @@ from .corpus import (
     save_queries,
     synth_benchmark,
 )
-from .dense import (
-    build_dense_index,
-    corpus_token_rows,
-    init_optimizer,
-    load_checkpoint,
-    save_checkpoint,
-    train_step,
-)
+from .dense import corpus_token_rows, init_optimizer, load_checkpoint, save_checkpoint
 from .evaluation import format_lang_table, load_run, mrr_at_k, recall_at_k
-from .mining import (
-    MiningConfig,
-    assemble_mined_sample,
-    load_samples,
-    mine_pairs,
-    save_samples,
-)
+from .mining import MiningConfig, load_samples, save_samples
 from .pipeline import (
     PipelineConfig,
     PipelineData,
     PipelineError,
+    PipelineState,
     assemble_warmup_samples,
+    generate,
+    mine,
     run_pipeline,
+    start_state,
+    train,
     warmup,
 )
-from .querygen import (
-    GeneratedPair,
-    assemble_generated_sample,
-    filter_generated,
-    generate_query,
-    load_generator,
-    mark_accepted,
-    save_generator,
-)
-from .sparse import BM25Params, build_index, search_sparse
-from .dense import search_dense
+from .querygen import GeneratorModel, load_generator, save_generator
+from .sparse import BM25Params, build_index, save_index
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -285,8 +269,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     cfg = pipeline_config_from_mapping(mapping, seed=0)
     corpus = load_passages(data_path(args.passages))
     index = build_index(corpus, cfg.tokenizer, cfg.bm25)
-    from .sparse import save_index
-
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out)
@@ -316,27 +298,31 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _checkpoint_state(
+    args: argparse.Namespace, corpus: Corpus, cfg: PipelineConfig, generator: GeneratorModel
+) -> PipelineState:
+    params, _ = load_checkpoint(data_path(args.checkpoint))
+    return start_state(params, generator, build_index(corpus, cfg.tokenizer, cfg.bm25), corpus, cfg)
+
+
 def _cmd_mine(args: argparse.Namespace) -> int:
     mapping = _load_config(args)
     cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
+    if cfg.mining_mode == "double_dense":
+        raise ConfigError(
+            "mining_mode 'double_dense' mines against the auxiliary retriever that only "
+            "`lexmine pipeline` trains",
+            key="mining_mode",
+        )
     if args.workers:
         cfg.workers = args.workers
     corpus = load_passages(data_path(args.passages))
     queries = load_queries(data_path(args.queries))
-    params, _ = load_checkpoint(data_path(args.checkpoint))
-    sparse_index = build_index(corpus, cfg.tokenizer, cfg.bm25)
-    dense_index = build_dense_index(params, corpus, cfg.tokenizer)
-    rng = np.random.default_rng(args.seed)
+    state = _checkpoint_state(args, corpus, cfg, GeneratorModel())
     out = Path(args.out)
     _guard_overwrite(out, args.overwrite, "mined dataset")
-    samples = []
-    queries_with = 0
-    for q in queries:
-        sparse_topL = search_sparse(sparse_index, q, cfg.mining.L)
-        dense_topL = search_dense(dense_index, params, q, cfg.mining.L, tok=cfg.tokenizer)
-        sets = mine_pairs(sparse_topL, dense_topL, cfg.mining)
-        queries_with += bool(sets.positives)
-        samples.extend(assemble_mined_sample(q, sets, corpus, rng, cfg.mining))
+    # the stage command is the pipeline's first iteration, mining stream included
+    samples, _, queries_with = mine(state, queries, corpus, cfg, iteration=1)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_samples(samples, out)
     _write_manifest(
@@ -350,55 +336,28 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     mapping = _load_config(args)
     cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
     corpus = load_passages(data_path(args.passages))
-    params, _ = load_checkpoint(data_path(args.checkpoint))
-    generator = load_generator(data_path(args.generator))
-    sparse_index = build_index(corpus, cfg.tokenizer, cfg.bm25)
-    dense_index = build_dense_index(params, corpus, cfg.tokenizer)
-    rng_select = np.random.default_rng([args.seed, 0])
-    rng_sample = np.random.default_rng([args.seed, 1])
+    state = _checkpoint_state(args, corpus, cfg, load_generator(data_path(args.generator)))
     out = Path(args.out)
     _guard_overwrite(out, args.overwrite, "generated dataset")
-    accepted_samples = []
-    rejected = []
-    n_candidates = 0
-    for lang in sorted({p.lang for p in corpus}):
-        lang_passages = corpus.by_lang(lang)
-        n = min(cfg.n_generate, len(lang_passages))
-        picked = rng_select.choice(len(lang_passages), size=n, replace=False)
-        for idx in picked:
-            passage = lang_passages[int(idx)]
-            try:
-                query = generate_query(
-                    generator, passage, rng_sample, cfg.tokenizer, query_id=f"gen-{passage.id}"
-                )
-            except ValueError:
-                continue
-            n_candidates += 1
-            pair = GeneratedPair(query=query, passage_id=passage.id)
-            if filter_generated(pair, sparse_index, dense_index, params, cfg.tokenizer):
-                accepted_samples.append(
-                    assemble_generated_sample(
-                        mark_accepted(pair),
-                        sparse_index,
-                        dense_index,
-                        params,
-                        corpus,
-                        rng_sample,
-                        cfg.mining,
-                        cfg.tokenizer,
-                    )
-                )
-            else:
-                rejected.append({"query_id": query.id, "query_text": query.text, "passage_id": passage.id, "reason": "top1-mismatch"})
+    langs = sorted({p.lang for p in corpus})
+    rng_select = np.random.default_rng([args.seed, 0])
+    rng_sample = np.random.default_rng([args.seed, 1])
+    accepted, rejected = generate(state, langs, corpus, cfg, rng_select, rng_sample, "gen-")
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_samples(accepted_samples, out)
+    save_samples(accepted, out)
     if args.rejected:
         with open(args.rejected, "w", encoding="utf-8") as fh:
-            for rec in rejected:
+            for pair in rejected:
+                rec = {
+                    "query_id": pair.query.id,
+                    "query_text": pair.query.text,
+                    "passage_id": pair.passage_id,
+                    "reason": "top1-mismatch",
+                }
                 fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
     _write_manifest(Path(str(out) + ".manifest.json"), "generate", cfg.canonical_dict(), args.seed)
     print(
-        f"generated {n_candidates} candidates, accepted {len(accepted_samples)}, "
+        f"generated {len(accepted) + len(rejected)} candidates, accepted {len(accepted)}, "
         f"rejected {len(rejected)}"
     )
     return EXIT_OK
@@ -420,19 +379,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise DataFormatError("no training samples", args.samples[0])
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "train output")
-    rng = np.random.default_rng(args.seed)
     rows_cache = corpus_token_rows(params, corpus, cfg.tokenizer)
-    losses = []
-    order = rng.permutation(len(dataset))
-    pos = 0
-    for _ in range(cfg.minibatches_per_iter):
-        if pos >= len(order):
-            order = rng.permutation(len(dataset))
-            pos = 0
-        batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
-        pos += cfg.batch_size
-        _, _, loss = train_step(params, opt, batch, corpus, cfg.tokenizer, rows_cache=rows_cache)
-        losses.append(loss)
+    # the pipeline's first iteration, training stream included
+    losses = train(params, opt, dataset, corpus, cfg, rows_cache, iteration=1)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params, opt)
     _write_manifest(out / "manifest.json", "train", cfg.canonical_dict(), args.seed)

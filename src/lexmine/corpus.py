@@ -21,7 +21,6 @@ __all__ = [
     "Corpus",
     "QuerySet",
     "JudgmentSet",
-    "load_corpus",
     "load_passages",
     "load_queries",
     "load_qrels",
@@ -401,17 +400,6 @@ def load_qrels(path: str | Path) -> JudgmentSet:
         return JudgmentSet(judgments)
     except DataFormatError as exc:
         raise DataFormatError(exc.message, path) from exc
-
-
-def load_corpus(path: str | Path, kind: str) -> Corpus | QuerySet | JudgmentSet:
-    """Load a data file of the given kind ("passages", "queries", or "qrels")."""
-    if kind == "passages":
-        return load_passages(path)
-    if kind == "queries":
-        return load_queries(path)
-    if kind == "qrels":
-        return load_qrels(path)
-    raise ValueError(f"unknown kind {kind!r}; expected passages|queries|qrels")
 
 
 def save_passages(corpus: Corpus, path: str | Path) -> None:

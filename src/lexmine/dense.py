@@ -28,7 +28,6 @@ __all__ = [
     "init_params",
     "vocab_from_corpus",
     "encode",
-    "similarity",
     "build_dense_index",
     "search_dense",
     "infonce_from_scores",
@@ -133,12 +132,6 @@ def encode(
     the zero vector.
     """
     return _encode_rows(params.table(as_query), _token_rows(params.vocab, tokens))
-
-
-def similarity(qv: np.ndarray, pv: np.ndarray) -> float:
-    if qv.shape != pv.shape:
-        raise ValueError(f"dimension mismatch: {qv.shape} vs {pv.shape}")
-    return float(np.dot(qv, pv))
 
 
 def corpus_token_rows(

@@ -12,10 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from . import __version__
 from .corpus import (
     Corpus,
     JudgmentSet,
+    Passage,
     Query,
     QuerySet,
     SynthBenchmark,
@@ -61,7 +65,6 @@ from .querygen import (
     filter_generated,
     generate_query,
     load_generator,
-    mark_accepted,
     save_generator,
     train_generator,
 )
@@ -75,6 +78,10 @@ __all__ = [
     "IterationReport",
     "warmup",
     "assemble_warmup_samples",
+    "start_state",
+    "mine",
+    "generate",
+    "train",
     "run_iteration",
     "run_pipeline",
     "pipeline_data_from_benchmark",
@@ -229,6 +236,30 @@ class PipelineState:
     aux_index: DenseIndex | None = None
 
 
+def start_state(
+    params: EncoderParams,
+    generator: GeneratorModel,
+    sparse_index: InvertedIndex,
+    corpus: Corpus,
+    cfg: PipelineConfig,
+    iteration: int = 0,
+    aux_params: EncoderParams | None = None,
+) -> PipelineState:
+    """The state that continues from ``params``: token rows cached, dense indexes built."""
+    rows_cache = corpus_token_rows(params, corpus, cfg.tokenizer)
+    aux_index = None if aux_params is None else build_dense_index(aux_params, corpus, cfg.tokenizer)
+    return PipelineState(
+        params=params,
+        generator=generator,
+        sparse_index=sparse_index,
+        dense_index=build_dense_index(params, corpus, cfg.tokenizer, rows_cache=rows_cache),
+        rows_cache=rows_cache,
+        iteration=iteration,
+        aux_params=aux_params,
+        aux_index=aux_index,
+    )
+
+
 # ---------------------------------------------------------------------------
 # warm-up
 # ---------------------------------------------------------------------------
@@ -350,6 +381,14 @@ def warmup(
 # ---------------------------------------------------------------------------
 
 
+def _fan_out(fn, items: list, workers: int) -> list:
+    """``fn`` over ``items`` in order, on up to ``workers`` threads."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def dense_run(
     state: PipelineState, queries: QuerySet, k: int, workers: int = 1
 ) -> RunFile:
@@ -359,12 +398,7 @@ def dense_run(
     def one(q: Query):
         return search_dense(state.dense_index, state.params, q, k, tok=state.sparse_index.tokenizer)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, qlist))
-    else:
-        results = [one(q) for q in qlist]
-    return {q.id: r for q, r in zip(qlist, results)}
+    return {q.id: r for q, r in zip(qlist, _fan_out(one, qlist, workers))}
 
 
 def _evaluate(
@@ -409,6 +443,147 @@ def _rankings_for(
     return other, dense_topL
 
 
+def _mined_sets(
+    list_a, list_b, cfg: PipelineConfig, s1_cfg: MiningConfig
+) -> tuple[MinedSets, MinedSets]:
+    """The sets mined at S and at the generator's S=1: agreement mining, or a
+    prefix split of the fused ranking in fuse modes."""
+    if cfg.mining_mode in ("fuse_sum", "fuse_product"):
+        fused = hybrid_fuse(list_a, list_b, cfg.mining_mode.removeprefix("fuse_"), cfg.mining.L)
+        ids = [pid for pid, _ in fused]
+
+        def split(s: int) -> MinedSets:
+            return MinedSets(
+                positives=frozenset(ids[:s]),
+                negatives=frozenset(ids[s:]),
+                positive_order=tuple(ids[:s]),
+                negative_order=tuple(ids[s:]),
+            )
+
+        return split(cfg.mining.S), split(s1_cfg.S)
+    return mine_pairs(list_a, list_b, cfg.mining), mine_pairs(list_a, list_b, s1_cfg)
+
+
+def mine(
+    state: PipelineState,
+    queries: Iterable[Query],
+    corpus: Corpus,
+    cfg: PipelineConfig,
+    iteration: int,
+) -> tuple[list[TrainingSample], list[tuple[Query, Passage]], int]:
+    """Mine training samples for unlabeled queries from retriever agreement.
+
+    Queries are mined in language order (file order within a language) from
+    the iteration's mining stream; ``cfg.workers`` threads rank them. Hard
+    negatives follow ``cfg.negative_mode``. Returns the samples, the S=1
+    (query, passage) pairs the generator trains on, and the number of queries
+    with at least one positive.
+    """
+    rng = np.random.default_rng([cfg.seed, _MINE, iteration])
+    s1_cfg = replace(cfg.mining, S=cfg.gen_mining_S)
+    qs = sorted(queries, key=lambda q: q.lang)
+    rankings = _fan_out(lambda q: _rankings_for(state, q, cfg), qs, cfg.workers)
+    mined: list[TrainingSample] = []
+    gen_pairs: list[tuple[Query, Passage]] = []
+    queries_with_positives = 0
+    for q, (list_a, list_b) in zip(qs, rankings):
+        sets, s1 = _mined_sets(list_a, list_b, cfg, s1_cfg)
+        if sets.positives:
+            queries_with_positives += 1
+        if cfg.negative_mode == "mined":
+            mined.extend(assemble_mined_sample(q, sets, corpus, rng, cfg.mining))
+        else:
+            hard: tuple[str, ...] = ()
+            if cfg.negative_mode == "sparse_top":
+                sparse_ranked = search_sparse(
+                    state.sparse_index, q, cfg.mining.max_hard_negatives + cfg.mining.S
+                )
+                hard = tuple(
+                    pid for pid, _ in sparse_ranked if pid not in sets.positives
+                )[: cfg.mining.max_hard_negatives]
+            mined.extend(
+                TrainingSample(query=q, positive=pid, hard_negatives=hard, source="mined")
+                for pid in sets.positive_order
+            )
+        gen_pairs.extend((q, corpus[pid]) for pid in s1.positive_order)
+    return mined, gen_pairs, queries_with_positives
+
+
+def generate(
+    state: PipelineState,
+    langs: Iterable[str],
+    corpus: Corpus,
+    cfg: PipelineConfig,
+    rng_select: np.random.Generator,
+    rng_sample: np.random.Generator,
+    id_prefix: str,
+) -> tuple[list[TrainingSample], list[GeneratedPair]]:
+    """Generate queries for sampled passages and keep those both retrievers confirm.
+
+    Up to ``cfg.n_generate`` passages per language are drawn with
+    ``rng_select``; each gets one generated query with id ``id_prefix`` +
+    passage id. A pair is accepted when the sparse and the dense retriever
+    both return its passage as top-1. Returns the training samples of the
+    accepted pairs and the rejected pairs; passages without tokens give
+    neither.
+    """
+    sparse, dense, params = state.sparse_index, state.dense_index, state.params
+    accepted: list[TrainingSample] = []
+    rejected: list[GeneratedPair] = []
+    for lang in langs:
+        lang_passages = corpus.by_lang(lang)
+        if not lang_passages:
+            continue
+        n = min(cfg.n_generate, len(lang_passages))
+        for idx in rng_select.choice(len(lang_passages), size=n, replace=False):
+            passage = lang_passages[int(idx)]
+            qid = id_prefix + passage.id
+            try:
+                query = generate_query(state.generator, passage, rng_sample, cfg.tokenizer, qid)
+            except ValueError:
+                continue
+            pair = GeneratedPair(query=query, passage_id=passage.id)
+            if filter_generated(pair, sparse, dense, params, cfg.tokenizer):
+                sample = assemble_generated_sample(
+                    pair, sparse, dense, params, corpus, rng_sample, cfg.mining, cfg.tokenizer
+                )
+                accepted.append(sample)
+            else:
+                rejected.append(pair)
+    return accepted, rejected
+
+
+def train(
+    params: EncoderParams,
+    opt: OptimizerState,
+    dataset: Sequence[TrainingSample],
+    corpus: Corpus,
+    cfg: PipelineConfig,
+    rows_cache: dict[str, np.ndarray],
+    iteration: int,
+) -> list[float]:
+    """Fine-tune for ``cfg.minibatches_per_iter`` steps; returns the step losses.
+
+    Minibatches walk a shuffled order of ``dataset`` drawn from the
+    iteration's training stream and reshuffle when it runs out. A non-finite
+    loss raises ``PipelineError``.
+    """
+    rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, iteration])
+    losses = []
+    order = rng.permutation(len(dataset))
+    pos = 0
+    for step in range(1, cfg.minibatches_per_iter + 1):
+        if pos >= len(order):
+            order = rng.permutation(len(dataset))
+            pos = 0
+        batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
+        pos += cfg.batch_size
+        _, _, loss = train_step(params, opt, batch, corpus, cfg.tokenizer, rows_cache=rows_cache)
+        _check_loss(loss, f"iteration {iteration} step {step}")
+        losses.append(loss)
+    return losses
+
+
 def run_iteration(
     state: PipelineState,
     unlabeled_by_lang: dict[str, list[Query]],
@@ -426,80 +601,17 @@ def run_iteration(
     if state.dense_index.params_version != state.params.version:
         raise PipelineError("dense index is stale at iteration entry; refresh it first")
 
-    rng_mine = np.random.default_rng([cfg.seed, _MINE, iteration])
-    s1_cfg = MiningConfig(
-        S=cfg.gen_mining_S,
-        L=cfg.mining.L,
-        n_random_negatives=cfg.mining.n_random_negatives,
-        max_hard_negatives=cfg.mining.max_hard_negatives,
-    )
-
-    def mined_sets_for(list_a, list_b) -> tuple[MinedSets, MinedSets]:
-        """Agreement mining, or prefix-split of the fused ranking in fuse modes."""
-        if cfg.mining_mode in ("fuse_sum", "fuse_product"):
-            fused = hybrid_fuse(list_a, list_b, cfg.mining_mode.removeprefix("fuse_"), cfg.mining.L)
-            ids = [pid for pid, _ in fused]
-
-            def split(s: int) -> MinedSets:
-                return MinedSets(
-                    positives=frozenset(ids[:s]),
-                    negatives=frozenset(ids[s:]),
-                    positive_order=tuple(ids[:s]),
-                    negative_order=tuple(ids[s:]),
-                )
-
-            return split(cfg.mining.S), split(1)
-        return mine_pairs(list_a, list_b, cfg.mining), mine_pairs(list_a, list_b, s1_cfg)
-
-    mined: list[TrainingSample] = []
-    gen_pairs: list[tuple[Query, object]] = []
-    queries_with_positives = 0
-    langs = sorted(unlabeled_by_lang)
-
-    def rank_one(q: Query):
-        return _rankings_for(state, q, cfg)
-
-    for lang in langs:
-        qs = unlabeled_by_lang[lang]
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                rankings = list(pool.map(rank_one, qs))
-        else:
-            rankings = [rank_one(q) for q in qs]
-        for q, (list_a, list_b) in zip(qs, rankings):
-            sets, s1 = mined_sets_for(list_a, list_b)
-            if sets.positives:
-                queries_with_positives += 1
-            if cfg.negative_mode == "mined":
-                mined.extend(assemble_mined_sample(q, sets, corpus, rng_mine, cfg.mining))
-            elif cfg.negative_mode == "none":
-                mined.extend(
-                    TrainingSample(query=q, positive=pid, source="mined")
-                    for pid in sets.positive_order
-                )
-            else:  # sparse_top
-                sparse_ranked = search_sparse(
-                    state.sparse_index, q, cfg.mining.max_hard_negatives + cfg.mining.S
-                )
-                hard = tuple(
-                    pid for pid, _ in sparse_ranked if pid not in sets.positives
-                )[: cfg.mining.max_hard_negatives]
-                mined.extend(
-                    TrainingSample(query=q, positive=pid, hard_negatives=hard, source="mined")
-                    for pid in sets.positive_order
-                )
-            gen_pairs.extend((q, corpus[pid]) for pid in s1.positive_order)
-
+    queries = [q for qs in unlabeled_by_lang.values() for q in qs]
+    mined, gen_pairs, queries_with_positives = mine(state, queries, corpus, cfg, iteration)
     if not mined:
-        n_q = sum(len(v) for v in unlabeled_by_lang.values())
         raise PipelineError(
-            f"iteration {iteration} mined zero samples from {n_q} unlabeled queries "
+            f"iteration {iteration} mined zero samples from {len(queries)} unlabeled queries "
             f"(S={cfg.mining.S}, L={cfg.mining.L}); the agreement thresholds are too "
             "strict for the current retrievers"
         )
 
     generated: list[TrainingSample] = []
-    candidates = accepted = rejected = 0
+    rejected: list[GeneratedPair] = []
     do_generate = (
         cfg.use_generation
         and cfg.n_generate > 0
@@ -510,62 +622,14 @@ def run_iteration(
             train_generator(state.generator, gen_pairs, cfg.tokenizer)
         rng_select = np.random.default_rng([cfg.seed, _GEN_SELECT, iteration])
         rng_sample = np.random.default_rng([cfg.seed, _GEN_SAMPLE, iteration])
-        for lang in langs:
-            lang_passages = corpus.by_lang(lang)
-            if not lang_passages:
-                continue
-            n = min(cfg.n_generate, len(lang_passages))
-            picked = rng_select.choice(len(lang_passages), size=n, replace=False)
-            for idx in picked:
-                passage = lang_passages[int(idx)]
-                try:
-                    query = generate_query(
-                        state.generator,
-                        passage,
-                        rng_sample,
-                        cfg.tokenizer,
-                        query_id=f"gen{iteration}-{passage.id}",
-                    )
-                except ValueError:
-                    continue
-                candidates += 1
-                pair = GeneratedPair(query=query, passage_id=passage.id)
-                if filter_generated(
-                    pair, state.sparse_index, state.dense_index, state.params, cfg.tokenizer
-                ):
-                    accepted += 1
-                    generated.append(
-                        assemble_generated_sample(
-                            mark_accepted(pair),
-                            state.sparse_index,
-                            state.dense_index,
-                            state.params,
-                            corpus,
-                            rng_sample,
-                            cfg.mining,
-                            cfg.tokenizer,
-                        )
-                    )
-                else:
-                    rejected += 1
+        langs = sorted(unlabeled_by_lang)
+        generated, rejected = generate(
+            state, langs, corpus, cfg, rng_select, rng_sample, f"gen{iteration}-"
+        )
 
     dataset = mined + generated
-    rng_train = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, iteration])
     opt = init_optimizer(state.params, lr=cfg.train_lr)
-    losses = []
-    order = rng_train.permutation(len(dataset))
-    pos = 0
-    for step in range(1, cfg.minibatches_per_iter + 1):
-        if pos >= len(order):
-            order = rng_train.permutation(len(dataset))
-            pos = 0
-        batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
-        pos += cfg.batch_size
-        _, _, loss = train_step(
-            state.params, opt, batch, corpus, cfg.tokenizer, rows_cache=state.rows_cache
-        )
-        _check_loss(loss, f"iteration {iteration} step {step}")
-        losses.append(loss)
+    losses = train(state.params, opt, dataset, corpus, cfg, state.rows_cache, iteration)
 
     state.dense_index = build_dense_index(
         state.params, corpus, cfg.tokenizer, rows_cache=state.rows_cache
@@ -582,9 +646,9 @@ def run_iteration(
         mined_samples=len(mined),
         mined_queries_with_positives=queries_with_positives,
         generator_training_pairs=len(gen_pairs),
-        generated_candidates=candidates,
-        generated_accepted=accepted,
-        generated_rejected=rejected,
+        generated_candidates=len(generated) + len(rejected),
+        generated_accepted=len(generated),
+        generated_rejected=len(rejected),
         dataset_size=len(dataset),
         mean_loss=float(np.mean(losses)),
         metrics=metrics,
@@ -599,9 +663,18 @@ def run_iteration(
 # ---------------------------------------------------------------------------
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    """Write JSON through a temp file, so ``path`` is either absent or complete."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+    os.replace(tmp, path)
+
+
 def _write_iteration_artifacts(
     outdir: Path, state: PipelineState, report: IterationReport, artifacts: dict
 ) -> None:
+    # report.json goes last: resume trusts an iteration only once it parses
     outdir.mkdir(parents=True, exist_ok=True)
     save_samples(artifacts["mined"], outdir / "mined.jsonl")
     save_samples(artifacts["generated"], outdir / "generated.jsonl")
@@ -609,8 +682,19 @@ def _write_iteration_artifacts(
     save_generator(state.generator, outdir / "generator.json")
     if artifacts["run"]:
         save_run(artifacts["run"], outdir / "run.trec")
-    with open(outdir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+    _write_json(outdir / "report.json", report.to_dict())
+
+
+def _completed_report(outdir: Path) -> IterationReport | None:
+    """The report persisted in ``outdir`` (warm-up or iteration), or None
+    unless it parses and the checkpoint next to it loads."""
+    try:
+        with open(outdir / "report.json", encoding="utf-8") as fh:
+            report = IterationReport.from_dict(json.load(fh))
+        load_checkpoint(outdir / "checkpoint.npz")
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    return report
 
 
 def _unlabeled_by_lang(data: PipelineData) -> dict[str, list[Query]]:
@@ -632,8 +716,10 @@ def run_pipeline(
     iteration 0) followed by one report per iteration. With a workdir, every
     iteration persists mined.jsonl, generated.jsonl, checkpoint.npz,
     generator.json, report.json and run.trec under iter_N/, plus a manifest
-    binding the config hash and seed; ``resume=True`` continues from the last
-    completed iteration and fails on a config-hash mismatch.
+    binding the config hash and seed; ``resume=True`` fails on a config-hash
+    mismatch and otherwise continues after the last iteration in an unbroken
+    run, from the warm-up on, of directories whose report parses and whose
+    checkpoint loads.
     """
     out = Path(workdir) if workdir is not None else None
     manifest = {
@@ -642,7 +728,8 @@ def run_pipeline(
         "seed": cfg.seed,
         "version": __version__,
     }
-    start_iter = 0
+    # reports of the warm-up and the completed iterations found on resume
+    done: list[IterationReport] = []
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         manifest_path = out / "manifest.json"
@@ -654,11 +741,14 @@ def run_pipeline(
                     "resume config hash mismatch: "
                     f"{existing.get('config_hash')} != {manifest['config_hash']}"
                 )
-            while (out / f"iter_{start_iter + 1}" / "report.json").exists():
-                start_iter += 1
+            for name in ["warmup"] + [f"iter_{i}" for i in range(1, cfg.iterations + 1)]:
+                report = _completed_report(out / name)
+                if report is None:
+                    break
+                done.append(report)
         else:
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2)
+            _write_json(manifest_path, manifest)
+    start_iter = max(len(done) - 1, 0)
 
     sparse_index = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     vocab = sorted(
@@ -674,19 +764,15 @@ def run_pipeline(
         raise PipelineError("no labeled source queries with relevant judgments")
 
     reports: list[IterationReport] = []
-    aux_params = aux_index = None
+    aux_params = None
     warm_report = None
 
-    if out is not None and resume and start_iter > 0:
+    if start_iter > 0:
         params, _ = load_checkpoint(out / f"iter_{start_iter}" / "checkpoint.npz")
         generator = load_generator(out / f"iter_{start_iter}" / "generator.json")
         if cfg.mining_mode == "double_dense":
             aux_params, _ = load_checkpoint(out / "warmup" / "aux_checkpoint.npz")
-        with open(out / "warmup" / "report.json", encoding="utf-8") as fh:
-            reports.append(IterationReport.from_dict(json.load(fh)))
-        for i in range(1, start_iter + 1):
-            with open(out / f"iter_{i}" / "report.json", encoding="utf-8") as fh:
-                reports.append(IterationReport.from_dict(json.load(fh)))
+        reports.extend(done)
     else:
         t0 = time.perf_counter()
         params, generator = warmup(labeled, data.corpus, cfg, vocab_tokens=vocab)
@@ -698,18 +784,8 @@ def run_pipeline(
             )
         warm_report = IterationReport(iteration=0, wall_clock_sec=time.perf_counter() - t0)
 
-    rows_cache = corpus_token_rows(params, data.corpus, cfg.tokenizer)
-    if aux_params is not None:
-        aux_index = build_dense_index(aux_params, data.corpus, cfg.tokenizer)
-    state = PipelineState(
-        params=params,
-        generator=generator,
-        sparse_index=sparse_index,
-        dense_index=build_dense_index(params, data.corpus, cfg.tokenizer, rows_cache=rows_cache),
-        rows_cache=rows_cache,
-        iteration=start_iter,
-        aux_params=aux_params,
-        aux_index=aux_index,
+    state = start_state(
+        params, generator, sparse_index, data.corpus, cfg, start_iter, aux_params=aux_params
     )
 
     if warm_report is not None:
@@ -722,8 +798,7 @@ def run_pipeline(
             save_generator(generator, wdir / "generator.json")
             if aux_params is not None:
                 save_checkpoint(wdir / "aux_checkpoint.npz", aux_params)
-            with open(wdir / "report.json", "w", encoding="utf-8") as fh:
-                json.dump(warm_report.to_dict(), fh, indent=2)
+            _write_json(wdir / "report.json", warm_report.to_dict())
 
     unlabeled_by_lang = _unlabeled_by_lang(data)
     key = f"mrr@{cfg.eval_k}"

@@ -11,7 +11,7 @@ passage as their top-1 result for the generated query.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -55,7 +55,6 @@ class GeneratorModel:
 class GeneratedPair:
     query: Query
     passage_id: str
-    accepted: bool = False
 
 
 def train_generator(
@@ -167,14 +166,12 @@ def assemble_generated_sample(
     cfg: MiningConfig,
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> TrainingSample:
-    """Build a training sample for an accepted generated pair.
+    """Build a training sample for a generated pair that passed the filter.
 
     Hard negatives are the retrievers' top passages excluding the positive,
     dense results first then sparse, deduplicated and capped; random negatives
     are drawn as in mining. In-batch negatives are applied at training time.
     """
-    if not pair.accepted:
-        raise ValueError("only accepted pairs can be assembled into samples")
     k = cfg.max_hard_negatives + 1
     dense_top = search_dense(dense_index, params, pair.query, k, tok=tok)
     sparse_top = search_sparse(sparse_index, pair.query, k)
@@ -193,10 +190,6 @@ def assemble_generated_sample(
         random_negatives=randoms,
         source="generated",
     )
-
-
-def mark_accepted(pair: GeneratedPair) -> GeneratedPair:
-    return replace(pair, accepted=True)
 
 
 def save_generator(model: GeneratorModel, path: str | Path) -> None:

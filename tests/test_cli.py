@@ -2,12 +2,14 @@ import filecmp
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lexmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, dispatch, parse_kv_config
-from lexmine.corpus import load_queries
+from lexmine.corpus import load_passages, load_qrels, load_queries
+from lexmine.dense import load_checkpoint
 from lexmine.evaluation import load_run, mrr_at_k
-from lexmine.corpus import load_qrels
+from lexmine.mining import load_samples
 
 SYNTH_CFG = """
 languages = src,tgta
@@ -356,3 +358,141 @@ def test_warmup_mine_generate_train_chain(tmp_path, synth_dir):
     manifest = json.loads((trained / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["seed"] == 3
+
+
+# ---------------------------------------------------------------------------
+# stage commands run the pipeline's stage code
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def warm_ckpt(tmp_path, synth_dir):
+    split_synth_for_pipeline(synth_dir)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    warm = tmp_path / "warm"
+    code = dispatch(
+        [
+            "warmup",
+            "--config", str(cfg),
+            "--passages", str(synth_dir / "passages.jsonl"),
+            "--queries", str(synth_dir / "train_queries.jsonl"),
+            "--qrels", str(synth_dir / "qrels.tsv"),
+            "--seed", "3",
+            "--out", str(warm),
+        ]
+    )
+    assert code == EXIT_OK
+    return warm / "checkpoint.npz"
+
+
+def mine_cmd(cfg, synth_dir, ckpt, out, seed, *extra):
+    return dispatch(
+        [
+            "mine",
+            "--config", str(cfg),
+            "--passages", str(synth_dir / "passages.jsonl"),
+            "--queries", str(synth_dir / "unlabeled_tgt.jsonl"),
+            "--checkpoint", str(ckpt),
+            "--seed", str(seed),
+            "--out", str(out),
+            *extra,
+        ]
+    )
+
+
+def train_cmd(cfg, synth_dir, ckpt, samples, out, seed):
+    return dispatch(
+        [
+            "train",
+            "--config", str(cfg),
+            "--passages", str(synth_dir / "passages.jsonl"),
+            "--samples", *map(str, samples),
+            "--checkpoint", str(ckpt),
+            "--seed", str(seed),
+            "--out", str(out),
+        ]
+    )
+
+
+@pytest.mark.parametrize("mode", ["none", "sparse_top"])
+def test_mine_honours_negative_mode(tmp_path, synth_dir, warm_ckpt, mode):
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "mined.jsonl"
+    assert mine_cmd(cfg, synth_dir, warm_ckpt, out, 3, "--set", f"negative_mode={mode}") == EXIT_OK
+    samples = load_samples(out)
+    assert samples
+    assert all(s.random_negatives == () for s in samples)
+    if mode == "none":
+        assert all(s.hard_negatives == () for s in samples)
+    else:
+        assert any(s.hard_negatives for s in samples)
+
+
+def test_mine_honours_fuse_mode(tmp_path, synth_dir, warm_ckpt):
+    cfg = tmp_path / "c.cfg"
+    default, fused = tmp_path / "default.jsonl", tmp_path / "fused.jsonl"
+    assert mine_cmd(cfg, synth_dir, warm_ckpt, default, 3) == EXIT_OK
+    assert mine_cmd(cfg, synth_dir, warm_ckpt, fused, 3, "--set", "mining_mode=fuse_sum") == EXIT_OK
+    assert fused.stat().st_size > 0
+    assert fused.read_bytes() != default.read_bytes()
+
+
+def test_mine_workers_do_not_change_output(tmp_path, synth_dir, warm_ckpt):
+    cfg = tmp_path / "c.cfg"
+    one, two = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
+    assert mine_cmd(cfg, synth_dir, warm_ckpt, one, 3, "--workers", "1") == EXIT_OK
+    assert mine_cmd(cfg, synth_dir, warm_ckpt, two, 3, "--workers", "2") == EXIT_OK
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_mine_double_dense_exit_2(tmp_path, synth_dir, warm_ckpt, capsys):
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "mined.jsonl"
+    code = mine_cmd(cfg, synth_dir, warm_ckpt, out, 3, "--set", "mining_mode=double_dense")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "mining_mode" in err
+    assert not out.exists()
+
+
+def test_mine_then_train_reproduce_pipeline_iteration_one(tmp_path, synth_dir):
+    split_synth_for_pipeline(synth_dir)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    run = tmp_path / "run"
+    code = dispatch(
+        ["pipeline", "--config", str(cfg), "--set", "iterations=1", "--seed", "5", "--out", str(run)]
+    )
+    assert code == EXIT_OK
+    warm_ckpt = run / "warmup" / "checkpoint.npz"
+    iter_1 = run / "iter_1"
+
+    mined = tmp_path / "mined.jsonl"
+    assert mine_cmd(cfg, synth_dir, warm_ckpt, mined, 5) == EXIT_OK
+    assert mined.read_bytes() == (iter_1 / "mined.jsonl").read_bytes()
+
+    trained = tmp_path / "trained"
+    samples = (iter_1 / "mined.jsonl", iter_1 / "generated.jsonl")
+    assert train_cmd(cfg, synth_dir, warm_ckpt, samples, trained, 5) == EXIT_OK
+    got, _ = load_checkpoint(trained / "checkpoint.npz")
+    want, _ = load_checkpoint(iter_1 / "checkpoint.npz")
+    assert got.vocab == want.vocab
+    assert np.array_equal(got.embedding, want.embedding)
+
+
+def test_train_non_finite_loss_exit_1(tmp_path, synth_dir, warm_ckpt, monkeypatch, capsys):
+    import lexmine.pipeline as pipeline_mod
+
+    cfg = tmp_path / "c.cfg"
+    passage = next(iter(load_passages(synth_dir / "passages.jsonl")))
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text(
+        json.dumps({"query_id": "q", "query_text": passage.text, "positive": passage.id}) + "\n"
+    )
+    monkeypatch.setattr(
+        pipeline_mod, "train_step", lambda params, opt, *a, **k: (params, opt, float("nan"))
+    )
+    out = tmp_path / "trained"
+    assert train_cmd(cfg, synth_dir, warm_ckpt, [samples], out, 3) == 1
+    assert "pipeline error: iteration 1 step 1: training loss is nan" in capsys.readouterr().err
+    assert not out.exists()

@@ -17,7 +17,6 @@ from lexmine.corpus import (
     QuerySet,
     SynthSpec,
     TokenizerConfig,
-    load_corpus,
     load_passages,
     load_qrels,
     load_queries,
@@ -251,20 +250,6 @@ def test_load_qrels_bad_grade(tmp_path):
     with pytest.raises(DataFormatError) as exc:
         load_qrels(path)
     assert exc.value.line == 1
-
-
-def test_load_corpus_dispatch(tmp_path):
-    p = tmp_path / "p.jsonl"
-    p.write_text(json.dumps({"id": "p1", "text": "t"}) + "\n")
-    assert isinstance(load_corpus(p, "passages"), Corpus)
-    q = tmp_path / "q.jsonl"
-    q.write_text(json.dumps({"id": "q1", "text": "t"}) + "\n")
-    assert isinstance(load_corpus(q, "queries"), QuerySet)
-    r = tmp_path / "r.tsv"
-    r.write_text("q1 0 p1 1\n")
-    assert isinstance(load_corpus(r, "qrels"), JudgmentSet)
-    with pytest.raises(ValueError):
-        load_corpus(p, "nope")
 
 
 def test_round_trip(tmp_path):

@@ -19,7 +19,6 @@ from lexmine.dense import (
     load_checkpoint,
     save_checkpoint,
     search_dense,
-    similarity,
     train_step,
     vocab_from_corpus,
 )
@@ -77,7 +76,7 @@ def random_case(seed, shared=True):
 
 
 # ---------------------------------------------------------------------------
-# encode / similarity
+# encode
 # ---------------------------------------------------------------------------
 
 
@@ -111,20 +110,6 @@ def test_encode_counts_duplicates(tiny_corpus):
 def test_encode_skips_oov(tiny_corpus):
     params = toy_params(tiny_corpus)
     assert np.allclose(encode(params, ["apple", "zzz"]), encode(params, ["apple"]))
-
-
-def test_similarity_cases():
-    assert similarity(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
-    assert similarity(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
-    with pytest.raises(ValueError):
-        similarity(np.zeros(2), np.zeros(3))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-5, 5), min_size=3, max_size=3), st.lists(st.floats(-5, 5), min_size=3, max_size=3))
-def test_similarity_symmetric(a, b):
-    av, bv = np.array(a), np.array(b)
-    assert similarity(av, bv) == similarity(bv, av)
 
 
 def test_init_params_scale_and_determinism():

@@ -360,6 +360,19 @@ def test_pipeline_resume_matches_uninterrupted(data, tmp_path):
     assert comparable(resumed) == comparable(full)
 
 
+@pytest.mark.parametrize(
+    "broken", ["iter_2/report.json", "iter_2/checkpoint.npz", "warmup/report.json"]
+)
+def test_pipeline_resume_reruns_from_broken_iteration(data, tmp_path, broken):
+    cfg = small_cfg()
+    full = run_pipeline(cfg, data, workdir=tmp_path)
+    assert not list(tmp_path.rglob("*.tmp"))
+    path = tmp_path / broken
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    resumed = run_pipeline(cfg, data, workdir=tmp_path, resume=True)
+    assert comparable(resumed) == comparable(full)
+
+
 def test_pipeline_resume_config_mismatch(data, tmp_path):
     cfg = small_cfg()
     run_pipeline(cfg, data, workdir=tmp_path)

@@ -13,7 +13,6 @@ from lexmine.querygen import (
     filter_generated,
     generate_query,
     load_generator,
-    mark_accepted,
     save_generator,
     train_generator,
 )
@@ -255,17 +254,10 @@ def test_filter_nested_corpora_monotone():
 # ---------------------------------------------------------------------------
 
 
-def test_assemble_requires_accepted(tiny_corpus, rng):
-    sparse, dense, params = build_retrievers(tiny_corpus)
-    pair = GeneratedPair(query=Query(id="g", text="apple"), passage_id="p1")
-    with pytest.raises(ValueError):
-        assemble_generated_sample(pair, sparse, dense, params, tiny_corpus, rng, MiningConfig())
-
-
 def test_assemble_single_passage_corpus(rng):
     corpus = Corpus([Passage(id="only", text="alpha beta")])
     sparse, dense, params = build_retrievers(corpus)
-    pair = mark_accepted(GeneratedPair(query=Query(id="g", text="alpha"), passage_id="only"))
+    pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="only")
     sample = assemble_generated_sample(pair, sparse, dense, params, corpus, rng, MiningConfig())
     assert sample.positive == "only"
     assert sample.hard_negatives == ()
@@ -297,7 +289,7 @@ def test_assemble_dense_first_then_sparse_dedup(rng):
     dense_ids = [pid for pid, _ in search_dense(dense, params, query, 3)]
     assert dense_ids == ["pos", "a", "b"]
 
-    pair = mark_accepted(GeneratedPair(query=query, passage_id="pos"))
+    pair = GeneratedPair(query=query, passage_id="pos")
     cfg = MiningConfig(S=1, L=3, n_random_negatives=0, max_hard_negatives=3)
     sample = assemble_generated_sample(pair, sparse, dense, params, corpus, rng, cfg)
     assert sample.hard_negatives == ("a", "b", "c")
@@ -315,9 +307,7 @@ def test_assemble_satisfies_sample_invariants(rng):
     for p in corpus:
         pair = GeneratedPair(query=generate_query(model, p, rng), passage_id=p.id)
         if filter_generated(pair, sparse, dense, params):
-            sample = assemble_generated_sample(
-                mark_accepted(pair), sparse, dense, params, corpus, rng, cfg
-            )
+            sample = assemble_generated_sample(pair, sparse, dense, params, corpus, rng, cfg)
             union = (sample.positive, *sample.hard_negatives, *sample.random_negatives)
             assert len(set(union)) == len(union)
 
