@@ -214,8 +214,11 @@ def _guard_overwrite(marker: Path, overwrite: bool, what: str) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, str]:
-    mapping = parse_kv_config(args.config) if args.config else {}
-    return apply_overrides(mapping, args.set or [])
+    mapping = apply_overrides(parse_kv_config(args.config) if args.config else {}, args.set or [])
+    # --workers N is --set workers=N, validated with the rest of the config
+    if getattr(args, "workers", None) is not None:
+        mapping["workers"] = str(args.workers)
+    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +317,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             "`lexmine pipeline` trains",
             key="mining_mode",
         )
-    if args.workers:
-        cfg.workers = args.workers
     corpus = load_passages(data_path(args.passages))
     queries = load_queries(data_path(args.queries))
     state = _checkpoint_state(args, corpus, cfg, GeneratorModel())
@@ -424,8 +425,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     mapping = _load_config(args)
     cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
-    if args.workers:
-        cfg.workers = args.workers
     missing = [k for k in ("passages", "train_queries", "train_qrels", "unlabeled_queries") if k not in mapping]
     if missing:
         raise ConfigError(f"pipeline config missing data keys: {', '.join(missing)}", key=missing[0])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -129,13 +130,17 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     ``cfg.cjk_char_split`` each codepoint of a script written without word
     boundaries (Thai, Hangul, kana, CJK ideographs) is a token of its own,
     whatever its category. Tokens shorter than ``cfg.min_token_len`` are dropped.
+
+    Tokens are interned, so every occurrence of a term is one string object:
+    a caller keeping token lists (per-passage lists for an index of its own,
+    say) holds a pointer per token rather than a string per token.
     """
     if cfg.lowercase:
         text = text.lower()
     tokens = _TOKEN_RE[cfg.cjk_char_split].findall(text)
     if cfg.min_token_len > 1:
-        tokens = [t for t in tokens if len(t) >= cfg.min_token_len]
-    return tokens
+        return [sys.intern(t) for t in tokens if len(t) >= cfg.min_token_len]
+    return list(map(sys.intern, tokens))
 
 
 @dataclass(frozen=True)
@@ -182,11 +187,20 @@ class Corpus:
             if p.id in self._by_id:
                 raise DataFormatError(f"duplicate passage id {p.id!r}")
             self._by_id[p.id] = p
+        self._order = list(self._by_id)
+        self._position = {pid: i for i, pid in enumerate(self._order)}
         self._tokenized: TokenizedCorpus | None = None
 
     @property
     def ids(self) -> list[str]:
-        return list(self._by_id)
+        return list(self._order)
+
+    def position(self, passage_id: str) -> int:
+        """Index of the passage in corpus order."""
+        return self._position[passage_id]
+
+    def id_at(self, position: int) -> str:
+        return self._order[position]
 
     def __len__(self) -> int:
         return len(self._by_id)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, tokenize
-from .sparse import RankedList
+from .sparse import RankedList, top_k
 
 __all__ = [
     "EncoderParams",
@@ -225,8 +225,7 @@ def search_dense(
 def search_dense_vector(index: DenseIndex, qv: np.ndarray, k: int) -> RankedList:
     """Top-k of a precomputed query vector against the index."""
     scores = index.vectors @ qv
-    order = np.lexsort((index._id_rank, -scores))[: min(k, len(index.ids))]
-    return [(index.ids[i], float(scores[i])) for i in order]
+    return [(index.ids[i], float(scores[i])) for i in top_k(scores, index._id_rank, k).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .corpus import DataFormatError, JudgmentSet
 from .sparse import RankedList
@@ -168,6 +167,10 @@ def paired_t_test(per_query_a: list[float], per_query_b: list[float]) -> TTestRe
             p_two_sided=0.0,
             degenerate_variance=True,
         )
+    # imported here: scipy.stats costs about 70 MB and a second to import, and
+    # only this test needs it, never a pipeline run
+    from scipy import stats
+
     t = mean / (sd / np.sqrt(n))
     p = 2.0 * float(stats.t.sf(abs(t), n - 1))
     return TTestResult(t=float(t), p_two_sided=min(p, 1.0))

@@ -99,15 +99,22 @@ def sample_random_negatives(
     n: int,
     rng: np.random.Generator,
 ) -> tuple[str, ...]:
-    """Uniform draws without replacement from the corpus, skipping ``exclude``."""
+    """Uniform draws without replacement from the corpus, skipping ``exclude``.
+
+    The draw picks indices into the remaining passages in corpus order; each is
+    mapped past the excluded passages' positions, so no candidate list is built.
+    """
     if n <= 0:
         return ()
-    candidates = [pid for pid in corpus.ids if pid not in exclude]
-    if not candidates:
+    skipped = np.array(sorted(corpus.position(pid) for pid in exclude if pid in corpus), dtype=np.int64)
+    count = len(corpus) - len(skipped)
+    if count == 0:
         return ()
-    take = min(n, len(candidates))
-    picked = rng.choice(len(candidates), size=take, replace=False)
-    return tuple(candidates[int(i)] for i in picked)
+    picked = rng.choice(count, size=min(n, count), replace=False)
+    # skipped[j] has skipped[j] - j remaining passages before it, so remaining
+    # passage c lies past every skipped[j] with skipped[j] - j <= c
+    shift = np.searchsorted(skipped - np.arange(len(skipped)), picked, side="right")
+    return tuple(corpus.id_at(p) for p in (picked + shift).tolist())
 
 
 def assemble_mined_sample(

@@ -3,13 +3,16 @@
 Lucene-style scoring: idf = ln(1 + (N - df + 0.5) / (df + 0.5)), which is
 always non-negative, with k1 = 0.9 and b = 0.4 defaults. Query terms are
 deduplicated before scoring, passages with score 0 are never returned, and
-ties break by ascending passage id so rankings are fully reproducible.
+ties break by ascending passage id so rankings are fully reproducible. Every
+posting's BM25 weight is precomputed when the index is built (the impact form
+of BM25), so a query sums its terms' impact rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +23,12 @@ from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, tokenize
 __all__ = [
     "BM25Params",
     "InvertedIndex",
+    "Postings",
     "RankedList",
     "build_index",
     "bm25_score",
     "search_sparse",
+    "top_k",
     "save_index",
     "load_index",
 ]
@@ -44,21 +49,110 @@ class BM25Params:
             raise ValueError("b must be in [0, 1]")
 
 
+class Postings(Mapping[str, list[tuple[str, int]]]):
+    """Term -> [(passage id, tf), ...] in ascending id order, stored once as
+    term-major CSR arrays.
+
+    The postings of ``terms[i]`` are ``indptr[i]:indptr[i + 1]`` of ``rank``
+    (the passage's position in ascending id order, int32) and ``tf`` (int32).
+    Lists are built on access; nothing holds them.
+    """
+
+    def __init__(
+        self, terms: Sequence[str], indptr: np.ndarray, rank: np.ndarray, tf: np.ndarray, ids: Sequence[str]
+    ):
+        self._row = {t: i for i, t in enumerate(terms)}
+        self.indptr = indptr
+        self.rank = rank
+        self.tf = tf
+        self.ids = ids  # passage ids in ascending order; rank r is ids[r]
+        self._rank_of = {pid: r for r, pid in enumerate(ids)}
+
+    @classmethod
+    def from_lists(cls, lists: Mapping[str, Sequence[tuple[str, int]]], ids: Sequence[str]) -> Postings:
+        """The view of plain posting lists; ``ids`` are the passage ids in ascending order."""
+        rank_of = {pid: r for r, pid in enumerate(ids)}
+        sizes = [len(plist) for plist in lists.values()]
+        # filled straight from the lists, with no Python object per posting
+        rank = np.fromiter((rank_of[pid] for plist in lists.values() for pid, _ in plist), np.int32, sum(sizes))
+        tf = np.fromiter((tf for plist in lists.values() for _, tf in plist), np.int32, sum(sizes))
+        return cls(list(lists), np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), rank, tf, ids)
+
+    def span(self, term: str) -> tuple[int, int]:
+        """Bounds of the term's postings; (0, 0) for an unknown term."""
+        i = self._row.get(term)
+        if i is None:
+            return 0, 0
+        return int(self.indptr[i]), int(self.indptr[i + 1])
+
+    def tf_of(self, term: str, passage_id: str) -> int:
+        """The term's frequency in the passage, by binary search of its postings."""
+        lo, hi = self.span(term)
+        r = self._rank_of[passage_id]
+        j = lo + int(np.searchsorted(self.rank[lo:hi], r))
+        return int(self.tf[j]) if j < hi and self.rank[j] == r else 0
+
+    def __getitem__(self, term: str) -> list[tuple[str, int]]:
+        if term not in self._row:
+            raise KeyError(term)
+        lo, hi = self.span(term)
+        return [(self.ids[r], tf) for r, tf in zip(self.rank[lo:hi].tolist(), self.tf[lo:hi].tolist())]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+
 @dataclass
 class InvertedIndex:
-    postings: dict[str, list[tuple[str, int]]]
+    """BM25 statistics plus every posting's precomputed BM25 impact.
+
+    ``postings`` may be any mapping of term -> [(passage id, tf), ...] in
+    ascending id order; it is stored as a ``Postings`` view. ``impact`` holds,
+    per posting, the term's BM25 weight in that passage, so a query scores by
+    summing its terms' rows.
+    """
+
+    postings: Mapping[str, Sequence[tuple[str, int]]]
     doc_len: dict[str, int]
     N: int
     avgdl: float
     params: BM25Params = field(default_factory=BM25Params)
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
+    impact: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.postings, Postings):
+            self.postings = Postings.from_lists(self.postings, sorted(self.doc_len))
+        self.impact = self._impacts()
 
     def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        lo, hi = self.postings.span(term)
+        return hi - lo
 
     def idf(self, term: str) -> float:
         d = self.df(term)
         return math.log(1.0 + (self.N - d + 0.5) / (d + 0.5))
+
+    def _impacts(self) -> np.ndarray:
+        # bm25_score's float operations, one posting per lane, idf through
+        # math.log as there. In place, to keep the build's peak memory low:
+        # a + b == b + a and a * b == b * a hold exactly, so impacts are bit-equal.
+        k1, b = self.params.k1, self.params.b
+        p = self.postings
+        norm = np.array([self.doc_len[pid] for pid in p.ids], dtype=np.float64)[p.rank]
+        norm *= b
+        norm /= self.avgdl
+        norm += 1.0 - b
+        norm *= k1
+        norm += p.tf
+        impact = np.repeat([self.idf(t) for t in p], np.diff(p.indptr))
+        impact *= p.tf
+        impact *= k1 + 1.0
+        impact /= norm
+        return impact
 
 
 def build_index(
@@ -82,10 +176,13 @@ def build_index(
     # one key per (term, passage) occurrence, ordered by term, then passage id
     keys, tfs = np.unique(tc.ids.astype(np.int64) * n + np.repeat(id_rank, lens), return_counts=True)
     terms, ranks = np.divmod(keys, n)
-    sorted_ids = np.array([ids[i] for i in by_id], dtype=object)
-    pairs = list(zip(sorted_ids[ranks].tolist(), tfs.tolist()))
-    bounds = np.searchsorted(terms, np.arange(len(tc.vocab) + 1)).tolist()
-    postings = {term: pairs[lo:hi] for term, lo, hi in zip(tc.vocab, bounds, bounds[1:])}
+    postings = Postings(
+        tc.vocab,
+        np.searchsorted(terms, np.arange(len(tc.vocab) + 1)),
+        ranks.astype(np.int32),
+        tfs.astype(np.int32),
+        sorted(ids),
+    )
     doc_len = dict(zip(ids, lens.tolist()))
     avgdl = sum(doc_len.values()) / n
     return InvertedIndex(
@@ -97,61 +194,66 @@ def _dedupe(tokens: list[str]) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
-def _term_weight(index: InvertedIndex, term: str, tf: int, dl: int) -> float:
-    k1, b = index.params.k1, index.params.b
-    norm = tf + k1 * (1.0 - b + b * dl / index.avgdl)
-    return index.idf(term) * tf * (k1 + 1.0) / norm
-
-
 def bm25_score(index: InvertedIndex, query_tokens: list[str], passage_id: str) -> float:
-    """BM25 score of one passage for the (deduplicated) query tokens."""
+    """BM25 score of one passage for the (deduplicated) query tokens.
+
+    Computed term by term from tf, the passage length and idf, without the
+    index's precomputed impacts: it is the exhaustive oracle for search.
+    """
     if passage_id not in index.doc_len:
         raise KeyError(f"unknown passage id {passage_id!r}")
+    k1, b = index.params.k1, index.params.b
     dl = index.doc_len[passage_id]
     score = 0.0
     for term in _dedupe(query_tokens):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        tf = _posting_tf(plist, passage_id)
+        tf = index.postings.tf_of(term, passage_id)
         if tf:
-            score += _term_weight(index, term, tf, dl)
+            norm = tf + k1 * (1.0 - b + b * dl / index.avgdl)
+            score += index.idf(term) * tf * (k1 + 1.0) / norm
     return score
 
 
-def _posting_tf(plist: list[tuple[str, int]], passage_id: str) -> int:
-    lo, hi = 0, len(plist)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if plist[mid][0] < passage_id:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(plist) and plist[lo][0] == passage_id:
-        return plist[lo][1]
-    return 0
+def top_k(
+    scores: np.ndarray, id_rank: np.ndarray | None, k: int, candidates: np.ndarray | None = None
+) -> np.ndarray:
+    """Indices of the ``k`` best ``candidates`` (all entries when None) by
+    (score desc, id rank asc); ``id_rank=None`` means index order is id order.
+
+    Exact: a partition finds the k-th best score, every candidate scoring at
+    least that much survives (so ties at the boundary compete on id), and only
+    the survivors are sorted. When fewer than k survive (NaN scores, which sort
+    last), all candidates are sorted.
+    """
+    pool = scores if candidates is None else scores[candidates]
+    n = len(pool)
+    keep = np.arange(n)
+    if k < n:
+        kth = np.partition(pool, n - k)[n - k]
+        survivors = np.flatnonzero(pool >= kth)
+        if len(survivors) >= k:
+            keep = survivors
+    idx = keep if candidates is None else candidates[keep]
+    tie = idx if id_rank is None else id_rank[idx]
+    return idx[np.lexsort((tie, -scores[idx]))[:k]]
 
 
 def search_sparse(index: InvertedIndex, query: Query | str, k: int) -> RankedList:
     """Top-k passages by BM25, excluding zero-score passages.
 
     Equivalent to scoring every passage and sorting by (score desc, id asc);
-    only passages containing at least one query term can appear.
+    only passages containing at least one query term can appear. Scores are the
+    sums of the query terms' impact rows, added in query-term order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     text = query.text if isinstance(query, Query) else query
-    tokens = _dedupe(tokenize(text, index.tokenizer))
-    scores: dict[str, float] = {}
-    for term in tokens:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        for pid, tf in plist:
-            w = _term_weight(index, term, tf, index.doc_len[pid])
-            scores[pid] = scores.get(pid, 0.0) + w
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    p = index.postings
+    scores = np.zeros(len(p.ids))
+    for term in _dedupe(tokenize(text, index.tokenizer)):
+        lo, hi = p.span(term)
+        scores[p.rank[lo:hi]] += index.impact[lo:hi]
+    best = top_k(scores, None, k, np.flatnonzero(scores > 0.0))
+    return [(p.ids[r], float(scores[r])) for r in best.tolist()]
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

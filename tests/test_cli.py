@@ -456,6 +456,25 @@ def test_mine_double_dense_exit_2(tmp_path, synth_dir, warm_ckpt, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["-3", "0"])
+def test_mine_workers_flag_validated(tmp_path, synth_dir, warm_ckpt, capsys, workers):
+    out = tmp_path / "mined.jsonl"
+    assert mine_cmd(tmp_path / "c.cfg", synth_dir, warm_ckpt, out, 3, "--workers", workers) == EXIT_CONFIG
+    assert "config error: workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["-3", "0"])
+def test_pipeline_workers_flag_validated(tmp_path, synth_dir, capsys, workers):
+    split_synth_for_pipeline(synth_dir)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    out = tmp_path / "run"
+    code = dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out), "--workers", workers])
+    assert code == EXIT_CONFIG
+    assert "config error: workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mine_then_train_reproduce_pipeline_iteration_one(tmp_path, synth_dir):
     split_synth_for_pipeline(synth_dir)
     cfg = pipeline_cfg_file(tmp_path, synth_dir)

@@ -63,6 +63,18 @@ def test_tokenize_punctuation_and_digits():
     assert tokenize("foo-bar v2.0, baz!") == ["foo", "bar", "v2", "0", "baz"]
 
 
+@pytest.mark.parametrize(
+    "cfg", [TokenizerConfig(), TokenizerConfig(min_token_len=2), TokenizerConfig(cjk_char_split=False)]
+)
+def test_tokenize_occurrences_share_one_string(cfg):
+    first = tokenize("Tall towers, 東京 towers", cfg)
+    again = tokenize("the towers are TALL. 東京", cfg)
+    by_text = {}
+    for t in first + again:
+        assert by_text.setdefault(t, t) is t, t
+    assert first[1] is first[-1] is again[1]
+
+
 def test_tokenizer_config_rejects_bad_min_len():
     with pytest.raises(ValueError):
         TokenizerConfig(min_token_len=0)

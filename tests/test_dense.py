@@ -19,6 +19,7 @@ from lexmine.dense import (
     load_checkpoint,
     save_checkpoint,
     search_dense,
+    search_dense_vector,
     train_step,
     vocab_from_corpus,
 )
@@ -176,6 +177,28 @@ def test_search_matches_brute_force_at_500_passages():
         got = search_dense(index, params, q, k=500)
         qv = encode(params, tokenize(q.text), as_query=True)
         assert got == brute_force_dense(index, qv)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 29, 30, 31, 100])
+def test_search_top_k_with_ties_matches_brute_force(k):
+    # vectors on a coarse grid tie many scores, also at the k-th position
+    rng = np.random.default_rng(11)
+    passages = [Passage(id=f"p{int(i):02d}", text=f"t{int(i) % 5}") for i in rng.permutation(30)]
+    corpus = Corpus(passages)
+    params = toy_params(corpus, dim=3, seed=4)
+    index = build_dense_index(params, corpus)
+    index.vectors[:] = np.round(rng.normal(size=index.vectors.shape))
+    for qv in [np.array([1.0, 0.0, 0.0]), np.array([1.0, -1.0, 2.0]), np.zeros(3)]:
+        assert search_dense_vector(index, qv, k) == brute_force_dense(index, qv)[:k]
+
+
+def test_search_nan_scores_rank_last():
+    corpus = Corpus([Passage(id=f"p{i}", text=f"t{i}") for i in range(6)])
+    params = toy_params(corpus, dim=2)
+    index = build_dense_index(params, corpus)
+    index.vectors[:] = [[1.0, 0.0], [np.nan, 0.0], [3.0, 0.0], [np.nan, 0.0], [2.0, 0.0], [2.0, 0.0]]
+    got = search_dense_vector(index, np.array([1.0, 0.0]), 5)
+    assert [pid for pid, _ in got] == ["p2", "p4", "p5", "p0", "p1"]
 
 
 def test_search_all_oov_ranks_by_id(tiny_corpus):

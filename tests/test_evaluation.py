@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -232,6 +236,14 @@ def test_ttest_validation():
         paired_t_test([1.0], [1.0])
     with pytest.raises(ValueError):
         paired_t_test([1.0, 2.0], [1.0])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 70 MB and a second per process; only the t-test loads it
+    code = "import sys, lexmine.cli, lexmine.pipeline; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexmine.corpus import Query
+from lexmine.corpus import Corpus, Passage, Query
 from lexmine.dense import TrainingSample
 from lexmine.mining import (
     MinedSets,
@@ -12,6 +12,7 @@ from lexmine.mining import (
     hybrid_fuse,
     load_samples,
     mine_pairs,
+    sample_random_negatives,
     save_samples,
 )
 
@@ -122,6 +123,65 @@ def test_mine_symmetric_in_inputs(data):
     ba = mine_pairs(b, a, cfg)
     assert ab.positives == ba.positives
     assert ab.negatives == ba.negatives
+
+
+# ---------------------------------------------------------------------------
+# sample_random_negatives
+# ---------------------------------------------------------------------------
+
+
+def reference_random_negatives(corpus, exclude, n, rng):
+    """Oracle: draw from the explicit list of remaining ids, in corpus order."""
+    if n <= 0:
+        return ()
+    candidates = [pid for pid in corpus.ids if pid not in exclude]
+    if not candidates:
+        return ()
+    picked = rng.choice(len(candidates), size=min(n, len(candidates)), replace=False)
+    return tuple(candidates[int(i)] for i in picked)
+
+
+def shuffled_corpus(rng, n):
+    # ids not in sorted order, so corpus order and id order differ
+    return Corpus([Passage(id=f"d{int(i):03d}", text="x") for i in rng.permutation(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+    st.integers(-1, 35),
+    st.lists(st.integers(0, 40), max_size=40),
+)
+def test_random_negatives_match_candidate_list_oracle(seed, n_docs, n, exclude_idx):
+    corpus = shuffled_corpus(np.random.default_rng(seed), n_docs)
+    # indices >= n_docs name ids the corpus does not hold
+    exclude = {f"d{i:03d}" for i in exclude_idx} | {"unknown"}
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_random_negatives(corpus, exclude, n, got_rng)
+    assert got == reference_random_negatives(corpus, exclude, n, want_rng)
+    # the same draws were made: both streams continue identically
+    assert got_rng.random() == want_rng.random()
+    assert not set(got) & exclude
+    assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 50])
+def test_random_negatives_n_at_or_above_candidate_count(n):
+    corpus = shuffled_corpus(np.random.default_rng(0), 9)
+    exclude = {"d001", "d004", "d008", "d100"}
+    got = sample_random_negatives(corpus, exclude, n, np.random.default_rng(5))
+    assert got == reference_random_negatives(corpus, exclude, n, np.random.default_rng(5))
+    assert len(got) == min(n, 6)
+
+
+def test_random_negatives_all_excluded():
+    corpus = shuffled_corpus(np.random.default_rng(1), 4)
+    rng = np.random.default_rng(2)
+    assert sample_random_negatives(corpus, set(corpus.ids) | {"zz"}, 3, rng) == ()
+    assert sample_random_negatives(corpus, set(), 0, rng) == ()
+    # nothing was drawn
+    assert rng.random() == np.random.default_rng(2).random()
 
 
 # ---------------------------------------------------------------------------

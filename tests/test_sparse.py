@@ -1,19 +1,32 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexmine.corpus import Corpus, Passage, Query, TokenizerConfig, tokenize
+from lexmine.corpus import Corpus, Passage, Query, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
 from lexmine.sparse import (
     BM25Params,
+    InvertedIndex,
     bm25_score,
     build_index,
     load_index,
     save_index,
     search_sparse,
+    top_k,
 )
+
+GOLDEN_INDEX = Path(__file__).parent / "data" / "sparse_index_golden.json"
+
+MIXED_PASSAGES = [
+    Passage(id="m3", text="東京タワー is tall, 東京 is big 東京", lang="ja"),
+    Passage(id="m1", text="กรุงเทพมหานคร เมืองหลวง 123 bangkok bangkok", lang="th"),
+    Passage(id="m10", text="서울 특별시 Seoul_city Seoul 서울", lang="ko"),
+    Passage(id="m2", text="Ünïcode wörds, a b cc ddd! 東 tall", lang="de"),
+    Passage(id="m0", text="!!! ...", lang="xx"),
+]
 
 
 def brute_force_search(index, corpus, query_text, k):
@@ -26,6 +39,45 @@ def brute_force_search(index, corpus, query_text, k):
             scored.append((pid, s))
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return scored[:k]
+
+
+def reference_weight(index, term, tf, dl):
+    """Oracle: one posting's BM25 weight, as Python float arithmetic."""
+    k1, b = index.params.k1, index.params.b
+    norm = tf + k1 * (1.0 - b + b * dl / index.avgdl)
+    return index.idf(term) * tf * (k1 + 1.0) / norm
+
+
+def listed_index(corpus, tok=TokenizerConfig(), params=BM25Params()):
+    """An index from plain posting lists counted here, as perfbench/checks.py builds one."""
+    postings: dict[str, dict[str, int]] = {}
+    doc_len: dict[str, int] = {}
+    for p in corpus:
+        toks = tokenize(p.text, tok)
+        doc_len[p.id] = len(toks)
+        for t in toks:
+            tfs = postings.setdefault(t, {})
+            tfs[p.id] = tfs.get(p.id, 0) + 1
+    return InvertedIndex(
+        postings={t: sorted(tfs.items()) for t, tfs in postings.items()},
+        doc_len=doc_len,
+        N=len(corpus),
+        avgdl=sum(doc_len.values()) / len(corpus),
+        params=params,
+        tokenizer=tok,
+    )
+
+
+def impacts_by_term(index):
+    out, lo = {}, 0
+    for term, plist in index.postings.items():
+        out[term] = index.impact[lo : lo + len(plist)].tolist()
+        lo += len(plist)
+    return out
+
+
+def golden_corpus():
+    return Corpus([*random_corpus(np.random.default_rng(2024), n_docs=30), *MIXED_PASSAGES])
 
 
 def random_corpus(rng, n_docs, vocab=40, max_len=12):
@@ -205,3 +257,120 @@ def test_index_round_trip(tmp_path, tiny_corpus):
     assert loaded.tokenizer == index.tokenizer
     q = Query(id="q", text="apple banana")
     assert search_sparse(loaded, q, 4) == search_sparse(index, q, 4)
+
+
+# ---------------------------------------------------------------------------
+# precomputed impacts and the posting-list view
+# ---------------------------------------------------------------------------
+
+
+SYNTH_CORPUS = synth_benchmark(SynthSpec(topics_per_lang=10), seed=3).corpus
+
+
+@pytest.mark.parametrize("params", [BM25Params(), BM25Params(k1=1.2, b=0.75), BM25Params(k1=0.0, b=1.0)])
+@pytest.mark.parametrize("which", ["synthetic", "mixed_script"])
+def test_impacts_equal_reference_weight_exactly(which, params):
+    corpus = SYNTH_CORPUS if which == "synthetic" else golden_corpus()
+    index = build_index(corpus, params=params)
+    lo = 0
+    for term, plist in index.postings.items():
+        for j, (pid, tf) in enumerate(plist, lo):
+            assert index.impact[j] == reference_weight(index, term, tf, index.doc_len[pid])
+        lo += len(plist)
+    assert lo == len(index.impact)
+
+
+@pytest.mark.parametrize("which", ["synthetic", "mixed_script"])
+def test_listed_index_equals_build_index(which):
+    corpus = SYNTH_CORPUS if which == "synthetic" else golden_corpus()
+    tok = TokenizerConfig(min_token_len=2) if which == "synthetic" else TokenizerConfig()
+    params = BM25Params(k1=1.1, b=0.6)
+    built, listed = build_index(corpus, tok, params), listed_index(corpus, tok, params)
+    assert sorted(built.postings.items()) == sorted(listed.postings.items())
+    assert impacts_by_term(listed) == impacts_by_term(built)
+    rng = np.random.default_rng(8)
+    terms = list(built.postings)
+    for _ in range(25):
+        text = " ".join(terms[int(i)] for i in rng.integers(len(terms), size=int(rng.integers(1, 5))))
+        text += " never-seen-term"
+        assert search_sparse(listed, text, 20) == search_sparse(built, text, 20)
+        qtok = tokenize(text, tok)
+        for pid in corpus.ids[:40]:
+            assert bm25_score(listed, qtok, pid) == bm25_score(built, qtok, pid)
+    for term in [*terms, "never-seen-term"]:
+        assert listed.df(term) == built.df(term)
+        assert listed.idf(term) == built.idf(term)
+
+
+def test_postings_view_behaves_as_a_mapping(tiny_corpus):
+    index = build_index(tiny_corpus)
+    assert len(index.postings) == 5
+    assert list(index.postings) == ["apple", "banana", "cherry", "date", "fig"]
+    assert index.postings["apple"] == [("p1", 2), ("p4", 1)]
+    assert index.postings.get("zebra") is None
+    assert "fig" in index.postings and "zebra" not in index.postings
+    with pytest.raises(KeyError):
+        index.postings["zebra"]
+    assert index.df("zebra") == 0
+
+
+def test_save_index_matches_golden_bytes(tmp_path):
+    # the golden file was written by the index code that kept postings as lists
+    index = build_index(golden_corpus(), TokenizerConfig(min_token_len=1), BM25Params(k1=1.2, b=0.75))
+    save_index(index, tmp_path / "idx.json")
+    assert (tmp_path / "idx.json").read_bytes() == GOLDEN_INDEX.read_bytes()
+    save_index(load_index(GOLDEN_INDEX), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == GOLDEN_INDEX.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# top_k
+# ---------------------------------------------------------------------------
+
+
+def reference_top_k(scores, id_rank, k, candidates=None):
+    """Oracle: a full lexsort of the candidates by (score desc, id rank asc)."""
+    idx = np.arange(len(scores)) if candidates is None else np.asarray(candidates)
+    order = np.lexsort((id_rank[idx], -scores[idx]))
+    return idx[order][:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.integers(1, 70),
+    st.sampled_from([1, 2, 3, 0]),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_top_k_equals_full_lexsort(seed, n, k, levels, subset, n_nan):
+    rng = np.random.default_rng(seed)
+    # few distinct values force ties at the k-th position; levels=0 makes all scores equal
+    scores = np.round(rng.normal(size=n) * levels) if levels else np.full(n, 0.5)
+    scores[rng.integers(n, size=min(n_nan, n))] = np.nan
+    id_rank = rng.permutation(n)
+    candidates = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)) if subset else None
+    got = top_k(scores, id_rank, k, candidates)
+    assert got.tolist() == reference_top_k(scores, id_rank, k, candidates).tolist()
+    if candidates is not None:
+        assert top_k(scores, None, k, candidates).tolist() == reference_top_k(
+            scores, np.arange(n), k, candidates
+        ).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 100])
+def test_top_k_ties_at_the_boundary_go_to_lower_id_rank(k):
+    scores = np.array([3.0, 1.0, 2.0, 2.0, 2.0])
+    id_rank = np.array([4, 0, 3, 1, 2])
+    want = [0, 3, 4, 2, 1][:k]
+    assert top_k(scores, id_rank, k).tolist() == want
+    assert reference_top_k(scores, id_rank, k).tolist() == want
+
+
+def test_top_k_nan_sorts_last():
+    scores = np.array([np.nan, 1.0, np.nan, 2.0, 1.0])
+    id_rank = np.arange(5)
+    assert top_k(scores, id_rank, 2).tolist() == [3, 1]
+    assert top_k(scores, id_rank, 4).tolist() == [3, 1, 4, 0]
+    assert top_k(scores, id_rank, 1, np.array([0, 2])).tolist() == [0]
