@@ -24,6 +24,7 @@ from .corpus import (
     DataFormatError,
     SynthSpec,
     TokenizerConfig,
+    atomic_write,
     load_passages,
     load_qrels,
     load_queries,
@@ -204,7 +205,7 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int | None) ->
         "version": __version__,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, indent=2)
 
 
@@ -240,7 +241,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     save_queries(bench.queries, out / "queries.jsonl")
     save_qrels(bench.judgments, out / "qrels.tsv")
     save_queries(bench.unlabeled, out / "unlabeled.jsonl")
-    with open(out / "topics.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "topics.json") as fh:
         json.dump(
             {
                 "source_lang": bench.source_lang,
@@ -347,7 +348,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_samples(accepted, out)
     if args.rejected:
-        with open(args.rejected, "w", encoding="utf-8") as fh:
+        with atomic_write(args.rejected) as fh:
             for pair in rejected:
                 rec = {
                     "query_id": pair.query.id,
@@ -382,7 +383,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _guard_overwrite(out / "manifest.json", args.overwrite, "train output")
     rows_cache = corpus_token_rows(params, corpus, cfg.tokenizer)
     # the pipeline's first iteration, training stream included
-    losses = train(params, opt, dataset, corpus, cfg, rows_cache, iteration=1)
+    losses = train(params, opt, dataset, cfg, rows_cache, iteration=1)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params, opt)
     _write_manifest(out / "manifest.json", "train", cfg.canonical_dict(), args.seed)

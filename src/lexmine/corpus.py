@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -157,6 +159,11 @@ class TokenizedCorpus:
     vocab: tuple[str, ...]
     ids: np.ndarray
     offsets: np.ndarray
+
+    def tokens(self, position: int) -> list[str]:
+        """The tokens of the passage at ``position`` in corpus order, in text order."""
+        span = self.ids[self.offsets[position] : self.offsets[position + 1]]
+        return [self.vocab[i] for i in span.tolist()]
 
 
 def _tokenize_corpus(passages: Iterable[Passage], tok: TokenizerConfig) -> TokenizedCorpus:
@@ -324,6 +331,22 @@ class JudgmentSet:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write through a temp file next to ``path`` that replaces it on success
+    and is removed on error, so ``path`` keeps its old content or gets all of
+    the new."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _load_jsonl_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -417,21 +440,21 @@ def load_qrels(path: str | Path) -> JudgmentSet:
 
 
 def save_passages(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in corpus:
             fh.write(json.dumps({"id": p.id, "text": p.text, "lang": p.lang}, ensure_ascii=False))
             fh.write("\n")
 
 
 def save_queries(queries: QuerySet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for q in queries:
             fh.write(json.dumps({"id": q.id, "text": q.text, "lang": q.lang}, ensure_ascii=False))
             fh.write("\n")
 
 
 def save_qrels(judgments: JudgmentSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for j in judgments:
             fh.write(f"{j.query_id}\t0\t{j.passage_id}\t{j.grade}\n")
 

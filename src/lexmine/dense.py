@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, tokenize
+from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
 from .sparse import RankedList, top_k
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "build_dense_index",
     "search_dense",
     "infonce_from_scores",
-    "infonce_loss",
+    "infonce_batch",
     "init_optimizer",
     "train_step",
     "corpus_token_rows",
@@ -117,10 +117,25 @@ def _token_rows(vocab: dict[str, int], tokens: Sequence[str]) -> np.ndarray:
     return np.array([vocab[t] for t in tokens if t in vocab], dtype=np.int64)
 
 
-def _encode_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    if rows.size == 0:
-        return np.zeros(table.shape[1])
-    return table[rows].mean(axis=0)
+def _mean_pool(table: np.ndarray, rows_list: Sequence[np.ndarray]) -> np.ndarray:
+    """One row per entry of ``rows_list``: the mean of those table rows, or zero if none."""
+    pooled = np.zeros((len(rows_list), table.shape[1]))
+    for i, rows in enumerate(rows_list):
+        if rows.size:
+            pooled[i] = table[rows].mean(axis=0)
+    return pooled
+
+
+def _scatter_pooled(g_table: np.ndarray, rows_list: Sequence[np.ndarray], g_pooled: np.ndarray) -> None:
+    """Chain gradients of ``_mean_pool``'s output back onto ``g_table`` (in place)."""
+    row_chunks = []
+    contrib_chunks = []
+    for rows, g in zip(rows_list, g_pooled):
+        if rows.size:
+            row_chunks.append(rows)
+            contrib_chunks.append(np.broadcast_to(g / rows.size, (rows.size, g.size)))
+    if row_chunks:
+        np.add.at(g_table, np.concatenate(row_chunks), np.concatenate(contrib_chunks))
 
 
 def encode(
@@ -131,7 +146,7 @@ def encode(
     Out-of-vocabulary tokens are skipped; empty or fully-OOV input encodes to
     the zero vector.
     """
-    return _encode_rows(params.table(as_query), _token_rows(params.vocab, tokens))
+    return _mean_pool(params.table(as_query), [_token_rows(params.vocab, tokens)])[0]
 
 
 def corpus_token_rows(
@@ -187,12 +202,7 @@ def build_dense_index(
         raise ValueError("cannot index an empty corpus")
     rows_cache = rows_cache if rows_cache is not None else corpus_token_rows(params, corpus, tok)
     ids = corpus.ids
-    table = params.embedding
-    vectors = np.zeros((len(ids), params.dim))
-    for i, pid in enumerate(ids):
-        rows = rows_cache[pid]
-        if rows.size:
-            vectors[i] = table[rows].mean(axis=0)
+    vectors = _mean_pool(params.embedding, [rows_cache[pid] for pid in ids])
     return DenseIndex(ids=ids, vectors=vectors, params_version=params.version)
 
 
@@ -264,67 +274,59 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def infonce_loss(
+def infonce_batch(
     params: EncoderParams,
-    sample: TrainingSample,
-    in_batch_positives: Sequence[str],
-    corpus: Corpus,
+    batch: Sequence[TrainingSample],
+    rows_cache: dict[str, np.ndarray],
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
-) -> tuple[float, dict[str, dict[int, np.ndarray]]]:
-    """Loss and exact analytic gradient over every touched embedding row.
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Mean InfoNCE loss over the batch and its exact gradient wrt the tables.
 
-    Negatives are the sample's hard negatives, then random negatives, then the
-    given in-batch positives (each scored once per occurrence). The gradient is
-    returned as {table_name: {row: d-vector}} where table_name is "embedding"
-    and, for untied parameters, "query_embedding".
+    Negatives for each sample are its hard negatives, then its random
+    negatives, then the other samples' positives (each once, skipping any that
+    equal the sample's own positive). ``rows_cache`` maps every passage id to
+    its embedding rows (``corpus_token_rows``). Returns ``(loss, g_emb,
+    g_query)``: ``g_query`` is the query table's gradient for untied
+    parameters and None when shared, where the query side adds into
+    ``g_emb``. Inputs are not modified.
     """
-    if sample.positive in in_batch_positives:
-        raise ValueError("in_batch_positives must exclude the sample's own positive")
-    q_rows = _token_rows(params.vocab, tokenize(sample.query.text, tok))
-    qv = _encode_rows(params.table(as_query=True), q_rows)
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    # Unique passages touched by the batch, encoded once.
+    uniq: dict[str, int] = {}
+    for s in batch:
+        for pid in (s.positive, *s.hard_negatives, *s.random_negatives):
+            uniq.setdefault(pid, len(uniq))
+    p_rows = [rows_cache[pid] for pid in uniq]
+    q_rows = [_token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch]
+    P = _mean_pool(params.embedding, p_rows)
+    Q = _mean_pool(params.table(as_query=True), q_rows)
 
-    pids = [sample.positive, *sample.hard_negatives, *sample.random_negatives, *in_batch_positives]
-    p_rows = {pid: _token_rows(params.vocab, tokenize(corpus[pid].text, tok)) for pid in set(pids)}
-    p_vecs = {pid: _encode_rows(params.embedding, rows) for pid, rows in p_rows.items()}
+    n = len(batch)
+    scale = 1.0 / n
+    P_grad = np.zeros_like(P)
+    Q_grad = np.zeros_like(Q)
+    total_loss = 0.0
+    positives = [s.positive for s in batch]
+    for i, s in enumerate(batch):
+        in_batch = [p for j, p in enumerate(positives) if j != i and p != s.positive]
+        pids = [s.positive, *s.hard_negatives, *s.random_negatives, *in_batch]
+        idx = np.array([uniq[pid] for pid in pids], dtype=np.int64)
+        scores = P[idx] @ Q[i]
+        probs = _softmax(scores)
+        total_loss += infonce_from_scores(scores[0], scores[1:])
+        # dL/ds = softmax - onehot(positive)
+        coeff = probs.copy()
+        coeff[0] -= 1.0
+        coeff *= scale
+        np.add.at(P_grad, idx, coeff[:, None] * Q[i][None, :])
+        Q_grad[i] = coeff @ P[idx]
 
-    scores = np.array([float(np.dot(qv, p_vecs[pid])) for pid in pids])
-    probs = _softmax(scores)
-    loss = infonce_from_scores(scores[0], scores[1:])
-
-    # dL/ds = softmax - onehot(positive)
-    coeff = probs.copy()
-    coeff[0] -= 1.0
-
-    d = params.dim
-    grad_emb: dict[int, np.ndarray] = {}
-    grad_query: dict[int, np.ndarray] = {}
-
-    dqv = np.zeros(d)
-    for c, pid in zip(coeff, pids):
-        dqv += c * p_vecs[pid]
-        rows = p_rows[pid]
-        if rows.size:
-            contrib = (c / rows.size) * qv
-            for r in rows:
-                r = int(r)
-                if r in grad_emb:
-                    grad_emb[r] = grad_emb[r] + contrib
-                else:
-                    grad_emb[r] = contrib.copy()
-    if q_rows.size:
-        q_target = grad_emb if params.shared else grad_query
-        contrib = dqv / q_rows.size
-        for r in q_rows:
-            r = int(r)
-            if r in q_target:
-                q_target[r] = q_target[r] + contrib
-            else:
-                q_target[r] = contrib.copy()
-
-    grads: dict[str, dict[int, np.ndarray]] = {"embedding": grad_emb}
-    if not params.shared:
-        grads["query_embedding"] = grad_query
-    return loss, grads
+    g_emb = np.zeros_like(params.embedding)
+    _scatter_pooled(g_emb, p_rows, P_grad)
+    g_query = None if params.shared else np.zeros_like(params.embedding)
+    _scatter_pooled(g_emb if g_query is None else g_query, q_rows, Q_grad)
+    return total_loss / n, g_emb, g_query
 
 
 # ---------------------------------------------------------------------------
@@ -367,97 +369,22 @@ def train_step(
     params: EncoderParams,
     opt: OptimizerState,
     batch: Sequence[TrainingSample],
-    corpus: Corpus,
+    rows_cache: dict[str, np.ndarray],
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
-    rows_cache: dict[str, np.ndarray] | None = None,
 ) -> tuple[EncoderParams, OptimizerState, float]:
-    """One optimizer update from the mean InfoNCE gradient over the batch.
+    """One Adam update from ``infonce_batch``'s gradient; returns its mean loss.
 
-    In-batch negatives for each sample are the other samples' positives (each
-    once, skipping any that equal the sample's own positive). Parameters and
-    optimizer state are updated in place; the parameter version increments.
-    Deterministic given batch order.
+    Parameters and optimizer state are updated in place; the parameter
+    version increments. Deterministic given batch order.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    if rows_cache is None:
-        rows_cache = {}
-
-    def rows_of(pid: str) -> np.ndarray:
-        rows = rows_cache.get(pid)
-        if rows is None:
-            rows = _token_rows(params.vocab, tokenize(corpus[pid].text, tok))
-            rows_cache[pid] = rows
-        return rows
-
-    # Unique passages touched by the batch, encoded once.
-    uniq: dict[str, int] = {}
-    for s in batch:
-        for pid in (s.positive, *s.hard_negatives, *s.random_negatives):
-            uniq.setdefault(pid, len(uniq))
-    uniq_ids = list(uniq)
-    d = params.dim
-    P = np.zeros((len(uniq_ids), d))
-    for i, pid in enumerate(uniq_ids):
-        rows = rows_of(pid)
-        if rows.size:
-            P[i] = params.embedding[rows].mean(axis=0)
-
-    q_table = params.table(as_query=True)
-    q_rows_list = [ _token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch ]
-    Q = np.zeros((len(batch), d))
-    for i, rows in enumerate(q_rows_list):
-        if rows.size:
-            Q[i] = q_table[rows].mean(axis=0)
-
-    n = len(batch)
-    scale = 1.0 / n
-    P_grad = np.zeros_like(P)
-    Q_grad = np.zeros_like(Q)
-    total_loss = 0.0
-    positives = [s.positive for s in batch]
-    for i, s in enumerate(batch):
-        in_batch = [p for j, p in enumerate(positives) if j != i and p != s.positive]
-        pids = [s.positive, *s.hard_negatives, *s.random_negatives, *in_batch]
-        idx = np.array([uniq[pid] for pid in pids], dtype=np.int64)
-        scores = P[idx] @ Q[i]
-        probs = _softmax(scores)
-        total_loss += infonce_from_scores(scores[0], scores[1:])
-        coeff = probs.copy()
-        coeff[0] -= 1.0
-        coeff *= scale
-        np.add.at(P_grad, idx, coeff[:, None] * Q[i][None, :])
-        Q_grad[i] = coeff @ P[idx]
-
-    # Chain pooled-vector gradients back to embedding rows.
-    g_emb = np.zeros_like(params.embedding)
-    row_chunks = []
-    contrib_chunks = []
-    for i, pid in enumerate(uniq_ids):
-        rows = rows_of(pid)
-        if rows.size:
-            row_chunks.append(rows)
-            contrib_chunks.append(np.broadcast_to(P_grad[i] / rows.size, (rows.size, d)))
-    if row_chunks:
-        np.add.at(g_emb, np.concatenate(row_chunks), np.concatenate(contrib_chunks))
-
-    g_query = g_emb if params.shared else np.zeros_like(params.embedding)
-    row_chunks = []
-    contrib_chunks = []
-    for i, rows in enumerate(q_rows_list):
-        if rows.size:
-            row_chunks.append(rows)
-            contrib_chunks.append(np.broadcast_to(Q_grad[i] / rows.size, (rows.size, d)))
-    if row_chunks:
-        np.add.at(g_query, np.concatenate(row_chunks), np.concatenate(contrib_chunks))
-
+    loss, g_emb, g_query = infonce_batch(params, batch, rows_cache, tok)
     opt.step += 1
     _adam_update(params.embedding, g_emb, opt.m, opt.v, opt)
-    if not params.shared:
+    if g_query is not None:
         assert opt.q_m is not None and opt.q_v is not None
         _adam_update(params.query_embedding, g_query, opt.q_m, opt.q_v, opt)
     params.version += 1
-    return params, opt, total_loss / n
+    return params, opt, loss
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +422,7 @@ def save_checkpoint(path: str | Path, params: EncoderParams, opt: OptimizerState
         if opt.q_m is not None:
             arrays["adam_q_m"] = opt.q_m
             arrays["adam_q_v"] = opt.q_v
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 

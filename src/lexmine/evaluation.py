@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataFormatError, JudgmentSet
+from .corpus import DataFormatError, JudgmentSet, atomic_write
 from .sparse import RankedList
 
 __all__ = [
@@ -183,7 +183,7 @@ def paired_t_test(per_query_a: list[float], per_query_b: list[float]) -> TTestRe
 
 def save_run(run: RunFile, path: str | Path, tag: str = "lexmine") -> None:
     """Write `query_id Q0 passage_id rank score tag` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for qid, ranked in run.items():
             for rank, (pid, score) in enumerate(ranked, 1):
                 fh.write(f"{qid} Q0 {pid} {rank} {score:.6f} {tag}\n")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, DataFormatError, Query
+from .corpus import Corpus, DataFormatError, Query, atomic_write
 from .dense import TrainingSample
 from .sparse import RankedList
 
@@ -187,7 +187,7 @@ def hybrid_fuse(sparse: RankedList, dense: RankedList, mode: str, k: int) -> Ran
 
 def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
     """Write training samples as JSONL (one object per sample)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for s in samples:
             fh.write(
                 json.dumps(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +30,7 @@ from .corpus import (
     QuerySet,
     SynthBenchmark,
     TokenizerConfig,
+    atomic_write,
     tokenize,
 )
 from .dense import (
@@ -294,7 +294,6 @@ def _train_epochs(
     params: EncoderParams,
     opt: OptimizerState,
     samples: list[TrainingSample],
-    corpus: Corpus,
     cfg: PipelineConfig,
     epochs: int,
     rng: np.random.Generator,
@@ -305,9 +304,7 @@ def _train_epochs(
         order = rng.permutation(len(samples))
         for step, start in enumerate(range(0, len(order), cfg.batch_size), 1):
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-            _, _, last_loss = train_step(
-                params, opt, batch, corpus, cfg.tokenizer, rows_cache=rows_cache
-            )
+            _, _, last_loss = train_step(params, opt, batch, rows_cache, cfg.tokenizer)
             _check_loss(last_loss, f"warm-up epoch {epoch} step {step}")
     return last_loss
 
@@ -366,11 +363,12 @@ def warmup(
     rows_cache = corpus_token_rows(params, corpus, cfg.tokenizer)
     opt = init_optimizer(params, lr=cfg.warmup_lr)
     rng_shuffle = np.random.default_rng([cfg.seed, _WARMUP_SHUFFLE, seed_offset])
-    _train_epochs(params, opt, filled, corpus, cfg, cfg.warmup_epochs, rng_shuffle, rows_cache)
+    _train_epochs(params, opt, filled, cfg, cfg.warmup_epochs, rng_shuffle, rows_cache)
 
     generator = train_generator(
         GeneratorModel(),
         [(s.query, corpus[s.positive]) for s in source_labeled],
+        corpus,
         cfg.tokenizer,
     )
     return params, generator
@@ -474,14 +472,20 @@ def mine(
     """Mine training samples for unlabeled queries from retriever agreement.
 
     Queries are mined in language order (file order within a language) from
-    the iteration's mining stream; ``cfg.workers`` threads rank them. Hard
+    the iteration's mining stream; ``cfg.workers`` threads rank them. A query
+    with no token in the encoder's vocabulary is skipped: its zero vector
+    ranks passages by id, which the fuse modes would mine as agreement. Hard
     negatives follow ``cfg.negative_mode``. Returns the samples, the S=1
     (query, passage) pairs the generator trains on, and the number of queries
     with at least one positive.
     """
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
     s1_cfg = replace(cfg.mining, S=cfg.gen_mining_S)
-    qs = sorted(queries, key=lambda q: q.lang)
+    vocab = state.params.vocab
+    qs = sorted(
+        (q for q in queries if any(t in vocab for t in tokenize(q.text, cfg.tokenizer))),
+        key=lambda q: q.lang,
+    )
     rankings = _fan_out(lambda q: _rankings_for(state, q, cfg), qs, cfg.workers)
     mined: list[TrainingSample] = []
     gen_pairs: list[tuple[Query, Passage]] = []
@@ -528,6 +532,7 @@ def generate(
     neither.
     """
     sparse, dense, params = state.sparse_index, state.dense_index, state.params
+    tokenized = corpus.tokenized(cfg.tokenizer)
     accepted: list[TrainingSample] = []
     rejected: list[GeneratedPair] = []
     for lang in langs:
@@ -538,8 +543,9 @@ def generate(
         for idx in rng_select.choice(len(lang_passages), size=n, replace=False):
             passage = lang_passages[int(idx)]
             qid = id_prefix + passage.id
+            tokens = tokenized.tokens(corpus.position(passage.id))
             try:
-                query = generate_query(state.generator, passage, rng_sample, cfg.tokenizer, qid)
+                query = generate_query(state.generator, passage, tokens, rng_sample, qid)
             except ValueError:
                 continue
             pair = GeneratedPair(query=query, passage_id=passage.id)
@@ -557,7 +563,6 @@ def train(
     params: EncoderParams,
     opt: OptimizerState,
     dataset: Sequence[TrainingSample],
-    corpus: Corpus,
     cfg: PipelineConfig,
     rows_cache: dict[str, np.ndarray],
     iteration: int,
@@ -578,7 +583,7 @@ def train(
             pos = 0
         batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
         pos += cfg.batch_size
-        _, _, loss = train_step(params, opt, batch, corpus, cfg.tokenizer, rows_cache=rows_cache)
+        _, _, loss = train_step(params, opt, batch, rows_cache, cfg.tokenizer)
         _check_loss(loss, f"iteration {iteration} step {step}")
         losses.append(loss)
     return losses
@@ -619,7 +624,7 @@ def run_iteration(
     )
     if do_generate:
         if gen_pairs:
-            train_generator(state.generator, gen_pairs, cfg.tokenizer)
+            train_generator(state.generator, gen_pairs, corpus, cfg.tokenizer)
         rng_select = np.random.default_rng([cfg.seed, _GEN_SELECT, iteration])
         rng_sample = np.random.default_rng([cfg.seed, _GEN_SAMPLE, iteration])
         langs = sorted(unlabeled_by_lang)
@@ -629,7 +634,7 @@ def run_iteration(
 
     dataset = mined + generated
     opt = init_optimizer(state.params, lr=cfg.train_lr)
-    losses = train(state.params, opt, dataset, corpus, cfg, state.rows_cache, iteration)
+    losses = train(state.params, opt, dataset, cfg, state.rows_cache, iteration)
 
     state.dense_index = build_dense_index(
         state.params, corpus, cfg.tokenizer, rows_cache=state.rows_cache
@@ -664,11 +669,8 @@ def run_iteration(
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    """Write JSON through a temp file, so ``path`` is either absent or complete."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, indent=2)
-    os.replace(tmp, path)
 
 
 def _write_iteration_artifacts(

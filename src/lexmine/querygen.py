@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, tokenize
+from .corpus import Corpus, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
 from .dense import DenseIndex, EncoderParams, TrainingSample, search_dense
 from .mining import MiningConfig, sample_random_negatives
 from .sparse import InvertedIndex, search_sparse
@@ -60,13 +60,15 @@ class GeneratedPair:
 def train_generator(
     model: GeneratorModel,
     pairs: Sequence[tuple[Query, Passage]],
+    corpus: Corpus,
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> GeneratorModel:
     """Fit per-language term salience and the query-length distribution.
 
-    Languages present in ``pairs`` get their salience tables recomputed from
-    scratch; other languages keep their existing entries. Returns the mutated
-    model with its version incremented.
+    Passage tokens come from ``corpus.tokenized(tok)``, so every passage in
+    ``pairs`` must be in ``corpus``. Languages present in ``pairs`` get their
+    salience tables recomputed from scratch; other languages keep their
+    existing entries. Returns the mutated model with its version incremented.
     """
     if not pairs:
         raise ValueError("training pairs must be non-empty")
@@ -74,13 +76,14 @@ def train_generator(
     in_both: dict[tuple[str, str], int] = {}
     lengths: dict[int, int] = {}
     langs = set()
+    tc = corpus.tokenized(tok)
     for query, passage in pairs:
         langs.add(passage.lang)
         q_list = tokenize(query.text, tok)
         q_tokens = set(q_list)
         if q_list:
             lengths[len(q_list)] = lengths.get(len(q_list), 0) + 1
-        for t in set(tokenize(passage.text, tok)):
+        for t in set(tc.tokens(corpus.position(passage.id))):
             key = (passage.lang, t)
             in_passage[key] = in_passage.get(key, 0) + 1
             if t in q_tokens:
@@ -104,19 +107,21 @@ def train_generator(
 def generate_query(
     model: GeneratorModel,
     passage: Passage,
+    tokens: Sequence[str],
     rng: np.random.Generator,
-    tok: TokenizerConfig = DEFAULT_TOKENIZER,
     query_id: str | None = None,
 ) -> Query:
-    """Sample a query from the passage's tokens, weighted by salience.
+    """Sample a query from the passage's ``tokens``, weighted by salience.
 
-    The length is drawn from the trained length distribution, then that many
-    distinct passage tokens are drawn without replacement with probability
-    proportional to salience. The query inherits the passage's language.
+    ``tokens`` are the passage's tokens in text order (a pipeline passes
+    ``Corpus.tokenized(tok).tokens``). The length is drawn from the trained
+    length distribution, then that many distinct passage tokens are drawn
+    without replacement with probability proportional to salience. The query
+    inherits the passage's language.
     """
     if model.version < 1:
         raise ValueError("generator must be trained before generating")
-    candidates = list(dict.fromkeys(tokenize(passage.text, tok)))
+    candidates = list(dict.fromkeys(tokens))
     if not candidates:
         raise ValueError(f"passage {passage.id!r} has no tokens to sample from")
     lens = list(model.query_len_dist.keys())
@@ -202,7 +207,7 @@ def save_generator(model: GeneratorModel, path: str | Path) -> None:
             for (lang, token), w in sorted(model.term_salience.items())
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, ensure_ascii=False)
 
 

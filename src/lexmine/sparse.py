@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, tokenize
+from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
 
 __all__ = [
     "BM25Params",
@@ -270,7 +270,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "doc_len": index.doc_len,
         "postings": {t: [[pid, tf] for pid, tf in plist] for t, plist in index.postings.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, ensure_ascii=False)
 
 

@@ -20,7 +20,7 @@ from lexmine.dense import (
     TrainingSample,
     build_dense_index,
     corpus_token_rows,
-    infonce_loss,
+    infonce_batch,
     init_params,
 )
 from lexmine.evaluation import mrr_at_k, paired_t_test, recall_at_k
@@ -127,7 +127,9 @@ def test_acceptance_1_mining_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _gradient_case(seed):
+def _gradient_case(seed, shared):
+    """A 3-sample batch: each sample's in-batch negatives are the other samples'
+    positives, and the last sample shares the first one's positive."""
     rng = np.random.default_rng(seed)
     vocab = [f"t{i}" for i in range(12)]
     passages = [
@@ -135,39 +137,52 @@ def _gradient_case(seed):
         for i in range(7)
     ]
     corpus = Corpus(passages)
-    params = init_params(vocab, dim=5, seed=seed)
+    params = init_params(vocab, dim=5, seed=seed, shared=shared)
     params.embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
-    query = Query(id="q", text=" ".join(vocab[int(rng.integers(12))] for _ in range(3)))
-    sample = TrainingSample(
-        query=query, positive="p0", hard_negatives=("p1", "p2"), random_negatives=("p3",)
-    )
-    return params, sample, ["p4", "p5"], corpus
+    if not shared:
+        params.query_embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
+    queries = [
+        Query(id=f"q{i}", text=" ".join(vocab[int(rng.integers(12))] for _ in range(3))) for i in range(3)
+    ]
+    batch = [
+        TrainingSample(query=queries[0], positive="p0", hard_negatives=("p1", "p2"), random_negatives=("p3",)),
+        TrainingSample(query=queries[1], positive="p4", hard_negatives=("p5",)),
+        TrainingSample(query=queries[2], positive="p0", random_negatives=("p6",)),
+    ]
+    return params, batch, corpus_token_rows(params, corpus)
 
 
 def test_acceptance_2_gradient_check():
+    # the production gradient (train_step's) against central differences of the
+    # batch mean loss, for the shared table and for both untied tables
     t0 = time.perf_counter()
     h = 1e-5
     worst = 0.0
     for seed in range(20):
-        params, sample, in_batch, corpus = _gradient_case(seed)
-        _, grads = infonce_loss(params, sample, in_batch, corpus)
-        for row, analytic in grads["embedding"].items():
-            numeric = np.zeros(params.dim)
-            for j in range(params.dim):
-                orig = params.embedding[row, j]
-                params.embedding[row, j] = orig + h
-                up, _ = infonce_loss(params, sample, in_batch, corpus)
-                params.embedding[row, j] = orig - h
-                down, _ = infonce_loss(params, sample, in_batch, corpus)
-                params.embedding[row, j] = orig
-                numeric[j] = (up - down) / (2 * h)
-            denom = max(float(np.max(np.abs(numeric))), 1e-8)
-            worst = max(worst, float(np.max(np.abs(analytic - numeric))) / denom)
+        for shared in (True, False):
+            params, batch, rows_cache = _gradient_case(seed, shared)
+            _, g_emb, g_query = infonce_batch(params, batch, rows_cache)
+            tables = [(params.embedding, g_emb)]
+            if not shared:
+                tables.append((params.query_embedding, g_query))
+            for table, analytic in tables:
+                for row in range(table.shape[0]):
+                    numeric = np.zeros(params.dim)
+                    for j in range(params.dim):
+                        orig = table[row, j]
+                        table[row, j] = orig + h
+                        up = infonce_batch(params, batch, rows_cache)[0]
+                        table[row, j] = orig - h
+                        down = infonce_batch(params, batch, rows_cache)[0]
+                        table[row, j] = orig
+                        numeric[j] = (up - down) / (2 * h)
+                    denom = max(float(np.max(np.abs(numeric))), 1e-8)
+                    worst = max(worst, float(np.max(np.abs(analytic[row] - numeric))) / denom)
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 2 (gradient check)",
         worst < 1e-4 and elapsed < 10.0,
-        f"20 draws, max relative error {worst:.2e} (< 1e-4) in {elapsed:.2f}s (< 10s)",
+        f"20 draws x (shared, untied), max relative error {worst:.2e} (< 1e-4) in {elapsed:.2f}s (< 10s)",
     )
 
 
@@ -358,14 +373,14 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
     rng_select = np.random.default_rng([cfg.seed, 104])
     rng_sample = np.random.default_rng([cfg.seed, 105])
     all_flags, accepted_flags = [], []
+    tokenized = data.corpus.tokenized(cfg.tokenizer)
     for lang in bench.target_langs:
         lang_passages = data.corpus.by_lang(lang)
         picked = rng_select.choice(len(lang_passages), size=cfg.n_generate, replace=False)
         for idx in picked:
             passage = lang_passages[int(idx)]
-            query = generate_query(
-                state.generator, passage, rng_sample, cfg.tokenizer, query_id=f"g-{passage.id}"
-            )
+            tokens = tokenized.tokens(data.corpus.position(passage.id))
+            query = generate_query(state.generator, passage, tokens, rng_sample, query_id=f"g-{passage.id}")
             pair = GeneratedPair(query=query, passage_id=passage.id)
             flag = topical(query, passage.id)
             all_flags.append(flag)

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lexmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, dispatch, parse_kv_config
+from lexmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, dispatch, parse_kv_config
 from lexmine.corpus import load_passages, load_qrels, load_queries
 from lexmine.dense import load_checkpoint
 from lexmine.evaluation import load_run, mrr_at_k
@@ -90,6 +92,55 @@ def test_parse_kv_config(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("a = 1\n# comment\nb=two # trailing\n\n")
     assert parse_kv_config(path) == {"a": "1", "b": "two"}
+
+
+def _kv_text(exclude):
+    return st.text(st.characters(blacklist_characters=exclude + "#\r\n", blacklist_categories=("Cs",)), max_size=10)
+
+
+_KV_KEYS = _kv_text("=").map(str.strip).filter(bool)
+_KV_VALUES = _kv_text("").map(str.strip)
+_KV_NOISE = st.sampled_from(["", "   ", "# a comment", "  #= not a pair"])
+_KV_SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _kv_lines(mapping, data):
+    lines = []
+    for key, value in mapping.items():
+        lines.append(data.draw(_KV_NOISE))
+        lines.append(f"{key} = {value}" + data.draw(st.sampled_from(["", "  # trailing"])))
+    return lines
+
+
+def _parse_lines(tmp_path, lines):
+    path = tmp_path / "c.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return parse_kv_config(path)
+
+
+@_KV_SETTINGS
+@given(st.dictionaries(_KV_KEYS, _KV_VALUES, max_size=6), st.data())
+def test_parse_kv_config_round_trips(tmp_path, mapping, data):
+    assert _parse_lines(tmp_path, _kv_lines(mapping, data)) == mapping
+
+
+@_KV_SETTINGS
+@given(st.dictionaries(_KV_KEYS, _KV_VALUES, min_size=1, max_size=6), _KV_VALUES, st.data())
+def test_parse_kv_config_rejects_duplicate_keys(tmp_path, mapping, value, data):
+    lines = _kv_lines(mapping, data)
+    key = data.draw(st.sampled_from(sorted(mapping)))
+    lines.insert(data.draw(st.integers(0, len(lines))), f"{key}={value}")
+    with pytest.raises(ConfigError, match="duplicate key"):
+        _parse_lines(tmp_path, lines)
+
+
+@_KV_SETTINGS
+@given(st.dictionaries(_KV_KEYS, _KV_VALUES, max_size=6), _kv_text("=").filter(str.strip), st.data())
+def test_parse_kv_config_rejects_lines_without_equals(tmp_path, mapping, junk, data):
+    lines = _kv_lines(mapping, data)
+    lines.insert(data.draw(st.integers(0, len(lines))), junk)
+    with pytest.raises(ConfigError, match="expected key=value"):
+        _parse_lines(tmp_path, lines)
 
 
 def test_synth_deterministic_trees(tmp_path, synth_cfg):

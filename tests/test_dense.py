@@ -12,8 +12,8 @@ from lexmine.dense import (
     build_dense_index,
     corpus_token_rows,
     encode,
+    infonce_batch,
     infonce_from_scores,
-    infonce_loss,
     init_optimizer,
     init_params,
     load_checkpoint,
@@ -41,22 +41,23 @@ def brute_force_dense(index, qv):
     return scored
 
 
-def numeric_gradient(params, sample, in_batch, corpus, table_name, row, h=1e-5):
-    """Central finite differences of the loss wrt one embedding row."""
-    table = params.embedding if table_name == "embedding" else params.query_embedding
-    grad = np.zeros(params.dim)
-    for j in range(params.dim):
-        orig = table[row, j]
-        table[row, j] = orig + h
-        lo_plus, _ = infonce_loss(params, sample, in_batch, corpus)
-        table[row, j] = orig - h
-        lo_minus, _ = infonce_loss(params, sample, in_batch, corpus)
-        table[row, j] = orig
-        grad[j] = (lo_plus - lo_minus) / (2 * h)
+def numeric_gradient(params, batch, rows_cache, table, h=1e-5):
+    """Central finite differences of the batch mean loss wrt every entry of ``table``."""
+    grad = np.zeros_like(table)
+    for idx in np.ndindex(*table.shape):
+        orig = table[idx]
+        table[idx] = orig + h
+        lo_plus = infonce_batch(params, batch, rows_cache)[0]
+        table[idx] = orig - h
+        lo_minus = infonce_batch(params, batch, rows_cache)[0]
+        table[idx] = orig
+        grad[idx] = (lo_plus - lo_minus) / (2 * h)
     return grad
 
 
 def random_case(seed, shared=True):
+    """A random 3-sample batch over 7 passages; two samples share a positive,
+    so one in-batch negative is skipped, and one query has an OOV token."""
     rng = np.random.default_rng(seed)
     vocab = [f"t{i}" for i in range(12)]
     passages = []
@@ -68,12 +69,16 @@ def random_case(seed, shared=True):
     params.embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
     if not shared:
         params.query_embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
-    q = Query(id="q", text=" ".join(vocab[int(rng.integers(len(vocab)))] for _ in range(3)))
-    sample = TrainingSample(
-        query=q, positive="p0", hard_negatives=("p1", "p2"), random_negatives=("p3",)
-    )
-    in_batch = ["p4", "p5"]
-    return params, sample, in_batch, corpus
+
+    def query(i):
+        return Query(id=f"q{i}", text=" ".join(vocab[int(rng.integers(len(vocab)))] for _ in range(3)))
+
+    batch = [
+        TrainingSample(query=query(0), positive="p0", hard_negatives=("p1", "p2"), random_negatives=("p3",)),
+        TrainingSample(query=query(1), positive="p4", hard_negatives=("p0",)),
+        TrainingSample(query=Query(id="q2", text=query(2).text + " zzz"), positive="p0", random_negatives=("p5", "p6")),
+    ]
+    return params, batch, corpus_token_rows(params, corpus), corpus
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +228,7 @@ def test_search_stale_index(tiny_corpus, rng):
     sample = TrainingSample(
         query=Query(id="q", text="apple"), positive="p1", hard_negatives=("p2",)
     )
-    train_step(params, opt, [sample], tiny_corpus)
+    train_step(params, opt, [sample], corpus_token_rows(params, tiny_corpus))
     with pytest.raises(StaleIndexError):
         search_dense(index, params, Query(id="q", text="apple"), 2)
     stale = search_dense(index, params, Query(id="q", text="apple"), 2, allow_stale=True)
@@ -250,7 +255,7 @@ def test_loss_uniform_case_ln4(tiny_corpus):
         positive="p0",
         hard_negatives=("p1", "p2", "p3"),
     )
-    loss, _ = infonce_loss(params, sample, [], corpus)
+    loss, _, _ = infonce_batch(params, [sample], corpus_token_rows(params, corpus))
     assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
 
@@ -267,15 +272,27 @@ def test_loss_frozen_oracle_value():
     sample = TrainingSample(
         query=Query(id="q", text="q"), positive="pos", hard_negatives=("n1", "n2")
     )
-    loss, _ = infonce_loss(params, sample, [], corpus)
+    loss, _, _ = infonce_batch(params, [sample], corpus_token_rows(params, corpus))
     assert loss == pytest.approx(INFONCE_2_1_05, rel=1e-12)
 
 
-def test_loss_rejects_own_positive_in_batch(tiny_corpus):
-    params = toy_params(tiny_corpus)
-    sample = TrainingSample(query=Query(id="q", text="apple"), positive="p1")
-    with pytest.raises(ValueError):
-        infonce_loss(params, sample, ["p1"], tiny_corpus)
+@pytest.mark.parametrize("shared", [True, False])
+def test_batch_loss_is_mean_of_per_sample_losses(shared):
+    # oracle: each sample scored on its own from encode(), with the other
+    # samples' positives (minus its own) appended as negatives
+    params, batch, rows_cache, corpus = random_case(3, shared=shared)
+    positives = [s.positive for s in batch]
+    want = []
+    for i, s in enumerate(batch):
+        in_batch = [p for j, p in enumerate(positives) if j != i and p != s.positive]
+        qv = encode(params, tokenize(s.query.text), as_query=True)
+        scores = [
+            float(np.dot(qv, encode(params, tokenize(corpus[pid].text))))
+            for pid in (s.positive, *s.hard_negatives, *s.random_negatives, *in_batch)
+        ]
+        want.append(infonce_from_scores(scores[0], scores[1:]))
+    loss, _, _ = infonce_batch(params, batch, rows_cache)
+    assert loss == pytest.approx(float(np.mean(want)), rel=1e-12)
 
 
 def test_loss_positive_and_monotonic():
@@ -302,26 +319,51 @@ def test_loss_shift_invariance(pos, negs, c):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("shared", [True, False])
 def test_gradient_matches_finite_differences(seed, shared):
-    params, sample, in_batch, corpus = random_case(seed, shared=shared)
-    _, grads = infonce_loss(params, sample, in_batch, corpus)
-    checked = 0
-    for table_name, table_grads in grads.items():
-        for row, analytic in table_grads.items():
-            numeric = numeric_gradient(params, sample, in_batch, corpus, table_name, row)
-            denom = max(np.max(np.abs(numeric)), 1e-8)
-            assert np.max(np.abs(analytic - numeric)) / denom < 1e-4
-            checked += 1
-    assert checked > 0
+    params, batch, rows_cache, _ = random_case(seed, shared=shared)
+    _, g_emb, g_query = infonce_batch(params, batch, rows_cache)
+    assert (g_query is None) == shared
+    checked = [(g_emb, params.embedding)]
+    if not shared:
+        checked.append((g_query, params.query_embedding))
+    for analytic, table in checked:
+        numeric = numeric_gradient(params, batch, rows_cache, table)
+        for row in range(table.shape[0]):
+            denom = max(np.max(np.abs(numeric[row])), 1e-8)
+            assert np.max(np.abs(analytic[row] - numeric[row])) / denom < 1e-4
 
 
 def test_gradient_covers_all_touched_rows():
-    params, sample, in_batch, corpus = random_case(7)
-    _, grads = infonce_loss(params, sample, in_batch, corpus)
-    touched = set()
-    for pid in (sample.positive, *sample.hard_negatives, *sample.random_negatives, *in_batch):
-        touched.update(params.vocab[t] for t in tokenize(corpus[pid].text) if t in params.vocab)
-    touched.update(params.vocab[t] for t in tokenize(sample.query.text) if t in params.vocab)
-    assert set(grads["embedding"]) == touched
+    # the gradient is nonzero on exactly the rows the batch's texts touch
+    def nonzero_rows(g):
+        return set(np.flatnonzero(np.any(g != 0.0, axis=1)).tolist())
+
+    for shared in (True, False):
+        params, batch, rows_cache, corpus = random_case(7, shared=shared)
+        _, g_emb, g_query = infonce_batch(params, batch, rows_cache)
+
+        def rows_of(texts):
+            return {params.vocab[t] for text in texts for t in tokenize(text) if t in params.vocab}
+
+        p_touched = rows_of(
+            corpus[pid].text for s in batch for pid in (s.positive, *s.hard_negatives, *s.random_negatives)
+        )
+        q_touched = rows_of(s.query.text for s in batch)
+        if shared:
+            assert nonzero_rows(g_emb) == p_touched | q_touched
+        else:
+            assert nonzero_rows(g_emb) == p_touched
+            assert nonzero_rows(g_query) == q_touched
+
+
+def test_infonce_batch_leaves_inputs_unchanged():
+    params, batch, rows_cache, _ = random_case(5, shared=False)
+    emb, qemb = params.embedding.copy(), params.query_embedding.copy()
+    cache = {pid: rows.copy() for pid, rows in rows_cache.items()}
+    infonce_batch(params, batch, rows_cache)
+    assert np.array_equal(params.embedding, emb) and np.array_equal(params.query_embedding, qemb)
+    assert params.version == 0
+    assert rows_cache.keys() == cache.keys()
+    assert all(np.array_equal(rows_cache[pid], cache[pid]) for pid in cache)
 
 
 def test_training_sample_invariants():
@@ -349,7 +391,7 @@ def test_train_step_zero_lr_keeps_params(tiny_corpus):
     params = toy_params(tiny_corpus)
     before = params.embedding.copy()
     opt = init_optimizer(params, lr=0.0)
-    _, _, loss = train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
+    _, _, loss = train_step(params, opt, batch_for(tiny_corpus), corpus_token_rows(params, tiny_corpus))
     assert np.array_equal(params.embedding, before)
     assert loss > 0
     assert params.version == 1
@@ -361,8 +403,9 @@ def test_train_step_deterministic(tiny_corpus):
     for _ in range(2):
         params = toy_params(tiny_corpus, seed=3)
         opt = init_optimizer(params, lr=0.05)
+        rows_cache = corpus_token_rows(params, tiny_corpus)
         for _ in range(5):
-            train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
+            train_step(params, opt, batch_for(tiny_corpus), rows_cache)
         results.append(params.embedding.copy())
     assert np.array_equal(results[0], results[1])
 
@@ -371,9 +414,10 @@ def test_train_step_descends_on_fixed_batch(tiny_corpus):
     params = toy_params(tiny_corpus, seed=1)
     opt = init_optimizer(params, lr=0.02)
     batch = batch_for(tiny_corpus)
+    rows_cache = corpus_token_rows(params, tiny_corpus)
     losses = []
     for _ in range(50):
-        _, _, loss = train_step(params, opt, batch, tiny_corpus)
+        _, _, loss = train_step(params, opt, batch, rows_cache)
         losses.append(loss)
     window = 10
     means = [np.mean(losses[i : i + window]) for i in range(0, len(losses) - window + 1)]
@@ -381,36 +425,27 @@ def test_train_step_descends_on_fixed_batch(tiny_corpus):
     assert losses[-1] < losses[0]
 
 
-def test_train_step_gradient_matches_per_sample_losses(tiny_corpus):
-    params = toy_params(tiny_corpus, seed=2)
+@pytest.mark.parametrize("shared", [True, False])
+def test_train_step_is_adam_on_infonce_batch(tiny_corpus, shared):
+    params = toy_params(tiny_corpus, seed=2, shared=shared)
     batch = batch_for(tiny_corpus)
-    # accumulate per-sample gradients through the public loss API
-    expected = np.zeros_like(params.embedding)
-    positives = [s.positive for s in batch]
-    total = 0.0
-    for i, s in enumerate(batch):
-        in_batch = [p for j, p in enumerate(positives) if j != i and p != s.positive]
-        loss, grads = infonce_loss(params, s, in_batch, tiny_corpus)
-        total += loss
-        for row, g in grads["embedding"].items():
-            expected[row] += g
-    expected /= len(batch)
+    rows_cache = corpus_token_rows(params, tiny_corpus)
+    want_loss, g_emb, g_query = infonce_batch(params, batch, rows_cache)
 
-    # recover the batched gradient from a plain-SGD-like probe: with Adam the
-    # update direction is not the raw gradient, so compare via a fresh Adam
-    # update computed from the expected gradient.
-    params2 = toy_params(tiny_corpus, seed=2)
-    opt2 = init_optimizer(params2, lr=0.01)
-    opt2.step = 1
-    m = (1 - opt2.beta1) * expected / (1 - opt2.beta1)
-    v = (1 - opt2.beta2) * expected**2 / (1 - opt2.beta2)
-    manual = params2.embedding - opt2.lr * m / (np.sqrt(v) + opt2.eps)
+    def first_adam_step(table, g, opt):
+        m_hat = (1 - opt.beta1) * g / (1 - opt.beta1)
+        v_hat = (1 - opt.beta2) * g * g / (1 - opt.beta2)
+        return table - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
 
-    params3 = toy_params(tiny_corpus, seed=2)
-    opt3 = init_optimizer(params3, lr=0.01)
-    _, _, mean_loss = train_step(params3, opt3, batch, tiny_corpus)
-    assert mean_loss == pytest.approx(total / len(batch), rel=1e-12)
-    assert np.allclose(params3.embedding, manual, rtol=1e-9, atol=1e-12)
+    opt = init_optimizer(params, lr=0.01)
+    want_emb = first_adam_step(params.embedding, g_emb, opt)
+    want_query = None if shared else first_adam_step(params.query_embedding, g_query, opt)
+    _, _, loss = train_step(params, opt, batch, rows_cache)
+    assert loss == want_loss
+    np.testing.assert_allclose(params.embedding, want_emb, rtol=1e-12, atol=1e-15)
+    if not shared:
+        np.testing.assert_allclose(params.query_embedding, want_query, rtol=1e-12, atol=1e-15)
+    assert opt.step == 1 and params.version == 1
 
 
 def test_train_step_untied_updates_query_table(tiny_corpus):
@@ -418,26 +453,17 @@ def test_train_step_untied_updates_query_table(tiny_corpus):
     q_before = params.query_embedding.copy()
     p_before = params.embedding.copy()
     opt = init_optimizer(params, lr=0.05)
-    train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
+    train_step(params, opt, batch_for(tiny_corpus), corpus_token_rows(params, tiny_corpus))
     assert not np.array_equal(params.query_embedding, q_before)
     assert not np.array_equal(params.embedding, p_before)
 
 
 def test_train_step_empty_batch_rejected(tiny_corpus):
     params = toy_params(tiny_corpus)
+    opt = init_optimizer(params)
     with pytest.raises(ValueError):
-        train_step(params, init_optimizer(params), [], tiny_corpus)
-
-
-def test_rows_cache_equivalent(tiny_corpus):
-    params_a = toy_params(tiny_corpus, seed=9)
-    params_b = toy_params(tiny_corpus, seed=9)
-    cache = corpus_token_rows(params_b, tiny_corpus)
-    opt_a, opt_b = init_optimizer(params_a, 0.03), init_optimizer(params_b, 0.03)
-    for _ in range(3):
-        train_step(params_a, opt_a, batch_for(tiny_corpus), tiny_corpus)
-        train_step(params_b, opt_b, batch_for(tiny_corpus), tiny_corpus, rows_cache=cache)
-    assert np.array_equal(params_a.embedding, params_b.embedding)
+        train_step(params, opt, [], corpus_token_rows(params, tiny_corpus))
+    assert opt.step == 0 and params.version == 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +475,7 @@ def test_rows_cache_equivalent(tiny_corpus):
 def test_checkpoint_round_trip(tmp_path, tiny_corpus, shared):
     params = toy_params(tiny_corpus, shared=shared)
     opt = init_optimizer(params, lr=0.07)
-    train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
+    train_step(params, opt, batch_for(tiny_corpus), corpus_token_rows(params, tiny_corpus))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt)
     loaded, lopt = load_checkpoint(path)

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from lexmine.corpus import DataFormatError, Judgment, JudgmentSet
@@ -292,6 +294,52 @@ def test_load_run_rejects_duplicates(tmp_path, lines, match):
     with pytest.raises(DataFormatError, match=match) as exc:
         load_run(path)
     assert exc.value.line == 3
+
+
+_RUN_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
+    lambda s: not any(c.isspace() for c in s)
+)
+_RUNS = st.dictionaries(
+    _RUN_IDS,
+    st.lists(
+        st.tuples(_RUN_IDS, st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1,
+        max_size=5,
+        unique_by=lambda entry: entry[0],
+    ),
+    max_size=4,
+)
+_RUN_SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_RUN_SETTINGS
+@given(_RUNS, st.data())
+def test_run_file_round_trips_shuffled(tmp_path, run, data):
+    path = tmp_path / "run.trec"
+    save_run(run, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(data.draw(st.permutations(lines))), encoding="utf-8")
+    # scores are written with six decimals
+    want = {qid: [(pid, float(f"{s:.6f}")) for pid, s in ranked] for qid, ranked in run.items()}
+    assert load_run(path) == want
+
+
+@_RUN_SETTINGS
+@given(_RUNS.filter(bool), st.booleans(), st.data())
+def test_run_file_injected_duplicate_rejected(tmp_path, run, same_passage, data):
+    qid = data.draw(st.sampled_from(sorted(run)))
+    ranked = run[qid]
+    if same_passage:
+        pid, rank = data.draw(st.sampled_from(ranked))[0], len(ranked) + 1
+    else:
+        pid, rank = "x" * (max(len(p) for p, _ in ranked) + 1), data.draw(st.integers(1, len(ranked)))
+    path = tmp_path / "run.trec"
+    save_run(run, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(data.draw(st.integers(0, len(lines))), f"{qid} Q0 {pid} {rank} 0.5 t\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataFormatError, match="twice"):
+        load_run(path)
 
 
 def test_format_lang_table():

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from lexmine.corpus import QuerySet, SynthSpec, synth_benchmark, tokenize
+from lexmine.corpus import Corpus, Passage, Query, QuerySet, SynthSpec, synth_benchmark, tokenize
 from lexmine.dense import build_dense_index, corpus_token_rows, encode, init_params, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
 from lexmine.mining import MiningConfig, load_samples
 from lexmine.pipeline import (
+    MINING_MODES,
     IterationReport,
     PipelineConfig,
     PipelineError,
@@ -17,9 +18,12 @@ from lexmine.pipeline import (
     pipeline_data_from_benchmark,
     run_iteration,
     run_pipeline,
+    mine,
+    start_state,
     warmup,
     _unlabeled_by_lang,
 )
+from lexmine.querygen import GeneratorModel
 from lexmine.sparse import build_index
 
 SPEC = SynthSpec(
@@ -312,6 +316,27 @@ def test_double_dense_mode_runs(data):
     reports = run_pipeline(cfg, data)
     assert len(reports) == cfg.iterations + 1
     assert reports[-1].mined_samples > 0
+
+
+@pytest.mark.parametrize("mode", MINING_MODES)
+def test_mine_skips_queries_without_vocabulary_tokens(mode):
+    # a fully-OOV query encodes to the zero vector, which ranks passages by id;
+    # fused with any sparse list that used to mine p00, p01 as its positives
+    corpus = Corpus(
+        [Passage(id=f"p{i:02d}", text=f"w{i % 7} w{i % 5} v{i % 3}", lang="en") for i in range(30)]
+    )
+    cfg = small_cfg(mining=MiningConfig(S=2, L=10), mining_mode=mode)
+    vocab = vocab_from_corpus(corpus)
+    state = start_state(
+        init_params(vocab, dim=8, seed=0), GeneratorModel(), build_index(corpus), corpus, cfg,
+        aux_params=init_params(vocab, dim=8, seed=1),
+    )
+    oov = Query(id="oov", text="zzz unknownword", lang="en")
+    known = Query(id="known", text="w1 v2", lang="en")
+    samples, gen_pairs, with_positives = mine(state, [oov, known], corpus, cfg, iteration=1)
+    assert all(s.query.id == "known" for s in samples)
+    assert all(q.id == "known" for q, _ in gen_pairs)
+    assert (samples, gen_pairs, with_positives) == mine(state, [known], corpus, cfg, iteration=1)
 
 
 # ---------------------------------------------------------------------------

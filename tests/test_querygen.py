@@ -19,6 +19,16 @@ from lexmine.querygen import (
 from lexmine.sparse import build_index, search_sparse
 
 
+def train(pairs, model=None):
+    """train_generator on ``pairs``, with a corpus of their distinct passages."""
+    corpus = Corpus(dict.fromkeys(p for _, p in pairs))
+    return train_generator(model or GeneratorModel(), pairs, corpus)
+
+
+def generate(model, passage, rng, **kwargs):
+    return generate_query(model, passage, tokenize(passage.text), rng, **kwargs)
+
+
 def salience_value(ratio):
     f = SALIENCE_PSEUDO_COUNT
     return (1.0 + f * ratio) / (2.0 + f)
@@ -31,7 +41,7 @@ def salience_value(ratio):
 
 def test_train_single_pair_salience_above_floor():
     pairs = [(Query(id="q", text="cat sat"), Passage(id="p", text="the cat sat down"))]
-    model = train_generator(GeneratorModel(), pairs)
+    model = train(pairs)
     assert model.version == 1
     for tok in ("cat", "sat"):
         assert model.salience("en", tok) > UNSEEN_SALIENCE
@@ -42,7 +52,7 @@ def test_train_single_pair_salience_above_floor():
 
 def test_train_empty_pairs_rejected():
     with pytest.raises(ValueError):
-        train_generator(GeneratorModel(), [])
+        train_generator(GeneratorModel(), [], Corpus([]))
 
 
 def test_train_two_pair_ratios_by_hand():
@@ -53,7 +63,7 @@ def test_train_two_pair_ratios_by_hand():
         (Query(id="q1", text="shared onlyq1"), Passage(id="p1", text="shared onlyq1 filler")),
         (Query(id="q2", text="other"), Passage(id="p2", text="shared filler other")),
     ]
-    model = train_generator(GeneratorModel(), pairs)
+    model = train(pairs)
     assert model.salience("en", "shared") == pytest.approx(salience_value(0.5))
     assert model.salience("en", "onlyq1") == pytest.approx(salience_value(1.0))
     assert model.salience("en", "filler") == pytest.approx(salience_value(0.0))
@@ -65,21 +75,21 @@ def test_train_duplicated_pairs_identical_model():
         (Query(id="q1", text="a b"), Passage(id="p1", text="a b c")),
         (Query(id="q2", text="c"), Passage(id="p2", text="c d")),
     ]
-    once = train_generator(GeneratorModel(), pairs)
-    twice = train_generator(GeneratorModel(), pairs + pairs)
+    once = train(pairs)
+    twice = train(pairs + pairs)
+    # tokens are read from the corpus, not re-tokenized from the passage text
+    shadowed = Corpus([Passage(id="p1", text="a b c"), Passage(id="p2", text="c d")])
+    stale = [(q, Passage(id=p.id, text="stale text")) for q, p in pairs]
+    assert train_generator(GeneratorModel(), stale, shadowed).term_salience == once.term_salience
     assert once.term_salience == twice.term_salience
     assert once.query_len_dist == twice.query_len_dist
     assert once.version == twice.version
 
 
 def test_train_updates_only_present_languages():
-    model = train_generator(
-        GeneratorModel(), [(Query(id="q", text="aa", lang="xx"), Passage(id="p", text="aa bb", lang="xx"))]
-    )
+    model = train([(Query(id="q", text="aa", lang="xx"), Passage(id="p", text="aa bb", lang="xx"))])
     xx_salience = dict(model.term_salience)
-    train_generator(
-        model, [(Query(id="q2", text="cc", lang="yy"), Passage(id="p2", text="cc dd", lang="yy"))]
-    )
+    train([(Query(id="q2", text="cc", lang="yy"), Passage(id="p2", text="cc dd", lang="yy"))], model)
     for key, val in xx_salience.items():
         assert model.term_salience[key] == val
     assert ("yy", "cc") in model.term_salience
@@ -92,7 +102,7 @@ def test_train_length_distribution():
         (Query(id="q2", text="c d e"), Passage(id="p2", text="c d e")),
         (Query(id="q3", text="f g"), Passage(id="p3", text="f g")),
     ]
-    model = train_generator(GeneratorModel(), pairs)
+    model = train(pairs)
     assert model.query_len_dist == {2: pytest.approx(2 / 3), 3: pytest.approx(1 / 3)}
 
 
@@ -102,20 +112,17 @@ def test_train_length_distribution():
 
 
 def trained_model():
-    return train_generator(
-        GeneratorModel(),
-        [(Query(id="q", text="topic"), Passage(id="p", text="topic word"))],
-    )
+    return train([(Query(id="q", text="topic"), Passage(id="p", text="topic word"))])
 
 
 def test_generate_untrained_rejected():
     with pytest.raises(ValueError):
-        generate_query(GeneratorModel(), Passage(id="p", text="x"), np.random.default_rng(0))
+        generate(GeneratorModel(), Passage(id="p", text="x"), np.random.default_rng(0))
 
 
 def test_generate_single_token_passage():
     model = trained_model()  # length dist is {1: 1.0}
-    q = generate_query(model, Passage(id="p2", text="solo"), np.random.default_rng(0))
+    q = generate(model, Passage(id="p2", text="solo"), np.random.default_rng(0))
     assert q.text == "solo"
     assert q.lang == "en"
 
@@ -123,9 +130,14 @@ def test_generate_single_token_passage():
 def test_generate_deterministic_under_seed():
     model = trained_model()
     passage = Passage(id="p", text="alpha beta gamma delta")
-    a = generate_query(model, passage, np.random.default_rng(42))
-    b = generate_query(model, passage, np.random.default_rng(42))
+    a = generate(model, passage, np.random.default_rng(42))
+    b = generate(model, passage, np.random.default_rng(42))
     assert a == b
+    # the memoized token ids give the same candidates, in first-occurrence order
+    corpus = Corpus([Passage(id="x", text="a b"), passage])
+    tokens = corpus.tokenized().tokens(corpus.position("p"))
+    assert tokens == tokenize(passage.text)
+    assert generate_query(model, passage, tokens, np.random.default_rng(42)) == a
 
 
 def test_generate_tokens_subset_of_passage():
@@ -133,7 +145,7 @@ def test_generate_tokens_subset_of_passage():
     rng = np.random.default_rng(7)
     for i in range(50):
         passage = Passage(id=f"p{i}", text="alpha beta gamma delta epsilon")
-        q = generate_query(model, passage, rng)
+        q = generate(model, passage, rng)
         toks = tokenize(q.text)
         assert set(toks) <= set(tokenize(passage.text))
         assert len(set(toks)) == len(toks)  # distinct draws
@@ -142,7 +154,7 @@ def test_generate_tokens_subset_of_passage():
 def test_generate_empty_passage_rejected():
     model = trained_model()
     with pytest.raises(ValueError):
-        generate_query(model, Passage(id="p", text="..!!.."), np.random.default_rng(0))
+        generate(model, Passage(id="p", text="..!!.."), np.random.default_rng(0))
 
 
 def test_generate_respects_salience_ratio():
@@ -157,13 +169,13 @@ def test_generate_respects_salience_ratio():
     picks = {"hot": 0, "cold": 0}
     n = 10_000
     for _ in range(n):
-        picks[generate_query(model, passage, rng).text] += 1
+        picks[generate(model, passage, rng).text] += 1
     assert picks["hot"] / n == pytest.approx(0.75, abs=0.05 * 0.75)
 
 
 def test_generate_query_id_override():
     model = trained_model()
-    q = generate_query(model, Passage(id="p", text="x y"), np.random.default_rng(0), query_id="gen7")
+    q = generate(model, Passage(id="p", text="x y"), np.random.default_rng(0), query_id="gen7")
     assert q.id == "gen7"
 
 
@@ -219,12 +231,10 @@ def test_filter_deterministic_on_unchanged_indexes():
         [Passage(id=f"p{i}", text=f"tok{i} tok{(i + 1) % 5} shared") for i in range(5)]
     )
     sparse, dense, params = build_retrievers(corpus, seed=3)
-    model = train_generator(
-        GeneratorModel(), [(Query(id="q", text="tok1"), Passage(id="p", text="tok1 shared"))]
-    )
+    model = train([(Query(id="q", text="tok1"), Passage(id="p", text="tok1 shared"))])
     rng = np.random.default_rng(0)
     for p in corpus:
-        pair = GeneratedPair(query=generate_query(model, p, rng), passage_id=p.id)
+        pair = GeneratedPair(query=generate(model, p, rng), passage_id=p.id)
         first = filter_generated(pair, sparse, dense, params)
         assert filter_generated(pair, sparse, dense, params) == first
 
@@ -235,14 +245,12 @@ def test_filter_nested_corpora_monotone():
     passages = [Passage(id=f"p{i}", text=f"t{i} t{(i + 2) % 7} t{(i + 4) % 7}") for i in range(7)]
     small = Corpus(passages[:4])
     big = Corpus(passages)
-    model = train_generator(
-        GeneratorModel(), [(Query(id="q", text="t0 t1"), Passage(id="p", text="t0 t1 t2"))]
-    )
+    model = train([(Query(id="q", text="t0 t1"), Passage(id="p", text="t0 t1 t2"))])
     sp_small, de_small, params_small = build_retrievers(small, seed=1)
     sp_big, de_big, params_big = build_retrievers(big, seed=1)
     rng = np.random.default_rng(2)
     for p in small:
-        pair = GeneratedPair(query=generate_query(model, p, rng), passage_id=p.id)
+        pair = GeneratedPair(query=generate(model, p, rng), passage_id=p.id)
         acc_big = filter_generated(pair, sp_big, de_big, params_big)
         acc_small = filter_generated(pair, sp_small, de_small, params_small)
         if acc_big:
@@ -300,12 +308,10 @@ def test_assemble_satisfies_sample_invariants(rng):
         [Passage(id=f"p{i}", text=f"t{i} t{(i + 1) % 6} t{(i + 3) % 6}") for i in range(6)]
     )
     sparse, dense, params = build_retrievers(corpus, seed=4)
-    model = train_generator(
-        GeneratorModel(), [(Query(id="q", text="t0 t3"), Passage(id="p", text="t0 t3 t5"))]
-    )
+    model = train([(Query(id="q", text="t0 t3"), Passage(id="p", text="t0 t3 t5"))])
     cfg = MiningConfig(S=1, L=3, n_random_negatives=2, max_hard_negatives=3)
     for p in corpus:
-        pair = GeneratedPair(query=generate_query(model, p, rng), passage_id=p.id)
+        pair = GeneratedPair(query=generate(model, p, rng), passage_id=p.id)
         if filter_generated(pair, sparse, dense, params):
             sample = assemble_generated_sample(pair, sparse, dense, params, corpus, rng, cfg)
             union = (sample.positive, *sample.hard_negatives, *sample.random_negatives)
@@ -318,12 +324,11 @@ def test_assemble_satisfies_sample_invariants(rng):
 
 
 def test_generator_round_trip(tmp_path):
-    model = train_generator(
-        GeneratorModel(),
+    model = train(
         [
             (Query(id="q1", text="a b", lang="xx"), Passage(id="p1", text="a b c", lang="xx")),
             (Query(id="q2", text="東 京", lang="ja"), Passage(id="p2", text="東京タワー", lang="ja")),
-        ],
+        ]
     )
     path = tmp_path / "gen.json"
     save_generator(model, path)
