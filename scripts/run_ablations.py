@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
@@ -51,15 +52,7 @@ def main() -> None:
     print(f"{'variant':<14} {'mined(final)':>12} {'mrr@10':>8} {'recall@10':>10} {'time':>6}")
     for name in args.variants:
         overrides = VARIANTS[name]
-        cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
-        cfg = type(cfg)(
-            **{
-                **{k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
-                **overrides,
-                "use_generation": False,
-                "n_generate": 0,
-            }
-        )
+        cfg = replace(pipeline_config_from_mapping(mapping, seed=args.seed), **overrides, n_generate=0)
         t0 = time.perf_counter()
         reports = run_pipeline(cfg, data)
         final = reports[-1]

@@ -22,6 +22,7 @@ from . import __version__
 from .corpus import (
     Corpus,
     DataFormatError,
+    JudgmentSet,
     SynthSpec,
     TokenizerConfig,
     atomic_write,
@@ -125,13 +126,11 @@ _PIPELINE_KEYS: dict[str, type] = {
     "max_hard_negatives": int,
     "n_generate": int,
     "skip_generation_first_iter": bool,
-    "use_generation": bool,
     "embedding_dim": int,
     "shared_encoder": bool,
     "warmup_lr": float,
     "train_lr": float,
     "eval_k": int,
-    "workers": int,
     "mining_mode": str,
     "negative_mode": str,
     "plateau_eps": float,
@@ -209,17 +208,25 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int | None) ->
         json.dump(manifest, fh, indent=2)
 
 
+def _load_judged_qrels(name: str, corpus: Corpus) -> JudgmentSet:
+    """Qrels whose every judged passage is in ``corpus``; queries go unchecked,
+    since the training qrels also judge queries held out for evaluation."""
+    path = data_path(name)
+    qrels = load_qrels(path)
+    try:
+        qrels.validate(corpus=corpus)
+    except DataFormatError as exc:
+        raise DataFormatError(exc.message, path) from exc
+    return qrels
+
+
 def _guard_overwrite(marker: Path, overwrite: bool, what: str) -> None:
     if marker.exists() and not overwrite:
         raise ConfigError(f"{what} already exists at {marker}; pass --overwrite to replace it")
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, str]:
-    mapping = apply_overrides(parse_kv_config(args.config) if args.config else {}, args.set or [])
-    # --workers N is --set workers=N, validated with the rest of the config
-    if getattr(args, "workers", None) is not None:
-        mapping["workers"] = str(args.workers)
-    return mapping
+    return apply_overrides(parse_kv_config(args.config) if args.config else {}, args.set or [])
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +293,7 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
     corpus = load_passages(data_path(args.passages))
     queries = load_queries(data_path(args.queries))
-    qrels = load_qrels(data_path(args.qrels))
+    qrels = _load_judged_qrels(args.qrels, corpus)
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "warmup output")
     sparse_index = build_index(corpus, cfg.tokenizer, cfg.bm25)
@@ -429,13 +436,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     missing = [k for k in ("passages", "train_queries", "train_qrels", "unlabeled_queries") if k not in mapping]
     if missing:
         raise ConfigError(f"pipeline config missing data keys: {', '.join(missing)}", key=missing[0])
+    corpus = load_passages(data_path(mapping["passages"]))
     data = PipelineData(
-        corpus=load_passages(data_path(mapping["passages"])),
+        corpus=corpus,
         train_queries=load_queries(data_path(mapping["train_queries"])),
-        train_qrels=load_qrels(data_path(mapping["train_qrels"])),
+        train_qrels=_load_judged_qrels(mapping["train_qrels"], corpus),
         unlabeled=load_queries(data_path(mapping["unlabeled_queries"])),
         eval_queries=load_queries(data_path(mapping["eval_queries"])) if "eval_queries" in mapping else None,
-        eval_qrels=load_qrels(data_path(mapping["eval_qrels"])) if "eval_qrels" in mapping else None,
+        eval_qrels=_load_judged_qrels(mapping["eval_qrels"], corpus) if "eval_qrels" in mapping else None,
         source_lang=mapping.get("source_lang"),
     )
     out = Path(args.out)
@@ -493,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine training samples from unlabeled queries")
     _add_common(p, seed_required=True)
-    p.add_argument("--workers", type=int, help="bound internal parallel fan-out")
     p.add_argument("--passages", required=True)
     p.add_argument("--queries", required=True, help="unlabeled queries JSONL")
     p.add_argument("--checkpoint", required=True)
@@ -530,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full warm-up + iterative training run")
     _add_common(p, seed_required=True)
-    p.add_argument("--workers", type=int, help="bound internal parallel fan-out")
     p.add_argument("--out", required=True)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--overwrite", action="store_true")

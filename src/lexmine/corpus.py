@@ -55,6 +55,14 @@ class DataFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _check_id(id_: str, kind: str) -> None:
+    # run files and qrels are whitespace-separated, so an id may hold no whitespace
+    if not id_:
+        raise ValueError(f"{kind} id must be non-empty")
+    if any(c.isspace() for c in id_):
+        raise ValueError(f"{kind} id {id_!r} contains whitespace")
+
+
 @dataclass(frozen=True)
 class Passage:
     id: str
@@ -62,8 +70,7 @@ class Passage:
     lang: str = "en"
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("passage id must be non-empty")
+        _check_id(self.id, "passage")
         if not self.text.strip():
             raise ValueError(f"passage {self.id!r} has empty text")
 
@@ -75,8 +82,7 @@ class Query:
     lang: str = "en"
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("query id must be non-empty")
+        _check_id(self.id, "query")
 
 
 @dataclass(frozen=True)
@@ -236,12 +242,6 @@ class Corpus:
             return NotImplemented
         return self._by_id == other._by_id
 
-    def langs(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for p in self:
-            seen.setdefault(p.lang, None)
-        return list(seen)
-
     def by_lang(self, lang: str) -> list[Passage]:
         return [p for p in self if p.lang == lang]
 
@@ -276,12 +276,6 @@ class QuerySet:
         if not isinstance(other, QuerySet):
             return NotImplemented
         return self._by_id == other._by_id
-
-    def langs(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for q in self:
-            seen.setdefault(q.lang, None)
-        return list(seen)
 
     def by_lang(self, lang: str) -> list[Query]:
         return [q for q in self if q.lang == lang]

@@ -175,7 +175,6 @@ class DenseIndex:
     vectors: np.ndarray
     params_version: int
     _id_rank: np.ndarray = field(init=False, repr=False)
-    _row_of: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.ids) != self.vectors.shape[0]:
@@ -185,10 +184,6 @@ class DenseIndex:
         for r, i in enumerate(order):
             rank[i] = r
         self._id_rank = rank
-        self._row_of = {pid: i for i, pid in enumerate(self.ids)}
-
-    def vector(self, passage_id: str) -> np.ndarray:
-        return self.vectors[self._row_of[passage_id]]
 
 
 def build_dense_index(
@@ -212,20 +207,18 @@ def search_dense(
     query: Query | str,
     k: int,
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
-    allow_stale: bool = False,
 ) -> RankedList:
     """Exact top-k by dot product; ties break by ascending passage id.
 
     Zero-similarity entries are retained (vectors are dense). Raises
-    StaleIndexError when the index predates the current parameters, unless the
-    caller opts into stale search.
+    StaleIndexError when the index predates the current parameters.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if index.params_version != params.version and not allow_stale:
+    if index.params_version != params.version:
         raise StaleIndexError(
             f"index built at params version {index.params_version}, "
-            f"current is {params.version}; rebuild or pass allow_stale=True"
+            f"current is {params.version}; rebuild the index"
         )
     text = query.text if isinstance(query, Query) else query
     qv = encode(params, tokenize(text, tok), as_query=True)

@@ -1,10 +1,11 @@
 """Training orchestrator: warm up on labeled source data, then iterate.
 
 Each iteration mines training pairs for every unlabeled target-language query
-from sparse/dense agreement, optionally retrains the query generator on pairs
-mined with S=1 and adds filtered generated samples, fine-tunes the dense
-retriever on the union, and rebuilds the dense index. The sparse retriever is
-never retrained. Everything is a pure function of (config, data, seed).
+from sparse/dense agreement, retrains the query generator on pairs mined with
+S=1 and adds filtered generated samples (unless ``n_generate`` is 0),
+fine-tunes the dense retriever on the union, and rebuilds the dense index. The
+sparse retriever is never retrained. Everything is a pure function of (config,
+data, seed).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import math
 import time
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -105,17 +105,14 @@ class PipelineConfig:
     batch_size: int = 128
     warmup_epochs: int = 3
     mining: MiningConfig = field(default_factory=MiningConfig)
-    gen_mining_S: int = 1
     n_generate: int = 5000
     skip_generation_first_iter: bool = True
-    use_generation: bool = True
     embedding_dim: int = 64
     shared_encoder: bool = True
     warmup_lr: float = 1e-2
     train_lr: float = 1e-2
     eval_k: int = 10
     seed: int = 0
-    workers: int = 1
     mining_mode: str = "sparse_dense"
     negative_mode: str = "mined"
     plateau_eps: float | None = None
@@ -125,8 +122,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.gen_mining_S != 1:
-            raise ValueError("gen_mining_S is fixed at 1")
         if self.minibatches_per_iter < 1 or self.batch_size < 1:
             raise ValueError("minibatches_per_iter and batch_size must be >= 1")
         if self.warmup_epochs < 0:
@@ -137,8 +132,6 @@ class PipelineConfig:
             raise ValueError(f"mining_mode must be one of {MINING_MODES}")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def canonical_dict(self) -> dict:
         d = asdict(self)
@@ -148,11 +141,8 @@ class PipelineConfig:
         return d
 
     def config_hash(self) -> str:
-        # workers only bounds fan-out and never changes results, so it does not
-        # participate in the hash that gates resumption
-        payload = self.canonical_dict()
-        payload.pop("workers")
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+        payload = json.dumps(self.canonical_dict(), sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -379,24 +369,10 @@ def warmup(
 # ---------------------------------------------------------------------------
 
 
-def _fan_out(fn, items: list, workers: int) -> list:
-    """``fn`` over ``items`` in order, on up to ``workers`` threads."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def dense_run(
-    state: PipelineState, queries: QuerySet, k: int, workers: int = 1
-) -> RunFile:
+def dense_run(state: PipelineState, queries: QuerySet, k: int) -> RunFile:
     """Dense retrieval run over a query set (order-deterministic)."""
-    qlist = list(queries)
-
-    def one(q: Query):
-        return search_dense(state.dense_index, state.params, q, k, tok=state.sparse_index.tokenizer)
-
-    return {q.id: r for q, r in zip(qlist, _fan_out(one, qlist, workers))}
+    tok = state.sparse_index.tokenizer
+    return {q.id: search_dense(state.dense_index, state.params, q, k, tok=tok) for q in queries}
 
 
 def _evaluate(
@@ -404,7 +380,7 @@ def _evaluate(
 ) -> tuple[RunFile, dict[str, dict[str, float]]]:
     if data.eval_queries is None or data.eval_qrels is None:
         return {}, {}
-    run = dense_run(state, data.eval_queries, cfg.eval_k, cfg.workers)
+    run = dense_run(state, data.eval_queries, cfg.eval_k)
     langs = {q.id: q.lang for q in data.eval_queries}
     mrr = mrr_at_k(run, data.eval_qrels, cfg.eval_k, query_langs=langs)
     rec = recall_at_k(run, data.eval_qrels, cfg.eval_k, query_langs=langs)
@@ -471,27 +447,26 @@ def mine(
 ) -> tuple[list[TrainingSample], list[tuple[Query, Passage]], int]:
     """Mine training samples for unlabeled queries from retriever agreement.
 
-    Queries are mined in language order (file order within a language) from
-    the iteration's mining stream; ``cfg.workers`` threads rank them. A query
-    with no token in the encoder's vocabulary is skipped: its zero vector
-    ranks passages by id, which the fuse modes would mine as agreement. Hard
+    Queries are ranked and mined one at a time in language order (file order
+    within a language) from the iteration's mining stream. A query with no
+    token in the encoder's vocabulary is skipped: its zero vector ranks
+    passages by id, which the fuse modes would mine as agreement. Hard
     negatives follow ``cfg.negative_mode``. Returns the samples, the S=1
     (query, passage) pairs the generator trains on, and the number of queries
     with at least one positive.
     """
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
-    s1_cfg = replace(cfg.mining, S=cfg.gen_mining_S)
+    s1_cfg = replace(cfg.mining, S=1)
     vocab = state.params.vocab
     qs = sorted(
         (q for q in queries if any(t in vocab for t in tokenize(q.text, cfg.tokenizer))),
         key=lambda q: q.lang,
     )
-    rankings = _fan_out(lambda q: _rankings_for(state, q, cfg), qs, cfg.workers)
     mined: list[TrainingSample] = []
     gen_pairs: list[tuple[Query, Passage]] = []
     queries_with_positives = 0
-    for q, (list_a, list_b) in zip(qs, rankings):
-        sets, s1 = _mined_sets(list_a, list_b, cfg, s1_cfg)
+    for q in qs:
+        sets, s1 = _mined_sets(*_rankings_for(state, q, cfg), cfg, s1_cfg)
         if sets.positives:
             queries_with_positives += 1
         if cfg.negative_mode == "mined":
@@ -617,12 +592,7 @@ def run_iteration(
 
     generated: list[TrainingSample] = []
     rejected: list[GeneratedPair] = []
-    do_generate = (
-        cfg.use_generation
-        and cfg.n_generate > 0
-        and not (iteration == 1 and cfg.skip_generation_first_iter)
-    )
-    if do_generate:
+    if cfg.n_generate > 0 and not (iteration == 1 and cfg.skip_generation_first_iter):
         if gen_pairs:
             train_generator(state.generator, gen_pairs, corpus, cfg.tokenizer)
         rng_select = np.random.default_rng([cfg.seed, _GEN_SELECT, iteration])

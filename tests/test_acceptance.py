@@ -324,7 +324,7 @@ def ablation_runs(bench, data, cfg_mapping):
     for seed in PIPELINE_SEEDS:
         for name, mode in (("standard", "sparse_dense"), ("double_dense", "double_dense")):
             cfg = pipeline_config_from_mapping(
-                {**cfg_mapping, "mining_mode": mode, "use_generation": "false", "n_generate": "0"},
+                {**cfg_mapping, "mining_mode": mode, "n_generate": "0"},
                 seed=seed,
             )
             reports = run_pipeline(cfg, data)

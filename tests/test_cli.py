@@ -7,11 +7,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lexmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, dispatch, parse_kv_config
+from lexmine.cli import (
+    _DATA_KEYS,
+    _PIPELINE_KEYS,
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    ConfigError,
+    dispatch,
+    parse_kv_config,
+    pipeline_config_from_mapping,
+)
 from lexmine.corpus import load_passages, load_qrels, load_queries
 from lexmine.dense import load_checkpoint
 from lexmine.evaluation import load_run, mrr_at_k
 from lexmine.mining import load_samples
+from lexmine.pipeline import MINING_MODES, NEGATIVE_MODES, PipelineConfig
 
 SYNTH_CFG = """
 languages = src,tgta
@@ -316,6 +327,119 @@ def test_pipeline_unknown_key_exit_2(tmp_path, synth_dir):
     assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+def _flat_fields(cfg: PipelineConfig) -> dict:
+    flat = {}
+    for name, value in cfg.canonical_dict().items():
+        if isinstance(value, dict):
+            flat.update({f"{name}.{sub}": v for sub, v in value.items()})
+        else:
+            flat[name] = value
+    return flat
+
+
+def test_every_config_field_is_set_by_exactly_one_key():
+    # two valid values per key; the fields they leave unequal are the ones the key sets
+    values = {int: ("3", "4"), float: ("0.25", "0.5"), bool: ("true", "false")}
+    choices = {"mining_mode": MINING_MODES[:2], "negative_mode": NEGATIVE_MODES[:2]}
+    set_by: dict[str, list[str]] = {}
+    for key, typ in _PIPELINE_KEYS.items():
+        a, b = (
+            _flat_fields(pipeline_config_from_mapping({key: v}, seed=0))
+            for v in choices.get(key) or values[typ]
+        )
+        changed = [name for name in a if a[name] != b[name]]
+        assert len(changed) == 1, (key, changed)
+        set_by.setdefault(changed[0], []).append(key)
+    assert set(set_by) == set(_flat_fields(PipelineConfig())) - {"seed"}
+    assert all(len(keys) == 1 for keys in set_by.values()), set_by
+
+
+@pytest.mark.parametrize("setting", ["workers=2", "use_generation=false"])
+def test_removed_config_keys_exit_2(tmp_path, capsys, setting):
+    out = tmp_path / "run"
+    code = dispatch(["pipeline", "--set", setting, "--seed", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"unknown config key {setting.split('=')[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "mine"])
+def test_workers_flag_is_gone(tmp_path, command):
+    out = tmp_path / "out"
+    inputs = ["--passages", "p", "--queries", "q", "--checkpoint", "c"] if command == "mine" else []
+    with pytest.raises(SystemExit) as exc:
+        dispatch([command, "--seed", "1", *inputs, "--out", str(out), "--workers", "2"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_readme_config_table_lists_every_key():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    listed = [
+        line.split("|")[1].strip().strip("`")
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert sorted(listed) == sorted([*_PIPELINE_KEYS, *_DATA_KEYS])
+
+
+def _judge_unknown_passage(qrels_path: Path, qid: str) -> None:
+    # the query's only judgment names a passage the corpus lacks
+    kept = [line for line in qrels_path.read_text().splitlines() if line.split()[0] != qid]
+    qrels_path.write_text("\n".join(kept + [f"{qid} 0 nope 1"]) + "\n")
+
+
+def test_pipeline_qrels_unknown_passage_exit_3(tmp_path, synth_dir, capsys):
+    split_synth_for_pipeline(synth_dir)
+    qid = next(iter(load_queries(synth_dir / "train_queries.jsonl"))).id
+    _judge_unknown_passage(synth_dir / "qrels.tsv", qid)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    out = tmp_path / "run"
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {synth_dir / 'qrels.tsv'}: " in err and "'nope'" in err
+    assert not out.exists()
+
+
+def test_warmup_qrels_unknown_passage_exit_3(tmp_path, synth_dir, capsys):
+    split_synth_for_pipeline(synth_dir)
+    qid = next(iter(load_queries(synth_dir / "train_queries.jsonl"))).id
+    _judge_unknown_passage(synth_dir / "qrels.tsv", qid)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    out = tmp_path / "warm"
+    code = dispatch(
+        [
+            "warmup",
+            "--config", str(cfg),
+            "--passages", str(synth_dir / "passages.jsonl"),
+            "--queries", str(synth_dir / "train_queries.jsonl"),
+            "--qrels", str(synth_dir / "qrels.tsv"),
+            "--seed", "3",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {synth_dir / 'qrels.tsv'}: " in err and "'nope'" in err
+    assert not out.exists()
+
+
+def test_pipeline_query_id_with_whitespace_exit_3(tmp_path, synth_dir, capsys):
+    split_synth_for_pipeline(synth_dir)
+    path = synth_dir / "unlabeled_tgt.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["id"] = "u " + first["id"]
+    path.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    out = tmp_path / "run"
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {path}:1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_warmup_mine_generate_train_chain(tmp_path, synth_dir):
     split_synth_for_pipeline(synth_dir)
     cfg = tmp_path / "c.cfg"
@@ -489,14 +613,6 @@ def test_mine_honours_fuse_mode(tmp_path, synth_dir, warm_ckpt):
     assert fused.read_bytes() != default.read_bytes()
 
 
-def test_mine_workers_do_not_change_output(tmp_path, synth_dir, warm_ckpt):
-    cfg = tmp_path / "c.cfg"
-    one, two = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
-    assert mine_cmd(cfg, synth_dir, warm_ckpt, one, 3, "--workers", "1") == EXIT_OK
-    assert mine_cmd(cfg, synth_dir, warm_ckpt, two, 3, "--workers", "2") == EXIT_OK
-    assert one.read_bytes() == two.read_bytes()
-
-
 def test_mine_double_dense_exit_2(tmp_path, synth_dir, warm_ckpt, capsys):
     cfg = tmp_path / "c.cfg"
     out = tmp_path / "mined.jsonl"
@@ -504,25 +620,6 @@ def test_mine_double_dense_exit_2(tmp_path, synth_dir, warm_ckpt, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error:" in err and "mining_mode" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("workers", ["-3", "0"])
-def test_mine_workers_flag_validated(tmp_path, synth_dir, warm_ckpt, capsys, workers):
-    out = tmp_path / "mined.jsonl"
-    assert mine_cmd(tmp_path / "c.cfg", synth_dir, warm_ckpt, out, 3, "--workers", workers) == EXIT_CONFIG
-    assert "config error: workers must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("workers", ["-3", "0"])
-def test_pipeline_workers_flag_validated(tmp_path, synth_dir, capsys, workers):
-    split_synth_for_pipeline(synth_dir)
-    cfg = pipeline_cfg_file(tmp_path, synth_dir)
-    out = tmp_path / "run"
-    code = dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out), "--workers", workers])
-    assert code == EXIT_CONFIG
-    assert "config error: workers must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -214,6 +214,19 @@ def test_passage_invariants():
         Passage(id="p", text="   ")
 
 
+@pytest.mark.parametrize("loader", [load_passages, load_queries])
+@pytest.mark.parametrize("bad_id", ["p 1", "p\t1", "p1\n", "p\u00a01", "p\u30001"])
+def test_loaders_reject_ids_with_whitespace(tmp_path, loader, bad_id):
+    # run files and qrels split lines on whitespace, so such an id could not be read back
+    path = tmp_path / "records.jsonl"
+    path.write_text(
+        json.dumps({"id": "ok", "text": "fine"}) + "\n" + json.dumps({"id": bad_id, "text": "fine"}) + "\n"
+    )
+    with pytest.raises(DataFormatError, match="whitespace") as exc:
+        loader(path)
+    assert exc.value.line == 2
+
+
 def test_corpus_rejects_duplicate_ids():
     with pytest.raises(DataFormatError, match="p1"):
         Corpus([Passage(id="p1", text="a"), Passage(id="p1", text="b")])

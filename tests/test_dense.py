@@ -163,7 +163,7 @@ def test_search_matches_brute_force():
         # the arithmetic itself: per-row dot products, up to BLAS summation order
         np.testing.assert_allclose(
             [s for _, s in got],
-            [float(np.dot(index.vector(pid), qv)) for pid, _ in got],
+            [float(np.dot(index.vectors[corpus.position(pid)], qv)) for pid, _ in got],
             rtol=1e-12,
         )
 
@@ -231,8 +231,6 @@ def test_search_stale_index(tiny_corpus, rng):
     train_step(params, opt, [sample], corpus_token_rows(params, tiny_corpus))
     with pytest.raises(StaleIndexError):
         search_dense(index, params, Query(id="q", text="apple"), 2)
-    stale = search_dense(index, params, Query(id="q", text="apple"), 2, allow_stale=True)
-    assert len(stale) == 2
     fresh = build_dense_index(params, tiny_corpus)
     assert fresh.params_version == params.version
     # a trained token's passage vector must have moved
