@@ -23,6 +23,7 @@ from .corpus import (
     Corpus,
     DataFormatError,
     JudgmentSet,
+    QuerySet,
     SynthSpec,
     TokenizerConfig,
     atomic_write,
@@ -34,10 +35,11 @@ from .corpus import (
     save_queries,
     synth_benchmark,
 )
-from .dense import corpus_token_rows, init_optimizer, load_checkpoint, save_checkpoint
+from .dense import corpus_token_rows, init_optimizer, load_checkpoint, save_checkpoint, vocab_from_corpus
 from .evaluation import format_lang_table, load_run, mrr_at_k, recall_at_k
 from .mining import MiningConfig, load_samples, save_samples
 from .pipeline import (
+    _TRAIN_SHUFFLE,
     PipelineConfig,
     PipelineData,
     PipelineError,
@@ -148,7 +150,6 @@ _DATA_KEYS = (
     "unlabeled_queries",
     "eval_queries",
     "eval_qrels",
-    "source_lang",
 )
 
 
@@ -218,6 +219,12 @@ def _load_judged_qrels(name: str, corpus: Corpus) -> JudgmentSet:
     except DataFormatError as exc:
         raise DataFormatError(exc.message, path) from exc
     return qrels
+
+
+def _require_labeled(queries: QuerySet, qrels: JudgmentSet, name: str) -> None:
+    """The warm-up needs at least one query with a relevant judgment."""
+    if not any(qrels.relevant(q.id) for q in queries):
+        raise DataFormatError("no labeled queries with relevant judgments", data_path(name))
 
 
 def _guard_overwrite(marker: Path, overwrite: bool, what: str) -> None:
@@ -294,13 +301,13 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     corpus = load_passages(data_path(args.passages))
     queries = load_queries(data_path(args.queries))
     qrels = _load_judged_qrels(args.qrels, corpus)
+    _require_labeled(queries, qrels, args.qrels)
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "warmup output")
     sparse_index = build_index(corpus, cfg.tokenizer, cfg.bm25)
     labeled = assemble_warmup_samples(queries, qrels, sparse_index, cfg)
-    if not labeled:
-        raise DataFormatError("no labeled queries with relevant judgments", args.qrels)
-    params, generator = warmup(labeled, corpus, cfg)
+    vocab = vocab_from_corpus(corpus, cfg.tokenizer, [s.query for s in labeled])
+    params, generator = warmup(labeled, corpus, cfg, vocab)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params)
     save_generator(generator, out / "generator.json")
@@ -390,7 +397,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _guard_overwrite(out / "manifest.json", args.overwrite, "train output")
     rows_cache = corpus_token_rows(params, corpus, cfg.tokenizer)
     # the pipeline's first iteration, training stream included
-    losses = train(params, opt, dataset, cfg, rows_cache, iteration=1)
+    rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, 1])
+    losses = train(params, opt, dataset, cfg, rows_cache, rng, cfg.minibatches_per_iter, "iteration 1")
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params, opt)
     _write_manifest(out / "manifest.json", "train", cfg.canonical_dict(), args.seed)
@@ -420,11 +428,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "unjudged_in_run": mrr.unjudged_in_run,
         "no_relevant": mrr.no_relevant,
     }
-    text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+        with atomic_write(args.out) as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+    print(json.dumps(report, indent=2))
     if query_langs:
         print(format_lang_table({"mrr": mrr, "recall": rec}))
     return EXIT_OK
@@ -437,14 +446,20 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if missing:
         raise ConfigError(f"pipeline config missing data keys: {', '.join(missing)}", key=missing[0])
     corpus = load_passages(data_path(mapping["passages"]))
+    train_queries = load_queries(data_path(mapping["train_queries"]))
+    train_qrels = _load_judged_qrels(mapping["train_qrels"], corpus)
+    _require_labeled(train_queries, train_qrels, mapping["train_qrels"])
+    eval_qrels = None
+    if "eval_qrels" in mapping:
+        shared = data_path(mapping["eval_qrels"]) == data_path(mapping["train_qrels"])
+        eval_qrels = train_qrels if shared else _load_judged_qrels(mapping["eval_qrels"], corpus)
     data = PipelineData(
         corpus=corpus,
-        train_queries=load_queries(data_path(mapping["train_queries"])),
-        train_qrels=_load_judged_qrels(mapping["train_qrels"], corpus),
+        train_queries=train_queries,
+        train_qrels=train_qrels,
         unlabeled=load_queries(data_path(mapping["unlabeled_queries"])),
         eval_queries=load_queries(data_path(mapping["eval_queries"])) if "eval_queries" in mapping else None,
-        eval_qrels=_load_judged_qrels(mapping["eval_qrels"], corpus) if "eval_qrels" in mapping else None,
-        source_lang=mapping.get("source_lang"),
+        eval_qrels=eval_qrels,
     )
     out = Path(args.out)
     if not args.resume:

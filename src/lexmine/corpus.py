@@ -9,7 +9,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Generic, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -190,23 +190,57 @@ def _tokenize_corpus(passages: Iterable[Passage], tok: TokenizerConfig) -> Token
 # Containers
 # ---------------------------------------------------------------------------
 
+_Record = TypeVar("_Record", Passage, Query)
+_T = TypeVar("_T")
 
-class Corpus:
-    """Ordered, id-indexed collection of passages."""
 
-    def __init__(self, passages: Iterable[Passage]):
-        self._by_id: dict[str, Passage] = {}
-        for p in passages:
-            if p.id in self._by_id:
-                raise DataFormatError(f"duplicate passage id {p.id!r}")
-            self._by_id[p.id] = p
-        self._order = list(self._by_id)
-        self._position = {pid: i for i, pid in enumerate(self._order)}
-        self._tokenized: TokenizedCorpus | None = None
+class _IdCollection(Generic[_Record]):
+    """Ordered, id-indexed collection of passages or queries; ids are unique."""
+
+    kind = ""
+
+    def __init__(self, records: Iterable[_Record]):
+        self._by_id: dict[str, _Record] = {}
+        for r in records:
+            if r.id in self._by_id:
+                raise DataFormatError(f"duplicate {self.kind} id {r.id!r}")
+            self._by_id[r.id] = r
 
     @property
     def ids(self) -> list[str]:
-        return list(self._order)
+        return list(self._by_id)
+
+    def __len__(self) -> int:
+        return len(self._by_id)
+
+    def __iter__(self) -> Iterator[_Record]:
+        return iter(self._by_id.values())
+
+    def __contains__(self, record_id: str) -> bool:
+        return record_id in self._by_id
+
+    def __getitem__(self, record_id: str) -> _Record:
+        return self._by_id[record_id]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._by_id == other._by_id
+
+    def by_lang(self, lang: str) -> list[_Record]:
+        return [r for r in self if r.lang == lang]
+
+
+class Corpus(_IdCollection[Passage]):
+    """Ordered, id-indexed collection of passages."""
+
+    kind = "passage"
+
+    def __init__(self, passages: Iterable[Passage]):
+        super().__init__(passages)
+        self._order = list(self._by_id)
+        self._position = {pid: i for i, pid in enumerate(self._order)}
+        self._tokenized: TokenizedCorpus | None = None
 
     def position(self, passage_id: str) -> int:
         """Index of the passage in corpus order."""
@@ -214,18 +248,6 @@ class Corpus:
 
     def id_at(self, position: int) -> str:
         return self._order[position]
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __iter__(self) -> Iterator[Passage]:
-        return iter(self._by_id.values())
-
-    def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._by_id
-
-    def __getitem__(self, passage_id: str) -> Passage:
-        return self._by_id[passage_id]
 
     def tokenized(self, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenizedCorpus:
         """Every passage tokenized under ``tok``, memoized for the last config asked.
@@ -237,48 +259,11 @@ class Corpus:
             self._tokenized = _tokenize_corpus(self, tok)
         return self._tokenized
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return self._by_id == other._by_id
 
-    def by_lang(self, lang: str) -> list[Passage]:
-        return [p for p in self if p.lang == lang]
-
-
-class QuerySet:
+class QuerySet(_IdCollection[Query]):
     """Ordered, id-indexed collection of queries."""
 
-    def __init__(self, queries: Iterable[Query]):
-        self._by_id: dict[str, Query] = {}
-        for q in queries:
-            if q.id in self._by_id:
-                raise DataFormatError(f"duplicate query id {q.id!r}")
-            self._by_id[q.id] = q
-
-    @property
-    def ids(self) -> list[str]:
-        return list(self._by_id)
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __iter__(self) -> Iterator[Query]:
-        return iter(self._by_id.values())
-
-    def __contains__(self, query_id: str) -> bool:
-        return query_id in self._by_id
-
-    def __getitem__(self, query_id: str) -> Query:
-        return self._by_id[query_id]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuerySet):
-            return NotImplemented
-        return self._by_id == other._by_id
-
-    def by_lang(self, lang: str) -> list[Query]:
-        return [q for q in self if q.lang == lang]
+    kind = "query"
 
 
 class JudgmentSet:
@@ -341,69 +326,58 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-def _load_jsonl_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+def _load_jsonl_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
+    """``parse`` applied to the JSON object on each non-blank line of ``path``.
+
+    Invalid JSON, a line that is not an object, or a ValueError from ``parse``
+    raises DataFormatError naming the file and line.
+    """
+    records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("expected a JSON object")
+                records.append(parse(obj))
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"invalid JSON ({exc.msg})", path, lineno) from exc
-            if not isinstance(obj, dict):
-                raise DataFormatError("expected a JSON object", path, lineno)
-            yield lineno, obj
+            except ValueError as exc:
+                raise DataFormatError(str(exc), path, lineno) from exc
+    return records
 
 
-def _require_str(obj: dict, key: str, path: str | Path, lineno: int) -> str:
+def _require_str(obj: dict, key: str) -> str:
     if key not in obj:
-        raise DataFormatError(f"missing field {key!r}", path, lineno)
-    val = obj[key]
-    if not isinstance(val, str):
-        raise DataFormatError(f"field {key!r} must be a string", path, lineno)
-    return val
+        raise ValueError(f"missing field {key!r}")
+    if not isinstance(obj[key], str):
+        raise ValueError(f"field {key!r} must be a string")
+    return obj[key]
+
+
+def _load_collection(path: str | Path, record: type, collection: type):
+    """A ``collection`` of ``record``s read from JSONL objects with "id", "text"
+    and an optional "lang" (default "en")."""
+    records = _load_jsonl_records(
+        path,
+        lambda obj: record(
+            id=_require_str(obj, "id"), text=_require_str(obj, "text"), lang=str(obj.get("lang", "en"))
+        ),
+    )
+    try:
+        return collection(records)
+    except DataFormatError as exc:
+        raise DataFormatError(exc.message, path) from exc
 
 
 def load_passages(path: str | Path) -> Corpus:
-    passages = []
-    for lineno, obj in _load_jsonl_records(path):
-        try:
-            passages.append(
-                Passage(
-                    id=_require_str(obj, "id", path, lineno),
-                    text=_require_str(obj, "text", path, lineno),
-                    lang=str(obj.get("lang", "en")),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, DataFormatError):
-                raise
-            raise DataFormatError(str(exc), path, lineno) from exc
-    try:
-        return Corpus(passages)
-    except DataFormatError as exc:
-        raise DataFormatError(exc.message, path) from exc
+    return _load_collection(path, Passage, Corpus)
 
 
 def load_queries(path: str | Path) -> QuerySet:
-    queries = []
-    for lineno, obj in _load_jsonl_records(path):
-        try:
-            queries.append(
-                Query(
-                    id=_require_str(obj, "id", path, lineno),
-                    text=_require_str(obj, "text", path, lineno),
-                    lang=str(obj.get("lang", "en")),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, DataFormatError):
-                raise
-            raise DataFormatError(str(exc), path, lineno) from exc
-    try:
-        return QuerySet(queries)
-    except DataFormatError as exc:
-        raise DataFormatError(exc.message, path) from exc
+    return _load_collection(path, Query, QuerySet)
 
 
 def load_qrels(path: str | Path) -> JudgmentSet:
@@ -433,18 +407,15 @@ def load_qrels(path: str | Path) -> JudgmentSet:
         raise DataFormatError(exc.message, path) from exc
 
 
-def save_passages(corpus: Corpus, path: str | Path) -> None:
+def save_passages(records: _IdCollection, path: str | Path) -> None:
+    """Write passages or queries as JSONL, the format ``load_passages`` and ``load_queries`` read."""
     with atomic_write(path) as fh:
-        for p in corpus:
-            fh.write(json.dumps({"id": p.id, "text": p.text, "lang": p.lang}, ensure_ascii=False))
+        for r in records:
+            fh.write(json.dumps({"id": r.id, "text": r.text, "lang": r.lang}, ensure_ascii=False))
             fh.write("\n")
 
 
-def save_queries(queries: QuerySet, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        for q in queries:
-            fh.write(json.dumps({"id": q.id, "text": q.text, "lang": q.lang}, ensure_ascii=False))
-            fh.write("\n")
+save_queries = save_passages
 
 
 def save_qrels(judgments: JudgmentSet, path: str | Path) -> None:

@@ -90,9 +90,11 @@ class EncoderParams:
         return self.embedding
 
 
-def vocab_from_corpus(corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
-    """Sorted unique tokens over the whole corpus."""
-    return list(corpus.tokenized(tok).vocab)
+def vocab_from_corpus(
+    corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER, queries: Iterable[Query] = ()
+) -> list[str]:
+    """The encoder vocabulary: sorted unique tokens of the corpus and of ``queries``."""
+    return sorted(set(corpus.tokenized(tok).vocab).union(*(tokenize(q.text, tok) for q in queries)))
 
 
 def init_params(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, DataFormatError, Query, atomic_write
+from .corpus import Corpus, Query, _load_jsonl_records, _require_str, atomic_write
 from .dense import TrainingSample
 from .sparse import RankedList
 
@@ -206,32 +206,32 @@ def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
             fh.write("\n")
 
 
+def _id_list(obj: dict, key: str) -> tuple[str, ...]:
+    val = obj.get(key, [])
+    if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
+        raise ValueError(f"field {key!r} must be a list of strings")
+    return tuple(val)
+
+
 def load_samples(path: str | Path, corpus: Corpus | None = None) -> list[TrainingSample]:
     """Read a samples JSONL file; optionally validate passage ids against a corpus."""
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"invalid JSON ({exc.msg})", path, lineno) from exc
-            try:
-                sample = TrainingSample(
-                    query=Query(
-                        id=obj["query_id"], text=obj["query_text"], lang=obj.get("lang", "en")
-                    ),
-                    positive=obj["positive"],
-                    hard_negatives=tuple(obj.get("hard_negatives", ())),
-                    random_negatives=tuple(obj.get("random_negatives", ())),
-                    source=obj.get("source", "mined"),
-                )
-            except (KeyError, ValueError) as exc:
-                raise DataFormatError(f"bad sample record: {exc}", path, lineno) from exc
-            if corpus is not None:
-                for pid in (sample.positive, *sample.hard_negatives, *sample.random_negatives):
-                    if pid not in corpus:
-                        raise DataFormatError(f"unknown passage id {pid!r}", path, lineno)
-            samples.append(sample)
-    return samples
+
+    def parse(obj: dict) -> TrainingSample:
+        sample = TrainingSample(
+            query=Query(
+                id=_require_str(obj, "query_id"),
+                text=_require_str(obj, "query_text"),
+                lang=str(obj.get("lang", "en")),
+            ),
+            positive=_require_str(obj, "positive"),
+            hard_negatives=_id_list(obj, "hard_negatives"),
+            random_negatives=_id_list(obj, "random_negatives"),
+            source=str(obj.get("source", "mined")),
+        )
+        if corpus is not None:
+            for pid in (sample.positive, *sample.hard_negatives, *sample.random_negatives):
+                if pid not in corpus:
+                    raise ValueError(f"unknown passage id {pid!r}")
+        return sample
+
+    return _load_jsonl_records(path, parse)

@@ -156,7 +156,6 @@ class PipelineData:
     unlabeled: QuerySet
     eval_queries: QuerySet | None = None
     eval_qrels: JudgmentSet | None = None
-    source_lang: str | None = None
 
 
 def pipeline_data_from_benchmark(bench: SynthBenchmark) -> PipelineData:
@@ -171,7 +170,6 @@ def pipeline_data_from_benchmark(bench: SynthBenchmark) -> PipelineData:
         unlabeled=unlabeled,
         eval_queries=bench.queries,
         eval_qrels=bench.judgments,
-        source_lang=bench.source_lang,
     )
 
 
@@ -280,51 +278,23 @@ def assemble_warmup_samples(
     return samples
 
 
-def _train_epochs(
-    params: EncoderParams,
-    opt: OptimizerState,
-    samples: list[TrainingSample],
-    cfg: PipelineConfig,
-    epochs: int,
-    rng: np.random.Generator,
-    rows_cache: dict[str, np.ndarray],
-) -> float:
-    last_loss = 0.0
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(samples))
-        for step, start in enumerate(range(0, len(order), cfg.batch_size), 1):
-            batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-            _, _, last_loss = train_step(params, opt, batch, rows_cache, cfg.tokenizer)
-            _check_loss(last_loss, f"warm-up epoch {epoch} step {step}")
-    return last_loss
-
-
-def _check_loss(loss: float, where: str) -> None:
-    if not math.isfinite(loss):
-        raise PipelineError(f"{where}: training loss is {loss}")
-
-
 def warmup(
     source_labeled: list[TrainingSample],
     corpus: Corpus,
     cfg: PipelineConfig,
-    vocab_tokens: list[str] | None = None,
+    vocab_tokens: Sequence[str],
     seed_offset: int = 0,
 ) -> tuple[EncoderParams, GeneratorModel]:
     """Train the retriever and the generator on labeled source-language data.
 
-    Samples missing random negatives get them drawn here; in-batch negatives
-    come from the other samples of each minibatch. The generator is trained on
+    The encoder's vocabulary is ``vocab_tokens``. Samples missing random
+    negatives get them drawn here; in-batch negatives come from the other
+    samples of each minibatch. Training runs ``warmup_epochs`` epochs through
+    ``train`` on the warm-up's own shuffle stream. The generator is trained on
     (positive passage -> query) pairs even when warmup_epochs is 0.
     """
     if not source_labeled:
         raise ValueError("labeled warm-up data must be non-empty")
-    if vocab_tokens is None:
-        vocab_tokens = sorted(
-            set(vocab_from_corpus(corpus, cfg.tokenizer)).union(
-                t for s in source_labeled for t in tokenize(s.query.text, cfg.tokenizer)
-            )
-        )
     params = init_params(
         vocab_tokens,
         dim=cfg.embedding_dim,
@@ -340,20 +310,13 @@ def warmup(
             randoms = sample_random_negatives(
                 corpus, {s.positive, *s.hard_negatives}, cfg.mining.n_random_negatives, rng_negs
             )
-            filled.append(
-                TrainingSample(
-                    query=s.query,
-                    positive=s.positive,
-                    hard_negatives=s.hard_negatives,
-                    random_negatives=randoms,
-                    source=s.source,
-                )
-            )
+            filled.append(replace(s, random_negatives=randoms))
 
     rows_cache = corpus_token_rows(params, corpus, cfg.tokenizer)
     opt = init_optimizer(params, lr=cfg.warmup_lr)
     rng_shuffle = np.random.default_rng([cfg.seed, _WARMUP_SHUFFLE, seed_offset])
-    _train_epochs(params, opt, filled, cfg, cfg.warmup_epochs, rng_shuffle, rows_cache)
+    steps = cfg.warmup_epochs * math.ceil(len(filled) / cfg.batch_size)
+    train(params, opt, filled, cfg, rows_cache, rng_shuffle, steps, "warm-up")
 
     generator = train_generator(
         GeneratorModel(),
@@ -540,26 +503,29 @@ def train(
     dataset: Sequence[TrainingSample],
     cfg: PipelineConfig,
     rows_cache: dict[str, np.ndarray],
-    iteration: int,
+    rng: np.random.Generator,
+    steps: int,
+    label: str,
 ) -> list[float]:
-    """Fine-tune for ``cfg.minibatches_per_iter`` steps; returns the step losses.
+    """Run ``steps`` minibatch steps on ``dataset``; returns the step losses.
 
-    Minibatches walk a shuffled order of ``dataset`` drawn from the
-    iteration's training stream and reshuffle when it runs out. A non-finite
-    loss raises ``PipelineError``.
+    Minibatches walk a shuffled order of ``dataset`` drawn from ``rng`` and
+    reshuffle when it runs out, so every ``ceil(len(dataset) / batch_size)``
+    steps make one epoch. A non-finite loss raises ``PipelineError`` naming
+    ``label`` and the step.
     """
-    rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, iteration])
     losses = []
     order = rng.permutation(len(dataset))
     pos = 0
-    for step in range(1, cfg.minibatches_per_iter + 1):
+    for step in range(1, steps + 1):
         if pos >= len(order):
             order = rng.permutation(len(dataset))
             pos = 0
         batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
         pos += cfg.batch_size
         _, _, loss = train_step(params, opt, batch, rows_cache, cfg.tokenizer)
-        _check_loss(loss, f"iteration {iteration} step {step}")
+        if not math.isfinite(loss):
+            raise PipelineError(f"{label} step {step}: training loss is {loss}")
         losses.append(loss)
     return losses
 
@@ -604,7 +570,9 @@ def run_iteration(
 
     dataset = mined + generated
     opt = init_optimizer(state.params, lr=cfg.train_lr)
-    losses = train(state.params, opt, dataset, cfg, state.rows_cache, iteration)
+    rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, iteration])
+    label = f"iteration {iteration}"
+    losses = train(state.params, opt, dataset, cfg, state.rows_cache, rng, cfg.minibatches_per_iter, label)
 
     state.dense_index = build_dense_index(
         state.params, corpus, cfg.tokenizer, rows_cache=state.rows_cache
@@ -723,14 +691,8 @@ def run_pipeline(
     start_iter = max(len(done) - 1, 0)
 
     sparse_index = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    vocab = sorted(
-        set(vocab_from_corpus(data.corpus, cfg.tokenizer)).union(
-            *(
-                {t for q in qs for t in tokenize(q.text, cfg.tokenizer)}
-                for qs in (data.train_queries, data.unlabeled, data.eval_queries or QuerySet([]))
-            )
-        )
-    )
+    queries = [*data.train_queries, *data.unlabeled, *(data.eval_queries or ())]
+    vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, queries)
     labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse_index, cfg)
     if not labeled:
         raise PipelineError("no labeled source queries with relevant judgments")

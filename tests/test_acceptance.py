@@ -18,20 +18,20 @@ from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
 from lexmine.corpus import Corpus, Judgment, JudgmentSet, Passage, Query, SynthSpec, synth_benchmark, tokenize
 from lexmine.dense import (
     TrainingSample,
-    build_dense_index,
     corpus_token_rows,
     infonce_batch,
     init_params,
+    vocab_from_corpus,
 )
 from lexmine.evaluation import mrr_at_k, paired_t_test, recall_at_k
 from lexmine.mining import MiningConfig, mine_pairs
 from lexmine.pipeline import (
-    PipelineState,
     _unlabeled_by_lang,
     assemble_warmup_samples,
     pipeline_data_from_benchmark,
     run_iteration,
     run_pipeline,
+    start_state,
     warmup,
 )
 from lexmine.querygen import GeneratedPair, filter_generated, generate_query
@@ -353,15 +353,9 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
     cfg = pipeline_config_from_mapping(cfg_mapping, seed=PIPELINE_SEEDS[0])
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    params, generator = warmup(labeled, data.corpus, cfg)
-    rows = corpus_token_rows(params, data.corpus, cfg.tokenizer)
-    state = PipelineState(
-        params=params,
-        generator=generator,
-        sparse_index=sparse,
-        dense_index=build_dense_index(params, data.corpus, cfg.tokenizer, rows_cache=rows),
-        rows_cache=rows,
-    )
+    vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, [s.query for s in labeled])
+    params, generator = warmup(labeled, data.corpus, cfg, vocab)
+    state = start_state(params, generator, sparse, data.corpus, cfg)
     # two iterations so the generator has been retrained on mined target pairs
     state, _, _ = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, None)
     state, _, _ = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, None)

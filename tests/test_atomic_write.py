@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lexmine.cli import _write_manifest
+from lexmine.cli import _write_manifest, dispatch
 from lexmine.corpus import (
     Corpus,
     Passage,
@@ -132,3 +132,18 @@ def test_atomic_write_first_write_leaves_nothing_on_failure(tmp_path):
         fh.write(b"done")
     assert path.read_bytes() == b"done"
     assert [p.name for p in tmp_path.iterdir()] == ["new.json"]
+
+
+def test_failed_eval_report_keeps_previous_report(tmp_path, monkeypatch):
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    save_run({"q1": [("p1", 1.0)]}, inputs / "run.trec")
+    (inputs / "qrels.tsv").write_text("q1 0 p1 1\n")
+    argv = ["eval", "--run", str(inputs / "run.trec"), "--qrels", str(inputs / "qrels.tsv"), "--out", str(out / "report.json")]
+    assert dispatch(argv) == 0
+    before = (out / "report.json").read_bytes()
+    monkeypatch.setattr(json, "dump", _partial_then_raise('{"mrr@10": '))
+    with pytest.raises(Interrupted):
+        dispatch(argv)
+    assert (out / "report.json").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["report.json"]

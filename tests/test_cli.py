@@ -19,7 +19,7 @@ from lexmine.cli import (
     pipeline_config_from_mapping,
 )
 from lexmine.corpus import load_passages, load_qrels, load_queries
-from lexmine.dense import load_checkpoint
+from lexmine.dense import init_params, load_checkpoint, save_checkpoint
 from lexmine.evaluation import load_run, mrr_at_k
 from lexmine.mining import load_samples
 from lexmine.pipeline import MINING_MODES, NEGATIVE_MODES, PipelineConfig
@@ -83,6 +83,21 @@ eval_qrels = {data_dir}/qrels.tsv
         + extra
     )
     return path
+
+
+def tiny_data(tmp_path: Path, grade: int = 1) -> Path:
+    """Two passages, one judged source query and one unlabeled query, under the
+    file names ``pipeline_cfg_file`` expects."""
+    out = tmp_path / "tiny"
+    out.mkdir()
+    (out / "passages.jsonl").write_text(
+        "".join(json.dumps({"id": f"p{i}", "text": f"alpha beta{i}"}) + "\n" for i in (1, 2))
+    )
+    for name in ("train_queries.jsonl", "queries.jsonl"):
+        (out / name).write_text(json.dumps({"id": "q1", "text": "alpha beta1"}) + "\n")
+    (out / "unlabeled_tgt.jsonl").write_text(json.dumps({"id": "u1", "text": "beta2"}) + "\n")
+    (out / "qrels.tsv").write_text(f"q1 0 p1 {grade}\n")
+    return out
 
 
 def split_synth_for_pipeline(synth_dir: Path) -> None:
@@ -354,7 +369,7 @@ def test_every_config_field_is_set_by_exactly_one_key():
     assert all(len(keys) == 1 for keys in set_by.values()), set_by
 
 
-@pytest.mark.parametrize("setting", ["workers=2", "use_generation=false"])
+@pytest.mark.parametrize("setting", ["workers=2", "use_generation=false", "source_lang=src"])
 def test_removed_config_keys_exit_2(tmp_path, capsys, setting):
     out = tmp_path / "run"
     code = dispatch(["pipeline", "--set", setting, "--seed", "1", "--out", str(out)])
@@ -424,6 +439,54 @@ def test_warmup_qrels_unknown_passage_exit_3(tmp_path, synth_dir, capsys):
     err = capsys.readouterr().err
     assert f"data error: {synth_dir / 'qrels.tsv'}: " in err and "'nope'" in err
     assert not out.exists()
+
+
+def test_pipeline_no_labeled_queries_exit_3(tmp_path, capsys):
+    data = tiny_data(tmp_path, grade=0)
+    out = tmp_path / "run"
+    cfg = pipeline_cfg_file(tmp_path, data)
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {data / 'qrels.tsv'}: no labeled queries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_warmup_no_labeled_queries_exit_3(tmp_path, capsys):
+    data = tiny_data(tmp_path, grade=0)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    out = tmp_path / "warm"
+    code = dispatch(
+        [
+            "warmup",
+            "--config", str(cfg),
+            "--passages", str(data / "passages.jsonl"),
+            "--queries", str(data / "train_queries.jsonl"),
+            "--qrels", str(data / "qrels.tsv"),
+            "--seed", "3",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_DATA
+    assert f"data error: {data / 'qrels.tsv'}: no labeled queries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("separate, loads", [(False, 1), (True, 2)])
+def test_pipeline_loads_shared_qrels_once(tmp_path, monkeypatch, separate, loads):
+    import lexmine.cli as cli_mod
+
+    data = tiny_data(tmp_path)
+    cfg = pipeline_cfg_file(tmp_path, data)
+    if separate:
+        (data / "eval_qrels.tsv").write_text((data / "qrels.tsv").read_text())
+        text = cfg.read_text().replace(f"eval_qrels = {data}/qrels.tsv", f"eval_qrels = {data}/eval_qrels.tsv")
+        cfg.write_text(text)
+    loaded, given = [], []
+    monkeypatch.setattr(cli_mod, "load_qrels", lambda path: loaded.append(path) or load_qrels(path))
+    monkeypatch.setattr(cli_mod, "run_pipeline", lambda cfg, data, **kwargs: given.append(data) or [])
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert len(loaded) == loads
+    assert given[0].eval_qrels == given[0].train_qrels
 
 
 def test_pipeline_query_id_with_whitespace_exit_3(tmp_path, synth_dir, capsys):
@@ -645,6 +708,32 @@ def test_mine_then_train_reproduce_pipeline_iteration_one(tmp_path, synth_dir):
     want, _ = load_checkpoint(iter_1 / "checkpoint.npz")
     assert got.vocab == want.vocab
     assert np.array_equal(got.embedding, want.embedding)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ([1, 2], "expected a JSON object"),
+        ({"query_id": 5, "query_text": "alpha", "positive": "p1"}, "field 'query_id' must be a string"),
+        (
+            {"query_id": "q", "query_text": "alpha", "positive": "p1", "hard_negatives": "p2"},
+            "field 'hard_negatives' must be a list of strings",
+        ),
+    ],
+)
+def test_train_malformed_sample_exit_3(tmp_path, capsys, record, message):
+    data = tiny_data(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    ckpt = tmp_path / "ckpt.npz"
+    save_checkpoint(ckpt, init_params(["alpha", "beta1"], dim=4))
+    samples = tmp_path / "samples.jsonl"
+    valid = {"query_id": "q0", "query_text": "alpha", "positive": "p2"}
+    samples.write_text(json.dumps(valid) + "\n" + json.dumps(record) + "\n")
+    out = tmp_path / "trained"
+    assert train_cmd(cfg, data, ckpt, [samples], out, 3) == EXIT_DATA
+    assert f"data error: {samples}:2: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_non_finite_loss_exit_1(tmp_path, synth_dir, warm_ckpt, monkeypatch, capsys):

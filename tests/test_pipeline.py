@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lexmine.corpus import Corpus, Passage, Query, QuerySet, SynthSpec, synth_benchmark, tokenize
-from lexmine.dense import build_dense_index, corpus_token_rows, encode, init_params, vocab_from_corpus
+from lexmine.dense import encode, init_params, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
 from lexmine.mining import MiningConfig, load_samples
 from lexmine.pipeline import (
@@ -12,7 +12,6 @@ from lexmine.pipeline import (
     IterationReport,
     PipelineConfig,
     PipelineError,
-    PipelineState,
     assemble_warmup_samples,
     dense_run,
     pipeline_data_from_benchmark,
@@ -67,6 +66,11 @@ def small_cfg(**kwargs):
     )
     defaults.update(kwargs)
     return PipelineConfig(**defaults)
+
+
+def labeled_vocab(samples, corpus, cfg):
+    """The vocabulary `lexmine warmup` gives the encoder: corpus plus labeled queries."""
+    return vocab_from_corpus(corpus, cfg.tokenizer, [s.query for s in samples])
 
 
 def tgt_mrr(report, k=10):
@@ -133,7 +137,7 @@ def test_warmup_beats_untrained_baseline_on_source(bench, data):
     cfg = small_cfg()
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    params, generator = warmup(samples, data.corpus, cfg)
+    params, generator = warmup(samples, data.corpus, cfg, labeled_vocab(samples, data.corpus, cfg))
     assert generator.version == 1
 
     fresh = init_params(
@@ -143,13 +147,7 @@ def test_warmup_beats_untrained_baseline_on_source(bench, data):
     langs = {q.id: q.lang for q in src_queries}
 
     def src_mrr(p):
-        state = PipelineState(
-            params=p,
-            generator=generator,
-            sparse_index=sparse,
-            dense_index=build_dense_index(p, data.corpus, cfg.tokenizer),
-            rows_cache={},
-        )
+        state = start_state(p, generator, sparse, data.corpus, cfg)
         run = dense_run(state, src_queries, 10)
         return mrr_at_k(run, bench.judgments, 10, query_langs=langs).mean
 
@@ -160,7 +158,7 @@ def test_warmup_zero_epochs_keeps_params_trains_generator(data):
     cfg = small_cfg(warmup_epochs=0)
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    params, generator = warmup(samples, data.corpus, cfg)
+    params, generator = warmup(samples, data.corpus, cfg, labeled_vocab(samples, data.corpus, cfg))
     fresh = init_params(
         sorted(
             set(vocab_from_corpus(data.corpus, cfg.tokenizer)).union(
@@ -179,15 +177,44 @@ def test_warmup_deterministic(data):
     cfg = small_cfg()
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    p1, g1 = warmup(samples, data.corpus, cfg)
-    p2, g2 = warmup(samples, data.corpus, cfg)
+    vocab = labeled_vocab(samples, data.corpus, cfg)
+    p1, g1 = warmup(samples, data.corpus, cfg, vocab)
+    p2, g2 = warmup(samples, data.corpus, cfg, vocab)
     assert np.array_equal(p1.embedding, p2.embedding)
     assert g1.term_salience == g2.term_salience
 
 
+@pytest.mark.parametrize("epochs, batch_size", [(3, 16), (2, 10), (0, 16)])
+def test_warmup_batches_match_per_epoch_permutations(data, monkeypatch, epochs, batch_size):
+    import lexmine.pipeline as pipeline_mod
+
+    cfg = small_cfg(warmup_epochs=epochs, batch_size=batch_size)
+    sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    assert len(samples) % 16 != 0 and len(samples) % 10 == 0
+    seen = []
+
+    def record(params, opt, batch, *args, **kwargs):
+        seen.append([s.query.id for s in batch])
+        return params, opt, 0.0
+
+    monkeypatch.setattr(pipeline_mod, "train_step", record)
+    warmup(samples, data.corpus, cfg, labeled_vocab(samples, data.corpus, cfg))
+
+    # oracle: the per-epoch loop, one permutation of the samples per epoch
+    # from the warm-up shuffle stream, cut into batches with a short last one
+    rng = np.random.default_rng([cfg.seed, pipeline_mod._WARMUP_SHUFFLE, 0])
+    want = []
+    for _ in range(epochs):
+        order = rng.permutation(len(samples))
+        for start in range(0, len(samples), batch_size):
+            want.append([samples[i].query.id for i in order[start : start + batch_size]])
+    assert seen == want
+
+
 def test_warmup_empty_rejected(data):
     with pytest.raises(ValueError):
-        warmup([], data.corpus, small_cfg())
+        warmup([], data.corpus, small_cfg(), vocab_from_corpus(data.corpus))
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +225,8 @@ def test_warmup_empty_rejected(data):
 def make_state(data, cfg):
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    params, generator = warmup(samples, data.corpus, cfg)
-    rows = corpus_token_rows(params, data.corpus, cfg.tokenizer)
-    return PipelineState(
-        params=params,
-        generator=generator,
-        sparse_index=sparse,
-        dense_index=build_dense_index(params, data.corpus, cfg.tokenizer, rows_cache=rows),
-        rows_cache=rows,
-    )
+    params, generator = warmup(samples, data.corpus, cfg, labeled_vocab(samples, data.corpus, cfg))
+    return start_state(params, generator, sparse, data.corpus, cfg)
 
 
 def test_iteration_one_skips_generation(data):
@@ -268,7 +288,7 @@ def test_non_finite_loss_raises(data, monkeypatch, bad):
     monkeypatch.setattr(pipeline_mod, "train_step", lambda params, opt, *a, **k: (params, opt, bad))
     with pytest.raises(PipelineError, match="iteration 1 step 1: training loss is"):
         run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
-    with pytest.raises(PipelineError, match="warm-up epoch 1 step 1: training loss is"):
+    with pytest.raises(PipelineError, match="warm-up step 1: training loss is"):
         make_state(data, cfg)
 
 
