@@ -349,8 +349,12 @@ def _load_jsonl_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_
     return records
 
 
-def _require_str(obj: dict, key: str) -> str:
+def _require_str(obj: dict, key: str, default: str | None = None) -> str:
+    """``obj[key]``, which must be a string; a missing key gives ``default``,
+    or is an error when there is none."""
     if key not in obj:
+        if default is not None:
+            return default
         raise ValueError(f"missing field {key!r}")
     if not isinstance(obj[key], str):
         raise ValueError(f"field {key!r} must be a string")
@@ -363,7 +367,9 @@ def _load_collection(path: str | Path, record: type, collection: type):
     records = _load_jsonl_records(
         path,
         lambda obj: record(
-            id=_require_str(obj, "id"), text=_require_str(obj, "text"), lang=str(obj.get("lang", "en"))
+            id=_require_str(obj, "id"),
+            text=_require_str(obj, "text"),
+            lang=_require_str(obj, "lang", "en"),
         ),
     )
     try:

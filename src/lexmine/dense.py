@@ -128,16 +128,39 @@ def _mean_pool(table: np.ndarray, rows_list: Sequence[np.ndarray]) -> np.ndarray
     return pooled
 
 
+def _scatter_columns(
+    rows: np.ndarray, owner: np.ndarray, src: np.ndarray, n_rows: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """The (d, n_rows) transpose of the table that, starting from zero, adds
+    ``src[owner[k]] * weights[k]`` (or ``src[owner[k]]``) onto row ``rows[k]``
+    for k = 0, 1, ... in that order.
+
+    One ``np.bincount`` per column: it sums each cell's terms in input order,
+    as ``np.add.at`` does on a zero table, so the result is bit-equal to that
+    scatter without materialising a (len(rows), d) contribution array.
+    """
+    out = np.empty((src.shape[1], n_rows))
+    for j, col in enumerate(src.T):
+        w = col[owner]
+        if weights is not None:
+            w *= weights
+        out[j] = np.bincount(rows, weights=w, minlength=n_rows)
+    return out
+
+
 def _scatter_pooled(g_table: np.ndarray, rows_list: Sequence[np.ndarray], g_pooled: np.ndarray) -> None:
-    """Chain gradients of ``_mean_pool``'s output back onto ``g_table`` (in place)."""
-    row_chunks = []
-    contrib_chunks = []
-    for rows, g in zip(rows_list, g_pooled):
-        if rows.size:
-            row_chunks.append(rows)
-            contrib_chunks.append(np.broadcast_to(g / rows.size, (rows.size, g.size)))
-    if row_chunks:
-        np.add.at(g_table, np.concatenate(row_chunks), np.concatenate(contrib_chunks))
+    """Chain gradients of ``_mean_pool``'s output back onto ``g_table`` (in place).
+
+    ``g_table`` must be all zeros: each cell's terms are summed in
+    ``rows_list`` order from zero and added once, which equals adding them
+    one by one only onto a zero table.
+    """
+    sizes = np.array([rows.size for rows in rows_list], dtype=np.int64)
+    # rows without tokens own no entry of ``owner``; dividing them by 1 is harmless
+    per_token = g_pooled / np.maximum(sizes, 1)[:, None]
+    owner = np.repeat(np.arange(len(rows_list)), sizes)
+    rows = np.concatenate(rows_list)
+    g_table += _scatter_columns(rows, owner, per_token, g_table.shape[0]).T
 
 
 def encode(
@@ -264,11 +287,6 @@ def infonce_from_scores(positive_score: float, negative_scores: Sequence[float])
     return float(m + np.log(np.exp(z - m).sum()) - positive_score)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def infonce_batch(
     params: EncoderParams,
     batch: Sequence[TrainingSample],
@@ -299,28 +317,46 @@ def infonce_batch(
 
     n = len(batch)
     scale = 1.0 / n
-    P_grad = np.zeros_like(P)
     Q_grad = np.zeros_like(Q)
     total_loss = 0.0
     positives = [s.positive for s in batch]
+    idx_list = []
+    coeff_list = []
     for i, s in enumerate(batch):
         in_batch = [p for j, p in enumerate(positives) if j != i and p != s.positive]
         pids = [s.positive, *s.hard_negatives, *s.random_negatives, *in_batch]
         idx = np.array([uniq[pid] for pid in pids], dtype=np.int64)
-        scores = P[idx] @ Q[i]
-        probs = _softmax(scores)
-        total_loss += infonce_from_scores(scores[0], scores[1:])
+        P_i = P[idx]
+        scores = P_i @ Q[i]
+        # infonce_from_scores and the softmax from one max-shifted exp
+        m = scores.max()
+        e = np.exp(scores - m)
+        e_sum = e.sum()
+        total_loss += float(m + np.log(e_sum) - scores[0])
         # dL/ds = softmax - onehot(positive)
-        coeff = probs.copy()
+        coeff = e / e_sum
         coeff[0] -= 1.0
         coeff *= scale
-        np.add.at(P_grad, idx, coeff[:, None] * Q[i][None, :])
-        Q_grad[i] = coeff @ P[idx]
+        Q_grad[i] = coeff @ P_i
+        idx_list.append(idx)
+        coeff_list.append(coeff)
+    # P_grad[idx[k]] += coeff[k] * Q[i], over samples i and then k in order
+    P_grad = _scatter_columns(
+        np.concatenate(idx_list),
+        np.repeat(np.arange(n), [idx.size for idx in idx_list]),
+        Q,
+        len(uniq),
+        np.concatenate(coeff_list),
+    ).T
 
     g_emb = np.zeros_like(params.embedding)
+    if params.shared:
+        # one scatter, so each row sums its passage terms, then its query terms, from zero
+        _scatter_pooled(g_emb, p_rows + q_rows, np.vstack([P_grad, Q_grad]))
+        return total_loss / n, g_emb, None
+    g_query = np.zeros_like(params.embedding)
     _scatter_pooled(g_emb, p_rows, P_grad)
-    g_query = None if params.shared else np.zeros_like(params.embedding)
-    _scatter_pooled(g_emb if g_query is None else g_query, q_rows, Q_grad)
+    _scatter_pooled(g_query, q_rows, Q_grad)
     return total_loss / n, g_emb, g_query
 
 
@@ -351,13 +387,26 @@ def init_optimizer(params: EncoderParams, lr: float = 1e-2) -> OptimizerState:
 
 
 def _adam_update(table: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, opt: OptimizerState) -> None:
+    """Adam on ``table`` in place, with two temporaries.
+
+    Every element sees the float operations, in order, of
+    ``table -= lr * m_hat / (sqrt(v_hat) + eps)`` with m_hat = m / (1 - beta1^t)
+    and v_hat = v / (1 - beta2^t); the reordered products are commutations.
+    """
+    a = np.multiply(g, 1.0 - opt.beta1)
     m *= opt.beta1
-    m += (1.0 - opt.beta1) * g
+    m += a
+    np.multiply(g, 1.0 - opt.beta2, out=a)
+    a *= g
     v *= opt.beta2
-    v += (1.0 - opt.beta2) * g * g
-    m_hat = m / (1.0 - opt.beta1**opt.step)
-    v_hat = v / (1.0 - opt.beta2**opt.step)
-    table -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+    v += a
+    np.divide(v, 1.0 - opt.beta2**opt.step, out=a)
+    np.sqrt(a, out=a)
+    a += opt.eps
+    b = np.divide(m, 1.0 - opt.beta1**opt.step)
+    b *= opt.lr
+    b /= a
+    table -= b
 
 
 def train_step(

@@ -221,12 +221,12 @@ def load_samples(path: str | Path, corpus: Corpus | None = None) -> list[Trainin
             query=Query(
                 id=_require_str(obj, "query_id"),
                 text=_require_str(obj, "query_text"),
-                lang=str(obj.get("lang", "en")),
+                lang=_require_str(obj, "lang", "en"),
             ),
             positive=_require_str(obj, "positive"),
             hard_negatives=_id_list(obj, "hard_negatives"),
             random_negatives=_id_list(obj, "random_negatives"),
-            source=str(obj.get("source", "mined")),
+            source=_require_str(obj, "source", "mined"),
         )
         if corpus is not None:
             for pid in (sample.positive, *sample.hard_negatives, *sample.random_negatives):

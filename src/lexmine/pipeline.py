@@ -691,12 +691,6 @@ def run_pipeline(
     start_iter = max(len(done) - 1, 0)
 
     sparse_index = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    queries = [*data.train_queries, *data.unlabeled, *(data.eval_queries or ())]
-    vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, queries)
-    labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse_index, cfg)
-    if not labeled:
-        raise PipelineError("no labeled source queries with relevant judgments")
-
     reports: list[IterationReport] = []
     aux_params = None
     warm_report = None
@@ -708,6 +702,11 @@ def run_pipeline(
             aux_params, _ = load_checkpoint(out / "warmup" / "aux_checkpoint.npz")
         reports.extend(done)
     else:
+        queries = [*data.train_queries, *data.unlabeled, *(data.eval_queries or ())]
+        vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, queries)
+        labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse_index, cfg)
+        if not labeled:
+            raise PipelineError("no labeled source queries with relevant judgments")
         t0 = time.perf_counter()
         params, generator = warmup(labeled, data.corpus, cfg, vocab_tokens=vocab)
         if cfg.mining_mode == "double_dense":

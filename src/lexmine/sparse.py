@@ -4,8 +4,8 @@ Lucene-style scoring: idf = ln(1 + (N - df + 0.5) / (df + 0.5)), which is
 always non-negative, with k1 = 0.9 and b = 0.4 defaults. Query terms are
 deduplicated before scoring, passages with score 0 are never returned, and
 ties break by ascending passage id so rankings are fully reproducible. Every
-posting's BM25 weight is precomputed when the index is built (the impact form
-of BM25), so a query sums its terms' impact rows.
+posting's BM25 weight is precomputed on the index's first search (the impact
+form of BM25), so a query sums its terms' impact rows.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,8 @@ class InvertedIndex:
     ``postings`` may be any mapping of term -> [(passage id, tf), ...] in
     ascending id order; it is stored as a ``Postings`` view. ``impact`` holds,
     per posting, the term's BM25 weight in that passage, so a query scores by
-    summing its terms' rows.
+    summing its terms' rows. It is computed on first access (the first
+    search), so an index only ever scored with ``bm25_score`` never holds it.
     """
 
     postings: Mapping[str, Sequence[tuple[str, int]]]
@@ -121,12 +123,10 @@ class InvertedIndex:
     avgdl: float
     params: BM25Params = field(default_factory=BM25Params)
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
-    impact: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.postings, Postings):
             self.postings = Postings.from_lists(self.postings, sorted(self.doc_len))
-        self.impact = self._impacts()
 
     def df(self, term: str) -> int:
         lo, hi = self.postings.span(term)
@@ -136,7 +136,8 @@ class InvertedIndex:
         d = self.df(term)
         return math.log(1.0 + (self.N - d + 0.5) / (d + 0.5))
 
-    def _impacts(self) -> np.ndarray:
+    @cached_property
+    def impact(self) -> np.ndarray:
         # bm25_score's float operations, one posting per lane, idf through
         # math.log as there. In place, to keep the build's peak memory low:
         # a + b == b + a and a * b == b * a hold exactly, so impacts are bit-equal.

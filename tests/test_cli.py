@@ -503,6 +503,21 @@ def test_pipeline_query_id_with_whitespace_exit_3(tmp_path, synth_dir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["passages.jsonl", "train_queries.jsonl", "unlabeled_tgt.jsonl"])
+@pytest.mark.parametrize("lang", [None, 5])
+def test_pipeline_non_string_lang_exit_3(tmp_path, capsys, name, lang):
+    data = tiny_data(tmp_path)
+    path = data / name
+    first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([*rest, json.dumps({**json.loads(first), "lang": lang})]) + "\n")
+    line = len(rest) + 1
+    out = tmp_path / "run"
+    cfg = pipeline_cfg_file(tmp_path, data)
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {path}:{line}: field 'lang' must be a string" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_warmup_mine_generate_train_chain(tmp_path, synth_dir):
     split_synth_for_pipeline(synth_dir)
     cfg = tmp_path / "c.cfg"
@@ -719,6 +734,8 @@ def test_mine_then_train_reproduce_pipeline_iteration_one(tmp_path, synth_dir):
             {"query_id": "q", "query_text": "alpha", "positive": "p1", "hard_negatives": "p2"},
             "field 'hard_negatives' must be a list of strings",
         ),
+        ({"query_id": "q", "query_text": "alpha", "positive": "p1", "lang": None}, "field 'lang' must be a string"),
+        ({"query_id": "q", "query_text": "alpha", "positive": "p1", "source": 5}, "field 'source' must be a string"),
     ],
 )
 def test_train_malformed_sample_exit_3(tmp_path, capsys, record, message):

@@ -227,6 +227,19 @@ def test_loaders_reject_ids_with_whitespace(tmp_path, loader, bad_id):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("loader", [load_passages, load_queries])
+@pytest.mark.parametrize("lang", [None, 5, ["en"]])
+def test_loaders_reject_non_string_lang(tmp_path, loader, lang):
+    # str(lang) used to accept these as the languages 'None', '5' and "['en']"
+    path = tmp_path / "records.jsonl"
+    path.write_text(
+        json.dumps({"id": "ok", "text": "fine"}) + "\n" + json.dumps({"id": "x", "text": "fine", "lang": lang}) + "\n"
+    )
+    with pytest.raises(DataFormatError, match="field 'lang' must be a string") as exc:
+        loader(path)
+    assert exc.value.line == 2
+
+
 def test_corpus_rejects_duplicate_ids():
     with pytest.raises(DataFormatError, match="p1"):
         Corpus([Passage(id="p1", text="a"), Passage(id="p1", text="b")])

@@ -1,14 +1,22 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexmine.corpus import Corpus, Passage, Query, tokenize
+import lexmine.dense as dense_mod
+from lexmine.corpus import DEFAULT_TOKENIZER, Corpus, Passage, Query, SynthSpec, synth_benchmark, tokenize
 from lexmine.dense import (
+    OptimizerState,
     StaleIndexError,
     TrainingSample,
+    _adam_update,
+    _mean_pool,
+    _token_rows,
     build_dense_index,
     corpus_token_rows,
     encode,
@@ -23,6 +31,8 @@ from lexmine.dense import (
     train_step,
     vocab_from_corpus,
 )
+from lexmine.mining import MiningConfig
+from lexmine.pipeline import PipelineConfig, pipeline_data_from_benchmark, run_pipeline
 
 # Frozen with an arbitrary-precision oracle (mpmath, 40 digits):
 # ln(1 + e^-1 + e^-1.5) for positive score 2.0 against negatives {1.0, 0.5}.
@@ -362,6 +372,231 @@ def test_infonce_batch_leaves_inputs_unchanged():
     assert params.version == 0
     assert rows_cache.keys() == cache.keys()
     assert all(np.array_equal(rows_cache[pid], cache[pid]) for pid in cache)
+
+
+# ---------------------------------------------------------------------------
+# reference scatter and Adam: the per-sample np.add.at loop and the
+# allocating update that the bincount scatter and in-place update replace
+# ---------------------------------------------------------------------------
+
+
+def reference_infonce_batch(params, batch, rows_cache, tok=DEFAULT_TOKENIZER):
+    uniq = {}
+    for s in batch:
+        for pid in (s.positive, *s.hard_negatives, *s.random_negatives):
+            uniq.setdefault(pid, len(uniq))
+    p_rows = [rows_cache[pid] for pid in uniq]
+    q_rows = [_token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch]
+    P = _mean_pool(params.embedding, p_rows)
+    Q = _mean_pool(params.table(as_query=True), q_rows)
+    n = len(batch)
+    P_grad = np.zeros_like(P)
+    Q_grad = np.zeros_like(Q)
+    total_loss = 0.0
+    positives = [s.positive for s in batch]
+    for i, s in enumerate(batch):
+        in_batch = [p for j, p in enumerate(positives) if j != i and p != s.positive]
+        pids = [s.positive, *s.hard_negatives, *s.random_negatives, *in_batch]
+        idx = np.array([uniq[pid] for pid in pids], dtype=np.int64)
+        scores = P[idx] @ Q[i]
+        e = np.exp(scores - scores.max())
+        coeff = e / e.sum()
+        total_loss += infonce_from_scores(scores[0], scores[1:])
+        coeff[0] -= 1.0
+        coeff *= 1.0 / n
+        np.add.at(P_grad, idx, coeff[:, None] * Q[i][None, :])
+        Q_grad[i] = coeff @ P[idx]
+
+    def scatter(g_table, rows_list, g_pooled):
+        for rows, g in zip(rows_list, g_pooled):
+            if rows.size:
+                np.add.at(g_table, rows, np.broadcast_to(g / rows.size, (rows.size, g.size)))
+
+    g_emb = np.zeros_like(params.embedding)
+    scatter(g_emb, p_rows, P_grad)
+    g_query = None if params.shared else np.zeros_like(params.embedding)
+    scatter(g_emb if g_query is None else g_query, q_rows, Q_grad)
+    return total_loss / n, g_emb, g_query
+
+
+def reference_adam_update(table, g, m, v, opt):
+    m *= opt.beta1
+    m += (1.0 - opt.beta1) * g
+    v *= opt.beta2
+    v += (1.0 - opt.beta2) * g * g
+    m_hat = m / (1.0 - opt.beta1**opt.step)
+    v_hat = v / (1.0 - opt.beta2**opt.step)
+    table -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+ORACLE_VOCAB = [f"t{i}" for i in range(5)]
+OOV = len(ORACLE_VOCAB)  # token index of "zz", outside the vocabulary
+
+
+@st.composite
+def oracle_cases(draw):
+    """(passages, samples): passages as token-index lists, samples as
+    (query tokens, positive, hard negatives, random negatives) over them."""
+    token = st.integers(0, OOV)
+    passages = draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1, max_size=8))
+    samples = []
+    for _ in range(draw(st.integers(1, 5))):
+        pids = draw(st.lists(st.integers(0, len(passages) - 1), min_size=1, max_size=5, unique=True))
+        cut = draw(st.integers(1, len(pids)))
+        query = draw(st.lists(token, max_size=4))
+        samples.append((query, pids[0], pids[1:cut], pids[cut:]))
+    return passages, samples
+
+
+def oracle_inputs(case, shared, seed):
+    def text(tokens):
+        return " ".join("zz" if t == OOV else ORACLE_VOCAB[t] for t in tokens)
+
+    passages, samples = case
+    corpus = Corpus([Passage(id=f"p{i}", text=text(toks)) for i, toks in enumerate(passages)])
+    params = init_params(ORACLE_VOCAB, dim=3, seed=seed, shared=shared)
+    rng = np.random.default_rng(seed)
+    params.embedding[:] = rng.normal(0, 0.8, size=params.embedding.shape)
+    if not shared:
+        params.query_embedding[:] = rng.normal(0, 0.8, size=params.embedding.shape)
+    batch = [
+        TrainingSample(
+            query=Query(id=f"q{i}", text=text(query)),
+            positive=f"p{pos}",
+            hard_negatives=tuple(f"p{j}" for j in hard),
+            random_negatives=tuple(f"p{j}" for j in rand),
+        )
+        for i, (query, pos, hard, rand) in enumerate(samples)
+    ]
+    return params, batch, corpus_token_rows(params, corpus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_cases(), shared=st.booleans(), seed=st.integers(0, 2**16))
+# repeated tokens in a passage
+@example(case=([[0, 0, 1], [1, 2, 2, 2], [3]], [([0, 0], 0, [1], [2])]), shared=True, seed=1)
+# a hard negative that is another sample's positive (and so also its in-batch negative)
+@example(case=([[0], [1, 2], [2]], [([0], 0, [1], []), ([1], 1, [2], []), ([2], 2, [], [])]), shared=True, seed=2)
+@example(case=([[0], [1, 2], [2]], [([0], 0, [1], []), ([1], 1, [2], []), ([2], 2, [], [])]), shared=False, seed=2)
+# a query and a passage with no in-vocabulary token
+@example(case=([[OOV, OOV], [1], [2, 0]], [([OOV], 0, [1], [2]), ([], 2, [0], [])]), shared=True, seed=3)
+@example(case=([[OOV, OOV], [1], [2, 0]], [([OOV], 0, [1], [2]), ([], 2, [0], [])]), shared=False, seed=3)
+# a batch of size 1 with a single candidate
+@example(case=([[4]], [([4], 0, [], [])]), shared=True, seed=4)
+def test_infonce_batch_bit_equal_to_add_at_reference(case, shared, seed):
+    params, batch, rows_cache = oracle_inputs(case, shared, seed)
+    loss, g_emb, g_query = infonce_batch(params, batch, rows_cache)
+    want_loss, want_emb, want_query = reference_infonce_batch(params, batch, rows_cache)
+    assert loss == want_loss
+    assert np.array_equal(g_emb, want_emb)
+    assert (g_query is None) == shared
+    if not shared:
+        assert np.array_equal(g_query, want_query)
+
+
+def test_adam_update_bit_equal_to_reference_over_200_steps():
+    rng = np.random.default_rng(11)
+    shape = (40, 6)
+    table = rng.normal(0, 0.5, size=shape)
+    want_table = table.copy()
+    opt = OptimizerState(m=np.zeros(shape), v=np.zeros(shape), lr=3e-3)
+    want_opt = OptimizerState(m=np.zeros(shape), v=np.zeros(shape), lr=3e-3)
+    for step in range(1, 201):
+        # sparse rows as in training, magnitudes across many binades
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3, size=shape)
+        g[rng.random(shape[0]) < 0.5] = 0.0
+        opt.step = want_opt.step = step
+        g_before = g.copy()
+        _adam_update(table, g, opt.m, opt.v, opt)
+        reference_adam_update(want_table, g, want_opt.m, want_opt.v, want_opt)
+        assert np.array_equal(g, g_before)
+        assert np.array_equal(opt.m, want_opt.m) and np.array_equal(opt.v, want_opt.v)
+        assert np.array_equal(table, want_table), step
+
+
+# A tiny full pipeline (warm-up and two iterations of mine, generate, train):
+# its checkpoints are the end product of every training step.
+GOLDEN_CHECKPOINTS = Path(__file__).parent / "data" / "pipeline_checkpoints_golden.json"
+TINY_SPEC = SynthSpec(
+    languages=("src", "tgta"),
+    topics_per_lang=10,
+    passages_per_topic=5,
+    vocab_size=220,
+    query_len=3,
+    labeled_frac=0.5,
+    queries_per_lang=60,
+    passage_len=30,
+    terms_per_topic=8,
+    core_terms_per_topic=2,
+    topic_token_frac=0.5,
+    query_topic_frac=0.6,
+)
+
+
+def tiny_pipeline_cfg(shared):
+    return PipelineConfig(
+        iterations=2,
+        minibatches_per_iter=40,
+        batch_size=16,
+        warmup_epochs=3,
+        mining=MiningConfig(S=5, L=10),
+        n_generate=30,
+        embedding_dim=24,
+        warmup_lr=1e-2,
+        train_lr=3e-3,
+        shared_encoder=shared,
+        seed=9,
+    )
+
+
+def checkpoint_digests(workdir):
+    """sha256 of every array in every checkpoint of a run directory."""
+    digests = {}
+    for path in sorted(workdir.rglob("*checkpoint.npz")):
+        with np.load(path) as npz:
+            digests[path.relative_to(workdir).as_posix()] = {
+                name: hashlib.sha256(np.ascontiguousarray(npz[name]).tobytes()).hexdigest() for name in sorted(npz)
+            }
+    return digests
+
+
+def float_platform():
+    """What the last bits of numpy float results depend on: the numpy
+    version, its BLAS build and the SIMD extensions it dispatches to."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": [blas.get(key) for key in ("name", "version", "openblas configuration")],
+        "simd": config["SIMD Extensions"]["found"],
+    }
+
+
+@pytest.fixture(scope="module")
+def tiny_pipeline_data():
+    return pipeline_data_from_benchmark(synth_benchmark(TINY_SPEC, seed=5))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_pipeline_checkpoints_equal_reference_training(tiny_pipeline_data, tmp_path, monkeypatch, shared):
+    cfg = tiny_pipeline_cfg(shared)
+    run_pipeline(cfg, tiny_pipeline_data, workdir=tmp_path / "new")
+    monkeypatch.setattr(dense_mod, "infonce_batch", reference_infonce_batch)
+    monkeypatch.setattr(dense_mod, "_adam_update", reference_adam_update)
+    run_pipeline(cfg, tiny_pipeline_data, workdir=tmp_path / "reference")
+    assert checkpoint_digests(tmp_path / "new") == checkpoint_digests(tmp_path / "reference")
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_pipeline_checkpoints_match_golden_digests(tiny_pipeline_data, tmp_path, shared):
+    # Written by the per-sample np.add.at scatter and the allocating Adam
+    # update; any change to the float order of training shows here. Float
+    # results can differ in the last bit on another numpy, BLAS or CPU.
+    golden = json.loads(GOLDEN_CHECKPOINTS.read_text())
+    if golden["platform"] != float_platform():
+        pytest.skip(f"golden digests were recorded on {golden['platform']}")
+    run_pipeline(tiny_pipeline_cfg(shared), tiny_pipeline_data, workdir=tmp_path)
+    assert checkpoint_digests(tmp_path) == golden["shared" if shared else "untied"]
 
 
 def test_training_sample_invariants():

@@ -404,6 +404,34 @@ def test_pipeline_resume_matches_uninterrupted(data, tmp_path):
     assert comparable(resumed) == comparable(full)
 
 
+def test_pipeline_resume_past_warmup_skips_warmup_setup(data, tmp_path, monkeypatch):
+    import shutil
+
+    import lexmine.pipeline as pipeline_mod
+
+    calls = []
+
+    def counted(name):
+        real = getattr(pipeline_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("vocab_from_corpus", "assemble_warmup_samples"):
+        monkeypatch.setattr(pipeline_mod, name, counted(name))
+    cfg = small_cfg()
+    full = run_pipeline(cfg, data, workdir=tmp_path)
+    assert sorted(calls) == ["assemble_warmup_samples", "vocab_from_corpus"]
+    calls.clear()
+    shutil.rmtree(tmp_path / "iter_2")
+    resumed = run_pipeline(cfg, data, workdir=tmp_path, resume=True)
+    assert calls == []
+    assert comparable(resumed) == comparable(full)
+
+
 @pytest.mark.parametrize(
     "broken", ["iter_2/report.json", "iter_2/checkpoint.npz", "warmup/report.json"]
 )

@@ -280,6 +280,16 @@ def test_impacts_equal_reference_weight_exactly(which, params):
     assert lo == len(index.impact)
 
 
+def test_impacts_built_on_first_search_only(tiny_corpus):
+    index = build_index(tiny_corpus)
+    assert bm25_score(index, ["apple"], "p1") > 0.0
+    assert "impact" not in vars(index)
+    first = search_sparse(index, "apple", 3)
+    impact = vars(index)["impact"]
+    assert search_sparse(index, "apple", 3) == first
+    assert vars(index)["impact"] is impact
+
+
 @pytest.mark.parametrize("which", ["synthetic", "mixed_script"])
 def test_listed_index_equals_build_index(which):
     corpus = SYNTH_CORPUS if which == "synthetic" else golden_corpus()
