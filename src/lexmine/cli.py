@@ -36,7 +36,7 @@ from .corpus import (
     synth_benchmark,
 )
 from .dense import corpus_token_rows, init_optimizer, load_checkpoint, save_checkpoint, vocab_from_corpus
-from .evaluation import format_lang_table, load_run, mrr_at_k, recall_at_k
+from .evaluation import format_lang_table, load_run, mrr_at_k, per_lang_metrics, recall_at_k
 from .mining import MiningConfig, load_samples, save_samples
 from .pipeline import (
     _TRAIN_SHUFFLE,
@@ -338,7 +338,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _guard_overwrite(out, args.overwrite, "mined dataset")
     # the stage command is the pipeline's first iteration, mining stream included
-    samples, _, queries_with = mine(state, queries, corpus, cfg, iteration=1)
+    samples, _, queries_with = mine(state, queries, cfg, iteration=1)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_samples(samples, out)
     _write_manifest(
@@ -355,10 +355,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     state = _checkpoint_state(args, corpus, cfg, load_generator(data_path(args.generator)))
     out = Path(args.out)
     _guard_overwrite(out, args.overwrite, "generated dataset")
-    langs = sorted({p.lang for p in corpus})
-    rng_select = np.random.default_rng([args.seed, 0])
-    rng_sample = np.random.default_rng([args.seed, 1])
-    accepted, rejected = generate(state, langs, corpus, cfg, rng_select, rng_sample, "gen-")
+    # the pipeline's first-iteration generate stage, over every corpus language
+    accepted, rejected = generate(state, sorted({p.lang for p in corpus}), cfg, iteration=1)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_samples(accepted, out)
     if args.rejected:
@@ -410,6 +408,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     run = load_run(data_path(args.run))
     qrels = load_qrels(data_path(args.qrels))
     query_langs = None
@@ -420,10 +420,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = {
         f"mrr@{args.k}": mrr.mean,
         f"recall@{args.k}": rec.mean,
-        "per_lang": {
-            lang: {f"mrr@{args.k}": mrr.per_lang[lang], f"recall@{args.k}": rec.per_lang.get(lang, 0.0)}
-            for lang in mrr.per_lang
-        },
+        "per_lang": per_lang_metrics(mrr, rec),
         "n_queries": len(mrr.per_query),
         "unjudged_in_run": mrr.unjudged_in_run,
         "no_relevant": mrr.no_relevant,

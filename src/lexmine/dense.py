@@ -10,13 +10,14 @@ top-k behind the same contract an approximate backend would implement.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
+from .corpus import Corpus, DataFormatError, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
 from .sparse import RankedList, top_k
 
 __all__ = [
@@ -196,9 +197,13 @@ def corpus_token_rows(
 
 @dataclass
 class DenseIndex:
+    """Passage vectors in corpus order, tied to the parameter version and the
+    tokenizer they were built under; searches tokenize queries with it."""
+
     ids: list[str]
     vectors: np.ndarray
     params_version: int
+    tokenizer: TokenizerConfig
     _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -223,7 +228,7 @@ def build_dense_index(
     rows_cache = rows_cache if rows_cache is not None else corpus_token_rows(params, corpus, tok)
     ids = corpus.ids
     vectors = _mean_pool(params.embedding, [rows_cache[pid] for pid in ids])
-    return DenseIndex(ids=ids, vectors=vectors, params_version=params.version)
+    return DenseIndex(ids=ids, vectors=vectors, params_version=params.version, tokenizer=tok)
 
 
 def search_dense(
@@ -231,12 +236,12 @@ def search_dense(
     params: EncoderParams,
     query: Query | str,
     k: int,
-    tok: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> RankedList:
     """Exact top-k by dot product; ties break by ascending passage id.
 
-    Zero-similarity entries are retained (vectors are dense). Raises
-    StaleIndexError when the index predates the current parameters.
+    The query is tokenized with the index's tokenizer. Zero-similarity
+    entries are retained (vectors are dense). Raises StaleIndexError when the
+    index predates the current parameters.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -246,7 +251,7 @@ def search_dense(
             f"current is {params.version}; rebuild the index"
         )
     text = query.text if isinstance(query, Query) else query
-    qv = encode(params, tokenize(text, tok), as_query=True)
+    qv = encode(params, tokenize(text, index.tokenizer), as_query=True)
     return search_dense_vector(index, qv, k)
 
 
@@ -471,31 +476,36 @@ def save_checkpoint(path: str | Path, params: EncoderParams, opt: OptimizerState
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, OptimizerState | None]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
-        params = EncoderParams(
-            vocab={t: i for i, t in enumerate(meta["tokens"])},
-            embedding=data["embedding"].astype(np.float64),
-            shared=meta["shared"],
-            query_embedding=data["query_embedding"].astype(np.float64)
-            if "query_embedding" in data
-            else None,
-            version=meta["version"],
-        )
-        opt = None
-        if meta["opt"] is not None:
-            o = meta["opt"]
-            opt = OptimizerState(
-                m=data["adam_m"].astype(np.float64),
-                v=data["adam_v"].astype(np.float64),
-                step=o["step"],
-                lr=o["lr"],
-                beta1=o["beta1"],
-                beta2=o["beta2"],
-                eps=o["eps"],
-                q_m=data["adam_q_m"].astype(np.float64) if "adam_q_m" in data else None,
-                q_v=data["adam_q_v"].astype(np.float64) if "adam_q_v" in data else None,
+    """Read a ``save_checkpoint`` file; a file that is not one raises
+    ``DataFormatError`` naming ``path``."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]))
+            if meta.get("format") != CHECKPOINT_FORMAT:
+                raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
+            params = EncoderParams(
+                vocab={t: i for i, t in enumerate(meta["tokens"])},
+                embedding=data["embedding"].astype(np.float64),
+                shared=meta["shared"],
+                query_embedding=data["query_embedding"].astype(np.float64)
+                if "query_embedding" in data
+                else None,
+                version=meta["version"],
             )
+            opt = None
+            if meta["opt"] is not None:
+                o = meta["opt"]
+                opt = OptimizerState(
+                    m=data["adam_m"].astype(np.float64),
+                    v=data["adam_v"].astype(np.float64),
+                    step=o["step"],
+                    lr=o["lr"],
+                    beta1=o["beta1"],
+                    beta2=o["beta2"],
+                    eps=o["eps"],
+                    q_m=data["adam_q_m"].astype(np.float64) if "adam_q_m" in data else None,
+                    q_v=data["adam_q_v"].astype(np.float64) if "adam_q_v" in data else None,
+                )
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataFormatError(f"not a lexmine checkpoint: {exc!r}", path) from exc
     return params, opt

@@ -25,6 +25,7 @@ __all__ = [
     "paired_t_test",
     "save_run",
     "load_run",
+    "per_lang_metrics",
     "format_lang_table",
 ]
 
@@ -220,6 +221,14 @@ def load_run(path: str | Path) -> RunFile:
             pids.add(pid)
             ranked[rank] = (pid, score)
     return {qid: [ranked[r] for r in sorted(ranked)] for qid, ranked in by_query.items()}
+
+
+def per_lang_metrics(mrr: MetricsReport, recall: MetricsReport) -> dict[str, dict[str, float]]:
+    """``{lang: {"mrr@k": ..., "recall@k": ...}}`` for each language of ``mrr``."""
+    return {
+        lang: {f"mrr@{mrr.k}": mrr.per_lang[lang], f"recall@{recall.k}": recall.per_lang.get(lang, 0.0)}
+        for lang in mrr.per_lang
+    }
 
 
 def format_lang_table(reports: dict[str, MetricsReport]) -> str:

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import time
-import zipfile
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -48,7 +47,7 @@ from .dense import (
     train_step,
     vocab_from_corpus,
 )
-from .evaluation import RunFile, mrr_at_k, recall_at_k, save_run
+from .evaluation import RunFile, mrr_at_k, per_lang_metrics, recall_at_k, save_run
 from .mining import (
     MinedSets,
     MiningConfig,
@@ -214,8 +213,12 @@ class IterationReport:
 
 @dataclass
 class PipelineState:
+    """Everything the stages read: the corpus, the encoder and generator, and
+    the indexes and token rows built from that corpus."""
+
     params: EncoderParams
     generator: GeneratorModel
+    corpus: Corpus
     sparse_index: InvertedIndex
     dense_index: DenseIndex
     rows_cache: dict[str, np.ndarray]
@@ -239,6 +242,7 @@ def start_state(
     return PipelineState(
         params=params,
         generator=generator,
+        corpus=corpus,
         sparse_index=sparse_index,
         dense_index=build_dense_index(params, corpus, cfg.tokenizer, rows_cache=rows_cache),
         rows_cache=rows_cache,
@@ -334,8 +338,7 @@ def warmup(
 
 def dense_run(state: PipelineState, queries: QuerySet, k: int) -> RunFile:
     """Dense retrieval run over a query set (order-deterministic)."""
-    tok = state.sparse_index.tokenizer
-    return {q.id: search_dense(state.dense_index, state.params, q, k, tok=tok) for q in queries}
+    return {q.id: search_dense(state.dense_index, state.params, q, k) for q in queries}
 
 
 def _evaluate(
@@ -347,15 +350,8 @@ def _evaluate(
     langs = {q.id: q.lang for q in data.eval_queries}
     mrr = mrr_at_k(run, data.eval_qrels, cfg.eval_k, query_langs=langs)
     rec = recall_at_k(run, data.eval_qrels, cfg.eval_k, query_langs=langs)
-    metrics: dict[str, dict[str, float]] = {
-        "overall": {f"mrr@{cfg.eval_k}": mrr.mean, f"recall@{cfg.eval_k}": rec.mean}
-    }
-    for lang in mrr.per_lang:
-        metrics[lang] = {
-            f"mrr@{cfg.eval_k}": mrr.per_lang[lang],
-            f"recall@{cfg.eval_k}": rec.per_lang.get(lang, 0.0),
-        }
-    return run, metrics
+    overall = {f"mrr@{cfg.eval_k}": mrr.mean, f"recall@{cfg.eval_k}": rec.mean}
+    return run, {"overall": overall, **per_lang_metrics(mrr, rec)}
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +363,10 @@ def _rankings_for(
     state: PipelineState, q: Query, cfg: PipelineConfig
 ) -> tuple[list, list]:
     """The two rankings Algorithm-style mining compares for one query."""
-    dense_topL = search_dense(
-        state.dense_index, state.params, q, cfg.mining.L, tok=cfg.tokenizer
-    )
+    dense_topL = search_dense(state.dense_index, state.params, q, cfg.mining.L)
     if cfg.mining_mode == "double_dense":
         assert state.aux_index is not None and state.aux_params is not None
-        other = search_dense(
-            state.aux_index, state.aux_params, q, cfg.mining.L, tok=cfg.tokenizer
-        )
+        other = search_dense(state.aux_index, state.aux_params, q, cfg.mining.L)
     else:
         other = search_sparse(state.sparse_index, q, cfg.mining.L)
     return other, dense_topL
@@ -404,7 +396,6 @@ def _mined_sets(
 def mine(
     state: PipelineState,
     queries: Iterable[Query],
-    corpus: Corpus,
     cfg: PipelineConfig,
     iteration: int,
 ) -> tuple[list[TrainingSample], list[tuple[Query, Passage]], int]:
@@ -433,7 +424,7 @@ def mine(
         if sets.positives:
             queries_with_positives += 1
         if cfg.negative_mode == "mined":
-            mined.extend(assemble_mined_sample(q, sets, corpus, rng, cfg.mining))
+            mined.extend(assemble_mined_sample(q, sets, state.corpus, rng, cfg.mining))
         else:
             hard: tuple[str, ...] = ()
             if cfg.negative_mode == "sparse_top":
@@ -447,29 +438,28 @@ def mine(
                 TrainingSample(query=q, positive=pid, hard_negatives=hard, source="mined")
                 for pid in sets.positive_order
             )
-        gen_pairs.extend((q, corpus[pid]) for pid in s1.positive_order)
+        gen_pairs.extend((q, state.corpus[pid]) for pid in s1.positive_order)
     return mined, gen_pairs, queries_with_positives
 
 
 def generate(
     state: PipelineState,
     langs: Iterable[str],
-    corpus: Corpus,
     cfg: PipelineConfig,
-    rng_select: np.random.Generator,
-    rng_sample: np.random.Generator,
-    id_prefix: str,
+    iteration: int,
 ) -> tuple[list[TrainingSample], list[GeneratedPair]]:
     """Generate queries for sampled passages and keep those both retrievers confirm.
 
-    Up to ``cfg.n_generate`` passages per language are drawn with
-    ``rng_select``; each gets one generated query with id ``id_prefix`` +
-    passage id. A pair is accepted when the sparse and the dense retriever
-    both return its passage as top-1. Returns the training samples of the
-    accepted pairs and the rejected pairs; passages without tokens give
-    neither.
+    Up to ``cfg.n_generate`` passages per language are drawn from the
+    iteration's selection stream; each gets one query, sampled from the
+    iteration's sampling stream, with id ``gen{iteration}-`` + passage id. A
+    pair is accepted when the sparse and the dense retriever both return its
+    passage as top-1. Returns the training samples of the accepted pairs and
+    the rejected pairs; passages without tokens give neither.
     """
-    sparse, dense, params = state.sparse_index, state.dense_index, state.params
+    rng_select = np.random.default_rng([cfg.seed, _GEN_SELECT, iteration])
+    rng_sample = np.random.default_rng([cfg.seed, _GEN_SAMPLE, iteration])
+    corpus, sparse, dense, params = state.corpus, state.sparse_index, state.dense_index, state.params
     tokenized = corpus.tokenized(cfg.tokenizer)
     accepted: list[TrainingSample] = []
     rejected: list[GeneratedPair] = []
@@ -480,18 +470,17 @@ def generate(
         n = min(cfg.n_generate, len(lang_passages))
         for idx in rng_select.choice(len(lang_passages), size=n, replace=False):
             passage = lang_passages[int(idx)]
-            qid = id_prefix + passage.id
+            qid = f"gen{iteration}-{passage.id}"
             tokens = tokenized.tokens(corpus.position(passage.id))
             try:
                 query = generate_query(state.generator, passage, tokens, rng_sample, qid)
             except ValueError:
                 continue
             pair = GeneratedPair(query=query, passage_id=passage.id)
-            if filter_generated(pair, sparse, dense, params, cfg.tokenizer):
-                sample = assemble_generated_sample(
-                    pair, sparse, dense, params, corpus, rng_sample, cfg.mining, cfg.tokenizer
+            if filter_generated(pair, sparse, dense, params):
+                accepted.append(
+                    assemble_generated_sample(pair, sparse, dense, params, corpus, rng_sample, cfg.mining)
                 )
-                accepted.append(sample)
             else:
                 rejected.append(pair)
     return accepted, rejected
@@ -531,13 +520,10 @@ def train(
 
 
 def run_iteration(
-    state: PipelineState,
-    unlabeled_by_lang: dict[str, list[Query]],
-    corpus: Corpus,
-    cfg: PipelineConfig,
-    data: PipelineData | None = None,
+    state: PipelineState, data: PipelineData, cfg: PipelineConfig
 ) -> tuple[PipelineState, IterationReport, dict]:
-    """Mine, optionally generate, fine-tune, refresh the index, and report.
+    """Mine ``data.unlabeled``, optionally generate, fine-tune, refresh the
+    index, and evaluate when ``data`` has eval queries.
 
     Returns the new state, the iteration report, and the artifacts produced
     (mined/generated samples and the evaluation run) for persistence.
@@ -547,11 +533,10 @@ def run_iteration(
     if state.dense_index.params_version != state.params.version:
         raise PipelineError("dense index is stale at iteration entry; refresh it first")
 
-    queries = [q for qs in unlabeled_by_lang.values() for q in qs]
-    mined, gen_pairs, queries_with_positives = mine(state, queries, corpus, cfg, iteration)
+    mined, gen_pairs, queries_with_positives = mine(state, data.unlabeled, cfg, iteration)
     if not mined:
         raise PipelineError(
-            f"iteration {iteration} mined zero samples from {len(queries)} unlabeled queries "
+            f"iteration {iteration} mined zero samples from {len(data.unlabeled)} unlabeled queries "
             f"(S={cfg.mining.S}, L={cfg.mining.L}); the agreement thresholds are too "
             "strict for the current retrievers"
         )
@@ -560,13 +545,9 @@ def run_iteration(
     rejected: list[GeneratedPair] = []
     if cfg.n_generate > 0 and not (iteration == 1 and cfg.skip_generation_first_iter):
         if gen_pairs:
-            train_generator(state.generator, gen_pairs, corpus, cfg.tokenizer)
-        rng_select = np.random.default_rng([cfg.seed, _GEN_SELECT, iteration])
-        rng_sample = np.random.default_rng([cfg.seed, _GEN_SAMPLE, iteration])
-        langs = sorted(unlabeled_by_lang)
-        generated, rejected = generate(
-            state, langs, corpus, cfg, rng_select, rng_sample, f"gen{iteration}-"
-        )
+            train_generator(state.generator, gen_pairs, state.corpus, cfg.tokenizer)
+        langs = sorted({q.lang for q in data.unlabeled})
+        generated, rejected = generate(state, langs, cfg, iteration)
 
     dataset = mined + generated
     opt = init_optimizer(state.params, lr=cfg.train_lr)
@@ -575,14 +556,10 @@ def run_iteration(
     losses = train(state.params, opt, dataset, cfg, state.rows_cache, rng, cfg.minibatches_per_iter, label)
 
     state.dense_index = build_dense_index(
-        state.params, corpus, cfg.tokenizer, rows_cache=state.rows_cache
+        state.params, state.corpus, cfg.tokenizer, rows_cache=state.rows_cache
     )
     state.iteration = iteration
-
-    run: RunFile = {}
-    metrics: dict[str, dict[str, float]] = {}
-    if data is not None:
-        run, metrics = _evaluate(state, data, cfg)
+    run, metrics = _evaluate(state, data, cfg)
 
     report = IterationReport(
         iteration=iteration,
@@ -632,16 +609,9 @@ def _completed_report(outdir: Path) -> IterationReport | None:
         with open(outdir / "report.json", encoding="utf-8") as fh:
             report = IterationReport.from_dict(json.load(fh))
         load_checkpoint(outdir / "checkpoint.npz")
-    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+    except (OSError, ValueError, TypeError):
         return None
     return report
-
-
-def _unlabeled_by_lang(data: PipelineData) -> dict[str, list[Query]]:
-    by_lang: dict[str, list[Query]] = {}
-    for q in data.unlabeled:
-        by_lang.setdefault(q.lang, []).append(q)
-    return by_lang
 
 
 def run_pipeline(
@@ -733,10 +703,9 @@ def run_pipeline(
                 save_checkpoint(wdir / "aux_checkpoint.npz", aux_params)
             _write_json(wdir / "report.json", warm_report.to_dict())
 
-    unlabeled_by_lang = _unlabeled_by_lang(data)
     key = f"mrr@{cfg.eval_k}"
     for _ in range(start_iter, cfg.iterations):
-        state, report, artifacts = run_iteration(state, unlabeled_by_lang, data.corpus, cfg, data)
+        state, report, artifacts = run_iteration(state, data, cfg)
         reports.append(report)
         if out is not None:
             _write_iteration_artifacts(out / f"iter_{state.iteration}", state, report, artifacts)

@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
+from .corpus import (
+    Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
+)
 from .dense import DenseIndex, EncoderParams, TrainingSample, search_dense
 from .mining import MiningConfig, sample_random_negatives
 from .sparse import InvertedIndex, search_sparse
@@ -151,13 +153,12 @@ def filter_generated(
     sparse_index: InvertedIndex,
     dense_index: DenseIndex,
     params: EncoderParams,
-    tok: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> bool:
     """Accept the pair iff both retrievers return its passage as top-1."""
     top_sparse = search_sparse(sparse_index, pair.query, 1)
     if not top_sparse or top_sparse[0][0] != pair.passage_id:
         return False
-    top_dense = search_dense(dense_index, params, pair.query, 1, tok=tok)
+    top_dense = search_dense(dense_index, params, pair.query, 1)
     return bool(top_dense) and top_dense[0][0] == pair.passage_id
 
 
@@ -169,7 +170,6 @@ def assemble_generated_sample(
     corpus: Corpus,
     rng: np.random.Generator,
     cfg: MiningConfig,
-    tok: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> TrainingSample:
     """Build a training sample for a generated pair that passed the filter.
 
@@ -178,7 +178,7 @@ def assemble_generated_sample(
     are drawn as in mining. In-batch negatives are applied at training time.
     """
     k = cfg.max_hard_negatives + 1
-    dense_top = search_dense(dense_index, params, pair.query, k, tok=tok)
+    dense_top = search_dense(dense_index, params, pair.query, k)
     sparse_top = search_sparse(sparse_index, pair.query, k)
     hard: list[str] = []
     for pid, _ in list(dense_top) + list(sparse_top):
@@ -212,14 +212,19 @@ def save_generator(model: GeneratorModel, path: str | Path) -> None:
 
 
 def load_generator(path: str | Path) -> GeneratorModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != 1:
-        raise ValueError(f"unsupported generator format {payload.get('format')!r}")
-    return GeneratorModel(
-        term_salience={
-            (e["lang"], e["token"]): float(e["weight"]) for e in payload["term_salience"]
-        },
-        query_len_dist={int(k): float(v) for k, v in payload["query_len_dist"].items()},
-        version=int(payload["version"]),
-    )
+    """Read a ``save_generator`` file; a file that is not one raises
+    ``DataFormatError`` naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("format") != 1:
+            raise ValueError(f"unsupported generator format {payload.get('format')!r}")
+        return GeneratorModel(
+            term_salience={
+                (e["lang"], e["token"]): float(e["weight"]) for e in payload["term_salience"]
+            },
+            query_len_dist={int(k): float(v) for k, v in payload["query_len_dist"].items()},
+            version=int(payload["version"]),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataFormatError(f"not a lexmine generator: {exc!r}", path) from exc

@@ -8,6 +8,7 @@ shipped synthetic benchmark, so the whole module takes a few minutes.
 import math
 import statistics
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from lexmine.dense import (
 from lexmine.evaluation import mrr_at_k, paired_t_test, recall_at_k
 from lexmine.mining import MiningConfig, mine_pairs
 from lexmine.pipeline import (
-    _unlabeled_by_lang,
     assemble_warmup_samples,
     pipeline_data_from_benchmark,
     run_iteration,
@@ -357,8 +357,8 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
     params, generator = warmup(labeled, data.corpus, cfg, vocab)
     state = start_state(params, generator, sparse, data.corpus, cfg)
     # two iterations so the generator has been retrained on mined target pairs
-    state, _, _ = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, None)
-    state, _, _ = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, None)
+    state, _, _ = run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
+    state, _, _ = run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
 
     def topical(query, pid):
         terms = set(bench.topic_terms[bench.passage_topics[pid]])
@@ -378,7 +378,7 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
             pair = GeneratedPair(query=query, passage_id=passage.id)
             flag = topical(query, passage.id)
             all_flags.append(flag)
-            if filter_generated(pair, state.sparse_index, state.dense_index, state.params, cfg.tokenizer):
+            if filter_generated(pair, state.sparse_index, state.dense_index, state.params):
                 accepted_flags.append(flag)
     prec_all = float(np.mean(all_flags))
     prec_acc = float(np.mean(accepted_flags)) if accepted_flags else 0.0

@@ -21,8 +21,10 @@ from lexmine.cli import (
 from lexmine.corpus import load_passages, load_qrels, load_queries
 from lexmine.dense import init_params, load_checkpoint, save_checkpoint
 from lexmine.evaluation import load_run, mrr_at_k
-from lexmine.mining import load_samples
-from lexmine.pipeline import MINING_MODES, NEGATIVE_MODES, PipelineConfig
+from lexmine.mining import load_samples, save_samples
+from lexmine.pipeline import MINING_MODES, NEGATIVE_MODES, PipelineConfig, generate, start_state
+from lexmine.querygen import load_generator
+from lexmine.sparse import build_index
 
 SYNTH_CFG = """
 languages = src,tgta
@@ -265,6 +267,15 @@ def test_eval_duplicate_run_entry_exit_3(tmp_path, capsys, lines):
     qrels.write_text("q1 0 p1 1\n")
     assert dispatch(["eval", "--run", str(run), "--qrels", str(qrels)]) == EXIT_DATA
     assert "data error:" in capsys.readouterr().err
+
+
+def test_eval_k_below_one_exit_2(tmp_path, capsys):
+    run = tmp_path / "run.trec"
+    run.write_text("q1 Q0 p1 1 1.0 t\n")
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q1 0 p1 1\n")
+    assert dispatch(["eval", "--run", str(run), "--qrels", str(qrels), "--k", "0"]) == EXIT_CONFIG
+    assert "config error: --k must be >= 1" in capsys.readouterr().err
 
 
 def test_data_error_exit_3(tmp_path):
@@ -698,6 +709,74 @@ def test_mine_double_dense_exit_2(tmp_path, synth_dir, warm_ckpt, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error:" in err and "mining_mode" in err
+    assert not out.exists()
+
+
+def generate_cmd(cfg, synth_dir, ckpt, generator, out, seed):
+    return dispatch(
+        [
+            "generate",
+            "--config", str(cfg),
+            "--passages", str(synth_dir / "passages.jsonl"),
+            "--checkpoint", str(ckpt),
+            "--generator", str(generator),
+            "--seed", str(seed),
+            "--out", str(out),
+        ]
+    )
+
+
+def test_generate_writes_pipeline_generate_stage(tmp_path, synth_dir, warm_ckpt):
+    cfg_path = tmp_path / "c.cfg"
+    out = tmp_path / "generated.jsonl"
+    generator = warm_ckpt.parent / "generator.json"
+    assert generate_cmd(cfg_path, synth_dir, warm_ckpt, generator, out, 3) == EXIT_OK
+
+    cfg = pipeline_config_from_mapping(parse_kv_config(cfg_path), seed=3)
+    corpus = load_passages(synth_dir / "passages.jsonl")
+    params, _ = load_checkpoint(warm_ckpt)
+    sparse = build_index(corpus, cfg.tokenizer, cfg.bm25)
+    state = start_state(params, load_generator(generator), sparse, corpus, cfg)
+    accepted, _ = generate(state, sorted({p.lang for p in corpus}), cfg, iteration=1)
+    assert accepted and all(s.query.id == f"gen1-{s.positive}" for s in accepted)
+    want = tmp_path / "want.jsonl"
+    save_samples(accepted, want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def _text_file(path):
+    path.write_text("not a checkpoint\n")
+
+
+def _npz_without_meta(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, embedding=np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("write", [_text_file, _npz_without_meta], ids=["not_npz", "no_meta"])
+def test_mine_malformed_checkpoint_exit_3(tmp_path, capsys, write):
+    data = tiny_data(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    ckpt = tmp_path / "ckpt.npz"
+    write(ckpt)
+    out = tmp_path / "mined.jsonl"
+    assert mine_cmd(cfg, data, ckpt, out, 3) == EXIT_DATA
+    assert f"data error: {ckpt}: not a lexmine checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_truncated_generator_exit_3(tmp_path, capsys):
+    data = tiny_data(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    ckpt = tmp_path / "ckpt.npz"
+    save_checkpoint(ckpt, init_params(["alpha", "beta1"], dim=4))
+    generator = tmp_path / "generator.json"
+    generator.write_text('{"format": 1, "version": 1, "query_len')
+    out = tmp_path / "generated.jsonl"
+    assert generate_cmd(cfg, data, ckpt, generator, out, 3) == EXIT_DATA
+    assert f"data error: {generator}: not a lexmine generator" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lexmine.corpus import Corpus, Passage, Query, QuerySet, SynthSpec, synth_benchmark, tokenize
-from lexmine.dense import encode, init_params, vocab_from_corpus
+from lexmine.corpus import (
+    Corpus, Passage, Query, QuerySet, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
+)
+from lexmine.dense import EncoderParams, encode, init_params, search_dense, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
 from lexmine.mining import MiningConfig, load_samples
 from lexmine.pipeline import (
@@ -20,9 +23,8 @@ from lexmine.pipeline import (
     mine,
     start_state,
     warmup,
-    _unlabeled_by_lang,
 )
-from lexmine.querygen import GeneratorModel
+from lexmine.querygen import GeneratedPair, GeneratorModel, filter_generated
 from lexmine.sparse import build_index
 
 SPEC = SynthSpec(
@@ -232,7 +234,7 @@ def make_state(data, cfg):
 def test_iteration_one_skips_generation(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
-    state, report, artifacts = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
+    state, report, artifacts = run_iteration(state, data, cfg)
     assert report.iteration == 1
     assert report.generated_candidates == 0
     assert report.generated_accepted == 0
@@ -243,9 +245,9 @@ def test_iteration_one_skips_generation(data):
 def test_iteration_two_generates(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
-    state, _, _ = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
+    state, _, _ = run_iteration(state, data, cfg)
     gen_version_before = state.generator.version
-    state, report, artifacts = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
+    state, report, artifacts = run_iteration(state, data, cfg)
     assert report.iteration == 2
     assert report.generated_candidates > 0
     assert state.generator.version == gen_version_before + 1
@@ -256,7 +258,7 @@ def test_iteration_two_generates(data):
 def test_iteration_refreshes_index(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
-    state, _, _ = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
+    state, _, _ = run_iteration(state, data, cfg)
     assert state.dense_index.params_version == state.params.version
     index = state.dense_index
     for i in range(0, len(index.ids), 37):
@@ -269,14 +271,14 @@ def test_iteration_stale_index_rejected(data):
     state = make_state(data, cfg)
     state.params.version += 1  # simulate params changed without refresh
     with pytest.raises(PipelineError, match="stale"):
-        run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
+        run_iteration(state, data, cfg)
 
 
 def test_iteration_zero_mined_errors(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
     with pytest.raises(PipelineError, match="zero samples"):
-        run_iteration(state, {"tgta": []}, data.corpus, cfg, data)
+        run_iteration(state, replace(data, unlabeled=QuerySet([])), cfg)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -287,20 +289,44 @@ def test_non_finite_loss_raises(data, monkeypatch, bad):
     state = make_state(data, cfg)
     monkeypatch.setattr(pipeline_mod, "train_step", lambda params, opt, *a, **k: (params, opt, bad))
     with pytest.raises(PipelineError, match="iteration 1 step 1: training loss is"):
-        run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
+        run_iteration(state, data, cfg)
     with pytest.raises(PipelineError, match="warm-up step 1: training loss is"):
         make_state(data, cfg)
 
 
+def test_iteration_without_eval_queries_reports_no_metrics(data):
+    cfg = small_cfg()
+    state = make_state(data, cfg)
+    _, report, artifacts = run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
+    assert report.mined_samples > 0
+    assert report.metrics == {}
+    assert artifacts["run"] == {}
+
+
+def test_dense_search_uses_the_index_tokenizer():
+    # "Apple b" is ["Apple"] under this tokenizer and ["apple", "b"] under the
+    # default one, whose dense top-1 would be p2
+    tok = TokenizerConfig(lowercase=False, min_token_len=2)
+    corpus = Corpus([Passage("p1", "Apple pie"), Passage("p2", "apple tart"), Passage("p3", "cherry b")])
+    tokens = vocab_from_corpus(corpus, tok)
+    params = EncoderParams(vocab={t: i for i, t in enumerate(tokens)}, embedding=np.eye(len(tokens)))
+    cfg = small_cfg(tokenizer=tok)
+    state = start_state(params, GeneratorModel(), build_index(corpus, tok), corpus, cfg)
+    query = Query(id="q", text="Apple b")
+    assert state.dense_index.tokenizer == tok
+    assert search_dense(state.dense_index, params, query, 1)[0][0] == "p1"
+    assert filter_generated(GeneratedPair(query, "p1"), state.sparse_index, state.dense_index, params)
+    assert dense_run(state, QuerySet([query]), 1) == {"q": [("p1", 0.5)]}
+
+
 def test_iteration_sample_count_matches_recount(data, tmp_path):
-    from lexmine.dense import search_dense
     from lexmine.mining import mine_pairs, save_samples
     from lexmine.sparse import search_sparse
 
     cfg = small_cfg()
     state = make_state(data, cfg)
     version_before = state.params.version
-    state, report, artifacts = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
+    state, report, artifacts = run_iteration(state, data, cfg)
 
     # recount positives per unlabeled query against pre-iteration retrievers
     fresh_state = make_state(data, cfg)
@@ -308,7 +334,7 @@ def test_iteration_sample_count_matches_recount(data, tmp_path):
     want = 0
     for q in data.unlabeled:
         a = search_sparse(fresh_state.sparse_index, q, cfg.mining.L)
-        b = search_dense(fresh_state.dense_index, fresh_state.params, q, cfg.mining.L, tok=cfg.tokenizer)
+        b = search_dense(fresh_state.dense_index, fresh_state.params, q, cfg.mining.L)
         want += len(mine_pairs(a, b, cfg.mining).positives)
     assert report.mined_samples == want
 
@@ -324,7 +350,7 @@ def test_negative_mode_none_and_sparse_top(data):
     ):
         cfg = small_cfg(negative_mode=mode)
         state = make_state(data, cfg)
-        _, report, artifacts = run_iteration(state, _unlabeled_by_lang(data), data.corpus, cfg, data)
+        _, report, artifacts = run_iteration(state, data, cfg)
         assert artifacts["mined"]
         assert all(check(s) for s in artifacts["mined"])
     assert any(s.hard_negatives for s in artifacts["mined"])  # sparse_top provides hards
@@ -352,10 +378,10 @@ def test_mine_skips_queries_without_vocabulary_tokens(mode):
     )
     oov = Query(id="oov", text="zzz unknownword", lang="en")
     known = Query(id="known", text="w1 v2", lang="en")
-    samples, gen_pairs, with_positives = mine(state, [oov, known], corpus, cfg, iteration=1)
+    samples, gen_pairs, with_positives = mine(state, [oov, known], cfg, iteration=1)
     assert all(s.query.id == "known" for s in samples)
     assert all(q.id == "known" for q, _ in gen_pairs)
-    assert (samples, gen_pairs, with_positives) == mine(state, [known], corpus, cfg, iteration=1)
+    assert (samples, gen_pairs, with_positives) == mine(state, [known], cfg, iteration=1)
 
 
 # ---------------------------------------------------------------------------
