@@ -442,6 +442,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     missing = [k for k in ("passages", "train_queries", "train_qrels", "unlabeled_queries") if k not in mapping]
     if missing:
         raise ConfigError(f"pipeline config missing data keys: {', '.join(missing)}", key=missing[0])
+    for given, absent in (("eval_queries", "eval_qrels"), ("eval_qrels", "eval_queries")):
+        if given in mapping and absent not in mapping:
+            raise ConfigError(f"pipeline config sets {given} without {absent}", key=absent)
     corpus = load_passages(data_path(mapping["passages"]))
     train_queries = load_queries(data_path(mapping["train_queries"]))
     train_qrels = _load_judged_qrels(mapping["train_qrels"], corpus)

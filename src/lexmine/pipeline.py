@@ -198,6 +198,8 @@ class IterationReport:
         )
         if any(c < 0 for c in counts):
             raise ValueError("report counts must be >= 0")
+        if not isinstance(self.metrics, dict) or not all(isinstance(v, dict) for v in self.metrics.values()):
+            raise ValueError("report metrics must map each language to a dict of values")
         for lang, vals in self.metrics.items():
             for name, v in vals.items():
                 if not 0.0 <= v <= 1.0:
@@ -372,25 +374,23 @@ def _rankings_for(
     return other, dense_topL
 
 
-def _mined_sets(
-    list_a, list_b, cfg: PipelineConfig, s1_cfg: MiningConfig
-) -> tuple[MinedSets, MinedSets]:
-    """The sets mined at S and at the generator's S=1: agreement mining, or a
-    prefix split of the fused ranking in fuse modes."""
+def _mined_sets(list_a, list_b, cfg: PipelineConfig) -> tuple[MinedSets, tuple[str, ...]]:
+    """The sets mined at S and the generator's S=1 positive: agreement mining
+    and the two rankings' shared top-1, or a prefix split of the fused ranking
+    and its top-1 in fuse modes."""
     if cfg.mining_mode in ("fuse_sum", "fuse_product"):
         fused = hybrid_fuse(list_a, list_b, cfg.mining_mode.removeprefix("fuse_"), cfg.mining.L)
         ids = [pid for pid, _ in fused]
-
-        def split(s: int) -> MinedSets:
-            return MinedSets(
-                positives=frozenset(ids[:s]),
-                negatives=frozenset(ids[s:]),
-                positive_order=tuple(ids[:s]),
-                negative_order=tuple(ids[s:]),
-            )
-
-        return split(cfg.mining.S), split(s1_cfg.S)
-    return mine_pairs(list_a, list_b, cfg.mining), mine_pairs(list_a, list_b, s1_cfg)
+        s = cfg.mining.S
+        sets = MinedSets(
+            positives=frozenset(ids[:s]),
+            negatives=frozenset(ids[s:]),
+            positive_order=tuple(ids[:s]),
+            negative_order=tuple(ids[s:]),
+        )
+        return sets, tuple(ids[:1])
+    top1 = tuple(a for (a, _), (b, _) in zip(list_a[:1], list_b[:1]) if a == b)
+    return mine_pairs(list_a, list_b, cfg.mining), top1
 
 
 def mine(
@@ -410,7 +410,6 @@ def mine(
     with at least one positive.
     """
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
-    s1_cfg = replace(cfg.mining, S=1)
     vocab = state.params.vocab
     qs = sorted(
         (q for q in queries if any(t in vocab for t in tokenize(q.text, cfg.tokenizer))),
@@ -420,7 +419,7 @@ def mine(
     gen_pairs: list[tuple[Query, Passage]] = []
     queries_with_positives = 0
     for q in qs:
-        sets, s1 = _mined_sets(*_rankings_for(state, q, cfg), cfg, s1_cfg)
+        sets, top1 = _mined_sets(*_rankings_for(state, q, cfg), cfg)
         if sets.positives:
             queries_with_positives += 1
         if cfg.negative_mode == "mined":
@@ -438,7 +437,7 @@ def mine(
                 TrainingSample(query=q, positive=pid, hard_negatives=hard, source="mined")
                 for pid in sets.positive_order
             )
-        gen_pairs.extend((q, state.corpus[pid]) for pid in s1.positive_order)
+        gen_pairs.extend((q, state.corpus[pid]) for pid in top1)
     return mined, gen_pairs, queries_with_positives
 
 
@@ -588,30 +587,47 @@ def _write_json(path: Path, obj: dict) -> None:
         json.dump(obj, fh, indent=2)
 
 
-def _write_iteration_artifacts(
-    outdir: Path, state: PipelineState, report: IterationReport, artifacts: dict
+def _write_stage(
+    outdir: Path, state: PipelineState, report: IterationReport, artifacts: dict | None = None
 ) -> None:
-    # report.json goes last: resume trusts an iteration only once it parses
+    """Persist a stage for ``_load_stage``: the warm-up (no ``artifacts``) or an iteration."""
+    # report.json goes last: a directory without it is never loaded
     outdir.mkdir(parents=True, exist_ok=True)
-    save_samples(artifacts["mined"], outdir / "mined.jsonl")
-    save_samples(artifacts["generated"], outdir / "generated.jsonl")
+    if artifacts is not None:
+        save_samples(artifacts["mined"], outdir / "mined.jsonl")
+        save_samples(artifacts["generated"], outdir / "generated.jsonl")
     save_checkpoint(outdir / "checkpoint.npz", state.params)
     save_generator(state.generator, outdir / "generator.json")
-    if artifacts["run"]:
+    if artifacts is None and state.aux_params is not None:
+        save_checkpoint(outdir / "aux_checkpoint.npz", state.aux_params)
+    if artifacts is not None and artifacts["run"]:
         save_run(artifacts["run"], outdir / "run.trec")
     _write_json(outdir / "report.json", report.to_dict())
 
 
-def _completed_report(outdir: Path) -> IterationReport | None:
-    """The report persisted in ``outdir`` (warm-up or iteration), or None
-    unless it parses and the checkpoint next to it loads."""
+def _load_stage(
+    outdir: Path, with_aux: bool
+) -> tuple[IterationReport, EncoderParams, GeneratorModel, EncoderParams | None] | None:
+    """The report, encoder, generator and, when ``with_aux``, auxiliary encoder
+    that ``_write_stage`` left in ``outdir``, or None unless every one loads."""
     try:
         with open(outdir / "report.json", encoding="utf-8") as fh:
             report = IterationReport.from_dict(json.load(fh))
-        load_checkpoint(outdir / "checkpoint.npz")
+        params, _ = load_checkpoint(outdir / "checkpoint.npz")
+        generator = load_generator(outdir / "generator.json")
+        aux_params = load_checkpoint(outdir / "aux_checkpoint.npz")[0] if with_aux else None
     except (OSError, ValueError, TypeError):
         return None
-    return report
+    return report, params, generator, aux_params
+
+
+def _plateaued(reports: list[IterationReport], cfg: PipelineConfig) -> bool:
+    """Whether the last report gains less than ``plateau_eps`` overall MRR@k on the one before."""
+    if cfg.plateau_eps is None or len(reports) < 2:
+        return False
+    key = f"mrr@{cfg.eval_k}"
+    prev, curr = (r.metrics.get("overall", {}).get(key) for r in reports[-2:])
+    return prev is not None and curr is not None and curr - prev < cfg.plateau_eps
 
 
 def run_pipeline(
@@ -620,16 +636,15 @@ def run_pipeline(
     workdir: str | Path | None = None,
     resume: bool = False,
 ) -> list[IterationReport]:
-    """Warm up, then run cfg.iterations mine/generate/train/refresh iterations.
+    """Warm up, then run cfg.iterations mine/generate/train/refresh iterations,
+    stopping early once ``_plateaued``.
 
     The report list starts with the post-warm-up zero-shot evaluation (as
-    iteration 0) followed by one report per iteration. With a workdir, every
-    iteration persists mined.jsonl, generated.jsonl, checkpoint.npz,
-    generator.json, report.json and run.trec under iter_N/, plus a manifest
-    binding the config hash and seed; ``resume=True`` fails on a config-hash
-    mismatch and otherwise continues after the last iteration in an unbroken
-    run, from the warm-up on, of directories whose report parses and whose
-    checkpoint loads.
+    iteration 0) followed by one report per iteration. With a workdir, a
+    manifest binds the config hash and seed, and ``_write_stage`` persists the
+    warm-up under warmup/ and every iteration under iter_N/. ``resume=True``
+    fails on a config-hash mismatch and otherwise continues from the last
+    directory that ``_load_stage`` loads in the unbroken run warmup/, iter_1/, ...
     """
     out = Path(workdir) if workdir is not None else None
     manifest = {
@@ -638,8 +653,9 @@ def run_pipeline(
         "seed": cfg.seed,
         "version": __version__,
     }
-    # reports of the warm-up and the completed iterations found on resume
-    done: list[IterationReport] = []
+    # the reports of the stages loaded on resume; the last one's models continue
+    reports: list[IterationReport] = []
+    aux_params = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         manifest_path = out / "manifest.json"
@@ -652,25 +668,21 @@ def run_pipeline(
                     f"{existing.get('config_hash')} != {manifest['config_hash']}"
                 )
             for name in ["warmup"] + [f"iter_{i}" for i in range(1, cfg.iterations + 1)]:
-                report = _completed_report(out / name)
-                if report is None:
+                with_aux = name == "warmup" and cfg.mining_mode == "double_dense"
+                stage = _load_stage(out / name, with_aux)
+                if stage is None:
                     break
-                done.append(report)
+                report, params, generator, aux = stage
+                reports.append(report)
+                aux_params = aux if with_aux else aux_params
         else:
             _write_json(manifest_path, manifest)
-    start_iter = max(len(done) - 1, 0)
 
     sparse_index = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    reports: list[IterationReport] = []
-    aux_params = None
-    warm_report = None
-
-    if start_iter > 0:
-        params, _ = load_checkpoint(out / f"iter_{start_iter}" / "checkpoint.npz")
-        generator = load_generator(out / f"iter_{start_iter}" / "generator.json")
-        if cfg.mining_mode == "double_dense":
-            aux_params, _ = load_checkpoint(out / "warmup" / "aux_checkpoint.npz")
-        reports.extend(done)
+    if reports:
+        state = start_state(
+            params, generator, sparse_index, data.corpus, cfg, len(reports) - 1, aux_params=aux_params
+        )
     else:
         queries = [*data.train_queries, *data.unlabeled, *(data.eval_queries or ())]
         vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, queries)
@@ -686,32 +698,15 @@ def run_pipeline(
                 labeled[1::2] or labeled, data.corpus, cfg, vocab_tokens=vocab, seed_offset=1
             )
         warm_report = IterationReport(iteration=0, wall_clock_sec=time.perf_counter() - t0)
-
-    state = start_state(
-        params, generator, sparse_index, data.corpus, cfg, start_iter, aux_params=aux_params
-    )
-
-    if warm_report is not None:
+        state = start_state(params, generator, sparse_index, data.corpus, cfg, aux_params=aux_params)
         _, warm_report.metrics = _evaluate(state, data, cfg)
         reports.append(warm_report)
         if out is not None:
-            wdir = out / "warmup"
-            wdir.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(wdir / "checkpoint.npz", params)
-            save_generator(generator, wdir / "generator.json")
-            if aux_params is not None:
-                save_checkpoint(wdir / "aux_checkpoint.npz", aux_params)
-            _write_json(wdir / "report.json", warm_report.to_dict())
+            _write_stage(out / "warmup", state, warm_report)
 
-    key = f"mrr@{cfg.eval_k}"
-    for _ in range(start_iter, cfg.iterations):
+    while state.iteration < cfg.iterations and not _plateaued(reports, cfg):
         state, report, artifacts = run_iteration(state, data, cfg)
         reports.append(report)
         if out is not None:
-            _write_iteration_artifacts(out / f"iter_{state.iteration}", state, report, artifacts)
-        if cfg.plateau_eps is not None and len(reports) >= 2:
-            prev = reports[-2].metrics.get("overall", {}).get(key)
-            curr = report.metrics.get("overall", {}).get(key)
-            if prev is not None and curr is not None and curr - prev < cfg.plateau_eps:
-                break
+            _write_stage(out / f"iter_{state.iteration}", state, report, artifacts)
     return reports

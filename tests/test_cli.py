@@ -1,5 +1,8 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +348,17 @@ def test_pipeline_missing_data_keys_exit_2(tmp_path, synth_dir):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(PIPELINE_CFG)
     assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("given,absent", [("eval_queries", "eval_qrels"), ("eval_qrels", "eval_queries")])
+def test_pipeline_eval_key_without_its_pair_exit_2(tmp_path, capsys, given, absent):
+    data = tiny_data(tmp_path)
+    cfg = pipeline_cfg_file(tmp_path, data)
+    cfg.write_text("".join(line + "\n" for line in cfg.read_text().splitlines() if not line.startswith(absent)))
+    out = tmp_path / "x"
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
+    assert f"{given} without {absent}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_unknown_key_exit_2(tmp_path, synth_dir):
@@ -848,3 +862,83 @@ def test_train_non_finite_loss_exit_1(tmp_path, synth_dir, warm_ckpt, monkeypatc
     assert train_cmd(cfg, synth_dir, warm_ckpt, [samples], out, 3) == 1
     assert "pipeline error: iteration 1 step 1: training loss is nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Runs ``lexmine`` ARGV... with every module's ``atomic_write`` wrapped to count
+# writes and to die (os._exit(1)) after the body of write N, before its rename.
+# N = 0 never dies and reports the count on stderr.
+_DIE_AT_WRITE = """
+import contextlib, os, sys
+import lexmine.cli
+
+real = lexmine.corpus.atomic_write
+die_at = int(sys.argv[1])
+writes = 0
+
+@contextlib.contextmanager
+def dying(path, binary=False):
+    global writes
+    with real(path, binary) as fh:
+        yield fh
+        writes += 1
+        if writes == die_at:
+            fh.flush()
+            os._exit(1)
+
+for name, module in list(sys.modules.items()):
+    if name.startswith("lexmine") and getattr(module, "atomic_write", None) is real:
+        module.atomic_write = dying
+code = lexmine.cli.dispatch(sys.argv[2:])
+print(f"writes={writes}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _run_dying_at(n: int, argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _DIE_AT_WRITE, str(n), *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def _assert_same_run(got: Path, want: Path) -> None:
+    """Same files; checkpoint arrays equal, reports equal apart from
+    wall_clock_sec, every other file byte-identical."""
+    files = sorted(p.relative_to(want) for p in want.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(got) for p in got.rglob("*") if p.is_file()) == files
+    for rel in files:
+        if rel.suffix == ".npz":
+            with np.load(got / rel) as a, np.load(want / rel) as b:
+                assert sorted(a.files) == sorted(b.files), rel
+                for key in a.files:
+                    np.testing.assert_array_equal(a[key], b[key], err_msg=f"{rel}:{key}")
+        elif rel.name == "report.json":
+            a, b = json.loads((got / rel).read_text()), json.loads((want / rel).read_text())
+            a.pop("wall_clock_sec"), b.pop("wall_clock_sec")
+            assert a == b, rel
+        else:
+            assert filecmp.cmp(got / rel, want / rel, shallow=False), rel
+
+
+def test_pipeline_killed_at_every_write_resumes_to_uninterrupted_run(tmp_path, synth_dir):
+    split_synth_for_pipeline(synth_dir)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+
+    def argv(out):
+        return ["pipeline", "--config", str(cfg), "--seed", "4", "--out", str(out)]
+
+    full = tmp_path / "full"
+    proc = _run_dying_at(0, argv(full))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    writes = int(proc.stderr.rsplit("writes=", 1)[1])
+    assert writes == len([p for p in full.rglob("*") if p.is_file()])  # each file written once
+    for n in range(1, writes + 1):
+        out = tmp_path / f"killed_{n}"
+        proc = _run_dying_at(n, argv(out))
+        assert proc.returncode == 1, (n, proc.stderr)
+        assert len(list(out.rglob("*.tmp"))) == 1, n  # the write cut short before its rename
+        assert dispatch([*argv(out), "--resume"]) == EXIT_OK, n
+        assert not list(out.rglob("*.tmp")), n
+        _assert_same_run(out, full)

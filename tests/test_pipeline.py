@@ -3,15 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexmine.corpus import (
     Corpus, Passage, Query, QuerySet, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
 )
 from lexmine.dense import EncoderParams, encode, init_params, search_dense, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
-from lexmine.mining import MiningConfig, load_samples
+from lexmine.mining import MiningConfig, hybrid_fuse, load_samples, mine_pairs
 from lexmine.pipeline import (
     MINING_MODES,
+    _mined_sets,
     IterationReport,
     PipelineConfig,
     PipelineError,
@@ -116,6 +119,12 @@ def test_report_validation():
         IterationReport(iteration=1, mined_samples=-1)
     with pytest.raises(ValueError):
         IterationReport(iteration=1, metrics={"xx": {"mrr@10": 1.5}})
+
+
+@pytest.mark.parametrize("metrics", [[], [["overall", {"mrr@10": 0.5}]], {"overall": 0.5}, {"xx": [0.5]}])
+def test_report_from_dict_rejects_malformed_metrics(metrics):
+    with pytest.raises(ValueError, match="metrics"):
+        IterationReport.from_dict({"iteration": 1, "metrics": metrics})
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +393,31 @@ def test_mine_skips_queries_without_vocabulary_tokens(mode):
     assert (samples, gen_pairs, with_positives) == mine(state, [known], cfg, iteration=1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(MINING_MODES))
+def test_mined_sets_top1_is_the_s1_positive(data, mode):
+    """The generator's S=1 positive, read off the rankings mined at S, is what a
+    second mining pass at S=1 (or the fused ranking's top-1) gives."""
+    ids = [f"p{i}" for i in range(12)]
+
+    def ranking():
+        chosen = data.draw(st.permutations(ids))[: data.draw(st.integers(0, len(ids)))]
+        scores = sorted(data.draw(st.lists(st.floats(-5, 5), min_size=len(chosen), max_size=len(chosen))), reverse=True)
+        return list(zip(chosen, scores))
+
+    a, b = ranking(), ranking()
+    L = data.draw(st.integers(1, len(ids)))
+    cfg = PipelineConfig(mining=MiningConfig(S=data.draw(st.integers(1, L)), L=L), mining_mode=mode)
+    sets, top1 = _mined_sets(a, b, cfg)
+    if mode.startswith("fuse_"):
+        fused = [pid for pid, _ in hybrid_fuse(a, b, mode.removeprefix("fuse_"), L)]
+        assert top1 == tuple(fused[:1])
+        assert sets.positive_order == tuple(fused[: cfg.mining.S])
+    else:
+        assert top1 == mine_pairs(a, b, replace(cfg.mining, S=1)).positive_order
+        assert sets == mine_pairs(a, b, cfg.mining)
+
+
 # ---------------------------------------------------------------------------
 # run_pipeline
 # ---------------------------------------------------------------------------
@@ -458,17 +492,63 @@ def test_pipeline_resume_past_warmup_skips_warmup_setup(data, tmp_path, monkeypa
     assert comparable(resumed) == comparable(full)
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _list_metrics(path):
+    path.write_text(json.dumps({**json.loads(path.read_text()), "metrics": []}))
+
+
 @pytest.mark.parametrize(
-    "broken", ["iter_2/report.json", "iter_2/checkpoint.npz", "warmup/report.json"]
+    "broken,corrupt,mode",
+    [
+        pytest.param(p, _truncate, "sparse_dense", id=p)
+        for p in ("iter_2/report.json", "iter_2/checkpoint.npz", "iter_2/generator.json", "warmup/report.json")
+    ]
+    + [
+        pytest.param("iter_2/report.json", _list_metrics, "sparse_dense", id="iter_2/report.json-list-metrics"),
+        pytest.param("warmup/aux_checkpoint.npz", _truncate, "double_dense", id="double_dense-warmup/aux_checkpoint.npz"),
+    ],
 )
-def test_pipeline_resume_reruns_from_broken_iteration(data, tmp_path, broken):
-    cfg = small_cfg()
+def test_pipeline_resume_reruns_from_broken_iteration(data, tmp_path, broken, corrupt, mode):
+    cfg = small_cfg(mining_mode=mode)
     full = run_pipeline(cfg, data, workdir=tmp_path)
     assert not list(tmp_path.rglob("*.tmp"))
-    path = tmp_path / broken
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    corrupt(tmp_path / broken)
     resumed = run_pipeline(cfg, data, workdir=tmp_path, resume=True)
     assert comparable(resumed) == comparable(full)
+
+
+@pytest.mark.parametrize("mode", ["sparse_dense", "double_dense"])
+def test_pipeline_resume_from_warmup_alone_skips_warmup(data, tmp_path, monkeypatch, mode):
+    import shutil
+
+    import lexmine.pipeline as pipeline_mod
+
+    cfg = small_cfg(mining_mode=mode, skip_generation_first_iter=False)
+    full = run_pipeline(cfg, data, workdir=tmp_path / "full")
+    run_pipeline(cfg, data, workdir=tmp_path / "partial")
+    for d in (tmp_path / "partial").glob("iter_*"):
+        shutil.rmtree(d)
+    calls = []
+    real = pipeline_mod.warmup
+    monkeypatch.setattr(pipeline_mod, "warmup", lambda *a, **k: calls.append(1) or real(*a, **k))
+    resumed = run_pipeline(cfg, data, workdir=tmp_path / "partial", resume=True)
+    assert calls == []
+    assert comparable(resumed) == comparable(full)
+    for it in (1, 2):
+        for name in ("mined.jsonl", "generated.jsonl", "generator.json", "run.trec"):
+            rel = f"iter_{it}/{name}"
+            assert (tmp_path / "partial" / rel).read_bytes() == (tmp_path / "full" / rel).read_bytes(), rel
+
+
+def test_pipeline_resume_after_plateau_stop_runs_nothing(data, tmp_path):
+    cfg = small_cfg(iterations=3, plateau_eps=10.0)  # always triggers after iteration 1
+    full = run_pipeline(cfg, data, workdir=tmp_path)
+    resumed = run_pipeline(cfg, data, workdir=tmp_path, resume=True)
+    assert comparable(resumed) == comparable(full)
+    assert not (tmp_path / "iter_2").exists()
 
 
 def test_pipeline_resume_config_mismatch(data, tmp_path):
