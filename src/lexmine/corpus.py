@@ -265,6 +265,21 @@ class QuerySet(_IdCollection[Query]):
 
     kind = "query"
 
+    def __init__(self, queries: Iterable[Query]):
+        super().__init__(queries)
+        self._tokens: tuple[TokenizerConfig, dict[str, list[str]]] | None = None
+
+    def tokenized(self, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> dict[str, list[str]]:
+        """Query id -> tokens under ``tok``, memoized for the last config asked,
+        as ``Corpus.tokenized`` is; callers only read it.
+
+        Mining's vocabulary check, its searches and every evaluation of a query
+        set read from this, so one run tokenizes each query once.
+        """
+        if self._tokens is None or self._tokens[0] != tok:
+            self._tokens = (tok, {q.id: tokenize(q.text, tok) for q in self})
+        return self._tokens[1]
+
 
 class JudgmentSet:
     """Relevance judgments indexed by query id."""
@@ -272,6 +287,7 @@ class JudgmentSet:
     def __init__(self, judgments: Iterable[Judgment]):
         self._all: list[Judgment] = []
         self.by_query: dict[str, dict[str, int]] = {}
+        self._relevant: dict[str, frozenset[str]] = {}
         for j in judgments:
             grades = self.by_query.setdefault(j.query_id, {})
             if j.passage_id in grades:
@@ -292,9 +308,13 @@ class JudgmentSet:
             return NotImplemented
         return self._all == other._all
 
-    def relevant(self, query_id: str) -> set[str]:
-        """Passage ids judged relevant (grade > 0) for the query."""
-        return {pid for pid, g in self.by_query.get(query_id, {}).items() if g > 0}
+    def relevant(self, query_id: str) -> frozenset[str]:
+        """Passage ids judged relevant (grade > 0) for the query, memoized per query."""
+        rel = self._relevant.get(query_id)
+        if rel is None:
+            rel = frozenset(pid for pid, g in self.by_query.get(query_id, {}).items() if g > 0)
+            self._relevant[query_id] = rel
+        return rel
 
     def validate(self, corpus: Corpus | None = None, queries: QuerySet | None = None) -> None:
         """Check that all referenced ids resolve against the given collections."""

@@ -31,6 +31,7 @@ __all__ = [
     "encode",
     "build_dense_index",
     "search_dense",
+    "search_dense_block",
     "infonce_from_scores",
     "infonce_batch",
     "init_optimizer",
@@ -121,11 +122,28 @@ def _token_rows(vocab: dict[str, int], tokens: Sequence[str]) -> np.ndarray:
 
 
 def _mean_pool(table: np.ndarray, rows_list: Sequence[np.ndarray]) -> np.ndarray:
-    """One row per entry of ``rows_list``: the mean of those table rows, or zero if none."""
-    pooled = np.zeros((len(rows_list), table.shape[1]))
-    for i, rows in enumerate(rows_list):
-        if rows.size:
-            pooled[i] = table[rows].mean(axis=0)
+    """One row per entry of ``rows_list``: the mean of those table rows, or zero if none.
+
+    Step t adds the t-th row of every entry that has one, so each entry sums
+    its rows one by one from zero and is then divided by its size: for a table
+    of two or more columns that is ``table[rows].mean(axis=0)`` bit for bit.
+    (On one column numpy sums pairwise instead, which can differ in the last
+    bits once an entry has 8 or more rows.) Entries are walked longest first,
+    so the entries that have a t-th row are a prefix at every step.
+    """
+    sizes = np.array([rows.size for rows in rows_list], dtype=np.int64)
+    order = np.argsort(-sizes, kind="stable")
+    starts = (np.cumsum(sizes) - sizes)[order]
+    flat = np.concatenate(rows_list) if rows_list else np.zeros(0, dtype=np.int64)
+    lengths = sizes[order].tolist()
+    acc = np.zeros((len(rows_list), table.shape[1]))
+    n = len(lengths)
+    for t in range(lengths[0] if n else 0):
+        while lengths[n - 1] <= t:
+            n -= 1
+        acc[:n] += table.take(flat.take(starts[:n] + t), axis=0)
+    pooled = np.empty_like(acc)
+    pooled[order] = acc / np.maximum(sizes[order], 1)[:, None]
     return pooled
 
 
@@ -231,15 +249,21 @@ def build_dense_index(
     return DenseIndex(ids=ids, vectors=vectors, params_version=params.version, tokenizer=tok)
 
 
-def search_dense(
+DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
+
+
+def search_dense_block(
     index: DenseIndex,
     params: EncoderParams,
-    query: Query | str,
+    token_lists: Sequence[Sequence[str]],
     k: int,
-) -> RankedList:
-    """Exact top-k by dot product; ties break by ascending passage id.
+) -> list[RankedList]:
+    """Exact top-k by dot product for each tokenized query; ties break by
+    ascending passage id.
 
-    The query is tokenized with the index's tokenizer. Zero-similarity
+    Tokens must come from the index's tokenizer. Queries are pooled
+    ``DENSE_BLOCK`` at a time into a matrix scored with one product against
+    the index; a block of one is numpy's matrix-vector product. Zero-similarity
     entries are retained (vectors are dense). Raises StaleIndexError when the
     index predates the current parameters.
     """
@@ -250,15 +274,25 @@ def search_dense(
             f"index built at params version {index.params_version}, "
             f"current is {params.version}; rebuild the index"
         )
+    table = params.table(as_query=True)
+    rows = [_token_rows(params.vocab, tokens) for tokens in token_lists]
+    ranked: list[RankedList] = []
+    for lo in range(0, len(rows), DENSE_BLOCK):
+        for scores in _mean_pool(table, rows[lo : lo + DENSE_BLOCK]) @ index.vectors.T:
+            best = top_k(scores, index._id_rank, k)
+            ranked.append([(index.ids[i], s) for i, s in zip(best.tolist(), scores[best].tolist())])
+    return ranked
+
+
+def search_dense(
+    index: DenseIndex,
+    params: EncoderParams,
+    query: Query | str,
+    k: int,
+) -> RankedList:
+    """``search_dense_block`` for one query, tokenized with the index's tokenizer."""
     text = query.text if isinstance(query, Query) else query
-    qv = encode(params, tokenize(text, index.tokenizer), as_query=True)
-    return search_dense_vector(index, qv, k)
-
-
-def search_dense_vector(index: DenseIndex, qv: np.ndarray, k: int) -> RankedList:
-    """Top-k of a precomputed query vector against the index."""
-    scores = index.vectors @ qv
-    return [(index.ids[i], float(scores[i])) for i in top_k(scores, index._id_rank, k).tolist()]
+    return search_dense_block(index, params, [tokenize(text, index.tokenizer)], k)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .corpus import (
     SynthBenchmark,
     TokenizerConfig,
     atomic_write,
-    tokenize,
 )
 from .dense import (
     DenseIndex,
@@ -43,7 +42,7 @@ from .dense import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    search_dense,
+    search_dense_block,
     train_step,
     vocab_from_corpus,
 )
@@ -67,7 +66,7 @@ from .querygen import (
     save_generator,
     train_generator,
 )
-from .sparse import BM25Params, InvertedIndex, build_index, search_sparse
+from .sparse import BM25Params, InvertedIndex, RankedList, build_index, search_sparse
 
 __all__ = [
     "PipelineConfig",
@@ -216,7 +215,12 @@ class IterationReport:
 @dataclass
 class PipelineState:
     """Everything the stages read: the corpus, the encoder and generator, and
-    the indexes and token rows built from that corpus."""
+    the indexes and token rows built from that corpus.
+
+    ``fixed_rankings`` holds the top-L ranking of each query mined so far by
+    the retriever mining compares against, BM25 or under ``double_dense`` the
+    auxiliary encoder. Neither ever trains, so a query is ranked once per run.
+    """
 
     params: EncoderParams
     generator: GeneratorModel
@@ -227,6 +231,7 @@ class PipelineState:
     iteration: int = 0
     aux_params: EncoderParams | None = None
     aux_index: DenseIndex | None = None
+    fixed_rankings: dict[Query, RankedList] = field(default_factory=dict)
 
 
 def start_state(
@@ -340,7 +345,8 @@ def warmup(
 
 def dense_run(state: PipelineState, queries: QuerySet, k: int) -> RunFile:
     """Dense retrieval run over a query set (order-deterministic)."""
-    return {q.id: search_dense(state.dense_index, state.params, q, k) for q in queries}
+    tokens = queries.tokenized(state.dense_index.tokenizer)
+    return dict(zip(tokens, search_dense_block(state.dense_index, state.params, list(tokens.values()), k)))
 
 
 def _evaluate(
@@ -361,17 +367,21 @@ def _evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _rankings_for(
-    state: PipelineState, q: Query, cfg: PipelineConfig
-) -> tuple[list, list]:
-    """The two rankings Algorithm-style mining compares for one query."""
-    dense_topL = search_dense(state.dense_index, state.params, q, cfg.mining.L)
+def _fixed_rankings(
+    state: PipelineState, qs: list[Query], tokens: dict[str, list[str]], cfg: PipelineConfig
+) -> list[RankedList]:
+    """Each query's top-L by the retriever that never trains, from
+    ``state.fixed_rankings``; queries not ranked yet are ranked and kept."""
+    known = state.fixed_rankings
+    todo = [q for q in qs if q not in known]
     if cfg.mining_mode == "double_dense":
         assert state.aux_index is not None and state.aux_params is not None
-        other = search_dense(state.aux_index, state.aux_params, q, cfg.mining.L)
+        todo_tokens = [tokens[q.id] for q in todo]
+        ranked = search_dense_block(state.aux_index, state.aux_params, todo_tokens, cfg.mining.L)
     else:
-        other = search_sparse(state.sparse_index, q, cfg.mining.L)
-    return other, dense_topL
+        ranked = [search_sparse(state.sparse_index, q, cfg.mining.L) for q in todo]
+    known.update(zip(todo, ranked))
+    return [known[q] for q in qs]
 
 
 def _mined_sets(list_a, list_b, cfg: PipelineConfig) -> tuple[MinedSets, tuple[str, ...]]:
@@ -395,31 +405,32 @@ def _mined_sets(list_a, list_b, cfg: PipelineConfig) -> tuple[MinedSets, tuple[s
 
 def mine(
     state: PipelineState,
-    queries: Iterable[Query],
+    queries: QuerySet,
     cfg: PipelineConfig,
     iteration: int,
 ) -> tuple[list[TrainingSample], list[tuple[Query, Passage]], int]:
     """Mine training samples for unlabeled queries from retriever agreement.
 
-    Queries are ranked and mined one at a time in language order (file order
-    within a language) from the iteration's mining stream. A query with no
-    token in the encoder's vocabulary is skipped: its zero vector ranks
-    passages by id, which the fuse modes would mine as agreement. Hard
-    negatives follow ``cfg.negative_mode``. Returns the samples, the S=1
-    (query, passage) pairs the generator trains on, and the number of queries
-    with at least one positive.
+    Queries are mined one at a time in language order (file order within a
+    language) from the iteration's mining stream, after all of them are
+    ranked: by the trained encoder in blocks, and by the fixed retriever from
+    ``_fixed_rankings``. A query with no token in the encoder's vocabulary is
+    skipped: its zero vector ranks passages by id, which the fuse modes would
+    mine as agreement. Hard negatives follow ``cfg.negative_mode``. Returns
+    the samples, the S=1 (query, passage) pairs the generator trains on, and
+    the number of queries with at least one positive.
     """
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
     vocab = state.params.vocab
-    qs = sorted(
-        (q for q in queries if any(t in vocab for t in tokenize(q.text, cfg.tokenizer))),
-        key=lambda q: q.lang,
-    )
+    tokens = queries.tokenized(state.dense_index.tokenizer)
+    qs = sorted((q for q in queries if any(t in vocab for t in tokens[q.id])), key=lambda q: q.lang)
+    fixed = _fixed_rankings(state, qs, tokens, cfg)
+    dense = search_dense_block(state.dense_index, state.params, [tokens[q.id] for q in qs], cfg.mining.L)
     mined: list[TrainingSample] = []
     gen_pairs: list[tuple[Query, Passage]] = []
     queries_with_positives = 0
-    for q in qs:
-        sets, top1 = _mined_sets(*_rankings_for(state, q, cfg), cfg)
+    for q, fixed_topL, dense_topL in zip(qs, fixed, dense):
+        sets, top1 = _mined_sets(fixed_topL, dense_topL, cfg)
         if sets.positives:
             queries_with_positives += 1
         if cfg.negative_mode == "mined":
@@ -621,13 +632,26 @@ def _load_stage(
     return report, params, generator, aux_params
 
 
-def _plateaued(reports: list[IterationReport], cfg: PipelineConfig) -> bool:
-    """Whether the last report gains less than ``plateau_eps`` overall MRR@k on the one before."""
+def _plateaued(reports: list[IterationReport], cfg: PipelineConfig, target_langs: set[str]) -> bool:
+    """Whether the last report gains less than ``plateau_eps`` target-language
+    MRR@k on the one before: the mean MRR@k over the languages of
+    ``target_langs`` that both reports evaluate, never when there are none.
+
+    Overall MRR@k would count the labeled source language, which the
+    iterations trade away by design.
+    """
     if cfg.plateau_eps is None or len(reports) < 2:
         return False
     key = f"mrr@{cfg.eval_k}"
-    prev, curr = (r.metrics.get("overall", {}).get(key) for r in reports[-2:])
-    return prev is not None and curr is not None and curr - prev < cfg.plateau_eps
+    prev, curr = (r.metrics for r in reports[-2:])
+    langs = sorted(lang for lang in target_langs if key in prev.get(lang, {}) and key in curr.get(lang, {}))
+    if not langs:
+        return False
+
+    def target_mrr(metrics: dict[str, dict[str, float]]) -> float:
+        return sum(metrics[lang][key] for lang in langs) / len(langs)
+
+    return target_mrr(curr) - target_mrr(prev) < cfg.plateau_eps
 
 
 def run_pipeline(
@@ -704,7 +728,8 @@ def run_pipeline(
         if out is not None:
             _write_stage(out / "warmup", state, warm_report)
 
-    while state.iteration < cfg.iterations and not _plateaued(reports, cfg):
+    target_langs = {q.lang for q in data.unlabeled}
+    while state.iteration < cfg.iterations and not _plateaued(reports, cfg, target_langs):
         state, report, artifacts = run_iteration(state, data, cfg)
         reports.append(report)
         if out is not None:

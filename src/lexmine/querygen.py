@@ -131,7 +131,8 @@ def generate_query(
     length = int(rng.choice(lens, p=probs / probs.sum()))
     length = min(length, len(candidates))
 
-    weights = np.array([model.salience(passage.lang, t) for t in candidates], dtype=float)
+    salience, lang = model.term_salience, passage.lang
+    weights = np.array([salience.get((lang, t), UNSEEN_SALIENCE) for t in candidates], dtype=float)
     picked: list[str] = []
     remaining = list(range(len(candidates)))
     for _ in range(length):
@@ -207,8 +208,9 @@ def save_generator(model: GeneratorModel, path: str | Path) -> None:
             for (lang, token), w in sorted(model.term_salience.items())
         ],
     }
+    # json.dumps encodes in C; json.dump streams through the pure-Python encoder
     with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False)
+        fh.write(json.dumps(payload, ensure_ascii=False))
 
 
 def load_generator(path: str | Path) -> GeneratorModel:

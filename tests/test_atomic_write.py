@@ -51,6 +51,10 @@ def _dumps_once(real=json.dumps):
     return dumps
 
 
+def _raise(*args, **kwargs):
+    raise Interrupted
+
+
 def _samples(v):
     return [
         TrainingSample(query=Query(id=f"q{i}", text=f"v{v}"), positive=f"p{i}", hard_negatives=(f"h{i}",))
@@ -80,8 +84,9 @@ WRITERS = {
     ),
     "generator": (
         lambda path, v: save_generator(GeneratorModel(query_len_dist={1: 1.0}, version=v), path),
-        (json, "dump"),
-        lambda: _partial_then_raise('{"format": 1, '),
+        # the payload is encoded whole, inside the write, before its one fh.write
+        (json, "dumps"),
+        lambda: _raise,
     ),
     "index": (
         lambda path, v: save_index(build_index(_CORPUS), path),

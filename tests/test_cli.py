@@ -922,6 +922,29 @@ def _assert_same_run(got: Path, want: Path) -> None:
             assert filecmp.cmp(got / rel, want / rel, shallow=False), rel
 
 
+_NO_SCIPY = """
+import sys
+import lexmine.cli
+code = lexmine.cli.dispatch(sys.argv[1:])
+sys.exit("scipy was imported" if "scipy" in sys.modules else code)
+"""
+
+
+def test_pipeline_run_does_not_import_scipy(tmp_path, synth_dir):
+    # importing scipy.sparse alone costs a fresh process about 0.2 s and 22 MB
+    split_synth_for_pipeline(synth_dir)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["pipeline", "--config", str(cfg), "--seed", "2", "--out", str(tmp_path / "run")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "run" / "iter_2" / "report.json").exists()
+
+
 def test_pipeline_killed_at_every_write_resumes_to_uninterrupted_run(tmp_path, synth_dir):
     split_synth_for_pipeline(synth_dir)
     cfg = pipeline_cfg_file(tmp_path, synth_dir)

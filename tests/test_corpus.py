@@ -202,6 +202,16 @@ def test_corpus_tokenized_memo_follows_config():
     assert corpus.tokenized() is not split and corpus.tokenized().vocab == split.vocab
 
 
+def test_query_set_tokenized_memo_follows_config():
+    queries = QuerySet([Query(id="q1", text="東京 Tower"), Query(id="q2", text="")])
+    split = queries.tokenized()
+    assert split == {"q1": ["東", "京", "tower"], "q2": []}
+    assert queries.tokenized() is split
+    joined = queries.tokenized(TokenizerConfig(cjk_char_split=False))
+    assert joined == {"q1": ["東京", "tower"], "q2": []}
+    assert queries.tokenized() is not split and queries.tokenized() == split
+
+
 # ---------------------------------------------------------------------------
 # containers and loading
 # ---------------------------------------------------------------------------
@@ -311,6 +321,14 @@ def test_judgment_set_validtrain():
     )
     with pytest.raises(DataFormatError):
         js.validate(corpus=Corpus([Passage(id="p2", text="x")]))
+
+
+def test_judgment_set_relevant_is_a_memoized_frozenset():
+    js = JudgmentSet([Judgment("q1", "p1", 1), Judgment("q1", "p2", 0), Judgment("q1", "p3", 2)])
+    relevant = js.relevant("q1")
+    assert relevant == frozenset({"p1", "p3"}) and isinstance(relevant, frozenset)
+    assert js.relevant("q1") is relevant
+    assert js.relevant("unjudged") == frozenset()
 
 
 def test_judgment_set_duplicate_pair():

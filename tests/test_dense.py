@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lexmine.dense as dense_mod
 from lexmine.corpus import DEFAULT_TOKENIZER, Corpus, Passage, Query, SynthSpec, synth_benchmark, tokenize
 from lexmine.dense import (
+    DENSE_BLOCK,
     OptimizerState,
     StaleIndexError,
     TrainingSample,
@@ -27,7 +29,7 @@ from lexmine.dense import (
     load_checkpoint,
     save_checkpoint,
     search_dense,
-    search_dense_vector,
+    search_dense_block,
     train_step,
     vocab_from_corpus,
 )
@@ -203,8 +205,12 @@ def test_search_top_k_with_ties_matches_brute_force(k):
     params = toy_params(corpus, dim=3, seed=4)
     index = build_dense_index(params, corpus)
     index.vectors[:] = np.round(rng.normal(size=index.vectors.shape))
-    for qv in [np.array([1.0, 0.0, 0.0]), np.array([1.0, -1.0, 2.0]), np.zeros(3)]:
-        assert search_dense_vector(index, qv, k) == brute_force_dense(index, qv)[:k]
+    # one-token queries whose vectors are the table rows set here; no token gives the zero vector
+    qvs = [np.array([1.0, 0.0, 0.0]), np.array([1.0, -1.0, 2.0]), np.zeros(3)]
+    params.embedding[params.vocab["t0"]] = qvs[0]
+    params.embedding[params.vocab["t1"]] = qvs[1]
+    got = search_dense_block(index, params, [["t0"], ["t1"], []], k)
+    assert got == [brute_force_dense(index, qv)[:k] for qv in qvs]
 
 
 def test_search_nan_scores_rank_last():
@@ -212,8 +218,86 @@ def test_search_nan_scores_rank_last():
     params = toy_params(corpus, dim=2)
     index = build_dense_index(params, corpus)
     index.vectors[:] = [[1.0, 0.0], [np.nan, 0.0], [3.0, 0.0], [np.nan, 0.0], [2.0, 0.0], [2.0, 0.0]]
-    got = search_dense_vector(index, np.array([1.0, 0.0]), 5)
+    params.embedding[params.vocab["t0"]] = [1.0, 0.0]
+    got = search_dense_block(index, params, [["t0"]], 5)[0]
     assert [pid for pid, _ in got] == ["p2", "p4", "p5", "p0", "p1"]
+
+
+def integer_case(seed, n_passages=40, dim=3):
+    """An index of small-integer passage vectors and a query table of small
+    integers, so that every score of a query of 1, 2 or 4 tokens is exact."""
+    rng = np.random.default_rng(seed)
+    # ids out of corpus order, so that ties must break on id, not on position
+    corpus = Corpus([Passage(id=f"p{int(i):02d}", text=f"t{i % 9}") for i in rng.permutation(n_passages)])
+    params = init_params([f"t{i}" for i in range(9)], dim=dim, seed=seed)
+    params.embedding[:] = rng.integers(-2, 3, size=params.embedding.shape)
+    index = build_dense_index(params, corpus)
+    index.vectors[:] = rng.integers(-2, 3, size=index.vectors.shape)
+    sizes = rng.choice([0, 1, 1, 2, 4], size=3 * DENSE_BLOCK + 5)
+    token_lists = [[f"t{int(t)}" for t in rng.integers(0, 10, size=n)] for n in sizes]  # t9 is OOV
+    return params, index, token_lists
+
+
+def assert_same_ranking(got, want):
+    """Equal ids and scores, a NaN score equal to a NaN."""
+    assert [pid for pid, _ in got] == [pid for pid, _ in want]
+    np.testing.assert_array_equal([s for _, s in got], [s for _, s in want])
+
+
+@pytest.mark.parametrize("k", [1, 3, 39, 40, 55])
+def test_block_search_equals_per_query_search_on_integer_vectors(k):
+    # exact arithmetic: block rows equal the per-query products bit for bit,
+    # so whole rankings are equal, ties at the k-th place included
+    params, index, token_lists = integer_case(seed=k)
+    params.embedding[params.vocab["t8"], 1] = np.nan  # queries holding t8 score NaN
+    got = search_dense_block(index, params, token_lists, k)
+    assert len(got) == len(token_lists)
+    tie_at_k = False
+    for tokens, ranked in zip(token_lists, got):
+        assert_same_ranking(ranked, search_dense(index, params, " ".join(tokens), k))
+        if "t8" not in tokens:
+            full = brute_force_dense(index, encode(params, tokens, as_query=True))
+            assert ranked == full[:k]
+            tie_at_k |= k < len(full) and full[k - 1][1] == full[k][1]
+    assert any("t8" in tokens for tokens in token_lists)
+    assert tie_at_k or k >= len(index.ids)
+
+
+def test_block_search_nan_row_ranks_by_id():
+    params, index, _ = integer_case(seed=0)
+    params.embedding[params.vocab["t8"]] = np.nan
+    got = search_dense_block(index, params, [["t1"], ["t8"], ["t2", "t3"]], 5)
+    # every score of the NaN query is NaN: it ranks by id, as top_k sorts NaN last
+    assert [pid for pid, _ in got[1]] == sorted(index.ids)[:5]
+    assert all(math.isnan(s) for _, s in got[1])
+    assert_same_ranking(got[1], search_dense(index, params, "t8", 5))
+    assert got[0] == search_dense(index, params, "t1", 5)
+    assert got[2] == search_dense(index, params, "t2 t3", 5)
+
+
+def test_block_search_matches_per_query_search_on_random_floats():
+    rng = np.random.default_rng(17)
+    passages = [
+        Passage(id=f"p{i:03d}", text=" ".join(f"t{int(rng.integers(60))}" for _ in range(8)))
+        for i in range(300)
+    ]
+    corpus = Corpus(passages)
+    params = toy_params(corpus, dim=24, seed=5)
+    index = build_dense_index(params, corpus)
+    token_lists = [[f"t{int(t)}" for t in rng.integers(0, 60, size=int(rng.integers(1, 6)))] for _ in range(200)]
+    got = search_dense_block(index, params, token_lists, 20)
+    for tokens, ranked in zip(token_lists, got):
+        want = search_dense(index, params, " ".join(tokens), 20)
+        assert [pid for pid, _ in ranked] == [pid for pid, _ in want]
+        np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want], rtol=0, atol=1e-12)
+
+
+def test_block_search_empty_input_and_bad_k(tiny_corpus):
+    params = toy_params(tiny_corpus)
+    index = build_dense_index(params, tiny_corpus)
+    assert search_dense_block(index, params, [], 3) == []
+    with pytest.raises(ValueError):
+        search_dense_block(index, params, [["apple"]], 0)
 
 
 def test_search_all_oov_ranks_by_id(tiny_corpus):
@@ -380,6 +464,37 @@ def test_infonce_batch_leaves_inputs_unchanged():
 # ---------------------------------------------------------------------------
 
 
+def reference_mean_pool(table, rows_list):
+    """The per-row ``.mean`` loop that ``_mean_pool`` replaces."""
+    pooled = np.zeros((len(rows_list), table.shape[1]))
+    for i, rows in enumerate(rows_list):
+        if rows.size:
+            pooled[i] = table[rows].mean(axis=0)
+    return pooled
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # one column is left out: there numpy's mean sums pairwise, not row by row
+    table=st.tuples(st.integers(1, 12), st.integers(2, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(-1e6, 1e6))
+    ),
+    picks=st.lists(st.lists(st.floats(0, 1, exclude_max=True), max_size=20), max_size=8),
+)
+# a single row, an all-empty input and no input at all
+@example(table=np.array([[-0.0, 1.5], [2.0, -3.0]]), picks=[[0.0]])
+@example(table=np.array([[-0.0, 1.5], [2.0, -3.0]]), picks=[[], [], []])
+@example(table=np.array([[-0.0, 1.5], [2.0, -3.0]]), picks=[])
+# repeated tokens and an empty row between others
+@example(table=np.array([[0.1, 0.2], [0.3, 1e6]]), picks=[[0.9, 0.9, 0.0, 0.9], [], [0.0, 0.0, 0.0]])
+def test_mean_pool_bit_equal_to_per_row_mean(table, picks):
+    rows_list = [np.array([int(p * table.shape[0]) for p in pick], dtype=np.int64) for pick in picks]
+    got = _mean_pool(table, rows_list)
+    want = reference_mean_pool(table, rows_list)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def reference_infonce_batch(params, batch, rows_cache, tok=DEFAULT_TOKENIZER):
     uniq = {}
     for s in batch:
@@ -387,8 +502,8 @@ def reference_infonce_batch(params, batch, rows_cache, tok=DEFAULT_TOKENIZER):
             uniq.setdefault(pid, len(uniq))
     p_rows = [rows_cache[pid] for pid in uniq]
     q_rows = [_token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch]
-    P = _mean_pool(params.embedding, p_rows)
-    Q = _mean_pool(params.table(as_query=True), q_rows)
+    P = reference_mean_pool(params.embedding, p_rows)
+    Q = reference_mean_pool(params.table(as_query=True), q_rows)
     n = len(batch)
     P_grad = np.zeros_like(P)
     Q_grad = np.zeros_like(Q)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -387,10 +388,10 @@ def test_mine_skips_queries_without_vocabulary_tokens(mode):
     )
     oov = Query(id="oov", text="zzz unknownword", lang="en")
     known = Query(id="known", text="w1 v2", lang="en")
-    samples, gen_pairs, with_positives = mine(state, [oov, known], cfg, iteration=1)
+    samples, gen_pairs, with_positives = mine(state, QuerySet([oov, known]), cfg, iteration=1)
     assert all(s.query.id == "known" for s in samples)
     assert all(q.id == "known" for q, _ in gen_pairs)
-    assert (samples, gen_pairs, with_positives) == mine(state, [known], cfg, iteration=1)
+    assert (samples, gen_pairs, with_positives) == mine(state, QuerySet([known]), cfg, iteration=1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -563,6 +564,74 @@ def test_pipeline_plateau_stop(data, tmp_path):
     cfg = small_cfg(iterations=3, plateau_eps=10.0)  # always triggers
     reports = run_pipeline(cfg, data)
     assert len(reports) == 2  # warmup + first iteration
+
+
+def fake_evaluate(metrics_at):
+    """An ``_evaluate`` whose metrics at iteration i are ``metrics_at(i)``."""
+    return lambda state, data, cfg: ({}, metrics_at(state.iteration))
+
+
+def test_pipeline_plateau_follows_target_mrr_not_overall(data, monkeypatch):
+    import lexmine.pipeline as pipeline_mod
+
+    # the iterations trade the labeled source language away: overall MRR
+    # falls while target-language MRR rises, and the run must go on
+    def metrics_at(i):
+        return {
+            "overall": {"mrr@10": 0.6 - 0.05 * i, "recall@10": 0.5},
+            "src": {"mrr@10": 0.9 - 0.2 * i, "recall@10": 0.5},
+            "tgta": {"mrr@10": 0.3 + 0.1 * i, "recall@10": 0.5},
+        }
+
+    monkeypatch.setattr(pipeline_mod, "_evaluate", fake_evaluate(metrics_at))
+    cfg = small_cfg(iterations=3, plateau_eps=0.001, n_generate=0, minibatches_per_iter=2)
+    assert [r.iteration for r in run_pipeline(cfg, data)] == [0, 1, 2, 3]
+
+    # and it stops once target MRR gains less than plateau_eps, whatever overall does
+    def flat_after_one(i):
+        return {"overall": {"mrr@10": 0.1 * i}, "tgta": {"mrr@10": 0.3 + 0.1 * min(i, 1)}}
+
+    monkeypatch.setattr(pipeline_mod, "_evaluate", fake_evaluate(flat_after_one))
+    assert [r.iteration for r in run_pipeline(cfg, data)] == [0, 1, 2]
+
+
+def test_pipeline_never_plateaus_without_target_metrics(data, monkeypatch):
+    import lexmine.pipeline as pipeline_mod
+
+    # only the source language is evaluated: no target MRR to plateau on
+    metrics = {"overall": {"mrr@10": 0.5}, "src": {"mrr@10": 0.5}}
+    monkeypatch.setattr(pipeline_mod, "_evaluate", fake_evaluate(lambda i: metrics))
+    cfg = small_cfg(iterations=3, plateau_eps=10.0, n_generate=0, minibatches_per_iter=2)
+    assert len(run_pipeline(cfg, data)) == 4
+
+
+def test_three_iterations_rank_each_unlabeled_query_with_bm25_once(data, monkeypatch):
+    import lexmine.pipeline as pipeline_mod
+
+    calls = []
+    real = pipeline_mod.search_sparse
+    monkeypatch.setattr(pipeline_mod, "search_sparse", lambda index, q, k: calls.append(q.id) or real(index, q, k))
+    assert len(run_pipeline(small_cfg(iterations=3), data)) == 4
+    assert Counter(c for c in calls if c in data.unlabeled) == Counter(data.unlabeled.ids)
+
+
+def test_two_evaluations_tokenize_each_eval_query_once(data, monkeypatch):
+    import sys
+
+    import lexmine.corpus as corpus_mod
+    from lexmine.pipeline import _evaluate
+
+    cfg = small_cfg()
+    state = make_state(data, cfg)
+    fresh = replace(data, eval_queries=QuerySet(data.eval_queries))  # no tokens memoized yet
+    texts = []
+    real = corpus_mod.tokenize
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lexmine") and getattr(module, "tokenize", None) is real:
+            monkeypatch.setattr(module, "tokenize", lambda text, *a, **k: texts.append(text) or real(text, *a, **k))
+    first = _evaluate(state, fresh, cfg)
+    assert _evaluate(state, fresh, cfg) == first
+    assert sorted(texts) == sorted(q.text for q in fresh.eval_queries)
 
 
 def test_pipeline_reports_start_with_warmup_zero_shot(data):
