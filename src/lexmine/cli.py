@@ -35,7 +35,15 @@ from .corpus import (
     save_queries,
     synth_benchmark,
 )
-from .dense import corpus_token_rows, init_optimizer, load_checkpoint, save_checkpoint, vocab_from_corpus
+from .dense import (
+    EncoderParams,
+    OptimizerState,
+    init_optimizer,
+    load_checkpoint,
+    save_checkpoint,
+    vocab_coverage,
+    vocab_from_corpus,
+)
 from .evaluation import format_lang_table, load_run, mrr_at_k, per_lang_metrics, recall_at_k
 from .mining import MiningConfig, load_samples, save_samples
 from .pipeline import (
@@ -53,11 +61,15 @@ from .pipeline import (
     warmup,
 )
 from .querygen import GeneratorModel, load_generator, save_generator
-from .sparse import BM25Params, build_index, save_index
+from .sparse import BM25Params, build_index
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+
+# a checkpoint whose vocabulary holds less of the corpus's token occurrences
+# than this was warmed up on another corpus or tokenizer config
+MIN_VOCAB_COVERAGE = 0.5
 
 
 class ConfigError(ValueError):
@@ -196,7 +208,7 @@ def _mapping_hash(mapping: dict) -> str:
     return hashlib.sha256(json.dumps(mapping, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _write_manifest(path: Path, command: str, config: dict, seed: int | None) -> None:
+def _write_manifest(path: Path, command: str, config: dict, seed: int) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -277,24 +289,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    mapping = _load_config(args)
-    allowed = {"bm25_k1", "bm25_b", "lowercase", "cjk_char_split", "min_token_len"}
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {key!r}", key=key)
-    # the index depends on no seed; the config only carries the BM25 and tokenizer keys
-    cfg = pipeline_config_from_mapping(mapping, seed=0)
-    corpus = load_passages(data_path(args.passages))
-    index = build_index(corpus, cfg.tokenizer, cfg.bm25)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_index(index, out)
-    _write_manifest(Path(str(out) + ".manifest.json"), "index", mapping, None)
-    print(f"indexed {index.N} passages, {len(index.postings)} terms -> {out}")
-    return EXIT_OK
-
-
 def _cmd_warmup(args: argparse.Namespace) -> int:
     mapping = _load_config(args)
     cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
@@ -316,10 +310,28 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_encoder(
+    args: argparse.Namespace, corpus: Corpus, cfg: PipelineConfig
+) -> tuple[EncoderParams, OptimizerState | None]:
+    """The ``--checkpoint`` encoder and optimizer; an encoder whose vocabulary
+    holds less than ``MIN_VOCAB_COVERAGE`` of the corpus's token occurrences
+    raises ``DataFormatError``, since it would mine and train on almost nothing."""
+    path = data_path(args.checkpoint)
+    params, opt = load_checkpoint(path)
+    coverage = vocab_coverage(params, corpus, cfg.tokenizer)
+    if coverage < MIN_VOCAB_COVERAGE:
+        raise DataFormatError(
+            f"--checkpoint vocabulary holds {coverage:.1%} of the corpus's token occurrences, "
+            f"below {MIN_VOCAB_COVERAGE:.0%}: it was warmed up on another corpus or tokenizer config",
+            path,
+        )
+    return params, opt
+
+
 def _checkpoint_state(
     args: argparse.Namespace, corpus: Corpus, cfg: PipelineConfig, generator: GeneratorModel
 ) -> PipelineState:
-    params, _ = load_checkpoint(data_path(args.checkpoint))
+    params, _ = _load_encoder(args, corpus, cfg)
     return start_state(params, generator, build_index(corpus, cfg.tokenizer, cfg.bm25), corpus, cfg)
 
 
@@ -381,7 +393,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     mapping = _load_config(args)
     cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
     corpus = load_passages(data_path(args.passages))
-    params, opt = load_checkpoint(data_path(args.checkpoint))
+    params, opt = _load_encoder(args, corpus, cfg)
     if opt is None:
         opt = init_optimizer(params, lr=cfg.train_lr)
     else:
@@ -393,10 +405,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise DataFormatError("no training samples", args.samples[0])
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "train output")
-    rows_cache = corpus_token_rows(params, corpus, cfg.tokenizer)
     # the pipeline's first iteration, training stream included
     rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, 1])
-    losses = train(params, opt, dataset, cfg, rows_cache, rng, cfg.minibatches_per_iter, "iteration 1")
+    losses = train(params, opt, dataset, corpus, cfg, rng, cfg.minibatches_per_iter, "iteration 1")
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params, opt)
     _write_manifest(out / "manifest.json", "train", cfg.canonical_dict(), args.seed)
@@ -498,12 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("index", help="build and save the BM25 inverted index")
-    _add_common(p, seed_required=False)
-    p.add_argument("--passages", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("warmup", help="train retriever+generator on labeled data")
     _add_common(p, seed_required=True)

@@ -32,11 +32,11 @@ __all__ = [
     "build_dense_index",
     "search_dense",
     "search_dense_block",
-    "infonce_from_scores",
     "infonce_batch",
     "init_optimizer",
     "train_step",
     "corpus_token_rows",
+    "vocab_coverage",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -55,7 +55,8 @@ class EncoderParams:
     ``embedding`` is the passage-side table; when ``shared`` it also encodes
     queries, otherwise ``query_embedding`` holds a separate table. ``version``
     increments on every training step and ties indexes to the parameters that
-    produced them.
+    produced them. ``corpus_token_rows`` memoizes the per-passage rows here;
+    the vocabulary, and so the rows, never change after construction.
     """
 
     vocab: dict[str, int]
@@ -63,6 +64,9 @@ class EncoderParams:
     shared: bool = True
     query_embedding: np.ndarray | None = None
     version: int = 0
+    _passage_rows: tuple[Corpus, TokenizerConfig, dict[str, np.ndarray]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.embedding.ndim != 2:
@@ -196,16 +200,30 @@ def encode(
 def corpus_token_rows(
     params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> dict[str, np.ndarray]:
-    """Per-passage embedding-row indices, cached once per (vocab, corpus).
+    """Passage id -> the embedding rows its tokens under ``tok`` pool, in
+    corpus order, memoized on ``params`` for the last corpus (by identity) and
+    tokenizer config asked, as ``Corpus.tokenized`` is; callers only read it.
 
     Out-of-vocabulary tokens are skipped, as ``encode`` skips them.
     """
-    tc = corpus.tokenized(tok)
-    row_of = np.array([params.vocab.get(t, -1) for t in tc.vocab], dtype=np.int64)
-    rows = row_of[tc.ids]
-    kept = rows >= 0
-    ends = np.concatenate(([0], np.cumsum(kept)))[tc.offsets]
-    return dict(zip(corpus.ids, np.split(rows[kept], ends[1:-1])))
+    memo = params._passage_rows
+    if memo is None or memo[0] is not corpus or memo[1] != tok:
+        tc = corpus.tokenized(tok)
+        row_of = np.array([params.vocab.get(t, -1) for t in tc.vocab], dtype=np.int64)
+        rows = row_of[tc.ids]
+        kept = rows >= 0
+        ends = np.concatenate(([0], np.cumsum(kept)))[tc.offsets]
+        by_id = dict(zip(corpus.ids, np.split(rows[kept], ends[1:-1])))
+        memo = params._passage_rows = (corpus, tok, by_id)
+    return memo[2]
+
+
+def vocab_coverage(params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> float:
+    """The share of the corpus's token occurrences under ``tok`` that the
+    encoder's vocabulary holds; 1.0 for a corpus without tokens."""
+    total = corpus.tokenized(tok).ids.size
+    kept = sum(rows.size for rows in corpus_token_rows(params, corpus, tok).values())
+    return kept / total if total else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +253,13 @@ class DenseIndex:
 
 
 def build_dense_index(
-    params: EncoderParams,
-    corpus: Corpus,
-    tok: TokenizerConfig = DEFAULT_TOKENIZER,
-    rows_cache: dict[str, np.ndarray] | None = None,
+    params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> DenseIndex:
     """Encode every passage under the current parameters (exact, corpus order)."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    rows_cache = rows_cache if rows_cache is not None else corpus_token_rows(params, corpus, tok)
-    ids = corpus.ids
-    vectors = _mean_pool(params.embedding, [rows_cache[pid] for pid in ids])
-    return DenseIndex(ids=ids, vectors=vectors, params_version=params.version, tokenizer=tok)
+    vectors = _mean_pool(params.embedding, list(corpus_token_rows(params, corpus, tok).values()))
+    return DenseIndex(ids=corpus.ids, vectors=vectors, params_version=params.version, tokenizer=tok)
 
 
 DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
@@ -319,28 +332,21 @@ class TrainingSample:
             )
 
 
-def infonce_from_scores(positive_score: float, negative_scores: Sequence[float]) -> float:
-    """InfoNCE loss given raw similarity scores, with max-shifted exponentials."""
-    z = np.concatenate(([positive_score], np.asarray(negative_scores, dtype=float)))
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()) - positive_score)
-
-
 def infonce_batch(
     params: EncoderParams,
     batch: Sequence[TrainingSample],
-    rows_cache: dict[str, np.ndarray],
+    corpus: Corpus,
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Mean InfoNCE loss over the batch and its exact gradient wrt the tables.
 
     Negatives for each sample are its hard negatives, then its random
     negatives, then the other samples' positives (each once, skipping any that
-    equal the sample's own positive). ``rows_cache`` maps every passage id to
-    its embedding rows (``corpus_token_rows``). Returns ``(loss, g_emb,
-    g_query)``: ``g_query`` is the query table's gradient for untied
-    parameters and None when shared, where the query side adds into
-    ``g_emb``. Inputs are not modified.
+    equal the sample's own positive). Passages of ``corpus`` and queries are
+    tokenized under ``tok``. Returns ``(loss, g_emb, g_query)``: ``g_query``
+    is the query table's gradient for untied parameters and None when shared,
+    where the query side adds into ``g_emb``. Inputs are not modified, apart
+    from the rows ``corpus_token_rows`` memoizes on ``params``.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -349,7 +355,8 @@ def infonce_batch(
     for s in batch:
         for pid in (s.positive, *s.hard_negatives, *s.random_negatives):
             uniq.setdefault(pid, len(uniq))
-    p_rows = [rows_cache[pid] for pid in uniq]
+    rows = corpus_token_rows(params, corpus, tok)
+    p_rows = [rows[pid] for pid in uniq]
     q_rows = [_token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch]
     P = _mean_pool(params.embedding, p_rows)
     Q = _mean_pool(params.table(as_query=True), q_rows)
@@ -367,7 +374,7 @@ def infonce_batch(
         idx = np.array([uniq[pid] for pid in pids], dtype=np.int64)
         P_i = P[idx]
         scores = P_i @ Q[i]
-        # infonce_from_scores and the softmax from one max-shifted exp
+        # the loss and the softmax from one max-shifted exp
         m = scores.max()
         e = np.exp(scores - m)
         e_sum = e.sum()
@@ -452,7 +459,7 @@ def train_step(
     params: EncoderParams,
     opt: OptimizerState,
     batch: Sequence[TrainingSample],
-    rows_cache: dict[str, np.ndarray],
+    corpus: Corpus,
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> tuple[EncoderParams, OptimizerState, float]:
     """One Adam update from ``infonce_batch``'s gradient; returns its mean loss.
@@ -460,7 +467,7 @@ def train_step(
     Parameters and optimizer state are updated in place; the parameter
     version increments. Deterministic given batch order.
     """
-    loss, g_emb, g_query = infonce_batch(params, batch, rows_cache, tok)
+    loss, g_emb, g_query = infonce_batch(params, batch, corpus, tok)
     opt.step += 1
     _adam_update(params.embedding, g_emb, opt.m, opt.v, opt)
     if g_query is not None:

@@ -37,7 +37,6 @@ from .dense import (
     OptimizerState,
     TrainingSample,
     build_dense_index,
-    corpus_token_rows,
     init_optimizer,
     init_params,
     load_checkpoint,
@@ -215,7 +214,7 @@ class IterationReport:
 @dataclass
 class PipelineState:
     """Everything the stages read: the corpus, the encoder and generator, and
-    the indexes and token rows built from that corpus.
+    the indexes built from that corpus.
 
     ``fixed_rankings`` holds the top-L ranking of each query mined so far by
     the retriever mining compares against, BM25 or under ``double_dense`` the
@@ -227,7 +226,6 @@ class PipelineState:
     corpus: Corpus
     sparse_index: InvertedIndex
     dense_index: DenseIndex
-    rows_cache: dict[str, np.ndarray]
     iteration: int = 0
     aux_params: EncoderParams | None = None
     aux_index: DenseIndex | None = None
@@ -243,16 +241,14 @@ def start_state(
     iteration: int = 0,
     aux_params: EncoderParams | None = None,
 ) -> PipelineState:
-    """The state that continues from ``params``: token rows cached, dense indexes built."""
-    rows_cache = corpus_token_rows(params, corpus, cfg.tokenizer)
+    """The state that continues from ``params``, with its dense indexes built."""
     aux_index = None if aux_params is None else build_dense_index(aux_params, corpus, cfg.tokenizer)
     return PipelineState(
         params=params,
         generator=generator,
         corpus=corpus,
         sparse_index=sparse_index,
-        dense_index=build_dense_index(params, corpus, cfg.tokenizer, rows_cache=rows_cache),
-        rows_cache=rows_cache,
+        dense_index=build_dense_index(params, corpus, cfg.tokenizer),
         iteration=iteration,
         aux_params=aux_params,
         aux_index=aux_index,
@@ -323,11 +319,10 @@ def warmup(
             )
             filled.append(replace(s, random_negatives=randoms))
 
-    rows_cache = corpus_token_rows(params, corpus, cfg.tokenizer)
     opt = init_optimizer(params, lr=cfg.warmup_lr)
     rng_shuffle = np.random.default_rng([cfg.seed, _WARMUP_SHUFFLE, seed_offset])
     steps = cfg.warmup_epochs * math.ceil(len(filled) / cfg.batch_size)
-    train(params, opt, filled, cfg, rows_cache, rng_shuffle, steps, "warm-up")
+    train(params, opt, filled, corpus, cfg, rng_shuffle, steps, "warm-up")
 
     generator = train_generator(
         GeneratorModel(),
@@ -500,13 +495,14 @@ def train(
     params: EncoderParams,
     opt: OptimizerState,
     dataset: Sequence[TrainingSample],
+    corpus: Corpus,
     cfg: PipelineConfig,
-    rows_cache: dict[str, np.ndarray],
     rng: np.random.Generator,
     steps: int,
     label: str,
 ) -> list[float]:
-    """Run ``steps`` minibatch steps on ``dataset``; returns the step losses.
+    """Run ``steps`` minibatch steps on ``dataset`` over the passages of
+    ``corpus``; returns the step losses.
 
     Minibatches walk a shuffled order of ``dataset`` drawn from ``rng`` and
     reshuffle when it runs out, so every ``ceil(len(dataset) / batch_size)``
@@ -522,7 +518,7 @@ def train(
             pos = 0
         batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
         pos += cfg.batch_size
-        _, _, loss = train_step(params, opt, batch, rows_cache, cfg.tokenizer)
+        _, _, loss = train_step(params, opt, batch, corpus, cfg.tokenizer)
         if not math.isfinite(loss):
             raise PipelineError(f"{label} step {step}: training loss is {loss}")
         losses.append(loss)
@@ -563,11 +559,9 @@ def run_iteration(
     opt = init_optimizer(state.params, lr=cfg.train_lr)
     rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, iteration])
     label = f"iteration {iteration}"
-    losses = train(state.params, opt, dataset, cfg, state.rows_cache, rng, cfg.minibatches_per_iter, label)
+    losses = train(state.params, opt, dataset, state.corpus, cfg, rng, cfg.minibatches_per_iter, label)
 
-    state.dense_index = build_dense_index(
-        state.params, state.corpus, cfg.tokenizer, rows_cache=state.rows_cache
-    )
+    state.dense_index = build_dense_index(state.params, state.corpus, cfg.tokenizer)
     state.iteration = iteration
     run, metrics = _evaluate(state, data, cfg)
 

@@ -10,16 +10,14 @@ form of BM25), so a query sums its terms' impact rows.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
+from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, tokenize
 
 __all__ = [
     "BM25Params",
@@ -30,8 +28,6 @@ __all__ = [
     "bm25_score",
     "search_sparse",
     "top_k",
-    "save_index",
-    "load_index",
 ]
 
 # (passage_id, score) pairs sorted by score descending, then id ascending.
@@ -255,36 +251,3 @@ def search_sparse(index: InvertedIndex, query: Query | str, k: int) -> RankedLis
         scores[p.rank[lo:hi]] += index.impact[lo:hi]
     best = top_k(scores, None, k, np.flatnonzero(scores > 0.0))
     return [(p.ids[r], float(scores[r])) for r in best.tolist()]
-
-
-def save_index(index: InvertedIndex, path: str | Path) -> None:
-    payload = {
-        "format": 1,
-        "params": {"k1": index.params.k1, "b": index.params.b},
-        "tokenizer": {
-            "lowercase": index.tokenizer.lowercase,
-            "cjk_char_split": index.tokenizer.cjk_char_split,
-            "min_token_len": index.tokenizer.min_token_len,
-        },
-        "N": index.N,
-        "avgdl": index.avgdl,
-        "doc_len": index.doc_len,
-        "postings": {t: [[pid, tf] for pid, tf in plist] for t, plist in index.postings.items()},
-    }
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False)
-
-
-def load_index(path: str | Path) -> InvertedIndex:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != 1:
-        raise ValueError(f"unsupported index format {payload.get('format')!r}")
-    return InvertedIndex(
-        postings={t: [(pid, int(tf)) for pid, tf in plist] for t, plist in payload["postings"].items()},
-        doc_len={pid: int(v) for pid, v in payload["doc_len"].items()},
-        N=int(payload["N"]),
-        avgdl=float(payload["avgdl"]),
-        params=BM25Params(**payload["params"]),
-        tokenizer=TokenizerConfig(**payload["tokenizer"]),
-    )

@@ -19,7 +19,6 @@ from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
 from lexmine.corpus import Corpus, Judgment, JudgmentSet, Passage, Query, SynthSpec, synth_benchmark, tokenize
 from lexmine.dense import (
     TrainingSample,
-    corpus_token_rows,
     infonce_batch,
     init_params,
     vocab_from_corpus,
@@ -149,7 +148,7 @@ def _gradient_case(seed, shared):
         TrainingSample(query=queries[1], positive="p4", hard_negatives=("p5",)),
         TrainingSample(query=queries[2], positive="p0", random_negatives=("p6",)),
     ]
-    return params, batch, corpus_token_rows(params, corpus)
+    return params, batch, corpus
 
 
 def test_acceptance_2_gradient_check():
@@ -160,8 +159,8 @@ def test_acceptance_2_gradient_check():
     worst = 0.0
     for seed in range(20):
         for shared in (True, False):
-            params, batch, rows_cache = _gradient_case(seed, shared)
-            _, g_emb, g_query = infonce_batch(params, batch, rows_cache)
+            params, batch, corpus = _gradient_case(seed, shared)
+            _, g_emb, g_query = infonce_batch(params, batch, corpus)
             tables = [(params.embedding, g_emb)]
             if not shared:
                 tables.append((params.query_embedding, g_query))
@@ -171,9 +170,9 @@ def test_acceptance_2_gradient_check():
                     for j in range(params.dim):
                         orig = table[row, j]
                         table[row, j] = orig + h
-                        up = infonce_batch(params, batch, rows_cache)[0]
+                        up = infonce_batch(params, batch, corpus)[0]
                         table[row, j] = orig - h
-                        down = infonce_batch(params, batch, rows_cache)[0]
+                        down = infonce_batch(params, batch, corpus)[0]
                         table[row, j] = orig
                         numeric[j] = (up - down) / (2 * h)
                     denom = max(float(np.max(np.abs(numeric))), 1e-8)

@@ -20,7 +20,6 @@ from lexmine.evaluation import save_run
 from lexmine.mining import save_samples
 from lexmine.pipeline import _write_json
 from lexmine.querygen import GeneratorModel, save_generator
-from lexmine.sparse import build_index, save_index
 
 
 class Interrupted(Exception):
@@ -62,8 +61,6 @@ def _samples(v):
     ]
 
 
-_CORPUS = Corpus([Passage(id=f"p{i}", text=f"alpha t{i}") for i in range(3)])
-
 # writer name -> (write(path, version), patch target, replacement factory)
 WRITERS = {
     "samples": (lambda path, v: save_samples(_samples(v), path), (json, "dumps"), _dumps_once),
@@ -87,11 +84,6 @@ WRITERS = {
         # the payload is encoded whole, inside the write, before its one fh.write
         (json, "dumps"),
         lambda: _raise,
-    ),
-    "index": (
-        lambda path, v: save_index(build_index(_CORPUS), path),
-        (json, "dump"),
-        lambda: _partial_then_raise('{"format": 1, '),
     ),
     "manifest": (
         lambda path, v: _write_manifest(path, "synth", {"v": str(v)}, v),

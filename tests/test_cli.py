@@ -230,20 +230,34 @@ def test_seed_is_mandatory_for_stochastic_commands(tmp_path, synth_cfg, capsys):
     assert exc.value.code == 2
 
 
-def test_index_command(tmp_path, synth_dir):
-    out = tmp_path / "idx.json"
-    assert dispatch(["index", "--passages", str(synth_dir / "passages.jsonl"), "--out", str(out)]) == EXIT_OK
-    assert out.exists()
-    assert Path(str(out) + ".manifest.json").exists()
+def test_removed_index_command_exit_2(tmp_path, capsys):
+    # every stage builds its BM25 index from --passages; nothing read the saved one
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["index", "--passages", str(tmp_path / "p.jsonl"), "--out", str(tmp_path / "idx.json")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'index'" in capsys.readouterr().err
+    assert not (tmp_path / "idx.json").exists()
+
+
+def warmup_cmd(data, out, *extra):
+    return dispatch(
+        [
+            "warmup",
+            "--passages", str(data / "passages.jsonl"),
+            "--queries", str(data / "train_queries.jsonl"),
+            "--qrels", str(data / "qrels.tsv"),
+            "--seed", "3",
+            "--out", str(out),
+            *extra,
+        ]
+    )
 
 
 @pytest.mark.parametrize("setting", ["bm25_k1=abc", "bm25_b=2", "min_token_len=0"])
-def test_index_bad_value_exit_2(tmp_path, synth_dir, capsys, setting):
-    out = tmp_path / "idx.json"
-    code = dispatch(
-        ["index", "--passages", str(synth_dir / "passages.jsonl"), "--out", str(out), "--set", setting]
-    )
-    assert code == EXIT_CONFIG
+def test_index_bad_value_exit_2(tmp_path, capsys, setting):
+    # bad values of the BM25 index and tokenizer keys
+    out = tmp_path / "warm"
+    assert warmup_cmd(tiny_data(tmp_path), out, "--set", setting) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -281,16 +295,20 @@ def test_eval_k_below_one_exit_2(tmp_path, capsys):
     assert "config error: --k must be >= 1" in capsys.readouterr().err
 
 
-def test_data_error_exit_3(tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"id": "p1", "text": "ok"}\nnot-json\n')
-    code = dispatch(["index", "--passages", str(bad), "--out", str(tmp_path / "i.json")])
-    assert code == EXIT_DATA
+def test_data_error_exit_3(tmp_path, capsys):
+    data = tiny_data(tmp_path)
+    (data / "passages.jsonl").write_text('{"id": "p1", "text": "ok"}\nnot-json\n')
+    assert warmup_cmd(data, tmp_path / "warm") == EXIT_DATA
+    assert f"data error: {data / 'passages.jsonl'}:2: " in capsys.readouterr().err
+    assert not (tmp_path / "warm").exists()
 
 
-def test_missing_file_exit_3(tmp_path):
-    code = dispatch(["index", "--passages", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "i")])
-    assert code == EXIT_DATA
+def test_missing_file_exit_3(tmp_path, capsys):
+    data = tiny_data(tmp_path)
+    (data / "passages.jsonl").unlink()
+    assert warmup_cmd(data, tmp_path / "warm") == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+    assert not (tmp_path / "warm").exists()
 
 
 def test_pipeline_and_eval_cross_check(tmp_path, synth_dir):
@@ -777,6 +795,48 @@ def test_mine_malformed_checkpoint_exit_3(tmp_path, capsys, write):
     out = tmp_path / "mined.jsonl"
     assert mine_cmd(cfg, data, ckpt, out, 3) == EXIT_DATA
     assert f"data error: {ckpt}: not a lexmine checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture()
+def foreign_warm(tmp_path, synth_cfg):
+    """A warm-up directory from a synth corpus under other language tags, so
+    its vocabulary shares no token with ``synth_dir``'s."""
+    data = tmp_path / "foreign"
+    code = dispatch(
+        ["synth", "--config", str(synth_cfg), "--set", "languages=zsrc,ztgt", "--seed", "7", "--out", str(data)]
+    )
+    assert code == EXIT_OK
+    (data / "train_queries.jsonl").write_bytes((data / "queries.jsonl").read_bytes())
+    cfg = tmp_path / "foreign.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    assert warmup_cmd(data, tmp_path / "foreign_warm", "--config", str(cfg)) == EXIT_OK
+    return tmp_path / "foreign_warm"
+
+
+@pytest.mark.parametrize("command", ["mine", "generate", "train"])
+def test_stage_command_rejects_checkpoint_of_another_vocabulary(
+    tmp_path, synth_dir, warm_ckpt, foreign_warm, capsys, command
+):
+    cfg = tmp_path / "c.cfg"
+    ckpt = foreign_warm / "checkpoint.npz"
+    out = tmp_path / "out"
+    if command == "mine":
+        # the checkpoint warmed up on this corpus mines as before
+        assert mine_cmd(cfg, synth_dir, warm_ckpt, tmp_path / "ok.jsonl", 3) == EXIT_OK
+        assert (tmp_path / "ok.jsonl").stat().st_size > 0
+        capsys.readouterr()
+        code = mine_cmd(cfg, synth_dir, ckpt, out, 3)
+    elif command == "generate":
+        code = generate_cmd(cfg, synth_dir, ckpt, foreign_warm / "generator.json", out, 3)
+    else:
+        passage = next(iter(load_passages(synth_dir / "passages.jsonl")))
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(json.dumps({"query_id": "q", "query_text": passage.text, "positive": passage.id}) + "\n")
+        code = train_cmd(cfg, synth_dir, ckpt, [samples], out, 3)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {ckpt}: --checkpoint vocabulary holds 0.0% of the corpus's token occurrences" in err
     assert not out.exists()
 
 

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lexmine.dense as dense_mod
-from lexmine.corpus import DEFAULT_TOKENIZER, Corpus, Passage, Query, SynthSpec, synth_benchmark, tokenize
+from lexmine.corpus import (
+    DEFAULT_TOKENIZER,
+    Corpus,
+    Passage,
+    Query,
+    SynthSpec,
+    TokenizerConfig,
+    synth_benchmark,
+    tokenize,
+)
 from lexmine.dense import (
     DENSE_BLOCK,
     OptimizerState,
@@ -23,7 +32,6 @@ from lexmine.dense import (
     corpus_token_rows,
     encode,
     infonce_batch,
-    infonce_from_scores,
     init_optimizer,
     init_params,
     load_checkpoint,
@@ -31,6 +39,7 @@ from lexmine.dense import (
     search_dense,
     search_dense_block,
     train_step,
+    vocab_coverage,
     vocab_from_corpus,
 )
 from lexmine.mining import MiningConfig
@@ -53,15 +62,23 @@ def brute_force_dense(index, qv):
     return scored
 
 
-def numeric_gradient(params, batch, rows_cache, table, h=1e-5):
+def infonce_from_scores(positive_score, negative_scores):
+    """Oracle: the InfoNCE loss of one sample from its raw similarity scores,
+    with max-shifted exponentials."""
+    z = np.concatenate(([positive_score], np.asarray(negative_scores, dtype=float)))
+    m = z.max()
+    return float(m + np.log(np.exp(z - m).sum()) - positive_score)
+
+
+def numeric_gradient(params, batch, corpus, table, h=1e-5):
     """Central finite differences of the batch mean loss wrt every entry of ``table``."""
     grad = np.zeros_like(table)
     for idx in np.ndindex(*table.shape):
         orig = table[idx]
         table[idx] = orig + h
-        lo_plus = infonce_batch(params, batch, rows_cache)[0]
+        lo_plus = infonce_batch(params, batch, corpus)[0]
         table[idx] = orig - h
-        lo_minus = infonce_batch(params, batch, rows_cache)[0]
+        lo_minus = infonce_batch(params, batch, corpus)[0]
         table[idx] = orig
         grad[idx] = (lo_plus - lo_minus) / (2 * h)
     return grad
@@ -90,7 +107,7 @@ def random_case(seed, shared=True):
         TrainingSample(query=query(1), positive="p4", hard_negatives=("p0",)),
         TrainingSample(query=Query(id="q2", text=query(2).text + " zzz"), positive="p0", random_negatives=("p5", "p6")),
     ]
-    return params, batch, corpus_token_rows(params, corpus), corpus
+    return params, batch, corpus
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +173,67 @@ def test_index_empty_corpus_rejected(tiny_corpus):
     params = toy_params(tiny_corpus)
     with pytest.raises(ValueError):
         build_dense_index(params, Corpus([]))
+
+
+# ---------------------------------------------------------------------------
+# the per-passage rows memoized on the encoder
+# ---------------------------------------------------------------------------
+
+
+def fresh_rows(params, corpus, tok=DEFAULT_TOKENIZER):
+    """Oracle: each passage's in-vocabulary token rows, from its own tokens."""
+    return {p.id: [params.vocab[t] for t in tokenize(p.text, tok) if t in params.vocab] for p in corpus}
+
+
+def assert_rows_fresh(params, corpus, tok=DEFAULT_TOKENIZER):
+    rows = corpus_token_rows(params, corpus, tok)
+    assert {pid: r.tolist() for pid, r in rows.items()} == fresh_rows(params, corpus, tok)
+
+
+def test_corpus_token_rows_memo_returns_the_same_rows(tiny_corpus):
+    params = init_params(["apple", "cherry", "fig"], dim=2)
+    rows = corpus_token_rows(params, tiny_corpus)
+    assert corpus_token_rows(params, tiny_corpus) is rows
+    assert corpus_token_rows(params, tiny_corpus, TokenizerConfig()) is rows
+    # training moves the table, never the vocabulary: a step keeps the memo
+    train_step(params, init_optimizer(params), batch_for(tiny_corpus), tiny_corpus)
+    assert corpus_token_rows(params, tiny_corpus) is rows
+    assert "_passage_rows" not in repr(params)
+
+
+def test_corpus_token_rows_memo_is_never_stale(tmp_path, tiny_corpus):
+    params = init_params(["apple", "cherry", "fig", "ab"], dim=2)
+    assert_rows_fresh(params, tiny_corpus)
+    # another corpus object, with equal ids but other texts
+    other = Corpus([Passage(id=p.id, text=p.text.replace("apple", "ab cherry")) for p in tiny_corpus])
+    assert_rows_fresh(params, other)
+    assert corpus_token_rows(params, other)["p1"].size == 4
+    # an equal corpus is another object: it gets rows of its own, equal ones
+    copy = Corpus(list(tiny_corpus))
+    assert corpus_token_rows(params, copy) is not corpus_token_rows(params, tiny_corpus)
+    assert_rows_fresh(params, copy)
+    # another tokenizer config, then the first one again
+    short = TokenizerConfig(min_token_len=4)
+    assert_rows_fresh(params, tiny_corpus, short)
+    assert corpus_token_rows(params, tiny_corpus, short)["p4"].size == 1
+    assert_rows_fresh(params, tiny_corpus)
+    # a checkpoint loaded again, after its file was replaced by another vocabulary
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    loaded, _ = load_checkpoint(path)
+    assert_rows_fresh(loaded, tiny_corpus)
+    save_checkpoint(path, init_params(["banana", "date"], dim=2))
+    reloaded, _ = load_checkpoint(path)
+    assert_rows_fresh(reloaded, tiny_corpus)
+    assert_rows_fresh(params, tiny_corpus)
+
+
+def test_vocab_coverage_counts_token_occurrences(tiny_corpus):
+    # 10 token occurrences, of which "apple" makes 3 and "fig" 2
+    assert vocab_coverage(init_params(["apple", "fig", "zz"], dim=2), tiny_corpus) == 0.5
+    assert vocab_coverage(toy_params(tiny_corpus), tiny_corpus) == 1.0
+    assert vocab_coverage(init_params(["zz"], dim=2), tiny_corpus) == 0.0
+    assert vocab_coverage(init_params(["zz"], dim=2), Corpus([Passage(id="p", text="!!")])) == 1.0
 
 
 def test_search_matches_brute_force():
@@ -322,7 +400,7 @@ def test_search_stale_index(tiny_corpus, rng):
     sample = TrainingSample(
         query=Query(id="q", text="apple"), positive="p1", hard_negatives=("p2",)
     )
-    train_step(params, opt, [sample], corpus_token_rows(params, tiny_corpus))
+    train_step(params, opt, [sample], tiny_corpus)
     with pytest.raises(StaleIndexError):
         search_dense(index, params, Query(id="q", text="apple"), 2)
     fresh = build_dense_index(params, tiny_corpus)
@@ -347,7 +425,7 @@ def test_loss_uniform_case_ln4(tiny_corpus):
         positive="p0",
         hard_negatives=("p1", "p2", "p3"),
     )
-    loss, _, _ = infonce_batch(params, [sample], corpus_token_rows(params, corpus))
+    loss, _, _ = infonce_batch(params, [sample], corpus)
     assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
 
@@ -364,7 +442,7 @@ def test_loss_frozen_oracle_value():
     sample = TrainingSample(
         query=Query(id="q", text="q"), positive="pos", hard_negatives=("n1", "n2")
     )
-    loss, _, _ = infonce_batch(params, [sample], corpus_token_rows(params, corpus))
+    loss, _, _ = infonce_batch(params, [sample], corpus)
     assert loss == pytest.approx(INFONCE_2_1_05, rel=1e-12)
 
 
@@ -372,7 +450,7 @@ def test_loss_frozen_oracle_value():
 def test_batch_loss_is_mean_of_per_sample_losses(shared):
     # oracle: each sample scored on its own from encode(), with the other
     # samples' positives (minus its own) appended as negatives
-    params, batch, rows_cache, corpus = random_case(3, shared=shared)
+    params, batch, corpus = random_case(3, shared=shared)
     positives = [s.positive for s in batch]
     want = []
     for i, s in enumerate(batch):
@@ -383,7 +461,7 @@ def test_batch_loss_is_mean_of_per_sample_losses(shared):
             for pid in (s.positive, *s.hard_negatives, *s.random_negatives, *in_batch)
         ]
         want.append(infonce_from_scores(scores[0], scores[1:]))
-    loss, _, _ = infonce_batch(params, batch, rows_cache)
+    loss, _, _ = infonce_batch(params, batch, corpus)
     assert loss == pytest.approx(float(np.mean(want)), rel=1e-12)
 
 
@@ -411,14 +489,14 @@ def test_loss_shift_invariance(pos, negs, c):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("shared", [True, False])
 def test_gradient_matches_finite_differences(seed, shared):
-    params, batch, rows_cache, _ = random_case(seed, shared=shared)
-    _, g_emb, g_query = infonce_batch(params, batch, rows_cache)
+    params, batch, corpus = random_case(seed, shared=shared)
+    _, g_emb, g_query = infonce_batch(params, batch, corpus)
     assert (g_query is None) == shared
     checked = [(g_emb, params.embedding)]
     if not shared:
         checked.append((g_query, params.query_embedding))
     for analytic, table in checked:
-        numeric = numeric_gradient(params, batch, rows_cache, table)
+        numeric = numeric_gradient(params, batch, corpus, table)
         for row in range(table.shape[0]):
             denom = max(np.max(np.abs(numeric[row])), 1e-8)
             assert np.max(np.abs(analytic[row] - numeric[row])) / denom < 1e-4
@@ -430,8 +508,8 @@ def test_gradient_covers_all_touched_rows():
         return set(np.flatnonzero(np.any(g != 0.0, axis=1)).tolist())
 
     for shared in (True, False):
-        params, batch, rows_cache, corpus = random_case(7, shared=shared)
-        _, g_emb, g_query = infonce_batch(params, batch, rows_cache)
+        params, batch, corpus = random_case(7, shared=shared)
+        _, g_emb, g_query = infonce_batch(params, batch, corpus)
 
         def rows_of(texts):
             return {params.vocab[t] for text in texts for t in tokenize(text) if t in params.vocab}
@@ -448,14 +526,17 @@ def test_gradient_covers_all_touched_rows():
 
 
 def test_infonce_batch_leaves_inputs_unchanged():
-    params, batch, rows_cache, _ = random_case(5, shared=False)
+    params, batch, corpus = random_case(5, shared=False)
     emb, qemb = params.embedding.copy(), params.query_embedding.copy()
-    cache = {pid: rows.copy() for pid, rows in rows_cache.items()}
-    infonce_batch(params, batch, rows_cache)
+    rows = corpus_token_rows(params, corpus)
+    saved = {pid: r.copy() for pid, r in rows.items()}
+    infonce_batch(params, batch, corpus)
     assert np.array_equal(params.embedding, emb) and np.array_equal(params.query_embedding, qemb)
     assert params.version == 0
-    assert rows_cache.keys() == cache.keys()
-    assert all(np.array_equal(rows_cache[pid], cache[pid]) for pid in cache)
+    # the memoized rows the batch pooled are the same object, unchanged
+    assert corpus_token_rows(params, corpus) is rows
+    assert rows.keys() == saved.keys()
+    assert all(np.array_equal(rows[pid], saved[pid]) for pid in saved)
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +576,13 @@ def test_mean_pool_bit_equal_to_per_row_mean(table, picks):
     assert got.tobytes() == want.tobytes()
 
 
-def reference_infonce_batch(params, batch, rows_cache, tok=DEFAULT_TOKENIZER):
+def reference_infonce_batch(params, batch, corpus, tok=DEFAULT_TOKENIZER):
     uniq = {}
     for s in batch:
         for pid in (s.positive, *s.hard_negatives, *s.random_negatives):
             uniq.setdefault(pid, len(uniq))
-    p_rows = [rows_cache[pid] for pid in uniq]
+    rows = corpus_token_rows(params, corpus, tok)
+    p_rows = [rows[pid] for pid in uniq]
     q_rows = [_token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch]
     P = reference_mean_pool(params.embedding, p_rows)
     Q = reference_mean_pool(params.table(as_query=True), q_rows)
@@ -583,7 +665,7 @@ def oracle_inputs(case, shared, seed):
         )
         for i, (query, pos, hard, rand) in enumerate(samples)
     ]
-    return params, batch, corpus_token_rows(params, corpus)
+    return params, batch, corpus
 
 
 @settings(max_examples=150, deadline=None)
@@ -599,9 +681,9 @@ def oracle_inputs(case, shared, seed):
 # a batch of size 1 with a single candidate
 @example(case=([[4]], [([4], 0, [], [])]), shared=True, seed=4)
 def test_infonce_batch_bit_equal_to_add_at_reference(case, shared, seed):
-    params, batch, rows_cache = oracle_inputs(case, shared, seed)
-    loss, g_emb, g_query = infonce_batch(params, batch, rows_cache)
-    want_loss, want_emb, want_query = reference_infonce_batch(params, batch, rows_cache)
+    params, batch, corpus = oracle_inputs(case, shared, seed)
+    loss, g_emb, g_query = infonce_batch(params, batch, corpus)
+    want_loss, want_emb, want_query = reference_infonce_batch(params, batch, corpus)
     assert loss == want_loss
     assert np.array_equal(g_emb, want_emb)
     assert (g_query is None) == shared
@@ -739,7 +821,7 @@ def test_train_step_zero_lr_keeps_params(tiny_corpus):
     params = toy_params(tiny_corpus)
     before = params.embedding.copy()
     opt = init_optimizer(params, lr=0.0)
-    _, _, loss = train_step(params, opt, batch_for(tiny_corpus), corpus_token_rows(params, tiny_corpus))
+    _, _, loss = train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
     assert np.array_equal(params.embedding, before)
     assert loss > 0
     assert params.version == 1
@@ -751,9 +833,8 @@ def test_train_step_deterministic(tiny_corpus):
     for _ in range(2):
         params = toy_params(tiny_corpus, seed=3)
         opt = init_optimizer(params, lr=0.05)
-        rows_cache = corpus_token_rows(params, tiny_corpus)
         for _ in range(5):
-            train_step(params, opt, batch_for(tiny_corpus), rows_cache)
+            train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
         results.append(params.embedding.copy())
     assert np.array_equal(results[0], results[1])
 
@@ -762,10 +843,9 @@ def test_train_step_descends_on_fixed_batch(tiny_corpus):
     params = toy_params(tiny_corpus, seed=1)
     opt = init_optimizer(params, lr=0.02)
     batch = batch_for(tiny_corpus)
-    rows_cache = corpus_token_rows(params, tiny_corpus)
     losses = []
     for _ in range(50):
-        _, _, loss = train_step(params, opt, batch, rows_cache)
+        _, _, loss = train_step(params, opt, batch, tiny_corpus)
         losses.append(loss)
     window = 10
     means = [np.mean(losses[i : i + window]) for i in range(0, len(losses) - window + 1)]
@@ -777,8 +857,7 @@ def test_train_step_descends_on_fixed_batch(tiny_corpus):
 def test_train_step_is_adam_on_infonce_batch(tiny_corpus, shared):
     params = toy_params(tiny_corpus, seed=2, shared=shared)
     batch = batch_for(tiny_corpus)
-    rows_cache = corpus_token_rows(params, tiny_corpus)
-    want_loss, g_emb, g_query = infonce_batch(params, batch, rows_cache)
+    want_loss, g_emb, g_query = infonce_batch(params, batch, tiny_corpus)
 
     def first_adam_step(table, g, opt):
         m_hat = (1 - opt.beta1) * g / (1 - opt.beta1)
@@ -788,7 +867,7 @@ def test_train_step_is_adam_on_infonce_batch(tiny_corpus, shared):
     opt = init_optimizer(params, lr=0.01)
     want_emb = first_adam_step(params.embedding, g_emb, opt)
     want_query = None if shared else first_adam_step(params.query_embedding, g_query, opt)
-    _, _, loss = train_step(params, opt, batch, rows_cache)
+    _, _, loss = train_step(params, opt, batch, tiny_corpus)
     assert loss == want_loss
     np.testing.assert_allclose(params.embedding, want_emb, rtol=1e-12, atol=1e-15)
     if not shared:
@@ -801,7 +880,7 @@ def test_train_step_untied_updates_query_table(tiny_corpus):
     q_before = params.query_embedding.copy()
     p_before = params.embedding.copy()
     opt = init_optimizer(params, lr=0.05)
-    train_step(params, opt, batch_for(tiny_corpus), corpus_token_rows(params, tiny_corpus))
+    train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
     assert not np.array_equal(params.query_embedding, q_before)
     assert not np.array_equal(params.embedding, p_before)
 
@@ -810,7 +889,7 @@ def test_train_step_empty_batch_rejected(tiny_corpus):
     params = toy_params(tiny_corpus)
     opt = init_optimizer(params)
     with pytest.raises(ValueError):
-        train_step(params, opt, [], corpus_token_rows(params, tiny_corpus))
+        train_step(params, opt, [], tiny_corpus)
     assert opt.step == 0 and params.version == 0
 
 
@@ -823,7 +902,7 @@ def test_train_step_empty_batch_rejected(tiny_corpus):
 def test_checkpoint_round_trip(tmp_path, tiny_corpus, shared):
     params = toy_params(tiny_corpus, shared=shared)
     opt = init_optimizer(params, lr=0.07)
-    train_step(params, opt, batch_for(tiny_corpus), corpus_token_rows(params, tiny_corpus))
+    train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt)
     loaded, lopt = load_checkpoint(path)

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -12,8 +13,6 @@ from lexmine.sparse import (
     InvertedIndex,
     bm25_score,
     build_index,
-    load_index,
-    save_index,
     search_sparse,
     top_k,
 )
@@ -247,18 +246,6 @@ def test_bm25_params_validation():
         BM25Params(b=1.5)
 
 
-def test_index_round_trip(tmp_path, tiny_corpus):
-    index = build_index(tiny_corpus, tok=TokenizerConfig(min_token_len=2), params=BM25Params(k1=1.2))
-    save_index(index, tmp_path / "idx.json")
-    loaded = load_index(tmp_path / "idx.json")
-    assert loaded.postings == index.postings
-    assert loaded.doc_len == index.doc_len
-    assert loaded.params == index.params
-    assert loaded.tokenizer == index.tokenizer
-    q = Query(id="q", text="apple banana")
-    assert search_sparse(loaded, q, 4) == search_sparse(index, q, 4)
-
-
 # ---------------------------------------------------------------------------
 # precomputed impacts and the posting-list view
 # ---------------------------------------------------------------------------
@@ -324,13 +311,19 @@ def test_postings_view_behaves_as_a_mapping(tiny_corpus):
     assert index.df("zebra") == 0
 
 
-def test_save_index_matches_golden_bytes(tmp_path):
+def test_build_index_matches_golden_index():
     # the golden file was written by the index code that kept postings as lists
+    golden = json.loads(GOLDEN_INDEX.read_text(encoding="utf-8"))
     index = build_index(golden_corpus(), TokenizerConfig(min_token_len=1), BM25Params(k1=1.2, b=0.75))
-    save_index(index, tmp_path / "idx.json")
-    assert (tmp_path / "idx.json").read_bytes() == GOLDEN_INDEX.read_bytes()
-    save_index(load_index(GOLDEN_INDEX), tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == GOLDEN_INDEX.read_bytes()
+    # terms in sorted order, each with its (passage id, tf) pairs in ascending id order
+    assert [(t, [[pid, tf] for pid, tf in plist]) for t, plist in index.postings.items()] == list(
+        golden["postings"].items()
+    )
+    assert list(index.doc_len.items()) == list(golden["doc_len"].items())
+    assert index.N == golden["N"]
+    assert index.avgdl == golden["avgdl"]
+    assert index.params == BM25Params(**golden["params"])
+    assert index.tokenizer == TokenizerConfig(**golden["tokenizer"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ package module, so this check writes nothing under ``perfbench/``.
 """
 
 import importlib
+import inspect
 from pathlib import Path
+
+from lexmine.corpus import tokenize
+from lexmine.dense import train_step
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +31,9 @@ def test_traced_functions_resolve_on_lexmine():
         if not callable(getattr(importlib.import_module(f"lexmine.{module}"), name, None))
     ]
     assert not missing
+
+
+def test_counted_arguments_keep_their_positions():
+    # the tracer's counters read train_step's batch as args[2] and tokenize's text as args[0]
+    assert list(inspect.signature(train_step).parameters)[2] == "batch"
+    assert list(inspect.signature(tokenize).parameters)[0] == "text"
