@@ -300,7 +300,7 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     _guard_overwrite(out / "manifest.json", args.overwrite, "warmup output")
     sparse_index = build_index(corpus, cfg.tokenizer, cfg.bm25)
     labeled = assemble_warmup_samples(queries, qrels, sparse_index, cfg)
-    vocab = vocab_from_corpus(corpus, cfg.tokenizer, [s.query for s in labeled])
+    vocab = vocab_from_corpus(corpus, cfg.tokenizer, [QuerySet(s.query for s in labeled)])
     params, generator = warmup(labeled, corpus, cfg, vocab)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params)

@@ -17,7 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DataFormatError, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
+from .corpus import (
+    Corpus, DataFormatError, Query, QuerySet, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
+)
 from .sparse import RankedList, top_k
 
 __all__ = [
@@ -97,10 +99,12 @@ class EncoderParams:
 
 
 def vocab_from_corpus(
-    corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER, queries: Iterable[Query] = ()
+    corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER, query_sets: Iterable[QuerySet] = ()
 ) -> list[str]:
-    """The encoder vocabulary: sorted unique tokens of the corpus and of ``queries``."""
-    return sorted(set(corpus.tokenized(tok).vocab).union(*(tokenize(q.text, tok) for q in queries)))
+    """The encoder vocabulary: sorted unique tokens of the corpus and of the
+    query sets, read from their ``tokenized(tok)`` memos."""
+    queries = (tokens for qs in query_sets for tokens in qs.tokenized(tok).values())
+    return sorted(set(corpus.tokenized(tok).vocab).union(*queries))
 
 
 def init_params(
@@ -233,13 +237,15 @@ def vocab_coverage(params: EncoderParams, corpus: Corpus, tok: TokenizerConfig =
 
 @dataclass
 class DenseIndex:
-    """Passage vectors in corpus order, tied to the parameter version and the
-    tokenizer they were built under; searches tokenize queries with it."""
+    """Passage vectors in corpus order, built by the encoder ``params`` at
+    version ``params_version`` under ``tokenizer``; searches take query tokens
+    under that tokenizer and encode them with ``params``."""
 
     ids: list[str]
     vectors: np.ndarray
     params_version: int
     tokenizer: TokenizerConfig
+    params: EncoderParams = field(repr=False, compare=False)
     _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -259,29 +265,25 @@ def build_dense_index(
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
     vectors = _mean_pool(params.embedding, list(corpus_token_rows(params, corpus, tok).values()))
-    return DenseIndex(ids=corpus.ids, vectors=vectors, params_version=params.version, tokenizer=tok)
+    return DenseIndex(ids=corpus.ids, vectors=vectors, params_version=params.version, tokenizer=tok, params=params)
 
 
 DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
 
 
-def search_dense_block(
-    index: DenseIndex,
-    params: EncoderParams,
-    token_lists: Sequence[Sequence[str]],
-    k: int,
-) -> list[RankedList]:
-    """Exact top-k by dot product for each tokenized query; ties break by
-    ascending passage id.
+def search_dense_block(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int) -> list[RankedList]:
+    """Exact top-k by dot product for each query's tokens under
+    ``index.tokenizer``; ties break by ascending passage id.
 
-    Tokens must come from the index's tokenizer. Queries are pooled
-    ``DENSE_BLOCK`` at a time into a matrix scored with one product against
-    the index; a block of one is numpy's matrix-vector product. Zero-similarity
-    entries are retained (vectors are dense). Raises StaleIndexError when the
-    index predates the current parameters.
+    Queries are encoded by ``index.params`` and pooled ``DENSE_BLOCK`` at a
+    time into a matrix scored with one product against the index; a block of
+    one is numpy's matrix-vector product. Zero-similarity entries are retained
+    (vectors are dense). Raises StaleIndexError once the encoder has trained
+    past the version the index was built at.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    params = index.params
     if index.params_version != params.version:
         raise StaleIndexError(
             f"index built at params version {index.params_version}, "
@@ -297,15 +299,9 @@ def search_dense_block(
     return ranked
 
 
-def search_dense(
-    index: DenseIndex,
-    params: EncoderParams,
-    query: Query | str,
-    k: int,
-) -> RankedList:
-    """``search_dense_block`` for one query, tokenized with the index's tokenizer."""
-    text = query.text if isinstance(query, Query) else query
-    return search_dense_block(index, params, [tokenize(text, index.tokenizer)], k)[0]
+def search_dense(index: DenseIndex, tokens: Sequence[str], k: int) -> RankedList:
+    """``search_dense_block`` for one query's tokens."""
+    return search_dense_block(index, [tokens], k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +512,32 @@ def save_checkpoint(path: str | Path, params: EncoderParams, opt: OptimizerState
         np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
+def _check_meta(meta: dict) -> None:
+    """Raise ValueError unless the metadata holds what ``save_checkpoint``
+    writes: non-negative int counters, a bool ``shared`` and finite optimizer
+    hyperparameters."""
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
+    opt = meta["opt"]
+    counters = [("version", meta["version"])] + ([] if opt is None else [("step", opt["step"])])
+    for name, v in counters:
+        if type(v) is not int or v < 0:
+            raise ValueError(f"{name} must be a non-negative int, got {v!r}")
+    if type(meta["shared"]) is not bool:
+        raise ValueError(f"shared must be a bool, got {meta['shared']!r}")
+    for name in () if opt is None else ("lr", "beta1", "beta2", "eps"):
+        if type(opt[name]) not in (int, float) or not np.isfinite(opt[name]):
+            raise ValueError(f"{name} must be a finite number, got {opt[name]!r}")
+
+
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, OptimizerState | None]:
-    """Read a ``save_checkpoint`` file; a file that is not one raises
-    ``DataFormatError`` naming ``path``."""
+    """Read a ``save_checkpoint`` file; a file that is not one, or whose
+    metadata fails ``_check_meta``, raises ``DataFormatError`` naming ``path``."""
     try:
-        with np.load(path) as data:
+        # opened here, since np.load leaks the handle it opens on a malformed zip
+        with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["meta"]))
-            if meta.get("format") != CHECKPOINT_FORMAT:
-                raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
+            _check_meta(meta)
             params = EncoderParams(
                 vocab={t: i for i, t in enumerate(meta["tokens"])},
                 embedding=data["embedding"].astype(np.float64),

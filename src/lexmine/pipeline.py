@@ -218,7 +218,8 @@ class PipelineState:
 
     ``fixed_rankings`` holds the top-L ranking of each query mined so far by
     the retriever mining compares against, BM25 or under ``double_dense`` the
-    auxiliary encoder. Neither ever trains, so a query is ranked once per run.
+    auxiliary encoder's ``aux_index``. Neither ever trains, so a query is
+    ranked once per run. All three indexes share one tokenizer.
     """
 
     params: EncoderParams
@@ -227,7 +228,6 @@ class PipelineState:
     sparse_index: InvertedIndex
     dense_index: DenseIndex
     iteration: int = 0
-    aux_params: EncoderParams | None = None
     aux_index: DenseIndex | None = None
     fixed_rankings: dict[Query, RankedList] = field(default_factory=dict)
 
@@ -250,7 +250,6 @@ def start_state(
         sparse_index=sparse_index,
         dense_index=build_dense_index(params, corpus, cfg.tokenizer),
         iteration=iteration,
-        aux_params=aux_params,
         aux_index=aux_index,
     )
 
@@ -270,11 +269,12 @@ def assemble_warmup_samples(
     positive, top sparse-ranked non-relevant passages are hard negatives."""
     samples = []
     depth = cfg.mining.L + cfg.mining.max_hard_negatives
+    tokens = queries.tokenized(sparse_index.tokenizer)
     for q in queries:
         relevant = qrels.relevant(q.id)
         if not relevant:
             continue
-        ranked = search_sparse(sparse_index, q, depth)
+        ranked = search_sparse(sparse_index, tokens[q.id], depth)
         positive = next((pid for pid, _ in ranked if pid in relevant), min(relevant))
         hard = tuple(
             pid for pid, _ in ranked if pid not in relevant
@@ -341,7 +341,7 @@ def warmup(
 def dense_run(state: PipelineState, queries: QuerySet, k: int) -> RunFile:
     """Dense retrieval run over a query set (order-deterministic)."""
     tokens = queries.tokenized(state.dense_index.tokenizer)
-    return dict(zip(tokens, search_dense_block(state.dense_index, state.params, list(tokens.values()), k)))
+    return dict(zip(tokens, search_dense_block(state.dense_index, list(tokens.values()), k)))
 
 
 def _evaluate(
@@ -366,15 +366,15 @@ def _fixed_rankings(
     state: PipelineState, qs: list[Query], tokens: dict[str, list[str]], cfg: PipelineConfig
 ) -> list[RankedList]:
     """Each query's top-L by the retriever that never trains, from
-    ``state.fixed_rankings``; queries not ranked yet are ranked and kept."""
+    ``state.fixed_rankings``; queries not ranked yet are ranked from their
+    ``tokens`` and kept."""
     known = state.fixed_rankings
     todo = [q for q in qs if q not in known]
     if cfg.mining_mode == "double_dense":
-        assert state.aux_index is not None and state.aux_params is not None
-        todo_tokens = [tokens[q.id] for q in todo]
-        ranked = search_dense_block(state.aux_index, state.aux_params, todo_tokens, cfg.mining.L)
+        assert state.aux_index is not None
+        ranked = search_dense_block(state.aux_index, [tokens[q.id] for q in todo], cfg.mining.L)
     else:
-        ranked = [search_sparse(state.sparse_index, q, cfg.mining.L) for q in todo]
+        ranked = [search_sparse(state.sparse_index, tokens[q.id], cfg.mining.L) for q in todo]
     known.update(zip(todo, ranked))
     return [known[q] for q in qs]
 
@@ -420,7 +420,7 @@ def mine(
     tokens = queries.tokenized(state.dense_index.tokenizer)
     qs = sorted((q for q in queries if any(t in vocab for t in tokens[q.id])), key=lambda q: q.lang)
     fixed = _fixed_rankings(state, qs, tokens, cfg)
-    dense = search_dense_block(state.dense_index, state.params, [tokens[q.id] for q in qs], cfg.mining.L)
+    dense = search_dense_block(state.dense_index, [tokens[q.id] for q in qs], cfg.mining.L)
     mined: list[TrainingSample] = []
     gen_pairs: list[tuple[Query, Passage]] = []
     queries_with_positives = 0
@@ -434,7 +434,7 @@ def mine(
             hard: tuple[str, ...] = ()
             if cfg.negative_mode == "sparse_top":
                 sparse_ranked = search_sparse(
-                    state.sparse_index, q, cfg.mining.max_hard_negatives + cfg.mining.S
+                    state.sparse_index, tokens[q.id], cfg.mining.max_hard_negatives + cfg.mining.S
                 )
                 hard = tuple(
                     pid for pid, _ in sparse_ranked if pid not in sets.positives
@@ -459,12 +459,13 @@ def generate(
     iteration's selection stream; each gets one query, sampled from the
     iteration's sampling stream, with id ``gen{iteration}-`` + passage id. A
     pair is accepted when the sparse and the dense retriever both return its
-    passage as top-1. Returns the training samples of the accepted pairs and
-    the rejected pairs; passages without tokens give neither.
+    passage as top-1, and its sample is built from those same rankings.
+    Returns the training samples of the accepted pairs and the rejected pairs;
+    passages without tokens give neither.
     """
     rng_select = np.random.default_rng([cfg.seed, _GEN_SELECT, iteration])
     rng_sample = np.random.default_rng([cfg.seed, _GEN_SAMPLE, iteration])
-    corpus, sparse, dense, params = state.corpus, state.sparse_index, state.dense_index, state.params
+    corpus, sparse, dense = state.corpus, state.sparse_index, state.dense_index
     tokenized = corpus.tokenized(cfg.tokenizer)
     accepted: list[TrainingSample] = []
     rejected: list[GeneratedPair] = []
@@ -477,17 +478,15 @@ def generate(
             passage = lang_passages[int(idx)]
             qid = f"gen{iteration}-{passage.id}"
             tokens = tokenized.tokens(corpus.position(passage.id))
-            try:
-                query = generate_query(state.generator, passage, tokens, rng_sample, qid)
-            except ValueError:
+            if not tokens:
                 continue
+            query = generate_query(state.generator, passage, tokens, rng_sample, qid)
             pair = GeneratedPair(query=query, passage_id=passage.id)
-            if filter_generated(pair, sparse, dense, params):
-                accepted.append(
-                    assemble_generated_sample(pair, sparse, dense, params, corpus, rng_sample, cfg.mining)
-                )
-            else:
+            rankings = filter_generated(pair, sparse, dense, cfg.mining)
+            if rankings is None:
                 rejected.append(pair)
+            else:
+                accepted.append(assemble_generated_sample(pair, rankings, corpus, rng_sample, cfg.mining))
     return accepted, rejected
 
 
@@ -603,8 +602,8 @@ def _write_stage(
         save_samples(artifacts["generated"], outdir / "generated.jsonl")
     save_checkpoint(outdir / "checkpoint.npz", state.params)
     save_generator(state.generator, outdir / "generator.json")
-    if artifacts is None and state.aux_params is not None:
-        save_checkpoint(outdir / "aux_checkpoint.npz", state.aux_params)
+    if artifacts is None and state.aux_index is not None:
+        save_checkpoint(outdir / "aux_checkpoint.npz", state.aux_index.params)
     if artifacts is not None and artifacts["run"]:
         save_run(artifacts["run"], outdir / "run.trec")
     _write_json(outdir / "report.json", report.to_dict())
@@ -702,8 +701,8 @@ def run_pipeline(
             params, generator, sparse_index, data.corpus, cfg, len(reports) - 1, aux_params=aux_params
         )
     else:
-        queries = [*data.train_queries, *data.unlabeled, *(data.eval_queries or ())]
-        vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, queries)
+        query_sets = [qs for qs in (data.train_queries, data.unlabeled, data.eval_queries) if qs is not None]
+        vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, query_sets)
         labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse_index, cfg)
         if not labeled:
             raise PipelineError("no labeled source queries with relevant judgments")

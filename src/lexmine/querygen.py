@@ -11,6 +11,7 @@ passage as their top-1 result for the generated query.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -20,9 +21,9 @@ import numpy as np
 from .corpus import (
     Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
 )
-from .dense import DenseIndex, EncoderParams, TrainingSample, search_dense
+from .dense import DenseIndex, TrainingSample, search_dense
 from .mining import MiningConfig, sample_random_negatives
-from .sparse import InvertedIndex, search_sparse
+from .sparse import InvertedIndex, RankedList, search_sparse
 
 __all__ = [
     "GeneratorModel",
@@ -150,39 +151,38 @@ def generate_query(
 
 
 def filter_generated(
-    pair: GeneratedPair,
-    sparse_index: InvertedIndex,
-    dense_index: DenseIndex,
-    params: EncoderParams,
-) -> bool:
-    """Accept the pair iff both retrievers return its passage as top-1."""
-    top_sparse = search_sparse(sparse_index, pair.query, 1)
-    if not top_sparse or top_sparse[0][0] != pair.passage_id:
-        return False
-    top_dense = search_dense(dense_index, params, pair.query, 1)
-    return bool(top_dense) and top_dense[0][0] == pair.passage_id
+    pair: GeneratedPair, sparse_index: InvertedIndex, dense_index: DenseIndex, cfg: MiningConfig
+) -> tuple[RankedList, RankedList] | None:
+    """The pair's BM25 and dense top-(max_hard_negatives + 1) rankings when
+    both rank its passage first, else None; the dense index is searched only
+    when BM25 does. The query is tokenized once, so both indexes must share a
+    tokenizer, as every ``PipelineState``'s do."""
+    tokens = tokenize(pair.query.text, sparse_index.tokenizer)
+    k = cfg.max_hard_negatives + 1
+    sparse_top = search_sparse(sparse_index, tokens, k)
+    if not sparse_top or sparse_top[0][0] != pair.passage_id:
+        return None
+    dense_top = search_dense(dense_index, tokens, k)
+    return (sparse_top, dense_top) if dense_top[0][0] == pair.passage_id else None
 
 
 def assemble_generated_sample(
     pair: GeneratedPair,
-    sparse_index: InvertedIndex,
-    dense_index: DenseIndex,
-    params: EncoderParams,
+    rankings: tuple[RankedList, RankedList],
     corpus: Corpus,
     rng: np.random.Generator,
     cfg: MiningConfig,
 ) -> TrainingSample:
-    """Build a training sample for a generated pair that passed the filter.
+    """Build a training sample for a generated pair from the (sparse, dense)
+    rankings ``filter_generated`` accepted it with.
 
     Hard negatives are the retrievers' top passages excluding the positive,
     dense results first then sparse, deduplicated and capped; random negatives
     are drawn as in mining. In-batch negatives are applied at training time.
     """
-    k = cfg.max_hard_negatives + 1
-    dense_top = search_dense(dense_index, params, pair.query, k)
-    sparse_top = search_sparse(sparse_index, pair.query, k)
+    sparse_top, dense_top = rankings
     hard: list[str] = []
-    for pid, _ in list(dense_top) + list(sparse_top):
+    for pid, _ in dense_top + sparse_top:
         if pid != pair.passage_id and pid not in hard:
             hard.append(pid)
             if len(hard) >= cfg.max_hard_negatives:
@@ -214,19 +214,32 @@ def save_generator(model: GeneratorModel, path: str | Path) -> None:
 
 
 def load_generator(path: str | Path) -> GeneratorModel:
-    """Read a ``save_generator`` file; a file that is not one raises
-    ``DataFormatError`` naming ``path``."""
+    """Read a trained ``save_generator`` file; anything else raises
+    ``DataFormatError`` naming ``path``.
+
+    A trained generator has version >= 1, finite, non-negative probabilities
+    and weights, and a query-length distribution with positive mass over
+    lengths >= 1, so ``generate_query`` can sample from it.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload.get("format") != 1:
             raise ValueError(f"unsupported generator format {payload.get('format')!r}")
-        return GeneratorModel(
+        model = GeneratorModel(
             term_salience={
                 (e["lang"], e["token"]): float(e["weight"]) for e in payload["term_salience"]
             },
             query_len_dist={int(k): float(v) for k, v in payload["query_len_dist"].items()},
             version=int(payload["version"]),
         )
+        lengths = model.query_len_dist
+        if model.version < 1:
+            raise ValueError(f"generator version {model.version} is untrained")
+        if not all(math.isfinite(v) and v >= 0.0 for v in [*lengths.values(), *model.term_salience.values()]):
+            raise ValueError("probabilities and weights must be finite and non-negative")
+        if min(lengths, default=0) < 1 or sum(lengths.values()) <= 0.0:
+            raise ValueError("query_len_dist needs positive probability, over lengths >= 1")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"not a lexmine generator: {exc!r}", path) from exc
+    return model

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import Corpus, Query, TokenizerConfig, DEFAULT_TOKENIZER, tokenize
+from .corpus import Corpus, TokenizerConfig, DEFAULT_TOKENIZER
 
 __all__ = [
     "BM25Params",
@@ -187,7 +187,7 @@ def build_index(
     )
 
 
-def _dedupe(tokens: list[str]) -> list[str]:
+def _dedupe(tokens: Sequence[str]) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
@@ -234,8 +234,9 @@ def top_k(
     return idx[np.lexsort((tie, -scores[idx]))[:k]]
 
 
-def search_sparse(index: InvertedIndex, query: Query | str, k: int) -> RankedList:
-    """Top-k passages by BM25, excluding zero-score passages.
+def search_sparse(index: InvertedIndex, tokens: Sequence[str], k: int) -> RankedList:
+    """Top-k passages by BM25 for a query's ``tokens`` under ``index.tokenizer``,
+    excluding zero-score passages.
 
     Equivalent to scoring every passage and sorting by (score desc, id asc);
     only passages containing at least one query term can appear. Scores are the
@@ -243,10 +244,9 @@ def search_sparse(index: InvertedIndex, query: Query | str, k: int) -> RankedLis
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    text = query.text if isinstance(query, Query) else query
     p = index.postings
     scores = np.zeros(len(p.ids))
-    for term in _dedupe(tokenize(text, index.tokenizer)):
+    for term in _dedupe(tokens):
         lo, hi = p.span(term)
         scores[p.rank[lo:hi]] += index.impact[lo:hi]
     best = top_k(scores, None, k, np.flatnonzero(scores > 0.0))

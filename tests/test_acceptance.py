@@ -16,7 +16,9 @@ import pytest
 from scipy import stats
 
 from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
-from lexmine.corpus import Corpus, Judgment, JudgmentSet, Passage, Query, SynthSpec, synth_benchmark, tokenize
+from lexmine.corpus import (
+    Corpus, Judgment, JudgmentSet, Passage, Query, QuerySet, SynthSpec, synth_benchmark, tokenize
+)
 from lexmine.dense import (
     TrainingSample,
     infonce_batch,
@@ -205,8 +207,8 @@ def test_acceptance_3_bm25_oracle():
         corpus = Corpus(passages)
         index = build_index(corpus)
         q_text = " ".join(f"w{int(rng.integers(70))}" for _ in range(int(rng.integers(1, 5))))
-        got = search_sparse(index, Query(id="q", text=q_text), k=n_docs)
         tokens = tokenize(q_text)
+        got = search_sparse(index, tokens, k=n_docs)
         want = [
             (pid, s)
             for pid, s in ((pid, bm25_score(index, tokens, pid)) for pid in corpus.ids)
@@ -352,7 +354,7 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
     cfg = pipeline_config_from_mapping(cfg_mapping, seed=PIPELINE_SEEDS[0])
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, [s.query for s in labeled])
+    vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, [QuerySet(s.query for s in labeled)])
     params, generator = warmup(labeled, data.corpus, cfg, vocab)
     state = start_state(params, generator, sparse, data.corpus, cfg)
     # two iterations so the generator has been retrained on mined target pairs
@@ -377,7 +379,7 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
             pair = GeneratedPair(query=query, passage_id=passage.id)
             flag = topical(query, passage.id)
             all_flags.append(flag)
-            if filter_generated(pair, state.sparse_index, state.dense_index, state.params):
+            if filter_generated(pair, state.sparse_index, state.dense_index, cfg.mining):
                 accepted_flags.append(flag)
     prec_all = float(np.mean(all_flags))
     prec_acc = float(np.mean(accepted_flags)) if accepted_flags else 0.0

@@ -22,11 +22,11 @@ from lexmine.cli import (
     pipeline_config_from_mapping,
 )
 from lexmine.corpus import load_passages, load_qrels, load_queries
-from lexmine.dense import init_params, load_checkpoint, save_checkpoint
+from lexmine.dense import init_optimizer, init_params, load_checkpoint, save_checkpoint
 from lexmine.evaluation import load_run, mrr_at_k
 from lexmine.mining import load_samples, save_samples
 from lexmine.pipeline import MINING_MODES, NEGATIVE_MODES, PipelineConfig, generate, start_state
-from lexmine.querygen import load_generator
+from lexmine.querygen import GeneratorModel, load_generator, save_generator
 from lexmine.sparse import build_index
 
 SYNTH_CFG = """
@@ -854,6 +854,103 @@ def test_generate_truncated_generator_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def _generator_payload(**changes):
+    """A trained generator's file contents with ``changes`` applied."""
+    payload = {
+        "format": 1,
+        "version": 1,
+        "query_len_dist": {"1": 0.5, "2": 0.5},
+        "term_salience": [{"lang": "en", "token": "alpha", "weight": 0.5}],
+    }
+    return json.dumps({**payload, **changes})
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [
+        pytest.param(None, id="untrained"),
+        pytest.param(_generator_payload(version=0), id="version-0"),
+        pytest.param(_generator_payload(version=-2), id="version-negative"),
+        pytest.param(_generator_payload(query_len_dist={}), id="empty-lengths"),
+        pytest.param(_generator_payload(query_len_dist={"0": 1.0}), id="length-0"),
+        pytest.param(_generator_payload(query_len_dist={"-1": 0.5, "2": 0.5}), id="length-negative"),
+        pytest.param(_generator_payload(query_len_dist={"1": float("nan")}), id="probability-nan"),
+        pytest.param(_generator_payload(query_len_dist={"1": float("inf")}), id="probability-inf"),
+        pytest.param(_generator_payload(query_len_dist={"1": -0.5, "2": 1.5}), id="probability-negative"),
+        pytest.param(_generator_payload(query_len_dist={"1": 0.0}), id="probability-all-zero"),
+        pytest.param(
+            _generator_payload(term_salience=[{"lang": "en", "token": "a", "weight": float("nan")}]), id="weight-nan"
+        ),
+        pytest.param(
+            _generator_payload(term_salience=[{"lang": "en", "token": "a", "weight": -1.0}]), id="weight-negative"
+        ),
+    ],
+)
+def test_generate_rejects_untrained_or_invalid_generator(tmp_path, capsys, contents):
+    data = tiny_data(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    ckpt = tmp_path / "ckpt.npz"
+    save_checkpoint(ckpt, init_params(["alpha", "beta1", "beta2"], dim=4))
+    generator = tmp_path / "generator.json"
+    if contents is None:
+        save_generator(GeneratorModel(), generator)
+    else:
+        generator.write_text(contents)
+    out = tmp_path / "generated.jsonl"
+    assert generate_cmd(cfg, data, ckpt, generator, out, 3) == EXIT_DATA
+    assert f"data error: {generator}: not a lexmine generator" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _rewrite_meta(path, opt_field=None, **fields):
+    """Rewrite a checkpoint's metadata with ``fields`` set, and its optimizer's
+    ``opt_field`` (a (name, value) pair) when given."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]))
+    meta.update(fields)
+    if opt_field is not None:
+        meta["opt"][opt_field[0]] = opt_field[1]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"version": "3"}, id="version-string"),
+        pytest.param({"version": -1}, id="version-negative"),
+        pytest.param({"version": True}, id="version-bool"),
+        pytest.param({"shared": "no"}, id="shared-string"),
+        pytest.param({"shared": 0}, id="shared-int"),
+        pytest.param({"opt_field": ("step", "2")}, id="step-string"),
+        pytest.param({"opt_field": ("step", -1)}, id="step-negative"),
+        pytest.param({"opt_field": ("step", False)}, id="step-bool"),
+        pytest.param({"opt_field": ("lr", "0.01")}, id="lr-string"),
+        pytest.param({"opt_field": ("beta1", float("nan"))}, id="beta1-nan"),
+        pytest.param({"opt_field": ("beta2", None)}, id="beta2-null"),
+        pytest.param({"opt_field": ("eps", float("inf"))}, id="eps-inf"),
+    ],
+)
+def test_train_rejects_checkpoint_metadata_of_the_wrong_type(tmp_path, capsys, fields):
+    data = tiny_data(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    ckpt = tmp_path / "ckpt.npz"
+    params = init_params(["alpha", "beta1", "beta2"], dim=4)
+    save_checkpoint(ckpt, params, init_optimizer(params))
+    load_checkpoint(ckpt)  # valid before the rewrite
+    _rewrite_meta(ckpt, **fields)
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text(json.dumps({"query_id": "q", "query_text": "alpha", "positive": "p1"}) + "\n")
+    out = tmp_path / "trained"
+    assert train_cmd(cfg, data, ckpt, [samples], out, 3) == EXIT_DATA
+    assert f"data error: {ckpt}: not a lexmine checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mine_then_train_reproduce_pipeline_iteration_one(tmp_path, synth_dir):
     split_synth_for_pipeline(synth_dir)
     cfg = pipeline_cfg_file(tmp_path, synth_dir)
@@ -1025,3 +1122,22 @@ def test_pipeline_killed_at_every_write_resumes_to_uninterrupted_run(tmp_path, s
         assert dispatch([*argv(out), "--resume"]) == EXIT_OK, n
         assert not list(out.rglob("*.tmp")), n
         _assert_same_run(out, full)
+
+
+
+def test_pipeline_outputs_do_not_depend_on_the_hash_seed(tmp_path, synth_dir):
+    # set and dict iteration over strings follows PYTHONHASHSEED; no artifact may
+    split_synth_for_pipeline(synth_dir)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = tmp_path / f"hash_seed_{hash_seed}"
+        argv = ["pipeline", "--config", str(cfg), "--seed", "6", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "lexmine", *argv], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        runs.append(out)
+    assert (runs[0] / "iter_2" / "generated.jsonl").stat().st_size > 0
+    _assert_same_run(*runs)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lexmine.corpus import (
     Corpus, Passage, Query, QuerySet, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
 )
-from lexmine.dense import EncoderParams, encode, init_params, search_dense, vocab_from_corpus
+from lexmine.dense import EncoderParams, encode, init_params, load_checkpoint, search_dense, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
 from lexmine.mining import MiningConfig, hybrid_fuse, load_samples, mine_pairs
 from lexmine.pipeline import (
@@ -28,7 +28,7 @@ from lexmine.pipeline import (
     start_state,
     warmup,
 )
-from lexmine.querygen import GeneratedPair, GeneratorModel, filter_generated
+from lexmine.querygen import GeneratedPair, GeneratorModel, filter_generated, load_generator
 from lexmine.sparse import build_index
 
 SPEC = SynthSpec(
@@ -76,7 +76,7 @@ def small_cfg(**kwargs):
 
 def labeled_vocab(samples, corpus, cfg):
     """The vocabulary `lexmine warmup` gives the encoder: corpus plus labeled queries."""
-    return vocab_from_corpus(corpus, cfg.tokenizer, [s.query for s in samples])
+    return vocab_from_corpus(corpus, cfg.tokenizer, [QuerySet(s.query for s in samples)])
 
 
 def tgt_mrr(report, k=10):
@@ -324,8 +324,8 @@ def test_dense_search_uses_the_index_tokenizer():
     state = start_state(params, GeneratorModel(), build_index(corpus, tok), corpus, cfg)
     query = Query(id="q", text="Apple b")
     assert state.dense_index.tokenizer == tok
-    assert search_dense(state.dense_index, params, query, 1)[0][0] == "p1"
-    assert filter_generated(GeneratedPair(query, "p1"), state.sparse_index, state.dense_index, params)
+    assert search_dense(state.dense_index, tokenize(query.text, state.dense_index.tokenizer), 1)[0][0] == "p1"
+    assert filter_generated(GeneratedPair(query, "p1"), state.sparse_index, state.dense_index, cfg.mining)
     assert dense_run(state, QuerySet([query]), 1) == {"q": [("p1", 0.5)]}
 
 
@@ -342,9 +342,10 @@ def test_iteration_sample_count_matches_recount(data, tmp_path):
     fresh_state = make_state(data, cfg)
     assert fresh_state.params.version == version_before
     want = 0
+    tokens = data.unlabeled.tokenized(cfg.tokenizer)
     for q in data.unlabeled:
-        a = search_sparse(fresh_state.sparse_index, q, cfg.mining.L)
-        b = search_dense(fresh_state.dense_index, fresh_state.params, q, cfg.mining.L)
+        a = search_sparse(fresh_state.sparse_index, tokens[q.id], cfg.mining.L)
+        b = search_dense(fresh_state.dense_index, tokens[q.id], cfg.mining.L)
         want += len(mine_pairs(a, b, cfg.mining).positives)
     assert report.mined_samples == want
 
@@ -501,6 +502,19 @@ def _list_metrics(path):
     path.write_text(json.dumps({**json.loads(path.read_text()), "metrics": []}))
 
 
+def _string_version(path):
+    with np.load(path) as f:
+        arrays = dict(f)
+    meta = json.loads(bytes(arrays["meta"]))
+    arrays["meta"] = np.frombuffer(json.dumps({**meta, "version": str(meta["version"])}).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _untrained_version(path):
+    path.write_text(json.dumps({**json.loads(path.read_text()), "version": 0}))
+
+
 @pytest.mark.parametrize(
     "broken,corrupt,mode",
     [
@@ -509,6 +523,8 @@ def _list_metrics(path):
     ]
     + [
         pytest.param("iter_2/report.json", _list_metrics, "sparse_dense", id="iter_2/report.json-list-metrics"),
+        pytest.param("iter_2/checkpoint.npz", _string_version, "sparse_dense", id="iter_2/checkpoint.npz-string-version"),
+        pytest.param("iter_2/generator.json", _untrained_version, "sparse_dense", id="iter_2/generator.json-version-0"),
         pytest.param("warmup/aux_checkpoint.npz", _truncate, "double_dense", id="double_dense-warmup/aux_checkpoint.npz"),
     ],
 )
@@ -516,9 +532,16 @@ def test_pipeline_resume_reruns_from_broken_iteration(data, tmp_path, broken, co
     cfg = small_cfg(mining_mode=mode)
     full = run_pipeline(cfg, data, workdir=tmp_path)
     assert not list(tmp_path.rglob("*.tmp"))
+
+    def versions():
+        last = tmp_path / "iter_2"
+        return load_checkpoint(last / "checkpoint.npz")[0].version, load_generator(last / "generator.json").version
+
+    want = versions()
     corrupt(tmp_path / broken)
     resumed = run_pipeline(cfg, data, workdir=tmp_path, resume=True)
     assert comparable(resumed) == comparable(full)
+    assert versions() == want
 
 
 @pytest.mark.parametrize("mode", ["sparse_dense", "double_dense"])
@@ -610,9 +633,14 @@ def test_three_iterations_rank_each_unlabeled_query_with_bm25_once(data, monkeyp
 
     calls = []
     real = pipeline_mod.search_sparse
-    monkeypatch.setattr(pipeline_mod, "search_sparse", lambda index, q, k: calls.append(q.id) or real(index, q, k))
-    assert len(run_pipeline(small_cfg(iterations=3), data)) == 4
-    assert Counter(c for c in calls if c in data.unlabeled) == Counter(data.unlabeled.ids)
+    monkeypatch.setattr(
+        pipeline_mod, "search_sparse", lambda index, tokens, k: calls.append(id(tokens)) or real(index, tokens, k)
+    )
+    cfg = small_cfg(iterations=3)
+    assert len(run_pipeline(cfg, data)) == 4
+    # the unlabeled queries' memoized token lists, which mining searches with
+    unlabeled = [id(tokens) for tokens in data.unlabeled.tokenized(cfg.tokenizer).values()]
+    assert Counter(c for c in calls if c in unlabeled) == Counter(unlabeled)
 
 
 def test_two_evaluations_tokenize_each_eval_query_once(data, monkeypatch):
@@ -632,6 +660,31 @@ def test_two_evaluations_tokenize_each_eval_query_once(data, monkeypatch):
     first = _evaluate(state, fresh, cfg)
     assert _evaluate(state, fresh, cfg) == first
     assert sorted(texts) == sorted(q.text for q in fresh.eval_queries)
+
+
+def test_pipeline_tokenizes_each_target_eval_query_once(data, monkeypatch):
+    import sys
+
+    import lexmine.corpus as corpus_mod
+
+    # fresh query sets, so no tokens are memoized yet
+    fresh = replace(
+        data,
+        train_queries=QuerySet(data.train_queries),
+        unlabeled=QuerySet(data.unlabeled),
+        eval_queries=QuerySet(data.eval_queries),
+    )
+    texts = Counter()
+    real = corpus_mod.tokenize
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lexmine") and getattr(module, "tokenize", None) is real:
+            monkeypatch.setattr(module, "tokenize", lambda text, *a, **k: texts.update([text]) or real(text, *a, **k))
+    run_pipeline(small_cfg(iterations=1, n_generate=0), fresh)
+    # texts no other query shares, since training batches tokenize their queries again
+    others = Counter(q.text for q in (*fresh.train_queries, *fresh.unlabeled, *fresh.eval_queries))
+    target = [q.text for q in fresh.eval_queries if q.lang != "src" and others[q.text] == 1]
+    assert target
+    assert {text: texts[text] for text in target} == dict.fromkeys(target, 1)
 
 
 def test_pipeline_reports_start_with_warmup_zero_shot(data):

@@ -186,14 +186,14 @@ def test_generate_query_id_override():
 
 def build_retrievers(corpus, dim=4, seed=0):
     params = init_params(sorted({t for p in corpus for t in tokenize(p.text)}), dim=dim, seed=seed)
-    return build_index(corpus), build_dense_index(params, corpus), params
+    return build_index(corpus), build_dense_index(params, corpus)
 
 
 def test_filter_single_passage_corpus_accepts():
     corpus = Corpus([Passage(id="only", text="alpha beta gamma")])
-    sparse, dense, params = build_retrievers(corpus)
+    sparse, dense = build_retrievers(corpus)
     pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="only")
-    assert filter_generated(pair, sparse, dense, params)
+    assert filter_generated(pair, sparse, dense, MiningConfig())
 
 
 def test_filter_rejects_when_bm25_prefers_shorter_passage():
@@ -205,11 +205,11 @@ def test_filter_rejects_when_bm25_prefers_shorter_passage():
             Passage(id="short", text="alpha"),
         ]
     )
-    sparse, dense, params = build_retrievers(corpus)
+    sparse, dense = build_retrievers(corpus)
     pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="src")
-    top = search_sparse(sparse, pair.query, 1)
+    top = search_sparse(sparse, ["alpha"], 1)
     assert top[0][0] == "short"
-    assert filter_generated(pair, sparse, dense, params) is False
+    assert filter_generated(pair, sparse, dense, MiningConfig()) is None
 
 
 def test_filter_conjunction_requires_dense_too():
@@ -222,21 +222,21 @@ def test_filter_conjunction_requires_dense_too():
     params.embedding[params.vocab["beta"], 0] = 5.0
     dense = build_dense_index(params, corpus)
     pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="src")
-    assert search_sparse(sparse, pair.query, 1)[0][0] == "src"
-    assert filter_generated(pair, sparse, dense, params) is False
+    assert search_sparse(sparse, ["alpha"], 1)[0][0] == "src"
+    assert filter_generated(pair, sparse, dense, MiningConfig()) is None
 
 
 def test_filter_deterministic_on_unchanged_indexes():
     corpus = Corpus(
         [Passage(id=f"p{i}", text=f"tok{i} tok{(i + 1) % 5} shared") for i in range(5)]
     )
-    sparse, dense, params = build_retrievers(corpus, seed=3)
+    sparse, dense = build_retrievers(corpus, seed=3)
     model = train([(Query(id="q", text="tok1"), Passage(id="p", text="tok1 shared"))])
     rng = np.random.default_rng(0)
     for p in corpus:
         pair = GeneratedPair(query=generate(model, p, rng), passage_id=p.id)
-        first = filter_generated(pair, sparse, dense, params)
-        assert filter_generated(pair, sparse, dense, params) == first
+        first = filter_generated(pair, sparse, dense, MiningConfig())
+        assert filter_generated(pair, sparse, dense, MiningConfig()) == first
 
 
 def test_filter_nested_corpora_monotone():
@@ -246,13 +246,13 @@ def test_filter_nested_corpora_monotone():
     small = Corpus(passages[:4])
     big = Corpus(passages)
     model = train([(Query(id="q", text="t0 t1"), Passage(id="p", text="t0 t1 t2"))])
-    sp_small, de_small, params_small = build_retrievers(small, seed=1)
-    sp_big, de_big, params_big = build_retrievers(big, seed=1)
+    sp_small, de_small = build_retrievers(small, seed=1)
+    sp_big, de_big = build_retrievers(big, seed=1)
     rng = np.random.default_rng(2)
     for p in small:
         pair = GeneratedPair(query=generate(model, p, rng), passage_id=p.id)
-        acc_big = filter_generated(pair, sp_big, de_big, params_big)
-        acc_small = filter_generated(pair, sp_small, de_small, params_small)
+        acc_big = filter_generated(pair, sp_big, de_big, MiningConfig())
+        acc_small = filter_generated(pair, sp_small, de_small, MiningConfig())
         if acc_big:
             assert acc_small
 
@@ -264,9 +264,10 @@ def test_filter_nested_corpora_monotone():
 
 def test_assemble_single_passage_corpus(rng):
     corpus = Corpus([Passage(id="only", text="alpha beta")])
-    sparse, dense, params = build_retrievers(corpus)
+    sparse, dense = build_retrievers(corpus)
     pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="only")
-    sample = assemble_generated_sample(pair, sparse, dense, params, corpus, rng, MiningConfig())
+    rankings = filter_generated(pair, sparse, dense, MiningConfig())
+    sample = assemble_generated_sample(pair, rankings, corpus, rng, MiningConfig())
     assert sample.positive == "only"
     assert sample.hard_negatives == ()
     assert sample.random_negatives == ()
@@ -290,16 +291,16 @@ def test_assemble_dense_first_then_sparse_dedup(rng):
     dense = build_dense_index(params, corpus)
     query = Query(id="g", text="q")
 
-    sparse_ids = [pid for pid, _ in search_sparse(sparse, query, 3)]
-    assert sparse_ids == ["pos", "c", "a"]
+    sparse_top = search_sparse(sparse, ["q"], 3)
+    assert [pid for pid, _ in sparse_top] == ["pos", "c", "a"]
     from lexmine.dense import search_dense
 
-    dense_ids = [pid for pid, _ in search_dense(dense, params, query, 3)]
-    assert dense_ids == ["pos", "a", "b"]
+    dense_top = search_dense(dense, ["q"], 3)
+    assert [pid for pid, _ in dense_top] == ["pos", "a", "b"]
 
     pair = GeneratedPair(query=query, passage_id="pos")
     cfg = MiningConfig(S=1, L=3, n_random_negatives=0, max_hard_negatives=3)
-    sample = assemble_generated_sample(pair, sparse, dense, params, corpus, rng, cfg)
+    sample = assemble_generated_sample(pair, (sparse_top, dense_top), corpus, rng, cfg)
     assert sample.hard_negatives == ("a", "b", "c")
 
 
@@ -307,13 +308,14 @@ def test_assemble_satisfies_sample_invariants(rng):
     corpus = Corpus(
         [Passage(id=f"p{i}", text=f"t{i} t{(i + 1) % 6} t{(i + 3) % 6}") for i in range(6)]
     )
-    sparse, dense, params = build_retrievers(corpus, seed=4)
+    sparse, dense = build_retrievers(corpus, seed=4)
     model = train([(Query(id="q", text="t0 t3"), Passage(id="p", text="t0 t3 t5"))])
     cfg = MiningConfig(S=1, L=3, n_random_negatives=2, max_hard_negatives=3)
     for p in corpus:
         pair = GeneratedPair(query=generate(model, p, rng), passage_id=p.id)
-        if filter_generated(pair, sparse, dense, params):
-            sample = assemble_generated_sample(pair, sparse, dense, params, corpus, rng, cfg)
+        rankings = filter_generated(pair, sparse, dense, cfg)
+        if rankings:
+            sample = assemble_generated_sample(pair, rankings, corpus, rng, cfg)
             union = (sample.positive, *sample.hard_negatives, *sample.random_negatives)
             assert len(set(union)) == len(union)
 

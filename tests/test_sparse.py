@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexmine.corpus import Corpus, Passage, Query, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
+from lexmine.corpus import Corpus, Passage, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
 from lexmine.sparse import (
     BM25Params,
     InvertedIndex,
@@ -200,27 +200,27 @@ def test_search_equals_brute_force_small():
         corpus = random_corpus(rng, n_docs=int(rng.integers(2, 40)))
         index = build_index(corpus)
         q_text = " ".join(f"w{int(rng.integers(50))}" for _ in range(int(rng.integers(1, 5))))
-        got = search_sparse(index, Query(id="q", text=q_text), k=len(corpus))
+        got = search_sparse(index, tokenize(q_text), k=len(corpus))
         want = brute_force_search(index, corpus, q_text, k=len(corpus))
         assert got == want
 
 
 def test_search_unseen_terms_empty(tiny_corpus):
     index = build_index(tiny_corpus)
-    assert search_sparse(index, Query(id="q", text="zebra yak"), 10) == []
+    assert search_sparse(index, tokenize("zebra yak"), 10) == []
 
 
 def test_search_tie_broken_by_id():
     corpus = Corpus([Passage(id="b", text="x"), Passage(id="a", text="x")])
     index = build_index(corpus)
-    result = search_sparse(index, Query(id="q", text="x"), 2)
+    result = search_sparse(index, tokenize("x"), 2)
     assert [pid for pid, _ in result] == ["a", "b"]
     assert result[0][1] == result[1][1]
 
 
 def test_search_k_is_prefix_of_larger_k(tiny_corpus):
     index = build_index(tiny_corpus)
-    q = Query(id="q", text="apple banana cherry fig")
+    q = tokenize("apple banana cherry fig")
     small = search_sparse(index, q, 2)
     large = search_sparse(index, q, 4)
     assert large[: len(small)] == small
@@ -229,12 +229,12 @@ def test_search_k_is_prefix_of_larger_k(tiny_corpus):
 def test_search_k_validated(tiny_corpus):
     index = build_index(tiny_corpus)
     with pytest.raises(ValueError):
-        search_sparse(index, Query(id="q", text="apple"), 0)
+        search_sparse(index, tokenize("apple"), 0)
 
 
 def test_search_excludes_zero_scores(tiny_corpus):
     index = build_index(tiny_corpus)
-    result = search_sparse(index, Query(id="q", text="apple"), 10)
+    result = search_sparse(index, tokenize("apple"), 10)
     assert {pid for pid, _ in result} == {"p1", "p4"}
     assert all(score > 0 for _, score in result)
 
@@ -271,9 +271,9 @@ def test_impacts_built_on_first_search_only(tiny_corpus):
     index = build_index(tiny_corpus)
     assert bm25_score(index, ["apple"], "p1") > 0.0
     assert "impact" not in vars(index)
-    first = search_sparse(index, "apple", 3)
+    first = search_sparse(index, ["apple"], 3)
     impact = vars(index)["impact"]
-    assert search_sparse(index, "apple", 3) == first
+    assert search_sparse(index, ["apple"], 3) == first
     assert vars(index)["impact"] is impact
 
 
@@ -290,8 +290,8 @@ def test_listed_index_equals_build_index(which):
     for _ in range(25):
         text = " ".join(terms[int(i)] for i in rng.integers(len(terms), size=int(rng.integers(1, 5))))
         text += " never-seen-term"
-        assert search_sparse(listed, text, 20) == search_sparse(built, text, 20)
         qtok = tokenize(text, tok)
+        assert search_sparse(listed, qtok, 20) == search_sparse(built, qtok, 20)
         for pid in corpus.ids[:40]:
             assert bm25_score(listed, qtok, pid) == bm25_score(built, qtok, pid)
     for term in [*terms, "never-seen-term"]:
