@@ -141,7 +141,6 @@ _PIPELINE_KEYS: dict[str, type] = {
     "n_generate": int,
     "skip_generation_first_iter": bool,
     "embedding_dim": int,
-    "shared_encoder": bool,
     "warmup_lr": float,
     "train_lr": float,
     "eval_k": int,

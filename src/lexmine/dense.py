@@ -1,9 +1,9 @@
 """Trainable dual-encoder dense retriever.
 
-The encoder is a mean-pooled token-embedding table (shared between query and
-passage sides by default), scored by dot product. Training minimizes InfoNCE
-over one positive and a set of hard/random/in-batch negatives with exact
-analytic gradients and an Adam update. The dense index is exact brute-force
+The encoder is one mean-pooled token-embedding table that encodes both queries
+and passages, scored by dot product. Training minimizes InfoNCE over one
+positive and a set of hard/random/in-batch negatives with exact analytic
+gradients and an Adam update. The dense index is exact brute-force
 top-k behind the same contract an approximate backend would implement.
 """
 
@@ -30,7 +30,6 @@ __all__ = [
     "StaleIndexError",
     "init_params",
     "vocab_from_corpus",
-    "encode",
     "build_dense_index",
     "search_dense",
     "search_dense_block",
@@ -54,17 +53,15 @@ class StaleIndexError(RuntimeError):
 class EncoderParams:
     """Token-embedding encoder parameters.
 
-    ``embedding`` is the passage-side table; when ``shared`` it also encodes
-    queries, otherwise ``query_embedding`` holds a separate table. ``version``
-    increments on every training step and ties indexes to the parameters that
-    produced them. ``corpus_token_rows`` memoizes the per-passage rows here;
-    the vocabulary, and so the rows, never change after construction.
+    ``embedding`` is the one table that encodes queries and passages.
+    ``version`` increments on every training step and ties indexes to the
+    parameters that produced them. ``corpus_token_rows`` memoizes the
+    per-passage rows here; the vocabulary, and so the rows, never change after
+    construction.
     """
 
     vocab: dict[str, int]
     embedding: np.ndarray
-    shared: bool = True
-    query_embedding: np.ndarray | None = None
     version: int = 0
     _passage_rows: tuple[Corpus, TokenizerConfig, dict[str, np.ndarray]] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -80,21 +77,13 @@ class EncoderParams:
         rows = set(self.vocab.values())
         if rows and (min(rows) < 0 or max(rows) >= self.embedding.shape[0]):
             raise ValueError("vocab maps to out-of-range rows")
-        if self.shared:
-            if self.query_embedding is not None:
-                raise ValueError("shared params must not carry a separate query table")
-        else:
-            if self.query_embedding is None or self.query_embedding.shape != self.embedding.shape:
-                raise ValueError("untied params need a query table of matching shape")
 
     @property
     def dim(self) -> int:
         return self.embedding.shape[1]
 
     def table(self, as_query: bool = False) -> np.ndarray:
-        if as_query and not self.shared:
-            assert self.query_embedding is not None
-            return self.query_embedding
+        """``embedding``, which encodes either side; the benchmark's oracle names the side."""
         return self.embedding
 
 
@@ -107,22 +96,13 @@ def vocab_from_corpus(
     return sorted(set(corpus.tokenized(tok).vocab).union(*queries))
 
 
-def init_params(
-    vocab_tokens: Iterable[str],
-    dim: int = 64,
-    seed: int | Sequence[int] = 0,
-    shared: bool = True,
-) -> EncoderParams:
+def init_params(vocab_tokens: Iterable[str], dim: int = 64, seed: int | Sequence[int] = 0) -> EncoderParams:
     """Fresh encoder with embeddings uniform in [-1/sqrt(d), +1/sqrt(d)]."""
     tokens = list(dict.fromkeys(vocab_tokens))
     vocab = {t: i for i, t in enumerate(tokens)}
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
-    embedding = rng.uniform(-scale, scale, size=(len(tokens), dim))
-    query_embedding = None if shared else rng.uniform(-scale, scale, size=(len(tokens), dim))
-    return EncoderParams(
-        vocab=vocab, embedding=embedding, shared=shared, query_embedding=query_embedding
-    )
+    return EncoderParams(vocab=vocab, embedding=rng.uniform(-scale, scale, size=(len(tokens), dim)))
 
 
 def _token_rows(vocab: dict[str, int], tokens: Sequence[str]) -> np.ndarray:
@@ -190,17 +170,6 @@ def _scatter_pooled(g_table: np.ndarray, rows_list: Sequence[np.ndarray], g_pool
     g_table += _scatter_columns(rows, owner, per_token, g_table.shape[0]).T
 
 
-def encode(
-    params: EncoderParams, tokens: Sequence[str], as_query: bool = False
-) -> np.ndarray:
-    """Mean of the embedding rows of in-vocabulary tokens (duplicates counted).
-
-    Out-of-vocabulary tokens are skipped; empty or fully-OOV input encodes to
-    the zero vector.
-    """
-    return _mean_pool(params.table(as_query), [_token_rows(params.vocab, tokens)])[0]
-
-
 def corpus_token_rows(
     params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> dict[str, np.ndarray]:
@@ -208,7 +177,7 @@ def corpus_token_rows(
     corpus order, memoized on ``params`` for the last corpus (by identity) and
     tokenizer config asked, as ``Corpus.tokenized`` is; callers only read it.
 
-    Out-of-vocabulary tokens are skipped, as ``encode`` skips them.
+    Out-of-vocabulary tokens are skipped, as they are in queries.
     """
     memo = params._passage_rows
     if memo is None or memo[0] is not corpus or memo[1] != tok:
@@ -289,11 +258,10 @@ def search_dense_block(index: DenseIndex, token_lists: Sequence[Sequence[str]], 
             f"index built at params version {index.params_version}, "
             f"current is {params.version}; rebuild the index"
         )
-    table = params.table(as_query=True)
     rows = [_token_rows(params.vocab, tokens) for tokens in token_lists]
     ranked: list[RankedList] = []
     for lo in range(0, len(rows), DENSE_BLOCK):
-        for scores in _mean_pool(table, rows[lo : lo + DENSE_BLOCK]) @ index.vectors.T:
+        for scores in _mean_pool(params.embedding, rows[lo : lo + DENSE_BLOCK]) @ index.vectors.T:
             best = top_k(scores, index._id_rank, k)
             ranked.append([(index.ids[i], s) for i, s in zip(best.tolist(), scores[best].tolist())])
     return ranked
@@ -333,16 +301,14 @@ def infonce_batch(
     batch: Sequence[TrainingSample],
     corpus: Corpus,
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Mean InfoNCE loss over the batch and its exact gradient wrt the tables.
+) -> tuple[float, np.ndarray]:
+    """Mean InfoNCE loss over the batch and its exact gradient wrt the table.
 
     Negatives for each sample are its hard negatives, then its random
     negatives, then the other samples' positives (each once, skipping any that
     equal the sample's own positive). Passages of ``corpus`` and queries are
-    tokenized under ``tok``. Returns ``(loss, g_emb, g_query)``: ``g_query``
-    is the query table's gradient for untied parameters and None when shared,
-    where the query side adds into ``g_emb``. Inputs are not modified, apart
-    from the rows ``corpus_token_rows`` memoizes on ``params``.
+    tokenized under ``tok``. Returns ``(loss, g_emb)``. Inputs are not
+    modified, apart from the rows ``corpus_token_rows`` memoizes on ``params``.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -355,7 +321,7 @@ def infonce_batch(
     p_rows = [rows[pid] for pid in uniq]
     q_rows = [_token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch]
     P = _mean_pool(params.embedding, p_rows)
-    Q = _mean_pool(params.table(as_query=True), q_rows)
+    Q = _mean_pool(params.embedding, q_rows)
 
     n = len(batch)
     scale = 1.0 / n
@@ -392,14 +358,9 @@ def infonce_batch(
     ).T
 
     g_emb = np.zeros_like(params.embedding)
-    if params.shared:
-        # one scatter, so each row sums its passage terms, then its query terms, from zero
-        _scatter_pooled(g_emb, p_rows + q_rows, np.vstack([P_grad, Q_grad]))
-        return total_loss / n, g_emb, None
-    g_query = np.zeros_like(params.embedding)
-    _scatter_pooled(g_emb, p_rows, P_grad)
-    _scatter_pooled(g_query, q_rows, Q_grad)
-    return total_loss / n, g_emb, g_query
+    # one scatter, so each row sums its passage terms, then its query terms, from zero
+    _scatter_pooled(g_emb, p_rows + q_rows, np.vstack([P_grad, Q_grad]))
+    return total_loss / n, g_emb
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +377,11 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    q_m: np.ndarray | None = None
-    q_v: np.ndarray | None = None
 
 
 def init_optimizer(params: EncoderParams, lr: float = 1e-2) -> OptimizerState:
     shape = params.embedding.shape
-    q_m = q_v = None
-    if not params.shared:
-        q_m, q_v = np.zeros(shape), np.zeros(shape)
-    return OptimizerState(m=np.zeros(shape), v=np.zeros(shape), lr=lr, q_m=q_m, q_v=q_v)
+    return OptimizerState(m=np.zeros(shape), v=np.zeros(shape), lr=lr)
 
 
 def _adam_update(table: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, opt: OptimizerState) -> None:
@@ -463,12 +419,9 @@ def train_step(
     Parameters and optimizer state are updated in place; the parameter
     version increments. Deterministic given batch order.
     """
-    loss, g_emb, g_query = infonce_batch(params, batch, corpus, tok)
+    loss, g_emb = infonce_batch(params, batch, corpus, tok)
     opt.step += 1
     _adam_update(params.embedding, g_emb, opt.m, opt.v, opt)
-    if g_query is not None:
-        assert opt.q_m is not None and opt.q_v is not None
-        _adam_update(params.query_embedding, g_query, opt.q_m, opt.q_v, opt)
     params.version += 1
     return params, opt, loss
 
@@ -479,14 +432,16 @@ def train_step(
 
 
 def save_checkpoint(path: str | Path, params: EncoderParams, opt: OptimizerState | None = None) -> None:
-    """Single-file .npz checkpoint: tables, optimizer moments, and metadata."""
+    """Single-file .npz checkpoint: the table, optimizer moments, and metadata.
+    ``shared`` is always true: false marked a checkpoint with a separate query
+    table, which this version no longer reads."""
     tokens = [None] * len(params.vocab)
     for t, i in params.vocab.items():
         tokens[i] = t
     meta = {
         "format": CHECKPOINT_FORMAT,
         "tokens": tokens,
-        "shared": params.shared,
+        "shared": True,
         "version": params.version,
         "dim": params.dim,
         "opt": None
@@ -500,21 +455,16 @@ def save_checkpoint(path: str | Path, params: EncoderParams, opt: OptimizerState
         },
     }
     arrays: dict[str, np.ndarray] = {"embedding": params.embedding}
-    if params.query_embedding is not None:
-        arrays["query_embedding"] = params.query_embedding
     if opt is not None:
         arrays["adam_m"] = opt.m
         arrays["adam_v"] = opt.v
-        if opt.q_m is not None:
-            arrays["adam_q_m"] = opt.q_m
-            arrays["adam_q_v"] = opt.q_v
     with atomic_write(path, binary=True) as fh:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def _check_meta(meta: dict) -> None:
     """Raise ValueError unless the metadata holds what ``save_checkpoint``
-    writes: non-negative int counters, a bool ``shared`` and finite optimizer
+    writes: non-negative int counters, ``shared`` true and finite optimizer
     hyperparameters."""
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
@@ -523,8 +473,8 @@ def _check_meta(meta: dict) -> None:
     for name, v in counters:
         if type(v) is not int or v < 0:
             raise ValueError(f"{name} must be a non-negative int, got {v!r}")
-    if type(meta["shared"]) is not bool:
-        raise ValueError(f"shared must be a bool, got {meta['shared']!r}")
+    if meta["shared"] is not True:
+        raise ValueError(f"shared must be true (untied checkpoints are not read), got {meta['shared']!r}")
     for name in () if opt is None else ("lr", "beta1", "beta2", "eps"):
         if type(opt[name]) not in (int, float) or not np.isfinite(opt[name]):
             raise ValueError(f"{name} must be a finite number, got {opt[name]!r}")
@@ -541,10 +491,6 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, OptimizerState | N
             params = EncoderParams(
                 vocab={t: i for i, t in enumerate(meta["tokens"])},
                 embedding=data["embedding"].astype(np.float64),
-                shared=meta["shared"],
-                query_embedding=data["query_embedding"].astype(np.float64)
-                if "query_embedding" in data
-                else None,
                 version=meta["version"],
             )
             opt = None
@@ -558,8 +504,6 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, OptimizerState | N
                     beta1=o["beta1"],
                     beta2=o["beta2"],
                     eps=o["eps"],
-                    q_m=data["adam_q_m"].astype(np.float64) if "adam_q_m" in data else None,
-                    q_v=data["adam_q_v"].astype(np.float64) if "adam_q_v" in data else None,
                 )
     except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataFormatError(f"not a lexmine checkpoint: {exc!r}", path) from exc

@@ -105,7 +105,6 @@ class PipelineConfig:
     n_generate: int = 5000
     skip_generation_first_iter: bool = True
     embedding_dim: int = 64
-    shared_encoder: bool = True
     warmup_lr: float = 1e-2
     train_lr: float = 1e-2
     eval_k: int = 10
@@ -125,6 +124,12 @@ class PipelineConfig:
             raise ValueError("warmup_epochs must be >= 0")
         if self.n_generate < 0:
             raise ValueError("n_generate must be >= 0")
+        if self.embedding_dim < 1 or self.eval_k < 1:
+            raise ValueError("embedding_dim and eval_k must be >= 1")
+        if not (0.0 <= self.warmup_lr < math.inf and 0.0 <= self.train_lr < math.inf):
+            raise ValueError("warmup_lr and train_lr must be finite and >= 0")
+        if self.plateau_eps is not None and not math.isfinite(self.plateau_eps):
+            raise ValueError("plateau_eps must be finite")
         if self.mining_mode not in MINING_MODES:
             raise ValueError(f"mining_mode must be one of {MINING_MODES}")
         if self.negative_mode not in NEGATIVE_MODES:
@@ -302,12 +307,7 @@ def warmup(
     """
     if not source_labeled:
         raise ValueError("labeled warm-up data must be non-empty")
-    params = init_params(
-        vocab_tokens,
-        dim=cfg.embedding_dim,
-        seed=[cfg.seed, _INIT, seed_offset],
-        shared=cfg.shared_encoder,
-    )
+    params = init_params(vocab_tokens, dim=cfg.embedding_dim, seed=[cfg.seed, _INIT, seed_offset])
     rng_negs = np.random.default_rng([cfg.seed, _WARMUP_DATA, seed_offset])
     filled = []
     for s in source_labeled:

@@ -40,8 +40,8 @@ class BM25Params:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError("k1 must be non-negative")
+        if not 0.0 <= self.k1 < math.inf:
+            raise ValueError("k1 must be finite and non-negative")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
 

@@ -128,7 +128,7 @@ def test_acceptance_1_mining_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _gradient_case(seed, shared):
+def _gradient_case(seed):
     """A 3-sample batch: each sample's in-batch negatives are the other samples'
     positives, and the last sample shares the first one's positive."""
     rng = np.random.default_rng(seed)
@@ -138,10 +138,8 @@ def _gradient_case(seed, shared):
         for i in range(7)
     ]
     corpus = Corpus(passages)
-    params = init_params(vocab, dim=5, seed=seed, shared=shared)
+    params = init_params(vocab, dim=5, seed=seed)
     params.embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
-    if not shared:
-        params.query_embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
     queries = [
         Query(id=f"q{i}", text=" ".join(vocab[int(rng.integers(12))] for _ in range(3))) for i in range(3)
     ]
@@ -155,35 +153,31 @@ def _gradient_case(seed, shared):
 
 def test_acceptance_2_gradient_check():
     # the production gradient (train_step's) against central differences of the
-    # batch mean loss, for the shared table and for both untied tables
+    # batch mean loss, over the one table that encodes queries and passages
     t0 = time.perf_counter()
     h = 1e-5
     worst = 0.0
     for seed in range(20):
-        for shared in (True, False):
-            params, batch, corpus = _gradient_case(seed, shared)
-            _, g_emb, g_query = infonce_batch(params, batch, corpus)
-            tables = [(params.embedding, g_emb)]
-            if not shared:
-                tables.append((params.query_embedding, g_query))
-            for table, analytic in tables:
-                for row in range(table.shape[0]):
-                    numeric = np.zeros(params.dim)
-                    for j in range(params.dim):
-                        orig = table[row, j]
-                        table[row, j] = orig + h
-                        up = infonce_batch(params, batch, corpus)[0]
-                        table[row, j] = orig - h
-                        down = infonce_batch(params, batch, corpus)[0]
-                        table[row, j] = orig
-                        numeric[j] = (up - down) / (2 * h)
-                    denom = max(float(np.max(np.abs(numeric))), 1e-8)
-                    worst = max(worst, float(np.max(np.abs(analytic[row] - numeric))) / denom)
+        params, batch, corpus = _gradient_case(seed)
+        _, analytic = infonce_batch(params, batch, corpus)
+        table = params.embedding
+        for row in range(table.shape[0]):
+            numeric = np.zeros(params.dim)
+            for j in range(params.dim):
+                orig = table[row, j]
+                table[row, j] = orig + h
+                up = infonce_batch(params, batch, corpus)[0]
+                table[row, j] = orig - h
+                down = infonce_batch(params, batch, corpus)[0]
+                table[row, j] = orig
+                numeric[j] = (up - down) / (2 * h)
+            denom = max(float(np.max(np.abs(numeric))), 1e-8)
+            worst = max(worst, float(np.max(np.abs(analytic[row] - numeric))) / denom)
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 2 (gradient check)",
         worst < 1e-4 and elapsed < 10.0,
-        f"20 draws x (shared, untied), max relative error {worst:.2e} (< 1e-4) in {elapsed:.2f}s (< 10s)",
+        f"20 draws, max relative error {worst:.2e} (< 1e-4) in {elapsed:.2f}s (< 10s)",
     )
 
 

@@ -253,9 +253,23 @@ def warmup_cmd(data, out, *extra):
     )
 
 
-@pytest.mark.parametrize("setting", ["bm25_k1=abc", "bm25_b=2", "min_token_len=0"])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "bm25_k1=abc",
+        "bm25_b=2",
+        "min_token_len=0",
+        "bm25_k1=nan",
+        "bm25_k1=inf",
+        "eval_k=0",
+        "embedding_dim=0",
+        "warmup_lr=-1",
+        "train_lr=inf",
+        "plateau_eps=nan",
+    ],
+)
 def test_index_bad_value_exit_2(tmp_path, capsys, setting):
-    # bad values of the BM25 index and tokenizer keys
+    # bad values of the BM25 index, tokenizer, encoder, training and stopping keys
     out = tmp_path / "warm"
     assert warmup_cmd(tiny_data(tmp_path), out, "--set", setting) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
@@ -380,9 +394,13 @@ def test_pipeline_eval_key_without_its_pair_exit_2(tmp_path, capsys, given, abse
 
 
 def test_pipeline_unknown_key_exit_2(tmp_path, synth_dir):
+    # shared_encoder is unknown too: one table encodes queries and passages
     split_synth_for_pipeline(synth_dir)
-    cfg = pipeline_cfg_file(tmp_path, synth_dir, extra="mystery_knob = 3\n")
-    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    for extra in ("mystery_knob = 3\n", "shared_encoder = false\n"):
+        cfg = pipeline_cfg_file(tmp_path, synth_dir, extra=extra)
+        out = tmp_path / "x"
+        assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 def _flat_fields(cfg: PipelineConfig) -> dict:
@@ -925,6 +943,7 @@ def _rewrite_meta(path, opt_field=None, **fields):
         pytest.param({"version": True}, id="version-bool"),
         pytest.param({"shared": "no"}, id="shared-string"),
         pytest.param({"shared": 0}, id="shared-int"),
+        pytest.param({"shared": False}, id="shared-false-untied"),
         pytest.param({"opt_field": ("step", "2")}, id="step-string"),
         pytest.param({"opt_field": ("step", -1)}, id="step-negative"),
         pytest.param({"opt_field": ("step", False)}, id="step-bool"),

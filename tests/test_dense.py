@@ -30,7 +30,6 @@ from lexmine.dense import (
     _token_rows,
     build_dense_index,
     corpus_token_rows,
-    encode,
     infonce_batch,
     init_optimizer,
     init_params,
@@ -50,8 +49,21 @@ from lexmine.pipeline import PipelineConfig, pipeline_data_from_benchmark, run_p
 INFONCE_2_1_05 = 0.46436878410794484
 
 
-def toy_params(corpus, dim=4, seed=0, shared=True):
-    return init_params(vocab_from_corpus(corpus), dim=dim, seed=seed, shared=shared)
+# One table encodes queries and passages. These tests keep the "[True]" id
+# under which earlier versions recorded their shared-table case, so results
+# stay comparable across versions.
+shared_case_id = pytest.mark.parametrize((), [pytest.param(id="True")])
+
+
+def toy_params(corpus, dim=4, seed=0):
+    return init_params(vocab_from_corpus(corpus), dim=dim, seed=seed)
+
+
+def encode(params, tokens):
+    """Oracle: the mean of the embedding rows of the in-vocabulary tokens
+    (duplicates counted), or the zero vector when there are none."""
+    rows = [params.vocab[t] for t in tokens if t in params.vocab]
+    return params.embedding[rows].mean(axis=0) if rows else np.zeros(params.dim)
 
 
 def brute_force_dense(index, qv):
@@ -84,7 +96,7 @@ def numeric_gradient(params, batch, corpus, table, h=1e-5):
     return grad
 
 
-def random_case(seed, shared=True):
+def random_case(seed):
     """A random 3-sample batch over 7 passages; two samples share a positive,
     so one in-batch negative is skipped, and one query has an OOV token."""
     rng = np.random.default_rng(seed)
@@ -94,10 +106,8 @@ def random_case(seed, shared=True):
         toks = [vocab[int(rng.integers(len(vocab)))] for _ in range(int(rng.integers(2, 7)))]
         passages.append(Passage(id=f"p{i}", text=" ".join(toks)))
     corpus = Corpus(passages)
-    params = init_params(vocab, dim=5, seed=seed, shared=shared)
+    params = init_params(vocab, dim=5, seed=seed)
     params.embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
-    if not shared:
-        params.query_embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
 
     def query(i):
         return Query(id=f"q{i}", text=" ".join(vocab[int(rng.integers(len(vocab)))] for _ in range(3)))
@@ -248,7 +258,7 @@ def test_search_matches_brute_force():
     for trial in range(10):
         q = Query(id="q", text=f"t{trial % 9} t{(trial + 3) % 9}")
         got = search_dense(index, tokenize(q.text), k=len(corpus))
-        qv = encode(params, tokenize(q.text), as_query=True)
+        qv = encode(params, tokenize(q.text))
         assert got == brute_force_dense(index, qv)
         # the arithmetic itself: per-row dot products, up to BLAS summation order
         np.testing.assert_allclose(
@@ -270,7 +280,7 @@ def test_search_matches_brute_force_at_500_passages():
     for trial in range(5):
         q = Query(id="q", text=f"t{trial} t{(trial * 7) % 40} t{(trial * 13) % 40}")
         got = search_dense(index, tokenize(q.text), k=500)
-        qv = encode(params, tokenize(q.text), as_query=True)
+        qv = encode(params, tokenize(q.text))
         assert got == brute_force_dense(index, qv)
 
 
@@ -334,7 +344,7 @@ def test_block_search_equals_per_query_search_on_integer_vectors(k):
     for tokens, ranked in zip(token_lists, got):
         assert_same_ranking(ranked, search_dense(index, tokens, k))
         if "t8" not in tokens:
-            full = brute_force_dense(index, encode(params, tokens, as_query=True))
+            full = brute_force_dense(index, encode(params, tokens))
             assert ranked == full[:k]
             tie_at_k |= k < len(full) and full[k - 1][1] == full[k][1]
     assert any("t8" in tokens for tokens in token_lists)
@@ -425,7 +435,7 @@ def test_loss_uniform_case_ln4(tiny_corpus):
         positive="p0",
         hard_negatives=("p1", "p2", "p3"),
     )
-    loss, _, _ = infonce_batch(params, [sample], corpus)
+    loss, _ = infonce_batch(params, [sample], corpus)
     assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
 
@@ -442,26 +452,26 @@ def test_loss_frozen_oracle_value():
     sample = TrainingSample(
         query=Query(id="q", text="q"), positive="pos", hard_negatives=("n1", "n2")
     )
-    loss, _, _ = infonce_batch(params, [sample], corpus)
+    loss, _ = infonce_batch(params, [sample], corpus)
     assert loss == pytest.approx(INFONCE_2_1_05, rel=1e-12)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_batch_loss_is_mean_of_per_sample_losses(shared):
+@shared_case_id
+def test_batch_loss_is_mean_of_per_sample_losses():
     # oracle: each sample scored on its own from encode(), with the other
     # samples' positives (minus its own) appended as negatives
-    params, batch, corpus = random_case(3, shared=shared)
+    params, batch, corpus = random_case(3)
     positives = [s.positive for s in batch]
     want = []
     for i, s in enumerate(batch):
         in_batch = [p for j, p in enumerate(positives) if j != i and p != s.positive]
-        qv = encode(params, tokenize(s.query.text), as_query=True)
+        qv = encode(params, tokenize(s.query.text))
         scores = [
             float(np.dot(qv, encode(params, tokenize(corpus[pid].text))))
             for pid in (s.positive, *s.hard_negatives, *s.random_negatives, *in_batch)
         ]
         want.append(infonce_from_scores(scores[0], scores[1:]))
-    loss, _, _ = infonce_batch(params, batch, corpus)
+    loss, _ = infonce_batch(params, batch, corpus)
     assert loss == pytest.approx(float(np.mean(want)), rel=1e-12)
 
 
@@ -487,19 +497,14 @@ def test_loss_shift_invariance(pos, negs, c):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("shared", [True, False])
-def test_gradient_matches_finite_differences(seed, shared):
-    params, batch, corpus = random_case(seed, shared=shared)
-    _, g_emb, g_query = infonce_batch(params, batch, corpus)
-    assert (g_query is None) == shared
-    checked = [(g_emb, params.embedding)]
-    if not shared:
-        checked.append((g_query, params.query_embedding))
-    for analytic, table in checked:
-        numeric = numeric_gradient(params, batch, corpus, table)
-        for row in range(table.shape[0]):
-            denom = max(np.max(np.abs(numeric[row])), 1e-8)
-            assert np.max(np.abs(analytic[row] - numeric[row])) / denom < 1e-4
+@shared_case_id
+def test_gradient_matches_finite_differences(seed):
+    params, batch, corpus = random_case(seed)
+    _, analytic = infonce_batch(params, batch, corpus)
+    numeric = numeric_gradient(params, batch, corpus, params.embedding)
+    for row in range(params.embedding.shape[0]):
+        denom = max(np.max(np.abs(numeric[row])), 1e-8)
+        assert np.max(np.abs(analytic[row] - numeric[row])) / denom < 1e-4
 
 
 def test_gradient_covers_all_touched_rows():
@@ -507,31 +512,26 @@ def test_gradient_covers_all_touched_rows():
     def nonzero_rows(g):
         return set(np.flatnonzero(np.any(g != 0.0, axis=1)).tolist())
 
-    for shared in (True, False):
-        params, batch, corpus = random_case(7, shared=shared)
-        _, g_emb, g_query = infonce_batch(params, batch, corpus)
+    params, batch, corpus = random_case(7)
+    _, g_emb = infonce_batch(params, batch, corpus)
 
-        def rows_of(texts):
-            return {params.vocab[t] for text in texts for t in tokenize(text) if t in params.vocab}
+    def rows_of(texts):
+        return {params.vocab[t] for text in texts for t in tokenize(text) if t in params.vocab}
 
-        p_touched = rows_of(
-            corpus[pid].text for s in batch for pid in (s.positive, *s.hard_negatives, *s.random_negatives)
-        )
-        q_touched = rows_of(s.query.text for s in batch)
-        if shared:
-            assert nonzero_rows(g_emb) == p_touched | q_touched
-        else:
-            assert nonzero_rows(g_emb) == p_touched
-            assert nonzero_rows(g_query) == q_touched
+    p_touched = rows_of(
+        corpus[pid].text for s in batch for pid in (s.positive, *s.hard_negatives, *s.random_negatives)
+    )
+    q_touched = rows_of(s.query.text for s in batch)
+    assert nonzero_rows(g_emb) == p_touched | q_touched
 
 
 def test_infonce_batch_leaves_inputs_unchanged():
-    params, batch, corpus = random_case(5, shared=False)
-    emb, qemb = params.embedding.copy(), params.query_embedding.copy()
+    params, batch, corpus = random_case(5)
+    emb = params.embedding.copy()
     rows = corpus_token_rows(params, corpus)
     saved = {pid: r.copy() for pid, r in rows.items()}
     infonce_batch(params, batch, corpus)
-    assert np.array_equal(params.embedding, emb) and np.array_equal(params.query_embedding, qemb)
+    assert np.array_equal(params.embedding, emb)
     assert params.version == 0
     # the memoized rows the batch pooled are the same object, unchanged
     assert corpus_token_rows(params, corpus) is rows
@@ -585,7 +585,7 @@ def reference_infonce_batch(params, batch, corpus, tok=DEFAULT_TOKENIZER):
     p_rows = [rows[pid] for pid in uniq]
     q_rows = [_token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch]
     P = reference_mean_pool(params.embedding, p_rows)
-    Q = reference_mean_pool(params.table(as_query=True), q_rows)
+    Q = reference_mean_pool(params.embedding, q_rows)
     n = len(batch)
     P_grad = np.zeros_like(P)
     Q_grad = np.zeros_like(Q)
@@ -611,9 +611,8 @@ def reference_infonce_batch(params, batch, corpus, tok=DEFAULT_TOKENIZER):
 
     g_emb = np.zeros_like(params.embedding)
     scatter(g_emb, p_rows, P_grad)
-    g_query = None if params.shared else np.zeros_like(params.embedding)
-    scatter(g_emb if g_query is None else g_query, q_rows, Q_grad)
-    return total_loss / n, g_emb, g_query
+    scatter(g_emb, q_rows, Q_grad)
+    return total_loss / n, g_emb
 
 
 def reference_adam_update(table, g, m, v, opt):
@@ -645,17 +644,15 @@ def oracle_cases(draw):
     return passages, samples
 
 
-def oracle_inputs(case, shared, seed):
+def oracle_inputs(case, seed):
     def text(tokens):
         return " ".join("zz" if t == OOV else ORACLE_VOCAB[t] for t in tokens)
 
     passages, samples = case
     corpus = Corpus([Passage(id=f"p{i}", text=text(toks)) for i, toks in enumerate(passages)])
-    params = init_params(ORACLE_VOCAB, dim=3, seed=seed, shared=shared)
+    params = init_params(ORACLE_VOCAB, dim=3, seed=seed)
     rng = np.random.default_rng(seed)
     params.embedding[:] = rng.normal(0, 0.8, size=params.embedding.shape)
-    if not shared:
-        params.query_embedding[:] = rng.normal(0, 0.8, size=params.embedding.shape)
     batch = [
         TrainingSample(
             query=Query(id=f"q{i}", text=text(query)),
@@ -669,26 +666,21 @@ def oracle_inputs(case, shared, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=oracle_cases(), shared=st.booleans(), seed=st.integers(0, 2**16))
+@given(case=oracle_cases(), seed=st.integers(0, 2**16))
 # repeated tokens in a passage
-@example(case=([[0, 0, 1], [1, 2, 2, 2], [3]], [([0, 0], 0, [1], [2])]), shared=True, seed=1)
+@example(case=([[0, 0, 1], [1, 2, 2, 2], [3]], [([0, 0], 0, [1], [2])]), seed=1)
 # a hard negative that is another sample's positive (and so also its in-batch negative)
-@example(case=([[0], [1, 2], [2]], [([0], 0, [1], []), ([1], 1, [2], []), ([2], 2, [], [])]), shared=True, seed=2)
-@example(case=([[0], [1, 2], [2]], [([0], 0, [1], []), ([1], 1, [2], []), ([2], 2, [], [])]), shared=False, seed=2)
+@example(case=([[0], [1, 2], [2]], [([0], 0, [1], []), ([1], 1, [2], []), ([2], 2, [], [])]), seed=2)
 # a query and a passage with no in-vocabulary token
-@example(case=([[OOV, OOV], [1], [2, 0]], [([OOV], 0, [1], [2]), ([], 2, [0], [])]), shared=True, seed=3)
-@example(case=([[OOV, OOV], [1], [2, 0]], [([OOV], 0, [1], [2]), ([], 2, [0], [])]), shared=False, seed=3)
+@example(case=([[OOV, OOV], [1], [2, 0]], [([OOV], 0, [1], [2]), ([], 2, [0], [])]), seed=3)
 # a batch of size 1 with a single candidate
-@example(case=([[4]], [([4], 0, [], [])]), shared=True, seed=4)
-def test_infonce_batch_bit_equal_to_add_at_reference(case, shared, seed):
-    params, batch, corpus = oracle_inputs(case, shared, seed)
-    loss, g_emb, g_query = infonce_batch(params, batch, corpus)
-    want_loss, want_emb, want_query = reference_infonce_batch(params, batch, corpus)
+@example(case=([[4]], [([4], 0, [], [])]), seed=4)
+def test_infonce_batch_bit_equal_to_add_at_reference(case, seed):
+    params, batch, corpus = oracle_inputs(case, seed)
+    loss, g_emb = infonce_batch(params, batch, corpus)
+    want_loss, want_emb = reference_infonce_batch(params, batch, corpus)
     assert loss == want_loss
     assert np.array_equal(g_emb, want_emb)
-    assert (g_query is None) == shared
-    if not shared:
-        assert np.array_equal(g_query, want_query)
 
 
 def test_adam_update_bit_equal_to_reference_over_200_steps():
@@ -730,7 +722,7 @@ TINY_SPEC = SynthSpec(
 )
 
 
-def tiny_pipeline_cfg(shared):
+def tiny_pipeline_cfg():
     return PipelineConfig(
         iterations=2,
         minibatches_per_iter=40,
@@ -741,7 +733,6 @@ def tiny_pipeline_cfg(shared):
         embedding_dim=24,
         warmup_lr=1e-2,
         train_lr=3e-3,
-        shared_encoder=shared,
         seed=9,
     )
 
@@ -774,9 +765,9 @@ def tiny_pipeline_data():
     return pipeline_data_from_benchmark(synth_benchmark(TINY_SPEC, seed=5))
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_pipeline_checkpoints_equal_reference_training(tiny_pipeline_data, tmp_path, monkeypatch, shared):
-    cfg = tiny_pipeline_cfg(shared)
+@shared_case_id
+def test_pipeline_checkpoints_equal_reference_training(tiny_pipeline_data, tmp_path, monkeypatch):
+    cfg = tiny_pipeline_cfg()
     run_pipeline(cfg, tiny_pipeline_data, workdir=tmp_path / "new")
     monkeypatch.setattr(dense_mod, "infonce_batch", reference_infonce_batch)
     monkeypatch.setattr(dense_mod, "_adam_update", reference_adam_update)
@@ -784,16 +775,16 @@ def test_pipeline_checkpoints_equal_reference_training(tiny_pipeline_data, tmp_p
     assert checkpoint_digests(tmp_path / "new") == checkpoint_digests(tmp_path / "reference")
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_pipeline_checkpoints_match_golden_digests(tiny_pipeline_data, tmp_path, shared):
+@shared_case_id
+def test_pipeline_checkpoints_match_golden_digests(tiny_pipeline_data, tmp_path):
     # Written by the per-sample np.add.at scatter and the allocating Adam
     # update; any change to the float order of training shows here. Float
     # results can differ in the last bit on another numpy, BLAS or CPU.
     golden = json.loads(GOLDEN_CHECKPOINTS.read_text())
     if golden["platform"] != float_platform():
         pytest.skip(f"golden digests were recorded on {golden['platform']}")
-    run_pipeline(tiny_pipeline_cfg(shared), tiny_pipeline_data, workdir=tmp_path)
-    assert checkpoint_digests(tmp_path) == golden["shared" if shared else "untied"]
+    run_pipeline(tiny_pipeline_cfg(), tiny_pipeline_data, workdir=tmp_path)
+    assert checkpoint_digests(tmp_path) == golden["shared"]
 
 
 def test_training_sample_invariants():
@@ -853,11 +844,11 @@ def test_train_step_descends_on_fixed_batch(tiny_corpus):
     assert losses[-1] < losses[0]
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_train_step_is_adam_on_infonce_batch(tiny_corpus, shared):
-    params = toy_params(tiny_corpus, seed=2, shared=shared)
+@shared_case_id
+def test_train_step_is_adam_on_infonce_batch(tiny_corpus):
+    params = toy_params(tiny_corpus, seed=2)
     batch = batch_for(tiny_corpus)
-    want_loss, g_emb, g_query = infonce_batch(params, batch, tiny_corpus)
+    want_loss, g_emb = infonce_batch(params, batch, tiny_corpus)
 
     def first_adam_step(table, g, opt):
         m_hat = (1 - opt.beta1) * g / (1 - opt.beta1)
@@ -866,23 +857,10 @@ def test_train_step_is_adam_on_infonce_batch(tiny_corpus, shared):
 
     opt = init_optimizer(params, lr=0.01)
     want_emb = first_adam_step(params.embedding, g_emb, opt)
-    want_query = None if shared else first_adam_step(params.query_embedding, g_query, opt)
     _, _, loss = train_step(params, opt, batch, tiny_corpus)
     assert loss == want_loss
     np.testing.assert_allclose(params.embedding, want_emb, rtol=1e-12, atol=1e-15)
-    if not shared:
-        np.testing.assert_allclose(params.query_embedding, want_query, rtol=1e-12, atol=1e-15)
     assert opt.step == 1 and params.version == 1
-
-
-def test_train_step_untied_updates_query_table(tiny_corpus):
-    params = toy_params(tiny_corpus, shared=False)
-    q_before = params.query_embedding.copy()
-    p_before = params.embedding.copy()
-    opt = init_optimizer(params, lr=0.05)
-    train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
-    assert not np.array_equal(params.query_embedding, q_before)
-    assert not np.array_equal(params.embedding, p_before)
 
 
 def test_train_step_empty_batch_rejected(tiny_corpus):
@@ -898,20 +876,20 @@ def test_train_step_empty_batch_rejected(tiny_corpus):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_checkpoint_round_trip(tmp_path, tiny_corpus, shared):
-    params = toy_params(tiny_corpus, shared=shared)
+@shared_case_id
+def test_checkpoint_round_trip(tmp_path, tiny_corpus):
+    params = toy_params(tiny_corpus)
     opt = init_optimizer(params, lr=0.07)
     train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt)
     loaded, lopt = load_checkpoint(path)
+    with np.load(path) as npz:
+        assert npz.files == ["meta", "embedding", "adam_m", "adam_v"]
+        assert json.loads(bytes(npz["meta"]))["shared"] is True
     assert loaded.vocab == params.vocab
-    assert loaded.shared == params.shared
     assert loaded.version == params.version
     assert np.array_equal(loaded.embedding, params.embedding)
-    if not shared:
-        assert np.array_equal(loaded.query_embedding, params.query_embedding)
     assert lopt is not None
     assert lopt.step == opt.step and lopt.lr == opt.lr
     assert np.array_equal(lopt.m, opt.m) and np.array_equal(lopt.v, opt.v)

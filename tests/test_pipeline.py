@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lexmine.corpus import (
     Corpus, Passage, Query, QuerySet, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
 )
-from lexmine.dense import EncoderParams, encode, init_params, load_checkpoint, search_dense, vocab_from_corpus
+from lexmine.dense import EncoderParams, init_params, load_checkpoint, search_dense, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
 from lexmine.mining import MiningConfig, hybrid_fuse, load_samples, mine_pairs
 from lexmine.pipeline import (
@@ -30,6 +30,7 @@ from lexmine.pipeline import (
 )
 from lexmine.querygen import GeneratedPair, GeneratorModel, filter_generated, load_generator
 from lexmine.sparse import build_index
+from test_dense import encode
 
 SPEC = SynthSpec(
     languages=("src", "tgta"),

@@ -1,25 +1,39 @@
-"""Every function the benchmark's tracer wraps still exists under its name.
+"""Every function the benchmark's tracer wraps still exists under its name,
+and the benchmark's output oracle encodes as the encoder does.
 
 ``perfbench/tracing.py`` looks each traced function up by (module, name) on
 the installed package; a renamed or deleted one would only fail the traced
-benchmark run. The file is read and executed here, never imported as a
-package module, so this check writes nothing under ``perfbench/``.
+benchmark run. ``perfbench/checks.py`` re-derives mining and evaluation from
+checkpoints through ``EncoderParams`` attributes; a changed one would only
+fail the benchmark's output checks. Both files are read and executed here,
+never imported as package modules, so these checks write nothing under
+``perfbench/``.
 """
 
 import importlib
 import inspect
 from pathlib import Path
 
-from lexmine.corpus import tokenize
-from lexmine.dense import train_step
+import numpy as np
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from lexmine.corpus import (
+    Corpus, Judgment, JudgmentSet, Passage, Query, QuerySet, save_passages, save_qrels, save_queries, tokenize
+)
+from lexmine.dense import _mean_pool, _token_rows, build_dense_index, init_params, train_step, vocab_from_corpus
+from lexmine.pipeline import PipelineConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _exec(name: str) -> dict:
+    path = PERFBENCH / name
+    namespace = {"__name__": f"perfbench_{path.stem}"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace
 
 
 def _traced_targets() -> set[tuple[str, str]]:
-    namespace = {"__name__": "perfbench_tracing"}
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), namespace)
-    targets = {t for group in namespace["GROUPS"].values() for t in group}
+    targets = {t for group in _exec("tracing.py")["GROUPS"].values() for t in group}
     # the benchmark's child process times set-up up to this function's entry
     return targets | {("pipeline", "warmup")}
 
@@ -37,3 +51,36 @@ def test_counted_arguments_keep_their_positions():
     # the tracer's counters read train_step's batch as args[2] and tokenize's text as args[0]
     assert list(inspect.signature(train_step).parameters)[2] == "batch"
     assert list(inspect.signature(tokenize).parameters)[0] == "text"
+
+
+def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
+    # passages with repeated, CJK and no tokens; queries with out-of-vocabulary tokens
+    corpus = Corpus(
+        [
+            Passage(id="p1", text="Apple banana apple"),
+            Passage(id="p2", text="cherry 日本語 fig", lang="ja"),
+            Passage(id="p3", text="!!"),
+            Passage(id="p4", text="banana fig fig date"),
+        ]
+    )
+    queries = QuerySet(
+        [
+            Query(id="q1", text="apple cherry"),
+            Query(id="q2", text="zzz"),
+            Query(id="q3", text="日本 fig zzz", lang="ja"),
+        ]
+    )
+    data = {name: str(tmp_path / name) for name in ("passages", "unlabeled_queries", "eval_queries", "eval_qrels")}
+    save_passages(corpus, data["passages"])
+    save_queries(queries, data["unlabeled_queries"])
+    save_queries(queries, data["eval_queries"])
+    save_qrels(JudgmentSet([Judgment(query_id="q1", passage_id="p1", grade=1)]), data["eval_qrels"])
+    cfg = PipelineConfig()
+    oracle = _exec("checks.py")["Oracle"](data, cfg.canonical_dict())
+    params = init_params(vocab_from_corpus(corpus, cfg.tokenizer), dim=4, seed=3)
+
+    want = build_dense_index(params, corpus, cfg.tokenizer).vectors
+    np.testing.assert_allclose(oracle.passage_matrix(params), want, rtol=0, atol=1e-12)
+    for q in queries:
+        pooled = _mean_pool(params.embedding, [_token_rows(params.vocab, tokenize(q.text, cfg.tokenizer))])[0]
+        np.testing.assert_allclose(oracle.query_vector(params, q.text), pooled, rtol=0, atol=1e-12)
