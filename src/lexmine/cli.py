@@ -463,14 +463,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if "eval_qrels" in mapping:
         shared = data_path(mapping["eval_qrels"]) == data_path(mapping["train_qrels"])
         eval_qrels = train_qrels if shared else _load_judged_qrels(mapping["eval_qrels"], corpus)
-    data = PipelineData(
-        corpus=corpus,
-        train_queries=train_queries,
-        train_qrels=train_qrels,
-        unlabeled=load_queries(data_path(mapping["unlabeled_queries"])),
-        eval_queries=load_queries(data_path(mapping["eval_queries"])) if "eval_queries" in mapping else None,
-        eval_qrels=eval_qrels,
-    )
+    unlabeled = load_queries(data_path(mapping["unlabeled_queries"]))
+    eval_queries = load_queries(data_path(mapping["eval_queries"])) if "eval_queries" in mapping else None
+    try:
+        data = PipelineData(corpus, train_queries, train_qrels, unlabeled, eval_queries, eval_qrels)
+    except ValueError as exc:
+        # PipelineData checks only the eval queries' languages
+        raise DataFormatError(str(exc), data_path(mapping["eval_queries"])) from exc
     out = Path(args.out)
     if not args.resume:
         _guard_overwrite(out / "manifest.json", args.overwrite, "pipeline output")

@@ -7,7 +7,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Generic, Iterable, Iterator, TypeVar
 
@@ -76,16 +76,6 @@ class Passage:
 
 
 @dataclass(frozen=True)
-class Query:
-    id: str
-    text: str
-    lang: str = "en"
-
-    def __post_init__(self) -> None:
-        _check_id(self.id, "query")
-
-
-@dataclass(frozen=True)
 class Judgment:
     query_id: str
     passage_id: str
@@ -149,6 +139,29 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     if cfg.min_token_len > 1:
         return [sys.intern(t) for t in tokens if len(t) >= cfg.min_token_len]
     return list(map(sys.intern, tokens))
+
+
+@dataclass(frozen=True)
+class Query:
+    """A query; equal and hashed by (id, text, lang), whatever its memo holds."""
+
+    id: str
+    text: str
+    lang: str = "en"
+    _tokens: tuple[TokenizerConfig, list[str]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        _check_id(self.id, "query")
+
+    def tokens(self, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
+        """The text's tokens under ``tok``, memoized for the last config asked,
+        as ``Corpus.tokenized`` is; callers only read them. Every stage of a
+        run reads a query's tokens from here, so each query is tokenized once."""
+        if self._tokens is None or self._tokens[0] != tok:
+            object.__setattr__(self, "_tokens", (tok, tokenize(self.text, tok)))
+        return self._tokens[1]
 
 
 @dataclass(frozen=True)
@@ -264,21 +277,6 @@ class QuerySet(_IdCollection[Query]):
     """Ordered, id-indexed collection of queries."""
 
     kind = "query"
-
-    def __init__(self, queries: Iterable[Query]):
-        super().__init__(queries)
-        self._tokens: tuple[TokenizerConfig, dict[str, list[str]]] | None = None
-
-    def tokenized(self, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> dict[str, list[str]]:
-        """Query id -> tokens under ``tok``, memoized for the last config asked,
-        as ``Corpus.tokenized`` is; callers only read it.
-
-        Mining's vocabulary check, its searches and every evaluation of a query
-        set read from this, so one run tokenizes each query once.
-        """
-        if self._tokens is None or self._tokens[0] != tok:
-            self._tokens = (tok, {q.id: tokenize(q.text, tok) for q in self})
-        return self._tokens[1]
 
 
 class JudgmentSet:

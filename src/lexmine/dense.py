@@ -17,10 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import (
-    Corpus, DataFormatError, Query, QuerySet, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
-)
-from .sparse import RankedList, top_k
+from .corpus import Corpus, DataFormatError, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
+from .sparse import RankedList, rank_ids, top_k
 
 __all__ = [
     "EncoderParams",
@@ -88,11 +86,12 @@ class EncoderParams:
 
 
 def vocab_from_corpus(
-    corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER, query_sets: Iterable[QuerySet] = ()
+    corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER, query_sets: Iterable[Iterable[Query]] = ()
 ) -> list[str]:
     """The encoder vocabulary: sorted unique tokens of the corpus and of the
-    query sets, read from their ``tokenized(tok)`` memos."""
-    queries = (tokens for qs in query_sets for tokens in qs.tokenized(tok).values())
+    queries of ``query_sets``, read from their ``tokenized(tok)`` and
+    ``tokens(tok)`` memos."""
+    queries = (q.tokens(tok) for qs in query_sets for q in qs)
     return sorted(set(corpus.tokenized(tok).vocab).union(*queries))
 
 
@@ -220,11 +219,7 @@ class DenseIndex:
     def __post_init__(self) -> None:
         if len(self.ids) != self.vectors.shape[0]:
             raise ValueError("ids and vectors disagree in length")
-        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
-        rank = np.empty(len(self.ids), dtype=np.int64)
-        for r, i in enumerate(order):
-            rank[i] = r
-        self._id_rank = rank
+        self._id_rank = rank_ids(self.ids)
 
 
 def build_dense_index(
@@ -308,7 +303,8 @@ def infonce_batch(
     negatives, then the other samples' positives (each once, skipping any that
     equal the sample's own positive). Passages of ``corpus`` and queries are
     tokenized under ``tok``. Returns ``(loss, g_emb)``. Inputs are not
-    modified, apart from the rows ``corpus_token_rows`` memoizes on ``params``.
+    modified, apart from the rows ``corpus_token_rows`` memoizes on ``params``
+    and the tokens ``Query.tokens`` memoizes on each query.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -319,7 +315,7 @@ def infonce_batch(
             uniq.setdefault(pid, len(uniq))
     rows = corpus_token_rows(params, corpus, tok)
     p_rows = [rows[pid] for pid in uniq]
-    q_rows = [_token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch]
+    q_rows = [_token_rows(params.vocab, s.query.tokens(tok)) for s in batch]
     P = _mean_pool(params.embedding, p_rows)
     Q = _mean_pool(params.embedding, q_rows)
 

@@ -47,20 +47,16 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class MinedSets:
-    """Mined positives and negatives for one query.
-
-    ``positive_order`` and ``negative_order`` list the same ids deterministically
-    ordered by best rank across the two input rankings, then id, so downstream
-    sample assembly is reproducible.
+    """Mined positive and negative ids for one query, each in a deterministic
+    order (``mine_pairs``: best rank across the two input rankings, then id),
+    so downstream sample assembly is reproducible.
     """
 
-    positives: frozenset[str]
-    negatives: frozenset[str]
-    positive_order: tuple[str, ...] = ()
-    negative_order: tuple[str, ...] = ()
+    positives: tuple[str, ...]
+    negatives: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.positives & self.negatives:
+        if not set(self.positives).isdisjoint(self.negatives):
             raise ValueError("positives and negatives must be disjoint")
 
 
@@ -86,10 +82,8 @@ def mine_pairs(sparse_topL: RankedList, dense_topL: RankedList, cfg: MiningConfi
         best_rank[pid] = min(best_rank.get(pid, rank), rank)
     order_key = lambda pid: (best_rank[pid], pid)
     return MinedSets(
-        positives=frozenset(positives),
-        negatives=frozenset(negatives),
-        positive_order=tuple(sorted(positives, key=order_key)),
-        negative_order=tuple(sorted(negatives, key=order_key)),
+        positives=tuple(sorted(positives, key=order_key)),
+        negatives=tuple(sorted(negatives, key=order_key)),
     )
 
 
@@ -132,10 +126,10 @@ def assemble_mined_sample(
     """
     if not sets.positives:
         return []
-    hard = sets.negative_order[: cfg.max_hard_negatives]
-    exclude = set(sets.positives) | set(sets.negatives)
+    hard = sets.negatives[: cfg.max_hard_negatives]
+    exclude = {*sets.positives, *sets.negatives}
     samples = []
-    for pid in sets.positive_order:
+    for pid in sets.positives:
         randoms = sample_random_negatives(corpus, exclude, cfg.n_random_negatives, rng)
         samples.append(
             TrainingSample(

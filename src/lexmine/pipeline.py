@@ -150,7 +150,8 @@ class PipelineConfig:
 @dataclass
 class PipelineData:
     """Input bundle: corpus, labeled source queries, unlabeled target queries,
-    and optional held-out judged queries for per-iteration evaluation."""
+    and optional held-out judged queries for per-iteration evaluation. No eval
+    query may have the language "overall", the reports' all-language key."""
 
     corpus: Corpus
     train_queries: QuerySet
@@ -158,6 +159,11 @@ class PipelineData:
     unlabeled: QuerySet
     eval_queries: QuerySet | None = None
     eval_qrels: JudgmentSet | None = None
+
+    def __post_init__(self) -> None:
+        for q in self.eval_queries or ():
+            if q.lang == "overall":
+                raise ValueError(f"eval query {q.id!r} has the reserved language 'overall'")
 
 
 def pipeline_data_from_benchmark(bench: SynthBenchmark) -> PipelineData:
@@ -274,12 +280,11 @@ def assemble_warmup_samples(
     positive, top sparse-ranked non-relevant passages are hard negatives."""
     samples = []
     depth = cfg.mining.L + cfg.mining.max_hard_negatives
-    tokens = queries.tokenized(sparse_index.tokenizer)
     for q in queries:
         relevant = qrels.relevant(q.id)
         if not relevant:
             continue
-        ranked = search_sparse(sparse_index, tokens[q.id], depth)
+        ranked = search_sparse(sparse_index, q.tokens(sparse_index.tokenizer), depth)
         positive = next((pid for pid, _ in ranked if pid in relevant), min(relevant))
         hard = tuple(
             pid for pid, _ in ranked if pid not in relevant
@@ -340,8 +345,8 @@ def warmup(
 
 def dense_run(state: PipelineState, queries: QuerySet, k: int) -> RunFile:
     """Dense retrieval run over a query set (order-deterministic)."""
-    tokens = queries.tokenized(state.dense_index.tokenizer)
-    return dict(zip(tokens, search_dense_block(state.dense_index, list(tokens.values()), k)))
+    index = state.dense_index
+    return dict(zip(queries.ids, search_dense_block(index, [q.tokens(index.tokenizer) for q in queries], k)))
 
 
 def _evaluate(
@@ -362,19 +367,19 @@ def _evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _fixed_rankings(
-    state: PipelineState, qs: list[Query], tokens: dict[str, list[str]], cfg: PipelineConfig
-) -> list[RankedList]:
+def _fixed_rankings(state: PipelineState, qs: list[Query], cfg: PipelineConfig) -> list[RankedList]:
     """Each query's top-L by the retriever that never trains, from
     ``state.fixed_rankings``; queries not ranked yet are ranked from their
-    ``tokens`` and kept."""
+    tokens and kept."""
     known = state.fixed_rankings
     todo = [q for q in qs if q not in known]
     if cfg.mining_mode == "double_dense":
-        assert state.aux_index is not None
-        ranked = search_dense_block(state.aux_index, [tokens[q.id] for q in todo], cfg.mining.L)
+        aux = state.aux_index
+        assert aux is not None
+        ranked = search_dense_block(aux, [q.tokens(aux.tokenizer) for q in todo], cfg.mining.L)
     else:
-        ranked = [search_sparse(state.sparse_index, tokens[q.id], cfg.mining.L) for q in todo]
+        sparse = state.sparse_index
+        ranked = [search_sparse(sparse, q.tokens(sparse.tokenizer), cfg.mining.L) for q in todo]
     known.update(zip(todo, ranked))
     return [known[q] for q in qs]
 
@@ -387,13 +392,7 @@ def _mined_sets(list_a, list_b, cfg: PipelineConfig) -> tuple[MinedSets, tuple[s
         fused = hybrid_fuse(list_a, list_b, cfg.mining_mode.removeprefix("fuse_"), cfg.mining.L)
         ids = [pid for pid, _ in fused]
         s = cfg.mining.S
-        sets = MinedSets(
-            positives=frozenset(ids[:s]),
-            negatives=frozenset(ids[s:]),
-            positive_order=tuple(ids[:s]),
-            negative_order=tuple(ids[s:]),
-        )
-        return sets, tuple(ids[:1])
+        return MinedSets(positives=tuple(ids[:s]), negatives=tuple(ids[s:])), tuple(ids[:1])
     top1 = tuple(a for (a, _), (b, _) in zip(list_a[:1], list_b[:1]) if a == b)
     return mine_pairs(list_a, list_b, cfg.mining), top1
 
@@ -417,10 +416,10 @@ def mine(
     """
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
     vocab = state.params.vocab
-    tokens = queries.tokenized(state.dense_index.tokenizer)
-    qs = sorted((q for q in queries if any(t in vocab for t in tokens[q.id])), key=lambda q: q.lang)
-    fixed = _fixed_rankings(state, qs, tokens, cfg)
-    dense = search_dense_block(state.dense_index, [tokens[q.id] for q in qs], cfg.mining.L)
+    tok = state.dense_index.tokenizer
+    qs = sorted((q for q in queries if any(t in vocab for t in q.tokens(tok))), key=lambda q: q.lang)
+    fixed = _fixed_rankings(state, qs, cfg)
+    dense = search_dense_block(state.dense_index, [q.tokens(tok) for q in qs], cfg.mining.L)
     mined: list[TrainingSample] = []
     gen_pairs: list[tuple[Query, Passage]] = []
     queries_with_positives = 0
@@ -434,14 +433,14 @@ def mine(
             hard: tuple[str, ...] = ()
             if cfg.negative_mode == "sparse_top":
                 sparse_ranked = search_sparse(
-                    state.sparse_index, tokens[q.id], cfg.mining.max_hard_negatives + cfg.mining.S
+                    state.sparse_index, q.tokens(tok), cfg.mining.max_hard_negatives + cfg.mining.S
                 )
                 hard = tuple(
                     pid for pid, _ in sparse_ranked if pid not in sets.positives
                 )[: cfg.mining.max_hard_negatives]
             mined.extend(
                 TrainingSample(query=q, positive=pid, hard_negatives=hard, source="mined")
-                for pid in sets.positive_order
+                for pid in sets.positives
             )
         gen_pairs.extend((q, state.corpus[pid]) for pid in top1)
     return mined, gen_pairs, queries_with_positives

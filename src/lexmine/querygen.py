@@ -18,9 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (
-    Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write, tokenize
-)
+from .corpus import Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
 from .dense import DenseIndex, TrainingSample, search_dense
 from .mining import MiningConfig, sample_random_negatives
 from .sparse import InvertedIndex, RankedList, search_sparse
@@ -69,9 +67,10 @@ def train_generator(
     """Fit per-language term salience and the query-length distribution.
 
     Passage tokens come from ``corpus.tokenized(tok)``, so every passage in
-    ``pairs`` must be in ``corpus``. Languages present in ``pairs`` get their
-    salience tables recomputed from scratch; other languages keep their
-    existing entries. Returns the mutated model with its version incremented.
+    ``pairs`` must be in ``corpus``, and query tokens from ``Query.tokens(tok)``.
+    Languages present in ``pairs`` get their salience tables recomputed from
+    scratch; other languages keep their existing entries. Returns the mutated
+    model with its version incremented.
     """
     if not pairs:
         raise ValueError("training pairs must be non-empty")
@@ -82,7 +81,7 @@ def train_generator(
     tc = corpus.tokenized(tok)
     for query, passage in pairs:
         langs.add(passage.lang)
-        q_list = tokenize(query.text, tok)
+        q_list = query.tokens(tok)
         q_tokens = set(q_list)
         if q_list:
             lengths[len(q_list)] = lengths.get(len(q_list), 0) + 1
@@ -155,9 +154,10 @@ def filter_generated(
 ) -> tuple[RankedList, RankedList] | None:
     """The pair's BM25 and dense top-(max_hard_negatives + 1) rankings when
     both rank its passage first, else None; the dense index is searched only
-    when BM25 does. The query is tokenized once, so both indexes must share a
-    tokenizer, as every ``PipelineState``'s do."""
-    tokens = tokenize(pair.query.text, sparse_index.tokenizer)
+    when BM25 does. Both search with the query's tokens under the sparse
+    index's tokenizer, so the two indexes must share a tokenizer, as every
+    ``PipelineState``'s do."""
+    tokens = pair.query.tokens(sparse_index.tokenizer)
     k = cfg.max_hard_negatives + 1
     sparse_top = search_sparse(sparse_index, tokens, k)
     if not sparse_top or sparse_top[0][0] != pair.passage_id:

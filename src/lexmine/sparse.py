@@ -27,6 +27,7 @@ __all__ = [
     "build_index",
     "bm25_score",
     "search_sparse",
+    "rank_ids",
     "top_k",
 ]
 
@@ -167,11 +168,8 @@ def build_index(
     ids = corpus.ids
     n = len(ids)
     lens = np.diff(tc.offsets)
-    by_id = sorted(range(n), key=ids.__getitem__)
-    id_rank = np.empty(n, dtype=np.int64)
-    id_rank[by_id] = np.arange(n)
     # one key per (term, passage) occurrence, ordered by term, then passage id
-    keys, tfs = np.unique(tc.ids.astype(np.int64) * n + np.repeat(id_rank, lens), return_counts=True)
+    keys, tfs = np.unique(tc.ids.astype(np.int64) * n + np.repeat(rank_ids(ids), lens), return_counts=True)
     terms, ranks = np.divmod(keys, n)
     postings = Postings(
         tc.vocab,
@@ -208,6 +206,14 @@ def bm25_score(index: InvertedIndex, query_tokens: list[str], passage_id: str) -
             norm = tf + k1 * (1.0 - b + b * dl / index.avgdl)
             score += index.idf(term) * tf * (k1 + 1.0) / norm
     return score
+
+
+def rank_ids(ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in ascending id order (int64): the ``id_rank`` that
+    ``top_k`` breaks ties by."""
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 def top_k(

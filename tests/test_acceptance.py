@@ -112,8 +112,8 @@ def test_acceptance_1_mining_oracle():
         want_neg = {
             p for p in ls | ld if (p in ss and p not in ld) or (p in sd and p not in ls)
         }
-        assert sets.positives == want_pos and sets.negatives == want_neg
-        assert not (sets.positives & sets.negatives)
+        assert set(sets.positives) == want_pos and set(sets.negatives) == want_neg
+        assert not (set(sets.positives) & set(sets.negatives))
         checked += 1
     elapsed = time.perf_counter() - t0
     _report(

@@ -564,6 +564,18 @@ def test_pipeline_query_id_with_whitespace_exit_3(tmp_path, synth_dir, capsys):
     assert not out.exists()
 
 
+def test_pipeline_eval_query_language_overall_exit_3(tmp_path, capsys):
+    # an eval language named "overall" would replace the all-language metrics in each report
+    data = tiny_data(tmp_path)
+    path = data / "queries.jsonl"
+    path.write_text(json.dumps({"id": "q1", "text": "alpha beta1", "lang": "overall"}) + "\n")
+    out = tmp_path / "run"
+    cfg = pipeline_cfg_file(tmp_path, data)
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {path}: eval query 'q1' has the reserved language 'overall'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["passages.jsonl", "train_queries.jsonl", "unlabeled_tgt.jsonl"])
 @pytest.mark.parametrize("lang", [None, 5])
 def test_pipeline_non_string_lang_exit_3(tmp_path, capsys, name, lang):

@@ -202,14 +202,21 @@ def test_corpus_tokenized_memo_follows_config():
     assert corpus.tokenized() is not split and corpus.tokenized().vocab == split.vocab
 
 
-def test_query_set_tokenized_memo_follows_config():
-    queries = QuerySet([Query(id="q1", text="東京 Tower"), Query(id="q2", text="")])
-    split = queries.tokenized()
-    assert split == {"q1": ["東", "京", "tower"], "q2": []}
-    assert queries.tokenized() is split
-    joined = queries.tokenized(TokenizerConfig(cjk_char_split=False))
-    assert joined == {"q1": ["東京", "tower"], "q2": []}
-    assert queries.tokenized() is not split and queries.tokenized() == split
+def test_query_tokens_memo_follows_config():
+    query, empty = Query(id="q1", text="東京 Tower"), Query(id="q2", text="")
+    split = query.tokens()
+    assert split == ["東", "京", "tower"] and empty.tokens() == []
+    assert query.tokens() is split
+    joined = query.tokens(TokenizerConfig(cjk_char_split=False))
+    assert joined == ["東京", "tower"] and empty.tokens(TokenizerConfig(cjk_char_split=False)) == []
+    assert query.tokens() is not split and query.tokens() == split
+
+
+def test_query_memo_leaves_equality_and_hash_alone():
+    query, fresh = Query(id="q1", text="a b"), Query(id="q1", text="a b")
+    query.tokens()
+    assert query == fresh and hash(query) == hash(fresh) and {query: 1}[fresh] == 1
+    assert "_tokens" not in repr(query)
 
 
 # ---------------------------------------------------------------------------

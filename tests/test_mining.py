@@ -39,24 +39,24 @@ def oracle_mine(sparse_ids, dense_ids, s):
 def test_mine_identical_rankings_all_positive():
     lists = ranked(["p1", "p2", "p3", "p4"])
     sets = mine_pairs(lists, lists, MiningConfig(S=2, L=4))
-    assert sets.positives == {"p1", "p2"}
-    assert sets.negatives == frozenset()
+    assert sets.positives == ("p1", "p2")
+    assert sets.negatives == ()
 
 
 def test_mine_hand_traced_example():
     sparse = ranked(["p1", "p2", "p3", "p4"])
     dense = ranked(["p2", "p5", "p1", "p6"])
     sets = mine_pairs(sparse, dense, MiningConfig(S=2, L=4))
-    assert sets.positives == {"p2"}
-    assert sets.negatives == {"p5"}
+    assert sets.positives == ("p2",)
+    assert sets.negatives == ("p5",)
 
 
 def test_mine_disjoint_lists_s1():
     sparse = ranked(["a1", "a2"])
     dense = ranked(["b1", "b2"])
     sets = mine_pairs(sparse, dense, MiningConfig(S=1, L=2))
-    assert sets.positives == frozenset()
-    assert sets.negatives == {"a1", "b1"}
+    assert sets.positives == ()
+    assert sets.negatives == ("a1", "b1")
 
 
 def test_mine_config_validation():
@@ -70,15 +70,15 @@ def test_mine_config_validation():
 
 def test_mined_sets_disjointness_enforced():
     with pytest.raises(ValueError):
-        MinedSets(positives=frozenset({"a"}), negatives=frozenset({"a"}))
+        MinedSets(positives=("a",), negatives=("b", "a"))
 
 
 def test_mine_shorter_lists_than_s():
     sparse = ranked(["p1"])
     dense = ranked(["p1", "p2"])
     sets = mine_pairs(sparse, dense, MiningConfig(S=3, L=5))
-    assert sets.positives == {"p1"}
-    assert sets.negatives == {"p2"}
+    assert sets.positives == ("p1",)
+    assert sets.negatives == ("p2",)
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,9 +93,9 @@ def test_mine_matches_oracle(data):
     S = data.draw(st.integers(1, L))
     sets = mine_pairs(ranked(sparse_ids), ranked(dense_ids), MiningConfig(S=S, L=L))
     want_pos, want_neg = oracle_mine(sparse_ids, dense_ids, S)
-    assert sets.positives == want_pos
-    assert sets.negatives == want_neg
-    assert not (sets.positives & sets.negatives)
+    assert set(sets.positives) == want_pos and len(sets.positives) == len(want_pos)
+    assert set(sets.negatives) == want_neg and len(sets.negatives) == len(want_neg)
+    assert not (set(sets.positives) & set(sets.negatives))
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,7 +109,7 @@ def test_mine_shrinking_s_never_adds_positives(data):
     S_small = data.draw(st.integers(1, S))
     big = mine_pairs(ranked(sparse_ids), ranked(dense_ids), MiningConfig(S=S, L=L))
     small = mine_pairs(ranked(sparse_ids), ranked(dense_ids), MiningConfig(S=S_small, L=L))
-    assert small.positives <= big.positives
+    assert set(small.positives) <= set(big.positives)
 
 
 @settings(max_examples=100, deadline=None)
@@ -194,13 +194,8 @@ def test_assemble_single_positive(tiny_corpus, rng):
         ranked(["p2", "p1"]), ranked(["p2", "p5"]), MiningConfig(S=1, L=2, n_random_negatives=1)
     )
     # p2 positive; p5 in dense top-1? S=1: s_s={p2}, s_d={p2} -> positives {p2}; negatives empty
-    assert sets.positives == {"p2"}
-    sets = MinedSets(
-        positives=frozenset({"p2"}),
-        negatives=frozenset({"p5"}),
-        positive_order=("p2",),
-        negative_order=("p5",),
-    )
+    assert sets.positives == ("p2",)
+    sets = MinedSets(positives=("p2",), negatives=("p5",))
     samples = assemble_mined_sample(
         Query(id="q", text="banana"), sets, tiny_corpus, rng, MiningConfig(S=1, L=2, n_random_negatives=1)
     )
@@ -213,7 +208,7 @@ def test_assemble_single_positive(tiny_corpus, rng):
 
 
 def test_assemble_empty_positives(tiny_corpus, rng):
-    sets = MinedSets(positives=frozenset(), negatives=frozenset({"p1"}), negative_order=("p1",))
+    sets = MinedSets(positives=(), negatives=("p1",))
     assert assemble_mined_sample(Query(id="q", text="x"), sets, tiny_corpus, rng, MiningConfig()) == []
 
 
@@ -224,8 +219,8 @@ def test_assemble_three_positives_share_hard_list(tiny_corpus, rng):
     dense = ranked(["p2", "p1", "p3", "x9", "p6"])
     cfg = MiningConfig(S=4, L=5, n_random_negatives=0, max_hard_negatives=8)
     sets = mine_pairs(sparse, dense, cfg)
-    assert sets.positives == {"p1", "p2", "p3"}
-    assert sets.negatives == {"p4", "x9"}
+    assert sets.positives == ("p1", "p2", "p3")
+    assert sets.negatives == ("p4", "x9")
     samples = assemble_mined_sample(Query(id="q", text="apple"), sets, tiny_corpus, rng, cfg)
     assert len(samples) == 3
     assert len({s.hard_negatives for s in samples}) == 1
@@ -236,35 +231,33 @@ def test_assemble_three_positives_share_hard_list(tiny_corpus, rng):
 
 def test_assemble_hard_negative_order_and_cap(tiny_corpus, rng):
     # negatives with known best ranks: n_a best rank 1 (dense), n_b rank 2 (sparse)
-    sets = MinedSets(
-        positives=frozenset({"p1"}),
-        negatives=frozenset({"n_a", "n_b", "n_c"}),
-        positive_order=("p1",),
-        negative_order=("n_a", "n_b", "n_c"),
-    )
+    sets = MinedSets(positives=("p1",), negatives=("n_a", "n_b", "n_c"))
     cfg = MiningConfig(S=1, L=5, n_random_negatives=0, max_hard_negatives=2)
     samples = assemble_mined_sample(Query(id="q", text="apple"), sets, tiny_corpus, rng, cfg)
     assert samples[0].hard_negatives == ("n_a", "n_b")
 
 
 def test_assemble_deterministic_with_seeded_rng(tiny_corpus):
-    sets = MinedSets(
-        positives=frozenset({"p1"}), negatives=frozenset(), positive_order=("p1",)
-    )
+    sets = MinedSets(positives=("p1",), negatives=())
     cfg = MiningConfig(S=1, L=1, n_random_negatives=2)
     a = assemble_mined_sample(Query(id="q", text="x"), sets, tiny_corpus, np.random.default_rng(5), cfg)
     b = assemble_mined_sample(Query(id="q", text="x"), sets, tiny_corpus, np.random.default_rng(5), cfg)
     assert a == b
 
 
-def test_mine_pairs_order_fields_consistent():
+def test_mine_pairs_orders_ids_by_best_rank_then_id():
     sparse = ranked(["p3", "p1", "p2"])
     dense = ranked(["p3", "p9", "p8"])
     sets = mine_pairs(sparse, dense, MiningConfig(S=2, L=3))
-    assert set(sets.positive_order) == sets.positives
-    assert set(sets.negative_order) == sets.negatives
+    assert sets.positives == ("p3",)
     # p9 best rank 2 (dense), p1 best rank 2 (sparse): tie broken by id
-    assert sets.negative_order == ("p1", "p9")
+    assert sets.negatives == ("p1", "p9")
+
+
+def test_assemble_builds_one_sample_per_positive_in_their_order(tiny_corpus, rng):
+    sets = MinedSets(positives=("p2", "p1"), negatives=())
+    samples = assemble_mined_sample(Query(id="q", text="x"), sets, tiny_corpus, rng, MiningConfig())
+    assert [s.positive for s in samples] == ["p2", "p1"]
 
 
 # ---------------------------------------------------------------------------

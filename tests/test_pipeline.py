@@ -343,10 +343,9 @@ def test_iteration_sample_count_matches_recount(data, tmp_path):
     fresh_state = make_state(data, cfg)
     assert fresh_state.params.version == version_before
     want = 0
-    tokens = data.unlabeled.tokenized(cfg.tokenizer)
     for q in data.unlabeled:
-        a = search_sparse(fresh_state.sparse_index, tokens[q.id], cfg.mining.L)
-        b = search_dense(fresh_state.dense_index, tokens[q.id], cfg.mining.L)
+        a = search_sparse(fresh_state.sparse_index, q.tokens(cfg.tokenizer), cfg.mining.L)
+        b = search_dense(fresh_state.dense_index, q.tokens(cfg.tokenizer), cfg.mining.L)
         want += len(mine_pairs(a, b, cfg.mining).positives)
     assert report.mined_samples == want
 
@@ -415,9 +414,9 @@ def test_mined_sets_top1_is_the_s1_positive(data, mode):
     if mode.startswith("fuse_"):
         fused = [pid for pid, _ in hybrid_fuse(a, b, mode.removeprefix("fuse_"), L)]
         assert top1 == tuple(fused[:1])
-        assert sets.positive_order == tuple(fused[: cfg.mining.S])
+        assert sets.positives == tuple(fused[: cfg.mining.S])
     else:
-        assert top1 == mine_pairs(a, b, replace(cfg.mining, S=1)).positive_order
+        assert top1 == mine_pairs(a, b, replace(cfg.mining, S=1)).positives
         assert sets == mine_pairs(a, b, cfg.mining)
 
 
@@ -640,24 +639,25 @@ def test_three_iterations_rank_each_unlabeled_query_with_bm25_once(data, monkeyp
     cfg = small_cfg(iterations=3)
     assert len(run_pipeline(cfg, data)) == 4
     # the unlabeled queries' memoized token lists, which mining searches with
-    unlabeled = [id(tokens) for tokens in data.unlabeled.tokenized(cfg.tokenizer).values()]
+    unlabeled = [id(q.tokens(cfg.tokenizer)) for q in data.unlabeled]
     assert Counter(c for c in calls if c in unlabeled) == Counter(unlabeled)
 
 
-def test_two_evaluations_tokenize_each_eval_query_once(data, monkeypatch):
-    import sys
+def fresh_queries(queries):
+    """New ``Query`` objects for ``queries``, so none has tokens memoized yet."""
+    return QuerySet(Query(id=q.id, text=q.text, lang=q.lang) for q in queries)
 
+
+def test_two_evaluations_tokenize_each_eval_query_once(data, monkeypatch):
     import lexmine.corpus as corpus_mod
     from lexmine.pipeline import _evaluate
 
     cfg = small_cfg()
     state = make_state(data, cfg)
-    fresh = replace(data, eval_queries=QuerySet(data.eval_queries))  # no tokens memoized yet
+    fresh = replace(data, eval_queries=fresh_queries(data.eval_queries))
     texts = []
     real = corpus_mod.tokenize
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lexmine") and getattr(module, "tokenize", None) is real:
-            monkeypatch.setattr(module, "tokenize", lambda text, *a, **k: texts.append(text) or real(text, *a, **k))
+    monkeypatch.setattr(corpus_mod, "tokenize", lambda text, *a, **k: texts.append(text) or real(text, *a, **k))
     first = _evaluate(state, fresh, cfg)
     assert _evaluate(state, fresh, cfg) == first
     assert sorted(texts) == sorted(q.text for q in fresh.eval_queries)
@@ -667,25 +667,38 @@ def test_pipeline_tokenizes_each_target_eval_query_once(data, monkeypatch):
     import sys
 
     import lexmine.corpus as corpus_mod
+    import lexmine.pipeline as pipeline_mod
 
-    # fresh query sets, so no tokens are memoized yet
+    real = corpus_mod.tokenize
+    # every tokenization goes through the corpus module's binding, so patching it counts them all
+    bound = [name for name, m in sys.modules.items() if name.startswith("lexmine.") and vars(m).get("tokenize") is real]
+    assert bound == ["lexmine.corpus"]
+    # a new corpus and new queries, so nothing is memoized yet
     fresh = replace(
         data,
-        train_queries=QuerySet(data.train_queries),
-        unlabeled=QuerySet(data.unlabeled),
-        eval_queries=QuerySet(data.eval_queries),
+        corpus=Corpus(data.corpus),
+        train_queries=fresh_queries(data.train_queries),
+        unlabeled=fresh_queries(data.unlabeled),
+        eval_queries=fresh_queries(data.eval_queries),
     )
     texts = Counter()
-    real = corpus_mod.tokenize
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lexmine") and getattr(module, "tokenize", None) is real:
-            monkeypatch.setattr(module, "tokenize", lambda text, *a, **k: texts.update([text]) or real(text, *a, **k))
-    run_pipeline(small_cfg(iterations=1, n_generate=0), fresh)
-    # texts no other query shares, since training batches tokenize their queries again
-    others = Counter(q.text for q in (*fresh.train_queries, *fresh.unlabeled, *fresh.eval_queries))
-    target = [q.text for q in fresh.eval_queries if q.lang != "src" and others[q.text] == 1]
-    assert target
-    assert {text: texts[text] for text in target} == dict.fromkeys(target, 1)
+    monkeypatch.setattr(corpus_mod, "tokenize", lambda text, *a, **k: texts.update([text]) or real(text, *a, **k))
+    candidates = []
+    real_generate = pipeline_mod.generate_query
+    monkeypatch.setattr(
+        pipeline_mod, "generate_query", lambda *a, **k: candidates.append(real_generate(*a, **k)) or candidates[-1]
+    )
+    reports = run_pipeline(small_cfg(iterations=2), fresh)
+    assert reports[2].generated_candidates == len(candidates) > 0 and reports[2].dataset_size > 0
+    # each passage, train, unlabeled and eval query, and generated candidate exactly once
+    queries = (*fresh.train_queries, *fresh.unlabeled, *fresh.eval_queries, *candidates)
+    assert texts == Counter(p.text for p in fresh.corpus) + Counter(q.text for q in queries)
+
+
+def test_pipeline_rejects_eval_queries_in_language_overall(data):
+    relabelled = QuerySet(replace(q, lang="overall") if q.lang == "tgta" else q for q in data.eval_queries)
+    with pytest.raises(ValueError, match="reserved language 'overall'"):
+        run_pipeline(small_cfg(iterations=1), replace(data, eval_queries=relabelled))
 
 
 def test_pipeline_reports_start_with_warmup_zero_shot(data):

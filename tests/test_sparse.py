@@ -13,6 +13,7 @@ from lexmine.sparse import (
     InvertedIndex,
     bm25_score,
     build_index,
+    rank_ids,
     search_sparse,
     top_k,
 )
@@ -377,3 +378,11 @@ def test_top_k_nan_sorts_last():
     assert top_k(scores, id_rank, 2).tolist() == [3, 1]
     assert top_k(scores, id_rank, 4).tolist() == [3, 1, 4, 0]
     assert top_k(scores, id_rank, 1, np.array([0, 2])).tolist() == [0]
+
+
+@pytest.mark.parametrize("ids", [[], ["b"], ["p10", "p1", "p2", "p", "p1a", "東京", "東", "é", "e", "Z", "z", "_"]])
+def test_rank_ids_is_the_position_in_sorted_order(ids):
+    rank = rank_ids(ids)
+    assert rank.dtype == np.int64
+    assert [ids[i] for i in np.argsort(rank)] == sorted(ids)
+    assert rank.tolist() == [sorted(ids).index(pid) for pid in ids]

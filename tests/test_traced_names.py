@@ -53,6 +53,30 @@ def test_counted_arguments_keep_their_positions():
     assert list(inspect.signature(tokenize).parameters)[0] == "text"
 
 
+def test_tracer_counts_every_tokenization_in_the_corpus_group():
+    # the tracer wraps each namespace's binding; passages and queries alike tokenize through corpus's
+    import sys
+
+    import lexmine.cli  # noqa: F401  (the tracer wraps its namespace too)
+
+    tracing = _exec("tracing.py")
+    modules = [sys.modules[f"lexmine.{m}"] for m in tracing["MODULES"]]
+    saved = [dict(vars(m)) for m in modules]
+    try:
+        tracer = tracing["Tracer"]()
+        assert tracer.install() > 0
+        texts = ["Apple banana", "日本語 fig", "apple cherry", "日本"]
+        Corpus([Passage(id="p1", text=texts[0]), Passage(id="p2", text=texts[1])]).tokenized()
+        for i, text in enumerate(texts[2:]):
+            Query(id=f"q{i}", text=text).tokens()
+        summary = tracer.summary()
+    finally:
+        for m, d in zip(modules, saved):
+            vars(m).update(d)
+    assert summary["groups"]["corpus.tokenize"]["calls"] == len(texts)
+    assert summary["counters"]["tokenize.chars"] == sum(map(len, texts))
+
+
 def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
     # passages with repeated, CJK and no tokens; queries with out-of-vocabulary tokens
     corpus = Corpus(
