@@ -20,7 +20,7 @@ from pathlib import Path
 
 from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
 from lexmine.corpus import SynthSpec, synth_benchmark
-from lexmine.pipeline import pipeline_data_from_benchmark, run_pipeline
+from lexmine.pipeline import pipeline_data_from_benchmark, run_pipeline, target_mean
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,9 +56,8 @@ def main() -> None:
         t0 = time.perf_counter()
         reports = run_pipeline(cfg, data)
         final = reports[-1]
-        key_m, key_r = f"mrr@{cfg.eval_k}", f"recall@{cfg.eval_k}"
-        mrr = sum(final.metrics[lang][key_m] for lang in langs) / len(langs)
-        rec = sum(final.metrics[lang][key_r] for lang in langs) / len(langs)
+        mrr = target_mean(final.metrics, langs, f"mrr@{cfg.eval_k}")
+        rec = target_mean(final.metrics, langs, f"recall@{cfg.eval_k}")
         print(
             f"{name:<14} {final.mined_samples:>12} {mrr:>8.4f} {rec:>10.4f} "
             f"{time.perf_counter() - t0:>5.0f}s"

@@ -13,13 +13,9 @@ from pathlib import Path
 
 from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
 from lexmine.corpus import SynthSpec, synth_benchmark
-from lexmine.pipeline import pipeline_data_from_benchmark, run_pipeline
+from lexmine.pipeline import pipeline_data_from_benchmark, run_pipeline, target_mean
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def target_mean(report, langs, key):
-    return sum(report.metrics[lang][key] for lang in langs) / len(langs)
 
 
 def main() -> None:
@@ -56,8 +52,8 @@ def main() -> None:
             f"{r.iteration:>4}  {r.mined_samples:>6}  {r.generated_accepted:>5}  "
             f"{r.generated_rejected:>5}  {r.mean_loss:6.3f}  {per_lang}"
         )
-    zero_shot = target_mean(reports[0], langs, key)
-    final = target_mean(reports[-1], langs, key)
+    zero_shot = target_mean(reports[0].metrics, langs, key)
+    final = target_mean(reports[-1].metrics, langs, key)
     rel = 100.0 * (final - zero_shot) / zero_shot if zero_shot else float("inf")
     print(
         f"\nmean target {key}: zero-shot {zero_shot:.4f} -> final {final:.4f} "

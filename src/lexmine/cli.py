@@ -2,18 +2,20 @@
 
 Every command reads a flat key=value config file (``#`` starts a comment),
 accepts ``--set key=value`` overrides, rejects unknown keys, and writes a
-manifest recording the resolved config hash, seed, and package version next to
-its artifacts. Relative input-data paths resolve against $LEXMINE_DATA_DIR
-when it is set. Exit codes: 0 success, 2 config violation, 3 data error.
+manifest (``pipeline.write_manifest``) recording the command, the resolved
+config and its hash, the seed and the package version next to its artifacts.
+Relative input-data paths resolve against $LEXMINE_DATA_DIR when it is set.
+Exit codes: 0 success, 2 config violation, 3 data error (a path that cannot be
+opened included).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +59,10 @@ from .pipeline import (
     mine,
     run_pipeline,
     start_state,
+    target_mean,
     train,
     warmup,
+    write_manifest,
 )
 from .querygen import GeneratorModel, load_generator, save_generator
 from .sparse import BM25Params, build_index
@@ -139,7 +143,6 @@ _PIPELINE_KEYS: dict[str, type] = {
     "n_random_negatives": int,
     "max_hard_negatives": int,
     "n_generate": int,
-    "skip_generation_first_iter": bool,
     "embedding_dim": int,
     "warmup_lr": float,
     "train_lr": float,
@@ -203,30 +206,13 @@ def pipeline_config_from_mapping(mapping: dict[str, str], seed: int) -> Pipeline
         raise ConfigError(str(exc)) from exc
 
 
-def _mapping_hash(mapping: dict) -> str:
-    return hashlib.sha256(json.dumps(mapping, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _write_manifest(path: Path, command: str, config: dict, seed: int) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_hash": _mapping_hash(config),
-        "seed": seed,
-        "version": __version__,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(path) as fh:
-        json.dump(manifest, fh, indent=2)
-
-
 def _load_judged_qrels(name: str, corpus: Corpus) -> JudgmentSet:
     """Qrels whose every judged passage is in ``corpus``; queries go unchecked,
     since the training qrels also judge queries held out for evaluation."""
     path = data_path(name)
     qrels = load_qrels(path)
     try:
-        qrels.validate(corpus=corpus)
+        qrels.validate(corpus)
     except DataFormatError as exc:
         raise DataFormatError(exc.message, path) from exc
     return qrels
@@ -280,7 +266,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             fh,
             ensure_ascii=False,
         )
-    _write_manifest(out / "manifest.json", "synth", mapping, args.seed)
+    write_manifest(out / "manifest.json", "synth", mapping, args.seed)
     print(
         f"wrote {len(bench.corpus)} passages, {len(bench.queries)} judged queries, "
         f"{len(bench.judgments)} judgments, {len(bench.unlabeled)} unlabeled queries to {out}"
@@ -304,7 +290,7 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params)
     save_generator(generator, out / "generator.json")
-    _write_manifest(out / "manifest.json", "warmup", cfg.canonical_dict(), args.seed)
+    write_manifest(out / "manifest.json", "warmup", asdict(cfg), args.seed)
     print(f"warmed up on {len(labeled)} labeled samples -> {out}")
     return EXIT_OK
 
@@ -352,9 +338,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     samples, _, queries_with = mine(state, queries, cfg, iteration=1)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_samples(samples, out)
-    _write_manifest(
-        Path(str(out) + ".manifest.json"), "mine", cfg.canonical_dict(), args.seed
-    )
+    write_manifest(Path(str(out) + ".manifest.json"), "mine", asdict(cfg), args.seed)
     print(f"mined {len(samples)} samples from {len(queries)} queries ({queries_with} with positives)")
     return EXIT_OK
 
@@ -380,7 +364,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                     "reason": "top1-mismatch",
                 }
                 fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-    _write_manifest(Path(str(out) + ".manifest.json"), "generate", cfg.canonical_dict(), args.seed)
+    write_manifest(Path(str(out) + ".manifest.json"), "generate", asdict(cfg), args.seed)
     print(
         f"generated {len(accepted) + len(rejected)} candidates, accepted {len(accepted)}, "
         f"rejected {len(rejected)}"
@@ -409,7 +393,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     losses = train(params, opt, dataset, corpus, cfg, rng, cfg.minibatches_per_iter, "iteration 1")
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params, opt)
-    _write_manifest(out / "manifest.json", "train", cfg.canonical_dict(), args.seed)
+    write_manifest(out / "manifest.json", "train", asdict(cfg), args.seed)
     print(
         f"trained {len(losses)} minibatches on {len(dataset)} samples; "
         f"mean loss {float(np.mean(losses)):.4f} -> {out}"
@@ -474,11 +458,16 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if not args.resume:
         _guard_overwrite(out / "manifest.json", args.overwrite, "pipeline output")
     reports = run_pipeline(cfg, data, workdir=out, resume=args.resume)
+    key = f"mrr@{cfg.eval_k}"
+    target_langs = {q.lang for q in unlabeled}
     for rep in reports:
-        key = f"mrr@{cfg.eval_k}"
         overall = rep.metrics.get("overall", {}).get(key)
-        shown = f"{overall:.4f}" if overall is not None else "n/a"
-        print(f"iteration {rep.iteration}: mined={rep.mined_samples} generated={rep.generated_accepted} {key}={shown}")
+        target = target_mean(rep.metrics, target_langs, key)
+        shown, target_shown = (f"{v:.4f}" if v is not None else "n/a" for v in (overall, target))
+        print(
+            f"iteration {rep.iteration}: mined={rep.mined_samples} generated={rep.generated_accepted} "
+            f"{key}={shown} target {key}={target_shown}"
+        )
     return EXIT_OK
 
 
@@ -577,7 +566,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a path that cannot be opened or made: missing, a directory, a file
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

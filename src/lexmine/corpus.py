@@ -314,12 +314,10 @@ class JudgmentSet:
             self._relevant[query_id] = rel
         return rel
 
-    def validate(self, corpus: Corpus | None = None, queries: QuerySet | None = None) -> None:
-        """Check that all referenced ids resolve against the given collections."""
+    def validate(self, corpus: Corpus) -> None:
+        """Check that every judged passage is in ``corpus``."""
         for j in self._all:
-            if queries is not None and j.query_id not in queries:
-                raise DataFormatError(f"judgment references unknown query {j.query_id!r}")
-            if corpus is not None and j.passage_id not in corpus:
+            if j.passage_id not in corpus:
                 raise DataFormatError(f"judgment references unknown passage {j.passage_id!r}")
 
 

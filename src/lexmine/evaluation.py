@@ -1,9 +1,8 @@
 """Retrieval metrics, TREC run file IO, and the paired significance test.
 
 Recall@k follows the hit-rate definition: the fraction of queries whose top-k
-results contain at least one relevant passage. A coverage variant (fraction of
-the relevant set retrieved) is available behind a flag for comparability with
-other toolkits. Unjudged retrieved passages count as non-relevant.
+results contain at least one relevant passage. Unjudged retrieved passages
+count as non-relevant.
 """
 
 from __future__ import annotations
@@ -120,23 +119,16 @@ def recall_at_k(
     qrels: JudgmentSet,
     k: int,
     query_langs: dict[str, str] | None = None,
-    coverage: bool = False,
 ) -> MetricsReport:
-    """Fraction of queries with at least one relevant passage in the top k.
-
-    With ``coverage=True`` returns instead, per query, the fraction of its
-    relevant passages found in the top k (the more common external definition).
-    """
+    """Fraction of queries with at least one relevant passage in the top k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     evaluated, unjudged, no_relevant = _evaluated_queries(run, qrels)
     per_query: dict[str, float] = {}
     for qid in evaluated:
-        relevant = qrels.relevant(qid)
         retrieved = {pid for pid, _ in run.get(qid, [])[:k]}
-        hits = len(relevant & retrieved)
-        per_query[qid] = (hits / len(relevant)) if coverage else (1.0 if hits else 0.0)
-    return _finish("recall_coverage" if coverage else "recall", k, per_query, unjudged, no_relevant, query_langs)
+        per_query[qid] = 1.0 if qrels.relevant(qid) & retrieved else 0.0
+    return _finish("recall", k, per_query, unjudged, no_relevant, query_langs)
 
 
 @dataclass(frozen=True)

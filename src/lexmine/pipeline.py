@@ -1,11 +1,11 @@
 """Training orchestrator: warm up on labeled source data, then iterate.
 
 Each iteration mines training pairs for every unlabeled target-language query
-from sparse/dense agreement, retrains the query generator on pairs mined with
-S=1 and adds filtered generated samples (unless ``n_generate`` is 0),
-fine-tunes the dense retriever on the union, and rebuilds the dense index. The
-sparse retriever is never retrained. Everything is a pure function of (config,
-data, seed).
+from sparse/dense agreement; from iteration 2 on (unless ``n_generate`` is 0)
+it retrains the query generator on pairs mined with S=1 and adds filtered
+generated samples. It fine-tunes the dense retriever on the union and rebuilds
+the dense index. The sparse retriever is never retrained. Everything is a pure
+function of (config, data, seed).
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ __all__ = [
     "run_iteration",
     "run_pipeline",
     "pipeline_data_from_benchmark",
+    "config_hash",
+    "write_manifest",
+    "target_mean",
 ]
 
 # rng stream tags so every stage draws from its own seeded stream
@@ -103,7 +106,6 @@ class PipelineConfig:
     warmup_epochs: int = 3
     mining: MiningConfig = field(default_factory=MiningConfig)
     n_generate: int = 5000
-    skip_generation_first_iter: bool = True
     embedding_dim: int = 64
     warmup_lr: float = 1e-2
     train_lr: float = 1e-2
@@ -134,17 +136,6 @@ class PipelineConfig:
             raise ValueError(f"mining_mode must be one of {MINING_MODES}")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
-
-    def canonical_dict(self) -> dict:
-        d = asdict(self)
-        d["mining"] = asdict(self.mining)
-        d["bm25"] = asdict(self.bm25)
-        d["tokenizer"] = asdict(self.tokenizer)
-        return d
-
-    def config_hash(self) -> str:
-        payload = json.dumps(self.canonical_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -420,6 +411,8 @@ def mine(
     qs = sorted((q for q in queries if any(t in vocab for t in q.tokens(tok))), key=lambda q: q.lang)
     fixed = _fixed_rankings(state, qs, cfg)
     dense = search_dense_block(state.dense_index, [q.tokens(tok) for q in qs], cfg.mining.L)
+    # the other negative modes draw no random negatives
+    no_randoms = replace(cfg.mining, n_random_negatives=0)
     mined: list[TrainingSample] = []
     gen_pairs: list[tuple[Query, Passage]] = []
     queries_with_positives = 0
@@ -427,21 +420,16 @@ def mine(
         sets, top1 = _mined_sets(fixed_topL, dense_topL, cfg)
         if sets.positives:
             queries_with_positives += 1
-        if cfg.negative_mode == "mined":
-            mined.extend(assemble_mined_sample(q, sets, state.corpus, rng, cfg.mining))
-        else:
+        mining_cfg = cfg.mining
+        if cfg.negative_mode != "mined":
             hard: tuple[str, ...] = ()
             if cfg.negative_mode == "sparse_top":
                 sparse_ranked = search_sparse(
                     state.sparse_index, q.tokens(tok), cfg.mining.max_hard_negatives + cfg.mining.S
                 )
-                hard = tuple(
-                    pid for pid, _ in sparse_ranked if pid not in sets.positives
-                )[: cfg.mining.max_hard_negatives]
-            mined.extend(
-                TrainingSample(query=q, positive=pid, hard_negatives=hard, source="mined")
-                for pid in sets.positives
-            )
+                hard = tuple(pid for pid, _ in sparse_ranked if pid not in sets.positives)
+            sets, mining_cfg = MinedSets(sets.positives, hard), no_randoms
+        mined.extend(assemble_mined_sample(q, sets, state.corpus, rng, mining_cfg))
         gen_pairs.extend((q, state.corpus[pid]) for pid in top1)
     return mined, gen_pairs, queries_with_positives
 
@@ -526,8 +514,9 @@ def train(
 def run_iteration(
     state: PipelineState, data: PipelineData, cfg: PipelineConfig
 ) -> tuple[PipelineState, IterationReport, dict]:
-    """Mine ``data.unlabeled``, optionally generate, fine-tune, refresh the
-    index, and evaluate when ``data`` has eval queries.
+    """Mine ``data.unlabeled``, generate from iteration 2 on unless
+    ``n_generate`` is 0, fine-tune, refresh the index, and evaluate when
+    ``data`` has eval queries.
 
     Returns the new state, the iteration report, and the artifacts produced
     (mined/generated samples and the evaluation run) for persistence.
@@ -547,7 +536,7 @@ def run_iteration(
 
     generated: list[TrainingSample] = []
     rejected: list[GeneratedPair] = []
-    if cfg.n_generate > 0 and not (iteration == 1 and cfg.skip_generation_first_iter):
+    if cfg.n_generate > 0 and iteration > 1:
         if gen_pairs:
             train_generator(state.generator, gen_pairs, state.corpus, cfg.tokenizer)
         langs = sorted({q.lang for q in data.unlabeled})
@@ -590,6 +579,25 @@ def _write_json(path: Path, obj: dict) -> None:
         json.dump(obj, fh, indent=2)
 
 
+def config_hash(config: dict) -> str:
+    """The first 16 hex digits of the sha256 of ``config`` as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def write_manifest(path: Path, command: str, config: dict, seed: int) -> None:
+    """Record the command, its resolved config and that config's hash, the seed
+    and the package version next to a command's artifacts."""
+    manifest = {
+        "command": command,
+        "config": config,
+        "config_hash": config_hash(config),
+        "seed": seed,
+        "version": __version__,
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(path, manifest)
+
+
 def _write_stage(
     outdir: Path, state: PipelineState, report: IterationReport, artifacts: dict | None = None
 ) -> None:
@@ -624,26 +632,30 @@ def _load_stage(
     return report, params, generator, aux_params
 
 
+def target_mean(metrics: dict[str, dict[str, float]], target_langs: Iterable[str], key: str) -> float | None:
+    """The mean of ``metrics[lang][key]`` over the languages of ``target_langs``
+    that ``metrics`` evaluates, summed in sorted language order; None when
+    there are none.
+
+    The target languages are the unlabeled queries' languages, which the method
+    is judged on; overall metrics would count the labeled source language,
+    which the iterations trade away by design.
+    """
+    langs = sorted(lang for lang in set(target_langs) if key in metrics.get(lang, {}))
+    if not langs:
+        return None
+    return sum(metrics[lang][key] for lang in langs) / len(langs)
+
+
 def _plateaued(reports: list[IterationReport], cfg: PipelineConfig, target_langs: set[str]) -> bool:
     """Whether the last report gains less than ``plateau_eps`` target-language
-    MRR@k on the one before: the mean MRR@k over the languages of
-    ``target_langs`` that both reports evaluate, never when there are none.
-
-    Overall MRR@k would count the labeled source language, which the
-    iterations trade away by design.
-    """
+    MRR@k (``target_mean``) on the one before; never when either report
+    evaluates no target language."""
     if cfg.plateau_eps is None or len(reports) < 2:
         return False
     key = f"mrr@{cfg.eval_k}"
-    prev, curr = (r.metrics for r in reports[-2:])
-    langs = sorted(lang for lang in target_langs if key in prev.get(lang, {}) and key in curr.get(lang, {}))
-    if not langs:
-        return False
-
-    def target_mrr(metrics: dict[str, dict[str, float]]) -> float:
-        return sum(metrics[lang][key] for lang in langs) / len(langs)
-
-    return target_mrr(curr) - target_mrr(prev) < cfg.plateau_eps
+    prev, curr = (target_mean(r.metrics, target_langs, key) for r in reports[-2:])
+    return prev is not None and curr is not None and curr - prev < cfg.plateau_eps
 
 
 def run_pipeline(
@@ -663,12 +675,6 @@ def run_pipeline(
     directory that ``_load_stage`` loads in the unbroken run warmup/, iter_1/, ...
     """
     out = Path(workdir) if workdir is not None else None
-    manifest = {
-        "config": cfg.canonical_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "version": __version__,
-    }
     # the reports of the stages loaded on resume; the last one's models continue
     reports: list[IterationReport] = []
     aux_params = None
@@ -678,11 +684,9 @@ def run_pipeline(
         if resume and manifest_path.exists():
             with open(manifest_path, encoding="utf-8") as fh:
                 existing = json.load(fh)
-            if existing.get("config_hash") != manifest["config_hash"]:
-                raise PipelineError(
-                    "resume config hash mismatch: "
-                    f"{existing.get('config_hash')} != {manifest['config_hash']}"
-                )
+            want = config_hash(asdict(cfg))
+            if existing.get("config_hash") != want:
+                raise PipelineError(f"resume config hash mismatch: {existing.get('config_hash')} != {want}")
             for name in ["warmup"] + [f"iter_{i}" for i in range(1, cfg.iterations + 1)]:
                 with_aux = name == "warmup" and cfg.mining_mode == "double_dense"
                 stage = _load_stage(out / name, with_aux)
@@ -692,7 +696,7 @@ def run_pipeline(
                 reports.append(report)
                 aux_params = aux if with_aux else aux_params
         else:
-            _write_json(manifest_path, manifest)
+            write_manifest(manifest_path, "pipeline", asdict(cfg), cfg.seed)
 
     sparse_index = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     if reports:

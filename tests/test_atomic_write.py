@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lexmine.cli import _write_manifest, dispatch
+from lexmine.cli import dispatch
 from lexmine.corpus import (
     Corpus,
     Passage,
@@ -18,7 +18,7 @@ from lexmine.corpus import (
 from lexmine.dense import TrainingSample, init_params, save_checkpoint
 from lexmine.evaluation import save_run
 from lexmine.mining import save_samples
-from lexmine.pipeline import _write_json
+from lexmine.pipeline import _write_json, write_manifest
 from lexmine.querygen import GeneratorModel, save_generator
 
 
@@ -86,7 +86,7 @@ WRITERS = {
         lambda: _raise,
     ),
     "manifest": (
-        lambda path, v: _write_manifest(path, "synth", {"v": str(v)}, v),
+        lambda path, v: write_manifest(path, "synth", {"v": str(v)}, v),
         (json, "dump"),
         lambda: _partial_then_raise('{"command": '),
     ),

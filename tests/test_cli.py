@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,15 @@ from lexmine.corpus import load_passages, load_qrels, load_queries
 from lexmine.dense import init_optimizer, init_params, load_checkpoint, save_checkpoint
 from lexmine.evaluation import load_run, mrr_at_k
 from lexmine.mining import load_samples, save_samples
-from lexmine.pipeline import MINING_MODES, NEGATIVE_MODES, PipelineConfig, generate, start_state
+from lexmine.pipeline import (
+    MINING_MODES,
+    NEGATIVE_MODES,
+    PipelineConfig,
+    config_hash,
+    generate,
+    start_state,
+    target_mean,
+)
 from lexmine.querygen import GeneratorModel, load_generator, save_generator
 from lexmine.sparse import build_index
 
@@ -325,6 +334,24 @@ def test_missing_file_exit_3(tmp_path, capsys):
     assert not (tmp_path / "warm").exists()
 
 
+def test_directory_as_input_file_exit_3(tmp_path, capsys):
+    data = tiny_data(tmp_path)
+    (data / "passages.jsonl").unlink()
+    (data / "passages.jsonl").mkdir()
+    assert warmup_cmd(data, tmp_path / "warm") == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+    assert not (tmp_path / "warm").exists()
+
+
+def test_pipeline_out_is_a_file_exit_3(tmp_path, capsys):
+    cfg = pipeline_cfg_file(tmp_path, tiny_data(tmp_path))
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_pipeline_and_eval_cross_check(tmp_path, synth_dir):
     split_synth_for_pipeline(synth_dir)
     cfg = pipeline_cfg_file(tmp_path, synth_dir)
@@ -394,9 +421,10 @@ def test_pipeline_eval_key_without_its_pair_exit_2(tmp_path, capsys, given, abse
 
 
 def test_pipeline_unknown_key_exit_2(tmp_path, synth_dir):
-    # shared_encoder is unknown too: one table encodes queries and passages
+    # shared_encoder is unknown too: one table encodes queries and passages;
+    # so is skip_generation_first_iter: generation always starts in iteration 2
     split_synth_for_pipeline(synth_dir)
-    for extra in ("mystery_knob = 3\n", "shared_encoder = false\n"):
+    for extra in ("mystery_knob = 3\n", "shared_encoder = false\n", "skip_generation_first_iter = false\n"):
         cfg = pipeline_cfg_file(tmp_path, synth_dir, extra=extra)
         out = tmp_path / "x"
         assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
@@ -405,7 +433,7 @@ def test_pipeline_unknown_key_exit_2(tmp_path, synth_dir):
 
 def _flat_fields(cfg: PipelineConfig) -> dict:
     flat = {}
-    for name, value in cfg.canonical_dict().items():
+    for name, value in asdict(cfg).items():
         if isinstance(value, dict):
             flat.update({f"{name}.{sub}": v for sub, v in value.items()})
         else:
@@ -681,9 +709,48 @@ def test_warmup_mine_generate_train_chain(tmp_path, synth_dir):
     )
     assert code == EXIT_OK
     assert (trained / "checkpoint.npz").exists()
-    manifest = json.loads((trained / "manifest.json").read_text())
-    assert manifest["command"] == "train"
-    assert manifest["seed"] == 3
+    manifests = {
+        "synth": synth_dir / "manifest.json",
+        "warmup": warm / "manifest.json",
+        "mine": tmp_path / "mined.jsonl.manifest.json",
+        "generate": tmp_path / "generated.jsonl.manifest.json",
+        "train": trained / "manifest.json",
+    }
+    for command, path in manifests.items():
+        assert_manifest(path, command, seed=7 if command == "synth" else 3)
+
+
+def assert_manifest(path: Path, command: str, seed: int) -> None:
+    """Every command's manifest has one shape, written by ``pipeline.write_manifest``."""
+    manifest = json.loads(path.read_text())
+    assert list(manifest) == ["command", "config", "config_hash", "seed", "version"]
+    assert manifest["command"] == command
+    assert manifest["config_hash"] == config_hash(manifest["config"])
+    assert manifest["seed"] == seed
+
+
+def test_pipeline_names_its_command_and_prints_target_mrr(tmp_path, synth_cfg, capsys):
+    data = tmp_path / "data3"
+    argv = ["synth", "--config", str(synth_cfg), "--set", "languages=src,tgta,tgtb", "--seed", "7", "--out", str(data)]
+    assert dispatch(argv) == EXIT_OK
+    split_synth_for_pipeline(data)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    cfg = pipeline_cfg_file(tmp_path, data)
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == EXIT_OK
+    assert_manifest(out / "manifest.json", "pipeline", seed=3)
+
+    # one line per report, with the mean MRR@10 over the unlabeled queries' languages
+    lines = capsys.readouterr().out.splitlines()
+    target_langs = {q.lang for q in load_queries(data / "unlabeled_tgt.jsonl")}
+    assert target_langs == {"tgta", "tgtb"}
+    assert len(lines) == 3
+    for line, stage in zip(lines, ["warmup", "iter_1", "iter_2"]):
+        report = json.loads((out / stage / "report.json").read_text())
+        want = target_mean(report["metrics"], target_langs, "mrr@10")
+        overall = report["metrics"]["overall"]["mrr@10"]
+        assert line.startswith(f"iteration {report['iteration']}: ")
+        assert line.endswith(f" mrr@10={overall:.4f} target mrr@10={want:.4f}")
 
 
 # ---------------------------------------------------------------------------

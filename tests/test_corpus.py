@@ -323,11 +323,9 @@ def test_round_trip(tmp_path):
 
 def test_judgment_set_validtrain():
     js = JudgmentSet([Judgment("q1", "p1", 1)])
-    js.validate(
-        corpus=Corpus([Passage(id="p1", text="x")]), queries=QuerySet([Query(id="q1", text="y")])
-    )
+    js.validate(Corpus([Passage(id="p1", text="x")]))
     with pytest.raises(DataFormatError):
-        js.validate(corpus=Corpus([Passage(id="p2", text="x")]))
+        js.validate(Corpus([Passage(id="p2", text="x")]))
 
 
 def test_judgment_set_relevant_is_a_memoized_frozenset():

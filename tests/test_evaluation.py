@@ -111,7 +111,6 @@ def test_recall_is_query_level_hit_not_fraction():
     run = run_of({"q1": [("p1", 2.0)]})
     js = qrels([("q1", "p1", 1), ("q1", "p2", 1)])
     assert recall_at_k(run, js, 10).per_query["q1"] == 1.0
-    assert recall_at_k(run, js, 10, coverage=True).per_query["q1"] == 0.5
 
 
 def test_recall_no_relevant_retrieved():

@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -20,12 +20,14 @@ from lexmine.pipeline import (
     PipelineConfig,
     PipelineError,
     assemble_warmup_samples,
+    config_hash,
     dense_run,
     pipeline_data_from_benchmark,
     run_iteration,
     run_pipeline,
     mine,
     start_state,
+    target_mean,
     warmup,
 )
 from lexmine.querygen import GeneratedPair, GeneratorModel, filter_generated, load_generator
@@ -112,8 +114,8 @@ def test_config_invariants():
 
 def test_config_hash_stable_and_sensitive():
     a, b = PipelineConfig(seed=1), PipelineConfig(seed=1)
-    assert a.config_hash() == b.config_hash()
-    assert a.config_hash() != PipelineConfig(seed=2).config_hash()
+    assert config_hash(asdict(a)) == config_hash(asdict(b))
+    assert config_hash(asdict(a)) != config_hash(asdict(PipelineConfig(seed=2)))
 
 
 def test_report_validation():
@@ -449,7 +451,7 @@ def test_pipeline_artifacts_layout(data, tmp_path):
         for name in ("mined.jsonl", "generated.jsonl", "checkpoint.npz", "generator.json", "report.json", "run.trec"):
             assert (base / name).exists(), f"missing iter_{it}/{name}"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["config_hash"] == cfg.config_hash()
+    assert manifest["config_hash"] == config_hash(asdict(cfg))
     assert manifest["seed"] == cfg.seed
 
 
@@ -550,7 +552,7 @@ def test_pipeline_resume_from_warmup_alone_skips_warmup(data, tmp_path, monkeypa
 
     import lexmine.pipeline as pipeline_mod
 
-    cfg = small_cfg(mining_mode=mode, skip_generation_first_iter=False)
+    cfg = small_cfg(mining_mode=mode)
     full = run_pipeline(cfg, data, workdir=tmp_path / "full")
     run_pipeline(cfg, data, workdir=tmp_path / "partial")
     for d in (tmp_path / "partial").glob("iter_*"):
@@ -616,6 +618,25 @@ def test_pipeline_plateau_follows_target_mrr_not_overall(data, monkeypatch):
 
     monkeypatch.setattr(pipeline_mod, "_evaluate", fake_evaluate(flat_after_one))
     assert [r.iteration for r in run_pipeline(cfg, data)] == [0, 1, 2]
+
+
+def test_target_mean_sums_the_evaluated_target_languages_in_sorted_order():
+    metrics = {
+        "overall": {"mrr@10": 0.9},
+        "src": {"mrr@10": 0.8},
+        "a": {"mrr@10": 0.1},
+        "b": {"mrr@10": 0.2, "recall@10": 0.5},
+        "c": {"mrr@10": 0.3},
+        "d": {"recall@10": 0.7},
+    }
+    # "d" lacks the key and "e" is not evaluated: both are left out
+    got = target_mean(metrics, ["c", "e", "b", "d", "a"], "mrr@10")
+    assert got == ((0.1 + 0.2) + 0.3) / 3
+    assert got != ((0.3 + 0.2) + 0.1) / 3  # the order is visible in the last bit
+    assert target_mean(metrics, {"b", "d"}, "recall@10") == (0.5 + 0.7) / 2
+    assert target_mean(metrics, {"e"}, "mrr@10") is None
+    assert target_mean(metrics, {"a", "c"}, "ndcg@10") is None
+    assert target_mean({}, {"a"}, "mrr@10") is None
 
 
 def test_pipeline_never_plateaus_without_target_metrics(data, monkeypatch):

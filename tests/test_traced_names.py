@@ -12,6 +12,7 @@ never imported as package modules, so these checks write nothing under
 
 import importlib
 import inspect
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
     save_queries(queries, data["eval_queries"])
     save_qrels(JudgmentSet([Judgment(query_id="q1", passage_id="p1", grade=1)]), data["eval_qrels"])
     cfg = PipelineConfig()
-    oracle = _exec("checks.py")["Oracle"](data, cfg.canonical_dict())
+    oracle = _exec("checks.py")["Oracle"](data, asdict(cfg))
     params = init_params(vocab_from_corpus(corpus, cfg.tokenizer), dim=4, seed=3)
 
     want = build_dense_index(params, corpus, cfg.tokenizer).vectors
