@@ -350,9 +350,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     state = _checkpoint_state(args, corpus, cfg, load_generator(data_path(args.generator)))
     out = Path(args.out)
     _guard_overwrite(out, args.overwrite, "generated dataset")
+    for path in filter(None, (args.out, args.rejected)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     # the pipeline's first-iteration generate stage, over every corpus language
     accepted, rejected = generate(state, sorted({p.lang for p in corpus}), cfg, iteration=1)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_samples(accepted, out)
     if args.rejected:
         with atomic_write(args.rejected) as fh:

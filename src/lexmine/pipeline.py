@@ -88,7 +88,7 @@ __all__ = [
 ]
 
 # rng stream tags so every stage draws from its own seeded stream
-_INIT, _WARMUP_DATA, _WARMUP_SHUFFLE, _MINE, _GEN_SELECT, _GEN_SAMPLE, _TRAIN_SHUFFLE = range(7)
+_INIT, _WARMUP_DATA, _WARMUP_SHUFFLE, _MINE, _GEN_SELECT, _GEN_SAMPLE, _TRAIN_SHUFFLE, _GEN_ASSEMBLE = range(8)
 
 MINING_MODES = ("sparse_dense", "double_dense", "fuse_sum", "fuse_product")
 NEGATIVE_MODES = ("mined", "none", "sparse_top")
@@ -444,36 +444,38 @@ def generate(
 
     Up to ``cfg.n_generate`` passages per language are drawn from the
     iteration's selection stream; each gets one query, sampled from the
-    iteration's sampling stream, with id ``gen{iteration}-`` + passage id. A
+    iteration's sampling stream, with id ``gen{iteration}-`` + passage id.
+    Each language's pairs are filtered in one ``filter_generated`` call: a
     pair is accepted when the sparse and the dense retriever both return its
-    passage as top-1, and its sample is built from those same rankings.
-    Returns the training samples of the accepted pairs and the rejected pairs;
-    passages without tokens give neither.
+    passage as top-1. The accepted pairs' samples are built in order from
+    those same rankings, with random negatives from the iteration's assembly
+    stream, so no pair's verdict shifts another's draws. Returns the training
+    samples of the accepted pairs and the rejected pairs; passages without
+    tokens give neither.
     """
     rng_select = np.random.default_rng([cfg.seed, _GEN_SELECT, iteration])
     rng_sample = np.random.default_rng([cfg.seed, _GEN_SAMPLE, iteration])
-    corpus, sparse, dense = state.corpus, state.sparse_index, state.dense_index
+    rng_assemble = np.random.default_rng([cfg.seed, _GEN_ASSEMBLE, iteration])
+    corpus, generator = state.corpus, state.generator
     tokenized = corpus.tokenized(cfg.tokenizer)
     accepted: list[TrainingSample] = []
     rejected: list[GeneratedPair] = []
     for lang in langs:
         lang_passages = corpus.by_lang(lang)
-        if not lang_passages:
-            continue
         n = min(cfg.n_generate, len(lang_passages))
+        pairs = []
         for idx in rng_select.choice(len(lang_passages), size=n, replace=False):
             passage = lang_passages[int(idx)]
-            qid = f"gen{iteration}-{passage.id}"
             tokens = tokenized.tokens(corpus.position(passage.id))
-            if not tokens:
-                continue
-            query = generate_query(state.generator, passage, tokens, rng_sample, qid)
-            pair = GeneratedPair(query=query, passage_id=passage.id)
-            rankings = filter_generated(pair, sparse, dense, cfg.mining)
+            if tokens:
+                query = generate_query(generator, passage, tokens, rng_sample, f"gen{iteration}-{passage.id}")
+                pairs.append(GeneratedPair(query=query, passage_id=passage.id))
+        verdicts = filter_generated(pairs, state.sparse_index, state.dense_index, cfg.mining)
+        for pair, rankings in zip(pairs, verdicts):
             if rankings is None:
                 rejected.append(pair)
             else:
-                accepted.append(assemble_generated_sample(pair, rankings, corpus, rng_sample, cfg.mining))
+                accepted.append(assemble_generated_sample(pair, rankings, corpus, rng_assemble, cfg.mining))
     return accepted, rejected
 
 

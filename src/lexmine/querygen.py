@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
-from .dense import DenseIndex, TrainingSample, search_dense
+from .dense import DenseIndex, TrainingSample, search_dense_block
 from .mining import MiningConfig, sample_random_negatives
 from .sparse import InvertedIndex, RankedList, search_sparse
 
@@ -111,15 +111,18 @@ def generate_query(
     passage: Passage,
     tokens: Sequence[str],
     rng: np.random.Generator,
-    query_id: str | None = None,
+    query_id: str,
 ) -> Query:
-    """Sample a query from the passage's ``tokens``, weighted by salience.
+    """Sample a query with id ``query_id`` from the passage's ``tokens``,
+    weighted by salience.
 
     ``tokens`` are the passage's tokens in text order (a pipeline passes
     ``Corpus.tokenized(tok).tokens``). The length is drawn from the trained
     length distribution, then that many distinct passage tokens are drawn
-    without replacement with probability proportional to salience. The query
-    inherits the passage's language.
+    without replacement with probability proportional to salience, and
+    uniformly once only zero weights remain. The draws are one Gumbel-top-k
+    sample (Kool et al., ICML 2019): the top keys log(weight) + Gumbel noise,
+    zero weights last in noise order. The query inherits the passage's language.
     """
     if model.version < 1:
         raise ValueError("generator must be trained before generating")
@@ -129,41 +132,35 @@ def generate_query(
     lens = list(model.query_len_dist.keys())
     probs = np.array([model.query_len_dist[n] for n in lens])
     length = int(rng.choice(lens, p=probs / probs.sum()))
-    length = min(length, len(candidates))
 
     salience, lang = model.term_salience, passage.lang
     weights = np.array([salience.get((lang, t), UNSEEN_SALIENCE) for t in candidates], dtype=float)
-    picked: list[str] = []
-    remaining = list(range(len(candidates)))
-    for _ in range(length):
-        w = weights[remaining]
-        if w.sum() <= 0:
-            w = np.ones(len(remaining))
-        choice = int(rng.choice(len(remaining), p=w / w.sum()))
-        picked.append(candidates[remaining[choice]])
-        remaining.pop(choice)
-    return Query(
-        id=query_id if query_id is not None else f"gen-{passage.id}",
-        text=" ".join(picked),
-        lang=passage.lang,
-    )
+    noise = rng.gumbel(size=len(candidates))
+    with np.errstate(divide="ignore"):
+        keys = np.log(weights) + noise
+    picked = np.lexsort((-noise, -keys))[:length]
+    return Query(id=query_id, text=" ".join(candidates[i] for i in picked), lang=passage.lang)
 
 
 def filter_generated(
-    pair: GeneratedPair, sparse_index: InvertedIndex, dense_index: DenseIndex, cfg: MiningConfig
-) -> tuple[RankedList, RankedList] | None:
-    """The pair's BM25 and dense top-(max_hard_negatives + 1) rankings when
-    both rank its passage first, else None; the dense index is searched only
-    when BM25 does. Both search with the query's tokens under the sparse
-    index's tokenizer, so the two indexes must share a tokenizer, as every
-    ``PipelineState``'s do."""
-    tokens = pair.query.tokens(sparse_index.tokenizer)
+    pairs: Sequence[GeneratedPair], sparse_index: InvertedIndex, dense_index: DenseIndex, cfg: MiningConfig
+) -> list[tuple[RankedList, RankedList] | None]:
+    """Per pair, its BM25 and dense top-(max_hard_negatives + 1) rankings when
+    both rank its passage first, else None.
+
+    Every pair gets one BM25 search; the pairs whose BM25 top-1 is their
+    passage are then ranked by one ``search_dense_block`` call. Both search
+    with the query's tokens under the sparse index's tokenizer, so the two
+    indexes must share a tokenizer, as every ``PipelineState``'s do."""
     k = cfg.max_hard_negatives + 1
-    sparse_top = search_sparse(sparse_index, tokens, k)
-    if not sparse_top or sparse_top[0][0] != pair.passage_id:
-        return None
-    dense_top = search_dense(dense_index, tokens, k)
-    return (sparse_top, dense_top) if dense_top[0][0] == pair.passage_id else None
+    token_lists = [pair.query.tokens(sparse_index.tokenizer) for pair in pairs]
+    sparse_tops = [search_sparse(sparse_index, tokens, k) for tokens in token_lists]
+    hits = [i for i, top in enumerate(sparse_tops) if top and top[0][0] == pairs[i].passage_id]
+    verdicts: list[tuple[RankedList, RankedList] | None] = [None] * len(pairs)
+    for i, dense_top in zip(hits, search_dense_block(dense_index, [token_lists[i] for i in hits], k)):
+        if dense_top[0][0] == pairs[i].passage_id:
+            verdicts[i] = (sparse_tops[i], dense_top)
+    return verdicts
 
 
 def assemble_generated_sample(

@@ -29,13 +29,13 @@ from lexmine.evaluation import mrr_at_k, paired_t_test, recall_at_k
 from lexmine.mining import MiningConfig, mine_pairs
 from lexmine.pipeline import (
     assemble_warmup_samples,
+    generate,
     pipeline_data_from_benchmark,
     run_iteration,
     run_pipeline,
     start_state,
     warmup,
 )
-from lexmine.querygen import GeneratedPair, filter_generated, generate_query
 from lexmine.sparse import BM25Params, bm25_score, build_index, search_sparse
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -359,22 +359,10 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
         terms = set(bench.topic_terms[bench.passage_topics[pid]])
         return bool(set(tokenize(query.text, cfg.tokenizer)) & terms)
 
-    rng_select = np.random.default_rng([cfg.seed, 104])
-    rng_sample = np.random.default_rng([cfg.seed, 105])
-    all_flags, accepted_flags = [], []
-    tokenized = data.corpus.tokenized(cfg.tokenizer)
-    for lang in bench.target_langs:
-        lang_passages = data.corpus.by_lang(lang)
-        picked = rng_select.choice(len(lang_passages), size=cfg.n_generate, replace=False)
-        for idx in picked:
-            passage = lang_passages[int(idx)]
-            tokens = tokenized.tokens(data.corpus.position(passage.id))
-            query = generate_query(state.generator, passage, tokens, rng_sample, query_id=f"g-{passage.id}")
-            pair = GeneratedPair(query=query, passage_id=passage.id)
-            flag = topical(query, passage.id)
-            all_flags.append(flag)
-            if filter_generated(pair, state.sparse_index, state.dense_index, cfg.mining):
-                accepted_flags.append(flag)
+    # the pipeline's own generate stage, as a third iteration would run it
+    accepted, rejected = generate(state, bench.target_langs, cfg, iteration=3)
+    accepted_flags = [topical(s.query, s.positive) for s in accepted]
+    all_flags = accepted_flags + [topical(pair.query, pair.passage_id) for pair in rejected]
     prec_all = float(np.mean(all_flags))
     prec_acc = float(np.mean(accepted_flags)) if accepted_flags else 0.0
     _report(

@@ -841,7 +841,7 @@ def test_mine_double_dense_exit_2(tmp_path, synth_dir, warm_ckpt, capsys):
     assert not out.exists()
 
 
-def generate_cmd(cfg, synth_dir, ckpt, generator, out, seed):
+def generate_cmd(cfg, synth_dir, ckpt, generator, out, seed, *extra):
     return dispatch(
         [
             "generate",
@@ -851,6 +851,7 @@ def generate_cmd(cfg, synth_dir, ckpt, generator, out, seed):
             "--generator", str(generator),
             "--seed", str(seed),
             "--out", str(out),
+            *extra,
         ]
     )
 
@@ -871,6 +872,17 @@ def test_generate_writes_pipeline_generate_stage(tmp_path, synth_dir, warm_ckpt)
     want = tmp_path / "want.jsonl"
     save_samples(accepted, want)
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_generate_makes_the_rejected_log_directory(tmp_path, synth_dir, warm_ckpt):
+    out, rejected = tmp_path / "gen" / "generated.jsonl", tmp_path / "logs" / "r.jsonl"
+    generator = warm_ckpt.parent / "generator.json"
+    code = generate_cmd(tmp_path / "c.cfg", synth_dir, warm_ckpt, generator, out, 3, "--rejected", str(rejected))
+    assert code == EXIT_OK
+    assert out.stat().st_size > 0
+    records = [json.loads(line) for line in rejected.read_text(encoding="utf-8").splitlines()]
+    assert records and all(r["reason"] == "top1-mismatch" for r in records)
+    assert json.loads(Path(str(out) + ".manifest.json").read_text())["command"] == "generate"
 
 
 def _text_file(path):

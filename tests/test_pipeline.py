@@ -268,6 +268,22 @@ def test_iteration_two_generates(data):
     assert report.generated_accepted + report.generated_rejected == report.generated_candidates
 
 
+def test_generation_draws_do_not_depend_on_verdicts(data, monkeypatch):
+    import lexmine.pipeline as pipeline_mod
+
+    cfg = small_cfg()
+    state = make_state(data, cfg)
+    accepted, rejected = pipeline_mod.generate(state, ["src", "tgta"], cfg, iteration=2)
+    assert accepted and rejected
+    drawn = {s.query.id: s.query for s in accepted} | {pair.query.id: pair.query for pair in rejected}
+    # with every pair rejected, assembly draws nothing: the queries must not change
+    monkeypatch.setattr(pipeline_mod, "filter_generated", lambda pairs, *args: [None] * len(pairs))
+    none_accepted, all_rejected = pipeline_mod.generate(state, ["src", "tgta"], cfg, iteration=2)
+    assert none_accepted == []
+    assert {pair.query.id: pair.query for pair in all_rejected} == drawn
+    assert len(all_rejected) == len(drawn)
+
+
 def test_iteration_refreshes_index(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
@@ -328,7 +344,7 @@ def test_dense_search_uses_the_index_tokenizer():
     query = Query(id="q", text="Apple b")
     assert state.dense_index.tokenizer == tok
     assert search_dense(state.dense_index, tokenize(query.text, state.dense_index.tokenizer), 1)[0][0] == "p1"
-    assert filter_generated(GeneratedPair(query, "p1"), state.sparse_index, state.dense_index, cfg.mining)
+    assert filter_generated([GeneratedPair(query, "p1")], state.sparse_index, state.dense_index, cfg.mining)[0]
     assert dense_run(state, QuerySet([query]), 1) == {"q": [("p1", 0.5)]}
 
 

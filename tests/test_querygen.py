@@ -1,8 +1,12 @@
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from lexmine.corpus import Corpus, Passage, Query, tokenize
-from lexmine.dense import build_dense_index, init_params
+from lexmine.dense import DENSE_BLOCK, build_dense_index, init_params, search_dense
 from lexmine.mining import MiningConfig
 from lexmine.querygen import (
     SALIENCE_PSEUDO_COUNT,
@@ -25,8 +29,8 @@ def train(pairs, model=None):
     return train_generator(model or GeneratorModel(), pairs, corpus)
 
 
-def generate(model, passage, rng, **kwargs):
-    return generate_query(model, passage, tokenize(passage.text), rng, **kwargs)
+def generate(model, passage, rng):
+    return generate_query(model, passage, tokenize(passage.text), rng, f"g-{passage.id}")
 
 
 def salience_value(ratio):
@@ -125,6 +129,7 @@ def test_generate_single_token_passage():
     q = generate(model, Passage(id="p2", text="solo"), np.random.default_rng(0))
     assert q.text == "solo"
     assert q.lang == "en"
+    assert q.id == "g-p2"
 
 
 def test_generate_deterministic_under_seed():
@@ -137,7 +142,7 @@ def test_generate_deterministic_under_seed():
     corpus = Corpus([Passage(id="x", text="a b"), passage])
     tokens = corpus.tokenized().tokens(corpus.position("p"))
     assert tokens == tokenize(passage.text)
-    assert generate_query(model, passage, tokens, np.random.default_rng(42)) == a
+    assert generate_query(model, passage, tokens, np.random.default_rng(42), "g-p") == a
 
 
 def test_generate_tokens_subset_of_passage():
@@ -173,10 +178,43 @@ def test_generate_respects_salience_ratio():
     assert picks["hot"] / n == pytest.approx(0.75, abs=0.05 * 0.75)
 
 
-def test_generate_query_id_override():
-    model = trained_model()
-    q = generate(model, Passage(id="p", text="x y"), np.random.default_rng(0), query_id="gen7")
-    assert q.id == "gen7"
+def successive_draws_law(weights, length):
+    """Every ordered outcome of ``length`` successive draws without
+    replacement, proportional to weight, and uniform once only zero weights
+    remain, with its exact probability."""
+    law = {}
+    for outcome in itertools.permutations(range(len(weights)), length):
+        p, left = 1.0, list(range(len(weights)))
+        for i in outcome:
+            total = sum(weights[j] for j in left)
+            p *= weights[i] / total if total > 0 else 1.0 / len(left)
+            left.remove(i)
+        if p > 0:
+            law[outcome] = p
+    return law
+
+
+def test_generate_draws_follow_successive_draws_law():
+    # zero-weight tokens come only after every positive one, in uniform order
+    weights = [0.5, 0.2, 0.2, 0.1, 0.0, 0.0]
+    tokens = ["a", "b", "c", "d", "e", "f"]
+    model = GeneratorModel(
+        term_salience={("en", t): w for t, w in zip(tokens, weights)}, query_len_dist={5: 1.0}, version=1
+    )
+    passage = Passage(id="p", text=" ".join(tokens))
+    law = successive_draws_law(weights, 5)
+    assert len(law) == 48 and math.isclose(sum(law.values()), 1.0)
+    rng = np.random.default_rng(2019)
+    n = 40_000
+    counts = dict.fromkeys(law, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(n):
+            counts[tuple(tokens.index(t) for t in generate(model, passage, rng).text.split())] += 1
+    assert sum(counts.values()) == n  # no outcome outside the law's support
+    # 48 outcomes at |z| < 4.5 each: a correct sampler fails with chance below 1e-3
+    worst = max(abs(counts[o] - n * p) / math.sqrt(n * p * (1 - p)) for o, p in law.items())
+    assert worst < 4.5
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +231,7 @@ def test_filter_single_passage_corpus_accepts():
     corpus = Corpus([Passage(id="only", text="alpha beta gamma")])
     sparse, dense = build_retrievers(corpus)
     pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="only")
-    assert filter_generated(pair, sparse, dense, MiningConfig())
+    assert filter_generated([pair], sparse, dense, MiningConfig())[0]
 
 
 def test_filter_rejects_when_bm25_prefers_shorter_passage():
@@ -209,7 +247,7 @@ def test_filter_rejects_when_bm25_prefers_shorter_passage():
     pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="src")
     top = search_sparse(sparse, ["alpha"], 1)
     assert top[0][0] == "short"
-    assert filter_generated(pair, sparse, dense, MiningConfig()) is None
+    assert filter_generated([pair], sparse, dense, MiningConfig()) == [None]
 
 
 def test_filter_conjunction_requires_dense_too():
@@ -223,7 +261,7 @@ def test_filter_conjunction_requires_dense_too():
     dense = build_dense_index(params, corpus)
     pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="src")
     assert search_sparse(sparse, ["alpha"], 1)[0][0] == "src"
-    assert filter_generated(pair, sparse, dense, MiningConfig()) is None
+    assert filter_generated([pair], sparse, dense, MiningConfig()) == [None]
 
 
 def test_filter_deterministic_on_unchanged_indexes():
@@ -233,10 +271,9 @@ def test_filter_deterministic_on_unchanged_indexes():
     sparse, dense = build_retrievers(corpus, seed=3)
     model = train([(Query(id="q", text="tok1"), Passage(id="p", text="tok1 shared"))])
     rng = np.random.default_rng(0)
-    for p in corpus:
-        pair = GeneratedPair(query=generate(model, p, rng), passage_id=p.id)
-        first = filter_generated(pair, sparse, dense, MiningConfig())
-        assert filter_generated(pair, sparse, dense, MiningConfig()) == first
+    pairs = [GeneratedPair(query=generate(model, p, rng), passage_id=p.id) for p in corpus]
+    first = filter_generated(pairs, sparse, dense, MiningConfig())
+    assert filter_generated(pairs, sparse, dense, MiningConfig()) == first
 
 
 def test_filter_nested_corpora_monotone():
@@ -249,12 +286,51 @@ def test_filter_nested_corpora_monotone():
     sp_small, de_small = build_retrievers(small, seed=1)
     sp_big, de_big = build_retrievers(big, seed=1)
     rng = np.random.default_rng(2)
-    for p in small:
-        pair = GeneratedPair(query=generate(model, p, rng), passage_id=p.id)
-        acc_big = filter_generated(pair, sp_big, de_big, MiningConfig())
-        acc_small = filter_generated(pair, sp_small, de_small, MiningConfig())
-        if acc_big:
-            assert acc_small
+    pairs = [GeneratedPair(query=generate(model, p, rng), passage_id=p.id) for p in small]
+    acc_big = filter_generated(pairs, sp_big, de_big, MiningConfig())
+    acc_small = filter_generated(pairs, sp_small, de_small, MiningConfig())
+    for big, small_verdict in zip(acc_big, acc_small):
+        if big:
+            assert small_verdict
+
+
+def reference_filter(pair, sparse_index, dense_index, cfg):
+    """The per-pair filter: BM25 first, then the single-query dense search
+    for a BM25 hit."""
+    tokens = pair.query.tokens(sparse_index.tokenizer)
+    k = cfg.max_hard_negatives + 1
+    sparse_top = search_sparse(sparse_index, tokens, k)
+    if not sparse_top or sparse_top[0][0] != pair.passage_id:
+        return None
+    dense_top = search_dense(dense_index, tokens, k)
+    return (sparse_top, dense_top) if dense_top[0][0] == pair.passage_id else None
+
+
+def test_block_filter_equals_per_pair_filter():
+    rng = np.random.default_rng(11)
+    corpus = Corpus(
+        [Passage(id=f"p{i:03d}", text=" ".join(f"t{int(t)}" for t in rng.integers(0, 60, size=6))) for i in range(150)]
+    )
+    sparse, dense = build_retrievers(corpus, dim=8, seed=2)
+    model = train([(Query(id="q", text="t1 t2"), Passage(id="p", text="t1 t2 t3"))])
+    pairs = [GeneratedPair(query=generate(model, p, rng), passage_id=p.id) for p in corpus]
+    pairs.append(GeneratedPair(query=Query(id="oov", text="zzz"), passage_id="p000"))  # no BM25 hit at all
+    cfg = MiningConfig(max_hard_negatives=3)
+    want = [reference_filter(pair, sparse, dense, cfg) for pair in pairs]
+    got = filter_generated(pairs, sparse, dense, cfg)
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g[0] == w[0]
+            # a block is one matrix product, a single query a matrix-vector product: the last bits may differ
+            assert [pid for pid, _ in g[1]] == [pid for pid, _ in w[1]]
+            np.testing.assert_allclose([s for _, s in g[1]], [s for _, s in w[1]], rtol=0, atol=1e-12)
+    assert filter_generated([], sparse, dense, cfg) == []
+    # the case covers more than two dense blocks, acceptances, and BM25-only hits
+    assert len(pairs) > 2 * DENSE_BLOCK and want[-1] is None
+    bm25_hits = [search_sparse(sparse, pair.query.tokens(), 1)[0][0] == pair.passage_id for pair in pairs[:-1]]
+    assert any(w is not None for w in want)
+    assert any(hit and w is None for hit, w in zip(bm25_hits, want))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +342,7 @@ def test_assemble_single_passage_corpus(rng):
     corpus = Corpus([Passage(id="only", text="alpha beta")])
     sparse, dense = build_retrievers(corpus)
     pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="only")
-    rankings = filter_generated(pair, sparse, dense, MiningConfig())
+    [rankings] = filter_generated([pair], sparse, dense, MiningConfig())
     sample = assemble_generated_sample(pair, rankings, corpus, rng, MiningConfig())
     assert sample.positive == "only"
     assert sample.hard_negatives == ()
@@ -293,8 +369,6 @@ def test_assemble_dense_first_then_sparse_dedup(rng):
 
     sparse_top = search_sparse(sparse, ["q"], 3)
     assert [pid for pid, _ in sparse_top] == ["pos", "c", "a"]
-    from lexmine.dense import search_dense
-
     dense_top = search_dense(dense, ["q"], 3)
     assert [pid for pid, _ in dense_top] == ["pos", "a", "b"]
 
@@ -311,9 +385,8 @@ def test_assemble_satisfies_sample_invariants(rng):
     sparse, dense = build_retrievers(corpus, seed=4)
     model = train([(Query(id="q", text="t0 t3"), Passage(id="p", text="t0 t3 t5"))])
     cfg = MiningConfig(S=1, L=3, n_random_negatives=2, max_hard_negatives=3)
-    for p in corpus:
-        pair = GeneratedPair(query=generate(model, p, rng), passage_id=p.id)
-        rankings = filter_generated(pair, sparse, dense, cfg)
+    pairs = [GeneratedPair(query=generate(model, p, rng), passage_id=p.id) for p in corpus]
+    for pair, rankings in zip(pairs, filter_generated(pairs, sparse, dense, cfg)):
         if rankings:
             sample = assemble_generated_sample(pair, rankings, corpus, rng, cfg)
             union = (sample.positive, *sample.hard_negatives, *sample.random_negatives)
