@@ -134,39 +134,23 @@ def _mean_pool(table: np.ndarray, rows_list: Sequence[np.ndarray]) -> np.ndarray
     return pooled
 
 
-def _scatter_columns(
-    rows: np.ndarray, owner: np.ndarray, src: np.ndarray, n_rows: int, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """The (d, n_rows) transpose of the table that, starting from zero, adds
-    ``src[owner[k]] * weights[k]`` (or ``src[owner[k]]``) onto row ``rows[k]``
-    for k = 0, 1, ... in that order.
+def _scatter_pooled(rows_list: Sequence[np.ndarray], g_pooled: np.ndarray, n_rows: int) -> np.ndarray:
+    """The (n_rows, d) table gradient of ``_mean_pool``'s output gradient
+    ``g_pooled``: row ``rows_list[i][k]`` gets ``g_pooled[i] / rows_list[i].size``.
 
-    One ``np.bincount`` per column: it sums each cell's terms in input order,
-    as ``np.add.at`` does on a zero table, so the result is bit-equal to that
-    scatter without materialising a (len(rows), d) contribution array.
-    """
-    out = np.empty((src.shape[1], n_rows))
-    for j, col in enumerate(src.T):
-        w = col[owner]
-        if weights is not None:
-            w *= weights
-        out[j] = np.bincount(rows, weights=w, minlength=n_rows)
-    return out
-
-
-def _scatter_pooled(g_table: np.ndarray, rows_list: Sequence[np.ndarray], g_pooled: np.ndarray) -> None:
-    """Chain gradients of ``_mean_pool``'s output back onto ``g_table`` (in place).
-
-    ``g_table`` must be all zeros: each cell's terms are summed in
-    ``rows_list`` order from zero and added once, which equals adding them
-    one by one only onto a zero table.
+    One ``np.bincount`` per column sums each cell's terms in ``rows_list``
+    order from zero, so the result is bit-equal to an ``np.add.at`` scatter
+    onto a zero table, without a (tokens, d) contribution array.
     """
     sizes = np.array([rows.size for rows in rows_list], dtype=np.int64)
-    # rows without tokens own no entry of ``owner``; dividing them by 1 is harmless
+    # entries without rows own no term; dividing them by 1 is harmless
     per_token = g_pooled / np.maximum(sizes, 1)[:, None]
     owner = np.repeat(np.arange(len(rows_list)), sizes)
     rows = np.concatenate(rows_list)
-    g_table += _scatter_columns(rows, owner, per_token, g_table.shape[0]).T
+    out = np.empty((n_rows, g_pooled.shape[1]))
+    for j, col in enumerate(per_token.T):
+        out[:, j] = np.bincount(rows, weights=col[owner], minlength=n_rows)
+    return out
 
 
 def corpus_token_rows(
@@ -299,12 +283,14 @@ def infonce_batch(
 ) -> tuple[float, np.ndarray]:
     """Mean InfoNCE loss over the batch and its exact gradient wrt the table.
 
-    Negatives for each sample are its hard negatives, then its random
-    negatives, then the other samples' positives (each once, skipping any that
-    equal the sample's own positive). Passages of ``corpus`` and queries are
-    tokenized under ``tok``. Returns ``(loss, g_emb)``. Inputs are not
-    modified, apart from the rows ``corpus_token_rows`` memoizes on ``params``
-    and the tokens ``Query.tokens`` memoizes on each query.
+    Each sample's candidates are its positive, its hard and random negatives,
+    and the other samples' positives (once per other sample, skipping any that
+    equal its own positive). The batch is scored as one query x passage matrix
+    over the unique passages, each candidate weighted by how often it occurs.
+    Passages of ``corpus`` and queries are tokenized under ``tok``. Returns
+    ``(loss, g_emb)``. Inputs are not modified, apart from the rows
+    ``corpus_token_rows`` memoizes on ``params`` and the tokens ``Query.tokens``
+    memoizes on each query.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -320,43 +306,27 @@ def infonce_batch(
     Q = _mean_pool(params.embedding, q_rows)
 
     n = len(batch)
-    scale = 1.0 / n
-    Q_grad = np.zeros_like(Q)
-    total_loss = 0.0
-    positives = [s.positive for s in batch]
-    idx_list = []
-    coeff_list = []
+    samples = np.arange(n)
+    pos = np.array([uniq[s.positive] for s in batch], dtype=np.int64)
+    # counts[i, u]: how often passage u is a candidate of sample i; every
+    # sample's positive once per sample, but sample i's own positive once
+    counts = np.tile(np.bincount(pos, minlength=len(uniq)).astype(np.float64), (n, 1))
+    counts[samples, pos] = 1.0
     for i, s in enumerate(batch):
-        in_batch = [p for j, p in enumerate(positives) if j != i and p != s.positive]
-        pids = [s.positive, *s.hard_negatives, *s.random_negatives, *in_batch]
-        idx = np.array([uniq[pid] for pid in pids], dtype=np.int64)
-        P_i = P[idx]
-        scores = P_i @ Q[i]
-        # the loss and the softmax from one max-shifted exp
-        m = scores.max()
-        e = np.exp(scores - m)
-        e_sum = e.sum()
-        total_loss += float(m + np.log(e_sum) - scores[0])
-        # dL/ds = softmax - onehot(positive)
-        coeff = e / e_sum
-        coeff[0] -= 1.0
-        coeff *= scale
-        Q_grad[i] = coeff @ P_i
-        idx_list.append(idx)
-        coeff_list.append(coeff)
-    # P_grad[idx[k]] += coeff[k] * Q[i], over samples i and then k in order
-    P_grad = _scatter_columns(
-        np.concatenate(idx_list),
-        np.repeat(np.arange(n), [idx.size for idx in idx_list]),
-        Q,
-        len(uniq),
-        np.concatenate(coeff_list),
-    ).T
+        counts[i, [uniq[pid] for pid in (*s.hard_negatives, *s.random_negatives)]] += 1.0
 
-    g_emb = np.zeros_like(params.embedding)
+    S = np.where(counts > 0, Q @ P.T, -np.inf)
+    # the loss and the softmax from one max-shifted exp
+    m = S.max(axis=1)
+    e = counts * np.exp(S - m[:, None])
+    z = e.sum(axis=1)
+    loss = float(np.mean(m + np.log(z) - S[samples, pos]))
+    # dL/dS = (softmax - onehot(positive)) / n
+    coeff = e / z[:, None]
+    coeff[samples, pos] -= 1.0
+    coeff /= n
     # one scatter, so each row sums its passage terms, then its query terms, from zero
-    _scatter_pooled(g_emb, p_rows + q_rows, np.vstack([P_grad, Q_grad]))
-    return total_loss / n, g_emb
+    return loss, _scatter_pooled(p_rows + q_rows, np.vstack([coeff.T @ Q, coeff @ P]), len(params.vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +379,7 @@ def train_step(
     batch: Sequence[TrainingSample],
     corpus: Corpus,
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
-) -> tuple[EncoderParams, OptimizerState, float]:
+) -> float:
     """One Adam update from ``infonce_batch``'s gradient; returns its mean loss.
 
     Parameters and optimizer state are updated in place; the parameter
@@ -419,7 +389,7 @@ def train_step(
     opt.step += 1
     _adam_update(params.embedding, g_emb, opt.m, opt.v, opt)
     params.version += 1
-    return params, opt, loss
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +447,9 @@ def _check_meta(meta: dict) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, OptimizerState | None]:
-    """Read a ``save_checkpoint`` file; a file that is not one, or whose
-    metadata fails ``_check_meta``, raises ``DataFormatError`` naming ``path``."""
+    """Read a ``save_checkpoint`` file; a file that is not one, whose metadata
+    fails ``_check_meta`` or whose Adam moments differ in shape from the table
+    raises ``DataFormatError`` naming ``path``."""
     try:
         # opened here, since np.load leaks the handle it opens on a malformed zip
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -501,6 +472,9 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, OptimizerState | N
                     beta2=o["beta2"],
                     eps=o["eps"],
                 )
+                shapes = {"embedding": params.embedding.shape, "adam_m": opt.m.shape, "adam_v": opt.v.shape}
+                if len(set(shapes.values())) > 1:
+                    raise ValueError(f"Adam moments must have the embedding's shape, got {shapes}")
     except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataFormatError(f"not a lexmine checkpoint: {exc!r}", path) from exc
     return params, opt

@@ -295,9 +295,9 @@ def warmup(
 ) -> tuple[EncoderParams, GeneratorModel]:
     """Train the retriever and the generator on labeled source-language data.
 
-    The encoder's vocabulary is ``vocab_tokens``. Samples missing random
-    negatives get them drawn here; in-batch negatives come from the other
-    samples of each minibatch. Training runs ``warmup_epochs`` epochs through
+    The encoder's vocabulary is ``vocab_tokens``. Each sample's random
+    negatives are drawn here; in-batch negatives come from the other samples
+    of each minibatch. Training runs ``warmup_epochs`` epochs through
     ``train`` on the warm-up's own shuffle stream. The generator is trained on
     (positive passage -> query) pairs even when warmup_epochs is 0.
     """
@@ -307,13 +307,9 @@ def warmup(
     rng_negs = np.random.default_rng([cfg.seed, _WARMUP_DATA, seed_offset])
     filled = []
     for s in source_labeled:
-        if s.random_negatives or cfg.mining.n_random_negatives == 0:
-            filled.append(s)
-        else:
-            randoms = sample_random_negatives(
-                corpus, {s.positive, *s.hard_negatives}, cfg.mining.n_random_negatives, rng_negs
-            )
-            filled.append(replace(s, random_negatives=randoms))
+        exclude = {s.positive, *s.hard_negatives}
+        randoms = sample_random_negatives(corpus, exclude, cfg.mining.n_random_negatives, rng_negs)
+        filled.append(replace(s, random_negatives=randoms))
 
     opt = init_optimizer(params, lr=cfg.warmup_lr)
     rng_shuffle = np.random.default_rng([cfg.seed, _WARMUP_SHUFFLE, seed_offset])
@@ -506,7 +502,7 @@ def train(
             pos = 0
         batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
         pos += cfg.batch_size
-        _, _, loss = train_step(params, opt, batch, corpus, cfg.tokenizer)
+        loss = train_step(params, opt, batch, corpus, cfg.tokenizer)
         if not math.isfinite(loss):
             raise PipelineError(f"{label} step {step}: training loss is {loss}")
         losses.append(loss)

@@ -1061,6 +1061,26 @@ def test_train_rejects_checkpoint_metadata_of_the_wrong_type(tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("moment", ["adam_m", "adam_v"])
+def test_train_rejects_adam_moments_of_the_wrong_shape(tmp_path, capsys, moment):
+    data = tiny_data(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    ckpt = tmp_path / "ckpt.npz"
+    params = init_params(["alpha", "beta1", "beta2", "gamma", "delta"], dim=4)
+    opt = init_optimizer(params)
+    setattr(opt, moment[-1], np.zeros((3, 4)))
+    save_checkpoint(ckpt, params, opt)
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text(json.dumps({"query_id": "q", "query_text": "alpha", "positive": "p1"}) + "\n")
+    out = tmp_path / "trained"
+    assert train_cmd(cfg, data, ckpt, [samples], out, 3) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {ckpt}: not a lexmine checkpoint" in err and f"'{moment}': (3, 4)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_mine_then_train_reproduce_pipeline_iteration_one(tmp_path, synth_dir):
     split_synth_for_pipeline(synth_dir)
     cfg = pipeline_cfg_file(tmp_path, synth_dir)
@@ -1122,9 +1142,7 @@ def test_train_non_finite_loss_exit_1(tmp_path, synth_dir, warm_ckpt, monkeypatc
     samples.write_text(
         json.dumps({"query_id": "q", "query_text": passage.text, "positive": passage.id}) + "\n"
     )
-    monkeypatch.setattr(
-        pipeline_mod, "train_step", lambda params, opt, *a, **k: (params, opt, float("nan"))
-    )
+    monkeypatch.setattr(pipeline_mod, "train_step", lambda *a, **k: float("nan"))
     out = tmp_path / "trained"
     assert train_cmd(cfg, synth_dir, warm_ckpt, [samples], out, 3) == 1
     assert "pipeline error: iteration 1 step 1: training loss is nan" in capsys.readouterr().err

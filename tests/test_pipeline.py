@@ -211,7 +211,7 @@ def test_warmup_batches_match_per_epoch_permutations(data, monkeypatch, epochs, 
 
     def record(params, opt, batch, *args, **kwargs):
         seen.append([s.query.id for s in batch])
-        return params, opt, 0.0
+        return 0.0
 
     monkeypatch.setattr(pipeline_mod, "train_step", record)
     warmup(samples, data.corpus, cfg, labeled_vocab(samples, data.corpus, cfg))
@@ -316,7 +316,7 @@ def test_non_finite_loss_raises(data, monkeypatch, bad):
 
     cfg = small_cfg()
     state = make_state(data, cfg)
-    monkeypatch.setattr(pipeline_mod, "train_step", lambda params, opt, *a, **k: (params, opt, bad))
+    monkeypatch.setattr(pipeline_mod, "train_step", lambda *a, **k: bad)
     with pytest.raises(PipelineError, match="iteration 1 step 1: training loss is"):
         run_iteration(state, data, cfg)
     with pytest.raises(PipelineError, match="warm-up step 1: training loss is"):
