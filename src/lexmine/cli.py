@@ -37,15 +37,7 @@ from .corpus import (
     save_queries,
     synth_benchmark,
 )
-from .dense import (
-    EncoderParams,
-    OptimizerState,
-    init_optimizer,
-    load_checkpoint,
-    save_checkpoint,
-    vocab_coverage,
-    vocab_from_corpus,
-)
+from .dense import EncoderParams, init_optimizer, load_checkpoint, save_checkpoint, vocab_from_corpus
 from .evaluation import format_lang_table, load_run, mrr_at_k, per_lang_metrics, recall_at_k
 from .mining import MiningConfig, load_samples, save_samples
 from .pipeline import (
@@ -70,10 +62,6 @@ from .sparse import BM25Params, build_index
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-
-# a checkpoint whose vocabulary holds less of the corpus's token occurrences
-# than this was warmed up on another corpus or tokenizer config
-MIN_VOCAB_COVERAGE = 0.5
 
 
 class ConfigError(ValueError):
@@ -285,8 +273,7 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     _guard_overwrite(out / "manifest.json", args.overwrite, "warmup output")
     sparse_index = build_index(corpus, cfg.tokenizer, cfg.bm25)
     labeled = assemble_warmup_samples(queries, qrels, sparse_index, cfg)
-    vocab = vocab_from_corpus(corpus, cfg.tokenizer, [QuerySet(s.query for s in labeled)])
-    params, generator = warmup(labeled, corpus, cfg, vocab)
+    params, generator = warmup(labeled, corpus, cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params)
     save_generator(generator, out / "generator.json")
@@ -295,28 +282,28 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_encoder(
-    args: argparse.Namespace, corpus: Corpus, cfg: PipelineConfig
-) -> tuple[EncoderParams, OptimizerState | None]:
-    """The ``--checkpoint`` encoder and optimizer; an encoder whose vocabulary
-    holds less than ``MIN_VOCAB_COVERAGE`` of the corpus's token occurrences
-    raises ``DataFormatError``, since it would mine and train on almost nothing."""
+def _load_encoder(args: argparse.Namespace, corpus: Corpus, cfg: PipelineConfig) -> EncoderParams:
+    """The ``--checkpoint`` encoder; one whose tokens are not exactly the
+    corpus's under the config's tokenizer (``vocab_from_corpus``, in any row
+    order) raises ``DataFormatError``: it was warmed up on another corpus or
+    tokenizer config."""
     path = data_path(args.checkpoint)
-    params, opt = load_checkpoint(path)
-    coverage = vocab_coverage(params, corpus, cfg.tokenizer)
-    if coverage < MIN_VOCAB_COVERAGE:
+    params, _ = load_checkpoint(path)
+    want = set(vocab_from_corpus(corpus, cfg.tokenizer))
+    if params.vocab.keys() != want:
         raise DataFormatError(
-            f"--checkpoint vocabulary holds {coverage:.1%} of the corpus's token occurrences, "
-            f"below {MIN_VOCAB_COVERAGE:.0%}: it was warmed up on another corpus or tokenizer config",
+            f"--checkpoint vocabulary is not the corpus's tokens under the config's tokenizer "
+            f"({len(want - params.vocab.keys())} of {len(want)} missing, "
+            f"{len(params.vocab.keys() - want)} extra): it was warmed up on another corpus or tokenizer config",
             path,
         )
-    return params, opt
+    return params
 
 
 def _checkpoint_state(
     args: argparse.Namespace, corpus: Corpus, cfg: PipelineConfig, generator: GeneratorModel
 ) -> PipelineState:
-    params, _ = _load_encoder(args, corpus, cfg)
+    params = _load_encoder(args, corpus, cfg)
     return start_state(params, generator, build_index(corpus, cfg.tokenizer, cfg.bm25), corpus, cfg)
 
 
@@ -377,11 +364,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     mapping = _load_config(args)
     cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
     corpus = load_passages(data_path(args.passages))
-    params, opt = _load_encoder(args, corpus, cfg)
-    if opt is None:
-        opt = init_optimizer(params, lr=cfg.train_lr)
-    else:
-        opt.lr = cfg.train_lr
+    params = _load_encoder(args, corpus, cfg)
     dataset = []
     for path in args.samples:
         dataset.extend(load_samples(data_path(path), corpus=corpus))
@@ -391,9 +374,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _guard_overwrite(out / "manifest.json", args.overwrite, "train output")
     # the pipeline's first iteration, training stream included
     rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, 1])
+    opt = init_optimizer(params, lr=cfg.train_lr)
     losses = train(params, opt, dataset, corpus, cfg, rng, cfg.minibatches_per_iter, "iteration 1")
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / "checkpoint.npz", params, opt)
+    save_checkpoint(out / "checkpoint.npz", params)
     write_manifest(out / "manifest.json", "train", asdict(cfg), args.seed)
     print(
         f"trained {len(losses)} minibatches on {len(dataset)} samples; "

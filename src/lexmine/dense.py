@@ -35,7 +35,6 @@ __all__ = [
     "init_optimizer",
     "train_step",
     "corpus_token_rows",
-    "vocab_coverage",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -85,14 +84,13 @@ class EncoderParams:
         return self.embedding
 
 
-def vocab_from_corpus(
-    corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER, query_sets: Iterable[Iterable[Query]] = ()
-) -> list[str]:
-    """The encoder vocabulary: sorted unique tokens of the corpus and of the
-    queries of ``query_sets``, read from their ``tokenized(tok)`` and
-    ``tokens(tok)`` memos."""
-    queries = (q.tokens(tok) for qs in query_sets for q in qs)
-    return sorted(set(corpus.tokenized(tok).vocab).union(*queries))
+def vocab_from_corpus(corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> tuple[str, ...]:
+    """The encoder vocabulary: the corpus's sorted unique tokens under ``tok``.
+
+    No query adds a token, so no held-out query shapes the encoder; a query
+    token outside the vocabulary is skipped when pooling.
+    """
+    return corpus.tokenized(tok).vocab
 
 
 def init_params(vocab_tokens: Iterable[str], dim: int = 64, seed: int | Sequence[int] = 0) -> EncoderParams:
@@ -172,14 +170,6 @@ def corpus_token_rows(
         by_id = dict(zip(corpus.ids, np.split(rows[kept], ends[1:-1])))
         memo = params._passage_rows = (corpus, tok, by_id)
     return memo[2]
-
-
-def vocab_coverage(params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> float:
-    """The share of the corpus's token occurrences under ``tok`` that the
-    encoder's vocabulary holds; 1.0 for a corpus without tokens."""
-    total = corpus.tokenized(tok).ids.size
-    kept = sum(rows.size for rows in corpus_token_rows(params, corpus, tok).values())
-    return kept / total if total else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +387,8 @@ def train_step(
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path: str | Path, params: EncoderParams, opt: OptimizerState | None = None) -> None:
-    """Single-file .npz checkpoint: the table, optimizer moments, and metadata.
+def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
+    """Single-file .npz checkpoint of the encoder: the table and its metadata.
     ``shared`` is always true: false marked a checkpoint with a separate query
     table, which this version no longer reads."""
     tokens = [None] * len(params.vocab)
@@ -410,46 +400,32 @@ def save_checkpoint(path: str | Path, params: EncoderParams, opt: OptimizerState
         "shared": True,
         "version": params.version,
         "dim": params.dim,
-        "opt": None
-        if opt is None
-        else {
-            "step": opt.step,
-            "lr": opt.lr,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "eps": opt.eps,
-        },
     }
-    arrays: dict[str, np.ndarray] = {"embedding": params.embedding}
-    if opt is not None:
-        arrays["adam_m"] = opt.m
-        arrays["adam_v"] = opt.v
     with atomic_write(path, binary=True) as fh:
-        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), embedding=params.embedding)
 
 
 def _check_meta(meta: dict) -> None:
     """Raise ValueError unless the metadata holds what ``save_checkpoint``
-    writes: non-negative int counters, ``shared`` true and finite optimizer
-    hyperparameters."""
+    writes: a non-negative int ``version`` and ``shared`` true."""
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
-    opt = meta["opt"]
-    counters = [("version", meta["version"])] + ([] if opt is None else [("step", opt["step"])])
-    for name, v in counters:
-        if type(v) is not int or v < 0:
-            raise ValueError(f"{name} must be a non-negative int, got {v!r}")
+    if type(meta["version"]) is not int or meta["version"] < 0:
+        raise ValueError(f"version must be a non-negative int, got {meta['version']!r}")
     if meta["shared"] is not True:
         raise ValueError(f"shared must be true (untied checkpoints are not read), got {meta['shared']!r}")
-    for name in () if opt is None else ("lr", "beta1", "beta2", "eps"):
-        if type(opt[name]) not in (int, float) or not np.isfinite(opt[name]):
-            raise ValueError(f"{name} must be a finite number, got {opt[name]!r}")
 
 
-def load_checkpoint(path: str | Path) -> tuple[EncoderParams, OptimizerState | None]:
-    """Read a ``save_checkpoint`` file; a file that is not one, whose metadata
-    fails ``_check_meta`` or whose Adam moments differ in shape from the table
-    raises ``DataFormatError`` naming ``path``."""
+def load_checkpoint(path: str | Path) -> tuple[EncoderParams, None]:
+    """Read a ``save_checkpoint`` file as ``(encoder, None)``; a file that is
+    not one, or whose metadata fails ``_check_meta``, raises
+    ``DataFormatError`` naming ``path``.
+
+    Earlier files of the same format also carried Adam moments (``adam_m``,
+    ``adam_v`` and an ``opt`` metadata entry); they are ignored, so those
+    files load as their encoder. The second element is always None and is
+    kept because ``perfbench/checks.py`` unpacks ``params, _ = load_checkpoint(...)``.
+    """
     try:
         # opened here, since np.load leaks the handle it opens on a malformed zip
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -460,21 +436,6 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, OptimizerState | N
                 embedding=data["embedding"].astype(np.float64),
                 version=meta["version"],
             )
-            opt = None
-            if meta["opt"] is not None:
-                o = meta["opt"]
-                opt = OptimizerState(
-                    m=data["adam_m"].astype(np.float64),
-                    v=data["adam_v"].astype(np.float64),
-                    step=o["step"],
-                    lr=o["lr"],
-                    beta1=o["beta1"],
-                    beta2=o["beta2"],
-                    eps=o["eps"],
-                )
-                shapes = {"embedding": params.embedding.shape, "adam_m": opt.m.shape, "adam_v": opt.v.shape}
-                if len(set(shapes.values())) > 1:
-                    raise ValueError(f"Adam moments must have the embedding's shape, got {shapes}")
     except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataFormatError(f"not a lexmine checkpoint: {exc!r}", path) from exc
-    return params, opt
+    return params, None

@@ -290,20 +290,21 @@ def warmup(
     source_labeled: list[TrainingSample],
     corpus: Corpus,
     cfg: PipelineConfig,
-    vocab_tokens: Sequence[str],
     seed_offset: int = 0,
 ) -> tuple[EncoderParams, GeneratorModel]:
     """Train the retriever and the generator on labeled source-language data.
 
-    The encoder's vocabulary is ``vocab_tokens``. Each sample's random
-    negatives are drawn here; in-batch negatives come from the other samples
-    of each minibatch. Training runs ``warmup_epochs`` epochs through
-    ``train`` on the warm-up's own shuffle stream. The generator is trained on
-    (positive passage -> query) pairs even when warmup_epochs is 0.
+    The encoder's vocabulary is the corpus's (``vocab_from_corpus``). Each
+    sample's random negatives are drawn here; in-batch negatives come from the
+    other samples of each minibatch. Training runs ``warmup_epochs`` epochs
+    through ``train`` on the warm-up's own shuffle stream. The generator is
+    trained on (positive passage -> query) pairs even when warmup_epochs is 0.
     """
     if not source_labeled:
         raise ValueError("labeled warm-up data must be non-empty")
-    params = init_params(vocab_tokens, dim=cfg.embedding_dim, seed=[cfg.seed, _INIT, seed_offset])
+    params = init_params(
+        vocab_from_corpus(corpus, cfg.tokenizer), dim=cfg.embedding_dim, seed=[cfg.seed, _INIT, seed_offset]
+    )
     rng_negs = np.random.default_rng([cfg.seed, _WARMUP_DATA, seed_offset])
     filled = []
     for s in source_labeled:
@@ -702,19 +703,15 @@ def run_pipeline(
             params, generator, sparse_index, data.corpus, cfg, len(reports) - 1, aux_params=aux_params
         )
     else:
-        query_sets = [qs for qs in (data.train_queries, data.unlabeled, data.eval_queries) if qs is not None]
-        vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, query_sets)
         labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse_index, cfg)
         if not labeled:
             raise PipelineError("no labeled source queries with relevant judgments")
         t0 = time.perf_counter()
-        params, generator = warmup(labeled, data.corpus, cfg, vocab_tokens=vocab)
+        params, generator = warmup(labeled, data.corpus, cfg)
         if cfg.mining_mode == "double_dense":
             # the mining partner: a second retriever warm-started on the other
             # half of the labeled data with a different seed, then frozen
-            aux_params, _ = warmup(
-                labeled[1::2] or labeled, data.corpus, cfg, vocab_tokens=vocab, seed_offset=1
-            )
+            aux_params, _ = warmup(labeled[1::2] or labeled, data.corpus, cfg, seed_offset=1)
         warm_report = IterationReport(iteration=0, wall_clock_sec=time.perf_counter() - t0)
         state = start_state(params, generator, sparse_index, data.corpus, cfg, aux_params=aux_params)
         _, warm_report.metrics = _evaluate(state, data, cfg)

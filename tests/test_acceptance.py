@@ -16,15 +16,8 @@ import pytest
 from scipy import stats
 
 from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
-from lexmine.corpus import (
-    Corpus, Judgment, JudgmentSet, Passage, Query, QuerySet, SynthSpec, synth_benchmark, tokenize
-)
-from lexmine.dense import (
-    TrainingSample,
-    infonce_batch,
-    init_params,
-    vocab_from_corpus,
-)
+from lexmine.corpus import Corpus, Judgment, JudgmentSet, Passage, Query, SynthSpec, synth_benchmark, tokenize
+from lexmine.dense import TrainingSample, infonce_batch, init_params
 from lexmine.evaluation import mrr_at_k, paired_t_test, recall_at_k
 from lexmine.mining import MiningConfig, mine_pairs
 from lexmine.pipeline import (
@@ -348,8 +341,7 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
     cfg = pipeline_config_from_mapping(cfg_mapping, seed=PIPELINE_SEEDS[0])
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    vocab = vocab_from_corpus(data.corpus, cfg.tokenizer, [QuerySet(s.query for s in labeled)])
-    params, generator = warmup(labeled, data.corpus, cfg, vocab)
+    params, generator = warmup(labeled, data.corpus, cfg)
     state = start_state(params, generator, sparse, data.corpus, cfg)
     # two iterations so the generator has been retrained on mined target pairs
     state, _, _ = run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)

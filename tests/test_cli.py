@@ -23,7 +23,7 @@ from lexmine.cli import (
     pipeline_config_from_mapping,
 )
 from lexmine.corpus import load_passages, load_qrels, load_queries
-from lexmine.dense import init_optimizer, init_params, load_checkpoint, save_checkpoint
+from lexmine.dense import init_params, load_checkpoint, save_checkpoint
 from lexmine.evaluation import load_run, mrr_at_k
 from lexmine.mining import load_samples, save_samples
 from lexmine.pipeline import (
@@ -248,14 +248,14 @@ def test_removed_index_command_exit_2(tmp_path, capsys):
     assert not (tmp_path / "idx.json").exists()
 
 
-def warmup_cmd(data, out, *extra):
+def warmup_cmd(data, out, *extra, seed=3):
     return dispatch(
         [
             "warmup",
             "--passages", str(data / "passages.jsonl"),
             "--queries", str(data / "train_queries.jsonl"),
             "--qrels", str(data / "qrels.tsv"),
-            "--seed", "3",
+            "--seed", str(seed),
             "--out", str(out),
             *extra,
         ]
@@ -928,25 +928,36 @@ def test_stage_command_rejects_checkpoint_of_another_vocabulary(
     tmp_path, synth_dir, warm_ckpt, foreign_warm, capsys, command
 ):
     cfg = tmp_path / "c.cfg"
-    ckpt = foreign_warm / "checkpoint.npz"
-    out = tmp_path / "out"
+    corpus = load_passages(synth_dir / "passages.jsonl")
+    n_tokens = len(corpus.tokenized().vocab)
+    # every token of this corpus and one more
+    superset = tmp_path / "superset.npz"
+    save_checkpoint(superset, init_params([*corpus.tokenized().vocab, "zzz"], dim=16))
     if command == "mine":
         # the checkpoint warmed up on this corpus mines as before
         assert mine_cmd(cfg, synth_dir, warm_ckpt, tmp_path / "ok.jsonl", 3) == EXIT_OK
         assert (tmp_path / "ok.jsonl").stat().st_size > 0
         capsys.readouterr()
-        code = mine_cmd(cfg, synth_dir, ckpt, out, 3)
-    elif command == "generate":
-        code = generate_cmd(cfg, synth_dir, ckpt, foreign_warm / "generator.json", out, 3)
-    else:
-        passage = next(iter(load_passages(synth_dir / "passages.jsonl")))
-        samples = tmp_path / "samples.jsonl"
-        samples.write_text(json.dumps({"query_id": "q", "query_text": passage.text, "positive": passage.id}) + "\n")
-        code = train_cmd(cfg, synth_dir, ckpt, [samples], out, 3)
-    assert code == EXIT_DATA
-    err = capsys.readouterr().err
-    assert f"data error: {ckpt}: --checkpoint vocabulary holds 0.0% of the corpus's token occurrences" in err
-    assert not out.exists()
+    for ckpt, missing, extra in ((foreign_warm / "checkpoint.npz", n_tokens, None), (superset, 0, 1)):
+        out = tmp_path / "out"
+        if command == "mine":
+            code = mine_cmd(cfg, synth_dir, ckpt, out, 3)
+        elif command == "generate":
+            code = generate_cmd(cfg, synth_dir, ckpt, foreign_warm / "generator.json", out, 3)
+        else:
+            passage = next(iter(corpus))
+            samples = tmp_path / "samples.jsonl"
+            samples.write_text(json.dumps({"query_id": "q", "query_text": passage.text, "positive": passage.id}) + "\n")
+            code = train_cmd(cfg, synth_dir, ckpt, [samples], out, 3)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert (
+            f"data error: {ckpt}: --checkpoint vocabulary is not the corpus's tokens under the config's tokenizer "
+            f"({missing} of {n_tokens} missing, "
+        ) in err
+        if extra is not None:
+            assert f"{extra} extra)" in err
+        assert not out.exists()
 
 
 def test_generate_truncated_generator_exit_3(tmp_path, capsys):
@@ -954,7 +965,7 @@ def test_generate_truncated_generator_exit_3(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(PIPELINE_CFG)
     ckpt = tmp_path / "ckpt.npz"
-    save_checkpoint(ckpt, init_params(["alpha", "beta1"], dim=4))
+    save_checkpoint(ckpt, init_params(["alpha", "beta1", "beta2"], dim=4))
     generator = tmp_path / "generator.json"
     generator.write_text('{"format": 1, "version": 1, "query_len')
     out = tmp_path / "generated.jsonl"
@@ -1012,15 +1023,12 @@ def test_generate_rejects_untrained_or_invalid_generator(tmp_path, capsys, conte
     assert not out.exists()
 
 
-def _rewrite_meta(path, opt_field=None, **fields):
-    """Rewrite a checkpoint's metadata with ``fields`` set, and its optimizer's
-    ``opt_field`` (a (name, value) pair) when given."""
+def _rewrite_meta(path, **fields):
+    """Rewrite a checkpoint's metadata with ``fields`` set."""
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]))
     meta.update(fields)
-    if opt_field is not None:
-        meta["opt"][opt_field[0]] = opt_field[1]
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -1035,13 +1043,6 @@ def _rewrite_meta(path, opt_field=None, **fields):
         pytest.param({"shared": "no"}, id="shared-string"),
         pytest.param({"shared": 0}, id="shared-int"),
         pytest.param({"shared": False}, id="shared-false-untied"),
-        pytest.param({"opt_field": ("step", "2")}, id="step-string"),
-        pytest.param({"opt_field": ("step", -1)}, id="step-negative"),
-        pytest.param({"opt_field": ("step", False)}, id="step-bool"),
-        pytest.param({"opt_field": ("lr", "0.01")}, id="lr-string"),
-        pytest.param({"opt_field": ("beta1", float("nan"))}, id="beta1-nan"),
-        pytest.param({"opt_field": ("beta2", None)}, id="beta2-null"),
-        pytest.param({"opt_field": ("eps", float("inf"))}, id="eps-inf"),
     ],
 )
 def test_train_rejects_checkpoint_metadata_of_the_wrong_type(tmp_path, capsys, fields):
@@ -1049,8 +1050,7 @@ def test_train_rejects_checkpoint_metadata_of_the_wrong_type(tmp_path, capsys, f
     cfg = tmp_path / "c.cfg"
     cfg.write_text(PIPELINE_CFG)
     ckpt = tmp_path / "ckpt.npz"
-    params = init_params(["alpha", "beta1", "beta2"], dim=4)
-    save_checkpoint(ckpt, params, init_optimizer(params))
+    save_checkpoint(ckpt, init_params(["alpha", "beta1", "beta2"], dim=4))
     load_checkpoint(ckpt)  # valid before the rewrite
     _rewrite_meta(ckpt, **fields)
     samples = tmp_path / "samples.jsonl"
@@ -1061,48 +1061,84 @@ def test_train_rejects_checkpoint_metadata_of_the_wrong_type(tmp_path, capsys, f
     assert not out.exists()
 
 
-@pytest.mark.parametrize("moment", ["adam_m", "adam_v"])
-def test_train_rejects_adam_moments_of_the_wrong_shape(tmp_path, capsys, moment):
-    data = tiny_data(tmp_path)
+def _save_with_adam_moments(path: Path, params) -> None:
+    """``params`` in a format-1 file as ``lexmine train`` wrote it when
+    checkpoints also carried the optimizer: Adam moments and ``opt`` metadata."""
+    rng = np.random.default_rng(0)
+    meta = {
+        "format": 1,
+        "tokens": sorted(params.vocab, key=params.vocab.get),
+        "shared": True,
+        "version": params.version,
+        "dim": params.dim,
+        "opt": {"step": 7, "lr": 0.003, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+    }
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            embedding=params.embedding,
+            adam_m=rng.normal(size=params.embedding.shape),
+            adam_v=rng.random(params.embedding.shape),
+        )
+
+
+def test_checkpoint_with_adam_moments_loads_and_trains_as_its_encoder(tmp_path, synth_dir, warm_ckpt):
+    params, _ = load_checkpoint(warm_ckpt)
+    with_moments = tmp_path / "with_moments.npz"
+    _save_with_adam_moments(with_moments, params)
+    loaded, opt = load_checkpoint(with_moments)
+    assert opt is None
+    assert loaded.vocab == params.vocab and loaded.version == params.version
+    assert np.array_equal(loaded.embedding, params.embedding)
+
+    # `train` starts fresh moments at train_lr from either file
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(PIPELINE_CFG)
-    ckpt = tmp_path / "ckpt.npz"
-    params = init_params(["alpha", "beta1", "beta2", "gamma", "delta"], dim=4)
-    opt = init_optimizer(params)
-    setattr(opt, moment[-1], np.zeros((3, 4)))
-    save_checkpoint(ckpt, params, opt)
-    samples = tmp_path / "samples.jsonl"
-    samples.write_text(json.dumps({"query_id": "q", "query_text": "alpha", "positive": "p1"}) + "\n")
-    out = tmp_path / "trained"
-    assert train_cmd(cfg, data, ckpt, [samples], out, 3) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert f"data error: {ckpt}: not a lexmine checkpoint" in err and f"'{moment}': (3, 4)" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    mined = tmp_path / "mined.jsonl"
+    assert mine_cmd(cfg, synth_dir, warm_ckpt, mined, 3) == EXIT_OK
+    assert train_cmd(cfg, synth_dir, warm_ckpt, [mined], tmp_path / "plain", 3) == EXIT_OK
+    assert train_cmd(cfg, synth_dir, with_moments, [mined], tmp_path / "from_moments", 3) == EXIT_OK
+    _assert_same_checkpoint(tmp_path / "from_moments" / "checkpoint.npz", tmp_path / "plain" / "checkpoint.npz")
+    with np.load(tmp_path / "plain" / "checkpoint.npz") as npz:
+        assert npz.files == ["meta", "embedding"]
+
+
+def _assert_same_checkpoint(got: Path, want: Path) -> None:
+    """The same arrays, ``meta`` included, under the same names."""
+    with np.load(got) as a, np.load(want) as b:
+        assert a.files == b.files, (got, want)
+        for key in a.files:
+            np.testing.assert_array_equal(a[key], b[key], err_msg=f"{got}:{key}")
 
 
 def test_mine_then_train_reproduce_pipeline_iteration_one(tmp_path, synth_dir):
+    # `warmup`, `mine` and `train` on a run's inputs, config and seed write its
+    # warm-up checkpoint and generator and its iteration-1 samples and checkpoint
     split_synth_for_pipeline(synth_dir)
+    # unlabeled queries hold tokens the corpus lacks, which no vocabulary may take
+    corpus_tokens = set(load_passages(synth_dir / "passages.jsonl").tokenized().vocab)
+    assert any(set(q.tokens()) - corpus_tokens for q in load_queries(synth_dir / "unlabeled_tgt.jsonl"))
     cfg = pipeline_cfg_file(tmp_path, synth_dir)
     run = tmp_path / "run"
     code = dispatch(
         ["pipeline", "--config", str(cfg), "--set", "iterations=1", "--seed", "5", "--out", str(run)]
     )
     assert code == EXIT_OK
-    warm_ckpt = run / "warmup" / "checkpoint.npz"
     iter_1 = run / "iter_1"
 
+    warm = tmp_path / "warm"
+    assert warmup_cmd(synth_dir, warm, "--config", str(cfg), seed=5) == EXIT_OK
+    _assert_same_checkpoint(warm / "checkpoint.npz", run / "warmup" / "checkpoint.npz")
+    assert (warm / "generator.json").read_bytes() == (run / "warmup" / "generator.json").read_bytes()
+
     mined = tmp_path / "mined.jsonl"
-    assert mine_cmd(cfg, synth_dir, warm_ckpt, mined, 5) == EXIT_OK
+    assert mine_cmd(cfg, synth_dir, warm / "checkpoint.npz", mined, 5) == EXIT_OK
     assert mined.read_bytes() == (iter_1 / "mined.jsonl").read_bytes()
 
     trained = tmp_path / "trained"
     samples = (iter_1 / "mined.jsonl", iter_1 / "generated.jsonl")
-    assert train_cmd(cfg, synth_dir, warm_ckpt, samples, trained, 5) == EXIT_OK
-    got, _ = load_checkpoint(trained / "checkpoint.npz")
-    want, _ = load_checkpoint(iter_1 / "checkpoint.npz")
-    assert got.vocab == want.vocab
-    assert np.array_equal(got.embedding, want.embedding)
+    assert train_cmd(cfg, synth_dir, warm / "checkpoint.npz", samples, trained, 5) == EXIT_OK
+    _assert_same_checkpoint(trained / "checkpoint.npz", iter_1 / "checkpoint.npz")
 
 
 @pytest.mark.parametrize(
@@ -1123,7 +1159,7 @@ def test_train_malformed_sample_exit_3(tmp_path, capsys, record, message):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(PIPELINE_CFG)
     ckpt = tmp_path / "ckpt.npz"
-    save_checkpoint(ckpt, init_params(["alpha", "beta1"], dim=4))
+    save_checkpoint(ckpt, init_params(["alpha", "beta1", "beta2"], dim=4))
     samples = tmp_path / "samples.jsonl"
     valid = {"query_id": "q0", "query_text": "alpha", "positive": "p2"}
     samples.write_text(json.dumps(valid) + "\n" + json.dumps(record) + "\n")

@@ -180,7 +180,7 @@ def test_tokenized_corpus_derivations_match_per_passage_construction(which, cfg)
     assert list(index.postings.items()) == list(postings.items())
     assert list(index.doc_len.items()) == list(doc_len.items())
     vocab = sorted({t for p in corpus for t in _reference_tokenize(p.text, cfg)})
-    assert vocab_from_corpus(corpus, cfg) == vocab
+    assert vocab_from_corpus(corpus, cfg) == tuple(vocab)
     # a model vocabulary that misses every other corpus token and knows one extra
     params = init_params(["zz-not-in-corpus", *vocab[::-2]], dim=2)
     rows = corpus_token_rows(params, corpus, cfg)

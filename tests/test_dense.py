@@ -39,7 +39,6 @@ from lexmine.dense import (
     search_dense,
     search_dense_block,
     train_step,
-    vocab_coverage,
     vocab_from_corpus,
 )
 from lexmine.mining import MiningConfig
@@ -237,14 +236,6 @@ def test_corpus_token_rows_memo_is_never_stale(tmp_path, tiny_corpus):
     reloaded, _ = load_checkpoint(path)
     assert_rows_fresh(reloaded, tiny_corpus)
     assert_rows_fresh(params, tiny_corpus)
-
-
-def test_vocab_coverage_counts_token_occurrences(tiny_corpus):
-    # 10 token occurrences, of which "apple" makes 3 and "fig" 2
-    assert vocab_coverage(init_params(["apple", "fig", "zz"], dim=2), tiny_corpus) == 0.5
-    assert vocab_coverage(toy_params(tiny_corpus), tiny_corpus) == 1.0
-    assert vocab_coverage(init_params(["zz"], dim=2), tiny_corpus) == 0.0
-    assert vocab_coverage(init_params(["zz"], dim=2), Corpus([Passage(id="p", text="!!")])) == 1.0
 
 
 def test_search_matches_brute_force():
@@ -946,20 +937,18 @@ def test_train_step_empty_batch_rejected(tiny_corpus):
 @shared_case_id
 def test_checkpoint_round_trip(tmp_path, tiny_corpus):
     params = toy_params(tiny_corpus)
-    opt = init_optimizer(params, lr=0.07)
-    train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
+    train_step(params, init_optimizer(params, lr=0.07), batch_for(tiny_corpus), tiny_corpus)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params, opt)
-    loaded, lopt = load_checkpoint(path)
+    save_checkpoint(path, params)
+    loaded, _ = load_checkpoint(path)
+    # the encoder alone: its table and metadata, no optimizer state
     with np.load(path) as npz:
-        assert npz.files == ["meta", "embedding", "adam_m", "adam_v"]
-        assert json.loads(bytes(npz["meta"]))["shared"] is True
+        assert npz.files == ["meta", "embedding"]
+        meta = json.loads(bytes(npz["meta"]))
+    assert meta == {"format": 1, "tokens": list(vocab_from_corpus(tiny_corpus)), "shared": True, "version": 1, "dim": 4}
     assert loaded.vocab == params.vocab
     assert loaded.version == params.version
     assert np.array_equal(loaded.embedding, params.embedding)
-    assert lopt is not None
-    assert lopt.step == opt.step and lopt.lr == opt.lr
-    assert np.array_equal(lopt.m, opt.m) and np.array_equal(lopt.v, opt.v)
 
 
 def test_checkpoint_without_optimizer(tmp_path, tiny_corpus):

@@ -77,11 +77,6 @@ def small_cfg(**kwargs):
     return PipelineConfig(**defaults)
 
 
-def labeled_vocab(samples, corpus, cfg):
-    """The vocabulary `lexmine warmup` gives the encoder: corpus plus labeled queries."""
-    return vocab_from_corpus(corpus, cfg.tokenizer, [QuerySet(s.query for s in samples)])
-
-
 def tgt_mrr(report, k=10):
     return report.metrics["tgta"][f"mrr@{k}"]
 
@@ -152,7 +147,7 @@ def test_warmup_beats_untrained_baseline_on_source(bench, data):
     cfg = small_cfg()
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    params, generator = warmup(samples, data.corpus, cfg, labeled_vocab(samples, data.corpus, cfg))
+    params, generator = warmup(samples, data.corpus, cfg)
     assert generator.version == 1
 
     fresh = init_params(
@@ -173,16 +168,8 @@ def test_warmup_zero_epochs_keeps_params_trains_generator(data):
     cfg = small_cfg(warmup_epochs=0)
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    params, generator = warmup(samples, data.corpus, cfg, labeled_vocab(samples, data.corpus, cfg))
-    fresh = init_params(
-        sorted(
-            set(vocab_from_corpus(data.corpus, cfg.tokenizer)).union(
-                t for s in samples for t in tokenize(s.query.text, cfg.tokenizer)
-            )
-        ),
-        dim=cfg.embedding_dim,
-        seed=[cfg.seed, 0, 0],
-    )
+    params, generator = warmup(samples, data.corpus, cfg)
+    fresh = init_params(vocab_from_corpus(data.corpus, cfg.tokenizer), dim=cfg.embedding_dim, seed=[cfg.seed, 0, 0])
     assert params.version == 0
     assert np.array_equal(params.embedding, fresh.embedding)
     assert generator.version == 1
@@ -192,9 +179,8 @@ def test_warmup_deterministic(data):
     cfg = small_cfg()
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    vocab = labeled_vocab(samples, data.corpus, cfg)
-    p1, g1 = warmup(samples, data.corpus, cfg, vocab)
-    p2, g2 = warmup(samples, data.corpus, cfg, vocab)
+    p1, g1 = warmup(samples, data.corpus, cfg)
+    p2, g2 = warmup(samples, data.corpus, cfg)
     assert np.array_equal(p1.embedding, p2.embedding)
     assert g1.term_salience == g2.term_salience
 
@@ -214,7 +200,7 @@ def test_warmup_batches_match_per_epoch_permutations(data, monkeypatch, epochs, 
         return 0.0
 
     monkeypatch.setattr(pipeline_mod, "train_step", record)
-    warmup(samples, data.corpus, cfg, labeled_vocab(samples, data.corpus, cfg))
+    warmup(samples, data.corpus, cfg)
 
     # oracle: the per-epoch loop, one permutation of the samples per epoch
     # from the warm-up shuffle stream, cut into batches with a short last one
@@ -229,7 +215,7 @@ def test_warmup_batches_match_per_epoch_permutations(data, monkeypatch, epochs, 
 
 def test_warmup_empty_rejected(data):
     with pytest.raises(ValueError):
-        warmup([], data.corpus, small_cfg(), vocab_from_corpus(data.corpus))
+        warmup([], data.corpus, small_cfg())
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +226,7 @@ def test_warmup_empty_rejected(data):
 def make_state(data, cfg):
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
-    params, generator = warmup(samples, data.corpus, cfg, labeled_vocab(samples, data.corpus, cfg))
+    params, generator = warmup(samples, data.corpus, cfg)
     return start_state(params, generator, sparse, data.corpus, cfg)
 
 
@@ -469,6 +455,23 @@ def test_pipeline_artifacts_layout(data, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config_hash"] == config_hash(asdict(cfg))
     assert manifest["seed"] == cfg.seed
+
+
+def test_eval_only_token_does_not_change_the_run(data, tmp_path):
+    # a held-out query must not shape the model: an eval-only token that sorts
+    # before every corpus token would take embedding row 0 and shift every other row
+    from test_cli import _assert_same_run
+
+    target = next(q for q in data.eval_queries if q.lang == "tgta")
+    assert "aaaa" < min(data.corpus.tokenized().vocab)
+    eval_queries = QuerySet(
+        Query(id=q.id, text=q.text + " aaaa", lang=q.lang) if q is target else q for q in data.eval_queries
+    )
+    cfg = small_cfg()
+    run_pipeline(cfg, data, workdir=tmp_path / "plain")
+    run_pipeline(cfg, replace(data, eval_queries=eval_queries), workdir=tmp_path / "extra_token")
+    # every checkpoint array, sample file, run file and report metric
+    _assert_same_run(tmp_path / "extra_token", tmp_path / "plain")
 
 
 def test_pipeline_resume_matches_uninterrupted(data, tmp_path):

@@ -20,7 +20,10 @@ import numpy as np
 from lexmine.corpus import (
     Corpus, Judgment, JudgmentSet, Passage, Query, QuerySet, save_passages, save_qrels, save_queries, tokenize
 )
-from lexmine.dense import _mean_pool, _token_rows, build_dense_index, init_params, train_step, vocab_from_corpus
+from lexmine.dense import (
+    _mean_pool, _token_rows, build_dense_index, init_params, load_checkpoint, save_checkpoint, train_step,
+    vocab_from_corpus,
+)
 from lexmine.pipeline import PipelineConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -102,7 +105,9 @@ def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
     save_qrels(JudgmentSet([Judgment(query_id="q1", passage_id="p1", grade=1)]), data["eval_qrels"])
     cfg = PipelineConfig()
     oracle = _exec("checks.py")["Oracle"](data, asdict(cfg))
-    params = init_params(vocab_from_corpus(corpus, cfg.tokenizer), dim=4, seed=3)
+    # read back as checks.py reads each run's checkpoints
+    save_checkpoint(tmp_path / "checkpoint.npz", init_params(vocab_from_corpus(corpus, cfg.tokenizer), dim=4, seed=3))
+    params, _ = load_checkpoint(tmp_path / "checkpoint.npz")
 
     want = build_dense_index(params, corpus, cfg.tokenizer).vectors
     np.testing.assert_allclose(oracle.passage_matrix(params), want, rtol=0, atol=1e-12)
