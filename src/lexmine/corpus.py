@@ -8,6 +8,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Generic, Iterable, Iterator, TypeVar
 
@@ -59,7 +60,7 @@ def _check_id(id_: str, kind: str) -> None:
     # run files and qrels are whitespace-separated, so an id may hold no whitespace
     if not id_:
         raise ValueError(f"{kind} id must be non-empty")
-    if any(c.isspace() for c in id_):
+    if id_.split() != [id_]:  # str.split splits exactly where str.isspace is true
         raise ValueError(f"{kind} id {id_!r} contains whitespace")
 
 
@@ -82,8 +83,12 @@ class Judgment:
     grade: int
 
     def __post_init__(self) -> None:
-        if self.grade < 0:
-            raise ValueError(f"grade must be >= 0, got {self.grade}")
+        _check_grade(self.grade)
+
+
+def _check_grade(grade: int) -> None:
+    if grade < 0:
+        raise ValueError(f"grade must be >= 0, got {grade}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,11 @@ _TOKEN_RE = {
     True: re.compile(f"[{_SPLIT_CLASS}]|[^\\W_{_SPLIT_CLASS}]+"),
     False: re.compile(r"[^\W_]+"),
 }
+# On ASCII text [^\W_] is [A-Za-z0-9] and no split range holds an ASCII
+# codepoint, so mapping every other ASCII character to a space and splitting on
+# whitespace gives the regex's tokens. A 128-character string is the fastest
+# str.translate table.
+_ASCII_SEPARATORS = "".join(c if c.isalnum() else " " for c in map(chr, range(128)))
 
 
 def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
@@ -128,6 +138,8 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     ``cfg.cjk_char_split`` each codepoint of a script written without word
     boundaries (Thai, Hangul, kana, CJK ideographs) is a token of its own,
     whatever its category. Tokens shorter than ``cfg.min_token_len`` are dropped.
+    Text that is ASCII once lowercased is split by ``str.translate`` instead of
+    the regex, into the same tokens.
 
     Tokens are interned, so every occurrence of a term is one string object:
     a caller keeping token lists (per-passage lists for an index of its own,
@@ -135,7 +147,10 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     """
     if cfg.lowercase:
         text = text.lower()
-    tokens = _TOKEN_RE[cfg.cjk_char_split].findall(text)
+    if text.isascii():
+        tokens = text.translate(_ASCII_SEPARATORS).split()
+    else:
+        tokens = _TOKEN_RE[cfg.cjk_char_split].findall(text)
     if cfg.min_token_len > 1:
         return [sys.intern(t) for t in tokens if len(t) >= cfg.min_token_len]
     return list(map(sys.intern, tokens))
@@ -186,16 +201,11 @@ class TokenizedCorpus:
 
 
 def _tokenize_corpus(passages: Iterable[Passage], tok: TokenizerConfig) -> TokenizedCorpus:
-    first_seen: dict[str, int] = {}
-    chunks = []
-    for p in passages:
-        tokens = tokenize(p.text, tok)
-        chunks.append(np.array([first_seen.setdefault(t, len(first_seen)) for t in tokens], dtype=np.int32))
-    vocab = sorted(first_seen)
-    rank = np.empty(len(vocab), dtype=np.int32)
-    rank[[first_seen[t] for t in vocab]] = np.arange(len(vocab), dtype=np.int32)
-    offsets = np.concatenate(([0], np.cumsum([c.size for c in chunks], dtype=np.int64)))
-    ids = rank[np.concatenate(chunks)] if chunks else np.zeros(0, dtype=np.int32)
+    token_lists = [tokenize(p.text, tok) for p in passages]
+    vocab = sorted(set().union(*token_lists))
+    index = {t: i for i, t in enumerate(vocab)}
+    offsets = np.concatenate(([0], np.cumsum([len(tokens) for tokens in token_lists], dtype=np.int64)))
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(token_lists)), np.int32, offsets[-1])
     return TokenizedCorpus(tokenizer=tok, vocab=tuple(vocab), ids=ids, offsets=offsets)
 
 
@@ -280,31 +290,34 @@ class QuerySet(_IdCollection[Query]):
 
 
 class JudgmentSet:
-    """Relevance judgments indexed by query id."""
+    """Relevance judgments indexed by query id, kept in the order given."""
 
-    def __init__(self, judgments: Iterable[Judgment]):
-        self._all: list[Judgment] = []
+    def __init__(self, judgments: Iterable[Judgment] = ()):
+        self._rows: list[tuple[str, str, int]] = []
         self.by_query: dict[str, dict[str, int]] = {}
         self._relevant: dict[str, frozenset[str]] = {}
         for j in judgments:
-            grades = self.by_query.setdefault(j.query_id, {})
-            if j.passage_id in grades:
-                raise DataFormatError(
-                    f"duplicate judgment for query {j.query_id!r} passage {j.passage_id!r}"
-                )
-            grades[j.passage_id] = j.grade
-            self._all.append(j)
+            self._add(j.query_id, j.passage_id, j.grade)
+
+    def _add(self, query_id: str, passage_id: str, grade: int) -> None:
+        """Append a judgment whose grade is already checked, while the set is
+        built; a second judgment of the same pair raises DataFormatError."""
+        grades = self.by_query.setdefault(query_id, {})
+        if passage_id in grades:
+            raise DataFormatError(f"duplicate judgment for query {query_id!r} passage {passage_id!r}")
+        grades[passage_id] = grade
+        self._rows.append((query_id, passage_id, grade))
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Judgment]:
-        return iter(self._all)
+        return (Judgment(*row) for row in self._rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JudgmentSet):
             return NotImplemented
-        return self._all == other._all
+        return self._rows == other._rows
 
     def relevant(self, query_id: str) -> frozenset[str]:
         """Passage ids judged relevant (grade > 0) for the query, memoized per query."""
@@ -316,9 +329,9 @@ class JudgmentSet:
 
     def validate(self, corpus: Corpus) -> None:
         """Check that every judged passage is in ``corpus``."""
-        for j in self._all:
-            if j.passage_id not in corpus:
-                raise DataFormatError(f"judgment references unknown passage {j.passage_id!r}")
+        for _, pid, _ in self._rows:
+            if pid not in corpus:
+                raise DataFormatError(f"judgment references unknown passage {pid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +417,15 @@ def load_queries(path: str | Path) -> QuerySet:
 
 def load_qrels(path: str | Path) -> JudgmentSet:
     """Parse TREC-style qrels lines: ``query_id 0 passage_id grade``."""
-    judgments = []
+    qrels = JudgmentSet()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+            if lineno == 1 and line.startswith("\ufeff"):
+                # read as text, the mark would start the first query id
+                raise DataFormatError("unexpected UTF-8 BOM", path, lineno)
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != 4:
                 raise DataFormatError(
                     f"expected 4 whitespace-separated fields, got {len(parts)}", path, lineno
@@ -420,13 +436,11 @@ def load_qrels(path: str | Path) -> JudgmentSet:
             except ValueError as exc:
                 raise DataFormatError(f"grade must be an integer, got {grade_s!r}", path, lineno) from exc
             try:
-                judgments.append(Judgment(query_id=qid, passage_id=pid, grade=grade))
+                _check_grade(grade)
+                qrels._add(qid, pid, grade)
             except ValueError as exc:
                 raise DataFormatError(str(exc), path, lineno) from exc
-    try:
-        return JudgmentSet(judgments)
-    except DataFormatError as exc:
-        raise DataFormatError(exc.message, path) from exc
+    return qrels
 
 
 def save_passages(records: _IdCollection, path: str | Path) -> None:

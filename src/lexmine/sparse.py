@@ -103,6 +103,10 @@ class Postings(Mapping[str, list[tuple[str, int]]]):
         return len(self._row)
 
 
+def _idf(n: int, df: int) -> float:
+    return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+
+
 @dataclass
 class InvertedIndex:
     """BM25 statistics plus every posting's precomputed BM25 impact.
@@ -130,8 +134,7 @@ class InvertedIndex:
         return hi - lo
 
     def idf(self, term: str) -> float:
-        d = self.df(term)
-        return math.log(1.0 + (self.N - d + 0.5) / (d + 0.5))
+        return _idf(self.N, self.df(term))
 
     @cached_property
     def impact(self) -> np.ndarray:
@@ -146,7 +149,8 @@ class InvertedIndex:
         norm += 1.0 - b
         norm *= k1
         norm += p.tf
-        impact = np.repeat([self.idf(t) for t in p], np.diff(p.indptr))
+        df = np.diff(p.indptr)
+        impact = np.repeat([_idf(self.N, d) for d in df.tolist()], df)
         impact *= p.tf
         impact *= k1 + 1.0
         impact /= norm

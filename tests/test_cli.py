@@ -539,6 +539,18 @@ def test_pipeline_no_labeled_queries_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pipeline_qrels_with_byte_order_mark_exit_3(tmp_path, capsys):
+    # the mark used to become part of the first query id, which silently lost its judgment
+    data = tiny_data(tmp_path)
+    path = data / "qrels.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    out = tmp_path / "run"
+    cfg = pipeline_cfg_file(tmp_path, data)
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {path}:1: unexpected UTF-8 BOM" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_warmup_no_labeled_queries_exit_3(tmp_path, capsys):
     data = tiny_data(tmp_path, grade=0)
     cfg = tmp_path / "c.cfg"

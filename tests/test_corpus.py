@@ -148,6 +148,22 @@ def test_tokenize_matches_reference(text, cfg):
     assert tokenize(text, cfg) == _reference_tokenize(text, cfg)
 
 
+def test_tokenize_matches_reference_on_every_ascii_pair():
+    # ASCII text takes the str.translate branch: every ordered pair of ASCII
+    # characters between two letters, each pair its own text, so no non-ASCII
+    # character sends it to the regex.
+    texts = [f"a{chr(c)}{chr(d)}b" for c in range(128) for d in range(128)]
+    for cfg in ALL_TOKENIZER_CONFIGS:
+        for text in texts:
+            assert tokenize(text, cfg) == _reference_tokenize(text, cfg), (text, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=80), st.sampled_from(ALL_TOKENIZER_CONFIGS))
+def test_tokenize_matches_reference_on_ascii_text(text, cfg):
+    assert tokenize(text, cfg) == _reference_tokenize(text, cfg)
+
+
 MIXED_SCRIPT_CORPUS = Corpus(
     [
         Passage(id="p3", text="東京タワー is tall, 東京 is big", lang="ja"),
@@ -171,10 +187,26 @@ def _reference_postings(corpus: Corpus, cfg: TokenizerConfig):
     return {t: sorted(tfs.items()) for t, tfs in sorted(postings.items())}, doc_len
 
 
+# ASCII passages take the tokenizer's str.translate branch, the others its
+# regex; the two share tokens, so their ids must meet in one vocabulary.
+ASCII_AND_CJK_CORPUS = Corpus(
+    [
+        Passage(id="a1", text="Tokyo tower", lang="en"),
+        Passage(id="a0", text="東京 tokyo", lang="ja"),
+        Passage(id="a2", text="東京タワー: TOKYO_TOWER 333m", lang="ja"),
+        Passage(id="a3", text="tower 333M, tokyo!", lang="en"),
+    ]
+)
+
+
 @pytest.mark.parametrize("cfg", ALL_TOKENIZER_CONFIGS)
-@pytest.mark.parametrize("which", ["synthetic", "mixed_script"])
+@pytest.mark.parametrize("which", ["synthetic", "mixed_script", "ascii_and_cjk"])
 def test_tokenized_corpus_derivations_match_per_passage_construction(which, cfg):
-    corpus = synth_benchmark(SMALL_SPEC, seed=4).corpus if which == "synthetic" else MIXED_SCRIPT_CORPUS
+    corpus = {
+        "synthetic": synth_benchmark(SMALL_SPEC, seed=4).corpus,
+        "mixed_script": MIXED_SCRIPT_CORPUS,
+        "ascii_and_cjk": ASCII_AND_CJK_CORPUS,
+    }[which]
     postings, doc_len = _reference_postings(corpus, cfg)
     index = build_index(corpus, cfg)
     assert list(index.postings.items()) == list(postings.items())
@@ -231,8 +263,15 @@ def test_passage_invariants():
         Passage(id="p", text="   ")
 
 
+_WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
 @pytest.mark.parametrize("loader", [load_passages, load_queries])
-@pytest.mark.parametrize("bad_id", ["p 1", "p\t1", "p1\n", "p\u00a01", "p\u30001"])
+@pytest.mark.parametrize(
+    "bad_id",
+    ["p 1", "p\t1", "p1\n", "p\u00a01", "p\u30001"]
+    + [f"p{c}1" for c in _WHITESPACE if c not in " \t\u00a0\u3000"],
+)
 def test_loaders_reject_ids_with_whitespace(tmp_path, loader, bad_id):
     # run files and qrels split lines on whitespace, so such an id could not be read back
     path = tmp_path / "records.jsonl"
@@ -307,18 +346,46 @@ def test_load_qrels_bad_grade(tmp_path):
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("q2 0 p1", "expected 4 whitespace-separated fields, got 3"),
+        ("q2 0 p1 1 x", "expected 4 whitespace-separated fields, got 5"),
+        ("q2 0 p1 x", "grade must be an integer, got 'x'"),
+        ("q2 0 p1 -1", "grade must be >= 0, got -1"),
+        ("q1 0 p1 0", "duplicate judgment for query 'q1' passage 'p1'"),
+    ],
+)
+def test_load_qrels_errors_name_the_line(tmp_path, bad_line, message):
+    path = tmp_path / "q.tsv"
+    path.write_text(f"q1 0 p1 1\n\nq1 0 p2 0\n{bad_line}\n")
+    with pytest.raises(DataFormatError) as exc:
+        load_qrels(path)
+    assert str(exc.value) == f"{path}:4: {message}"
+
+
+def test_load_qrels_rejects_byte_order_mark(tmp_path):
+    # read as text, the mark became part of the first query id, so 'q1' lost its judgment
+    path = tmp_path / "q.tsv"
+    path.write_bytes(b"\xef\xbb\xbfq1 0 p1 1\n")
+    with pytest.raises(DataFormatError, match="BOM") as exc:
+        load_qrels(path)
+    assert exc.value.line == 1
+
+
 def test_round_trip(tmp_path):
     corpus = Corpus(
         [Passage(id="p1", text="héllo wörld", lang="de"), Passage(id="p2", text="x", lang="sw")]
     )
     queries = QuerySet([Query(id="q1", text="東京", lang="ja")])
-    judgments = JudgmentSet([Judgment("q1", "p1", 2), Judgment("q1", "p2", 0)])
+    judgments = JudgmentSet([Judgment("q1", "p1", 2), Judgment("q2", "p1", 1), Judgment("q1", "p2", 0)])
     save_passages(corpus, tmp_path / "p.jsonl")
     save_queries(queries, tmp_path / "q.jsonl")
     save_qrels(judgments, tmp_path / "j.tsv")
     assert load_passages(tmp_path / "p.jsonl") == corpus
     assert load_queries(tmp_path / "q.jsonl") == queries
     assert load_qrels(tmp_path / "j.tsv") == judgments
+    assert list(load_qrels(tmp_path / "j.tsv")) == list(judgments)  # file order, not grouped by query
 
 
 def test_judgment_set_validtrain():

@@ -268,6 +268,24 @@ def test_impacts_equal_reference_weight_exactly(which, params):
     assert lo == len(index.impact)
 
 
+@pytest.mark.parametrize("which", ["synthetic", "mixed_script"])
+def test_impacts_equal_per_term_idf_construction(which):
+    # the idf column from the postings' sizes is the per-term index.idf lookup, bit for bit
+    index = build_index(SYNTH_CORPUS if which == "synthetic" else golden_corpus())
+    k1, b, p = index.params.k1, index.params.b, index.postings
+    norm = np.array([index.doc_len[pid] for pid in p.ids], dtype=np.float64)[p.rank]
+    norm *= b
+    norm /= index.avgdl
+    norm += 1.0 - b
+    norm *= k1
+    norm += p.tf
+    want = np.repeat([index.idf(t) for t in p], np.diff(p.indptr))
+    want *= p.tf
+    want *= k1 + 1.0
+    want /= norm
+    assert np.array_equal(index.impact, want)
+
+
 def test_impacts_built_on_first_search_only(tiny_corpus):
     index = build_index(tiny_corpus)
     assert bm25_score(index, ["apple"], "p1") > 0.0
