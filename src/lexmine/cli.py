@@ -28,6 +28,7 @@ from .corpus import (
     QuerySet,
     SynthSpec,
     TokenizerConfig,
+    _save_jsonl_records,
     atomic_write,
     load_passages,
     load_qrels,
@@ -37,11 +38,10 @@ from .corpus import (
     save_queries,
     synth_benchmark,
 )
-from .dense import EncoderParams, init_optimizer, load_checkpoint, save_checkpoint, vocab_from_corpus
+from .dense import EncoderParams, load_checkpoint, save_checkpoint, vocab_from_corpus
 from .evaluation import format_lang_table, load_run, mrr_at_k, per_lang_metrics, recall_at_k
 from .mining import MiningConfig, load_samples, save_samples
 from .pipeline import (
-    _TRAIN_SHUFFLE,
     PipelineConfig,
     PipelineData,
     PipelineError,
@@ -343,15 +343,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     accepted, rejected = generate(state, sorted({p.lang for p in corpus}), cfg, iteration=1)
     save_samples(accepted, out)
     if args.rejected:
-        with atomic_write(args.rejected) as fh:
-            for pair in rejected:
-                rec = {
-                    "query_id": pair.query.id,
-                    "query_text": pair.query.text,
-                    "passage_id": pair.passage_id,
-                    "reason": "top1-mismatch",
-                }
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        records = (
+            dict(query_id=p.query.id, query_text=p.query.text, passage_id=p.passage_id, reason="top1-mismatch")
+            for p in rejected
+        )
+        _save_jsonl_records(args.rejected, records)
     write_manifest(Path(str(out) + ".manifest.json"), "generate", asdict(cfg), args.seed)
     print(
         f"generated {len(accepted) + len(rejected)} candidates, accepted {len(accepted)}, "
@@ -372,10 +368,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise DataFormatError("no training samples", args.samples[0])
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "train output")
-    # the pipeline's first iteration, training stream included
-    rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, 1])
-    opt = init_optimizer(params, lr=cfg.train_lr)
-    losses = train(params, opt, dataset, corpus, cfg, rng, cfg.minibatches_per_iter, "iteration 1")
+    # the pipeline's first-iteration train stage, training stream included
+    losses = train(params, dataset, corpus, cfg, iteration=1)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params)
     write_manifest(out / "manifest.json", "train", asdict(cfg), args.seed)

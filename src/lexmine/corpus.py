@@ -86,6 +86,15 @@ class Judgment:
         _check_grade(self.grade)
 
 
+def _ascii_int(field: str, name: str) -> int:
+    """The column ``name`` as an int when it is an optional ``-`` then ASCII
+    digits; ``int()`` alone also reads ``+1``, ``1_0`` and non-ASCII digits."""
+    digits = field.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{name} must be an integer, got {field!r}")
+    return int(field)
+
+
 def _check_grade(grade: int) -> None:
     if grade < 0:
         raise ValueError(f"grade must be >= 0, got {grade}")
@@ -378,6 +387,14 @@ def _load_jsonl_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_
     return records
 
 
+def _save_jsonl_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write ``records`` one JSON object a line, non-ASCII kept, as ``_load_jsonl_records`` reads."""
+    with atomic_write(path) as fh:
+        for obj in records:
+            fh.write(json.dumps(obj, ensure_ascii=False))
+            fh.write("\n")
+
+
 def _require_str(obj: dict, key: str, default: str | None = None) -> str:
     """``obj[key]``, which must be a string; a missing key gives ``default``,
     or is an error when there is none."""
@@ -432,10 +449,7 @@ def load_qrels(path: str | Path) -> JudgmentSet:
                 )
             qid, _, pid, grade_s = parts
             try:
-                grade = int(grade_s)
-            except ValueError as exc:
-                raise DataFormatError(f"grade must be an integer, got {grade_s!r}", path, lineno) from exc
-            try:
+                grade = _ascii_int(grade_s, "grade")
                 _check_grade(grade)
                 qrels._add(qid, pid, grade)
             except ValueError as exc:
@@ -445,10 +459,7 @@ def load_qrels(path: str | Path) -> JudgmentSet:
 
 def save_passages(records: _IdCollection, path: str | Path) -> None:
     """Write passages or queries as JSONL, the format ``load_passages`` and ``load_queries`` read."""
-    with atomic_write(path) as fh:
-        for r in records:
-            fh.write(json.dumps({"id": r.id, "text": r.text, "lang": r.lang}, ensure_ascii=False))
-            fh.write("\n")
+    _save_jsonl_records(path, ({"id": r.id, "text": r.text, "lang": r.lang} for r in records))
 
 
 save_queries = save_passages

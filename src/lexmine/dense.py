@@ -30,7 +30,6 @@ __all__ = [
     "vocab_from_corpus",
     "build_dense_index",
     "search_dense",
-    "search_dense_block",
     "infonce_batch",
     "init_optimizer",
     "train_step",
@@ -209,7 +208,7 @@ def build_dense_index(
 DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
 
 
-def search_dense_block(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int) -> list[RankedList]:
+def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int) -> list[RankedList]:
     """Exact top-k by dot product for each query's tokens under
     ``index.tokenizer``; ties break by ascending passage id.
 
@@ -234,11 +233,6 @@ def search_dense_block(index: DenseIndex, token_lists: Sequence[Sequence[str]], 
             best = top_k(scores, index._id_rank, k)
             ranked.append([(index.ids[i], s) for i, s in zip(best.tolist(), scores[best].tolist())])
     return ranked
-
-
-def search_dense(index: DenseIndex, tokens: Sequence[str], k: int) -> RankedList:
-    """``search_dense_block`` for one query's tokens."""
-    return search_dense_block(index, [tokens], k)[0]
 
 
 # ---------------------------------------------------------------------------

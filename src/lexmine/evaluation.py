@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataFormatError, JudgmentSet, atomic_write
+from .corpus import DataFormatError, JudgmentSet, _ascii_int, atomic_write
 from .sparse import RankedList
 
 __all__ = [
@@ -201,7 +201,7 @@ def load_run(path: str | Path) -> RunFile:
                 )
             qid, _, pid, rank_s, score_s, _ = parts
             try:
-                rank, score = int(rank_s), float(score_s)
+                rank, score = _ascii_int(rank_s, "rank"), float(score_s)
             except ValueError as exc:
                 raise DataFormatError(f"bad rank/score: {exc}", path, lineno) from exc
             ranked = by_query.setdefault(qid, {})

@@ -7,13 +7,12 @@ is a hard negative. Requiring L >= S makes the two sets provably disjoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Query, _load_jsonl_records, _require_str, atomic_write
+from .corpus import Corpus, Query, _load_jsonl_records, _require_str, _save_jsonl_records
 from .dense import TrainingSample
 from .sparse import RankedList
 
@@ -181,23 +180,19 @@ def hybrid_fuse(sparse: RankedList, dense: RankedList, mode: str, k: int) -> Ran
 
 def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
     """Write training samples as JSONL (one object per sample)."""
-    with atomic_write(path) as fh:
-        for s in samples:
-            fh.write(
-                json.dumps(
-                    {
-                        "query_id": s.query.id,
-                        "query_text": s.query.text,
-                        "positive": s.positive,
-                        "hard_negatives": list(s.hard_negatives),
-                        "random_negatives": list(s.random_negatives),
-                        "source": s.source,
-                        "lang": s.query.lang,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-            fh.write("\n")
+    records = (
+        {
+            "query_id": s.query.id,
+            "query_text": s.query.text,
+            "positive": s.positive,
+            "hard_negatives": list(s.hard_negatives),
+            "random_negatives": list(s.random_negatives),
+            "source": s.source,
+            "lang": s.query.lang,
+        }
+        for s in samples
+    )
+    _save_jsonl_records(path, records)
 
 
 def _id_list(obj: dict, key: str) -> tuple[str, ...]:

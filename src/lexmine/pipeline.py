@@ -34,14 +34,13 @@ from .corpus import (
 from .dense import (
     DenseIndex,
     EncoderParams,
-    OptimizerState,
     TrainingSample,
     build_dense_index,
     init_optimizer,
     init_params,
     load_checkpoint,
     save_checkpoint,
-    search_dense_block,
+    search_dense,
     train_step,
     vocab_from_corpus,
 )
@@ -297,7 +296,7 @@ def warmup(
     The encoder's vocabulary is the corpus's (``vocab_from_corpus``). Each
     sample's random negatives are drawn here; in-batch negatives come from the
     other samples of each minibatch. Training runs ``warmup_epochs`` epochs
-    through ``train`` on the warm-up's own shuffle stream. The generator is
+    at ``warmup_lr`` on the warm-up's own shuffle stream. The generator is
     trained on (positive passage -> query) pairs even when warmup_epochs is 0.
     """
     if not source_labeled:
@@ -312,10 +311,9 @@ def warmup(
         randoms = sample_random_negatives(corpus, exclude, cfg.mining.n_random_negatives, rng_negs)
         filled.append(replace(s, random_negatives=randoms))
 
-    opt = init_optimizer(params, lr=cfg.warmup_lr)
     rng_shuffle = np.random.default_rng([cfg.seed, _WARMUP_SHUFFLE, seed_offset])
     steps = cfg.warmup_epochs * math.ceil(len(filled) / cfg.batch_size)
-    train(params, opt, filled, corpus, cfg, rng_shuffle, steps, "warm-up")
+    _minibatch_steps(params, filled, corpus, cfg, cfg.warmup_lr, rng_shuffle, steps, "warm-up")
 
     generator = train_generator(
         GeneratorModel(),
@@ -334,18 +332,23 @@ def warmup(
 def dense_run(state: PipelineState, queries: QuerySet, k: int) -> RunFile:
     """Dense retrieval run over a query set (order-deterministic)."""
     index = state.dense_index
-    return dict(zip(queries.ids, search_dense_block(index, [q.tokens(index.tokenizer) for q in queries], k)))
+    return dict(zip(queries.ids, search_dense(index, [q.tokens(index.tokenizer) for q in queries], k)))
 
 
 def _evaluate(
     state: PipelineState, data: PipelineData, cfg: PipelineConfig
 ) -> tuple[RunFile, dict[str, dict[str, float]]]:
+    """The eval queries' dense run and its MRR@k and Recall@k, overall and per
+    language, against their judgments alone: qrels shared with training judge more."""
     if data.eval_queries is None or data.eval_qrels is None:
         return {}, {}
     run = dense_run(state, data.eval_queries, cfg.eval_k)
     langs = {q.id: q.lang for q in data.eval_queries}
-    mrr = mrr_at_k(run, data.eval_qrels, cfg.eval_k, query_langs=langs)
-    rec = recall_at_k(run, data.eval_qrels, cfg.eval_k, query_langs=langs)
+    qrels = data.eval_qrels
+    if not qrels.by_query.keys() <= run.keys():
+        qrels = JudgmentSet(j for j in qrels if j.query_id in run)
+    mrr = mrr_at_k(run, qrels, cfg.eval_k, query_langs=langs)
+    rec = recall_at_k(run, qrels, cfg.eval_k, query_langs=langs)
     overall = {f"mrr@{cfg.eval_k}": mrr.mean, f"recall@{cfg.eval_k}": rec.mean}
     return run, {"overall": overall, **per_lang_metrics(mrr, rec)}
 
@@ -364,7 +367,7 @@ def _fixed_rankings(state: PipelineState, qs: list[Query], cfg: PipelineConfig) 
     if cfg.mining_mode == "double_dense":
         aux = state.aux_index
         assert aux is not None
-        ranked = search_dense_block(aux, [q.tokens(aux.tokenizer) for q in todo], cfg.mining.L)
+        ranked = search_dense(aux, [q.tokens(aux.tokenizer) for q in todo], cfg.mining.L)
     else:
         sparse = state.sparse_index
         ranked = [search_sparse(sparse, q.tokens(sparse.tokenizer), cfg.mining.L) for q in todo]
@@ -407,7 +410,7 @@ def mine(
     tok = state.dense_index.tokenizer
     qs = sorted((q for q in queries if any(t in vocab for t in q.tokens(tok))), key=lambda q: q.lang)
     fixed = _fixed_rankings(state, qs, cfg)
-    dense = search_dense_block(state.dense_index, [q.tokens(tok) for q in qs], cfg.mining.L)
+    dense = search_dense(state.dense_index, [q.tokens(tok) for q in qs], cfg.mining.L)
     # the other negative modes draw no random negatives
     no_randoms = replace(cfg.mining, n_random_negatives=0)
     mined: list[TrainingSample] = []
@@ -476,24 +479,19 @@ def generate(
     return accepted, rejected
 
 
-def train(
-    params: EncoderParams,
-    opt: OptimizerState,
-    dataset: Sequence[TrainingSample],
-    corpus: Corpus,
-    cfg: PipelineConfig,
-    rng: np.random.Generator,
-    steps: int,
-    label: str,
+def _minibatch_steps(
+    params: EncoderParams, dataset: Sequence[TrainingSample], corpus: Corpus, cfg: PipelineConfig,
+    lr: float, rng: np.random.Generator, steps: int, label: str,
 ) -> list[float]:
-    """Run ``steps`` minibatch steps on ``dataset`` over the passages of
-    ``corpus``; returns the step losses.
+    """Run ``steps`` Adam steps at ``lr`` from fresh moments on ``dataset``
+    over the passages of ``corpus``; returns the step losses.
 
     Minibatches walk a shuffled order of ``dataset`` drawn from ``rng`` and
     reshuffle when it runs out, so every ``ceil(len(dataset) / batch_size)``
     steps make one epoch. A non-finite loss raises ``PipelineError`` naming
     ``label`` and the step.
     """
+    opt = init_optimizer(params, lr=lr)
     losses = []
     order = rng.permutation(len(dataset))
     pos = 0
@@ -508,6 +506,18 @@ def train(
             raise PipelineError(f"{label} step {step}: training loss is {loss}")
         losses.append(loss)
     return losses
+
+
+def train(
+    params: EncoderParams, dataset: Sequence[TrainingSample], corpus: Corpus, cfg: PipelineConfig, iteration: int
+) -> list[float]:
+    """Fine-tune ``params`` in place on ``dataset``: ``minibatches_per_iter``
+    steps at ``train_lr`` on the iteration's shuffle stream, from fresh Adam
+    moments, as a checkpoint holds the encoder alone. Returns the step losses."""
+    rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, iteration])
+    return _minibatch_steps(
+        params, dataset, corpus, cfg, cfg.train_lr, rng, cfg.minibatches_per_iter, f"iteration {iteration}"
+    )
 
 
 def run_iteration(
@@ -542,10 +552,7 @@ def run_iteration(
         generated, rejected = generate(state, langs, cfg, iteration)
 
     dataset = mined + generated
-    opt = init_optimizer(state.params, lr=cfg.train_lr)
-    rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, iteration])
-    label = f"iteration {iteration}"
-    losses = train(state.params, opt, dataset, state.corpus, cfg, rng, cfg.minibatches_per_iter, label)
+    losses = train(state.params, dataset, state.corpus, cfg, iteration)
 
     state.dense_index = build_dense_index(state.params, state.corpus, cfg.tokenizer)
     state.iteration = iteration
@@ -704,8 +711,6 @@ def run_pipeline(
         )
     else:
         labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse_index, cfg)
-        if not labeled:
-            raise PipelineError("no labeled source queries with relevant judgments")
         t0 = time.perf_counter()
         params, generator = warmup(labeled, data.corpus, cfg)
         if cfg.mining_mode == "double_dense":

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
-from .dense import DenseIndex, TrainingSample, search_dense_block
+from .dense import DenseIndex, TrainingSample, search_dense
 from .mining import MiningConfig, sample_random_negatives
 from .sparse import InvertedIndex, RankedList, search_sparse
 
@@ -149,7 +149,7 @@ def filter_generated(
     both rank its passage first, else None.
 
     Every pair gets one BM25 search; the pairs whose BM25 top-1 is their
-    passage are then ranked by one ``search_dense_block`` call. Both search
+    passage are then ranked by one ``search_dense`` call. Both search
     with the query's tokens under the sparse index's tokenizer, so the two
     indexes must share a tokenizer, as every ``PipelineState``'s do."""
     k = cfg.max_hard_negatives + 1
@@ -157,7 +157,7 @@ def filter_generated(
     sparse_tops = [search_sparse(sparse_index, tokens, k) for tokens in token_lists]
     hits = [i for i, top in enumerate(sparse_tops) if top and top[0][0] == pairs[i].passage_id]
     verdicts: list[tuple[RankedList, RankedList] | None] = [None] * len(pairs)
-    for i, dense_top in zip(hits, search_dense_block(dense_index, [token_lists[i] for i in hits], k)):
+    for i, dense_top in zip(hits, search_dense(dense_index, [token_lists[i] for i in hits], k)):
         if dense_top[0][0] == pairs[i].passage_id:
             verdicts[i] = (sparse_tops[i], dense_top)
     return verdicts

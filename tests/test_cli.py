@@ -309,6 +309,20 @@ def test_eval_duplicate_run_entry_exit_3(tmp_path, capsys, lines):
     assert "data error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "run_line, qrels_line",
+    [("q1 Q0 p1 1_0 1.0 t", "q1 0 p1 1"), ("q1 Q0 p1 1 1.0 t", "q1 0 p1 \u0663")],
+    ids=["rank", "grade"],
+)
+def test_eval_non_ascii_or_separated_integer_exit_3(tmp_path, capsys, run_line, qrels_line):
+    run = tmp_path / "run.trec"
+    run.write_text(run_line + "\n", encoding="utf-8")
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text(qrels_line + "\n", encoding="utf-8")
+    assert dispatch(["eval", "--run", str(run), "--qrels", str(qrels)]) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+
+
 def test_eval_k_below_one_exit_2(tmp_path, capsys):
     run = tmp_path / "run.trec"
     run.write_text("q1 Q0 p1 1 1.0 t\n")

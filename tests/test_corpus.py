@@ -353,6 +353,13 @@ def test_load_qrels_bad_grade(tmp_path):
         ("q2 0 p1 1 x", "expected 4 whitespace-separated fields, got 5"),
         ("q2 0 p1 x", "grade must be an integer, got 'x'"),
         ("q2 0 p1 -1", "grade must be >= 0, got -1"),
+        # int() reads each of these: a digit separator, Arabic-Indic and
+        # fullwidth digits, and an explicit plus sign
+        ("q2 0 p1 1_0", "grade must be an integer, got '1_0'"),
+        ("q2 0 p1 \u0663", "grade must be an integer, got '\u0663'"),
+        ("q2 0 p1 \uff11", "grade must be an integer, got '\uff11'"),
+        ("q2 0 p1 +1", "grade must be an integer, got '+1'"),
+        ("q2 0 p1 -", "grade must be an integer, got '-'"),
         ("q1 0 p1 0", "duplicate judgment for query 'q1' passage 'p1'"),
     ],
 )

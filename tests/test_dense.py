@@ -37,7 +37,6 @@ from lexmine.dense import (
     load_checkpoint,
     save_checkpoint,
     search_dense,
-    search_dense_block,
     train_step,
     vocab_from_corpus,
 )
@@ -249,7 +248,7 @@ def test_search_matches_brute_force():
     index = build_dense_index(params, corpus)
     for trial in range(10):
         q = Query(id="q", text=f"t{trial % 9} t{(trial + 3) % 9}")
-        got = search_dense(index, tokenize(q.text), k=len(corpus))
+        got = search_dense(index, [tokenize(q.text)], k=len(corpus))[0]
         qv = encode(params, tokenize(q.text))
         assert got == brute_force_dense(index, qv)
         # the arithmetic itself: per-row dot products, up to BLAS summation order
@@ -271,7 +270,7 @@ def test_search_matches_brute_force_at_500_passages():
     index = build_dense_index(params, corpus)
     for trial in range(5):
         q = Query(id="q", text=f"t{trial} t{(trial * 7) % 40} t{(trial * 13) % 40}")
-        got = search_dense(index, tokenize(q.text), k=500)
+        got = search_dense(index, [tokenize(q.text)], k=500)[0]
         qv = encode(params, tokenize(q.text))
         assert got == brute_force_dense(index, qv)
 
@@ -289,7 +288,7 @@ def test_search_top_k_with_ties_matches_brute_force(k):
     qvs = [np.array([1.0, 0.0, 0.0]), np.array([1.0, -1.0, 2.0]), np.zeros(3)]
     params.embedding[params.vocab["t0"]] = qvs[0]
     params.embedding[params.vocab["t1"]] = qvs[1]
-    got = search_dense_block(index, [["t0"], ["t1"], []], k)
+    got = search_dense(index, [["t0"], ["t1"], []], k)
     assert got == [brute_force_dense(index, qv)[:k] for qv in qvs]
 
 
@@ -299,7 +298,7 @@ def test_search_nan_scores_rank_last():
     index = build_dense_index(params, corpus)
     index.vectors[:] = [[1.0, 0.0], [np.nan, 0.0], [3.0, 0.0], [np.nan, 0.0], [2.0, 0.0], [2.0, 0.0]]
     params.embedding[params.vocab["t0"]] = [1.0, 0.0]
-    got = search_dense_block(index, [["t0"]], 5)[0]
+    got = search_dense(index, [["t0"]], 5)[0]
     assert [pid for pid, _ in got] == ["p2", "p4", "p5", "p0", "p1"]
 
 
@@ -330,11 +329,11 @@ def test_block_search_equals_per_query_search_on_integer_vectors(k):
     # so whole rankings are equal, ties at the k-th place included
     params, index, token_lists = integer_case(seed=k)
     params.embedding[params.vocab["t8"], 1] = np.nan  # queries holding t8 score NaN
-    got = search_dense_block(index, token_lists, k)
+    got = search_dense(index, token_lists, k)
     assert len(got) == len(token_lists)
     tie_at_k = False
     for tokens, ranked in zip(token_lists, got):
-        assert_same_ranking(ranked, search_dense(index, tokens, k))
+        assert_same_ranking(ranked, search_dense(index, [tokens], k)[0])
         if "t8" not in tokens:
             full = brute_force_dense(index, encode(params, tokens))
             assert ranked == full[:k]
@@ -346,13 +345,13 @@ def test_block_search_equals_per_query_search_on_integer_vectors(k):
 def test_block_search_nan_row_ranks_by_id():
     params, index, _ = integer_case(seed=0)
     params.embedding[params.vocab["t8"]] = np.nan
-    got = search_dense_block(index, [["t1"], ["t8"], ["t2", "t3"]], 5)
+    got = search_dense(index, [["t1"], ["t8"], ["t2", "t3"]], 5)
     # every score of the NaN query is NaN: it ranks by id, as top_k sorts NaN last
     assert [pid for pid, _ in got[1]] == sorted(index.ids)[:5]
     assert all(math.isnan(s) for _, s in got[1])
-    assert_same_ranking(got[1], search_dense(index, ["t8"], 5))
-    assert got[0] == search_dense(index, ["t1"], 5)
-    assert got[2] == search_dense(index, ["t2", "t3"], 5)
+    assert_same_ranking(got[1], search_dense(index, [["t8"]], 5)[0])
+    assert got[0] == search_dense(index, [["t1"]], 5)[0]
+    assert got[2] == search_dense(index, [["t2", "t3"]], 5)[0]
 
 
 def test_block_search_matches_per_query_search_on_random_floats():
@@ -365,9 +364,9 @@ def test_block_search_matches_per_query_search_on_random_floats():
     params = toy_params(corpus, dim=24, seed=5)
     index = build_dense_index(params, corpus)
     token_lists = [[f"t{int(t)}" for t in rng.integers(0, 60, size=int(rng.integers(1, 6)))] for _ in range(200)]
-    got = search_dense_block(index, token_lists, 20)
+    got = search_dense(index, token_lists, 20)
     for tokens, ranked in zip(token_lists, got):
-        want = search_dense(index, tokens, 20)
+        want = search_dense(index, [tokens], 20)[0]
         assert [pid for pid, _ in ranked] == [pid for pid, _ in want]
         np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want], rtol=0, atol=1e-12)
 
@@ -375,15 +374,15 @@ def test_block_search_matches_per_query_search_on_random_floats():
 def test_block_search_empty_input_and_bad_k(tiny_corpus):
     params = toy_params(tiny_corpus)
     index = build_dense_index(params, tiny_corpus)
-    assert search_dense_block(index, [], 3) == []
+    assert search_dense(index, [], 3) == []
     with pytest.raises(ValueError):
-        search_dense_block(index, [["apple"]], 0)
+        search_dense(index, [["apple"]], 0)
 
 
 def test_search_all_oov_ranks_by_id(tiny_corpus):
     params = toy_params(tiny_corpus)
     index = build_dense_index(params, tiny_corpus)
-    got = search_dense(index, tokenize("zzz"), k=4)
+    got = search_dense(index, [tokenize("zzz")], k=4)[0]
     assert [pid for pid, _ in got] == sorted(tiny_corpus.ids)
     assert all(s == 0.0 for _, s in got)
 
@@ -392,7 +391,7 @@ def test_search_prefix_property(tiny_corpus):
     params = toy_params(tiny_corpus)
     index = build_dense_index(params, tiny_corpus)
     q = tokenize("apple cherry")
-    assert search_dense(index, q, 5)[:2] == search_dense(index, q, 2)
+    assert search_dense(index, [q], 5)[0][:2] == search_dense(index, [q], 2)[0]
 
 
 def test_search_stale_index(tiny_corpus, rng):
@@ -404,7 +403,7 @@ def test_search_stale_index(tiny_corpus, rng):
     )
     train_step(params, opt, [sample], tiny_corpus)
     with pytest.raises(StaleIndexError):
-        search_dense(index, tokenize("apple"), 2)
+        search_dense(index, [tokenize("apple")], 2)
     fresh = build_dense_index(params, tiny_corpus)
     assert fresh.params_version == params.version
     # a trained token's passage vector must have moved

@@ -295,6 +295,22 @@ def test_load_run_rejects_duplicates(tmp_path, lines, match):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("rank", ["1_0", "\u0663", "\uff11", "+1", "1.0", "-"])
+def test_load_run_rank_must_be_ascii_digits(tmp_path, rank):
+    # int() reads all but the last two, as 10, 3, 1 and 1
+    path = tmp_path / "run.trec"
+    path.write_text(f"q0 Q0 p1 1 1.0 t\nq1 Q0 p1 {rank} 1.0 t\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="bad rank/score") as exc:
+        load_run(path)
+    assert exc.value.line == 2
+
+
+def test_load_run_reads_signed_ranks(tmp_path):
+    path = tmp_path / "run.trec"
+    path.write_text("q1 Q0 p1 -1 2.0 t\nq1 Q0 p2 07 1.0 t\n")
+    assert load_run(path) == {"q1": [("p1", 2.0), ("p2", 1.0)]}
+
+
 _RUN_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
     lambda s: not any(c.isspace() for c in s)
 )

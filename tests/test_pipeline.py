@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexmine.corpus import (
-    Corpus, Passage, Query, QuerySet, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
+    Corpus, JudgmentSet, Passage, Query, QuerySet, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
 )
 from lexmine.dense import EncoderParams, init_params, load_checkpoint, search_dense, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
@@ -318,6 +318,21 @@ def test_iteration_without_eval_queries_reports_no_metrics(data):
     assert artifacts["run"] == {}
 
 
+def test_overall_metrics_score_only_the_eval_queries(data):
+    # a qrels file shared with training also judges the source queries, which
+    # the run never ranks: "overall" must not count them as misses
+    from lexmine.pipeline import _evaluate
+
+    cfg = small_cfg()
+    state = make_state(data, cfg)
+    target = QuerySet(q for q in data.eval_queries if q.lang == "tgta")
+    own = JudgmentSet(j for j in data.eval_qrels if j.query_id in target)
+    assert 0 < len(own) < len(data.eval_qrels)
+    run, shared = _evaluate(state, replace(data, eval_queries=target), cfg)
+    assert (run, shared) == _evaluate(state, replace(data, eval_queries=target, eval_qrels=own), cfg)
+    assert shared["overall"] == shared["tgta"]
+
+
 def test_dense_search_uses_the_index_tokenizer():
     # "Apple b" is ["Apple"] under this tokenizer and ["apple", "b"] under the
     # default one, whose dense top-1 would be p2
@@ -329,7 +344,7 @@ def test_dense_search_uses_the_index_tokenizer():
     state = start_state(params, GeneratorModel(), build_index(corpus, tok), corpus, cfg)
     query = Query(id="q", text="Apple b")
     assert state.dense_index.tokenizer == tok
-    assert search_dense(state.dense_index, tokenize(query.text, state.dense_index.tokenizer), 1)[0][0] == "p1"
+    assert search_dense(state.dense_index, [tokenize(query.text, state.dense_index.tokenizer)], 1)[0][0][0] == "p1"
     assert filter_generated([GeneratedPair(query, "p1")], state.sparse_index, state.dense_index, cfg.mining)[0]
     assert dense_run(state, QuerySet([query]), 1) == {"q": [("p1", 0.5)]}
 
@@ -349,7 +364,7 @@ def test_iteration_sample_count_matches_recount(data, tmp_path):
     want = 0
     for q in data.unlabeled:
         a = search_sparse(fresh_state.sparse_index, q.tokens(cfg.tokenizer), cfg.mining.L)
-        b = search_dense(fresh_state.dense_index, q.tokens(cfg.tokenizer), cfg.mining.L)
+        b = search_dense(fresh_state.dense_index, [q.tokens(cfg.tokenizer)], cfg.mining.L)[0]
         want += len(mine_pairs(a, b, cfg.mining).positives)
     assert report.mined_samples == want
 

@@ -295,14 +295,14 @@ def test_filter_nested_corpora_monotone():
 
 
 def reference_filter(pair, sparse_index, dense_index, cfg):
-    """The per-pair filter: BM25 first, then the single-query dense search
-    for a BM25 hit."""
+    """The per-pair filter: BM25 first, then a dense search of the pair's
+    query alone for a BM25 hit."""
     tokens = pair.query.tokens(sparse_index.tokenizer)
     k = cfg.max_hard_negatives + 1
     sparse_top = search_sparse(sparse_index, tokens, k)
     if not sparse_top or sparse_top[0][0] != pair.passage_id:
         return None
-    dense_top = search_dense(dense_index, tokens, k)
+    dense_top = search_dense(dense_index, [tokens], k)[0]
     return (sparse_top, dense_top) if dense_top[0][0] == pair.passage_id else None
 
 
@@ -369,7 +369,7 @@ def test_assemble_dense_first_then_sparse_dedup(rng):
 
     sparse_top = search_sparse(sparse, ["q"], 3)
     assert [pid for pid, _ in sparse_top] == ["pos", "c", "a"]
-    dense_top = search_dense(dense, ["q"], 3)
+    dense_top = search_dense(dense, [["q"]], 3)[0]
     assert [pid for pid, _ in dense_top] == ["pos", "a", "b"]
 
     pair = GeneratedPair(query=query, passage_id="pos")

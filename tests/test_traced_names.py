@@ -12,19 +12,23 @@ never imported as package modules, so these checks write nothing under
 
 import importlib
 import inspect
+import sys
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from lexmine.corpus import (
-    Corpus, Judgment, JudgmentSet, Passage, Query, QuerySet, save_passages, save_qrels, save_queries, tokenize
+    Corpus, Judgment, JudgmentSet, Passage, Query, QuerySet, save_passages, save_qrels, save_queries, synth_benchmark,
+    tokenize,
 )
 from lexmine.dense import (
     _mean_pool, _token_rows, build_dense_index, init_params, load_checkpoint, save_checkpoint, train_step,
     vocab_from_corpus,
 )
-from lexmine.pipeline import PipelineConfig
+from lexmine.pipeline import PipelineConfig, pipeline_data_from_benchmark
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -57,10 +61,9 @@ def test_counted_arguments_keep_their_positions():
     assert list(inspect.signature(tokenize).parameters)[0] == "text"
 
 
-def test_tracer_counts_every_tokenization_in_the_corpus_group():
-    # the tracer wraps each namespace's binding; passages and queries alike tokenize through corpus's
-    import sys
-
+@contextmanager
+def _installed_tracer():
+    """A tracer installed on every lexmine namespace, which is restored after."""
     import lexmine.cli  # noqa: F401  (the tracer wraps its namespace too)
 
     tracing = _exec("tracing.py")
@@ -69,16 +72,36 @@ def test_tracer_counts_every_tokenization_in_the_corpus_group():
     try:
         tracer = tracing["Tracer"]()
         assert tracer.install() > 0
-        texts = ["Apple banana", "日本語 fig", "apple cherry", "日本"]
+        yield tracer
+    finally:
+        for m, d in zip(modules, saved):
+            vars(m).update(d)
+
+
+def test_tracer_counts_every_tokenization_in_the_corpus_group():
+    # the tracer wraps each namespace's binding; passages and queries alike tokenize through corpus's
+    texts = ["Apple banana", "日本語 fig", "apple cherry", "日本"]
+    with _installed_tracer() as tracer:
         Corpus([Passage(id="p1", text=texts[0]), Passage(id="p2", text=texts[1])]).tokenized()
         for i, text in enumerate(texts[2:]):
             Query(id=f"q{i}", text=text).tokens()
         summary = tracer.summary()
-    finally:
-        for m, d in zip(modules, saved):
-            vars(m).update(d)
     assert summary["groups"]["corpus.tokenize"]["calls"] == len(texts)
     assert summary["counters"]["tokenize.chars"] == sum(map(len, texts))
+
+
+def test_tracer_sees_every_dense_search():
+    # mining, the generation filter and evaluation each search the dense index
+    from test_pipeline import SPEC, small_cfg
+
+    data = pipeline_data_from_benchmark(synth_benchmark(SPEC, seed=5))
+    with _installed_tracer() as tracer:
+        sys.modules["lexmine.pipeline"].run_pipeline(small_cfg(iterations=2, minibatches_per_iter=5), data)
+    parents = Counter(
+        tracer.names[p] for name, p in zip(tracer.names, tracer.parents) if name == "dense.search"
+    )
+    # warm-up and two iterations evaluate; both iterations mine; iteration 2 filters each target language
+    assert parents == {"pipeline.run_iteration": 2, "querygen.filter": 1, "pipeline.dense_run": 3}
 
 
 def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
