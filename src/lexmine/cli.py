@@ -12,6 +12,7 @@ opened included).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -436,7 +437,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if not args.resume:
         _guard_overwrite(out / "manifest.json", args.overwrite, "pipeline output")
-    reports = run_pipeline(cfg, data, workdir=out, resume=args.resume)
+    # the loaded inputs live for the whole run: freezing them keeps every later
+    # collection from scanning them again; unfrozen on return, for in-process callers
+    gc.freeze()
+    try:
+        reports = run_pipeline(cfg, data, workdir=out, resume=args.resume)
+    finally:
+        gc.unfreeze()
     key = f"mrr@{cfg.eval_k}"
     target_langs = {q.lang for q in unlabeled}
     for rep in reports:

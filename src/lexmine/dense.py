@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, DataFormatError, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
-from .sparse import RankedList, rank_ids, top_k
+from .sparse import RankedList, rank_ids
 
 __all__ = [
     "EncoderParams",
@@ -73,6 +73,9 @@ class EncoderParams:
         rows = set(self.vocab.values())
         if rows and (min(rows) < 0 or max(rows) >= self.embedding.shape[0]):
             raise ValueError("vocab maps to out-of-range rows")
+        # with the two checks above: the vocabulary is a permutation of the rows
+        if len(rows) != len(self.vocab):
+            raise ValueError("vocab maps two tokens to one row")
 
     @property
     def dim(self) -> int:
@@ -208,15 +211,46 @@ def build_dense_index(
 DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
 
 
+def _block_top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``top_k(row, id_rank, k)`` for every row of the (b, n) ``scores``, in
+    one pass: returns the picked flat positions into ``scores``, row after
+    row, each row's in rank order, and how many each row picked.
+
+    A row-wise partition finds each row's k-th best score and every entry at
+    least that high survives, so ties at the boundary compete on id. The
+    survivors are found on the flattened mask (``np.nonzero`` of a 2-D mask
+    costs ten times more) and sorted by one lexsort on (row, score desc, id
+    rank). A row with fewer than k survivors (NaN scores, which sort last)
+    sorts all its entries, as ``top_k`` does.
+    """
+    b, n = scores.shape
+    if k < n:
+        mask = scores >= np.partition(scores, n - k, axis=1)[:, n - k, None]
+        flat = np.flatnonzero(mask)
+        short = np.bincount(flat // n, minlength=b) < k
+        if short.any():
+            mask[short] = True
+            flat = np.flatnonzero(mask)
+    else:
+        flat = np.arange(b * n)
+    rows, cols = np.divmod(flat, n)
+    order = np.lexsort((id_rank[cols], -scores.ravel()[flat], rows))
+    survivors = np.bincount(rows, minlength=b)
+    # a survivor's place in its row; rows are contiguous in ``order``
+    place = np.arange(len(order)) - np.repeat(np.cumsum(survivors) - survivors, survivors)
+    return flat[order[place < k]], np.minimum(survivors, k)
+
+
 def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int) -> list[RankedList]:
     """Exact top-k by dot product for each query's tokens under
     ``index.tokenizer``; ties break by ascending passage id.
 
     Queries are encoded by ``index.params`` and pooled ``DENSE_BLOCK`` at a
-    time into a matrix scored with one product against the index; a block of
-    one is numpy's matrix-vector product. Zero-similarity entries are retained
-    (vectors are dense). Raises StaleIndexError once the encoder has trained
-    past the version the index was built at.
+    time into a matrix scored with one product against the index and ranked
+    by one ``_block_top_k``; a block of one is numpy's matrix-vector product.
+    Zero-similarity entries are retained (vectors are dense). Raises
+    StaleIndexError once the encoder has trained past the version the index
+    was built at.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -227,11 +261,16 @@ def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int
             f"current is {params.version}; rebuild the index"
         )
     rows = [_token_rows(params.vocab, tokens) for tokens in token_lists]
+    ids, n = index.ids, len(index.ids)
     ranked: list[RankedList] = []
     for lo in range(0, len(rows), DENSE_BLOCK):
-        for scores in _mean_pool(params.embedding, rows[lo : lo + DENSE_BLOCK]) @ index.vectors.T:
-            best = top_k(scores, index._id_rank, k)
-            ranked.append([(index.ids[i], s) for i, s in zip(best.tolist(), scores[best].tolist())])
+        scores = _mean_pool(params.embedding, rows[lo : lo + DENSE_BLOCK]) @ index.vectors.T
+        picked, counts = _block_top_k(scores, index._id_rank, k)
+        hits = list(zip(map(ids.__getitem__, (picked % n).tolist()), scores.ravel()[picked].tolist()))
+        end = 0
+        for count in counts.tolist():
+            ranked.append(hits[end : end + count])
+            end += count
     return ranked
 
 
@@ -401,9 +440,12 @@ def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
 
 def _check_meta(meta: dict) -> None:
     """Raise ValueError unless the metadata holds what ``save_checkpoint``
-    writes: a non-negative int ``version`` and ``shared`` true."""
+    writes: a list of string ``tokens``, a non-negative int ``version`` and
+    ``shared`` true."""
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
+    if type(meta["tokens"]) is not list or not all(type(t) is str for t in meta["tokens"]):
+        raise ValueError("tokens must be a list of strings")
     if type(meta["version"]) is not int or meta["version"] < 0:
         raise ValueError(f"version must be a non-negative int, got {meta['version']!r}")
     if meta["shared"] is not True:

@@ -182,11 +182,20 @@ def save_run(run: RunFile, path: str | Path, tag: str = "lexmine") -> None:
                 fh.write(f"{qid} Q0 {pid} {rank} {score:.6f} {tag}\n")
 
 
+def _ascii_float(field: str, name: str) -> float:
+    """The column ``name`` as a float when it is ASCII without ``_``;
+    ``float()`` alone also reads ``1_0`` and non-ASCII digits."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"{name} must be an ASCII number, got {field!r}")
+    return float(field)
+
+
 def load_run(path: str | Path) -> RunFile:
     """Read `query_id Q0 passage_id rank score tag` lines; each query's results
     come back ordered by the rank column, whatever the line order.
 
-    A passage listed twice for one query, or a rank used twice, is a data error.
+    A passage listed twice for one query, a rank used twice, or a rank or score
+    that is not ASCII (or holds ``_``) is a data error.
     """
     by_query: dict[str, dict[int, tuple[str, float]]] = {}
     pids_of: dict[str, set[str]] = {}
@@ -201,7 +210,7 @@ def load_run(path: str | Path) -> RunFile:
                 )
             qid, _, pid, rank_s, score_s, _ = parts
             try:
-                rank, score = _ascii_int(rank_s, "rank"), float(score_s)
+                rank, score = _ascii_int(rank_s, "rank"), _ascii_float(score_s, "score")
             except ValueError as exc:
                 raise DataFormatError(f"bad rank/score: {exc}", path, lineno) from exc
             ranked = by_query.setdefault(qid, {})

@@ -74,10 +74,9 @@ def mine_pairs(sparse_topL: RankedList, dense_topL: RankedList, cfg: MiningConfi
     positives = s_s & s_d
     negatives = (s_s - l_d) | (s_d - l_s)
 
+    # every mined id lies in a top-S prefix, so its best rank is its rank there
     best_rank: dict[str, int] = {}
-    for rank, pid in enumerate(sparse_ids, 1):
-        best_rank[pid] = min(best_rank.get(pid, rank), rank)
-    for rank, pid in enumerate(dense_ids, 1):
+    for rank, pid in (*enumerate(sparse_ids[: cfg.S], 1), *enumerate(dense_ids[: cfg.S], 1)):
         best_rank[pid] = min(best_rank.get(pid, rank), rank)
     order_key = lambda pid: (best_rank[pid], pid)
     return MinedSets(

@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
 from .dense import DenseIndex, TrainingSample, search_dense
 from .mining import MiningConfig, sample_random_negatives
-from .sparse import InvertedIndex, RankedList, search_sparse
+from .sparse import InvertedIndex, RankedList, impact_scores, search_sparse
 
 __all__ = [
     "GeneratorModel",
@@ -131,7 +131,11 @@ def generate_query(
         raise ValueError(f"passage {passage.id!r} has no tokens to sample from")
     lens = list(model.query_len_dist.keys())
     probs = np.array([model.query_len_dist[n] for n in lens])
-    length = int(rng.choice(lens, p=probs / probs.sum()))
+    # rng.choice(lens, p=probs / probs.sum())'s own rule and its one double,
+    # without the validation of p that choice repeats on every call
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    length = lens[int(cdf.searchsorted(rng.random(), side="right"))]
 
     salience, lang = model.term_salience, passage.lang
     weights = np.array([salience.get((lang, t), UNSEEN_SALIENCE) for t in candidates], dtype=float)
@@ -148,18 +152,27 @@ def filter_generated(
     """Per pair, its BM25 and dense top-(max_hard_negatives + 1) rankings when
     both rank its passage first, else None.
 
-    Every pair gets one BM25 search; the pairs whose BM25 top-1 is their
-    passage are then ranked by one ``search_dense`` call. Both search
-    with the query's tokens under the sparse index's tokenizer, so the two
-    indexes must share a tokenizer, as every ``PipelineState``'s do."""
+    Every pair is scored once by ``impact_scores``; it is a BM25 hit when its
+    passage holds the first maximum and that score is positive. Scores are
+    indexed in ascending id order, so the first maximum is the lowest id among
+    the top scores: ``search_sparse``'s top-1. The hits are ranked by one
+    ``search_dense`` call, and only the pairs both retrievers accept are
+    ranked by ``search_sparse``. Both search with the query's tokens under the
+    sparse index's tokenizer, so the two indexes must share a tokenizer, as
+    every ``PipelineState``'s do."""
     k = cfg.max_hard_negatives + 1
+    ids = sparse_index.postings.ids
     token_lists = [pair.query.tokens(sparse_index.tokenizer) for pair in pairs]
-    sparse_tops = [search_sparse(sparse_index, tokens, k) for tokens in token_lists]
-    hits = [i for i, top in enumerate(sparse_tops) if top and top[0][0] == pairs[i].passage_id]
+    hits = []
+    for i, tokens in enumerate(token_lists):
+        scores = impact_scores(sparse_index, tokens)
+        top = int(scores.argmax())
+        if scores[top] > 0.0 and ids[top] == pairs[i].passage_id:
+            hits.append(i)
     verdicts: list[tuple[RankedList, RankedList] | None] = [None] * len(pairs)
     for i, dense_top in zip(hits, search_dense(dense_index, [token_lists[i] for i in hits], k)):
         if dense_top[0][0] == pairs[i].passage_id:
-            verdicts[i] = (sparse_tops[i], dense_top)
+            verdicts[i] = (search_sparse(sparse_index, token_lists[i], k), dense_top)
     return verdicts
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "RankedList",
     "build_index",
     "bm25_score",
+    "impact_scores",
     "search_sparse",
     "rank_ids",
     "top_k",
@@ -244,20 +245,29 @@ def top_k(
     return idx[np.lexsort((tie, -scores[idx]))[:k]]
 
 
-def search_sparse(index: InvertedIndex, tokens: Sequence[str], k: int) -> RankedList:
-    """Top-k passages by BM25 for a query's ``tokens`` under ``index.tokenizer``,
-    excluding zero-score passages.
-
-    Equivalent to scoring every passage and sorting by (score desc, id asc);
-    only passages containing at least one query term can appear. Scores are the
-    sums of the query terms' impact rows, added in query-term order.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def impact_scores(index: InvertedIndex, tokens: Sequence[str]) -> np.ndarray:
+    """Every passage's BM25 score for a query's ``tokens``, indexed by the
+    passage's position in ascending id order (``index.postings.ids``): the sum
+    of the query terms' impact rows, added in query-term order."""
     p = index.postings
     scores = np.zeros(len(p.ids))
     for term in _dedupe(tokens):
         lo, hi = p.span(term)
         scores[p.rank[lo:hi]] += index.impact[lo:hi]
+    return scores
+
+
+def search_sparse(index: InvertedIndex, tokens: Sequence[str], k: int) -> RankedList:
+    """Top-k passages by BM25 for a query's ``tokens`` under ``index.tokenizer``,
+    excluding zero-score passages.
+
+    Equivalent to scoring every passage and sorting by (score desc, id asc);
+    only passages containing at least one query term can appear. Scores are
+    ``impact_scores``.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    scores = impact_scores(index, tokens)
     best = top_k(scores, None, k, np.flatnonzero(scores > 0.0))
-    return [(p.ids[r], float(scores[r])) for r in best.tolist()]
+    ids = index.postings.ids
+    return [(ids[r], float(scores[r])) for r in best.tolist()]

@@ -30,6 +30,7 @@ from lexmine.pipeline import (
     MINING_MODES,
     NEGATIVE_MODES,
     PipelineConfig,
+    PipelineError,
     config_hash,
     generate,
     start_state,
@@ -311,8 +312,8 @@ def test_eval_duplicate_run_entry_exit_3(tmp_path, capsys, lines):
 
 @pytest.mark.parametrize(
     "run_line, qrels_line",
-    [("q1 Q0 p1 1_0 1.0 t", "q1 0 p1 1"), ("q1 Q0 p1 1 1.0 t", "q1 0 p1 \u0663")],
-    ids=["rank", "grade"],
+    [("q1 Q0 p1 1_0 1.0 t", "q1 0 p1 1"), ("q1 Q0 p1 1 1.0 t", "q1 0 p1 \u0663"), ("q1 Q0 p1 1 1_0 t", "q1 0 p1 1")],
+    ids=["rank", "grade", "score"],
 )
 def test_eval_non_ascii_or_separated_integer_exit_3(tmp_path, capsys, run_line, qrels_line):
     run = tmp_path / "run.trec"
@@ -602,6 +603,32 @@ def test_pipeline_loads_shared_qrels_once(tmp_path, monkeypatch, separate, loads
     assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "run")]) == EXIT_OK
     assert len(loaded) == loads
     assert given[0].eval_qrels == given[0].train_qrels
+
+
+def test_pipeline_freezes_the_collector_only_while_it_runs(tmp_path, monkeypatch):
+    import gc
+
+    import lexmine.cli as cli_mod
+
+    cfg = pipeline_cfg_file(tmp_path, tiny_data(tmp_path))
+    frozen = []
+
+    def run(cfg, data, **kwargs):
+        frozen.append(gc.get_freeze_count())
+        if len(frozen) > 1:
+            raise PipelineError("stopped")
+        return []
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", run)
+    argv = ["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "run"), "--overwrite"]
+    assert gc.get_freeze_count() == 0
+    assert dispatch(argv) == EXIT_OK
+    assert gc.get_freeze_count() == 0
+    # a failed run unfreezes too
+    assert dispatch(argv) == 1
+    assert gc.get_freeze_count() == 0
+    # the loaded inputs were frozen while the pipeline ran
+    assert len(frozen) == 2 and min(frozen) > 0
 
 
 def test_pipeline_query_id_with_whitespace_exit_3(tmp_path, synth_dir, capsys):
@@ -1069,6 +1096,7 @@ def _rewrite_meta(path, **fields):
         pytest.param({"shared": "no"}, id="shared-string"),
         pytest.param({"shared": 0}, id="shared-int"),
         pytest.param({"shared": False}, id="shared-false-untied"),
+        pytest.param({"tokens": [0, 1, 2]}, id="tokens-int"),
     ],
 )
 def test_train_rejects_checkpoint_metadata_of_the_wrong_type(tmp_path, capsys, fields):

@@ -22,10 +22,12 @@ from lexmine.corpus import (
 )
 from lexmine.dense import (
     DENSE_BLOCK,
+    EncoderParams,
     OptimizerState,
     StaleIndexError,
     TrainingSample,
     _adam_update,
+    _block_top_k,
     _mean_pool,
     _scatter_pooled,
     _token_rows,
@@ -42,6 +44,7 @@ from lexmine.dense import (
 )
 from lexmine.mining import MiningConfig
 from lexmine.pipeline import PipelineConfig, pipeline_data_from_benchmark, run_pipeline
+from test_sparse import reference_top_k
 
 # Frozen with an arbitrary-precision oracle (mpmath, 40 digits):
 # ln(1 + e^-1 + e^-1.5) for positive score 2.0 against negatives {1.0, 0.5}.
@@ -369,6 +372,35 @@ def test_block_search_matches_per_query_search_on_random_floats():
         want = search_dense(index, [tokens], 20)[0]
         assert [pid for pid, _ in ranked] == [pid for pid, _ in want]
         np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 7, DENSE_BLOCK + 1]),
+    st.integers(1, 40),
+    st.integers(1, 50),
+    st.sampled_from([1, 2, 3, 0]),
+    st.integers(0, 4),
+    st.booleans(),
+)
+@example(seed=0, b=DENSE_BLOCK + 1, n=5, k=3, levels=0, n_nan=0, nan_row=False)  # every entry tied
+@example(seed=1, b=1, n=5, k=5, levels=1, n_nan=1, nan_row=False)  # k == n
+@example(seed=2, b=3, n=4, k=2, levels=1, n_nan=0, nan_row=True)  # an all-NaN row
+def test_block_top_k_equals_full_lexsort_row_by_row(seed, b, n, k, levels, n_nan, nan_row):
+    rng = np.random.default_rng(seed)
+    # few distinct values force ties at the k-th place; levels=0 makes all scores equal
+    scores = np.round(rng.normal(size=(b, n)) * levels) if levels else np.full((b, n), 0.5)
+    scores.flat[rng.integers(b * n, size=n_nan)] = np.nan
+    if nan_row:
+        scores[rng.integers(b)] = np.nan
+    id_rank = rng.permutation(n)
+    picked, counts = _block_top_k(scores, id_rank, k)
+    assert counts.tolist() == [min(k, n)] * b
+    rows, cols = np.divmod(picked, n)
+    assert rows.tolist() == np.repeat(np.arange(b), counts).tolist()
+    for r, got in enumerate(np.split(cols, np.cumsum(counts)[:-1])):
+        assert got.tolist() == reference_top_k(scores[r], id_rank, k).tolist()
 
 
 def test_block_search_empty_input_and_bad_k(tiny_corpus):
@@ -948,6 +980,13 @@ def test_checkpoint_round_trip(tmp_path, tiny_corpus):
     assert loaded.vocab == params.vocab
     assert loaded.version == params.version
     assert np.array_equal(loaded.embedding, params.embedding)
+
+
+def test_encoder_params_reject_two_tokens_on_one_row():
+    with pytest.raises(ValueError, match="one row"):
+        EncoderParams(vocab={"a": 0, "b": 0}, embedding=np.zeros((2, 2)))
+    # a permutation of the rows is accepted
+    assert EncoderParams(vocab={"a": 1, "b": 0}, embedding=np.zeros((2, 2))).vocab == {"a": 1, "b": 0}
 
 
 def test_checkpoint_without_optimizer(tmp_path, tiny_corpus):

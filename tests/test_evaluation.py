@@ -305,6 +305,26 @@ def test_load_run_rank_must_be_ascii_digits(tmp_path, rank):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("score", ["1_0", "\u0663", "\uff11.5"])
+def test_load_run_score_must_be_ascii_without_separators(tmp_path, score):
+    # float() reads them as 10.0, 3.0 and 1.5
+    path = tmp_path / "run.trec"
+    path.write_text(f"q0 Q0 p1 1 1.0 t\nq1 Q0 p1 1 {score} t\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="bad rank/score") as exc:
+        load_run(path)
+    assert exc.value.line == 2
+
+
+def test_load_run_reads_every_score_save_run_writes(tmp_path):
+    scores = [2.5, -0.125, 0.0, -0.0, 1e300, -1e-300, float("inf"), float("-inf"), float("nan")]
+    run = {"q1": [(f"p{i}", s) for i, s in enumerate(scores)]}
+    path = tmp_path / "run.trec"
+    save_run(run, path)
+    loaded = load_run(path)["q1"]
+    assert [pid for pid, _ in loaded] == [pid for pid, _ in run["q1"]]
+    np.testing.assert_array_equal([s for _, s in loaded], [float(f"{s:.6f}") for s in scores])
+
+
 def test_load_run_reads_signed_ranks(tmp_path):
     path = tmp_path / "run.trec"
     path.write_text("q1 Q0 p1 -1 2.0 t\nq1 Q0 p2 07 1.0 t\n")

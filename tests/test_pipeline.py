@@ -547,6 +547,19 @@ def _string_version(path):
         np.savez(fh, **arrays)
 
 
+def _int_tokens_and_no_next_iteration(path):
+    """The checkpoint's tokens as ints, and the next iteration gone, so a resumed run would build on it."""
+    import shutil
+
+    with np.load(path) as f:
+        arrays = dict(f)
+    meta = json.loads(bytes(arrays["meta"]))
+    arrays["meta"] = np.frombuffer(json.dumps({**meta, "tokens": list(range(len(meta["tokens"])))}).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    shutil.rmtree(path.parent.with_name("iter_2"))
+
+
 def _untrained_version(path):
     path.write_text(json.dumps({**json.loads(path.read_text()), "version": 0}))
 
@@ -560,6 +573,9 @@ def _untrained_version(path):
     + [
         pytest.param("iter_2/report.json", _list_metrics, "sparse_dense", id="iter_2/report.json-list-metrics"),
         pytest.param("iter_2/checkpoint.npz", _string_version, "sparse_dense", id="iter_2/checkpoint.npz-string-version"),
+        pytest.param(
+            "iter_1/checkpoint.npz", _int_tokens_and_no_next_iteration, "sparse_dense", id="iter_1/checkpoint.npz-int-tokens"
+        ),
         pytest.param("iter_2/generator.json", _untrained_version, "sparse_dense", id="iter_2/generator.json-version-0"),
         pytest.param("warmup/aux_checkpoint.npz", _truncate, "double_dense", id="double_dense-warmup/aux_checkpoint.npz"),
     ],

@@ -145,6 +145,39 @@ def test_generate_deterministic_under_seed():
     assert generate_query(model, passage, tokens, np.random.default_rng(42), "g-p") == a
 
 
+class _NoChoice:
+    """A generator whose ``choice`` may not be called; everything else is ``rng``'s."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("generate_query called Generator.choice")
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_generate_length_draw_is_choice_without_its_call():
+    # lengths 1..5 with uneven mass, a zero inside and at the end
+    model = trained_model()
+    model.query_len_dist = {1: 0.1, 2: 0.0, 3: 0.45, 4: 0.3, 5: 0.15, 6: 0.0}
+    passage = Passage(id="p", text="alpha beta gamma delta epsilon zeta")
+    tokens = tokenize(passage.text)
+    lens = list(model.query_len_dist)
+    probs = np.array(list(model.query_len_dist.values()))
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    drawn = []
+    for i in range(1000):
+        q = generate_query(model, passage, tokens, _NoChoice(ours), f"g{i}")
+        want = int(theirs.choice(lens, p=probs / probs.sum()))
+        theirs.gumbel(size=len(tokens))
+        assert len(tokenize(q.text)) == want
+        drawn.append(want)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert set(drawn) == {1, 3, 4, 5}
+
+
 def test_generate_tokens_subset_of_passage():
     model = trained_model()
     rng = np.random.default_rng(7)
@@ -331,6 +364,38 @@ def test_block_filter_equals_per_pair_filter():
     bm25_hits = [search_sparse(sparse, pair.query.tokens(), 1)[0][0] == pair.passage_id for pair in pairs[:-1]]
     assert any(w is not None for w in want)
     assert any(hit and w is None for hit, w in zip(bm25_hits, want))
+
+
+def test_filter_top1_first_equals_full_ranking_filter(monkeypatch):
+    import lexmine.querygen as querygen_mod
+
+    # pb and pa hold one text, so both retrievers tie them; corpus order is not id order
+    corpus = Corpus(
+        [Passage(id="pb", text="alpha beta"), Passage(id="pa", text="alpha beta"), Passage(id="pc", text="gamma")]
+    )
+    sparse, dense = build_retrievers(corpus, dim=8, seed=1)
+    pairs = [
+        GeneratedPair(query=Query(id="g1", text="alpha"), passage_id="pa"),  # BM25 tie at the top: pa has the lower id
+        GeneratedPair(query=Query(id="g2", text="alpha"), passage_id="pb"),  # the same tie, lost to pa
+        GeneratedPair(query=Query(id="g3", text="zzz"), passage_id="pa"),  # no positive BM25 score at all
+        GeneratedPair(query=Query(id="g4", text="gamma"), passage_id="pc"),
+    ]
+    cfg = MiningConfig(max_hard_negatives=1)
+    want = [reference_filter(pair, sparse, dense, cfg) for pair in pairs]
+    assert [w is not None for w in want] == [True, False, False, True]
+    assert want[0][0] == [("pa", want[0][0][0][1]), ("pb", want[0][0][0][1])]
+    searched = []
+    real = querygen_mod.search_sparse
+    monkeypatch.setattr(querygen_mod, "search_sparse", lambda index, tokens, k: searched.append(tokens) or real(index, tokens, k))
+    got = filter_generated(pairs, sparse, dense, cfg)
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in ((g, w) for g, w in zip(got, want) if w is not None):
+        assert g[0] == w[0]
+        # a block of two is a matrix product, a single query a matrix-vector product: the last bits may differ
+        assert [pid for pid, _ in g[1]] == [pid for pid, _ in w[1]]
+        np.testing.assert_allclose([s for _, s in g[1]], [s for _, s in w[1]], rtol=0, atol=1e-12)
+    # only the accepted pairs get a full BM25 ranking
+    assert searched == [["alpha"], ["gamma"]]
 
 
 # ---------------------------------------------------------------------------
