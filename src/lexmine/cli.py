@@ -29,6 +29,8 @@ from .corpus import (
     QuerySet,
     SynthSpec,
     TokenizerConfig,
+    _ascii_float,
+    _ascii_int,
     _save_jsonl_records,
     atomic_write,
     load_passages,
@@ -119,7 +121,7 @@ def _parse_bool(value: str, key: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}", key=key)
+    raise ValueError(f"{key} must be a boolean, got {value!r}")
 
 
 _PIPELINE_KEYS: dict[str, type] = {
@@ -146,6 +148,9 @@ _PIPELINE_KEYS: dict[str, type] = {
     "min_token_len": int,
 }
 
+# ints and floats are read as ASCII: int() and float() also take ``3_2`` and non-ASCII digits
+_PARSERS = {int: _ascii_int, float: _ascii_float, str: lambda raw, key: raw, bool: _parse_bool}
+
 _DATA_KEYS = (
     "passages",
     "train_queries",
@@ -166,9 +171,8 @@ def pipeline_config_from_mapping(mapping: dict[str, str], seed: int) -> Pipeline
             continue
         if key not in _PIPELINE_KEYS:
             raise ConfigError(f"unknown config key {key!r}", key=key)
-        typ = _PIPELINE_KEYS[key]
         try:
-            value = _parse_bool(raw, key) if typ is bool else typ(raw)
+            value = _PARSERS[_PIPELINE_KEYS[key]](raw, key)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}", key=key) from exc
         if key == "mining_s":
@@ -207,10 +211,18 @@ def _load_judged_qrels(name: str, corpus: Corpus) -> JudgmentSet:
     return qrels
 
 
-def _require_labeled(queries: QuerySet, qrels: JudgmentSet, name: str) -> None:
-    """The warm-up needs at least one query with a relevant judgment."""
-    if not any(qrels.relevant(q.id) for q in queries):
-        raise DataFormatError("no labeled queries with relevant judgments", data_path(name))
+def _require_labeled(
+    queries: QuerySet, qrels: JudgmentSet, tok: TokenizerConfig, queries_name: str, qrels_name: str
+) -> None:
+    """The warm-up needs at least one query with a relevant judgment, and the
+    generator it trains needs one of those queries to have a token under ``tok``."""
+    labeled = [q for q in queries if qrels.relevant(q.id)]
+    if not labeled:
+        raise DataFormatError("no labeled queries with relevant judgments", data_path(qrels_name))
+    if not any(q.tokens(tok) for q in labeled):
+        raise DataFormatError(
+            f"no labeled query has a token under the config's tokenizer {tok}", data_path(queries_name)
+        )
 
 
 def _guard_overwrite(marker: Path, overwrite: bool, what: str) -> None:
@@ -269,7 +281,7 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     corpus = load_passages(data_path(args.passages))
     queries = load_queries(data_path(args.queries))
     qrels = _load_judged_qrels(args.qrels, corpus)
-    _require_labeled(queries, qrels, args.qrels)
+    _require_labeled(queries, qrels, cfg.tokenizer, args.queries, args.qrels)
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "warmup output")
     sparse_index = build_index(corpus, cfg.tokenizer, cfg.bm25)
@@ -422,7 +434,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     corpus = load_passages(data_path(mapping["passages"]))
     train_queries = load_queries(data_path(mapping["train_queries"]))
     train_qrels = _load_judged_qrels(mapping["train_qrels"], corpus)
-    _require_labeled(train_queries, train_qrels, mapping["train_qrels"])
+    _require_labeled(train_queries, train_qrels, cfg.tokenizer, mapping["train_queries"], mapping["train_qrels"])
     eval_qrels = None
     if "eval_qrels" in mapping:
         shared = data_path(mapping["eval_qrels"]) == data_path(mapping["train_qrels"])

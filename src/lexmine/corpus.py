@@ -87,12 +87,21 @@ class Judgment:
 
 
 def _ascii_int(field: str, name: str) -> int:
-    """The column ``name`` as an int when it is an optional ``-`` then ASCII
-    digits; ``int()`` alone also reads ``+1``, ``1_0`` and non-ASCII digits."""
+    """The field ``name`` (a file column or a config value) as an int when it
+    is an optional ``-`` then ASCII digits; ``int()`` alone also reads ``+1``,
+    ``1_0`` and non-ASCII digits."""
     digits = field.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{name} must be an integer, got {field!r}")
     return int(field)
+
+
+def _ascii_float(field: str, name: str) -> float:
+    """The field ``name`` as a float when it is ASCII without ``_``;
+    ``float()`` alone also reads ``1_0`` and non-ASCII digits."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"{name} must be an ASCII number, got {field!r}")
+    return float(field)
 
 
 def _check_grade(grade: int) -> None:
@@ -531,23 +540,23 @@ class SynthSpec:
         """Build a spec from flat key=value strings (e.g. a parsed config file)."""
         kwargs: dict = {}
         converters = {
-            "languages": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-            "topics_per_lang": int,
-            "passages_per_topic": int,
-            "vocab_size": int,
-            "query_len": int,
-            "labeled_frac": float,
-            "queries_per_lang": int,
-            "passage_len": int,
-            "terms_per_topic": int,
-            "core_terms_per_topic": int,
-            "topic_token_frac": float,
-            "query_topic_frac": float,
+            "languages": lambda v, _: tuple(s.strip() for s in v.split(",") if s.strip()),
+            "topics_per_lang": _ascii_int,
+            "passages_per_topic": _ascii_int,
+            "vocab_size": _ascii_int,
+            "query_len": _ascii_int,
+            "labeled_frac": _ascii_float,
+            "queries_per_lang": _ascii_int,
+            "passage_len": _ascii_int,
+            "terms_per_topic": _ascii_int,
+            "core_terms_per_topic": _ascii_int,
+            "topic_token_frac": _ascii_float,
+            "query_topic_frac": _ascii_float,
         }
         for key, raw in mapping.items():
             if key not in converters:
                 raise ValueError(f"unknown synth spec key {key!r}")
-            kwargs[key] = converters[key](raw)
+            kwargs[key] = converters[key](raw, key)
         return cls(**kwargs)
 
 

@@ -108,29 +108,52 @@ def _token_rows(vocab: dict[str, int], tokens: Sequence[str]) -> np.ndarray:
     return np.array([vocab[t] for t in tokens if t in vocab], dtype=np.int64)
 
 
+BLOCK_BYTES = 1 << 18  # per block array of the kernels below: 1,024 rows at d=32, well inside L2
+
+
+def _block_rows(dim: int) -> int:
+    return max(1, BLOCK_BYTES // (8 * dim))
+
+
+def _group_sums(values: np.ndarray, picks: np.ndarray, sizes: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Row i sums, one by one from +0.0, the ``values`` rows that group
+    ``order[i]`` picks: groups are consecutive runs of ``picks`` of the given
+    ``sizes``, and ``order`` must list them by non-increasing size.
+
+    Step t adds the t-th pick of every group that has one, so those groups are
+    a prefix of the output at every step. The output is walked in blocks of
+    ``_block_rows`` rows, so each step's accumulator and gathered rows stay in
+    cache; blocks do not change any cell's terms or their order.
+    """
+    starts = (np.cumsum(sizes) - sizes)[order]
+    lengths = sizes[order]
+    # ends[t]: how many groups have a t-th pick
+    ends = np.searchsorted(-lengths, -np.arange(lengths[0] if len(lengths) else 0)).tolist()
+    acc = np.zeros((len(order), values.shape[1]))
+    block = _block_rows(values.shape[1])
+    for lo in range(0, len(order), block):
+        for t, end in enumerate(ends):
+            if end <= lo:
+                break
+            end = min(end, lo + block)
+            acc[lo:end] += values.take(picks.take(starts[lo:end] + t), axis=0)
+    return acc
+
+
 def _mean_pool(table: np.ndarray, rows_list: Sequence[np.ndarray]) -> np.ndarray:
     """One row per entry of ``rows_list``: the mean of those table rows, or zero if none.
 
-    Step t adds the t-th row of every entry that has one, so each entry sums
-    its rows one by one from zero and is then divided by its size: for a table
-    of two or more columns that is ``table[rows].mean(axis=0)`` bit for bit.
-    (On one column numpy sums pairwise instead, which can differ in the last
-    bits once an entry has 8 or more rows.) Entries are walked longest first,
-    so the entries that have a t-th row are a prefix at every step.
+    ``_group_sums`` sums each entry's rows one by one from zero, and the sum
+    is then divided by its size: for a table of two or more columns that is
+    ``table[rows].mean(axis=0)`` bit for bit. (On one column numpy sums
+    pairwise instead, which can differ in the last bits once an entry has 8
+    or more rows.)
     """
     sizes = np.array([rows.size for rows in rows_list], dtype=np.int64)
     order = np.argsort(-sizes, kind="stable")
-    starts = (np.cumsum(sizes) - sizes)[order]
     flat = np.concatenate(rows_list) if rows_list else np.zeros(0, dtype=np.int64)
-    lengths = sizes[order].tolist()
-    acc = np.zeros((len(rows_list), table.shape[1]))
-    n = len(lengths)
-    for t in range(lengths[0] if n else 0):
-        while lengths[n - 1] <= t:
-            n -= 1
-        acc[:n] += table.take(flat.take(starts[:n] + t), axis=0)
-    pooled = np.empty_like(acc)
-    pooled[order] = acc / np.maximum(sizes[order], 1)[:, None]
+    pooled = np.empty((len(rows_list), table.shape[1]))
+    pooled[order] = _group_sums(table, flat, sizes, order) / np.maximum(sizes[order], 1)[:, None]
     return pooled
 
 
@@ -138,18 +161,26 @@ def _scatter_pooled(rows_list: Sequence[np.ndarray], g_pooled: np.ndarray, n_row
     """The (n_rows, d) table gradient of ``_mean_pool``'s output gradient
     ``g_pooled``: row ``rows_list[i][k]`` gets ``g_pooled[i] / rows_list[i].size``.
 
-    One ``np.bincount`` per column sums each cell's terms in ``rows_list``
-    order from zero, so the result is bit-equal to an ``np.add.at`` scatter
-    onto a zero table, without a (tokens, d) contribution array.
+    A stable sort groups the token rows by table row, each group in input
+    order, and ``_group_sums`` sums every touched row's terms from zero into
+    a compact accumulator that is placed into a zero table. Each cell so sums
+    its terms in ``rows_list`` order from +0.0: bit-equal to an ``np.add.at``
+    scatter onto a zero table, without a (tokens, d) contribution array. The
+    rows are sorted as the smallest unsigned type that holds them, since
+    numpy's stable sort is a radix sort for 16-bit and smaller types.
     """
     sizes = np.array([rows.size for rows in rows_list], dtype=np.int64)
     # entries without rows own no term; dividing them by 1 is harmless
     per_token = g_pooled / np.maximum(sizes, 1)[:, None]
-    owner = np.repeat(np.arange(len(rows_list)), sizes)
-    rows = np.concatenate(rows_list)
-    out = np.empty((n_rows, g_pooled.shape[1]))
-    for j, col in enumerate(per_token.T):
-        out[:, j] = np.bincount(rows, weights=col[owner], minlength=n_rows)
+    rows = np.concatenate(rows_list).astype(np.min_scalar_type(n_rows - 1))
+    by_row = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=n_rows)
+    touched = np.flatnonzero(counts)
+    counts = counts[touched]
+    order = np.argsort(-counts, kind="stable")
+    owner = np.repeat(np.arange(len(rows_list)), sizes)[by_row]
+    out = np.zeros((n_rows, g_pooled.shape[1]))
+    out[touched[order]] = _group_sums(per_token, owner, counts, order)
     return out
 
 
@@ -374,26 +405,35 @@ def init_optimizer(params: EncoderParams, lr: float = 1e-2) -> OptimizerState:
 
 
 def _adam_update(table: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, opt: OptimizerState) -> None:
-    """Adam on ``table`` in place, with two temporaries.
+    """Adam on ``table`` in place, ``_block_rows`` rows at a time with two
+    block-sized temporaries, so each block's arrays stay in cache.
 
     Every element sees the float operations, in order, of
     ``table -= lr * m_hat / (sqrt(v_hat) + eps)`` with m_hat = m / (1 - beta1^t)
     and v_hat = v / (1 - beta2^t); the reordered products are commutations.
     """
-    a = np.multiply(g, 1.0 - opt.beta1)
-    m *= opt.beta1
-    m += a
-    np.multiply(g, 1.0 - opt.beta2, out=a)
-    a *= g
-    v *= opt.beta2
-    v += a
-    np.divide(v, 1.0 - opt.beta2**opt.step, out=a)
-    np.sqrt(a, out=a)
-    a += opt.eps
-    b = np.divide(m, 1.0 - opt.beta1**opt.step)
-    b *= opt.lr
-    b /= a
-    table -= b
+    m_scale, v_scale = 1.0 - opt.beta1**opt.step, 1.0 - opt.beta2**opt.step
+    block = _block_rows(table.shape[1])
+    a = np.empty((min(block, len(table)), table.shape[1]))
+    b = np.empty_like(a)
+    for lo in range(0, len(table), block):
+        rows = slice(lo, lo + block)
+        gb, mb, vb = g[rows], m[rows], v[rows]
+        ab, bb = a[: len(gb)], b[: len(gb)]
+        np.multiply(gb, 1.0 - opt.beta1, out=ab)
+        mb *= opt.beta1
+        mb += ab
+        np.multiply(gb, 1.0 - opt.beta2, out=ab)
+        ab *= gb
+        vb *= opt.beta2
+        vb += ab
+        np.divide(vb, v_scale, out=ab)
+        np.sqrt(ab, out=ab)
+        ab += opt.eps
+        np.divide(mb, m_scale, out=bb)
+        bb *= opt.lr
+        bb /= ab
+        table[rows] -= bb
 
 
 def train_step(

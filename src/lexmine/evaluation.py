@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataFormatError, JudgmentSet, _ascii_int, atomic_write
+from .corpus import DataFormatError, JudgmentSet, _ascii_float, _ascii_int, atomic_write
 from .sparse import RankedList
 
 __all__ = [
@@ -180,14 +180,6 @@ def save_run(run: RunFile, path: str | Path, tag: str = "lexmine") -> None:
         for qid, ranked in run.items():
             for rank, (pid, score) in enumerate(ranked, 1):
                 fh.write(f"{qid} Q0 {pid} {rank} {score:.6f} {tag}\n")
-
-
-def _ascii_float(field: str, name: str) -> float:
-    """The column ``name`` as a float when it is ASCII without ``_``;
-    ``float()`` alone also reads ``1_0`` and non-ASCII digits."""
-    if not field.isascii() or "_" in field:
-        raise ValueError(f"{name} must be an ASCII number, got {field!r}")
-    return float(field)
 
 
 def load_run(path: str | Path) -> RunFile:

@@ -286,6 +286,41 @@ def test_index_bad_value_exit_2(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "batch_size=3_2",
+        "batch_size=\u0663",
+        "batch_size=\uff13\uff12",
+        "min_token_len=+2",
+        "train_lr=1_0e-3",
+        "lowercase=maybe",
+    ],
+    ids=["int_underscore", "arabic_indic_digit", "fullwidth_digits", "int_plus", "float_underscore", "bool"],
+)
+def test_config_malformed_number_or_bool_exit_2(tmp_path, capsys, setting):
+    # int() and float() read the numbers, so runs went ahead with 32, 3, 32, 2
+    # and 0.01; the error names the key once
+    key = setting.split("=")[0]
+    out = tmp_path / "warm"
+    assert warmup_cmd(tiny_data(tmp_path), out, "--set", setting) == EXIT_CONFIG
+    assert f"config error: key {key!r}: {key} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["topics_per_lang=1_0", "vocab_size=\uff11\uff14\uff10", "labeled_frac=0.2_5"],
+    ids=["int_underscore", "fullwidth_digits", "float_underscore"],
+)
+def test_synth_number_not_ascii_exit_2(tmp_path, synth_cfg, capsys, setting):
+    out = tmp_path / "o"
+    code = dispatch(["synth", "--config", str(synth_cfg), "--set", setting, "--seed", "7", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_orders_run_by_rank(tmp_path):
     run = tmp_path / "run.trec"
     run.write_text("q1 Q0 p2 2 1.0 t\nq1 Q0 p1 1 2.0 t\n")
@@ -584,6 +619,27 @@ def test_warmup_no_labeled_queries_exit_3(tmp_path, capsys):
     )
     assert code == EXIT_DATA
     assert f"data error: {data / 'qrels.tsv'}: no labeled queries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_labeled_queries_without_tokens_exit_3(tmp_path, synth_dir, capsys):
+    # synth tokens have 7 or 8 characters, so no query keeps a token; the
+    # generator's training used to end in a ValueError traceback
+    split_synth_for_pipeline(synth_dir)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir, extra="min_token_len = 9\n")
+    out = tmp_path / "run"
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {synth_dir / 'train_queries.jsonl'}: no labeled query has a token" in err
+    assert not out.exists()
+
+
+def test_warmup_labeled_queries_without_tokens_exit_3(tmp_path, synth_dir, capsys):
+    split_synth_for_pipeline(synth_dir)
+    out = tmp_path / "warm"
+    assert warmup_cmd(synth_dir, out, "--set", "min_token_len=9") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {synth_dir / 'train_queries.jsonl'}: no labeled query has a token" in err
     assert not out.exists()
 
 

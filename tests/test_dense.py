@@ -27,6 +27,7 @@ from lexmine.dense import (
     StaleIndexError,
     TrainingSample,
     _adam_update,
+    _block_rows,
     _block_top_k,
     _mean_pool,
     _scatter_pooled,
@@ -563,8 +564,9 @@ def test_infonce_batch_leaves_inputs_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# reference scatter and Adam: the per-sample np.add.at loop and the
-# allocating update that the bincount scatter and in-place update replace
+# reference pooling, scatter and Adam: the per-row mean, the per-entry
+# np.add.at loop and the allocating whole-table update that the grouped,
+# blocked kernels replace
 # ---------------------------------------------------------------------------
 
 
@@ -744,6 +746,8 @@ def pooled_gradients(draw):
         np.array([[0.1, -0.2], [3.0, 4.0], [1e6, -1e-6]]),
     )
 )
+# every entry without tokens: nothing is touched
+@example(case=([np.array([], dtype=np.int64)] * 3, np.array([[1.0, -2.0], [3.0, 4.0], [-0.0, 5.0]])))
 def test_scatter_pooled_bit_equal_to_add_at(case):
     rows_list, g_pooled = case
     got = _scatter_pooled(rows_list, g_pooled, SCATTER_ROWS)
@@ -769,6 +773,65 @@ def test_adam_update_bit_equal_to_reference_over_200_steps():
         assert np.array_equal(g, g_before)
         assert np.array_equal(opt.m, want_opt.m) and np.array_equal(opt.v, want_opt.v)
         assert np.array_equal(table, want_table), step
+
+
+# The kernels walk their rows in blocks of _block_rows(d); the oracle tests
+# above use tables far smaller than one block, so these cross block edges.
+BLOCK_DIM = 32
+
+
+def entry_rows(rng, sizes, n_rows):
+    return [rng.integers(0, n_rows, size=size) for size in sizes]
+
+
+def test_mean_pool_bit_equal_across_blocks():
+    rng = np.random.default_rng(5)
+    block = _block_rows(BLOCK_DIM)
+    table = rng.normal(size=(300, BLOCK_DIM))
+    # more than two blocks of non-empty entries, equal sizes across each edge,
+    # then more than a block of empty entries, shuffled together
+    sizes = np.concatenate([rng.integers(1, 40, size=2 * block + 5), np.full(block + 7, 20), np.zeros(block + 3, int)])
+    rows_list = entry_rows(rng, rng.permutation(sizes), len(table))
+    got = _mean_pool(table, rows_list)
+    assert got.tobytes() == reference_mean_pool(table, rows_list).tobytes()
+
+
+def test_adam_update_bit_equal_across_blocks():
+    rng = np.random.default_rng(6)
+    shape = (2 * _block_rows(BLOCK_DIM) + 37, BLOCK_DIM)
+    table = rng.normal(0, 0.5, size=shape)
+    want_table = table.copy()
+    opt = OptimizerState(m=np.zeros(shape), v=np.zeros(shape), lr=3e-3)
+    want_opt = OptimizerState(m=np.zeros(shape), v=np.zeros(shape), lr=3e-3)
+    for step in range(1, 6):
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3, size=shape)
+        g[rng.random(shape[0]) < 0.5] = 0.0
+        opt.step = want_opt.step = step
+        _adam_update(table, g, opt.m, opt.v, opt)
+        reference_adam_update(want_table, g, want_opt.m, want_opt.v, want_opt)
+        assert opt.m.tobytes() == want_opt.m.tobytes() and opt.v.tobytes() == want_opt.v.tobytes()
+        assert table.tobytes() == want_table.tobytes(), step
+
+
+@pytest.mark.parametrize(
+    "n_rows, sizes, hot",
+    [
+        (50, [0, 0, 0], False),  # no entry has a token
+        (50, [4, 0, 7, 0, 0, 1], False),  # empty entries between others
+        (3_000, [30] * 150, True),  # one row far more often than any other, over 2 blocks of touched rows
+        (70_000, [40] * 100, False),  # rows past 65,535: a 32-bit sort key
+    ],
+    ids=["all_empty", "some_empty", "hot_row", "wide_rows"],
+)
+def test_scatter_pooled_bit_equal_across_blocks(n_rows, sizes, hot):
+    rng = np.random.default_rng(7)
+    rows_list = entry_rows(rng, sizes, n_rows)
+    if hot:
+        for rows in rows_list:
+            rows[rng.random(rows.size) < 0.2] = 17
+    g_pooled = rng.normal(size=(len(sizes), BLOCK_DIM)) * 10.0 ** rng.integers(-6, 6, size=(len(sizes), 1))
+    got = _scatter_pooled(rows_list, g_pooled, n_rows)
+    assert got.tobytes() == reference_scatter_pooled(rows_list, g_pooled, n_rows).tobytes()
 
 
 # A tiny full pipeline (warm-up and two iterations of mine, generate, train):
@@ -864,11 +927,43 @@ def test_pipeline_checkpoints_equal_reference_training(tiny_pipeline_data, tmp_p
             assert (new / rel).read_bytes() == (ref / rel).read_bytes(), rel
 
 
+def test_pipeline_outputs_equal_with_reference_kernels(tiny_pipeline_data, tmp_path, monkeypatch):
+    # The pooling, scatter and Adam kernels are bit-equal to their references
+    # on any platform, so a run through the references writes the same files:
+    # the check of training's float order that runs where the golden digests skip.
+    cfg = tiny_pipeline_cfg()
+    new, ref = tmp_path / "new", tmp_path / "reference"
+    run_pipeline(cfg, tiny_pipeline_data, workdir=new)
+    monkeypatch.setattr(dense_mod, "_mean_pool", reference_mean_pool)
+    monkeypatch.setattr(dense_mod, "_scatter_pooled", reference_scatter_pooled)
+    monkeypatch.setattr(dense_mod, "_adam_update", reference_adam_update)
+    run_pipeline(cfg, tiny_pipeline_data, workdir=ref)
+    files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(new) for p in new.rglob("*") if p.is_file()) == files
+    assert any(rel.suffix == ".npz" for rel in files)
+    for rel in files:
+        if rel.suffix == ".npz":
+            # the zip members carry their write time, so compare the arrays
+            with np.load(new / rel) as got, np.load(ref / rel) as want:
+                assert got.files == want.files, rel
+                for key in got.files:
+                    assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, (rel, key)
+                    assert got[key].tobytes() == want[key].tobytes(), (rel, key)
+        elif rel.name == "report.json":
+            got, want = (json.loads((run / rel).read_text()) for run in (new, ref))
+            for report in (got, want):
+                report.pop("wall_clock_sec")
+            assert got == want, rel
+        else:
+            assert (new / rel).read_bytes() == (ref / rel).read_bytes(), rel
+
+
 @shared_case_id
 def test_pipeline_checkpoints_match_golden_digests(tiny_pipeline_data, tmp_path):
-    # Written by the batch score matrix, the bincount scatter and the in-place
+    # Written by the batch score matrix, the row-grouped scatter and the blocked
     # Adam update; any change to the float order of training shows here. Float
-    # results can differ in the last bit on another numpy, BLAS or CPU.
+    # results can differ in the last bit on another numpy, BLAS or CPU, where
+    # test_pipeline_outputs_equal_with_reference_kernels still runs.
     golden = json.loads(GOLDEN_CHECKPOINTS.read_text())
     if golden["platform"] != float_platform():
         pytest.skip(f"golden digests were recorded on {golden['platform']}")
