@@ -41,7 +41,7 @@ from .corpus import (
     save_queries,
     synth_benchmark,
 )
-from .dense import EncoderParams, load_checkpoint, save_checkpoint, vocab_from_corpus
+from .dense import EncoderParams, bind_encoder, load_checkpoint, save_checkpoint
 from .evaluation import format_lang_table, load_run, mrr_at_k, per_lang_metrics, recall_at_k
 from .mining import MiningConfig, load_samples, save_samples
 from .pipeline import (
@@ -296,21 +296,10 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
 
 
 def _load_encoder(args: argparse.Namespace, corpus: Corpus, cfg: PipelineConfig) -> EncoderParams:
-    """The ``--checkpoint`` encoder; one whose tokens are not exactly the
-    corpus's under the config's tokenizer (``vocab_from_corpus``, in any row
-    order) raises ``DataFormatError``: it was warmed up on another corpus or
-    tokenizer config."""
+    """The ``--checkpoint`` encoder bound to the corpus under the config's
+    tokenizer; one of other tokens raises ``DataFormatError`` (``bind_encoder``)."""
     path = data_path(args.checkpoint)
-    params, _ = load_checkpoint(path)
-    want = set(vocab_from_corpus(corpus, cfg.tokenizer))
-    if params.vocab.keys() != want:
-        raise DataFormatError(
-            f"--checkpoint vocabulary is not the corpus's tokens under the config's tokenizer "
-            f"({len(want - params.vocab.keys())} of {len(want)} missing, "
-            f"{len(params.vocab.keys() - want)} extra): it was warmed up on another corpus or tokenizer config",
-            path,
-        )
-    return params
+    return bind_encoder(load_checkpoint(path)[0], corpus, cfg.tokenizer, path)
 
 
 def _checkpoint_state(

@@ -201,14 +201,15 @@ class Query:
 class TokenizedCorpus:
     """A corpus tokenized once under one tokenizer config, as integer token ids.
 
-    ``vocab`` holds the sorted unique tokens. ``ids`` holds the int32 vocabulary
-    index of every token, passages concatenated in corpus order with each
-    passage's tokens in text order; passage ``i`` is
-    ``ids[offsets[i]:offsets[i + 1]]``.
+    ``vocab`` holds the sorted unique tokens and ``index`` maps each to its
+    place in ``vocab``, its token id. ``ids`` holds the int32 token id of every
+    token, passages concatenated in corpus order with each passage's tokens in
+    text order; passage ``i`` is ``ids[offsets[i]:offsets[i + 1]]``.
     """
 
     tokenizer: TokenizerConfig
     vocab: tuple[str, ...]
+    index: dict[str, int] = field(repr=False, compare=False)
     ids: np.ndarray
     offsets: np.ndarray
 
@@ -224,7 +225,7 @@ def _tokenize_corpus(passages: Iterable[Passage], tok: TokenizerConfig) -> Token
     index = {t: i for i, t in enumerate(vocab)}
     offsets = np.concatenate(([0], np.cumsum([len(tokens) for tokens in token_lists], dtype=np.int64)))
     ids = np.fromiter(map(index.__getitem__, chain.from_iterable(token_lists)), np.int32, offsets[-1])
-    return TokenizedCorpus(tokenizer=tok, vocab=tuple(vocab), ids=ids, offsets=offsets)
+    return TokenizedCorpus(tokenizer=tok, vocab=tuple(vocab), index=index, ids=ids, offsets=offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +294,8 @@ class Corpus(_IdCollection[Passage]):
     def tokenized(self, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenizedCorpus:
         """Every passage tokenized under ``tok``, memoized for the last config asked.
 
-        The BM25 index, the dense vocabulary and the per-passage embedding rows
-        all derive from this, so one run tokenizes each passage once.
+        The BM25 index, the dense vocabulary and the rows the encoder pools for
+        each passage all derive from this, so one run tokenizes each passage once.
         """
         if self._tokenized is None or self._tokenized.tokenizer != tok:
             self._tokenized = _tokenize_corpus(self, tok)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DataFormatError, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
+from .corpus import Corpus, DataFormatError, Query, TokenizedCorpus, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
 from .sparse import RankedList, rank_ids
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "infonce_batch",
     "init_optimizer",
     "train_step",
+    "bind_encoder",
     "corpus_token_rows",
     "save_checkpoint",
     "load_checkpoint",
@@ -49,19 +50,14 @@ class StaleIndexError(RuntimeError):
 class EncoderParams:
     """Token-embedding encoder parameters.
 
-    ``embedding`` is the one table that encodes queries and passages.
-    ``version`` increments on every training step and ties indexes to the
-    parameters that produced them. ``corpus_token_rows`` memoizes the
-    per-passage rows here; the vocabulary, and so the rows, never change after
-    construction.
+    ``embedding`` is the one table that encodes queries and passages, and
+    ``vocab`` maps each token to its row. ``version`` increments on every
+    training step and ties indexes to the parameters that produced them.
     """
 
     vocab: dict[str, int]
     embedding: np.ndarray
     version: int = 0
-    _passage_rows: tuple[Corpus, TokenizerConfig, dict[str, np.ndarray]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.embedding.ndim != 2:
@@ -104,8 +100,11 @@ def init_params(vocab_tokens: Iterable[str], dim: int = 64, seed: int | Sequence
     return EncoderParams(vocab=vocab, embedding=rng.uniform(-scale, scale, size=(len(tokens), dim)))
 
 
-def _token_rows(vocab: dict[str, int], tokens: Sequence[str]) -> np.ndarray:
-    return np.array([vocab[t] for t in tokens if t in vocab], dtype=np.int64)
+def _token_rows(vocab: dict[str, int], token_lists: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's in-vocabulary token rows, concatenated, and how many each has."""
+    rows = [[vocab[t] for t in tokens if t in vocab] for tokens in token_lists]
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    return np.array([r for each in rows for r in each], dtype=np.int64), sizes
 
 
 BLOCK_BYTES = 1 << 18  # per block array of the kernels below: 1,024 rows at d=32, well inside L2
@@ -140,69 +139,80 @@ def _group_sums(values: np.ndarray, picks: np.ndarray, sizes: np.ndarray, order:
     return acc
 
 
-def _mean_pool(table: np.ndarray, rows_list: Sequence[np.ndarray]) -> np.ndarray:
-    """One row per entry of ``rows_list``: the mean of those table rows, or zero if none.
+def _mean_pool(table: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row i: the mean of the table rows of entry i, the i-th run of ``rows``
+    of the int64 ``sizes``, or zero if it has none.
 
     ``_group_sums`` sums each entry's rows one by one from zero, and the sum
     is then divided by its size: for a table of two or more columns that is
-    ``table[rows].mean(axis=0)`` bit for bit. (On one column numpy sums
+    ``table[entry_rows].mean(axis=0)`` bit for bit. (On one column numpy sums
     pairwise instead, which can differ in the last bits once an entry has 8
     or more rows.)
     """
-    sizes = np.array([rows.size for rows in rows_list], dtype=np.int64)
     order = np.argsort(-sizes, kind="stable")
-    flat = np.concatenate(rows_list) if rows_list else np.zeros(0, dtype=np.int64)
-    pooled = np.empty((len(rows_list), table.shape[1]))
-    pooled[order] = _group_sums(table, flat, sizes, order) / np.maximum(sizes[order], 1)[:, None]
+    pooled = np.empty((len(sizes), table.shape[1]))
+    pooled[order] = _group_sums(table, rows, sizes, order) / np.maximum(sizes[order], 1)[:, None]
     return pooled
 
 
-def _scatter_pooled(rows_list: Sequence[np.ndarray], g_pooled: np.ndarray, n_rows: int) -> np.ndarray:
-    """The (n_rows, d) table gradient of ``_mean_pool``'s output gradient
-    ``g_pooled``: row ``rows_list[i][k]`` gets ``g_pooled[i] / rows_list[i].size``.
+def _scatter_pooled(rows: np.ndarray, sizes: np.ndarray, g_pooled: np.ndarray, n_rows: int) -> np.ndarray:
+    """The (n_rows, d) table gradient of ``_mean_pool(table, rows, sizes)``'s
+    output gradient ``g_pooled``: each row entry i pools gets ``g_pooled[i] / sizes[i]``.
 
     A stable sort groups the token rows by table row, each group in input
     order, and ``_group_sums`` sums every touched row's terms from zero into
     a compact accumulator that is placed into a zero table. Each cell so sums
-    its terms in ``rows_list`` order from +0.0: bit-equal to an ``np.add.at``
+    its terms in ``rows`` order from +0.0: bit-equal to an ``np.add.at``
     scatter onto a zero table, without a (tokens, d) contribution array. The
     rows are sorted as the smallest unsigned type that holds them, since
     numpy's stable sort is a radix sort for 16-bit and smaller types.
     """
-    sizes = np.array([rows.size for rows in rows_list], dtype=np.int64)
     # entries without rows own no term; dividing them by 1 is harmless
     per_token = g_pooled / np.maximum(sizes, 1)[:, None]
-    rows = np.concatenate(rows_list).astype(np.min_scalar_type(n_rows - 1))
+    rows = rows.astype(np.min_scalar_type(n_rows - 1))
     by_row = np.argsort(rows, kind="stable")
     counts = np.bincount(rows, minlength=n_rows)
     touched = np.flatnonzero(counts)
     counts = counts[touched]
     order = np.argsort(-counts, kind="stable")
-    owner = np.repeat(np.arange(len(rows_list)), sizes)[by_row]
+    owner = np.repeat(np.arange(len(sizes)), sizes)[by_row]
     out = np.zeros((n_rows, g_pooled.shape[1]))
     out[touched[order]] = _group_sums(per_token, owner, counts, order)
     return out
 
 
+def bind_encoder(
+    params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER, path: str | Path | None = None
+) -> EncoderParams:
+    """``params``, read from the checkpoint ``path``, with its rows permuted
+    into the token-id order of ``corpus.tokenized(tok)`` that
+    ``corpus_token_rows`` requires. Raises DataFormatError naming ``path``
+    unless its tokens are exactly the corpus's."""
+    index = corpus.tokenized(tok).index
+    missing, extra = len(index.keys() - params.vocab.keys()), len(params.vocab.keys() - index.keys())
+    if missing or extra:
+        raise DataFormatError(
+            f"vocabulary is not the corpus's tokens under the config's tokenizer ({missing} of {len(index)} "
+            f"missing, {extra} extra): it was trained on another corpus or tokenizer config",
+            path,
+        )
+    rows = np.fromiter(map(params.vocab.__getitem__, index), np.int64, len(index))
+    return EncoderParams(vocab=index, embedding=params.embedding[rows], version=params.version)
+
+
 def corpus_token_rows(
     params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER
-) -> dict[str, np.ndarray]:
-    """Passage id -> the embedding rows its tokens under ``tok`` pool, in
-    corpus order, memoized on ``params`` for the last corpus (by identity) and
-    tokenizer config asked, as ``Corpus.tokenized`` is; callers only read it.
-
-    Out-of-vocabulary tokens are skipped, as they are in queries.
-    """
-    memo = params._passage_rows
-    if memo is None or memo[0] is not corpus or memo[1] != tok:
-        tc = corpus.tokenized(tok)
-        row_of = np.array([params.vocab.get(t, -1) for t in tc.vocab], dtype=np.int64)
-        rows = row_of[tc.ids]
-        kept = rows >= 0
-        ends = np.concatenate(([0], np.cumsum(kept)))[tc.offsets]
-        by_id = dict(zip(corpus.ids, np.split(rows[kept], ends[1:-1])))
-        memo = params._passage_rows = (corpus, tok, by_id)
-    return memo[2]
+) -> TokenizedCorpus:
+    """``corpus.tokenized(tok)``, whose token ids are ``params``'s rows; raises
+    ValueError unless ``params.vocab`` equals its ``index``, as it does for an
+    encoder of ``init_params(vocab_from_corpus(...))`` or ``bind_encoder``. An
+    equal vocabulary is swapped for ``index``: later checks are one identity test."""
+    tc = corpus.tokenized(tok)
+    if params.vocab is not tc.index:
+        if params.vocab != tc.index:
+            raise ValueError("the encoder's rows are not the corpus's token ids under this tokenizer config")
+        params.vocab = tc.index
+    return tc
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +245,8 @@ def build_dense_index(
     """Encode every passage under the current parameters (exact, corpus order)."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    vectors = _mean_pool(params.embedding, list(corpus_token_rows(params, corpus, tok).values()))
+    tc = corpus_token_rows(params, corpus, tok)
+    vectors = _mean_pool(params.embedding, tc.ids, np.diff(tc.offsets))
     return DenseIndex(ids=corpus.ids, vectors=vectors, params_version=params.version, tokenizer=tok, params=params)
 
 
@@ -291,11 +302,11 @@ def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int
             f"index built at params version {index.params_version}, "
             f"current is {params.version}; rebuild the index"
         )
-    rows = [_token_rows(params.vocab, tokens) for tokens in token_lists]
     ids, n = index.ids, len(index.ids)
     ranked: list[RankedList] = []
-    for lo in range(0, len(rows), DENSE_BLOCK):
-        scores = _mean_pool(params.embedding, rows[lo : lo + DENSE_BLOCK]) @ index.vectors.T
+    for lo in range(0, len(token_lists), DENSE_BLOCK):
+        rows, sizes = _token_rows(params.vocab, token_lists[lo : lo + DENSE_BLOCK])
+        scores = _mean_pool(params.embedding, rows, sizes) @ index.vectors.T
         picked, counts = _block_top_k(scores, index._id_rank, k)
         hits = list(zip(map(ids.__getitem__, (picked % n).tolist()), scores.ravel()[picked].tolist()))
         end = 0
@@ -341,10 +352,10 @@ def infonce_batch(
     and the other samples' positives (once per other sample, skipping any that
     equal its own positive). The batch is scored as one query x passage matrix
     over the unique passages, each candidate weighted by how often it occurs.
-    Passages of ``corpus`` and queries are tokenized under ``tok``. Returns
-    ``(loss, g_emb)``. Inputs are not modified, apart from the rows
-    ``corpus_token_rows`` memoizes on ``params`` and the tokens ``Query.tokens``
-    memoizes on each query.
+    Passages of ``corpus`` and queries are tokenized under ``tok``; the
+    passages pool their token ids (``corpus_token_rows``). Returns
+    ``(loss, g_emb)``. Inputs are not modified, apart from the tokens
+    ``Query.tokens`` memoizes on each query.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -353,11 +364,13 @@ def infonce_batch(
     for s in batch:
         for pid in (s.positive, *s.hard_negatives, *s.random_negatives):
             uniq.setdefault(pid, len(uniq))
-    rows = corpus_token_rows(params, corpus, tok)
-    p_rows = [rows[pid] for pid in uniq]
-    q_rows = [_token_rows(params.vocab, s.query.tokens(tok)) for s in batch]
-    P = _mean_pool(params.embedding, p_rows)
-    Q = _mean_pool(params.embedding, q_rows)
+    tc = corpus_token_rows(params, corpus, tok)
+    spans = [tc.ids[tc.offsets[i] : tc.offsets[i + 1]] for i in map(corpus.position, uniq)]
+    q_rows, q_sizes = _token_rows(params.vocab, [s.query.tokens(tok) for s in batch])
+    rows = np.concatenate([*spans, q_rows])
+    sizes = np.concatenate([np.array([span.size for span in spans], dtype=np.int64), q_sizes])
+    pooled = _mean_pool(params.embedding, rows, sizes)
+    P, Q = pooled[: len(uniq)], pooled[len(uniq) :]
 
     n = len(batch)
     samples = np.arange(n)
@@ -380,7 +393,7 @@ def infonce_batch(
     coeff[samples, pos] -= 1.0
     coeff /= n
     # one scatter, so each row sums its passage terms, then its query terms, from zero
-    return loss, _scatter_pooled(p_rows + q_rows, np.vstack([coeff.T @ Q, coeff @ P]), len(params.vocab))
+    return loss, _scatter_pooled(rows, sizes, np.vstack([coeff.T @ Q, coeff @ P]), len(params.vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +506,10 @@ def _check_meta(meta: dict) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, None]:
-    """Read a ``save_checkpoint`` file as ``(encoder, None)``; a file that is
-    not one, or whose metadata fails ``_check_meta``, raises
+    """Read a ``save_checkpoint`` file as ``(encoder, None)``, its rows in the
+    file's order (``bind_encoder`` puts them in a corpus's). A file that is
+    not one, whose metadata fails ``_check_meta``, whose ``dim`` is not its
+    table's width or whose table holds a non-finite value raises
     ``DataFormatError`` naming ``path``.
 
     Earlier files of the same format also carried Adam moments (``adam_m``,
@@ -512,6 +527,10 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, None]:
                 embedding=data["embedding"].astype(np.float64),
                 version=meta["version"],
             )
+            if type(meta["dim"]) is not int or meta["dim"] != params.dim:
+                raise ValueError(f"dim {meta['dim']!r} disagrees with the {params.dim}-column table")
+            if not np.isfinite(params.embedding).all():
+                raise ValueError("the table holds non-finite values")
     except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataFormatError(f"not a lexmine checkpoint: {exc!r}", path) from exc
     return params, None

@@ -35,6 +35,7 @@ from .dense import (
     DenseIndex,
     EncoderParams,
     TrainingSample,
+    bind_encoder,
     build_dense_index,
     init_optimizer,
     init_params,
@@ -623,10 +624,11 @@ def _write_stage(
 
 
 def _load_stage(
-    outdir: Path, with_aux: bool
+    outdir: Path, with_aux: bool, corpus: Corpus, tok: TokenizerConfig
 ) -> tuple[IterationReport, EncoderParams, GeneratorModel, EncoderParams | None] | None:
     """The report, encoder, generator and, when ``with_aux``, auxiliary encoder
-    that ``_write_stage`` left in ``outdir``, or None unless every one loads."""
+    that ``_write_stage`` left in ``outdir``, or None unless every one loads;
+    the encoders are bound to ``corpus`` under ``tok`` (``bind_encoder``)."""
     try:
         with open(outdir / "report.json", encoding="utf-8") as fh:
             report = IterationReport.from_dict(json.load(fh))
@@ -635,6 +637,8 @@ def _load_stage(
         aux_params = load_checkpoint(outdir / "aux_checkpoint.npz")[0] if with_aux else None
     except (OSError, ValueError, TypeError):
         return None
+    params = bind_encoder(params, corpus, tok, outdir / "checkpoint.npz")
+    aux_params = None if aux_params is None else bind_encoder(aux_params, corpus, tok, outdir / "aux_checkpoint.npz")
     return report, params, generator, aux_params
 
 
@@ -677,8 +681,9 @@ def run_pipeline(
     iteration 0) followed by one report per iteration. With a workdir, a
     manifest binds the config hash and seed, and ``_write_stage`` persists the
     warm-up under warmup/ and every iteration under iter_N/. ``resume=True``
-    fails on a config-hash mismatch and otherwise continues from the last
-    directory that ``_load_stage`` loads in the unbroken run warmup/, iter_1/, ...
+    fails on a config-hash mismatch or a checkpoint of other tokens than the
+    corpus's, and otherwise continues from the last directory that
+    ``_load_stage`` loads in the unbroken run warmup/, iter_1/, ...
     """
     out = Path(workdir) if workdir is not None else None
     # the reports of the stages loaded on resume; the last one's models continue
@@ -695,7 +700,7 @@ def run_pipeline(
                 raise PipelineError(f"resume config hash mismatch: {existing.get('config_hash')} != {want}")
             for name in ["warmup"] + [f"iter_{i}" for i in range(1, cfg.iterations + 1)]:
                 with_aux = name == "warmup" and cfg.mining_mode == "double_dense"
-                stage = _load_stage(out / name, with_aux)
+                stage = _load_stage(out / name, with_aux, data.corpus, cfg.tokenizer)
                 if stage is None:
                     break
                 report, params, generator, aux = stage

@@ -17,7 +17,7 @@ from scipy import stats
 
 from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
 from lexmine.corpus import Corpus, Judgment, JudgmentSet, Passage, Query, SynthSpec, synth_benchmark, tokenize
-from lexmine.dense import TrainingSample, infonce_batch, init_params
+from lexmine.dense import TrainingSample, infonce_batch, init_params, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k, paired_t_test, recall_at_k
 from lexmine.mining import MiningConfig, mine_pairs
 from lexmine.pipeline import (
@@ -130,8 +130,9 @@ def _gradient_case(seed):
         Passage(id=f"p{i}", text=" ".join(vocab[int(rng.integers(12))] for _ in range(int(rng.integers(2, 7)))))
         for i in range(7)
     ]
-    corpus = Corpus(passages)
-    params = init_params(vocab, dim=5, seed=seed)
+    # a passage in no sample holds every token, so the encoder's vocabulary is the corpus's
+    corpus = Corpus([*passages, Passage(id="all", text=" ".join(vocab))])
+    params = init_params(vocab_from_corpus(corpus), dim=5, seed=seed)
     params.embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
     queries = [
         Query(id=f"q{i}", text=" ".join(vocab[int(rng.integers(12))] for _ in range(3))) for i in range(3)

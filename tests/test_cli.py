@@ -1061,7 +1061,7 @@ def test_stage_command_rejects_checkpoint_of_another_vocabulary(
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert (
-            f"data error: {ckpt}: --checkpoint vocabulary is not the corpus's tokens under the config's tokenizer "
+            f"data error: {ckpt}: vocabulary is not the corpus's tokens under the config's tokenizer "
             f"({missing} of {n_tokens} missing, "
         ) in err
         if extra is not None:
@@ -1211,6 +1211,84 @@ def test_checkpoint_with_adam_moments_loads_and_trains_as_its_encoder(tmp_path, 
     _assert_same_checkpoint(tmp_path / "from_moments" / "checkpoint.npz", tmp_path / "plain" / "checkpoint.npz")
     with np.load(tmp_path / "plain" / "checkpoint.npz") as npz:
         assert npz.files == ["meta", "embedding"]
+
+
+def _rewrite_checkpoint(path: Path, meta_changes=None, embedding=None) -> None:
+    """Rewrite a checkpoint with ``meta_changes`` set and its table mapped by ``embedding``."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = {**json.loads(bytes(arrays["meta"])), **(meta_changes or {})}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    if embedding is not None:
+        arrays["embedding"] = embedding(arrays["embedding"])
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize(
+    "meta_changes, embedding",
+    [
+        pytest.param({"dim": 17}, None, id="dim-17-of-16"),
+        pytest.param(None, lambda table: np.full_like(table, np.nan), id="all-nan"),
+        pytest.param(None, lambda table: np.vstack([table[:3], [[np.inf] * table.shape[1]], table[4:]]), id="inf-row"),
+    ],
+)
+def test_mine_rejects_checkpoint_values_that_disagree(tmp_path, synth_dir, warm_ckpt, capsys, meta_changes, embedding):
+    cfg = tmp_path / "c.cfg"
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(warm_ckpt.read_bytes())
+    _rewrite_checkpoint(bad, meta_changes, embedding)
+    out = tmp_path / "mined.jsonl"
+    assert mine_cmd(cfg, synth_dir, bad, out, 3) == EXIT_DATA
+    assert f"data error: {bad}: not a lexmine checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stage_commands_read_a_row_permuted_checkpoint_as_the_sorted_one(tmp_path, synth_dir, warm_ckpt):
+    # the encoder's rows are put in corpus order when it is loaded, so every
+    # output is the same, and `train` saves its checkpoint in corpus order
+    cfg = tmp_path / "c.cfg"
+    permuted = tmp_path / "permuted.npz"
+    with np.load(warm_ckpt) as data:
+        tokens = json.loads(bytes(data["meta"]))["tokens"]
+    order = np.random.default_rng(0).permutation(len(tokens))
+    permuted.write_bytes(warm_ckpt.read_bytes())
+    _rewrite_checkpoint(permuted, {"tokens": [tokens[i] for i in order]}, lambda table: table[order])
+    assert tokens == list(load_passages(synth_dir / "passages.jsonl").tokenized().vocab)
+    generator = warm_ckpt.parent / "generator.json"
+    for name, ckpt in (("sorted", warm_ckpt), ("permuted", permuted)):
+        out = tmp_path / name
+        assert mine_cmd(cfg, synth_dir, ckpt, out / "mined.jsonl", 3) == EXIT_OK
+        assert generate_cmd(cfg, synth_dir, ckpt, generator, out / "generated.jsonl", 3) == EXIT_OK
+        samples = (out / "mined.jsonl", out / "generated.jsonl")
+        assert train_cmd(cfg, synth_dir, ckpt, samples, out / "trained", 3) == EXIT_OK
+    assert (tmp_path / "sorted" / "mined.jsonl").stat().st_size > 0
+    _assert_same_run(tmp_path / "permuted", tmp_path / "sorted")
+    with np.load(tmp_path / "permuted" / "trained" / "checkpoint.npz") as data:
+        assert json.loads(bytes(data["meta"]))["tokens"] == tokens
+
+
+def test_pipeline_resume_rejects_a_run_of_another_corpus(tmp_path, synth_dir, capsys):
+    split_synth_for_pipeline(synth_dir)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    run = tmp_path / "run"
+    argv = ["pipeline", "--config", str(cfg), "--seed", "4", "--out", str(run)]
+    assert dispatch(argv) == EXIT_OK
+    (run / "iter_2" / "report.json").unlink()
+    # one passage gains a token that no passage held
+    passages = synth_dir / "passages.jsonl"
+    first, *rest = passages.read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    n_tokens = len(load_passages(passages).tokenized().vocab)
+    passages.write_text(json.dumps({**record, "text": record["text"] + " zzznewtoken"}) + "\n" + "".join(rest))
+    capsys.readouterr()
+    assert dispatch([*argv, "--resume"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (
+        f"data error: {run / 'warmup' / 'checkpoint.npz'}: vocabulary is not the corpus's tokens "
+        f"under the config's tokenizer (1 of {n_tokens + 1} missing, 0 extra)"
+    ) in err
+    assert not (run / "iter_2" / "report.json").exists()
 
 
 def _assert_same_checkpoint(got: Path, want: Path) -> None:

@@ -27,7 +27,7 @@ from lexmine.corpus import (
     tokenize,
 )
 from lexmine.corpus import _CHAR_SPLIT_RANGES
-from lexmine.dense import corpus_token_rows, init_params, vocab_from_corpus
+from lexmine.dense import bind_encoder, corpus_token_rows, init_params, vocab_from_corpus
 from lexmine.sparse import build_index
 
 # ---------------------------------------------------------------------------
@@ -213,14 +213,18 @@ def test_tokenized_corpus_derivations_match_per_passage_construction(which, cfg)
     assert list(index.doc_len.items()) == list(doc_len.items())
     vocab = sorted({t for p in corpus for t in _reference_tokenize(p.text, cfg)})
     assert vocab_from_corpus(corpus, cfg) == tuple(vocab)
-    # a model vocabulary that misses every other corpus token and knows one extra
-    params = init_params(["zz-not-in-corpus", *vocab[::-2]], dim=2)
-    rows = corpus_token_rows(params, corpus, cfg)
-    assert list(rows) == corpus.ids
-    for p in corpus:
-        want = [params.vocab[t] for t in _reference_tokenize(p.text, cfg) if t in params.vocab]
-        assert rows[p.id].dtype == np.int64
-        assert rows[p.id].tolist() == want
+    # an encoder of the corpus's tokens in reverse row order, bound to the corpus
+    params = bind_encoder(init_params(vocab[::-1], dim=2), corpus, cfg)
+    tc = corpus_token_rows(params, corpus, cfg)
+    for i, p in enumerate(corpus):
+        want = [params.vocab[t] for t in _reference_tokenize(p.text, cfg)]
+        assert tc.ids[tc.offsets[i] : tc.offsets[i + 1]].tolist() == want
+    # one that misses every other corpus token and knows one extra pools no passage
+    other = init_params(["zz-not-in-corpus", *vocab[::-2]], dim=2)
+    with pytest.raises(DataFormatError):
+        bind_encoder(other, corpus, cfg)
+    with pytest.raises(ValueError):
+        corpus_token_rows(other, corpus, cfg)
 
 
 def test_corpus_tokenized_memo_follows_config():

@@ -13,6 +13,7 @@ import lexmine.dense as dense_mod
 from lexmine.corpus import (
     DEFAULT_TOKENIZER,
     Corpus,
+    DataFormatError,
     Passage,
     Query,
     SynthSpec,
@@ -32,6 +33,7 @@ from lexmine.dense import (
     _mean_pool,
     _scatter_pooled,
     _token_rows,
+    bind_encoder,
     build_dense_index,
     corpus_token_rows,
     infonce_batch,
@@ -101,15 +103,16 @@ def numeric_gradient(params, batch, corpus, table, h=1e-5):
 
 def random_case(seed):
     """A random 3-sample batch over 7 passages; two samples share a positive,
-    so one in-batch negative is skipped, and one query has an OOV token."""
+    so one in-batch negative is skipped, and one query has an OOV token. An
+    eighth passage, in no sample, holds every token of the vocabulary."""
     rng = np.random.default_rng(seed)
     vocab = [f"t{i}" for i in range(12)]
     passages = []
     for i in range(7):
         toks = [vocab[int(rng.integers(len(vocab)))] for _ in range(int(rng.integers(2, 7)))]
         passages.append(Passage(id=f"p{i}", text=" ".join(toks)))
-    corpus = Corpus(passages)
-    params = init_params(vocab, dim=5, seed=seed)
+    corpus = Corpus([*passages, Passage(id="all", text=" ".join(vocab))])
+    params = toy_params(corpus, dim=5, seed=seed)
     params.embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
 
     def query(i):
@@ -189,56 +192,94 @@ def test_index_empty_corpus_rejected(tiny_corpus):
 
 
 # ---------------------------------------------------------------------------
-# the per-passage rows memoized on the encoder
+# an encoder's rows are its corpus's token ids
 # ---------------------------------------------------------------------------
 
 
-def fresh_rows(params, corpus, tok=DEFAULT_TOKENIZER):
-    """Oracle: each passage's in-vocabulary token rows, from its own tokens."""
-    return {p.id: [params.vocab[t] for t in tokenize(p.text, tok) if t in params.vocab] for p in corpus}
+def permuted(params, seed=0):
+    """``params`` with its rows, and its vocabulary with them, in a random order."""
+    order = np.random.default_rng(seed).permutation(len(params.vocab))
+    tokens = sorted(params.vocab, key=params.vocab.get)
+    vocab = {tokens[old]: new for new, old in enumerate(order)}
+    return EncoderParams(vocab=vocab, embedding=params.embedding[order], version=params.version)
 
 
-def assert_rows_fresh(params, corpus, tok=DEFAULT_TOKENIZER):
-    rows = corpus_token_rows(params, corpus, tok)
-    assert {pid: r.tolist() for pid, r in rows.items()} == fresh_rows(params, corpus, tok)
+def test_corpus_token_rows_are_the_corpus_token_ids(tiny_corpus):
+    params = toy_params(tiny_corpus)
+    tc = corpus_token_rows(params, tiny_corpus)
+    assert tc is tiny_corpus.tokenized()
+    # an equal vocabulary is swapped for the corpus's, so the next check is one identity test
+    assert params.vocab is tc.index
+    for i, p in enumerate(tiny_corpus):
+        rows = tc.ids[tc.offsets[i] : tc.offsets[i + 1]].tolist()
+        assert rows == [params.vocab[t] for t in tokenize(p.text)]
 
 
-def test_corpus_token_rows_memo_returns_the_same_rows(tiny_corpus):
-    params = init_params(["apple", "cherry", "fig"], dim=2)
-    rows = corpus_token_rows(params, tiny_corpus)
-    assert corpus_token_rows(params, tiny_corpus) is rows
-    assert corpus_token_rows(params, tiny_corpus, TokenizerConfig()) is rows
-    # training moves the table, never the vocabulary: a step keeps the memo
-    train_step(params, init_optimizer(params), batch_for(tiny_corpus), tiny_corpus)
-    assert corpus_token_rows(params, tiny_corpus) is rows
-    assert "_passage_rows" not in repr(params)
+def test_bind_encoder_permutes_rows_into_corpus_order(tiny_corpus):
+    params = toy_params(tiny_corpus, seed=3)
+    shuffled = permuted(params)
+    shuffled.version = 4
+    assert shuffled.vocab != params.vocab
+    bound = bind_encoder(shuffled, tiny_corpus)
+    assert bound.vocab is tiny_corpus.tokenized().index
+    assert bound.version == 4
+    assert bound.embedding.tobytes() == params.embedding.tobytes()
+    want = build_dense_index(params, tiny_corpus).vectors
+    assert build_dense_index(bound, tiny_corpus).vectors.tobytes() == want.tobytes()
 
 
-def test_corpus_token_rows_memo_is_never_stale(tmp_path, tiny_corpus):
-    params = init_params(["apple", "cherry", "fig", "ab"], dim=2)
-    assert_rows_fresh(params, tiny_corpus)
-    # another corpus object, with equal ids but other texts
-    other = Corpus([Passage(id=p.id, text=p.text.replace("apple", "ab cherry")) for p in tiny_corpus])
-    assert_rows_fresh(params, other)
-    assert corpus_token_rows(params, other)["p1"].size == 4
-    # an equal corpus is another object: it gets rows of its own, equal ones
-    copy = Corpus(list(tiny_corpus))
-    assert corpus_token_rows(params, copy) is not corpus_token_rows(params, tiny_corpus)
-    assert_rows_fresh(params, copy)
-    # another tokenizer config, then the first one again
-    short = TokenizerConfig(min_token_len=4)
-    assert_rows_fresh(params, tiny_corpus, short)
-    assert corpus_token_rows(params, tiny_corpus, short)["p4"].size == 1
-    assert_rows_fresh(params, tiny_corpus)
-    # a checkpoint loaded again, after its file was replaced by another vocabulary
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params)
-    loaded, _ = load_checkpoint(path)
-    assert_rows_fresh(loaded, tiny_corpus)
-    save_checkpoint(path, init_params(["banana", "date"], dim=2))
-    reloaded, _ = load_checkpoint(path)
-    assert_rows_fresh(reloaded, tiny_corpus)
-    assert_rows_fresh(params, tiny_corpus)
+@pytest.mark.parametrize("change", ["missing", "extra", "other_tokenizer"])
+def test_bind_encoder_rejects_other_tokens(tiny_corpus, change):
+    tokens = list(vocab_from_corpus(tiny_corpus))
+    tok = DEFAULT_TOKENIZER
+    if change == "missing":
+        tokens = tokens[1:]
+    elif change == "extra":
+        tokens.append("zzz")
+    else:
+        tok = TokenizerConfig(min_token_len=5)
+    with pytest.raises(DataFormatError, match=r"vocabulary is not the corpus's tokens"):
+        bind_encoder(init_params(tokens, dim=2), tiny_corpus, tok)
+
+
+def encoder_of(which, corpus):
+    """An encoder whose rows are not ``corpus``'s default token ids, and the tokenizer to use it under."""
+    if which == "another_corpus":
+        other = Corpus([Passage(id=p.id, text=p.text.replace("apple", "ab cherry")) for p in corpus])
+        return toy_params(other), DEFAULT_TOKENIZER
+    if which == "another_tokenizer_config":
+        return toy_params(corpus), TokenizerConfig(min_token_len=5)
+    return permuted(toy_params(corpus)), DEFAULT_TOKENIZER
+
+
+@pytest.mark.parametrize("which", ["another_corpus", "another_tokenizer_config", "another_row_order"])
+def test_unbound_encoder_raises_before_pooling_passages(tiny_corpus, which):
+    params, tok = encoder_of(which, tiny_corpus)
+    before = params.embedding.copy()
+    opt = init_optimizer(params)
+    for call in (
+        lambda: corpus_token_rows(params, tiny_corpus, tok),
+        lambda: build_dense_index(params, tiny_corpus, tok),
+        lambda: train_step(params, opt, batch_for(tiny_corpus), tiny_corpus, tok),
+    ):
+        with pytest.raises(ValueError, match="not the corpus's token ids"):
+            call()
+    assert params.version == 0 and opt.step == 0
+    assert np.array_equal(params.embedding, before)
+    if which == "another_row_order":
+        # bound to the corpus, the same encoder pools it
+        assert corpus_token_rows(bind_encoder(params, tiny_corpus), tiny_corpus) is tiny_corpus.tokenized()
+
+
+def test_encoder_follows_the_corpus_tokenized_again(tiny_corpus):
+    # the corpus memoizes one tokenizer config: another one and back makes a
+    # new, equal token index, and the encoder still pools the corpus
+    params = toy_params(tiny_corpus)
+    first = corpus_token_rows(params, tiny_corpus)
+    tiny_corpus.tokenized(TokenizerConfig(min_token_len=4))
+    again = corpus_token_rows(params, tiny_corpus)
+    assert again is not first and again.index == first.index
+    assert params.vocab is again.index
 
 
 def test_search_matches_brute_force():
@@ -464,8 +505,14 @@ def test_loss_uniform_case_ln4(tiny_corpus):
 
 
 def test_loss_frozen_oracle_value():
+    # "other", in no sample, makes "q" a corpus token
     corpus = Corpus(
-        [Passage(id="pos", text="a"), Passage(id="n1", text="b"), Passage(id="n2", text="c")]
+        [
+            Passage(id="pos", text="a"),
+            Passage(id="n1", text="b"),
+            Passage(id="n2", text="c"),
+            Passage(id="other", text="q"),
+        ]
     )
     params = init_params(["a", "b", "c", "q"], dim=1, seed=0)
     v = params.vocab
@@ -552,15 +599,14 @@ def test_gradient_covers_all_touched_rows():
 def test_infonce_batch_leaves_inputs_unchanged():
     params, batch, corpus = random_case(5)
     emb = params.embedding.copy()
-    rows = corpus_token_rows(params, corpus)
-    saved = {pid: r.copy() for pid, r in rows.items()}
+    tc = corpus_token_rows(params, corpus)
+    ids, offsets = tc.ids.copy(), tc.offsets.copy()
     infonce_batch(params, batch, corpus)
     assert np.array_equal(params.embedding, emb)
     assert params.version == 0
-    # the memoized rows the batch pooled are the same object, unchanged
-    assert corpus_token_rows(params, corpus) is rows
-    assert rows.keys() == saved.keys()
-    assert all(np.array_equal(rows[pid], saved[pid]) for pid in saved)
+    # the tokenized corpus the batch pooled is the same object, unchanged
+    assert corpus_token_rows(params, corpus) is tc
+    assert np.array_equal(tc.ids, ids) and np.array_equal(tc.offsets, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +616,24 @@ def test_infonce_batch_leaves_inputs_unchanged():
 # ---------------------------------------------------------------------------
 
 
-def reference_mean_pool(table, rows_list):
+def flat(rows_list):
+    """``rows_list`` as the kernels take it: the rows concatenated, and each entry's size."""
+    sizes = np.array([rows.size for rows in rows_list], dtype=np.int64)
+    return (np.concatenate(rows_list) if rows_list else np.zeros(0, dtype=np.int64)), sizes
+
+
+def entries(rows, sizes):
+    """The inverse of ``flat``: one array of rows per entry."""
+    return np.split(rows, np.cumsum(sizes)[:-1]) if len(sizes) else []
+
+
+def reference_mean_pool(table, rows, sizes):
     """The per-row ``.mean`` loop that ``_mean_pool`` replaces."""
+    rows_list = entries(rows, sizes)
     pooled = np.zeros((len(rows_list), table.shape[1]))
-    for i, rows in enumerate(rows_list):
-        if rows.size:
-            pooled[i] = table[rows].mean(axis=0)
+    for i, entry in enumerate(rows_list):
+        if entry.size:
+            pooled[i] = table[entry].mean(axis=0)
     return pooled
 
 
@@ -595,8 +653,8 @@ def reference_mean_pool(table, rows_list):
 @example(table=np.array([[0.1, 0.2], [0.3, 1e6]]), picks=[[0.9, 0.9, 0.0, 0.9], [], [0.0, 0.0, 0.0]])
 def test_mean_pool_bit_equal_to_per_row_mean(table, picks):
     rows_list = [np.array([int(p * table.shape[0]) for p in pick], dtype=np.int64) for pick in picks]
-    got = _mean_pool(table, rows_list)
-    want = reference_mean_pool(table, rows_list)
+    got = _mean_pool(table, *flat(rows_list))
+    want = reference_mean_pool(table, *flat(rows_list))
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -606,11 +664,10 @@ def reference_infonce_batch(params, batch, corpus, tok=DEFAULT_TOKENIZER):
     for s in batch:
         for pid in (s.positive, *s.hard_negatives, *s.random_negatives):
             uniq.setdefault(pid, len(uniq))
-    rows = corpus_token_rows(params, corpus, tok)
-    p_rows = [rows[pid] for pid in uniq]
-    q_rows = [_token_rows(params.vocab, tokenize(s.query.text, tok)) for s in batch]
-    P = reference_mean_pool(params.embedding, p_rows)
-    Q = reference_mean_pool(params.embedding, q_rows)
+    p_rows, p_sizes = _token_rows(params.vocab, [tokenize(corpus[pid].text, tok) for pid in uniq])
+    q_rows, q_sizes = _token_rows(params.vocab, [tokenize(s.query.text, tok) for s in batch])
+    P = reference_mean_pool(params.embedding, p_rows, p_sizes)
+    Q = reference_mean_pool(params.embedding, q_rows, q_sizes)
     n = len(batch)
     P_grad = np.zeros_like(P)
     Q_grad = np.zeros_like(Q)
@@ -629,17 +686,18 @@ def reference_infonce_batch(params, batch, corpus, tok=DEFAULT_TOKENIZER):
         np.add.at(P_grad, idx, coeff[:, None] * Q[i][None, :])
         Q_grad[i] = coeff @ P[idx]
 
-    g_emb = reference_scatter_pooled(p_rows + q_rows, np.vstack([P_grad, Q_grad]), params.embedding.shape[0])
+    rows, sizes = np.concatenate([p_rows, q_rows]), np.concatenate([p_sizes, q_sizes])
+    g_emb = reference_scatter_pooled(rows, sizes, np.vstack([P_grad, Q_grad]), params.embedding.shape[0])
     return total_loss / n, g_emb
 
 
-def reference_scatter_pooled(rows_list, g_pooled, n_rows):
+def reference_scatter_pooled(rows, sizes, g_pooled, n_rows):
     """The per-entry ``np.add.at`` scatter onto a zero table that
     ``_scatter_pooled`` replaces."""
     g_table = np.zeros((n_rows, g_pooled.shape[1]))
-    for rows, g in zip(rows_list, g_pooled):
-        if rows.size:
-            np.add.at(g_table, rows, np.broadcast_to(g / rows.size, (rows.size, g.size)))
+    for entry, g in zip(entries(rows, sizes), g_pooled):
+        if entry.size:
+            np.add.at(g_table, entry, np.broadcast_to(g / entry.size, (entry.size, g.size)))
     return g_table
 
 
@@ -673,17 +731,24 @@ def oracle_cases(draw):
 
 
 def oracle_inputs(case, seed):
-    def text(tokens):
-        return " ".join("zz" if t == OOV else ORACLE_VOCAB[t] for t in tokens)
+    """The case's batch over its passages and a passage of every vocabulary
+    token, which no sample names. A query's OOV token is "zz"; a passage's is
+    ".", no token at all, since the encoder knows every corpus token."""
+
+    def text(tokens, oov):
+        return " ".join(oov if t == OOV else ORACLE_VOCAB[t] for t in tokens)
 
     passages, samples = case
-    corpus = Corpus([Passage(id=f"p{i}", text=text(toks)) for i, toks in enumerate(passages)])
+    corpus = Corpus(
+        [Passage(id=f"p{i}", text=text(toks, ".")) for i, toks in enumerate(passages)]
+        + [Passage(id="all", text=" ".join(ORACLE_VOCAB))]
+    )
     params = init_params(ORACLE_VOCAB, dim=3, seed=seed)
     rng = np.random.default_rng(seed)
     params.embedding[:] = rng.normal(0, 0.8, size=params.embedding.shape)
     batch = [
         TrainingSample(
-            query=Query(id=f"q{i}", text=text(query)),
+            query=Query(id=f"q{i}", text=text(query, "zz")),
             positive=f"p{pos}",
             hard_negatives=tuple(f"p{j}" for j in hard),
             random_negatives=tuple(f"p{j}" for j in rand),
@@ -750,8 +815,8 @@ def pooled_gradients(draw):
 @example(case=([np.array([], dtype=np.int64)] * 3, np.array([[1.0, -2.0], [3.0, 4.0], [-0.0, 5.0]])))
 def test_scatter_pooled_bit_equal_to_add_at(case):
     rows_list, g_pooled = case
-    got = _scatter_pooled(rows_list, g_pooled, SCATTER_ROWS)
-    want = reference_scatter_pooled(rows_list, g_pooled, SCATTER_ROWS)
+    got = _scatter_pooled(*flat(rows_list), g_pooled, SCATTER_ROWS)
+    want = reference_scatter_pooled(*flat(rows_list), g_pooled, SCATTER_ROWS)
     assert got.tobytes() == want.tobytes()
 
 
@@ -792,8 +857,8 @@ def test_mean_pool_bit_equal_across_blocks():
     # then more than a block of empty entries, shuffled together
     sizes = np.concatenate([rng.integers(1, 40, size=2 * block + 5), np.full(block + 7, 20), np.zeros(block + 3, int)])
     rows_list = entry_rows(rng, rng.permutation(sizes), len(table))
-    got = _mean_pool(table, rows_list)
-    assert got.tobytes() == reference_mean_pool(table, rows_list).tobytes()
+    got = _mean_pool(table, *flat(rows_list))
+    assert got.tobytes() == reference_mean_pool(table, *flat(rows_list)).tobytes()
 
 
 def test_adam_update_bit_equal_across_blocks():
@@ -830,8 +895,8 @@ def test_scatter_pooled_bit_equal_across_blocks(n_rows, sizes, hot):
         for rows in rows_list:
             rows[rng.random(rows.size) < 0.2] = 17
     g_pooled = rng.normal(size=(len(sizes), BLOCK_DIM)) * 10.0 ** rng.integers(-6, 6, size=(len(sizes), 1))
-    got = _scatter_pooled(rows_list, g_pooled, n_rows)
-    assert got.tobytes() == reference_scatter_pooled(rows_list, g_pooled, n_rows).tobytes()
+    got = _scatter_pooled(*flat(rows_list), g_pooled, n_rows)
+    assert got.tobytes() == reference_scatter_pooled(*flat(rows_list), g_pooled, n_rows).tobytes()
 
 
 # A tiny full pipeline (warm-up and two iterations of mine, generate, train):
@@ -1082,6 +1147,34 @@ def test_encoder_params_reject_two_tokens_on_one_row():
         EncoderParams(vocab={"a": 0, "b": 0}, embedding=np.zeros((2, 2)))
     # a permutation of the rows is accepted
     assert EncoderParams(vocab={"a": 1, "b": 0}, embedding=np.zeros((2, 2))).vocab == {"a": 1, "b": 0}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"dim": 9}, "dim 9 disagrees with the 8-column table"),
+        ({"dim": 7}, "dim 7 disagrees with the 8-column table"),
+        ({"dim": 8.0}, "dim 8.0 disagrees with the 8-column table"),
+        ({"embedding": np.nan}, "non-finite"),
+        ({"embedding": -np.inf}, "non-finite"),
+    ],
+    ids=["dim-wider", "dim-narrower", "dim-float", "all-nan", "one-inf"],
+)
+def test_load_checkpoint_rejects_values_that_disagree(tmp_path, tiny_corpus, change, message):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, toy_params(tiny_corpus, dim=8))
+    with np.load(path) as npz:
+        meta, embedding = json.loads(bytes(npz["meta"])), npz["embedding"]
+    if "dim" in change:
+        meta["dim"] = change["dim"]
+    elif np.isnan(change["embedding"]):
+        embedding = np.full_like(embedding, np.nan)
+    else:
+        embedding[2, 5] = change["embedding"]
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), embedding=embedding)
+    with pytest.raises(DataFormatError, match=f"{path}: not a lexmine checkpoint.*{message}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_without_optimizer(tmp_path, tiny_corpus):

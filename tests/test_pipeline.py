@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexmine.corpus import (
-    Corpus, JudgmentSet, Passage, Query, QuerySet, SynthSpec, TokenizerConfig, synth_benchmark, tokenize
+    Corpus, DataFormatError, JudgmentSet, Passage, Query, QuerySet, SynthSpec, TokenizerConfig, synth_benchmark,
+    tokenize,
 )
 from lexmine.dense import EncoderParams, init_params, load_checkpoint, search_dense, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
@@ -564,6 +565,34 @@ def _untrained_version(path):
     path.write_text(json.dumps({**json.loads(path.read_text()), "version": 0}))
 
 
+def _rewrite_checkpoint(path, meta_changes=None, embedding=None):
+    with np.load(path) as f:
+        arrays = dict(f)
+    meta = {**json.loads(bytes(arrays["meta"])), **(meta_changes or {})}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    if embedding is not None:
+        arrays["embedding"] = embedding(arrays["embedding"])
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _nan_table(path):
+    _rewrite_checkpoint(path, embedding=lambda table: np.full_like(table, np.nan))
+
+
+def _dim_one_too_many(path):
+    with np.load(path) as f:
+        dim = json.loads(bytes(f["meta"]))["dim"]
+    _rewrite_checkpoint(path, {"dim": dim + 1})
+
+
+def _one_token_renamed(path):
+    """The checkpoint with one token no passage holds in place of one the corpus has: it still loads."""
+    with np.load(path) as f:
+        tokens = json.loads(bytes(f["meta"]))["tokens"]
+    _rewrite_checkpoint(path, {"tokens": ["zz-not-in-corpus", *tokens[1:]]})
+
+
 @pytest.mark.parametrize(
     "broken,corrupt,mode",
     [
@@ -577,6 +606,8 @@ def _untrained_version(path):
             "iter_1/checkpoint.npz", _int_tokens_and_no_next_iteration, "sparse_dense", id="iter_1/checkpoint.npz-int-tokens"
         ),
         pytest.param("iter_2/generator.json", _untrained_version, "sparse_dense", id="iter_2/generator.json-version-0"),
+        pytest.param("iter_2/checkpoint.npz", _nan_table, "sparse_dense", id="iter_2/checkpoint.npz-nan-table"),
+        pytest.param("iter_2/checkpoint.npz", _dim_one_too_many, "sparse_dense", id="iter_2/checkpoint.npz-dim-one-too-many"),
         pytest.param("warmup/aux_checkpoint.npz", _truncate, "double_dense", id="double_dense-warmup/aux_checkpoint.npz"),
     ],
 )
@@ -594,6 +625,51 @@ def test_pipeline_resume_reruns_from_broken_iteration(data, tmp_path, broken, co
     resumed = run_pipeline(cfg, data, workdir=tmp_path, resume=True)
     assert comparable(resumed) == comparable(full)
     assert versions() == want
+
+
+@pytest.mark.parametrize(
+    "broken,mode",
+    [
+        ("warmup/checkpoint.npz", "sparse_dense"),
+        ("iter_1/checkpoint.npz", "sparse_dense"),
+        ("warmup/aux_checkpoint.npz", "double_dense"),
+    ],
+)
+def test_pipeline_resume_rejects_checkpoint_of_other_tokens(data, tmp_path, broken, mode):
+    # a checkpoint that loads but is not the corpus's is not a stage to run
+    # again: the stages after it built on it
+    cfg = small_cfg(mining_mode=mode)
+    run_pipeline(cfg, data, workdir=tmp_path)
+    (tmp_path / "iter_2" / "report.json").unlink()
+    _one_token_renamed(tmp_path / broken)
+    n_tokens = len(data.corpus.tokenized(cfg.tokenizer).vocab)
+    want = (
+        f"{tmp_path / broken}: vocabulary is not the corpus's tokens under the config's tokenizer "
+        f"(1 of {n_tokens} missing, 1 extra)"
+    )
+    with pytest.raises(DataFormatError) as exc:
+        run_pipeline(cfg, data, workdir=tmp_path, resume=True)
+    assert str(exc.value).startswith(want)
+    assert not (tmp_path / "iter_2" / "report.json").exists()
+
+
+def test_pipeline_resume_binds_row_permuted_checkpoints(data, tmp_path):
+    # a checkpoint in another row order is the same encoder: resume reads it
+    # in corpus order and continues as from the sorted file
+    from test_cli import _assert_same_run
+
+    cfg = small_cfg()
+    full = run_pipeline(cfg, data, workdir=tmp_path / "full")
+    run_pipeline(cfg, data, workdir=tmp_path / "partial")
+    (tmp_path / "partial" / "iter_2" / "report.json").unlink()
+    path = tmp_path / "partial" / "iter_1" / "checkpoint.npz"
+    with np.load(path) as f:
+        tokens = json.loads(bytes(f["meta"]))["tokens"]
+    order = np.random.default_rng(0).permutation(len(tokens))
+    _rewrite_checkpoint(path, {"tokens": [tokens[i] for i in order]}, embedding=lambda table: table[order])
+    resumed = run_pipeline(cfg, data, workdir=tmp_path / "partial", resume=True)
+    assert comparable(resumed) == comparable(full)
+    _assert_same_run(tmp_path / "partial" / "iter_2", tmp_path / "full" / "iter_2")
 
 
 @pytest.mark.parametrize("mode", ["sparse_dense", "double_dense"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lexmine.corpus import Corpus, Passage, Query, tokenize
-from lexmine.dense import DENSE_BLOCK, build_dense_index, init_params, search_dense
+from lexmine.dense import DENSE_BLOCK, build_dense_index, init_params, search_dense, vocab_from_corpus
 from lexmine.mining import MiningConfig
 from lexmine.querygen import (
     SALIENCE_PSEUDO_COUNT,
@@ -426,7 +426,7 @@ def test_assemble_dense_first_then_sparse_dedup(rng):
         ]
     )
     sparse = build_index(corpus)
-    params = init_params(["q", "a1", "b1", "c1"], dim=1, seed=0)
+    params = init_params(vocab_from_corpus(corpus), dim=1, seed=0)
     for tok, val in (("q", 10.0), ("a1", 5.0), ("b1", 6.0), ("c1", -6.0)):
         params.embedding[params.vocab[tok], 0] = val
     dense = build_dense_index(params, corpus)

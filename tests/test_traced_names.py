@@ -135,5 +135,5 @@ def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
     want = build_dense_index(params, corpus, cfg.tokenizer).vectors
     np.testing.assert_allclose(oracle.passage_matrix(params), want, rtol=0, atol=1e-12)
     for q in queries:
-        pooled = _mean_pool(params.embedding, [_token_rows(params.vocab, tokenize(q.text, cfg.tokenizer))])[0]
+        pooled = _mean_pool(params.embedding, *_token_rows(params.vocab, [tokenize(q.text, cfg.tokenizer)]))[0]
         np.testing.assert_allclose(oracle.query_vector(params, q.text), pooled, rtol=0, atol=1e-12)
