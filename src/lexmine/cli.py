@@ -50,6 +50,7 @@ from .pipeline import (
     PipelineError,
     PipelineState,
     assemble_warmup_samples,
+    file_digest,
     generate,
     mine,
     run_pipeline,
@@ -438,11 +439,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if not args.resume:
         _guard_overwrite(out / "manifest.json", args.overwrite, "pipeline output")
+    # recorded in the manifest, so that a resume refuses changed inputs
+    inputs = {key: file_digest(data_path(mapping[key])) for key in _DATA_KEYS if key in mapping}
     # the loaded inputs live for the whole run: freezing them keeps every later
     # collection from scanning them again; unfrozen on return, for in-process callers
     gc.freeze()
     try:
-        reports = run_pipeline(cfg, data, workdir=out, resume=args.resume)
+        reports = run_pipeline(cfg, data, workdir=out, resume=args.resume, inputs=inputs)
     finally:
         gc.unfreeze()
     key = f"mrr@{cfg.eval_k}"

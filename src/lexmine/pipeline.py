@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .corpus import (
     Corpus,
+    DataFormatError,
     JudgmentSet,
     Passage,
     Query,
@@ -83,6 +84,7 @@ __all__ = [
     "run_pipeline",
     "pipeline_data_from_benchmark",
     "config_hash",
+    "file_digest",
     "write_manifest",
     "target_mean",
 ]
@@ -591,9 +593,20 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def write_manifest(path: Path, command: str, config: dict, seed: int) -> None:
-    """Record the command, its resolved config and that config's hash, the seed
-    and the package version next to a command's artifacts."""
+def file_digest(path: str | Path) -> dict:
+    """The sha256 and byte size of the file at ``path``: a manifest's record of an input."""
+    sha, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            sha.update(chunk)
+            size += len(chunk)
+    return {"sha256": sha.hexdigest(), "bytes": size}
+
+
+def write_manifest(path: Path, command: str, config: dict, seed: int, inputs: dict | None = None) -> None:
+    """Record the command, its resolved config and that config's hash, the seed,
+    the package version and, when given, the ``inputs`` (data key -> its
+    ``file_digest``) next to a command's artifacts."""
     manifest = {
         "command": command,
         "config": config,
@@ -601,6 +614,8 @@ def write_manifest(path: Path, command: str, config: dict, seed: int) -> None:
         "seed": seed,
         "version": __version__,
     }
+    if inputs is not None:
+        manifest["inputs"] = inputs
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(path, manifest)
 
@@ -673,6 +688,7 @@ def run_pipeline(
     data: PipelineData,
     workdir: str | Path | None = None,
     resume: bool = False,
+    inputs: dict[str, dict] | None = None,
 ) -> list[IterationReport]:
     """Warm up, then run cfg.iterations mine/generate/train/refresh iterations,
     stopping early once ``_plateaued``.
@@ -680,9 +696,11 @@ def run_pipeline(
     The report list starts with the post-warm-up zero-shot evaluation (as
     iteration 0) followed by one report per iteration. With a workdir, a
     manifest binds the config hash and seed, and ``_write_stage`` persists the
-    warm-up under warmup/ and every iteration under iter_N/. ``resume=True``
-    fails on a config-hash mismatch or a checkpoint of other tokens than the
-    corpus's, and otherwise continues from the last directory that
+    warm-up under warmup/ and every iteration under iter_N/. ``inputs``, each
+    data key's ``file_digest``, is recorded in the manifest. ``resume=True``
+    fails on a config-hash mismatch, a checkpoint of other tokens than the
+    corpus's or, with ``inputs``, on the first data key whose record differs
+    or is missing (DataFormatError), and otherwise continues from the last directory that
     ``_load_stage`` loads in the unbroken run warmup/, iter_1/, ...
     """
     out = Path(workdir) if workdir is not None else None
@@ -706,8 +724,17 @@ def run_pipeline(
                 report, params, generator, aux = stage
                 reports.append(report)
                 aux_params = aux if with_aux else aux_params
+            # after the checkpoints, whose token check names the file that disagrees
+            recorded = existing.get("inputs", {})
+            if inputs is not None and inputs != recorded:
+                key = next(k for k in [*inputs, *recorded] if inputs.get(k) != recorded.get(k))
+                raise DataFormatError(
+                    f"data key {key!r} is not the file the run started from: "
+                    f"given {inputs.get(key)}, recorded {recorded.get(key)}",
+                    manifest_path,
+                )
         else:
-            write_manifest(manifest_path, "pipeline", asdict(cfg), cfg.seed)
+            write_manifest(manifest_path, "pipeline", asdict(cfg), cfg.seed, inputs)
 
     sparse_index = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     if reports:

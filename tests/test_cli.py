@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -830,9 +831,11 @@ def test_warmup_mine_generate_train_chain(tmp_path, synth_dir):
 
 
 def assert_manifest(path: Path, command: str, seed: int) -> None:
-    """Every command's manifest has one shape, written by ``pipeline.write_manifest``."""
+    """Every command's manifest has one shape, written by ``pipeline.write_manifest``;
+    the pipeline's also records its inputs."""
     manifest = json.loads(path.read_text())
-    assert list(manifest) == ["command", "config", "config_hash", "seed", "version"]
+    inputs = ["inputs"] if command == "pipeline" else []
+    assert list(manifest) == ["command", "config", "config_hash", "seed", "version", *inputs]
     assert manifest["command"] == command
     assert manifest["config_hash"] == config_hash(manifest["config"])
     assert manifest["seed"] == seed
@@ -848,6 +851,13 @@ def test_pipeline_names_its_command_and_prints_target_mrr(tmp_path, synth_cfg, c
     cfg = pipeline_cfg_file(tmp_path, data)
     assert dispatch(["pipeline", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == EXIT_OK
     assert_manifest(out / "manifest.json", "pipeline", seed=3)
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert list(inputs) == [
+        "passages", "train_queries", "train_qrels", "unlabeled_queries", "eval_queries", "eval_qrels"
+    ]
+    for key, name in (("passages", "passages.jsonl"), ("eval_qrels", "qrels.tsv")):
+        raw = (data / name).read_bytes()
+        assert inputs[key] == {"sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw)}
 
     # one line per report, with the mean MRR@10 over the unlabeled queries' languages
     lines = capsys.readouterr().out.splitlines()
@@ -1289,6 +1299,45 @@ def test_pipeline_resume_rejects_a_run_of_another_corpus(tmp_path, synth_dir, ca
         f"under the config's tokenizer (1 of {n_tokens + 1} missing, 0 extra)"
     ) in err
     assert not (run / "iter_2" / "report.json").exists()
+
+
+def test_pipeline_resume_rejects_changed_input_texts(tmp_path, synth_dir, capsys):
+    # one passage's text changes while the corpus keeps its tokens: the
+    # checkpoints still bind, but they were trained on the old texts
+    split_synth_for_pipeline(synth_dir)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    run = tmp_path / "run"
+    argv = ["pipeline", "--config", str(cfg), "--seed", "4", "--out", str(run)]
+    assert dispatch(argv) == EXIT_OK
+    (run / "iter_2" / "report.json").unlink()
+    passages = synth_dir / "passages.jsonl"
+    tokens = load_passages(passages).tokenized().vocab
+    first, *rest = passages.read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    record["text"] += " " + record["text"].split()[0]
+    passages.write_text(json.dumps(record) + "\n" + "".join(rest))
+    assert load_passages(passages).tokenized().vocab == tokens
+    capsys.readouterr()
+    assert dispatch([*argv, "--resume"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {run / 'manifest.json'}: data key 'passages' is not the file the run started from" in err
+    assert not (run / "iter_2" / "report.json").exists()
+
+
+def test_pipeline_resume_reads_a_moved_data_directory(tmp_path, synth_dir):
+    # the manifest records what the inputs hold, not where they are
+    split_synth_for_pipeline(synth_dir)
+    run = tmp_path / "run"
+    argv = ["pipeline", "--seed", "4", "--out", str(run)]
+    assert dispatch([*argv, "--config", str(pipeline_cfg_file(tmp_path, synth_dir))]) == EXIT_OK
+    want = json.loads((run / "iter_2" / "report.json").read_text())
+    (run / "iter_2" / "report.json").unlink()
+    moved = synth_dir.rename(tmp_path / "moved")
+    assert dispatch([*argv, "--config", str(pipeline_cfg_file(tmp_path, moved)), "--resume"]) == EXIT_OK
+    got = json.loads((run / "iter_2" / "report.json").read_text())
+    for report in (got, want):
+        report.pop("wall_clock_sec")
+    assert got == want
 
 
 def _assert_same_checkpoint(got: Path, want: Path) -> None:

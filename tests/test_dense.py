@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from lexmine.corpus import (
 )
 from lexmine.dense import (
     DENSE_BLOCK,
+    TOP_K_GROUP,
     EncoderParams,
     OptimizerState,
     StaleIndexError,
@@ -399,6 +403,66 @@ def test_block_search_nan_row_ranks_by_id():
     assert got[2] == search_dense(index, [["t2", "t3"]], 5)[0]
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs ``search_dense`` sees, so how many lanes it runs; a
+    lane pool started meanwhile is shut down after the test."""
+    monkeypatch.setattr(dense_mod, "_pool", None)
+    yield lambda n: monkeypatch.setattr(dense_mod, "_cpu_count", lambda: n)
+    if dense_mod._pool is not None:
+        dense_mod._pool.shutdown()
+
+
+@pytest.mark.parametrize("k", [1, 3, 40, 55])
+def test_block_search_is_the_same_on_any_number_of_lanes(k, cpus):
+    params, index, token_lists = integer_case(seed=k)
+    params.embedding[params.vocab["t8"], 1] = np.nan  # queries holding t8 score NaN
+    assert len(token_lists) > 3 * DENSE_BLOCK
+    want = search_dense(index, token_lists, k)  # one lane per CPU of this machine
+    # the pool starts at 8 threads, which outnumber the 4 blocks, and
+    # threads switch often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 8, 3, 2):
+            cpus(n)
+            got = search_dense(index, token_lists, k)
+            assert len(got) == len(want)
+            for ranked, expected in zip(got, want):
+                assert_same_ranking(ranked, expected)
+    finally:
+        sys.setswitchinterval(interval)
+    assert dense_mod._pool is not None  # the lanes ran on the pool
+
+
+def test_block_search_is_bit_equal_on_any_number_of_lanes(cpus):
+    # every block is scored by one product and ranked alone, so float scores
+    # are the same bits whichever lane runs the block
+    rng = np.random.default_rng(3)
+    corpus = Corpus([Passage(id=f"p{i:03d}", text=f"t{i % 50} t{(7 * i) % 50}") for i in range(400)])
+    params = toy_params(corpus, dim=16, seed=2)
+    index = build_dense_index(params, corpus)
+    token_lists = [[f"t{int(t)}" for t in rng.integers(0, 50, size=3)] for _ in range(5 * DENSE_BLOCK - 1)]
+    cpus(1)
+    want = search_dense(index, token_lists, 20)
+    for n in (2, 3):
+        cpus(n)
+        assert search_dense(index, token_lists, 20) == want
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_block_search_runs_in_a_forked_child(cpus):
+    # a forked child inherits the pool but none of its threads: it must start its own
+    params, index, token_lists = integer_case(seed=0)
+    cpus(2)
+    want = search_dense(index, token_lists, 5)
+    assert dense_mod._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(1) as child:
+        got = child.apply_async(search_dense, (index, token_lists, 5)).get(timeout=120)
+    assert got == want
+
+
 def test_block_search_matches_per_query_search_on_random_floats():
     rng = np.random.default_rng(17)
     passages = [
@@ -416,12 +480,20 @@ def test_block_search_matches_per_query_search_on_random_floats():
         np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want], rtol=0, atol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+# columns per row: short rows, and rows of G = n // TOP_K_GROUP groups (16G
+# exactly, 16G +- 1, a few hundred), which k in 1..40 falls below and above
+N_COLUMNS = st.one_of(
+    st.integers(1, 50),
+    st.sampled_from([31, 32, 33, 47, 48, 49, 159, 160, 161, 300, 511, 512, 513]),
+)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([1, 2, 7, DENSE_BLOCK + 1]),
+    N_COLUMNS,
     st.integers(1, 40),
-    st.integers(1, 50),
     st.sampled_from([1, 2, 3, 0]),
     st.integers(0, 4),
     st.booleans(),
@@ -429,6 +501,13 @@ def test_block_search_matches_per_query_search_on_random_floats():
 @example(seed=0, b=DENSE_BLOCK + 1, n=5, k=3, levels=0, n_nan=0, nan_row=False)  # every entry tied
 @example(seed=1, b=1, n=5, k=5, levels=1, n_nan=1, nan_row=False)  # k == n
 @example(seed=2, b=3, n=4, k=2, levels=1, n_nan=0, nan_row=True)  # an all-NaN row
+# two-stage threshold: 16G columns, 16G + 1 and 16G - 1, ties at the threshold,
+# NaN inside a group, an all-NaN row, and k equal to the group count
+@example(seed=3, b=7, n=320, k=5, levels=1, n_nan=0, nan_row=False)
+@example(seed=4, b=7, n=321, k=19, levels=2, n_nan=4, nan_row=False)
+@example(seed=5, b=7, n=319, k=3, levels=1, n_nan=4, nan_row=True)
+@example(seed=6, b=2, n=48, k=1, levels=0, n_nan=0, nan_row=False)
+@example(seed=7, b=2, n=48, k=3, levels=3, n_nan=2, nan_row=False)
 def test_block_top_k_equals_full_lexsort_row_by_row(seed, b, n, k, levels, n_nan, nan_row):
     rng = np.random.default_rng(seed)
     # few distinct values force ties at the k-th place; levels=0 makes all scores equal
@@ -437,12 +516,31 @@ def test_block_top_k_equals_full_lexsort_row_by_row(seed, b, n, k, levels, n_nan
     if nan_row:
         scores[rng.integers(b)] = np.nan
     id_rank = rng.permutation(n)
+    assert_block_top_k_is_reference(scores, id_rank, k)
+
+
+def assert_block_top_k_is_reference(scores, id_rank, k):
+    """``_block_top_k`` picks, row by row, ``reference_top_k``'s entries in its order."""
+    b, n = scores.shape
     picked, counts = _block_top_k(scores, id_rank, k)
     assert counts.tolist() == [min(k, n)] * b
     rows, cols = np.divmod(picked, n)
     assert rows.tolist() == np.repeat(np.arange(b), counts).tolist()
     for r, got in enumerate(np.split(cols, np.cumsum(counts)[:-1])):
         assert got.tolist() == reference_top_k(scores[r], id_rank, k).tolist()
+
+
+@pytest.mark.parametrize("k", [10, 20, 311, 312, 400])
+def test_block_top_k_on_a_benchmark_sized_block(k):
+    # the benchmark's block: 64 queries x 4,995 passages, 312 groups and a
+    # 3-column tail; scores rounded to two decimals tie often at the k-th place
+    rng = np.random.default_rng(k)
+    scores = np.round(rng.normal(size=(DENSE_BLOCK, 4995)), 2)
+    scores[1, rng.integers(4995, size=30)] = np.nan
+    scores[2] = np.nan
+    scores[3, : 16 * 312 : 312] = scores[3].max()  # all 16 columns of the first group tie for first
+    assert 4995 // TOP_K_GROUP == 312
+    assert_block_top_k_is_reference(scores, rng.permutation(4995), k)
 
 
 def test_block_search_empty_input_and_bad_k(tiny_corpus):
@@ -1003,6 +1101,26 @@ def test_pipeline_outputs_equal_with_reference_kernels(tiny_pipeline_data, tmp_p
     monkeypatch.setattr(dense_mod, "_scatter_pooled", reference_scatter_pooled)
     monkeypatch.setattr(dense_mod, "_adam_update", reference_adam_update)
     run_pipeline(cfg, tiny_pipeline_data, workdir=ref)
+    assert_same_run_files(new, ref)
+
+
+def test_pipeline_outputs_equal_on_one_lane(tiny_pipeline_data, tmp_path, monkeypatch, cpus):
+    # blocks of 8 queries, so that every search of the tiny run has several
+    # blocks to deal out; one lane runs them in order on the calling thread
+    monkeypatch.setattr(dense_mod, "DENSE_BLOCK", 8)
+    cfg = tiny_pipeline_cfg()
+    lanes, one = tmp_path / "lanes", tmp_path / "one_lane"
+    cpus(max(2, dense_mod._cpu_count()))
+    run_pipeline(cfg, tiny_pipeline_data, workdir=lanes)
+    assert dense_mod._pool is not None
+    cpus(1)
+    run_pipeline(cfg, tiny_pipeline_data, workdir=one)
+    assert_same_run_files(lanes, one)
+
+
+def assert_same_run_files(new, ref):
+    """The two run directories hold the same files: equal arrays, reports
+    equal apart from their wall-clock time, and every other file byte-equal."""
     files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
     assert sorted(p.relative_to(new) for p in new.rglob("*") if p.is_file()) == files
     assert any(rel.suffix == ".npz" for rel in files)

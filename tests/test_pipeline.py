@@ -711,6 +711,22 @@ def test_pipeline_resume_config_mismatch(data, tmp_path):
         run_pipeline(other, data, workdir=tmp_path, resume=True)
 
 
+def test_pipeline_resume_rejects_other_inputs(data, tmp_path):
+    cfg = small_cfg(iterations=1)
+    inputs = {key: {"sha256": key[0] * 64, "bytes": len(key)} for key in ("passages", "train_queries")}
+    full = run_pipeline(cfg, data, workdir=tmp_path, inputs=inputs)
+    assert json.loads((tmp_path / "manifest.json").read_text())["inputs"] == inputs
+    assert comparable(run_pipeline(cfg, data, workdir=tmp_path, resume=True, inputs=inputs)) == comparable(full)
+    # the first key whose record differs, that the manifest does not record, or that is not given
+    for changed, key in (
+        ({**inputs, "train_queries": {"sha256": "t" * 64, "bytes": 14}}, "train_queries"),
+        ({"eval_qrels": {"sha256": "e" * 64, "bytes": 10}, **inputs}, "eval_qrels"),
+        ({"passages": inputs["passages"]}, "train_queries"),
+    ):
+        with pytest.raises(DataFormatError, match=f"data key '{key}' is not the file the run started from"):
+            run_pipeline(cfg, data, workdir=tmp_path, resume=True, inputs=changed)
+
+
 def test_pipeline_plateau_stop(data, tmp_path):
     cfg = small_cfg(iterations=3, plateau_eps=10.0)  # always triggers
     reports = run_pipeline(cfg, data)
