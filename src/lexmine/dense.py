@@ -303,9 +303,9 @@ def _block_top_k(
     Each row gets a threshold t at most its k-th best score, and every entry
     at least t survives, so ties at the boundary compete on id. With G =
     n // ``TOP_K_GROUP`` groups and k < G, t is the k-th largest of the
-    group maxima, where group c holds the columns c, c + G, ..., and each of
-    the last n - 16G columns is a group of its own: k groups have a member at
-    least t. Otherwise t is the row's k-th best score, found by a partition.
+    group maxima, where group c holds the columns c, c + G, ..., c + 15G
+    (the last n - 16G columns join none): at least k entries are at least t.
+    Otherwise t is the row's k-th best score, found by a partition.
     The survivors are found on the flattened mask (``np.nonzero`` of a 2-D
     mask costs ten times more) and sorted by one lexsort on (row, score desc,
     id rank); extra survivors score below the k-th and are cut. A row with
@@ -316,12 +316,9 @@ def _block_top_k(
     if k < n:
         groups = n // TOP_K_GROUP
         if k < groups:
-            cut = TOP_K_GROUP * groups
-            tops = np.empty((b, groups + n - cut), dtype=scores.dtype)
-            np.max(scores[:, :cut].reshape(b, TOP_K_GROUP, groups), axis=1, out=tops[:, :groups])
-            tops[:, groups:] = scores[:, cut:]
-            tops.partition(tops.shape[1] - k, axis=1)
-            kth = tops[:, -k, None]
+            tops = scores[:, : TOP_K_GROUP * groups].reshape(b, TOP_K_GROUP, groups).max(axis=1)
+            tops.partition(groups - k, axis=1)
+            kth = tops[:, groups - k, None]
         else:
             kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
         mask = np.greater_equal(scores, kth, out=mask)

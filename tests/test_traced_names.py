@@ -142,10 +142,9 @@ def test_no_traced_function_runs_on_a_search_lane(lanes, monkeypatch):
     names = _NamesWithThreads()
     try:
         with _installed_tracer(names):
-            index = sys.modules["lexmine.dense"].build_dense_index(
-                init_params(vocab_from_corpus(corpus), dim=4, seed=1), corpus
-            )
-            ranked = sys.modules["lexmine.dense"].search_dense(index, token_lists, 5)
+            # looked up on the module, whose names the tracer has wrapped
+            index = dense_mod.build_dense_index(init_params(vocab_from_corpus(corpus), dim=4, seed=1), corpus)
+            ranked = dense_mod.search_dense(index, token_lists, 5)
     finally:
         if dense_mod._pool is not None:
             dense_mod._pool.shutdown()
