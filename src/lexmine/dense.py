@@ -10,19 +10,15 @@ top-k behind the same contract an approximate backend would implement.
 from __future__ import annotations
 
 import json
-import os
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, DataFormatError, Query, TokenizedCorpus, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
 from .sparse import RankedList, rank_ids
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "EncoderParams",
@@ -236,13 +232,11 @@ class DenseIndex:
     tokenizer: TokenizerConfig
     params: EncoderParams = field(repr=False, compare=False)
     _id_rank: np.ndarray = field(init=False, repr=False)
-    _id_objects: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.ids) != self.vectors.shape[0]:
             raise ValueError("ids and vectors disagree in length")
         self._id_rank = rank_ids(self.ids)
-        self._id_objects = np.array(self.ids, dtype=object)
 
 
 def build_dense_index(
@@ -259,46 +253,11 @@ def build_dense_index(
 DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
 TOP_K_GROUP = 16  # columns per group of ``_block_top_k``'s first stage
 
-_pool: ThreadPoolExecutor | None = None
 
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
-def _lane_pool() -> ThreadPoolExecutor:
-    """The search lanes' threads, started on first use, one per CPU."""
-    global _pool
-    if _pool is None:
-        # imported here: concurrent.futures imports logging, about 7 ms that
-        # every command would otherwise pay at start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="lexmine-search")
-    return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool but not its threads
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _block_top_k(
-    scores: np.ndarray, id_rank: np.ndarray, k: int, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _block_top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``top_k(row, id_rank, k)`` for every row of the (b, n) ``scores``, in
     one pass: returns the picked flat positions into ``scores``, row after
-    row, each row's in rank order, and how many each row picked. ``mask``, a
-    (b, n) bool array, is used as scratch when given.
+    row, each row's in rank order, and how many each row picked.
 
     Each row gets a threshold t at most its k-th best score, and every entry
     at least t survives, so ties at the boundary compete on id. With G =
@@ -321,7 +280,7 @@ def _block_top_k(
             kth = tops[:, groups - k, None]
         else:
             kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
-        mask = np.greater_equal(scores, kth, out=mask)
+        mask = scores >= kth
         flat = np.flatnonzero(mask)
         short = np.bincount(flat // n, minlength=b) < k
         if short.any():
@@ -341,14 +300,12 @@ def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int
     """Exact top-k by dot product for each query's tokens under
     ``index.tokenizer``; ties break by ascending passage id.
 
-    Queries are encoded by ``index.params`` and scored ``DENSE_BLOCK`` at a
-    time with one product against the index, each block ranked by one
-    ``_block_top_k``; a block of one is numpy's matrix-vector product. The
-    blocks are dealt round-robin to one lane per CPU, run on ``_lane_pool``
-    unless there is one lane; every block is computed alone, so the results
-    do not depend on the number of lanes. Zero-similarity entries are
-    retained (vectors are dense). Raises StaleIndexError once the encoder has
-    trained past the version the index was built at.
+    Queries are encoded by ``index.params`` and pooled ``DENSE_BLOCK`` at a
+    time into a matrix scored with one product against the index and ranked
+    by one ``_block_top_k``; a block of one is numpy's matrix-vector product.
+    Zero-similarity entries are retained (vectors are dense). Raises
+    StaleIndexError once the encoder has trained past the version the index
+    was built at.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -358,32 +315,18 @@ def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int
             f"index built at params version {index.params_version}, "
             f"current is {params.version}; rebuild the index"
         )
-    queries = _mean_pool(params.embedding, *_token_rows(params.vocab, token_lists))
-    starts = range(0, len(token_lists), DENSE_BLOCK)
-    lanes = min(_cpu_count(), len(starts))
-    ranked: list[list[RankedList]] = [[] for _ in starts]
-    ids, n = index._id_objects, len(index.ids)
-
-    def lane(first: int, scores: np.ndarray, mask: np.ndarray) -> None:
-        for i in range(first, len(starts), lanes):
-            block = queries[starts[i] : starts[i] + DENSE_BLOCK]
-            b = len(block)
-            np.matmul(block, index.vectors.T, out=scores[:b])
-            picked, counts = _block_top_k(scores[:b], index._id_rank, k, mask[:b])
-            hits = list(zip(ids[picked % n].tolist(), scores.ravel()[picked].tolist()))
-            end = 0
-            for count in counts.tolist():
-                ranked[i].append(hits[end : end + count])
-                end += count
-
-    # allocated on this thread: a worker's allocations of this size would stay
-    # in its own malloc arena after the search and raise the peak RSS
-    buffers = [(np.empty((DENSE_BLOCK, n)), np.empty((DENSE_BLOCK, n), dtype=bool)) for _ in range(lanes)]
-    if lanes > 1:
-        list(_lane_pool().map(lane, range(lanes), *zip(*buffers)))
-    elif lanes:
-        lane(0, *buffers[0])
-    return [r for block in ranked for r in block]
+    ids, n = index.ids, len(index.ids)
+    ranked: list[RankedList] = []
+    for lo in range(0, len(token_lists), DENSE_BLOCK):
+        rows, sizes = _token_rows(params.vocab, token_lists[lo : lo + DENSE_BLOCK])
+        scores = _mean_pool(params.embedding, rows, sizes) @ index.vectors.T
+        picked, counts = _block_top_k(scores, index._id_rank, k)
+        hits = list(zip(map(ids.__getitem__, (picked % n).tolist()), scores.ravel()[picked].tolist()))
+        end = 0
+        for count in counts.tolist():
+            ranked.append(hits[end : end + count])
+            end += count
+    return ranked
 
 
 # ---------------------------------------------------------------------------

@@ -699,9 +699,12 @@ def run_pipeline(
     warm-up under warmup/ and every iteration under iter_N/. ``inputs``, each
     data key's ``file_digest``, is recorded in the manifest. ``resume=True``
     fails on a config-hash mismatch, a checkpoint of other tokens than the
-    corpus's or, with ``inputs``, on the first data key whose record differs
-    or is missing (DataFormatError), and otherwise continues from the last directory that
+    corpus's, or (DataFormatError) ``inputs`` that are not the manifest's
+    record: the first data key whose digest differs or that one side lacks,
+    a manifest without the record, or a record with no ``inputs`` given to
+    check it. Otherwise it continues from the last directory that
     ``_load_stage`` loads in the unbroken run warmup/, iter_1/, ...
+    Without ``inputs`` on either side nothing binds the run to its data.
     """
     out = Path(workdir) if workdir is not None else None
     # the reports of the stages loaded on resume; the last one's models continue
@@ -725,8 +728,18 @@ def run_pipeline(
                 reports.append(report)
                 aux_params = aux if with_aux else aux_params
             # after the checkpoints, whose token check names the file that disagrees
-            recorded = existing.get("inputs", {})
-            if inputs is not None and inputs != recorded:
+            recorded = existing.get("inputs")
+            if inputs is not None and recorded is None:
+                raise DataFormatError(
+                    "manifest records no input digests (written before they were recorded); start a new run",
+                    manifest_path,
+                )
+            if inputs is None and recorded is not None:
+                raise DataFormatError(
+                    "manifest records input digests, but no inputs were given to check them against",
+                    manifest_path,
+                )
+            if inputs != recorded:
                 key = next(k for k in [*inputs, *recorded] if inputs.get(k) != recorded.get(k))
                 raise DataFormatError(
                     f"data key {key!r} is not the file the run started from: "

@@ -1324,6 +1324,24 @@ def test_pipeline_resume_rejects_changed_input_texts(tmp_path, synth_dir, capsys
     assert not (run / "iter_2" / "report.json").exists()
 
 
+def test_pipeline_resume_names_a_manifest_without_inputs(tmp_path, synth_dir, capsys):
+    # a run directory written before the manifest recorded its inputs: nothing
+    # changed, the record is absent, and the message says so
+    split_synth_for_pipeline(synth_dir)
+    run = tmp_path / "run"
+    argv = ["pipeline", "--config", str(pipeline_cfg_file(tmp_path, synth_dir)), "--seed", "4", "--out", str(run)]
+    assert dispatch(argv) == EXIT_OK
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["inputs"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    (run / "iter_2" / "report.json").unlink()
+    capsys.readouterr()
+    assert dispatch([*argv, "--resume"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "manifest records no input digests (written before they were recorded); start a new run" in err
+    assert not (run / "iter_2" / "report.json").exists()
+
+
 def test_pipeline_resume_reads_a_moved_data_directory(tmp_path, synth_dir):
     # the manifest records what the inputs hold, not where they are
     split_synth_for_pipeline(synth_dir)

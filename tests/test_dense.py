@@ -1,9 +1,6 @@
 import hashlib
 import json
 import math
-import multiprocessing
-import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -401,66 +398,6 @@ def test_block_search_nan_row_ranks_by_id():
     assert_same_ranking(got[1], search_dense(index, [["t8"]], 5)[0])
     assert got[0] == search_dense(index, [["t1"]], 5)[0]
     assert got[2] == search_dense(index, [["t2", "t3"]], 5)[0]
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Sets how many CPUs ``search_dense`` sees, so how many lanes it runs; a
-    lane pool started meanwhile is shut down after the test."""
-    monkeypatch.setattr(dense_mod, "_pool", None)
-    yield lambda n: monkeypatch.setattr(dense_mod, "_cpu_count", lambda: n)
-    if dense_mod._pool is not None:
-        dense_mod._pool.shutdown()
-
-
-@pytest.mark.parametrize("k", [1, 3, 40, 55])
-def test_block_search_is_the_same_on_any_number_of_lanes(k, cpus):
-    params, index, token_lists = integer_case(seed=k)
-    params.embedding[params.vocab["t8"], 1] = np.nan  # queries holding t8 score NaN
-    assert len(token_lists) > 3 * DENSE_BLOCK
-    want = search_dense(index, token_lists, k)  # one lane per CPU of this machine
-    # the pool starts at 8 threads, which outnumber the 4 blocks, and
-    # threads switch often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for n in (1, 8, 3, 2):
-            cpus(n)
-            got = search_dense(index, token_lists, k)
-            assert len(got) == len(want)
-            for ranked, expected in zip(got, want):
-                assert_same_ranking(ranked, expected)
-    finally:
-        sys.setswitchinterval(interval)
-    assert dense_mod._pool is not None  # the lanes ran on the pool
-
-
-def test_block_search_is_bit_equal_on_any_number_of_lanes(cpus):
-    # every block is scored by one product and ranked alone, so float scores
-    # are the same bits whichever lane runs the block
-    rng = np.random.default_rng(3)
-    corpus = Corpus([Passage(id=f"p{i:03d}", text=f"t{i % 50} t{(7 * i) % 50}") for i in range(400)])
-    params = toy_params(corpus, dim=16, seed=2)
-    index = build_dense_index(params, corpus)
-    token_lists = [[f"t{int(t)}" for t in rng.integers(0, 50, size=3)] for _ in range(5 * DENSE_BLOCK - 1)]
-    cpus(1)
-    want = search_dense(index, token_lists, 20)
-    for n in (2, 3):
-        cpus(n)
-        assert search_dense(index, token_lists, 20) == want
-
-
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
-def test_block_search_runs_in_a_forked_child(cpus):
-    # a forked child inherits the pool but none of its threads: it must start its own
-    params, index, token_lists = integer_case(seed=0)
-    cpus(2)
-    want = search_dense(index, token_lists, 5)
-    assert dense_mod._pool is not None
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(1) as child:
-        got = child.apply_async(search_dense, (index, token_lists, 5)).get(timeout=120)
-    assert got == want
 
 
 def test_block_search_matches_per_query_search_on_random_floats():
@@ -1101,26 +1038,6 @@ def test_pipeline_outputs_equal_with_reference_kernels(tiny_pipeline_data, tmp_p
     monkeypatch.setattr(dense_mod, "_scatter_pooled", reference_scatter_pooled)
     monkeypatch.setattr(dense_mod, "_adam_update", reference_adam_update)
     run_pipeline(cfg, tiny_pipeline_data, workdir=ref)
-    assert_same_run_files(new, ref)
-
-
-def test_pipeline_outputs_equal_on_one_lane(tiny_pipeline_data, tmp_path, monkeypatch, cpus):
-    # blocks of 8 queries, so that every search of the tiny run has several
-    # blocks to deal out; one lane runs them in order on the calling thread
-    monkeypatch.setattr(dense_mod, "DENSE_BLOCK", 8)
-    cfg = tiny_pipeline_cfg()
-    lanes, one = tmp_path / "lanes", tmp_path / "one_lane"
-    cpus(max(2, dense_mod._cpu_count()))
-    run_pipeline(cfg, tiny_pipeline_data, workdir=lanes)
-    assert dense_mod._pool is not None
-    cpus(1)
-    run_pipeline(cfg, tiny_pipeline_data, workdir=one)
-    assert_same_run_files(lanes, one)
-
-
-def assert_same_run_files(new, ref):
-    """The two run directories hold the same files: equal arrays, reports
-    equal apart from their wall-clock time, and every other file byte-equal."""
     files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
     assert sorted(p.relative_to(new) for p in new.rglob("*") if p.is_file()) == files
     assert any(rel.suffix == ".npz" for rel in files)

@@ -725,6 +725,21 @@ def test_pipeline_resume_rejects_other_inputs(data, tmp_path):
     ):
         with pytest.raises(DataFormatError, match=f"data key '{key}' is not the file the run started from"):
             run_pipeline(cfg, data, workdir=tmp_path, resume=True, inputs=changed)
+    # a recorded run cannot be resumed unchecked
+    with pytest.raises(DataFormatError, match="manifest records input digests, but no inputs were given"):
+        run_pipeline(cfg, data, workdir=tmp_path, resume=True)
+
+
+def test_pipeline_resume_rejects_a_manifest_without_inputs(data, tmp_path):
+    # a run directory written before the manifest recorded its inputs
+    cfg = small_cfg(iterations=1)
+    full = run_pipeline(cfg, data, workdir=tmp_path)
+    assert "inputs" not in json.loads((tmp_path / "manifest.json").read_text())
+    inputs = {"passages": {"sha256": "p" * 64, "bytes": 8}}
+    with pytest.raises(DataFormatError, match=r"manifest records no input digests \(written before they were recorded\)"):
+        run_pipeline(cfg, data, workdir=tmp_path, resume=True, inputs=inputs)
+    # nothing to check on either side: the run resumes as before
+    assert comparable(run_pipeline(cfg, data, workdir=tmp_path, resume=True)) == comparable(full)
 
 
 def test_pipeline_plateau_stop(data, tmp_path):

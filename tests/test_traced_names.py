@@ -13,23 +13,20 @@ never imported as package modules, so these checks write nothing under
 import importlib
 import inspect
 import sys
-import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from lexmine.corpus import (
     Corpus, Judgment, JudgmentSet, Passage, Query, QuerySet, save_passages, save_qrels, save_queries, synth_benchmark,
     tokenize,
 )
-import lexmine.dense as dense_mod
 from lexmine.dense import (
-    DENSE_BLOCK, _mean_pool, _token_rows, build_dense_index, init_params, load_checkpoint, save_checkpoint,
-    train_step, vocab_from_corpus,
+    _mean_pool, _token_rows, build_dense_index, init_params, load_checkpoint, save_checkpoint, train_step,
+    vocab_from_corpus,
 )
 from lexmine.pipeline import PipelineConfig, pipeline_data_from_benchmark
 
@@ -65,9 +62,8 @@ def test_counted_arguments_keep_their_positions():
 
 
 @contextmanager
-def _installed_tracer(names: list | None = None):
-    """A tracer installed on every lexmine namespace, which is restored after;
-    ``names``, when given, is the list its spans' names are appended to."""
+def _installed_tracer():
+    """A tracer installed on every lexmine namespace, which is restored after."""
     import lexmine.cli  # noqa: F401  (the tracer wraps its namespace too)
 
     tracing = _exec("tracing.py")
@@ -75,8 +71,6 @@ def _installed_tracer(names: list | None = None):
     saved = [dict(vars(m)) for m in modules]
     try:
         tracer = tracing["Tracer"]()
-        if names is not None:
-            tracer.names = names
         assert tracer.install() > 0
         yield tracer
     finally:
@@ -108,51 +102,6 @@ def test_tracer_sees_every_dense_search():
     )
     # warm-up and two iterations evaluate; both iterations mine; iteration 2 filters each target language
     assert parents == {"pipeline.run_iteration": 2, "querygen.filter": 1, "pipeline.dense_run": 3}
-
-
-class _NamesWithThreads(list):
-    """A span-name list that also records the thread that opened each span."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.threads: list[int] = []
-
-    def append(self, name) -> None:
-        self.threads.append(threading.get_ident())
-        super().append(name)
-
-
-@pytest.mark.parametrize("lanes", [1, 2, 3])
-def test_no_traced_function_runs_on_a_search_lane(lanes, monkeypatch):
-    # The tracer keeps one span stack for the process: a traced call from a
-    # lane's thread would take whatever span the main thread has open as its
-    # parent, and no error would show it.
-    lane_threads = set()
-    block_top_k = dense_mod._block_top_k
-
-    def on_lane(*args, **kwargs):
-        lane_threads.add(threading.get_ident())
-        return block_top_k(*args, **kwargs)
-
-    monkeypatch.setattr(dense_mod, "_block_top_k", on_lane)
-    monkeypatch.setattr(dense_mod, "_cpu_count", lambda: lanes)
-    monkeypatch.setattr(dense_mod, "_pool", None)
-    corpus = Corpus([Passage(id=f"p{i}", text=f"t{i % 7} t{i % 5}") for i in range(50)])
-    token_lists = [[f"t{i % 7}", f"t{i % 3}"] for i in range(4 * DENSE_BLOCK + 1)]
-    names = _NamesWithThreads()
-    try:
-        with _installed_tracer(names):
-            # looked up on the module, whose names the tracer has wrapped
-            index = dense_mod.build_dense_index(init_params(vocab_from_corpus(corpus), dim=4, seed=1), corpus)
-            ranked = dense_mod.search_dense(index, token_lists, 5)
-    finally:
-        if dense_mod._pool is not None:
-            dense_mod._pool.shutdown()
-    assert len(ranked) == len(token_lists)
-    assert "dense.search" in names
-    assert set(names.threads) == {threading.get_ident()}
-    # the five blocks were ranked on the pool's threads, unless there is one lane
-    assert lane_threads and (threading.get_ident() in lane_threads) == (lanes == 1)
 
 
 def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
