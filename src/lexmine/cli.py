@@ -125,28 +125,30 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ValueError(f"{key} must be a boolean, got {value!r}")
 
 
-_PIPELINE_KEYS: dict[str, type] = {
-    "iterations": int,
-    "minibatches_per_iter": int,
-    "batch_size": int,
-    "warmup_epochs": int,
-    "mining_s": int,
-    "mining_l": int,
-    "n_random_negatives": int,
-    "max_hard_negatives": int,
-    "n_generate": int,
-    "embedding_dim": int,
-    "warmup_lr": float,
-    "train_lr": float,
-    "eval_k": int,
-    "mining_mode": str,
-    "negative_mode": str,
-    "plateau_eps": float,
-    "bm25_k1": float,
-    "bm25_b": float,
-    "lowercase": bool,
-    "cjk_char_split": bool,
-    "min_token_len": int,
+# config key -> (its type, the part of PipelineConfig it sets, that part's
+# field); part None is PipelineConfig itself
+_PIPELINE_KEYS: dict[str, tuple[type, str | None, str]] = {
+    "iterations": (int, None, "iterations"),
+    "minibatches_per_iter": (int, None, "minibatches_per_iter"),
+    "batch_size": (int, None, "batch_size"),
+    "warmup_epochs": (int, None, "warmup_epochs"),
+    "mining_s": (int, "mining", "S"),
+    "mining_l": (int, "mining", "L"),
+    "n_random_negatives": (int, "mining", "n_random_negatives"),
+    "max_hard_negatives": (int, "mining", "max_hard_negatives"),
+    "n_generate": (int, None, "n_generate"),
+    "embedding_dim": (int, None, "embedding_dim"),
+    "warmup_lr": (float, None, "warmup_lr"),
+    "train_lr": (float, None, "train_lr"),
+    "eval_k": (int, None, "eval_k"),
+    "mining_mode": (str, None, "mining_mode"),
+    "negative_mode": (str, None, "negative_mode"),
+    "plateau_eps": (float, None, "plateau_eps"),
+    "bm25_k1": (float, "bm25", "k1"),
+    "bm25_b": (float, "bm25", "b"),
+    "lowercase": (bool, "tokenizer", "lowercase"),
+    "cjk_char_split": (bool, "tokenizer", "cjk_char_split"),
+    "min_token_len": (int, "tokenizer", "min_token_len"),
 }
 
 # ints and floats are read as ASCII: int() and float() also take ``3_2`` and non-ASCII digits
@@ -163,38 +165,24 @@ _DATA_KEYS = (
 
 
 def pipeline_config_from_mapping(mapping: dict[str, str], seed: int) -> PipelineConfig:
-    kwargs: dict = {}
-    mining: dict = {}
-    bm25: dict = {}
-    tok: dict = {}
+    parts: dict[str | None, dict] = {None: {}, "mining": {}, "bm25": {}, "tokenizer": {}}
     for key, raw in mapping.items():
         if key in _DATA_KEYS:
             continue
         if key not in _PIPELINE_KEYS:
             raise ConfigError(f"unknown config key {key!r}", key=key)
+        kind, part, name = _PIPELINE_KEYS[key]
         try:
-            value = _PARSERS[_PIPELINE_KEYS[key]](raw, key)
+            parts[part][name] = _PARSERS[kind](raw, key)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}", key=key) from exc
-        if key == "mining_s":
-            mining["S"] = value
-        elif key == "mining_l":
-            mining["L"] = value
-        elif key in ("n_random_negatives", "max_hard_negatives"):
-            mining[key] = value
-        elif key in ("bm25_k1", "bm25_b"):
-            bm25[key.removeprefix("bm25_")] = value
-        elif key in ("lowercase", "cjk_char_split", "min_token_len"):
-            tok[key] = value
-        else:
-            kwargs[key] = value
     try:
         return PipelineConfig(
-            mining=MiningConfig(**mining),
-            bm25=BM25Params(**bm25),
-            tokenizer=TokenizerConfig(**tok),
+            mining=MiningConfig(**parts["mining"]),
+            bm25=BM25Params(**parts["bm25"]),
+            tokenizer=TokenizerConfig(**parts["tokenizer"]),
             seed=seed,
-            **kwargs,
+            **parts[None],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -255,9 +255,10 @@ TOP_K_GROUP = 16  # columns per group of ``_block_top_k``'s first stage
 
 
 def _block_top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``top_k(row, id_rank, k)`` for every row of the (b, n) ``scores``, in
-    one pass: returns the picked flat positions into ``scores``, row after
-    row, each row's in rank order, and how many each row picked.
+    """The ``k`` best entries of every row of the (b, n) ``scores`` by (score
+    desc, ``id_rank`` asc), in one pass: returns the picked flat positions
+    into ``scores``, row after row, each row's in rank order, and how many
+    each row picked.
 
     Each row gets a threshold t at most its k-th best score, and every entry
     at least t survives, so ties at the boundary compete on id. With G =
@@ -268,8 +269,7 @@ def _block_top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.nd
     The survivors are found on the flattened mask (``np.nonzero`` of a 2-D
     mask costs ten times more) and sorted by one lexsort on (row, score desc,
     id rank); extra survivors score below the k-th and are cut. A row with
-    fewer than k survivors (NaN scores, which sort last) sorts all its
-    entries, as ``top_k`` does.
+    fewer than k survivors (NaN scores, which sort last) sorts all its entries.
     """
     b, n = scores.shape
     if k < n:
@@ -420,14 +420,14 @@ class OptimizerState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optimizer(params: EncoderParams, lr: float = 1e-2) -> OptimizerState:
     shape = params.embedding.shape
     return OptimizerState(m=np.zeros(shape), v=np.zeros(shape), lr=lr)
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _adam_update(table: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, opt: OptimizerState) -> None:
@@ -438,7 +438,7 @@ def _adam_update(table: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     ``table -= lr * m_hat / (sqrt(v_hat) + eps)`` with m_hat = m / (1 - beta1^t)
     and v_hat = v / (1 - beta2^t); the reordered products are commutations.
     """
-    m_scale, v_scale = 1.0 - opt.beta1**opt.step, 1.0 - opt.beta2**opt.step
+    m_scale, v_scale = 1.0 - ADAM_BETA1**opt.step, 1.0 - ADAM_BETA2**opt.step
     block = _block_rows(table.shape[1])
     a = np.empty((min(block, len(table)), table.shape[1]))
     b = np.empty_like(a)
@@ -446,16 +446,16 @@ def _adam_update(table: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
         rows = slice(lo, lo + block)
         gb, mb, vb = g[rows], m[rows], v[rows]
         ab, bb = a[: len(gb)], b[: len(gb)]
-        np.multiply(gb, 1.0 - opt.beta1, out=ab)
-        mb *= opt.beta1
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=ab)
+        mb *= ADAM_BETA1
         mb += ab
-        np.multiply(gb, 1.0 - opt.beta2, out=ab)
+        np.multiply(gb, 1.0 - ADAM_BETA2, out=ab)
         ab *= gb
-        vb *= opt.beta2
+        vb *= ADAM_BETA2
         vb += ab
         np.divide(vb, v_scale, out=ab)
         np.sqrt(ab, out=ab)
-        ab += opt.eps
+        ab += ADAM_EPS
         np.divide(mb, m_scale, out=bb)
         bb *= opt.lr
         bb /= ab

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -48,44 +49,51 @@ class MetricsReport:
             raise ValueError("metric values must lie in [0, 1]")
 
 
-def _evaluated_queries(run: RunFile, qrels: JudgmentSet) -> tuple[list[str], list[str], list[str]]:
-    """Queries to score: those with at least one relevant judgment.
-
-    Also reports run queries lacking any qrels entry and judged queries whose
-    judgments are all non-relevant; both are excluded from the mean.
-    """
-    evaluated = [qid for qid in qrels.by_query if qrels.relevant(qid)]
-    no_relevant = [qid for qid in qrels.by_query if not qrels.relevant(qid)]
-    unjudged = [qid for qid in run if qid not in qrels.by_query]
-    return evaluated, unjudged, no_relevant
-
-
-def _finish(
+def _report(
     metric: str,
+    run: RunFile,
+    qrels: JudgmentSet,
     k: int,
-    per_query: dict[str, float],
-    unjudged: list[str],
-    no_relevant: list[str],
     query_langs: dict[str, str] | None,
+    value: Callable[[list[str], frozenset[str]], float],
 ) -> MetricsReport:
-    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-    per_lang: dict[str, float] = {}
-    if query_langs:
-        sums: dict[str, list[float]] = {}
-        for qid, val in per_query.items():
-            lang = query_langs.get(qid)
-            if lang is not None:
-                sums.setdefault(lang, []).append(val)
-        per_lang = {lang: sum(vals) / len(vals) for lang, vals in sorted(sums.items())}
+    """``value(top k passage ids, relevant ids)`` for every query with a
+    relevant judgment, with their mean and, per language of ``query_langs``,
+    their means.
+
+    Judged queries absent from the run rank nothing. Run queries without any
+    judgment and judged queries whose judgments are all non-relevant are
+    excluded from the means and listed in the report diagnostics.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    per_query: dict[str, float] = {}
+    for qid in qrels.by_query:
+        relevant = qrels.relevant(qid)
+        if relevant:
+            per_query[qid] = value([pid for pid, _ in run.get(qid, [])[:k]], relevant)
+    by_lang: dict[str, list[float]] = {}
+    for qid, val in per_query.items():
+        lang = (query_langs or {}).get(qid)
+        if lang is not None:
+            by_lang.setdefault(lang, []).append(val)
     return MetricsReport(
         metric=metric,
         k=k,
         per_query=per_query,
-        mean=mean,
-        per_lang=per_lang,
-        unjudged_in_run=sorted(unjudged),
-        no_relevant=sorted(no_relevant),
+        mean=sum(per_query.values()) / len(per_query) if per_query else 0.0,
+        per_lang={lang: sum(vals) / len(vals) for lang, vals in sorted(by_lang.items())},
+        unjudged_in_run=sorted(qid for qid in run if qid not in qrels.by_query),
+        no_relevant=sorted(qid for qid in qrels.by_query if qid not in per_query),
     )
+
+
+def _reciprocal_rank(top: list[str], relevant: frozenset[str]) -> float:
+    return next((1.0 / rank for rank, pid in enumerate(top, 1) if pid in relevant), 0.0)
+
+
+def _hit(top: list[str], relevant: frozenset[str]) -> float:
+    return 1.0 if relevant.intersection(top) else 0.0
 
 
 def mrr_at_k(
@@ -99,19 +107,7 @@ def mrr_at_k(
     Judged queries absent from the run contribute 0. Run queries without any
     judgment are excluded and listed in the report diagnostics.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    evaluated, unjudged, no_relevant = _evaluated_queries(run, qrels)
-    per_query: dict[str, float] = {}
-    for qid in evaluated:
-        relevant = qrels.relevant(qid)
-        rr = 0.0
-        for rank, (pid, _) in enumerate(run.get(qid, [])[:k], 1):
-            if pid in relevant:
-                rr = 1.0 / rank
-                break
-        per_query[qid] = rr
-    return _finish("mrr", k, per_query, unjudged, no_relevant, query_langs)
+    return _report("mrr", run, qrels, k, query_langs, _reciprocal_rank)
 
 
 def recall_at_k(
@@ -121,14 +117,7 @@ def recall_at_k(
     query_langs: dict[str, str] | None = None,
 ) -> MetricsReport:
     """Fraction of queries with at least one relevant passage in the top k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    evaluated, unjudged, no_relevant = _evaluated_queries(run, qrels)
-    per_query: dict[str, float] = {}
-    for qid in evaluated:
-        retrieved = {pid for pid, _ in run.get(qid, [])[:k]}
-        per_query[qid] = 1.0 if qrels.relevant(qid) & retrieved else 0.0
-    return _finish("recall", k, per_query, unjudged, no_relevant, query_langs)
+    return _report("recall", run, qrels, k, query_langs, _hit)
 
 
 @dataclass(frozen=True)
@@ -174,12 +163,12 @@ def paired_t_test(per_query_a: list[float], per_query_b: list[float]) -> TTestRe
 # ---------------------------------------------------------------------------
 
 
-def save_run(run: RunFile, path: str | Path, tag: str = "lexmine") -> None:
-    """Write `query_id Q0 passage_id rank score tag` lines."""
+def save_run(run: RunFile, path: str | Path) -> None:
+    """Write `query_id Q0 passage_id rank score lexmine` lines."""
     with atomic_write(path) as fh:
         for qid, ranked in run.items():
             for rank, (pid, score) in enumerate(ranked, 1):
-                fh.write(f"{qid} Q0 {pid} {rank} {score:.6f} {tag}\n")
+                fh.write(f"{qid} Q0 {pid} {rank} {score:.6f} lexmine\n")
 
 
 def load_run(path: str | Path) -> RunFile:

@@ -624,8 +624,9 @@ def _write_stage(
     outdir: Path, state: PipelineState, report: IterationReport, artifacts: dict | None = None
 ) -> None:
     """Persist a stage for ``_load_stage``: the warm-up (no ``artifacts``) or an iteration."""
-    # report.json goes last: a directory without it is never loaded
+    # report.json goes first and comes back last: a directory without it is never loaded
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "report.json").unlink(missing_ok=True)
     if artifacts is not None:
         save_samples(artifacts["mined"], outdir / "mined.jsonl")
         save_samples(artifacts["generated"], outdir / "generated.jsonl")
@@ -696,13 +697,14 @@ def run_pipeline(
     The report list starts with the post-warm-up zero-shot evaluation (as
     iteration 0) followed by one report per iteration. With a workdir, a
     manifest binds the config hash and seed, and ``_write_stage`` persists the
-    warm-up under warmup/ and every iteration under iter_N/. ``inputs``, each
-    data key's ``file_digest``, is recorded in the manifest. ``resume=True``
-    fails on a config-hash mismatch, a checkpoint of other tokens than the
-    corpus's, or (DataFormatError) ``inputs`` that are not the manifest's
-    record: the first data key whose digest differs or that one side lacks,
-    a manifest without the record, or a record with no ``inputs`` given to
-    check it. Otherwise it continues from the last directory that
+    warm-up under warmup/ and every iteration under iter_N/. A start without a
+    manifest to resume first removes the report.json of every stage directory
+    already there. ``inputs``, each data key's ``file_digest``, is recorded in
+    the manifest. ``resume=True`` fails on a config-hash mismatch, a
+    checkpoint of other tokens than the corpus's, or (DataFormatError)
+    ``inputs`` that are not the manifest's record: the first data key whose
+    digest differs or that one side lacks, a manifest without the record, or
+    a record with no ``inputs`` given to check it. Otherwise it continues from the last directory that
     ``_load_stage`` loads in the unbroken run warmup/, iter_1/, ...
     Without ``inputs`` on either side nothing binds the run to its data.
     """
@@ -747,6 +749,9 @@ def run_pipeline(
                     manifest_path,
                 )
         else:
+            # a fresh start trusts no stage an earlier run left here
+            for stale in [*out.glob("warmup/report.json"), *out.glob("iter_*/report.json")]:
+                stale.unlink()
             write_manifest(manifest_path, "pipeline", asdict(cfg), cfg.seed, inputs)
 
     sparse_index = build_index(data.corpus, cfg.tokenizer, cfg.bm25)

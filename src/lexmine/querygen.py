@@ -18,7 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
+from .corpus import (
+    Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, _ascii_int, atomic_write,
+)
 from .dense import DenseIndex, TrainingSample, search_dense
 from .mining import MiningConfig, sample_random_negatives
 from .sparse import InvertedIndex, RankedList, impact_scores, search_sparse
@@ -47,9 +49,6 @@ class GeneratorModel:
     term_salience: dict[tuple[str, str], float] = field(default_factory=dict)
     query_len_dist: dict[int, float] = field(default_factory=dict)
     version: int = 0
-
-    def salience(self, lang: str, token: str) -> float:
-        return self.term_salience.get((lang, token), UNSEEN_SALIENCE)
 
 
 @dataclass(frozen=True)
@@ -223,25 +222,40 @@ def save_generator(model: GeneratorModel, path: str | Path) -> None:
         fh.write(json.dumps(payload, ensure_ascii=False))
 
 
+def _number(value: object, name: str) -> float:
+    """A JSON int or float, which a bool is not, as a float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_generator(path: str | Path) -> GeneratorModel:
     """Read a trained ``save_generator`` file; anything else raises
     ``DataFormatError`` naming ``path``.
 
-    A trained generator has version >= 1, finite, non-negative probabilities
+    Every field has the JSON type ``save_generator`` writes: int format and
+    version, ASCII-digit length keys, numbers (not bools) for probabilities
+    and weights, and strings for each salience entry's lang and token. A
+    trained generator has version >= 1, finite, non-negative probabilities
     and weights, and a query-length distribution with positive mass over
     lengths >= 1, so ``generate_query`` can sample from it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("format") != 1:
+        if type(payload.get("format")) is not int or payload["format"] != 1:
             raise ValueError(f"unsupported generator format {payload.get('format')!r}")
+        if type(payload["version"]) is not int:
+            raise ValueError(f"version must be an int, got {payload['version']!r}")
+        entries = payload["term_salience"]
+        if not all(type(e["lang"]) is str and type(e["token"]) is str for e in entries):
+            raise ValueError("each salience entry's lang and token must be strings")
         model = GeneratorModel(
-            term_salience={
-                (e["lang"], e["token"]): float(e["weight"]) for e in payload["term_salience"]
+            term_salience={(e["lang"], e["token"]): _number(e["weight"], "weight") for e in entries},
+            query_len_dist={
+                _ascii_int(k, "query length"): _number(v, "probability") for k, v in payload["query_len_dist"].items()
             },
-            query_len_dist={int(k): float(v) for k, v in payload["query_len_dist"].items()},
-            version=int(payload["version"]),
+            version=payload["version"],
         )
         lengths = model.query_len_dist
         if model.version < 1:

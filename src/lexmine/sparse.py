@@ -11,7 +11,8 @@ form of BM25), so a query sums its terms' impact rows.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,24 +49,23 @@ class BM25Params:
             raise ValueError("b must be in [0, 1]")
 
 
-class Postings(Mapping[str, list[tuple[str, int]]]):
+class Postings:
     """Term -> [(passage id, tf), ...] in ascending id order, stored once as
     term-major CSR arrays.
 
-    The postings of ``terms[i]`` are ``indptr[i]:indptr[i + 1]`` of ``rank``
-    (the passage's position in ascending id order, int32) and ``tf`` (int32).
-    Lists are built on access; nothing holds them.
+    ``row`` maps each term to its row: the postings of row i are
+    ``indptr[i]:indptr[i + 1]`` of ``rank`` (the passage's position in
+    ascending id order, int32) and ``tf`` (int32).
     """
 
     def __init__(
-        self, terms: Sequence[str], indptr: np.ndarray, rank: np.ndarray, tf: np.ndarray, ids: Sequence[str]
+        self, row: Mapping[str, int], indptr: np.ndarray, rank: np.ndarray, tf: np.ndarray, ids: Sequence[str]
     ):
-        self._row = {t: i for i, t in enumerate(terms)}
+        self.row = row
         self.indptr = indptr
         self.rank = rank
         self.tf = tf
         self.ids = ids  # passage ids in ascending order; rank r is ids[r]
-        self._rank_of = {pid: r for r, pid in enumerate(ids)}
 
     @classmethod
     def from_lists(cls, lists: Mapping[str, Sequence[tuple[str, int]]], ids: Sequence[str]) -> Postings:
@@ -75,33 +75,25 @@ class Postings(Mapping[str, list[tuple[str, int]]]):
         # filled straight from the lists, with no Python object per posting
         rank = np.fromiter((rank_of[pid] for plist in lists.values() for pid, _ in plist), np.int32, sum(sizes))
         tf = np.fromiter((tf for plist in lists.values() for _, tf in plist), np.int32, sum(sizes))
-        return cls(list(lists), np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), rank, tf, ids)
+        row = {t: i for i, t in enumerate(lists)}
+        return cls(row, np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), rank, tf, ids)
 
     def span(self, term: str) -> tuple[int, int]:
         """Bounds of the term's postings; (0, 0) for an unknown term."""
-        i = self._row.get(term)
+        i = self.row.get(term)
         if i is None:
             return 0, 0
         return int(self.indptr[i]), int(self.indptr[i + 1])
 
     def tf_of(self, term: str, passage_id: str) -> int:
-        """The term's frequency in the passage, by binary search of its postings."""
+        """The term's frequency in the passage, by binary search of ``ids`` and
+        then of the term's postings; KeyError for a passage it does not hold."""
+        r = bisect_left(self.ids, passage_id)
+        if r == len(self.ids) or self.ids[r] != passage_id:
+            raise KeyError(passage_id)
         lo, hi = self.span(term)
-        r = self._rank_of[passage_id]
         j = lo + int(np.searchsorted(self.rank[lo:hi], r))
         return int(self.tf[j]) if j < hi and self.rank[j] == r else 0
-
-    def __getitem__(self, term: str) -> list[tuple[str, int]]:
-        if term not in self._row:
-            raise KeyError(term)
-        lo, hi = self.span(term)
-        return [(self.ids[r], tf) for r, tf in zip(self.rank[lo:hi].tolist(), self.tf[lo:hi].tolist())]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._row)
-
-    def __len__(self) -> int:
-        return len(self._row)
 
 
 def _idf(n: int, df: int) -> float:
@@ -112,14 +104,14 @@ def _idf(n: int, df: int) -> float:
 class InvertedIndex:
     """BM25 statistics plus every posting's precomputed BM25 impact.
 
-    ``postings`` may be any mapping of term -> [(passage id, tf), ...] in
-    ascending id order; it is stored as a ``Postings`` view. ``impact`` holds,
-    per posting, the term's BM25 weight in that passage, so a query scores by
-    summing its terms' rows. It is computed on first access (the first
-    search), so an index only ever scored with ``bm25_score`` never holds it.
+    ``postings`` is a ``Postings`` or plain posting lists (term -> [(passage
+    id, tf), ...] in ascending id order), which are stored as one. ``impact``
+    holds, per posting, the term's BM25 weight in that passage, so a query
+    scores by summing its terms' rows. It is computed on first access (the
+    first search), so an index only ever scored with ``bm25_score`` never holds it.
     """
 
-    postings: Mapping[str, Sequence[tuple[str, int]]]
+    postings: Postings | Mapping[str, Sequence[tuple[str, int]]]
     doc_len: dict[str, int]
     N: int
     avgdl: float
@@ -177,7 +169,7 @@ def build_index(
     keys, tfs = np.unique(tc.ids.astype(np.int64) * n + np.repeat(rank_ids(ids), lens), return_counts=True)
     terms, ranks = np.divmod(keys, n)
     postings = Postings(
-        tc.vocab,
+        tc.index,
         np.searchsorted(terms, np.arange(len(tc.vocab) + 1)),
         ranks.astype(np.int32),
         tfs.astype(np.int32),
@@ -214,23 +206,20 @@ def bm25_score(index: InvertedIndex, query_tokens: list[str], passage_id: str) -
 
 
 def rank_ids(ids: Sequence[str]) -> np.ndarray:
-    """Each id's position in ascending id order (int64): the ``id_rank`` that
-    ``top_k`` breaks ties by."""
+    """Each id's position in ascending id order (int64)."""
     rank = np.empty(len(ids), dtype=np.int64)
     rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return rank
 
 
-def top_k(
-    scores: np.ndarray, id_rank: np.ndarray | None, k: int, candidates: np.ndarray | None = None
-) -> np.ndarray:
+def top_k(scores: np.ndarray, k: int, candidates: np.ndarray | None = None) -> np.ndarray:
     """Indices of the ``k`` best ``candidates`` (all entries when None) by
-    (score desc, id rank asc); ``id_rank=None`` means index order is id order.
+    (score desc, index asc).
 
     Exact: a partition finds the k-th best score, every candidate scoring at
-    least that much survives (so ties at the boundary compete on id), and only
-    the survivors are sorted. When fewer than k survive (NaN scores, which sort
-    last), all candidates are sorted.
+    least that much survives (so ties at the boundary compete on index), and
+    only the survivors are sorted. When fewer than k survive (NaN scores, which
+    sort last), all candidates are sorted.
     """
     pool = scores if candidates is None else scores[candidates]
     n = len(pool)
@@ -241,8 +230,7 @@ def top_k(
         if len(survivors) >= k:
             keep = survivors
     idx = keep if candidates is None else candidates[keep]
-    tie = idx if id_rank is None else id_rank[idx]
-    return idx[np.lexsort((tie, -scores[idx]))[:k]]
+    return idx[np.lexsort((idx, -scores[idx]))[:k]]
 
 
 def impact_scores(index: InvertedIndex, tokens: Sequence[str]) -> np.ndarray:
@@ -268,6 +256,6 @@ def search_sparse(index: InvertedIndex, tokens: Sequence[str], k: int) -> Ranked
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = impact_scores(index, tokens)
-    best = top_k(scores, None, k, np.flatnonzero(scores > 0.0))
+    best = top_k(scores, k, np.flatnonzero(scores > 0.0))
     ids = index.postings.ids
     return [(ids[r], float(scores[r])) for r in best.tolist()]

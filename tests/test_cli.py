@@ -497,13 +497,13 @@ def test_every_config_field_is_set_by_exactly_one_key():
     values = {int: ("3", "4"), float: ("0.25", "0.5"), bool: ("true", "false")}
     choices = {"mining_mode": MINING_MODES[:2], "negative_mode": NEGATIVE_MODES[:2]}
     set_by: dict[str, list[str]] = {}
-    for key, typ in _PIPELINE_KEYS.items():
+    for key, (typ, part, field) in _PIPELINE_KEYS.items():
         a, b = (
             _flat_fields(pipeline_config_from_mapping({key: v}, seed=0))
             for v in choices.get(key) or values[typ]
         )
         changed = [name for name in a if a[name] != b[name]]
-        assert len(changed) == 1, (key, changed)
+        assert changed == [f"{part}.{field}" if part else field], key
         set_by.setdefault(changed[0], []).append(key)
     assert set(set_by) == set(_flat_fields(PipelineConfig())) - {"seed"}
     assert all(len(keys) == 1 for keys in set_by.values()), set_by
@@ -1123,6 +1123,19 @@ def _generator_payload(**changes):
         pytest.param(
             _generator_payload(term_salience=[{"lang": "en", "token": "a", "weight": -1.0}]), id="weight-negative"
         ),
+        # fields of a JSON type save_generator never writes
+        pytest.param(_generator_payload(format=True), id="format-bool"),
+        pytest.param(_generator_payload(version=True), id="version-bool"),
+        pytest.param(_generator_payload(version="2"), id="version-string"),
+        pytest.param(_generator_payload(version=2.7), id="version-float"),
+        pytest.param(_generator_payload(query_len_dist={"1_0": 1.0}), id="length-underscore"),
+        pytest.param(_generator_payload(query_len_dist={"\u0663": 1.0}), id="length-arabic-indic-digit"),
+        pytest.param(_generator_payload(query_len_dist={"1": True}), id="probability-bool"),
+        pytest.param(
+            _generator_payload(term_salience=[{"lang": "en", "token": "a", "weight": "0.5"}]), id="weight-string"
+        ),
+        pytest.param(_generator_payload(term_salience=[{"lang": 5, "token": "a", "weight": 0.5}]), id="lang-int"),
+        pytest.param(_generator_payload(term_salience=[{"lang": "en", "token": 5, "weight": 0.5}]), id="token-int"),
     ],
 )
 def test_generate_rejects_untrained_or_invalid_generator(tmp_path, capsys, contents):

@@ -29,6 +29,7 @@ from lexmine.corpus import (
 from lexmine.corpus import _CHAR_SPLIT_RANGES
 from lexmine.dense import bind_encoder, corpus_token_rows, init_params, vocab_from_corpus
 from lexmine.sparse import build_index
+from test_sparse import posting_lists
 
 # ---------------------------------------------------------------------------
 # tokenize
@@ -209,7 +210,7 @@ def test_tokenized_corpus_derivations_match_per_passage_construction(which, cfg)
     }[which]
     postings, doc_len = _reference_postings(corpus, cfg)
     index = build_index(corpus, cfg)
-    assert list(index.postings.items()) == list(postings.items())
+    assert list(posting_lists(index).items()) == list(postings.items())
     assert list(index.doc_len.items()) == list(doc_len.items())
     vocab = sorted({t for p in corpus for t in _reference_tokenize(p.text, cfg)})
     assert vocab_from_corpus(corpus, cfg) == tuple(vocab)

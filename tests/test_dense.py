@@ -22,6 +22,9 @@ from lexmine.corpus import (
     tokenize,
 )
 from lexmine.dense import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     DENSE_BLOCK,
     TOP_K_GROUP,
     EncoderParams,
@@ -737,13 +740,13 @@ def reference_scatter_pooled(rows, sizes, g_pooled, n_rows):
 
 
 def reference_adam_update(table, g, m, v, opt):
-    m *= opt.beta1
-    m += (1.0 - opt.beta1) * g
-    v *= opt.beta2
-    v += (1.0 - opt.beta2) * g * g
-    m_hat = m / (1.0 - opt.beta1**opt.step)
-    v_hat = v / (1.0 - opt.beta2**opt.step)
-    table -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**opt.step)
+    v_hat = v / (1.0 - ADAM_BETA2**opt.step)
+    table -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 ORACLE_VOCAB = [f"t{i}" for i in range(5)]
@@ -1135,9 +1138,9 @@ def test_train_step_is_adam_on_infonce_batch(tiny_corpus):
     want_loss, g_emb = infonce_batch(params, batch, tiny_corpus)
 
     def first_adam_step(table, g, opt):
-        m_hat = (1 - opt.beta1) * g / (1 - opt.beta1)
-        v_hat = (1 - opt.beta2) * g * g / (1 - opt.beta2)
-        return table - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        m_hat = (1 - ADAM_BETA1) * g / (1 - ADAM_BETA1)
+        v_hat = (1 - ADAM_BETA2) * g * g / (1 - ADAM_BETA2)
+        return table - opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     opt = init_optimizer(params, lr=0.01)
     want_emb = first_adam_step(params.embedding, g_emb, opt)

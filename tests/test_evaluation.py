@@ -255,9 +255,9 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_run_file_round_trip(tmp_path):
     run = run_of({"q1": [("p1", 2.5), ("p2", 1.0)], "q2": [("p3", 0.125)]})
     path = tmp_path / "run.trec"
-    save_run(run, path, tag="test")
+    save_run(run, path)
     line = path.read_text().splitlines()[0].split()
-    assert line == ["q1", "Q0", "p1", "1", "2.500000", "test"]
+    assert line == ["q1", "Q0", "p1", "1", "2.500000", "lexmine"]
     loaded = load_run(path)
     assert set(loaded) == {"q1", "q2"}
     assert [pid for pid, _ in loaded["q1"]] == ["p1", "p2"]

@@ -565,6 +565,20 @@ def _untrained_version(path):
     path.write_text(json.dumps({**json.loads(path.read_text()), "version": 0}))
 
 
+def _bool_version(path):
+    path.write_text(json.dumps({**json.loads(path.read_text()), "version": True}))
+
+
+def _int_langs_and_no_next_iteration(path):
+    """The generator's languages as ints, and the next iteration gone, so a resumed run would build on it."""
+    import shutil
+
+    payload = json.loads(path.read_text())
+    payload["term_salience"] = [{**e, "lang": 5} for e in payload["term_salience"]]
+    path.write_text(json.dumps(payload))
+    shutil.rmtree(path.parent.with_name("iter_2"))
+
+
 def _rewrite_checkpoint(path, meta_changes=None, embedding=None):
     with np.load(path) as f:
         arrays = dict(f)
@@ -606,6 +620,10 @@ def _one_token_renamed(path):
             "iter_1/checkpoint.npz", _int_tokens_and_no_next_iteration, "sparse_dense", id="iter_1/checkpoint.npz-int-tokens"
         ),
         pytest.param("iter_2/generator.json", _untrained_version, "sparse_dense", id="iter_2/generator.json-version-0"),
+        pytest.param("iter_2/generator.json", _bool_version, "sparse_dense", id="iter_2/generator.json-version-bool"),
+        pytest.param(
+            "iter_1/generator.json", _int_langs_and_no_next_iteration, "sparse_dense", id="iter_1/generator.json-lang-int"
+        ),
         pytest.param("iter_2/checkpoint.npz", _nan_table, "sparse_dense", id="iter_2/checkpoint.npz-nan-table"),
         pytest.param("iter_2/checkpoint.npz", _dim_one_too_many, "sparse_dense", id="iter_2/checkpoint.npz-dim-one-too-many"),
         pytest.param("warmup/aux_checkpoint.npz", _truncate, "double_dense", id="double_dense-warmup/aux_checkpoint.npz"),
@@ -740,6 +758,43 @@ def test_pipeline_resume_rejects_a_manifest_without_inputs(data, tmp_path):
         run_pipeline(cfg, data, workdir=tmp_path, resume=True, inputs=inputs)
     # nothing to check on either side: the run resumes as before
     assert comparable(run_pipeline(cfg, data, workdir=tmp_path, resume=True)) == comparable(full)
+
+
+class _Killed(BaseException):
+    """A run stopped from outside: nothing in the program catches it."""
+
+
+@pytest.mark.parametrize("kill_at", ["warmup", "iter_1/generator.json"])
+def test_resume_of_a_fresh_run_trusts_no_stage_of_the_run_it_replaced(data, tmp_path, monkeypatch, kill_at):
+    # run B starts over a finished run A (as --overwrite does) and is killed
+    # before it has rewritten every stage; resuming B must not load A's stages
+    import lexmine.pipeline as pipeline_mod
+    from test_cli import _assert_same_run
+
+    cfg = small_cfg(minibatches_per_iter=3)
+    want = run_pipeline(cfg, data, workdir=tmp_path / "fresh")
+    out = tmp_path / "out"
+    run_pipeline(small_cfg(), data, workdir=out)
+
+    def killed(*args, **kwargs):
+        raise _Killed
+
+    real_save = pipeline_mod.save_generator
+
+    def save_generator(model, path):
+        if path == out / kill_at:
+            raise _Killed
+        real_save(model, path)
+
+    with monkeypatch.context() as m:
+        if kill_at == "warmup":
+            m.setattr(pipeline_mod, "warmup", killed)
+        else:
+            m.setattr(pipeline_mod, "save_generator", save_generator)
+        with pytest.raises(_Killed):
+            run_pipeline(cfg, data, workdir=out)
+    assert comparable(run_pipeline(cfg, data, workdir=out, resume=True)) == comparable(want)
+    _assert_same_run(out, tmp_path / "fresh")
 
 
 def test_pipeline_plateau_stop(data, tmp_path):

@@ -33,6 +33,11 @@ def generate(model, passage, rng):
     return generate_query(model, passage, tokenize(passage.text), rng, f"g-{passage.id}")
 
 
+def salience(model, token):
+    """The token's English salience as ``generate_query`` weighs it."""
+    return model.term_salience.get(("en", token), UNSEEN_SALIENCE)
+
+
 def salience_value(ratio):
     f = SALIENCE_PSEUDO_COUNT
     return (1.0 + f * ratio) / (2.0 + f)
@@ -48,10 +53,10 @@ def test_train_single_pair_salience_above_floor():
     model = train(pairs)
     assert model.version == 1
     for tok in ("cat", "sat"):
-        assert model.salience("en", tok) > UNSEEN_SALIENCE
+        assert salience(model, tok) > UNSEEN_SALIENCE
     # tokens only in the passage score below the unseen floor
-    assert model.salience("en", "down") < UNSEEN_SALIENCE
-    assert model.salience("en", "never-seen") == UNSEEN_SALIENCE
+    assert salience(model, "down") < UNSEEN_SALIENCE
+    assert salience(model, "never-seen") == UNSEEN_SALIENCE
 
 
 def test_train_empty_pairs_rejected():
@@ -68,10 +73,10 @@ def test_train_two_pair_ratios_by_hand():
         (Query(id="q2", text="other"), Passage(id="p2", text="shared filler other")),
     ]
     model = train(pairs)
-    assert model.salience("en", "shared") == pytest.approx(salience_value(0.5))
-    assert model.salience("en", "onlyq1") == pytest.approx(salience_value(1.0))
-    assert model.salience("en", "filler") == pytest.approx(salience_value(0.0))
-    assert model.salience("en", "other") == pytest.approx(salience_value(1.0))
+    assert salience(model, "shared") == pytest.approx(salience_value(0.5))
+    assert salience(model, "onlyq1") == pytest.approx(salience_value(1.0))
+    assert salience(model, "filler") == pytest.approx(salience_value(0.0))
+    assert salience(model, "other") == pytest.approx(salience_value(1.0))
 
 
 def test_train_duplicated_pairs_identical_model():

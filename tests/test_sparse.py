@@ -68,9 +68,19 @@ def listed_index(corpus, tok=TokenizerConfig(), params=BM25Params()):
     )
 
 
+def posting_lists(index):
+    """The index's postings as plain lists, term -> [(passage id, tf), ...], in row order."""
+    p = index.postings
+    lists = {}
+    for term in sorted(p.row, key=p.row.__getitem__):
+        lo, hi = p.span(term)
+        lists[term] = [(p.ids[r], tf) for r, tf in zip(p.rank[lo:hi].tolist(), p.tf[lo:hi].tolist())]
+    return lists
+
+
 def impacts_by_term(index):
     out, lo = {}, 0
-    for term, plist in index.postings.items():
+    for term, plist in posting_lists(index).items():
         out[term] = index.impact[lo : lo + len(plist)].tolist()
         lo += len(plist)
     return out
@@ -97,8 +107,7 @@ def random_corpus(rng, n_docs, vocab=40, max_len=12):
 def test_build_single_doc():
     corpus = Corpus([Passage(id="d", text="a b a")])
     index = build_index(corpus)
-    assert index.postings["a"] == [("d", 2)]
-    assert index.postings["b"] == [("d", 1)]
+    assert posting_lists(index) == {"a": [("d", 2)], "b": [("d", 1)]}
     assert index.doc_len == {"d": 3}
     assert index.avgdl == 3.0
     assert index.N == 1
@@ -116,7 +125,7 @@ def test_build_two_docs_stats():
 def test_build_deterministic(tiny_corpus):
     a = build_index(tiny_corpus)
     b = build_index(tiny_corpus)
-    assert a.postings == b.postings
+    assert posting_lists(a) == posting_lists(b)
     assert a.doc_len == b.doc_len
     assert a.avgdl == b.avgdl
 
@@ -129,7 +138,7 @@ def test_build_empty_corpus_rejected():
 def test_index_invariants(tiny_corpus):
     index = build_index(tiny_corpus)
     assert math.isclose(sum(index.doc_len.values()) / index.N, index.avgdl)
-    for term, plist in index.postings.items():
+    for term, plist in posting_lists(index).items():
         pids = [pid for pid, _ in plist]
         assert pids == sorted(pids)
         assert all(pid in index.doc_len for pid in pids)
@@ -261,7 +270,7 @@ def test_impacts_equal_reference_weight_exactly(which, params):
     corpus = SYNTH_CORPUS if which == "synthetic" else golden_corpus()
     index = build_index(corpus, params=params)
     lo = 0
-    for term, plist in index.postings.items():
+    for term, plist in posting_lists(index).items():
         for j, (pid, tf) in enumerate(plist, lo):
             assert index.impact[j] == reference_weight(index, term, tf, index.doc_len[pid])
         lo += len(plist)
@@ -279,7 +288,7 @@ def test_impacts_equal_per_term_idf_construction(which):
     norm += 1.0 - b
     norm *= k1
     norm += p.tf
-    want = np.repeat([index.idf(t) for t in p], np.diff(p.indptr))
+    want = np.repeat([index.idf(t) for t in posting_lists(index)], np.diff(p.indptr))
     want *= p.tf
     want *= k1 + 1.0
     want /= norm
@@ -302,10 +311,10 @@ def test_listed_index_equals_build_index(which):
     tok = TokenizerConfig(min_token_len=2) if which == "synthetic" else TokenizerConfig()
     params = BM25Params(k1=1.1, b=0.6)
     built, listed = build_index(corpus, tok, params), listed_index(corpus, tok, params)
-    assert sorted(built.postings.items()) == sorted(listed.postings.items())
+    assert sorted(posting_lists(built).items()) == sorted(posting_lists(listed).items())
     assert impacts_by_term(listed) == impacts_by_term(built)
     rng = np.random.default_rng(8)
-    terms = list(built.postings)
+    terms = list(posting_lists(built))
     for _ in range(25):
         text = " ".join(terms[int(i)] for i in rng.integers(len(terms), size=int(rng.integers(1, 5))))
         text += " never-seen-term"
@@ -318,16 +327,22 @@ def test_listed_index_equals_build_index(which):
         assert listed.idf(term) == built.idf(term)
 
 
-def test_postings_view_behaves_as_a_mapping(tiny_corpus):
-    index = build_index(tiny_corpus)
-    assert len(index.postings) == 5
-    assert list(index.postings) == ["apple", "banana", "cherry", "date", "fig"]
-    assert index.postings["apple"] == [("p1", 2), ("p4", 1)]
-    assert index.postings.get("zebra") is None
-    assert "fig" in index.postings and "zebra" not in index.postings
-    with pytest.raises(KeyError):
-        index.postings["zebra"]
-    assert index.df("zebra") == 0
+@pytest.mark.parametrize("built", [True, False])
+def test_postings_read_the_term_rows_and_find_tf_by_id(tiny_corpus, built):
+    index = build_index(tiny_corpus) if built else listed_index(tiny_corpus)
+    if built:
+        # the corpus's own token map, not a copy
+        assert index.postings.row is tiny_corpus.tokenized(index.tokenizer).index
+    assert list(index.postings.row) == ["apple", "banana", "cherry", "date", "fig"]
+    assert posting_lists(index)["apple"] == [("p1", 2), ("p4", 1)]
+    assert index.postings.span("zebra") == (0, 0) and index.df("zebra") == 0
+    tfs = {(t, pid): tf for t, plist in posting_lists(index).items() for pid, tf in plist}
+    for term in ["zebra", *index.postings.row]:
+        for pid in tiny_corpus.ids:
+            assert index.postings.tf_of(term, pid) == tfs.get((term, pid), 0)
+    for pid in ("p0", "p10", "p5", "", "zz"):
+        with pytest.raises(KeyError):
+            index.postings.tf_of("apple", pid)
 
 
 def test_build_index_matches_golden_index():
@@ -335,7 +350,7 @@ def test_build_index_matches_golden_index():
     golden = json.loads(GOLDEN_INDEX.read_text(encoding="utf-8"))
     index = build_index(golden_corpus(), TokenizerConfig(min_token_len=1), BM25Params(k1=1.2, b=0.75))
     # terms in sorted order, each with its (passage id, tf) pairs in ascending id order
-    assert [(t, [[pid, tf] for pid, tf in plist]) for t, plist in index.postings.items()] == list(
+    assert [(t, [[pid, tf] for pid, tf in plist]) for t, plist in posting_lists(index).items()] == list(
         golden["postings"].items()
     )
     assert list(index.doc_len.items()) == list(golden["doc_len"].items())
@@ -351,7 +366,8 @@ def test_build_index_matches_golden_index():
 
 
 def reference_top_k(scores, id_rank, k, candidates=None):
-    """Oracle: a full lexsort of the candidates by (score desc, id rank asc)."""
+    """Oracle: a full lexsort of the candidates by (score desc, id rank asc);
+    ``top_k``'s with ``id_rank`` the indices, ``dense._block_top_k``'s per row."""
     idx = np.arange(len(scores)) if candidates is None else np.asarray(candidates)
     order = np.lexsort((id_rank[idx], -scores[idx]))
     return idx[order][:k]
@@ -371,31 +387,24 @@ def test_top_k_equals_full_lexsort(seed, n, k, levels, subset, n_nan):
     # few distinct values force ties at the k-th position; levels=0 makes all scores equal
     scores = np.round(rng.normal(size=n) * levels) if levels else np.full(n, 0.5)
     scores[rng.integers(n, size=min(n_nan, n))] = np.nan
-    id_rank = rng.permutation(n)
     candidates = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)) if subset else None
-    got = top_k(scores, id_rank, k, candidates)
-    assert got.tolist() == reference_top_k(scores, id_rank, k, candidates).tolist()
-    if candidates is not None:
-        assert top_k(scores, None, k, candidates).tolist() == reference_top_k(
-            scores, np.arange(n), k, candidates
-        ).tolist()
+    got = top_k(scores, k, candidates)
+    assert got.tolist() == reference_top_k(scores, np.arange(n), k, candidates).tolist()
 
 
 @pytest.mark.parametrize("k", [1, 3, 4, 5, 100])
-def test_top_k_ties_at_the_boundary_go_to_lower_id_rank(k):
-    scores = np.array([3.0, 1.0, 2.0, 2.0, 2.0])
-    id_rank = np.array([4, 0, 3, 1, 2])
-    want = [0, 3, 4, 2, 1][:k]
-    assert top_k(scores, id_rank, k).tolist() == want
-    assert reference_top_k(scores, id_rank, k).tolist() == want
+def test_top_k_ties_at_the_boundary_go_to_lower_index(k):
+    scores = np.array([3.0, 2.0, 1.0, 2.0, 2.0])
+    want = [0, 1, 3, 4, 2][:k]
+    assert top_k(scores, k).tolist() == want
+    assert reference_top_k(scores, np.arange(5), k).tolist() == want
 
 
 def test_top_k_nan_sorts_last():
     scores = np.array([np.nan, 1.0, np.nan, 2.0, 1.0])
-    id_rank = np.arange(5)
-    assert top_k(scores, id_rank, 2).tolist() == [3, 1]
-    assert top_k(scores, id_rank, 4).tolist() == [3, 1, 4, 0]
-    assert top_k(scores, id_rank, 1, np.array([0, 2])).tolist() == [0]
+    assert top_k(scores, 2).tolist() == [3, 1]
+    assert top_k(scores, 4).tolist() == [3, 1, 4, 0]
+    assert top_k(scores, 1, np.array([0, 2])).tolist() == [0]
 
 
 @pytest.mark.parametrize("ids", [[], ["b"], ["p10", "p1", "p2", "p", "p1a", "東京", "東", "é", "e", "Z", "z", "_"]])

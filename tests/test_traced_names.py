@@ -1,10 +1,11 @@
 """Every function the benchmark's tracer wraps still exists under its name,
-and the benchmark's output oracle encodes as the encoder does.
+and the benchmark's output oracle encodes and ranks BM25 as the program does.
 
 ``perfbench/tracing.py`` looks each traced function up by (module, name) on
 the installed package; a renamed or deleted one would only fail the traced
 benchmark run. ``perfbench/checks.py`` re-derives mining and evaluation from
-checkpoints through ``EncoderParams`` attributes; a changed one would only
+checkpoints through ``EncoderParams`` attributes, and BM25 from its own posting
+lists through ``InvertedIndex`` and ``bm25_score``; a changed one would only
 fail the benchmark's output checks. Both files are read and executed here,
 never imported as package modules, so these checks write nothing under
 ``perfbench/``.
@@ -29,6 +30,7 @@ from lexmine.dense import (
     vocab_from_corpus,
 )
 from lexmine.pipeline import PipelineConfig, pipeline_data_from_benchmark
+from lexmine.sparse import build_index, search_sparse
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -104,8 +106,9 @@ def test_tracer_sees_every_dense_search():
     assert parents == {"pipeline.run_iteration": 2, "querygen.filter": 1, "pipeline.dense_run": 3}
 
 
-def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
-    # passages with repeated, CJK and no tokens; queries with out-of-vocabulary tokens
+def _oracle(tmp_path):
+    """The benchmark's oracle over a small mixed-script corpus: passages with
+    repeated, CJK and no tokens; queries with out-of-vocabulary tokens."""
     corpus = Corpus(
         [
             Passage(id="p1", text="Apple banana apple"),
@@ -127,7 +130,11 @@ def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
     save_queries(queries, data["eval_queries"])
     save_qrels(JudgmentSet([Judgment(query_id="q1", passage_id="p1", grade=1)]), data["eval_qrels"])
     cfg = PipelineConfig()
-    oracle = _exec("checks.py")["Oracle"](data, asdict(cfg))
+    return _exec("checks.py")["Oracle"](data, asdict(cfg)), corpus, queries, cfg
+
+
+def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
+    oracle, corpus, queries, cfg = _oracle(tmp_path)
     # read back as checks.py reads each run's checkpoints
     save_checkpoint(tmp_path / "checkpoint.npz", init_params(vocab_from_corpus(corpus, cfg.tokenizer), dim=4, seed=3))
     params, _ = load_checkpoint(tmp_path / "checkpoint.npz")
@@ -137,3 +144,15 @@ def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
     for q in queries:
         pooled = _mean_pool(params.embedding, *_token_rows(params.vocab, [tokenize(q.text, cfg.tokenizer)]))[0]
         np.testing.assert_allclose(oracle.query_vector(params, q.text), pooled, rtol=0, atol=1e-12)
+
+
+def test_benchmark_oracle_ranks_bm25_as_search_sparse_does(tmp_path):
+    # the oracle scores an index built from its own posting lists with bm25_score
+    oracle, corpus, queries, cfg = _oracle(tmp_path)
+    index = build_index(corpus, cfg.tokenizer, cfg.bm25)
+    texts = [q.text for q in queries] + ["fig", "apple banana fig 日本語", "date 日 zzz"]
+    for text in texts:
+        for k in (1, 2, cfg.mining.L):
+            want = [pid for pid, _ in search_sparse(index, tokenize(text, cfg.tokenizer), k)]
+            assert oracle.sparse_top(text, k) == want, (text, k)
+    assert any(oracle.sparse_top(text, 2) for text in texts)
