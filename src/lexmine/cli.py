@@ -32,6 +32,7 @@ from .corpus import (
     _ascii_float,
     _ascii_int,
     _save_jsonl_records,
+    _text_lines,
     atomic_write,
     load_passages,
     load_qrels,
@@ -89,20 +90,19 @@ def data_path(p: str | Path) -> Path:
 
 
 def parse_kv_config(path: str | Path) -> dict[str, str]:
-    """Flat key=value file; blank lines and '#' comments ignored."""
+    """Flat key=value UTF-8 file; blank lines and '#' comments ignored."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if key in mapping:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}", key=key)
-            mapping[key] = value
+    for lineno, raw in _text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
+        if key in mapping:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}", key=key)
+        mapping[key] = value
     return mapping
 
 
@@ -200,18 +200,23 @@ def _load_judged_qrels(name: str, corpus: Corpus) -> JudgmentSet:
     return qrels
 
 
-def _require_labeled(
-    queries: QuerySet, qrels: JudgmentSet, tok: TokenizerConfig, queries_name: str, qrels_name: str
-) -> None:
-    """The warm-up needs at least one query with a relevant judgment, and the
-    generator it trains needs one of those queries to have a token under ``tok``."""
-    labeled = [q for q in queries if qrels.relevant(q.id)]
+def _load_labeled(
+    passages: str, queries: str, qrels: str, tok: TokenizerConfig
+) -> tuple[Corpus, QuerySet, JudgmentSet]:
+    """The corpus, queries and judged qrels a warm-up trains on: at least one
+    query needs a relevant judgment, and one of those a token under ``tok``
+    for the generator the warm-up trains."""
+    corpus = load_passages(data_path(passages))
+    query_set = load_queries(data_path(queries))
+    judgments = _load_judged_qrels(qrels, corpus)
+    labeled = [q for q in query_set if judgments.relevant(q.id)]
     if not labeled:
-        raise DataFormatError("no labeled queries with relevant judgments", data_path(qrels_name))
+        raise DataFormatError("no labeled queries with relevant judgments", data_path(qrels))
     if not any(q.tokens(tok) for q in labeled):
         raise DataFormatError(
-            f"no labeled query has a token under the config's tokenizer {tok}", data_path(queries_name)
+            f"no labeled query has a token under the config's tokenizer {tok}", data_path(queries)
         )
+    return corpus, query_set, judgments
 
 
 def _guard_overwrite(marker: Path, overwrite: bool, what: str) -> None:
@@ -221,6 +226,10 @@ def _guard_overwrite(marker: Path, overwrite: bool, what: str) -> None:
 
 def _load_config(args: argparse.Namespace) -> dict[str, str]:
     return apply_overrides(parse_kv_config(args.config) if args.config else {}, args.set or [])
+
+
+def _stage_config(args: argparse.Namespace) -> PipelineConfig:
+    return pipeline_config_from_mapping(_load_config(args), seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +246,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "synth output")
     bench = synth_benchmark(spec, seed=args.seed)
-    out.mkdir(parents=True, exist_ok=True)
     save_passages(bench.corpus, out / "passages.jsonl")
     save_queries(bench.queries, out / "queries.jsonl")
     save_qrels(bench.judgments, out / "qrels.tsv")
@@ -265,18 +273,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_warmup(args: argparse.Namespace) -> int:
-    mapping = _load_config(args)
-    cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
-    corpus = load_passages(data_path(args.passages))
-    queries = load_queries(data_path(args.queries))
-    qrels = _load_judged_qrels(args.qrels, corpus)
-    _require_labeled(queries, qrels, cfg.tokenizer, args.queries, args.qrels)
+    cfg = _stage_config(args)
+    corpus, queries, qrels = _load_labeled(args.passages, args.queries, args.qrels, cfg.tokenizer)
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "warmup output")
     sparse_index = build_index(corpus, cfg.tokenizer, cfg.bm25)
     labeled = assemble_warmup_samples(queries, qrels, sparse_index, cfg)
     params, generator = warmup(labeled, corpus, cfg)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params)
     save_generator(generator, out / "generator.json")
     write_manifest(out / "manifest.json", "warmup", asdict(cfg), args.seed)
@@ -299,8 +302,7 @@ def _checkpoint_state(
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    mapping = _load_config(args)
-    cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
+    cfg = _stage_config(args)
     if cfg.mining_mode == "double_dense":
         raise ConfigError(
             "mining_mode 'double_dense' mines against the auxiliary retriever that only "
@@ -314,7 +316,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     _guard_overwrite(out, args.overwrite, "mined dataset")
     # the stage command is the pipeline's first iteration, mining stream included
     samples, _, queries_with = mine(state, queries, cfg, iteration=1)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_samples(samples, out)
     write_manifest(Path(str(out) + ".manifest.json"), "mine", asdict(cfg), args.seed)
     print(f"mined {len(samples)} samples from {len(queries)} queries ({queries_with} with positives)")
@@ -322,23 +323,21 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    mapping = _load_config(args)
-    cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
+    cfg = _stage_config(args)
     corpus = load_passages(data_path(args.passages))
     state = _checkpoint_state(args, corpus, cfg, load_generator(data_path(args.generator)))
     out = Path(args.out)
     _guard_overwrite(out, args.overwrite, "generated dataset")
-    for path in filter(None, (args.out, args.rejected)):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
     # the pipeline's first-iteration generate stage, over every corpus language
     accepted, rejected = generate(state, sorted({p.lang for p in corpus}), cfg, iteration=1)
-    save_samples(accepted, out)
+    # the log first: a --rejected path that cannot be made leaves no samples file
     if args.rejected:
         records = (
             dict(query_id=p.query.id, query_text=p.query.text, passage_id=p.passage_id, reason="top1-mismatch")
             for p in rejected
         )
         _save_jsonl_records(args.rejected, records)
+    save_samples(accepted, out)
     write_manifest(Path(str(out) + ".manifest.json"), "generate", asdict(cfg), args.seed)
     print(
         f"generated {len(accepted) + len(rejected)} candidates, accepted {len(accepted)}, "
@@ -348,8 +347,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    mapping = _load_config(args)
-    cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
+    cfg = _stage_config(args)
     corpus = load_passages(data_path(args.passages))
     params = _load_encoder(args, corpus, cfg)
     dataset = []
@@ -361,7 +359,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _guard_overwrite(out / "manifest.json", args.overwrite, "train output")
     # the pipeline's first-iteration train stage, training stream included
     losses = train(params, dataset, corpus, cfg, iteration=1)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params)
     write_manifest(out / "manifest.json", "train", asdict(cfg), args.seed)
     print(
@@ -390,7 +387,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "no_relevant": mrr.no_relevant,
     }
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(args.out) as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -409,10 +405,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     for given, absent in (("eval_queries", "eval_qrels"), ("eval_qrels", "eval_queries")):
         if given in mapping and absent not in mapping:
             raise ConfigError(f"pipeline config sets {given} without {absent}", key=absent)
-    corpus = load_passages(data_path(mapping["passages"]))
-    train_queries = load_queries(data_path(mapping["train_queries"]))
-    train_qrels = _load_judged_qrels(mapping["train_qrels"], corpus)
-    _require_labeled(train_queries, train_qrels, cfg.tokenizer, mapping["train_queries"], mapping["train_qrels"])
+    corpus, train_queries, train_qrels = _load_labeled(
+        mapping["passages"], mapping["train_queries"], mapping["train_qrels"], cfg.tokenizer
+    )
     eval_qrels = None
     if "eval_qrels" in mapping:
         shared = data_path(mapping["eval_qrels"]) == data_path(mapping["train_qrels"])
@@ -454,13 +449,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, seed_required: bool) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-    if seed_required:
-        p.add_argument("--seed", type=int, required=True, help="rng seed (mandatory)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexmine",
@@ -469,47 +457,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lexmine {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic multilingual benchmark")
-    _add_common(p, seed_required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--overwrite", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--config", help="flat key=value config file")
+    seeded.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
+    seeded.add_argument("--seed", type=int, required=True, help="rng seed (mandatory)")
+    seeded.add_argument("--out", required=True)
+    seeded.add_argument("--overwrite", action="store_true")
+
+    p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic multilingual benchmark")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("warmup", help="train retriever+generator on labeled data")
-    _add_common(p, seed_required=True)
+    p = sub.add_parser("warmup", parents=[seeded], help="train retriever+generator on labeled data")
     p.add_argument("--passages", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_warmup)
 
-    p = sub.add_parser("mine", help="mine training samples from unlabeled queries")
-    _add_common(p, seed_required=True)
+    p = sub.add_parser("mine", parents=[seeded], help="mine training samples from unlabeled queries")
     p.add_argument("--passages", required=True)
     p.add_argument("--queries", required=True, help="unlabeled queries JSONL")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_mine)
 
-    p = sub.add_parser("generate", help="generate, filter, and assemble queries")
-    _add_common(p, seed_required=True)
+    p = sub.add_parser("generate", parents=[seeded], help="generate, filter, and assemble queries")
     p.add_argument("--passages", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--generator", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--rejected", help="optional JSONL log of rejected pairs")
-    p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("train", help="fine-tune a checkpoint on sample files")
-    _add_common(p, seed_required=True)
+    p = sub.add_parser("train", parents=[seeded], help="fine-tune a checkpoint on sample files")
     p.add_argument("--passages", required=True)
     p.add_argument("--samples", required=True, nargs="+")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a TREC run file against qrels")
@@ -520,11 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("pipeline", help="full warm-up + iterative training run")
-    _add_common(p, seed_required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("pipeline", parents=[seeded], help="full warm-up + iterative training run")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -104,6 +104,13 @@ def _ascii_float(field: str, name: str) -> float:
     return float(field)
 
 
+def _check_format(payload: dict, expected: int, what: str) -> None:
+    """Raise ValueError unless a model file's ``payload["format"]`` is the int
+    ``expected``; ``true`` and ``1.0`` equal 1, but no writer writes them."""
+    if type(payload.get("format")) is not int or payload["format"] != expected:
+        raise ValueError(f"unsupported {what} format {payload.get('format')!r}")
+
+
 def _check_grade(grade: int) -> None:
     if grade < 0:
         raise ValueError(f"grade must be >= 0, got {grade}")
@@ -362,8 +369,9 @@ class JudgmentSet:
 def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Write through a temp file next to ``path`` that replaces it on success
     and is removed on error, so ``path`` keeps its old content or gets all of
-    the new."""
+    the new. Missing parent directories of ``path`` are made first."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
@@ -374,6 +382,16 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of the UTF-8 text file at
+    ``path``; bytes that are not UTF-8 raise DataFormatError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text ({exc.reason})", path) from exc
+
+
 def _load_jsonl_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
     """``parse`` applied to the JSON object on each non-blank line of ``path``.
 
@@ -381,19 +399,18 @@ def _load_jsonl_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_
     raises DataFormatError naming the file and line.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("expected a JSON object")
-                records.append(parse(obj))
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"invalid JSON ({exc.msg})", path, lineno) from exc
-            except ValueError as exc:
-                raise DataFormatError(str(exc), path, lineno) from exc
+    for lineno, line in _text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
+            records.append(parse(obj))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"invalid JSON ({exc.msg})", path, lineno) from exc
+        except ValueError as exc:
+            raise DataFormatError(str(exc), path, lineno) from exc
     return records
 
 
@@ -442,28 +459,32 @@ def load_queries(path: str | Path) -> QuerySet:
     return _load_collection(path, Query, QuerySet)
 
 
+def _read_columns(path: str | Path, n: int) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` for each non-blank line of the TREC-style
+    file at ``path``, split on whitespace; a UTF-8 BOM or a line of other than
+    ``n`` fields raises DataFormatError naming the file and line."""
+    for lineno, line in _text_lines(path):
+        if lineno == 1 and line.startswith("\ufeff"):
+            # read as text, the mark would start the first query id
+            raise DataFormatError("unexpected UTF-8 BOM", path, lineno)
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != n:
+            raise DataFormatError(f"expected {n} whitespace-separated fields, got {len(parts)}", path, lineno)
+        yield lineno, parts
+
+
 def load_qrels(path: str | Path) -> JudgmentSet:
     """Parse TREC-style qrels lines: ``query_id 0 passage_id grade``."""
     qrels = JudgmentSet()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if lineno == 1 and line.startswith("\ufeff"):
-                # read as text, the mark would start the first query id
-                raise DataFormatError("unexpected UTF-8 BOM", path, lineno)
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise DataFormatError(
-                    f"expected 4 whitespace-separated fields, got {len(parts)}", path, lineno
-                )
-            qid, _, pid, grade_s = parts
-            try:
-                grade = _ascii_int(grade_s, "grade")
-                _check_grade(grade)
-                qrels._add(qid, pid, grade)
-            except ValueError as exc:
-                raise DataFormatError(str(exc), path, lineno) from exc
+    for lineno, (qid, _, pid, grade_s) in _read_columns(path, 4):
+        try:
+            grade = _ascii_int(grade_s, "grade")
+            _check_grade(grade)
+            qrels._add(qid, pid, grade)
+        except ValueError as exc:
+            raise DataFormatError(str(exc), path, lineno) from exc
     return qrels
 
 

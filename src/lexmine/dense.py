@@ -17,7 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DataFormatError, Query, TokenizedCorpus, TokenizerConfig, DEFAULT_TOKENIZER, atomic_write
+from .corpus import (
+    Corpus, DataFormatError, Query, TokenizedCorpus, TokenizerConfig, DEFAULT_TOKENIZER, _check_format, atomic_write,
+)
 from .sparse import RankedList, rank_ids
 
 __all__ = [
@@ -506,10 +508,9 @@ def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
 
 def _check_meta(meta: dict) -> None:
     """Raise ValueError unless the metadata holds what ``save_checkpoint``
-    writes: a list of string ``tokens``, a non-negative int ``version`` and
-    ``shared`` true."""
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
+    writes: the int format (``_check_format``), a list of string ``tokens``, a
+    non-negative int ``version`` and ``shared`` true."""
+    _check_format(meta, CHECKPOINT_FORMAT, "checkpoint")
     if type(meta["tokens"]) is not list or not all(type(t) is str for t in meta["tokens"]):
         raise ValueError("tokens must be a list of strings")
     if type(meta["version"]) is not int or meta["version"] < 0:
@@ -521,9 +522,9 @@ def _check_meta(meta: dict) -> None:
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, None]:
     """Read a ``save_checkpoint`` file as ``(encoder, None)``, its rows in the
     file's order (``bind_encoder`` puts them in a corpus's). A file that is
-    not one, whose metadata fails ``_check_meta``, whose ``dim`` is not its
-    table's width or whose table holds a non-finite value raises
-    ``DataFormatError`` naming ``path``.
+    not one, whose metadata fails ``_check_meta``, whose table is not of a
+    float dtype or holds a non-finite value, or whose ``dim`` is not its
+    table's width raises ``DataFormatError`` naming ``path``.
 
     Earlier files of the same format also carried Adam moments (``adam_m``,
     ``adam_v`` and an ``opt`` metadata entry); they are ignored, so those
@@ -535,9 +536,13 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, None]:
         with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["meta"]))
             _check_meta(meta)
+            table = data["embedding"]
+            if table.dtype.kind != "f":
+                # astype would read strings, bools and ints, and drop imaginary parts
+                raise ValueError(f"the table's dtype {table.dtype} is not a float type")
             params = EncoderParams(
                 vocab={t: i for i, t in enumerate(meta["tokens"])},
-                embedding=data["embedding"].astype(np.float64),
+                embedding=table.astype(np.float64),
                 version=meta["version"],
             )
             if type(meta["dim"]) is not int or meta["dim"] != params.dim:

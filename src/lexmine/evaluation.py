@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import DataFormatError, JudgmentSet, _ascii_float, _ascii_int, atomic_write
+from .corpus import DataFormatError, JudgmentSet, _ascii_float, _ascii_int, _read_columns, atomic_write
 from .sparse import RankedList
 
 __all__ = [
@@ -175,33 +175,25 @@ def load_run(path: str | Path) -> RunFile:
     """Read `query_id Q0 passage_id rank score tag` lines; each query's results
     come back ordered by the rank column, whatever the line order.
 
-    A passage listed twice for one query, a rank used twice, or a rank or score
-    that is not ASCII (or holds ``_``) is a data error.
+    A UTF-8 BOM or a line of other than six fields (``corpus._read_columns``,
+    which reads qrels too), a passage listed twice for one query, a rank used
+    twice, or a rank or score that is not ASCII (or holds ``_``) is a data error.
     """
     by_query: dict[str, dict[int, tuple[str, float]]] = {}
     pids_of: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise DataFormatError(
-                    f"expected 6 whitespace-separated fields, got {len(parts)}", path, lineno
-                )
-            qid, _, pid, rank_s, score_s, _ = parts
-            try:
-                rank, score = _ascii_int(rank_s, "rank"), _ascii_float(score_s, "score")
-            except ValueError as exc:
-                raise DataFormatError(f"bad rank/score: {exc}", path, lineno) from exc
-            ranked = by_query.setdefault(qid, {})
-            pids = pids_of.setdefault(qid, set())
-            if pid in pids:
-                raise DataFormatError(f"passage {pid!r} listed twice for query {qid!r}", path, lineno)
-            if rank in ranked:
-                raise DataFormatError(f"rank {rank} used twice for query {qid!r}", path, lineno)
-            pids.add(pid)
-            ranked[rank] = (pid, score)
+    for lineno, (qid, _, pid, rank_s, score_s, _) in _read_columns(path, 6):
+        try:
+            rank, score = _ascii_int(rank_s, "rank"), _ascii_float(score_s, "score")
+        except ValueError as exc:
+            raise DataFormatError(f"bad rank/score: {exc}", path, lineno) from exc
+        ranked = by_query.setdefault(qid, {})
+        pids = pids_of.setdefault(qid, set())
+        if pid in pids:
+            raise DataFormatError(f"passage {pid!r} listed twice for query {qid!r}", path, lineno)
+        if rank in ranked:
+            raise DataFormatError(f"rank {rank} used twice for query {qid!r}", path, lineno)
+        pids.add(pid)
+        ranked[rank] = (pid, score)
     return {qid: [ranked[r] for r in sorted(ranked)] for qid, ranked in by_query.items()}
 
 

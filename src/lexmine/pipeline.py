@@ -207,13 +207,6 @@ class IterationReport:
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"metric {name} for {lang} out of [0, 1]: {v}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IterationReport":
-        return cls(**d)
-
 
 @dataclass
 class PipelineState:
@@ -616,7 +609,6 @@ def write_manifest(path: Path, command: str, config: dict, seed: int, inputs: di
     }
     if inputs is not None:
         manifest["inputs"] = inputs
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(path, manifest)
 
 
@@ -625,7 +617,6 @@ def _write_stage(
 ) -> None:
     """Persist a stage for ``_load_stage``: the warm-up (no ``artifacts``) or an iteration."""
     # report.json goes first and comes back last: a directory without it is never loaded
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").unlink(missing_ok=True)
     if artifacts is not None:
         save_samples(artifacts["mined"], outdir / "mined.jsonl")
@@ -636,7 +627,7 @@ def _write_stage(
         save_checkpoint(outdir / "aux_checkpoint.npz", state.aux_index.params)
     if artifacts is not None and artifacts["run"]:
         save_run(artifacts["run"], outdir / "run.trec")
-    _write_json(outdir / "report.json", report.to_dict())
+    _write_json(outdir / "report.json", asdict(report))
 
 
 def _load_stage(
@@ -647,7 +638,7 @@ def _load_stage(
     the encoders are bound to ``corpus`` under ``tok`` (``bind_encoder``)."""
     try:
         with open(outdir / "report.json", encoding="utf-8") as fh:
-            report = IterationReport.from_dict(json.load(fh))
+            report = IterationReport(**json.load(fh))
         params, _ = load_checkpoint(outdir / "checkpoint.npz")
         generator = load_generator(outdir / "generator.json")
         aux_params = load_checkpoint(outdir / "aux_checkpoint.npz")[0] if with_aux else None
@@ -700,11 +691,12 @@ def run_pipeline(
     warm-up under warmup/ and every iteration under iter_N/. A start without a
     manifest to resume first removes the report.json of every stage directory
     already there. ``inputs``, each data key's ``file_digest``, is recorded in
-    the manifest. ``resume=True`` fails on a config-hash mismatch, a
-    checkpoint of other tokens than the corpus's, or (DataFormatError)
-    ``inputs`` that are not the manifest's record: the first data key whose
-    digest differs or that one side lacks, a manifest without the record, or
-    a record with no ``inputs`` given to check it. Otherwise it continues from the last directory that
+    the manifest. ``resume=True`` fails on a manifest that is not a JSON
+    object (DataFormatError), a config-hash mismatch, a checkpoint of other
+    tokens than the corpus's, or (DataFormatError) ``inputs`` that are not the
+    manifest's record: the first data key whose digest differs or that one
+    side lacks, a manifest without the record, or a record with no ``inputs``
+    given to check it. Otherwise it continues from the last directory that
     ``_load_stage`` loads in the unbroken run warmup/, iter_1/, ...
     Without ``inputs`` on either side nothing binds the run to its data.
     """
@@ -713,11 +705,15 @@ def run_pipeline(
     reports: list[IterationReport] = []
     aux_params = None
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         manifest_path = out / "manifest.json"
         if resume and manifest_path.exists():
-            with open(manifest_path, encoding="utf-8") as fh:
-                existing = json.load(fh)
+            try:
+                with open(manifest_path, encoding="utf-8") as fh:
+                    existing = json.load(fh)
+                if not isinstance(existing, dict) or not isinstance(existing.get("inputs", {}), dict):
+                    raise ValueError("expected a JSON object whose inputs are an object")
+            except ValueError as exc:
+                raise DataFormatError(f"not a lexmine manifest: {exc}", manifest_path) from exc
             want = config_hash(asdict(cfg))
             if existing.get("config_hash") != want:
                 raise PipelineError(f"resume config hash mismatch: {existing.get('config_hash')} != {want}")

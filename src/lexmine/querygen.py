@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
-    Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, _ascii_int, atomic_write,
+    Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, _ascii_int, _check_format,
+    atomic_write,
 )
 from .dense import DenseIndex, TrainingSample, search_dense
 from .mining import MiningConfig, sample_random_negatives
@@ -229,22 +230,30 @@ def _number(value: object, name: str) -> float:
     return float(value)
 
 
+def _length_key(key: str) -> int:
+    """A query length written as ``save_generator`` writes it, ``str(n)``; a
+    key such as "01" would name another key's length, and one of them win."""
+    n = _ascii_int(key, "query length")
+    if str(n) != key:
+        raise ValueError(f"query length {key!r} is not written as {str(n)!r}")
+    return n
+
+
 def load_generator(path: str | Path) -> GeneratorModel:
     """Read a trained ``save_generator`` file; anything else raises
     ``DataFormatError`` naming ``path``.
 
     Every field has the JSON type ``save_generator`` writes: int format and
-    version, ASCII-digit length keys, numbers (not bools) for probabilities
-    and weights, and strings for each salience entry's lang and token. A
-    trained generator has version >= 1, finite, non-negative probabilities
-    and weights, and a query-length distribution with positive mass over
-    lengths >= 1, so ``generate_query`` can sample from it.
+    version, length keys as ``str(n)`` (``_length_key``), numbers (not bools)
+    for probabilities and weights, and strings for each salience entry's lang
+    and token. A trained generator has version >= 1, finite, non-negative
+    probabilities and weights, and a query-length distribution with positive
+    mass over lengths >= 1, so ``generate_query`` can sample from it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if type(payload.get("format")) is not int or payload["format"] != 1:
-            raise ValueError(f"unsupported generator format {payload.get('format')!r}")
+        _check_format(payload, 1, "generator")
         if type(payload["version"]) is not int:
             raise ValueError(f"version must be an int, got {payload['version']!r}")
         entries = payload["term_salience"]
@@ -253,7 +262,7 @@ def load_generator(path: str | Path) -> GeneratorModel:
         model = GeneratorModel(
             term_salience={(e["lang"], e["token"]): _number(e["weight"], "weight") for e in entries},
             query_len_dist={
-                _ascii_int(k, "query length"): _number(v, "probability") for k, v in payload["query_len_dist"].items()
+                _length_key(k): _number(v, "probability") for k, v in payload["query_len_dist"].items()
             },
             version=payload["version"],
         )

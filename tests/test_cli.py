@@ -250,6 +250,55 @@ def test_removed_index_command_exit_2(tmp_path, capsys):
     assert not (tmp_path / "idx.json").exists()
 
 
+# what each subcommand accepts: option -> (required, nargs, default)
+_SEEDED_OPTIONS = {
+    "--config": (False, None, None),
+    "--set": (False, None, None),
+    "--seed": (True, None, None),
+    "--out": (True, None, None),
+    "--overwrite": (False, 0, False),
+}
+_REQUIRED = (True, None, None)
+_OPTIONAL = (False, None, None)
+CLI_SURFACE = {
+    "synth": _SEEDED_OPTIONS,
+    "warmup": {**_SEEDED_OPTIONS, "--passages": _REQUIRED, "--queries": _REQUIRED, "--qrels": _REQUIRED},
+    "mine": {**_SEEDED_OPTIONS, "--passages": _REQUIRED, "--queries": _REQUIRED, "--checkpoint": _REQUIRED},
+    "generate": {
+        **_SEEDED_OPTIONS,
+        "--passages": _REQUIRED,
+        "--checkpoint": _REQUIRED,
+        "--generator": _REQUIRED,
+        "--rejected": _OPTIONAL,
+    },
+    "train": {**_SEEDED_OPTIONS, "--passages": _REQUIRED, "--samples": (True, "+", None), "--checkpoint": _REQUIRED},
+    "eval": {
+        "--run": _REQUIRED,
+        "--qrels": _REQUIRED,
+        "--k": (False, None, 10),
+        "--queries": _OPTIONAL,
+        "--out": _OPTIONAL,
+    },
+    "pipeline": {**_SEEDED_OPTIONS, "--resume": (False, 0, False)},
+}
+
+
+def test_command_line_surface():
+    import argparse
+
+    from lexmine.cli import build_parser
+
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(CLI_SURFACE)
+    for name, parser in commands.choices.items():
+        options = {
+            a.option_strings[0]: (a.required, a.nargs, a.default)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert options == CLI_SURFACE[name], name
+
+
 def warmup_cmd(data, out, *extra, seed=3):
     return dispatch(
         [
@@ -360,6 +409,16 @@ def test_eval_non_ascii_or_separated_integer_exit_3(tmp_path, capsys, run_line, 
     assert "data error:" in capsys.readouterr().err
 
 
+def test_eval_run_with_byte_order_mark_exit_3(tmp_path, capsys):
+    # the mark would start the first query id, and that query would rank nothing
+    run = tmp_path / "run.trec"
+    run.write_bytes("\ufeffq1 Q0 p1 1 2.0 t\nq2 Q0 p2 1 1.0 t\n".encode("utf-8"))
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q1 0 p1 1\nq2 0 p2 1\n")
+    assert dispatch(["eval", "--run", str(run), "--qrels", str(qrels)]) == EXIT_DATA
+    assert f"data error: {run}:1: unexpected UTF-8 BOM" in capsys.readouterr().err
+
+
 def test_eval_k_below_one_exit_2(tmp_path, capsys):
     run = tmp_path / "run.trec"
     run.write_text("q1 Q0 p1 1 1.0 t\n")
@@ -367,6 +426,29 @@ def test_eval_k_below_one_exit_2(tmp_path, capsys):
     qrels.write_text("q1 0 p1 1\n")
     assert dispatch(["eval", "--run", str(run), "--qrels", str(qrels), "--k", "0"]) == EXIT_CONFIG
     assert "config error: --k must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["passages.jsonl", "train_queries.jsonl", "qrels.tsv", "pipe.cfg"])
+def test_input_that_is_not_utf8_exit_3(tmp_path, capsys, name):
+    # a UnicodeDecodeError escaped every line reader as a traceback
+    data = tiny_data(tmp_path)
+    cfg = pipeline_cfg_file(tmp_path, data)
+    path = cfg if name == "pipe.cfg" else data / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    out = tmp_path / "warm"
+    assert warmup_cmd(data, out, "--config", str(cfg)) == EXIT_DATA
+    assert f"data error: {path}: not UTF-8 text (invalid start byte)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["run.trec", "qrels.tsv"])
+def test_eval_input_that_is_not_utf8_exit_3(tmp_path, capsys, name):
+    files = {"run.trec": b"q1 Q0 p1 1 2.0 t\n", "qrels.tsv": b"q1 0 p1 1\n"}
+    for file, text in files.items():
+        (tmp_path / file).write_bytes(text + b"q2\xff" + text[2:] if file == name else text)
+    argv = ["eval", "--run", str(tmp_path / "run.trec"), "--qrels", str(tmp_path / "qrels.tsv")]
+    assert dispatch(argv) == EXIT_DATA
+    assert f"data error: {tmp_path / name}: not UTF-8 text (invalid start byte)" in capsys.readouterr().err
 
 
 def test_data_error_exit_3(tmp_path, capsys):
@@ -1004,6 +1086,20 @@ def test_generate_makes_the_rejected_log_directory(tmp_path, synth_dir, warm_ckp
     assert json.loads(Path(str(out) + ".manifest.json").read_text())["command"] == "generate"
 
 
+def test_generate_rejected_log_path_that_cannot_be_made_writes_nothing(tmp_path, synth_dir, warm_ckpt, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    out = tmp_path / "generated.jsonl"
+    generator = warm_ckpt.parent / "generator.json"
+    code = generate_cmd(
+        tmp_path / "c.cfg", synth_dir, warm_ckpt, generator, out, 3, "--rejected", str(blocker / "r.jsonl")
+    )
+    assert code == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
 def _text_file(path):
     path.write_text("not a checkpoint\n")
 
@@ -1130,6 +1226,8 @@ def _generator_payload(**changes):
         pytest.param(_generator_payload(version=2.7), id="version-float"),
         pytest.param(_generator_payload(query_len_dist={"1_0": 1.0}), id="length-underscore"),
         pytest.param(_generator_payload(query_len_dist={"\u0663": 1.0}), id="length-arabic-indic-digit"),
+        pytest.param(_generator_payload(query_len_dist={"1": 0.25, "01": 0.75}), id="length-01-next-to-1"),
+        pytest.param(_generator_payload(format=1.0), id="format-float"),
         pytest.param(_generator_payload(query_len_dist={"1": True}), id="probability-bool"),
         pytest.param(
             _generator_payload(term_salience=[{"lang": "en", "token": "a", "weight": "0.5"}]), id="weight-string"
@@ -1176,6 +1274,9 @@ def _rewrite_meta(path, **fields):
         pytest.param({"shared": 0}, id="shared-int"),
         pytest.param({"shared": False}, id="shared-false-untied"),
         pytest.param({"tokens": [0, 1, 2]}, id="tokens-int"),
+        pytest.param({"format": True}, id="format-bool"),
+        pytest.param({"format": 1.0}, id="format-float"),
+        pytest.param({"format": "1"}, id="format-string"),
     ],
 )
 def test_train_rejects_checkpoint_metadata_of_the_wrong_type(tmp_path, capsys, fields):
@@ -1254,6 +1355,10 @@ def _rewrite_checkpoint(path: Path, meta_changes=None, embedding=None) -> None:
         pytest.param({"dim": 17}, None, id="dim-17-of-16"),
         pytest.param(None, lambda table: np.full_like(table, np.nan), id="all-nan"),
         pytest.param(None, lambda table: np.vstack([table[:3], [[np.inf] * table.shape[1]], table[4:]]), id="inf-row"),
+        # tables save_checkpoint never writes, which astype(float64) would read
+        pytest.param(None, lambda table: table.astype(complex), id="complex"),
+        pytest.param(None, lambda table: table.astype("U3"), id="strings"),
+        pytest.param(None, lambda table: table > 0, id="bool"),
     ],
 )
 def test_mine_rejects_checkpoint_values_that_disagree(tmp_path, synth_dir, warm_ckpt, capsys, meta_changes, embedding):
@@ -1352,6 +1457,22 @@ def test_pipeline_resume_names_a_manifest_without_inputs(tmp_path, synth_dir, ca
     assert dispatch([*argv, "--resume"]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "manifest records no input digests (written before they were recorded); start a new run" in err
+    assert not (run / "iter_2" / "report.json").exists()
+
+
+@pytest.mark.parametrize("contents", [b"{", b"[]", b'{"inputs": []}', b'{"inputs": 5}', b"\xff"])
+def test_pipeline_resume_rejects_a_manifest_that_is_not_one_exit_3(tmp_path, capsys, contents):
+    # each escaped run_pipeline as a traceback: JSONDecodeError, AttributeError,
+    # TypeError and UnicodeDecodeError
+    cfg = pipeline_cfg_file(tmp_path, tiny_data(tmp_path))
+    run = tmp_path / "run"
+    argv = ["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(run)]
+    assert dispatch(argv) == EXIT_OK
+    (run / "manifest.json").write_bytes(contents)
+    (run / "iter_2" / "report.json").unlink()
+    capsys.readouterr()
+    assert dispatch([*argv, "--resume"]) == EXIT_DATA
+    assert f"data error: {run / 'manifest.json'}: not a lexmine manifest" in capsys.readouterr().err
     assert not (run / "iter_2" / "report.json").exists()
 
 

@@ -86,7 +86,7 @@ def comparable(reports):
     """Report dicts without wall-clock timing."""
     out = []
     for r in reports:
-        d = r.to_dict()
+        d = asdict(r)
         d.pop("wall_clock_sec")
         out.append(d)
     return out
@@ -124,7 +124,7 @@ def test_report_validation():
 @pytest.mark.parametrize("metrics", [[], [["overall", {"mrr@10": 0.5}]], {"overall": 0.5}, {"xx": [0.5]}])
 def test_report_from_dict_rejects_malformed_metrics(metrics):
     with pytest.raises(ValueError, match="metrics"):
-        IterationReport.from_dict({"iteration": 1, "metrics": metrics})
+        IterationReport(**{"iteration": 1, "metrics": metrics})
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +600,20 @@ def _dim_one_too_many(path):
     _rewrite_checkpoint(path, {"dim": dim + 1})
 
 
+def _format_true(path):
+    _rewrite_checkpoint(path, {"format": True})
+
+
+def _format_float(path):
+    _rewrite_checkpoint(path, {"format": 1.0})
+
+
+def _padded_length_keys(path):
+    payload = json.loads(path.read_text())
+    payload["query_len_dist"] = {"0" + k: v for k, v in payload["query_len_dist"].items()}
+    path.write_text(json.dumps(payload))
+
+
 def _one_token_renamed(path):
     """The checkpoint with one token no passage holds in place of one the corpus has: it still loads."""
     with np.load(path) as f:
@@ -643,6 +657,26 @@ def test_pipeline_resume_reruns_from_broken_iteration(data, tmp_path, broken, co
     resumed = run_pipeline(cfg, data, workdir=tmp_path, resume=True)
     assert comparable(resumed) == comparable(full)
     assert versions() == want
+
+
+@pytest.mark.parametrize(
+    "broken,corrupt",
+    [
+        ("iter_2/checkpoint.npz", _format_true),
+        ("iter_2/checkpoint.npz", _format_float),
+        ("iter_2/generator.json", _padded_length_keys),
+    ],
+)
+def test_pipeline_resume_reruns_a_stage_whose_model_file_no_writer_writes(data, tmp_path, broken, corrupt):
+    # each file loads as the one it was made from, so only a rewrite shows
+    # that the stage ran again
+    cfg = small_cfg()
+    full = run_pipeline(cfg, data, workdir=tmp_path)
+    corrupt(tmp_path / broken)
+    corrupted = (tmp_path / broken).read_bytes()
+    resumed = run_pipeline(cfg, data, workdir=tmp_path, resume=True)
+    assert comparable(resumed) == comparable(full)
+    assert (tmp_path / broken).read_bytes() != corrupted
 
 
 @pytest.mark.parametrize(
