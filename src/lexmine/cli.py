@@ -70,9 +70,7 @@ EXIT_DATA = 3
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, key: str | None = None):
-        self.key = key
-        super().__init__(message)
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +99,7 @@ def parse_kv_config(path: str | Path) -> dict[str, str]:
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
         if key in mapping:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}", key=key)
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         mapping[key] = value
     return mapping
 
@@ -170,12 +168,12 @@ def pipeline_config_from_mapping(mapping: dict[str, str], seed: int) -> Pipeline
         if key in _DATA_KEYS:
             continue
         if key not in _PIPELINE_KEYS:
-            raise ConfigError(f"unknown config key {key!r}", key=key)
+            raise ConfigError(f"unknown config key {key!r}")
         kind, part, name = _PIPELINE_KEYS[key]
         try:
             parts[part][name] = _PARSERS[kind](raw, key)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}", key=key) from exc
+            raise ConfigError(f"key {key!r}: {exc}") from exc
     try:
         return PipelineConfig(
             mining=MiningConfig(**parts["mining"]),
@@ -306,8 +304,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if cfg.mining_mode == "double_dense":
         raise ConfigError(
             "mining_mode 'double_dense' mines against the auxiliary retriever that only "
-            "`lexmine pipeline` trains",
-            key="mining_mode",
+            "`lexmine pipeline` trains"
         )
     corpus = load_passages(data_path(args.passages))
     queries = load_queries(data_path(args.queries))
@@ -352,7 +349,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     params = _load_encoder(args, corpus, cfg)
     dataset = []
     for path in args.samples:
-        dataset.extend(load_samples(data_path(path), corpus=corpus))
+        dataset.extend(load_samples(data_path(path), corpus))
     if not dataset:
         raise DataFormatError("no training samples", args.samples[0])
     out = Path(args.out)
@@ -401,10 +398,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = pipeline_config_from_mapping(mapping, seed=args.seed)
     missing = [k for k in ("passages", "train_queries", "train_qrels", "unlabeled_queries") if k not in mapping]
     if missing:
-        raise ConfigError(f"pipeline config missing data keys: {', '.join(missing)}", key=missing[0])
+        raise ConfigError(f"pipeline config missing data keys: {', '.join(missing)}")
     for given, absent in (("eval_queries", "eval_qrels"), ("eval_qrels", "eval_queries")):
         if given in mapping and absent not in mapping:
-            raise ConfigError(f"pipeline config sets {given} without {absent}", key=absent)
+            raise ConfigError(f"pipeline config sets {given} without {absent}")
     corpus, train_queries, train_qrels = _load_labeled(
         mapping["passages"], mapping["train_queries"], mapping["train_qrels"], cfg.tokenizer
     )
@@ -413,6 +410,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         shared = data_path(mapping["eval_qrels"]) == data_path(mapping["train_qrels"])
         eval_qrels = train_qrels if shared else _load_judged_qrels(mapping["eval_qrels"], corpus)
     unlabeled = load_queries(data_path(mapping["unlabeled_queries"]))
+    # the corpus's tokens are the encoder's vocabulary: a query with none of them is never mined
+    vocab = corpus.tokenized(cfg.tokenizer).index
+    if not any(t in vocab for q in unlabeled for t in q.tokens(cfg.tokenizer)):
+        raise DataFormatError(
+            f"no unlabeled query has a token of the corpus under the config's tokenizer {cfg.tokenizer}",
+            data_path(mapping["unlabeled_queries"]),
+        )
     eval_queries = load_queries(data_path(mapping["eval_queries"])) if "eval_queries" in mapping else None
     try:
         data = PipelineData(corpus, train_queries, train_qrels, unlabeled, eval_queries, eval_qrels)

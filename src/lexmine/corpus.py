@@ -7,7 +7,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Generic, Iterable, Iterator, TypeVar
@@ -559,26 +559,19 @@ class SynthSpec:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SynthSpec":
-        """Build a spec from flat key=value strings (e.g. a parsed config file)."""
-        kwargs: dict = {}
-        converters = {
-            "languages": lambda v, _: tuple(s.strip() for s in v.split(",") if s.strip()),
-            "topics_per_lang": _ascii_int,
-            "passages_per_topic": _ascii_int,
-            "vocab_size": _ascii_int,
-            "query_len": _ascii_int,
-            "labeled_frac": _ascii_float,
-            "queries_per_lang": _ascii_int,
-            "passage_len": _ascii_int,
-            "terms_per_topic": _ascii_int,
-            "core_terms_per_topic": _ascii_int,
-            "topic_token_frac": _ascii_float,
-            "query_topic_frac": _ascii_float,
+        """Build a spec from flat key=value strings (e.g. a parsed config file),
+        each read as its field's type; ``languages`` is comma-separated."""
+        parsers = {
+            int: _ascii_int,
+            float: _ascii_float,
+            tuple: lambda v, _: tuple(s.strip() for s in v.split(",") if s.strip()),
         }
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        kwargs: dict = {}
         for key, raw in mapping.items():
-            if key not in converters:
+            if key not in kinds:
                 raise ValueError(f"unknown synth spec key {key!r}")
-            kwargs[key] = converters[key](raw, key)
+            kwargs[key] = parsers[kinds[key]](raw, key)
         return cls(**kwargs)
 
 

@@ -3,8 +3,7 @@
 The encoder is one mean-pooled token-embedding table that encodes both queries
 and passages, scored by dot product. Training minimizes InfoNCE over one
 positive and a set of hard/random/in-batch negatives with exact analytic
-gradients and an Adam update. The dense index is exact brute-force
-top-k behind the same contract an approximate backend would implement.
+gradients and an Adam update. The dense index is exact brute-force top-k.
 """
 
 from __future__ import annotations

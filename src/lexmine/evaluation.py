@@ -35,7 +35,6 @@ RunFile = dict[str, RankedList]
 
 @dataclass
 class MetricsReport:
-    metric: str
     k: int
     per_query: dict[str, float]
     mean: float
@@ -50,7 +49,6 @@ class MetricsReport:
 
 
 def _report(
-    metric: str,
     run: RunFile,
     qrels: JudgmentSet,
     k: int,
@@ -78,7 +76,6 @@ def _report(
         if lang is not None:
             by_lang.setdefault(lang, []).append(val)
     return MetricsReport(
-        metric=metric,
         k=k,
         per_query=per_query,
         mean=sum(per_query.values()) / len(per_query) if per_query else 0.0,
@@ -107,7 +104,7 @@ def mrr_at_k(
     Judged queries absent from the run contribute 0. Run queries without any
     judgment are excluded and listed in the report diagnostics.
     """
-    return _report("mrr", run, qrels, k, query_langs, _reciprocal_rank)
+    return _report(run, qrels, k, query_langs, _reciprocal_rank)
 
 
 def recall_at_k(
@@ -117,7 +114,7 @@ def recall_at_k(
     query_langs: dict[str, str] | None = None,
 ) -> MetricsReport:
     """Fraction of queries with at least one relevant passage in the top k."""
-    return _report("recall", run, qrels, k, query_langs, _hit)
+    return _report(run, qrels, k, query_langs, _hit)
 
 
 @dataclass(frozen=True)

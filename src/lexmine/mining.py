@@ -201,8 +201,8 @@ def _id_list(obj: dict, key: str) -> tuple[str, ...]:
     return tuple(val)
 
 
-def load_samples(path: str | Path, corpus: Corpus | None = None) -> list[TrainingSample]:
-    """Read a samples JSONL file; optionally validate passage ids against a corpus."""
+def load_samples(path: str | Path, corpus: Corpus) -> list[TrainingSample]:
+    """Read a samples JSONL file whose every passage id is in ``corpus``."""
 
     def parse(obj: dict) -> TrainingSample:
         sample = TrainingSample(
@@ -216,10 +216,9 @@ def load_samples(path: str | Path, corpus: Corpus | None = None) -> list[Trainin
             random_negatives=_id_list(obj, "random_negatives"),
             source=_require_str(obj, "source", "mined"),
         )
-        if corpus is not None:
-            for pid in (sample.positive, *sample.hard_negatives, *sample.random_negatives):
-                if pid not in corpus:
-                    raise ValueError(f"unknown passage id {pid!r}")
+        for pid in (sample.positive, *sample.hard_negatives, *sample.random_negatives):
+            if pid not in corpus:
+                raise ValueError(f"unknown passage id {pid!r}")
         return sample
 
     return _load_jsonl_records(path, parse)

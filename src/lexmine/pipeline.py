@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -189,16 +189,7 @@ class IterationReport:
     wall_clock_sec: float = 0.0
 
     def __post_init__(self) -> None:
-        counts = (
-            self.mined_samples,
-            self.mined_queries_with_positives,
-            self.generator_training_pairs,
-            self.generated_candidates,
-            self.generated_accepted,
-            self.generated_rejected,
-            self.dataset_size,
-        )
-        if any(c < 0 for c in counts):
+        if any(getattr(self, f.name) < 0 for f in fields(self) if f.type == "int"):  # string annotations
             raise ValueError("report counts must be >= 0")
         if not isinstance(self.metrics, dict) or not all(isinstance(v, dict) for v in self.metrics.values()):
             raise ValueError("report metrics must map each language to a dict of values")
@@ -210,8 +201,8 @@ class IterationReport:
 
 @dataclass
 class PipelineState:
-    """Everything the stages read: the corpus, the encoder and generator, and
-    the indexes built from that corpus.
+    """Everything the stages read: the corpus, the generator, and the indexes
+    built from that corpus; ``dense_index.params`` is the encoder that trains.
 
     ``fixed_rankings`` holds the top-L ranking of each query mined so far by
     the retriever mining compares against, BM25 or under ``double_dense`` the
@@ -219,7 +210,6 @@ class PipelineState:
     ranked once per run. All three indexes share one tokenizer.
     """
 
-    params: EncoderParams
     generator: GeneratorModel
     corpus: Corpus
     sparse_index: InvertedIndex
@@ -241,7 +231,6 @@ def start_state(
     """The state that continues from ``params``, with its dense indexes built."""
     aux_index = None if aux_params is None else build_dense_index(aux_params, corpus, cfg.tokenizer)
     return PipelineState(
-        params=params,
         generator=generator,
         corpus=corpus,
         sparse_index=sparse_index,
@@ -402,7 +391,7 @@ def mine(
     the number of queries with at least one positive.
     """
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
-    vocab = state.params.vocab
+    vocab = state.dense_index.params.vocab
     tok = state.dense_index.tokenizer
     qs = sorted((q for q in queries if any(t in vocab for t in q.tokens(tok))), key=lambda q: q.lang)
     fixed = _fixed_rankings(state, qs, cfg)
@@ -518,17 +507,17 @@ def train(
 
 def run_iteration(
     state: PipelineState, data: PipelineData, cfg: PipelineConfig
-) -> tuple[PipelineState, IterationReport, dict]:
+) -> tuple[IterationReport, dict]:
     """Mine ``data.unlabeled``, generate from iteration 2 on unless
     ``n_generate`` is 0, fine-tune, refresh the index, and evaluate when
-    ``data`` has eval queries.
+    ``data`` has eval queries; ``state`` advances in place.
 
-    Returns the new state, the iteration report, and the artifacts produced
-    (mined/generated samples and the evaluation run) for persistence.
+    Returns the iteration report and the artifacts produced (mined/generated
+    samples and the evaluation run) for persistence.
     """
     t0 = time.perf_counter()
     iteration = state.iteration + 1
-    if state.dense_index.params_version != state.params.version:
+    if state.dense_index.params_version != state.dense_index.params.version:
         raise PipelineError("dense index is stale at iteration entry; refresh it first")
 
     mined, gen_pairs, queries_with_positives = mine(state, data.unlabeled, cfg, iteration)
@@ -548,9 +537,9 @@ def run_iteration(
         generated, rejected = generate(state, langs, cfg, iteration)
 
     dataset = mined + generated
-    losses = train(state.params, dataset, state.corpus, cfg, iteration)
+    losses = train(state.dense_index.params, dataset, state.corpus, cfg, iteration)
 
-    state.dense_index = build_dense_index(state.params, state.corpus, cfg.tokenizer)
+    state.dense_index = build_dense_index(state.dense_index.params, state.corpus, cfg.tokenizer)
     state.iteration = iteration
     run, metrics = _evaluate(state, data, cfg)
 
@@ -568,7 +557,7 @@ def run_iteration(
         wall_clock_sec=time.perf_counter() - t0,
     )
     artifacts = {"mined": mined, "generated": generated, "run": run}
-    return state, report, artifacts
+    return report, artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +610,7 @@ def _write_stage(
     if artifacts is not None:
         save_samples(artifacts["mined"], outdir / "mined.jsonl")
         save_samples(artifacts["generated"], outdir / "generated.jsonl")
-    save_checkpoint(outdir / "checkpoint.npz", state.params)
+    save_checkpoint(outdir / "checkpoint.npz", state.dense_index.params)
     save_generator(state.generator, outdir / "generator.json")
     if artifacts is None and state.aux_index is not None:
         save_checkpoint(outdir / "aux_checkpoint.npz", state.aux_index.params)
@@ -763,16 +752,17 @@ def run_pipeline(
             # the mining partner: a second retriever warm-started on the other
             # half of the labeled data with a different seed, then frozen
             aux_params, _ = warmup(labeled[1::2] or labeled, data.corpus, cfg, seed_offset=1)
-        warm_report = IterationReport(iteration=0, wall_clock_sec=time.perf_counter() - t0)
+        warm_sec = time.perf_counter() - t0
         state = start_state(params, generator, sparse_index, data.corpus, cfg, aux_params=aux_params)
-        _, warm_report.metrics = _evaluate(state, data, cfg)
+        _, metrics = _evaluate(state, data, cfg)
+        warm_report = IterationReport(iteration=0, metrics=metrics, wall_clock_sec=warm_sec)
         reports.append(warm_report)
         if out is not None:
             _write_stage(out / "warmup", state, warm_report)
 
     target_langs = {q.lang for q in data.unlabeled}
     while state.iteration < cfg.iterations and not _plateaued(reports, cfg, target_langs):
-        state, report, artifacts = run_iteration(state, data, cfg)
+        report, artifacts = run_iteration(state, data, cfg)
         reports.append(report)
         if out is not None:
             _write_stage(out / f"iter_{state.iteration}", state, report, artifacts)

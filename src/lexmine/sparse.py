@@ -49,6 +49,7 @@ class BM25Params:
             raise ValueError("b must be in [0, 1]")
 
 
+@dataclass(eq=False)
 class Postings:
     """Term -> [(passage id, tf), ...] in ascending id order, stored once as
     term-major CSR arrays.
@@ -58,14 +59,11 @@ class Postings:
     ascending id order, int32) and ``tf`` (int32).
     """
 
-    def __init__(
-        self, row: Mapping[str, int], indptr: np.ndarray, rank: np.ndarray, tf: np.ndarray, ids: Sequence[str]
-    ):
-        self.row = row
-        self.indptr = indptr
-        self.rank = rank
-        self.tf = tf
-        self.ids = ids  # passage ids in ascending order; rank r is ids[r]
+    row: Mapping[str, int]
+    indptr: np.ndarray
+    rank: np.ndarray
+    tf: np.ndarray
+    ids: Sequence[str]  # passage ids in ascending order; rank r is ids[r]
 
     @classmethod
     def from_lists(cls, lists: Mapping[str, Sequence[tuple[str, int]]], ids: Sequence[str]) -> Postings:
@@ -212,8 +210,8 @@ def rank_ids(ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
-def top_k(scores: np.ndarray, k: int, candidates: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the ``k`` best ``candidates`` (all entries when None) by
+def top_k(scores: np.ndarray, k: int, candidates: np.ndarray) -> np.ndarray:
+    """Indices of the ``k`` best ``candidates`` (indices into ``scores``) by
     (score desc, index asc).
 
     Exact: a partition finds the k-th best score, every candidate scoring at
@@ -221,7 +219,7 @@ def top_k(scores: np.ndarray, k: int, candidates: np.ndarray | None = None) -> n
     only the survivors are sorted. When fewer than k survive (NaN scores, which
     sort last), all candidates are sorted.
     """
-    pool = scores if candidates is None else scores[candidates]
+    pool = scores[candidates]
     n = len(pool)
     keep = np.arange(n)
     if k < n:
@@ -229,7 +227,7 @@ def top_k(scores: np.ndarray, k: int, candidates: np.ndarray | None = None) -> n
         survivors = np.flatnonzero(pool >= kth)
         if len(survivors) >= k:
             keep = survivors
-    idx = keep if candidates is None else candidates[keep]
+    idx = candidates[keep]
     return idx[np.lexsort((idx, -scores[idx]))[:k]]
 
 

@@ -345,8 +345,8 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
     params, generator = warmup(labeled, data.corpus, cfg)
     state = start_state(params, generator, sparse, data.corpus, cfg)
     # two iterations so the generator has been retrained on mined target pairs
-    state, _, _ = run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
-    state, _, _ = run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
+    run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
+    run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
 
     def topical(query, pid):
         terms = set(bench.topic_terms[bench.passage_topics[pid]])

@@ -726,6 +726,19 @@ def test_warmup_labeled_queries_without_tokens_exit_3(tmp_path, synth_dir, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [None, "zzzz qqqq"], ids=["empty", "no_corpus_token"])
+def test_pipeline_unlabeled_queries_without_corpus_tokens_exit_3(tmp_path, capsys, text):
+    # nothing can be mined from such a file, so the run stops before its warm-up
+    data = tiny_data(tmp_path)
+    path = data / "unlabeled_tgt.jsonl"
+    path.write_text("" if text is None else json.dumps({"id": "u1", "text": text}) + "\n")
+    out = tmp_path / "run"
+    cfg = pipeline_cfg_file(tmp_path, data)
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {path}: no unlabeled query has a token of the corpus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("separate, loads", [(False, 1), (True, 2)])
 def test_pipeline_loads_shared_qrels_once(tmp_path, monkeypatch, separate, loads):
     import lexmine.cli as cli_mod
@@ -1014,7 +1027,7 @@ def test_mine_honours_negative_mode(tmp_path, synth_dir, warm_ckpt, mode):
     cfg = tmp_path / "c.cfg"
     out = tmp_path / "mined.jsonl"
     assert mine_cmd(cfg, synth_dir, warm_ckpt, out, 3, "--set", f"negative_mode={mode}") == EXIT_OK
-    samples = load_samples(out)
+    samples = load_samples(out, load_passages(synth_dir / "passages.jsonl"))
     assert samples
     assert all(s.random_negatives == () for s in samples)
     if mode == "none":

@@ -1,6 +1,7 @@
 import json
 import sys
 import unicodedata
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -522,3 +523,29 @@ def test_synth_spec_from_mapping():
     assert spec.topics_per_lang == 3
     with pytest.raises(ValueError, match="bogus"):
         SynthSpec.from_mapping({"bogus": "1"})
+
+
+# two valid values of each field type, as written and as parsed
+_SPEC_VALUES = {
+    int: [("3", 3), ("4", 4)],
+    float: [("0.25", 0.25), ("0.5", 0.5)],
+    tuple: [(" xx, yy,", ("xx", "yy")), ("zz", ("zz",))],
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(SynthSpec)])
+def test_every_synth_spec_field_is_set_by_exactly_its_own_key(key):
+    # the twin of the pipeline config's test: the fields the two values leave unequal are the ones the key sets
+    default = getattr(SynthSpec(), key)
+    pairs = [("500", 500), ("600", 600)] if key == "vocab_size" else _SPEC_VALUES[type(default)]
+    a, b = (asdict(SynthSpec.from_mapping({key: raw})) for raw, _ in pairs)
+    assert [name for name in a if a[name] != b[name]] == [key]
+    for got, (_, want) in zip((a[key], b[key]), pairs):
+        assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("key", ["topics_per_lang", "topic_token_frac"])
+def test_synth_spec_number_with_a_non_ascii_digit_raises(key):
+    # int("٣") and float("٣") both read the Arabic-Indic digit as 3
+    with pytest.raises(ValueError, match=f"{key} must be an"):
+        SynthSpec.from_mapping({key: "\u0663"})

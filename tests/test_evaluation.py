@@ -190,7 +190,7 @@ def test_per_language_means():
 
 def test_metrics_report_range_guard():
     with pytest.raises(ValueError):
-        MetricsReport(metric="mrr", k=10, per_query={"q": 1.5}, mean=1.5)
+        MetricsReport(k=10, per_query={"q": 1.5}, mean=1.5)
 
 
 # ---------------------------------------------------------------------------

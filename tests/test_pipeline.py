@@ -114,9 +114,22 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(asdict(a)) != config_hash(asdict(PipelineConfig(seed=2)))
 
 
-def test_report_validation():
-    with pytest.raises(ValueError):
-        IterationReport(iteration=1, mined_samples=-1)
+REPORT_COUNTS = (
+    "iteration",
+    "mined_samples",
+    "mined_queries_with_positives",
+    "generator_training_pairs",
+    "generated_candidates",
+    "generated_accepted",
+    "generated_rejected",
+    "dataset_size",
+)
+
+
+@pytest.mark.parametrize("name", REPORT_COUNTS)
+def test_report_validation(name):
+    with pytest.raises(ValueError, match="report counts must be >= 0"):
+        IterationReport(**{"iteration": 1, name: -1})
     with pytest.raises(ValueError):
         IterationReport(iteration=1, metrics={"xx": {"mrr@10": 1.5}})
 
@@ -234,7 +247,7 @@ def make_state(data, cfg):
 def test_iteration_one_skips_generation(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
-    state, report, artifacts = run_iteration(state, data, cfg)
+    report, artifacts = run_iteration(state, data, cfg)
     assert report.iteration == 1
     assert report.generated_candidates == 0
     assert report.generated_accepted == 0
@@ -245,9 +258,9 @@ def test_iteration_one_skips_generation(data):
 def test_iteration_two_generates(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
-    state, _, _ = run_iteration(state, data, cfg)
+    run_iteration(state, data, cfg)
     gen_version_before = state.generator.version
-    state, report, artifacts = run_iteration(state, data, cfg)
+    report, artifacts = run_iteration(state, data, cfg)
     assert report.iteration == 2
     assert report.generated_candidates > 0
     assert state.generator.version == gen_version_before + 1
@@ -274,18 +287,18 @@ def test_generation_draws_do_not_depend_on_verdicts(data, monkeypatch):
 def test_iteration_refreshes_index(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
-    state, _, _ = run_iteration(state, data, cfg)
-    assert state.dense_index.params_version == state.params.version
+    run_iteration(state, data, cfg)
+    assert state.dense_index.params_version == state.dense_index.params.version
     index = state.dense_index
     for i in range(0, len(index.ids), 37):
-        want = encode(state.params, tokenize(data.corpus[index.ids[i]].text, cfg.tokenizer))
+        want = encode(state.dense_index.params, tokenize(data.corpus[index.ids[i]].text, cfg.tokenizer))
         assert np.allclose(index.vectors[i], want)
 
 
 def test_iteration_stale_index_rejected(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
-    state.params.version += 1  # simulate params changed without refresh
+    state.dense_index.params.version += 1  # simulate params changed without refresh
     with pytest.raises(PipelineError, match="stale"):
         run_iteration(state, data, cfg)
 
@@ -313,7 +326,7 @@ def test_non_finite_loss_raises(data, monkeypatch, bad):
 def test_iteration_without_eval_queries_reports_no_metrics(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
-    _, report, artifacts = run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
+    report, artifacts = run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
     assert report.mined_samples > 0
     assert report.metrics == {}
     assert artifacts["run"] == {}
@@ -356,12 +369,12 @@ def test_iteration_sample_count_matches_recount(data, tmp_path):
 
     cfg = small_cfg()
     state = make_state(data, cfg)
-    version_before = state.params.version
-    state, report, artifacts = run_iteration(state, data, cfg)
+    version_before = state.dense_index.params.version
+    report, artifacts = run_iteration(state, data, cfg)
 
     # recount positives per unlabeled query against pre-iteration retrievers
     fresh_state = make_state(data, cfg)
-    assert fresh_state.params.version == version_before
+    assert fresh_state.dense_index.params.version == version_before
     want = 0
     for q in data.unlabeled:
         a = search_sparse(fresh_state.sparse_index, q.tokens(cfg.tokenizer), cfg.mining.L)
@@ -381,7 +394,7 @@ def test_negative_mode_none_and_sparse_top(data):
     ):
         cfg = small_cfg(negative_mode=mode)
         state = make_state(data, cfg)
-        _, report, artifacts = run_iteration(state, data, cfg)
+        report, artifacts = run_iteration(state, data, cfg)
         assert artifacts["mined"]
         assert all(check(s) for s in artifacts["mined"])
     assert any(s.hard_negatives for s in artifacts["mined"])  # sparse_top provides hards
@@ -443,6 +456,26 @@ def test_mined_sets_top1_is_the_s1_positive(data, mode):
 # ---------------------------------------------------------------------------
 # run_pipeline
 # ---------------------------------------------------------------------------
+
+
+def test_warmup_report_metrics_are_range_checked(data, monkeypatch):
+    # the zero-shot report's metrics pass the range check that every iteration's pass
+    import lexmine.pipeline as pipeline_mod
+
+    real_evaluate = pipeline_mod._evaluate
+    calls = []
+
+    def evaluate(state, data, cfg):
+        run, metrics = real_evaluate(state, data, cfg)
+        calls.append(state.iteration)
+        if len(calls) == 1:
+            metrics["overall"][f"mrr@{cfg.eval_k}"] = 1.5
+        return run, metrics
+
+    monkeypatch.setattr(pipeline_mod, "_evaluate", evaluate)
+    with pytest.raises(ValueError, match=r"metric mrr@10 for overall out of \[0, 1\]: 1.5"):
+        run_pipeline(small_cfg(iterations=1, minibatches_per_iter=5), data)
+    assert calls == [0]
 
 
 def test_pipeline_deterministic_and_provenance(data, tmp_path):

@@ -387,7 +387,7 @@ def test_top_k_equals_full_lexsort(seed, n, k, levels, subset, n_nan):
     # few distinct values force ties at the k-th position; levels=0 makes all scores equal
     scores = np.round(rng.normal(size=n) * levels) if levels else np.full(n, 0.5)
     scores[rng.integers(n, size=min(n_nan, n))] = np.nan
-    candidates = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)) if subset else None
+    candidates = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)) if subset else np.arange(n)
     got = top_k(scores, k, candidates)
     assert got.tolist() == reference_top_k(scores, np.arange(n), k, candidates).tolist()
 
@@ -396,14 +396,14 @@ def test_top_k_equals_full_lexsort(seed, n, k, levels, subset, n_nan):
 def test_top_k_ties_at_the_boundary_go_to_lower_index(k):
     scores = np.array([3.0, 2.0, 1.0, 2.0, 2.0])
     want = [0, 1, 3, 4, 2][:k]
-    assert top_k(scores, k).tolist() == want
+    assert top_k(scores, k, np.arange(5)).tolist() == want
     assert reference_top_k(scores, np.arange(5), k).tolist() == want
 
 
 def test_top_k_nan_sorts_last():
     scores = np.array([np.nan, 1.0, np.nan, 2.0, 1.0])
-    assert top_k(scores, 2).tolist() == [3, 1]
-    assert top_k(scores, 4).tolist() == [3, 1, 4, 0]
+    assert top_k(scores, 2, np.arange(5)).tolist() == [3, 1]
+    assert top_k(scores, 4, np.arange(5)).tolist() == [3, 1, 4, 0]
     assert top_k(scores, 1, np.array([0, 2])).tolist() == [0]
 
 
