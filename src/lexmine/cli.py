@@ -347,11 +347,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _stage_config(args)
     corpus = load_passages(data_path(args.passages))
     params = _load_encoder(args, corpus, cfg)
-    dataset = []
-    for path in args.samples:
-        dataset.extend(load_samples(data_path(path), corpus))
+    paths = [data_path(path) for path in args.samples]
+    dataset = [sample for path in paths for sample in load_samples(path, corpus)]
     if not dataset:
-        raise DataFormatError("no training samples", args.samples[0])
+        raise DataFormatError("no training samples", paths[0])
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "train output")
     # the pipeline's first-iteration train stage, training stream included
@@ -421,8 +420,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     try:
         data = PipelineData(corpus, train_queries, train_qrels, unlabeled, eval_queries, eval_qrels)
     except ValueError as exc:
-        # PipelineData checks only the eval queries' languages
-        raise DataFormatError(str(exc), data_path(mapping["eval_queries"])) from exc
+        # PipelineData checks only the unlabeled and the eval queries' languages
+        key = "unlabeled_queries" if str(exc).startswith("unlabeled") else "eval_queries"
+        raise DataFormatError(str(exc), data_path(mapping[key])) from exc
     out = Path(args.out)
     if not args.resume:
         _guard_overwrite(out / "manifest.json", args.overwrite, "pipeline output")

@@ -290,6 +290,9 @@ class Corpus(_IdCollection[Passage]):
         self._order = list(self._by_id)
         self._position = {pid: i for i, pid in enumerate(self._order)}
         self._tokenized: TokenizedCorpus | None = None
+        # each passage's place in ascending id order, by which the indexes break score ties
+        self.id_rank = np.empty(len(self._order), dtype=np.int64)
+        self.id_rank[sorted(range(len(self._order)), key=self._order.__getitem__)] = np.arange(len(self._order))
 
     def position(self, passage_id: str) -> int:
         """Index of the passage in corpus order."""
@@ -594,6 +597,13 @@ def _lang_vocab(lang: str, size: int) -> list[str]:
     return [f"{lang}{i:04d}" for i in range(size)]
 
 
+def _draw(rng: np.random.Generator, terms: list[str], background: list[str], topic_frac: float) -> str:
+    """A uniform topic term with probability ``topic_frac``, else a uniform background term."""
+    if rng.random() < topic_frac:
+        return terms[int(rng.integers(len(terms)))]
+    return background[int(rng.integers(len(background)))]
+
+
 def synth_benchmark(spec: SynthSpec, seed: int) -> SynthBenchmark:
     """Generate a deterministic topic-structured multilingual benchmark.
 
@@ -626,24 +636,17 @@ def synth_benchmark(spec: SynthSpec, seed: int) -> SynthBenchmark:
         vocab = vocabs[lang]
         n_topic_terms = spec.topics_per_lang * spec.terms_per_topic
         background = vocab[n_topic_terms:]
-        for t in range(spec.topics_per_lang):
-            terms = vocab[t * spec.terms_per_topic : (t + 1) * spec.terms_per_topic]
-            topic_terms[(lang, t)] = tuple(terms)
 
         topic_pids: dict[int, list[str]] = {}
         for t in range(spec.topics_per_lang):
-            terms = list(topic_terms[(lang, t)])
+            terms = vocab[t * spec.terms_per_topic : (t + 1) * spec.terms_per_topic]
+            topic_terms[(lang, t)] = tuple(terms)
             core = terms[: spec.core_terms_per_topic]
             pids = []
             for j in range(spec.passages_per_topic):
                 jitter = int(rng.integers(-(spec.passage_len // 5), spec.passage_len // 5 + 1))
                 length = max(len(core) + 1, spec.passage_len + jitter)
-                toks = list(core)
-                for _ in range(length - len(core)):
-                    if rng.random() < spec.topic_token_frac:
-                        toks.append(terms[int(rng.integers(len(terms)))])
-                    else:
-                        toks.append(background[int(rng.integers(len(background)))])
+                toks = core + [_draw(rng, terms, background, spec.topic_token_frac) for _ in range(length - len(core))]
                 order = rng.permutation(len(toks))
                 toks = [toks[i] for i in order]
                 pid = f"{lang}-t{t:03d}-p{j:02d}"
@@ -660,11 +663,7 @@ def synth_benchmark(spec: SynthSpec, seed: int) -> SynthBenchmark:
             lo = max(1, spec.query_len - 1)
             length = int(rng.integers(lo, spec.query_len + 2))
             toks = [core[int(rng.integers(len(core)))]]
-            for _ in range(length - 1):
-                if rng.random() < spec.query_topic_frac:
-                    toks.append(terms[int(rng.integers(len(terms)))])
-                else:
-                    toks.append(background[int(rng.integers(len(background)))])
+            toks += [_draw(rng, terms, background, spec.query_topic_frac) for _ in range(length - 1)]
             labeled = qi < n_labeled
             qid = f"{lang}-{'q' if labeled else 'u'}{qi:05d}"
             query = Query(id=qid, text=" ".join(toks), lang=lang)

@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import (
     Corpus, DataFormatError, Query, TokenizedCorpus, TokenizerConfig, DEFAULT_TOKENIZER, _check_format, atomic_write,
 )
-from .sparse import RankedList, rank_ids
+from .sparse import RankedList
 
 __all__ = [
     "EncoderParams",
@@ -185,8 +185,8 @@ def _scatter_pooled(rows: np.ndarray, sizes: np.ndarray, g_pooled: np.ndarray, n
 def bind_encoder(
     params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER, path: str | Path | None = None
 ) -> EncoderParams:
-    """``params``, read from the checkpoint ``path``, with its rows permuted
-    into the token-id order of ``corpus.tokenized(tok)`` that
+    """``params``, fresh or read from the checkpoint ``path``, with its rows
+    permuted into the token-id order of ``corpus.tokenized(tok)`` that
     ``corpus_token_rows`` requires. Raises DataFormatError naming ``path``
     unless its tokens are exactly the corpus's."""
     index = corpus.tokenized(tok).index
@@ -205,14 +205,12 @@ def corpus_token_rows(
     params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> TokenizedCorpus:
     """``corpus.tokenized(tok)``, whose token ids are ``params``'s rows; raises
-    ValueError unless ``params.vocab`` equals its ``index``, as it does for an
-    encoder of ``init_params(vocab_from_corpus(...))`` or ``bind_encoder``. An
-    equal vocabulary is swapped for ``index``: later checks are one identity test."""
+    ValueError unless ``params.vocab`` is or equals its ``index``. An encoder
+    of ``bind_encoder`` holds that ``index`` itself, so its check is one
+    identity test; the check never changes ``params``."""
     tc = corpus.tokenized(tok)
-    if params.vocab is not tc.index:
-        if params.vocab != tc.index:
-            raise ValueError("the encoder's rows are not the corpus's token ids under this tokenizer config")
-        params.vocab = tc.index
+    if params.vocab is not tc.index and params.vocab != tc.index:
+        raise ValueError("the encoder's rows are not the corpus's token ids under this tokenizer config")
     return tc
 
 
@@ -225,19 +223,18 @@ def corpus_token_rows(
 class DenseIndex:
     """Passage vectors in corpus order, built by the encoder ``params`` at
     version ``params_version`` under ``tokenizer``; searches take query tokens
-    under that tokenizer and encode them with ``params``."""
+    under that tokenizer, encode them with ``params`` and break ties by ``id_rank``."""
 
     ids: list[str]
     vectors: np.ndarray
     params_version: int
     tokenizer: TokenizerConfig
     params: EncoderParams = field(repr=False, compare=False)
-    _id_rank: np.ndarray = field(init=False, repr=False)
+    id_rank: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.ids) != self.vectors.shape[0]:
-            raise ValueError("ids and vectors disagree in length")
-        self._id_rank = rank_ids(self.ids)
+        if not len(self.ids) == self.vectors.shape[0] == len(self.id_rank):
+            raise ValueError("ids, vectors and id_rank disagree in length")
 
 
 def build_dense_index(
@@ -248,7 +245,7 @@ def build_dense_index(
         raise ValueError("cannot index an empty corpus")
     tc = corpus_token_rows(params, corpus, tok)
     vectors = _mean_pool(params.embedding, tc.ids, np.diff(tc.offsets))
-    return DenseIndex(ids=corpus.ids, vectors=vectors, params_version=params.version, tokenizer=tok, params=params)
+    return DenseIndex(corpus.ids, vectors, params.version, tok, params, corpus.id_rank)
 
 
 DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
@@ -262,33 +259,29 @@ def _block_top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.nd
     each row picked.
 
     Each row gets a threshold t at most its k-th best score, and every entry
-    at least t survives, so ties at the boundary compete on id. With G =
-    n // ``TOP_K_GROUP`` groups and k < G, t is the k-th largest of the
-    group maxima, where group c holds the columns c, c + G, ..., c + 15G
-    (the last n - 16G columns join none): at least k entries are at least t.
-    Otherwise t is the row's k-th best score, found by a partition.
-    The survivors are found on the flattened mask (``np.nonzero`` of a 2-D
-    mask costs ten times more) and sorted by one lexsort on (row, score desc,
-    id rank); extra survivors score below the k-th and are cut. A row with
-    fewer than k survivors (NaN scores, which sort last) sorts all its entries.
+    at least t survives, so ties at the boundary compete on id. The columns
+    form G groups of s columns, s = ``TOP_K_GROUP`` when k < n // s and 1
+    otherwise; group c holds the columns c, c + G, ..., c + (s - 1)G (the
+    last n - sG columns join none), and t is the k-th largest of the group
+    maxima: at least k entries are at least t. With s = 1 that is the row's
+    k-th best score, or its least one when k >= n. The survivors are found
+    on the flattened mask (``np.nonzero`` of a 2-D mask costs ten times
+    more) and sorted by one lexsort on (row, score desc, id rank); extra
+    survivors score below the k-th and are cut. A row with fewer than k
+    survivors (NaN scores, which sort last) sorts all its entries.
     """
     b, n = scores.shape
-    if k < n:
-        groups = n // TOP_K_GROUP
-        if k < groups:
-            tops = scores[:, : TOP_K_GROUP * groups].reshape(b, TOP_K_GROUP, groups).max(axis=1)
-            tops.partition(groups - k, axis=1)
-            kth = tops[:, groups - k, None]
-        else:
-            kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
-        mask = scores >= kth
+    size = TOP_K_GROUP if k < n // TOP_K_GROUP else 1
+    groups = n // size
+    at = max(groups - k, 0)
+    tops = scores[:, : size * groups].reshape(b, size, groups).max(axis=1)
+    tops.partition(at, axis=1)
+    mask = scores >= tops[:, at, None]
+    flat = np.flatnonzero(mask)
+    short = np.bincount(flat // n, minlength=b) < k
+    if short.any():
+        mask[short] = True
         flat = np.flatnonzero(mask)
-        short = np.bincount(flat // n, minlength=b) < k
-        if short.any():
-            mask[short] = True
-            flat = np.flatnonzero(mask)
-    else:
-        flat = np.arange(b * n)
     rows, cols = np.divmod(flat, n)
     order = np.lexsort((id_rank[cols], -scores.ravel()[flat], rows))
     survivors = np.bincount(rows, minlength=b)
@@ -321,7 +314,7 @@ def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int
     for lo in range(0, len(token_lists), DENSE_BLOCK):
         rows, sizes = _token_rows(params.vocab, token_lists[lo : lo + DENSE_BLOCK])
         scores = _mean_pool(params.embedding, rows, sizes) @ index.vectors.T
-        picked, counts = _block_top_k(scores, index._id_rank, k)
+        picked, counts = _block_top_k(scores, index.id_rank, k)
         hits = list(zip(map(ids.__getitem__, (picked % n).tolist()), scores.ravel()[picked].tolist()))
         end = 0
         for count in counts.tolist():
@@ -431,9 +424,9 @@ def init_optimizer(params: EncoderParams, lr: float = 1e-2) -> OptimizerState:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _adam_update(table: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, opt: OptimizerState) -> None:
-    """Adam on ``table`` in place, ``_block_rows`` rows at a time with two
-    block-sized temporaries, so each block's arrays stay in cache.
+def _adam_update(table: np.ndarray, g: np.ndarray, opt: OptimizerState) -> None:
+    """Adam on ``table`` and ``opt``'s moments in place, ``_block_rows`` rows
+    at a time with two block-sized temporaries, so each block's arrays stay in cache.
 
     Every element sees the float operations, in order, of
     ``table -= lr * m_hat / (sqrt(v_hat) + eps)`` with m_hat = m / (1 - beta1^t)
@@ -445,7 +438,7 @@ def _adam_update(table: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     b = np.empty_like(a)
     for lo in range(0, len(table), block):
         rows = slice(lo, lo + block)
-        gb, mb, vb = g[rows], m[rows], v[rows]
+        gb, mb, vb = g[rows], opt.m[rows], opt.v[rows]
         ab, bb = a[: len(gb)], b[: len(gb)]
         np.multiply(gb, 1.0 - ADAM_BETA1, out=ab)
         mb *= ADAM_BETA1
@@ -477,7 +470,7 @@ def train_step(
     """
     loss, g_emb = infonce_batch(params, batch, corpus, tok)
     opt.step += 1
-    _adam_update(params.embedding, g_emb, opt.m, opt.v, opt)
+    _adam_update(params.embedding, g_emb, opt)
     params.version += 1
     return loss
 

@@ -115,15 +115,14 @@ def assemble_mined_sample(
     corpus: Corpus,
     rng: np.random.Generator,
     cfg: MiningConfig,
+    source: str = "mined",
 ) -> list[TrainingSample]:
-    """One TrainingSample per mined positive.
+    """One TrainingSample per positive, of ``source``: mined, labeled or generated.
 
-    All samples for the query share the hard-negative list (mined negatives by
-    best rank, capped); random negatives are drawn per sample, excluding every
-    mined positive and negative. Queries with no positives yield no samples.
+    All samples for the query share the hard-negative list (the negatives in
+    order, capped); random negatives are drawn per sample, excluding every
+    positive and negative. Queries with no positives yield no samples.
     """
-    if not sets.positives:
-        return []
     hard = sets.negatives[: cfg.max_hard_negatives]
     exclude = {*sets.positives, *sets.negatives}
     samples = []
@@ -135,7 +134,7 @@ def assemble_mined_sample(
                 positive=pid,
                 hard_negatives=hard,
                 random_negatives=randoms,
-                source="mined",
+                source=source,
             )
         )
     return samples

@@ -53,7 +53,6 @@ from .mining import (
     assemble_mined_sample,
     hybrid_fuse,
     mine_pairs,
-    sample_random_negatives,
     save_samples,
 )
 from .querygen import (
@@ -143,8 +142,9 @@ class PipelineConfig:
 @dataclass
 class PipelineData:
     """Input bundle: corpus, labeled source queries, unlabeled target queries,
-    and optional held-out judged queries for per-iteration evaluation. No eval
-    query may have the language "overall", the reports' all-language key."""
+    and optional held-out judged queries for per-iteration evaluation. No
+    unlabeled or eval query may have the language "overall", the reports'
+    all-language key: the unlabeled queries' languages are the target languages."""
 
     corpus: Corpus
     train_queries: QuerySet
@@ -154,9 +154,10 @@ class PipelineData:
     eval_qrels: JudgmentSet | None = None
 
     def __post_init__(self) -> None:
-        for q in self.eval_queries or ():
-            if q.lang == "overall":
-                raise ValueError(f"eval query {q.id!r} has the reserved language 'overall'")
+        for kind, queries in (("unlabeled", self.unlabeled), ("eval", self.eval_queries or ())):
+            for q in queries:
+                if q.lang == "overall":
+                    raise ValueError(f"{kind} query {q.id!r} has the reserved language 'overall'")
 
 
 def pipeline_data_from_benchmark(bench: SynthBenchmark) -> PipelineData:
@@ -278,23 +279,23 @@ def warmup(
 ) -> tuple[EncoderParams, GeneratorModel]:
     """Train the retriever and the generator on labeled source-language data.
 
-    The encoder's vocabulary is the corpus's (``vocab_from_corpus``). Each
-    sample's random negatives are drawn here; in-batch negatives come from the
-    other samples of each minibatch. Training runs ``warmup_epochs`` epochs
-    at ``warmup_lr`` on the warm-up's own shuffle stream. The generator is
-    trained on (positive passage -> query) pairs even when warmup_epochs is 0.
+    The encoder's vocabulary is the corpus's, bound to it (``bind_encoder``).
+    Each sample is rebuilt by ``assemble_mined_sample``, with random negatives;
+    in-batch negatives come from the other samples of each minibatch. Training
+    runs ``warmup_epochs`` epochs at ``warmup_lr`` on the warm-up's own shuffle
+    stream. The generator is trained on (positive passage -> query) pairs even
+    when warmup_epochs is 0.
     """
     if not source_labeled:
         raise ValueError("labeled warm-up data must be non-empty")
-    params = init_params(
-        vocab_from_corpus(corpus, cfg.tokenizer), dim=cfg.embedding_dim, seed=[cfg.seed, _INIT, seed_offset]
-    )
+    vocab = vocab_from_corpus(corpus, cfg.tokenizer)
+    params = init_params(vocab, dim=cfg.embedding_dim, seed=[cfg.seed, _INIT, seed_offset])
+    params = bind_encoder(params, corpus, cfg.tokenizer)
     rng_negs = np.random.default_rng([cfg.seed, _WARMUP_DATA, seed_offset])
     filled = []
     for s in source_labeled:
-        exclude = {s.positive, *s.hard_negatives}
-        randoms = sample_random_negatives(corpus, exclude, cfg.mining.n_random_negatives, rng_negs)
-        filled.append(replace(s, random_negatives=randoms))
+        sets = MinedSets((s.positive,), s.hard_negatives)
+        filled += assemble_mined_sample(s.query, sets, corpus, rng_negs, cfg.mining, source=s.source)
 
     rng_shuffle = np.random.default_rng([cfg.seed, _WARMUP_SHUFFLE, seed_offset])
     steps = cfg.warmup_epochs * math.ceil(len(filled) / cfg.batch_size)

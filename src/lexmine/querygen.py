@@ -23,7 +23,7 @@ from .corpus import (
     atomic_write,
 )
 from .dense import DenseIndex, TrainingSample, search_dense
-from .mining import MiningConfig, sample_random_negatives
+from .mining import MinedSets, MiningConfig, assemble_mined_sample
 from .sparse import InvertedIndex, RankedList, impact_scores, search_sparse
 
 __all__ = [
@@ -187,25 +187,17 @@ def assemble_generated_sample(
     rankings ``filter_generated`` accepted it with.
 
     Hard negatives are the retrievers' top passages excluding the positive,
-    dense results first then sparse, deduplicated and capped; random negatives
-    are drawn as in mining. In-batch negatives are applied at training time.
+    dense results first then sparse, deduplicated and capped; the sample is
+    ``assemble_mined_sample``'s, so random negatives are drawn as in mining.
+    In-batch negatives are applied at training time.
     """
     sparse_top, dense_top = rankings
-    hard: list[str] = []
-    for pid, _ in dense_top + sparse_top:
-        if pid != pair.passage_id and pid not in hard:
-            hard.append(pid)
-            if len(hard) >= cfg.max_hard_negatives:
-                break
-    exclude = {pair.passage_id, *hard}
-    randoms = sample_random_negatives(corpus, exclude, cfg.n_random_negatives, rng)
-    return TrainingSample(
-        query=pair.query,
-        positive=pair.passage_id,
-        hard_negatives=tuple(hard),
-        random_negatives=randoms,
-        source="generated",
+    ranked = (pid for pid, _ in dense_top + sparse_top if pid != pair.passage_id)
+    hard = tuple(dict.fromkeys(ranked))[: cfg.max_hard_negatives]
+    (sample,) = assemble_mined_sample(
+        pair.query, MinedSets((pair.passage_id,), hard), corpus, rng, cfg, source="generated"
     )
+    return sample
 
 
 def save_generator(model: GeneratorModel, path: str | Path) -> None:

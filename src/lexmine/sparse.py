@@ -29,7 +29,6 @@ __all__ = [
     "bm25_score",
     "impact_scores",
     "search_sparse",
-    "rank_ids",
     "top_k",
 ]
 
@@ -164,14 +163,16 @@ def build_index(
     n = len(ids)
     lens = np.diff(tc.offsets)
     # one key per (term, passage) occurrence, ordered by term, then passage id
-    keys, tfs = np.unique(tc.ids.astype(np.int64) * n + np.repeat(rank_ids(ids), lens), return_counts=True)
+    keys, tfs = np.unique(tc.ids.astype(np.int64) * n + np.repeat(corpus.id_rank, lens), return_counts=True)
     terms, ranks = np.divmod(keys, n)
+    by_rank = np.empty(n, dtype=object)
+    by_rank[corpus.id_rank] = ids
     postings = Postings(
         tc.index,
         np.searchsorted(terms, np.arange(len(tc.vocab) + 1)),
         ranks.astype(np.int32),
         tfs.astype(np.int32),
-        sorted(ids),
+        by_rank.tolist(),
     )
     doc_len = dict(zip(ids, lens.tolist()))
     avgdl = sum(doc_len.values()) / n
@@ -201,13 +202,6 @@ def bm25_score(index: InvertedIndex, query_tokens: list[str], passage_id: str) -
             norm = tf + k1 * (1.0 - b + b * dl / index.avgdl)
             score += index.idf(term) * tf * (k1 + 1.0) / norm
     return score
-
-
-def rank_ids(ids: Sequence[str]) -> np.ndarray:
-    """Each id's position in ascending id order (int64)."""
-    rank = np.empty(len(ids), dtype=np.int64)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
 
 
 def top_k(scores: np.ndarray, k: int, candidates: np.ndarray) -> np.ndarray:

@@ -809,6 +809,60 @@ def test_pipeline_eval_query_language_overall_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pipeline_unlabeled_query_language_overall_exit_3(tmp_path, capsys):
+    # the unlabeled queries' languages are the target languages: "overall" would
+    # make every progress line's target MRR the all-language value
+    data = tiny_data(tmp_path)
+    path = data / "unlabeled_tgt.jsonl"
+    path.write_text(json.dumps({"id": "u1", "text": "beta2", "lang": "overall"}) + "\n")
+    out = tmp_path / "run"
+    cfg = pipeline_cfg_file(tmp_path, data)
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {path}: unlabeled query 'u1' has the reserved language 'overall'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_relative_data_paths_resolve_under_lexmine_data_dir(tmp_path, monkeypatch, capsys):
+    data = tiny_data(tmp_path)
+    names = {
+        "passages": "passages.jsonl",
+        "train_queries": "train_queries.jsonl",
+        "train_qrels": "qrels.tsv",
+        "unlabeled_queries": "unlabeled_tgt.jsonl",
+        "eval_queries": "queries.jsonl",
+        "eval_qrels": "qrels.tsv",
+    }
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(PIPELINE_CFG + "".join(f"{key} = {name}\n" for key, name in names.items()))
+    # the names exist only under the variable's directory, not under the working one
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("LEXMINE_DATA_DIR", str(data))
+    run = tmp_path / "run"
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(run)]) == EXIT_OK
+    inputs = json.loads((run / "manifest.json").read_text())["inputs"]
+    for key, name in names.items():
+        raw = (data / name).read_bytes()
+        assert inputs[key] == {"sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw)}
+
+    (data / "ckpt.npz").write_bytes((run / "warmup" / "checkpoint.npz").read_bytes())
+    (data / "mined.jsonl").write_bytes((run / "iter_1" / "mined.jsonl").read_bytes())
+    (data / "empty.jsonl").write_text("")
+
+    def train(samples, out):
+        argv = ["train", "--config", str(cfg), "--passages", "passages.jsonl", "--samples", samples]
+        return dispatch([*argv, "--checkpoint", "ckpt.npz", "--seed", "1", "--out", str(out)])
+
+    assert train("mined.jsonl", tmp_path / "trained") == EXIT_OK
+    assert (tmp_path / "trained" / "checkpoint.npz").is_file()
+    capsys.readouterr()
+    assert train("empty.jsonl", tmp_path / "none") == EXIT_DATA
+    # the message names the file read, not the name as typed
+    assert f"data error: {data / 'empty.jsonl'}: no training samples" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
+
+
 @pytest.mark.parametrize("name", ["passages.jsonl", "train_queries.jsonl", "unlabeled_tgt.jsonl"])
 @pytest.mark.parametrize("lang", [None, 5])
 def test_pipeline_non_string_lang_exit_3(tmp_path, capsys, name, lang):

@@ -254,6 +254,14 @@ def test_mine_pairs_orders_ids_by_best_rank_then_id():
     assert sets.negatives == ("p1", "p9")
 
 
+@pytest.mark.parametrize("source", [None, "labeled", "generated"])
+def test_assemble_samples_carry_their_source(tiny_corpus, rng, source):
+    sets = MinedSets(positives=("p2", "p1"), negatives=("p3",))
+    kwargs = {} if source is None else {"source": source}
+    samples = assemble_mined_sample(Query(id="q", text="x"), sets, tiny_corpus, rng, MiningConfig(), **kwargs)
+    assert [s.source for s in samples] == [source or "mined"] * 2
+
+
 def test_assemble_builds_one_sample_per_positive_in_their_order(tiny_corpus, rng):
     sets = MinedSets(positives=("p2", "p1"), negatives=())
     samples = assemble_mined_sample(Query(id="q", text="x"), sets, tiny_corpus, rng, MiningConfig())

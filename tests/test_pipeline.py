@@ -13,7 +13,7 @@ from lexmine.corpus import (
 )
 from lexmine.dense import EncoderParams, init_params, load_checkpoint, search_dense, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
-from lexmine.mining import MiningConfig, hybrid_fuse, load_samples, mine_pairs
+from lexmine.mining import MiningConfig, hybrid_fuse, load_samples, mine_pairs, sample_random_negatives
 from lexmine.pipeline import (
     MINING_MODES,
     _mined_sets,
@@ -187,6 +187,39 @@ def test_warmup_zero_epochs_keeps_params_trains_generator(data):
     assert params.version == 0
     assert np.array_equal(params.embedding, fresh.embedding)
     assert generator.version == 1
+
+
+def test_warmup_encoder_is_bound_to_the_corpus(data):
+    # bound before any training step, so no later read rebinds it
+    cfg = small_cfg(warmup_epochs=0)
+    sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    params, _ = warmup(samples, data.corpus, cfg)
+    assert params.vocab is data.corpus.tokenized(cfg.tokenizer).index
+
+
+def test_warmup_samples_keep_their_source_and_draw_random_negatives(data, monkeypatch):
+    import lexmine.pipeline as pipeline_mod
+
+    cfg = small_cfg()
+    sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    samples[1] = replace(samples[1], source="generated")
+    trained = []
+    monkeypatch.setattr(pipeline_mod, "_minibatch_steps", lambda params, dataset, *args: trained.append(dataset))
+    warmup(samples, data.corpus, cfg)
+
+    # oracle: each sample's random negatives drawn in order from the warm-up data
+    # stream, excluding its positive and hard negatives
+    rng = np.random.default_rng([cfg.seed, pipeline_mod._WARMUP_DATA, 0])
+    want = []
+    for s in samples:
+        exclude = {s.positive, *s.hard_negatives}
+        randoms = sample_random_negatives(data.corpus, exclude, cfg.mining.n_random_negatives, rng)
+        want.append(replace(s, random_negatives=randoms))
+    assert trained == [want]
+    assert [s.source for s in trained[0]][:3] == ["labeled", "generated", "labeled"]
+    assert all(len(s.random_negatives) == cfg.mining.n_random_negatives for s in trained[0])
 
 
 def test_warmup_deterministic(data):
@@ -999,6 +1032,13 @@ def test_pipeline_rejects_eval_queries_in_language_overall(data):
     relabelled = QuerySet(replace(q, lang="overall") if q.lang == "tgta" else q for q in data.eval_queries)
     with pytest.raises(ValueError, match="reserved language 'overall'"):
         run_pipeline(small_cfg(iterations=1), replace(data, eval_queries=relabelled))
+
+
+def test_pipeline_data_rejects_unlabeled_queries_in_language_overall(data):
+    # the unlabeled queries' languages are the target languages the reports are read by
+    relabelled = QuerySet(replace(q, lang="overall") if q.lang == "tgta" else q for q in data.unlabeled)
+    with pytest.raises(ValueError, match=r"unlabeled query '.+' has the reserved language 'overall'"):
+        replace(data, unlabeled=relabelled)
 
 
 def test_pipeline_reports_start_with_warmup_zero_shot(data):

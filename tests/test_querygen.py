@@ -7,7 +7,7 @@ import pytest
 
 from lexmine.corpus import Corpus, Passage, Query, tokenize
 from lexmine.dense import DENSE_BLOCK, build_dense_index, init_params, search_dense, vocab_from_corpus
-from lexmine.mining import MiningConfig
+from lexmine.mining import MiningConfig, sample_random_negatives
 from lexmine.querygen import (
     SALIENCE_PSEUDO_COUNT,
     UNSEEN_SALIENCE,
@@ -446,6 +446,23 @@ def test_assemble_dense_first_then_sparse_dedup(rng):
     cfg = MiningConfig(S=1, L=3, n_random_negatives=0, max_hard_negatives=3)
     sample = assemble_generated_sample(pair, (sparse_top, dense_top), corpus, rng, cfg)
     assert sample.hard_negatives == ("a", "b", "c")
+
+
+def ranked_ids(ids):
+    return [(pid, float(len(ids) - i)) for i, pid in enumerate(ids)]
+
+
+def test_assemble_draws_random_negatives_as_mining_does():
+    # random negatives come from the given stream, excluding the positive and
+    # the capped hard negatives, and the sample keeps the source "generated"
+    corpus = Corpus([Passage(id=f"p{i}", text=f"t{i} t{(i + 1) % 9}") for i in range(9)])
+    pair = GeneratedPair(query=Query(id="g", text="t0"), passage_id="p0")
+    rankings = (ranked_ids(["p0", "p3", "p1"]), ranked_ids(["p0", "p1", "p5", "p7"]))
+    cfg = MiningConfig(S=1, L=4, n_random_negatives=3, max_hard_negatives=2)
+    sample = assemble_generated_sample(pair, rankings, corpus, np.random.default_rng(8), cfg)
+    want = sample_random_negatives(corpus, {"p0", "p1", "p5"}, 3, np.random.default_rng(8))
+    assert (sample.positive, sample.hard_negatives, sample.source) == ("p0", ("p1", "p5"), "generated")
+    assert sample.random_negatives == want
 
 
 def test_assemble_satisfies_sample_invariants(rng):

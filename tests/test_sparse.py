@@ -13,7 +13,6 @@ from lexmine.sparse import (
     InvertedIndex,
     bm25_score,
     build_index,
-    rank_ids,
     search_sparse,
     top_k,
 )
@@ -409,7 +408,7 @@ def test_top_k_nan_sorts_last():
 
 @pytest.mark.parametrize("ids", [[], ["b"], ["p10", "p1", "p2", "p", "p1a", "東京", "東", "é", "e", "Z", "z", "_"]])
 def test_rank_ids_is_the_position_in_sorted_order(ids):
-    rank = rank_ids(ids)
+    rank = Corpus([Passage(id=pid, text="x") for pid in ids]).id_rank
     assert rank.dtype == np.int64
     assert [ids[i] for i in np.argsort(rank)] == sorted(ids)
     assert rank.tolist() == [sorted(ids).index(pid) for pid in ids]
