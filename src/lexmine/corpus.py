@@ -57,11 +57,13 @@ class DataFormatError(ValueError):
 
 
 def _check_id(id_: str, kind: str) -> None:
-    # run files and qrels are whitespace-separated, so an id may hold no whitespace
+    # run files and qrels split on whitespace and refuse a leading byte order mark: an id holds neither
     if not id_:
         raise ValueError(f"{kind} id must be non-empty")
     if id_.split() != [id_]:  # str.split splits exactly where str.isspace is true
         raise ValueError(f"{kind} id {id_!r} contains whitespace")
+    if id_.startswith("\ufeff"):
+        raise ValueError(f"{kind} id {id_!r} starts with U+FEFF")
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ _T = TypeVar("_T")
 
 
 class _IdCollection(Generic[_Record]):
-    """Ordered, id-indexed collection of passages or queries; ids are unique."""
+    """Id-indexed collection of passages or queries in ascending id order; ids are unique."""
 
     kind = ""
 
@@ -254,6 +256,7 @@ class _IdCollection(Generic[_Record]):
             if r.id in self._by_id:
                 raise DataFormatError(f"duplicate {self.kind} id {r.id!r}")
             self._by_id[r.id] = r
+        self._by_id = dict(sorted(self._by_id.items()))
 
     @property
     def ids(self) -> list[str]:
@@ -281,7 +284,7 @@ class _IdCollection(Generic[_Record]):
 
 
 class Corpus(_IdCollection[Passage]):
-    """Ordered, id-indexed collection of passages."""
+    """Id-indexed passages in ascending id order: the indexes break score ties by position."""
 
     kind = "passage"
 
@@ -290,12 +293,9 @@ class Corpus(_IdCollection[Passage]):
         self._order = list(self._by_id)
         self._position = {pid: i for i, pid in enumerate(self._order)}
         self._tokenized: TokenizedCorpus | None = None
-        # each passage's place in ascending id order, by which the indexes break score ties
-        self.id_rank = np.empty(len(self._order), dtype=np.int64)
-        self.id_rank[sorted(range(len(self._order)), key=self._order.__getitem__)] = np.arange(len(self._order))
 
     def position(self, passage_id: str) -> int:
-        """Index of the passage in corpus order."""
+        """Index of the passage in corpus order, its rank in ascending id order."""
         return self._position[passage_id]
 
     def id_at(self, position: int) -> str:
@@ -313,16 +313,15 @@ class Corpus(_IdCollection[Passage]):
 
 
 class QuerySet(_IdCollection[Query]):
-    """Ordered, id-indexed collection of queries."""
+    """Id-indexed collection of queries in ascending id order."""
 
     kind = "query"
 
 
 class JudgmentSet:
-    """Relevance judgments indexed by query id, kept in the order given."""
+    """Relevance judgments indexed by query id, iterated grouped by query in first-given order."""
 
     def __init__(self, judgments: Iterable[Judgment] = ()):
-        self._rows: list[tuple[str, str, int]] = []
         self.by_query: dict[str, dict[str, int]] = {}
         self._relevant: dict[str, frozenset[str]] = {}
         for j in judgments:
@@ -335,18 +334,17 @@ class JudgmentSet:
         if passage_id in grades:
             raise DataFormatError(f"duplicate judgment for query {query_id!r} passage {passage_id!r}")
         grades[passage_id] = grade
-        self._rows.append((query_id, passage_id, grade))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(map(len, self.by_query.values()))
 
     def __iter__(self) -> Iterator[Judgment]:
-        return (Judgment(*row) for row in self._rows)
+        return (Judgment(qid, pid, g) for qid, grades in self.by_query.items() for pid, g in grades.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JudgmentSet):
             return NotImplemented
-        return self._rows == other._rows
+        return self.by_query == other.by_query
 
     def relevant(self, query_id: str) -> frozenset[str]:
         """Passage ids judged relevant (grade > 0) for the query, memoized per query."""
@@ -358,7 +356,7 @@ class JudgmentSet:
 
     def validate(self, corpus: Corpus) -> None:
         """Check that every judged passage is in ``corpus``."""
-        for _, pid, _ in self._rows:
+        for pid in chain.from_iterable(self.by_query.values()):
             if pid not in corpus:
                 raise DataFormatError(f"judgment references unknown passage {pid!r}")
 

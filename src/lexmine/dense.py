@@ -221,20 +221,19 @@ def corpus_token_rows(
 
 @dataclass
 class DenseIndex:
-    """Passage vectors in corpus order, built by the encoder ``params`` at
-    version ``params_version`` under ``tokenizer``; searches take query tokens
-    under that tokenizer, encode them with ``params`` and break ties by ``id_rank``."""
+    """Passage vectors in corpus order (ascending id), built by the encoder
+    ``params`` at version ``params_version`` under ``tokenizer``; searches take query
+    tokens under that tokenizer, encode them with ``params`` and break ties by position."""
 
     ids: list[str]
     vectors: np.ndarray
     params_version: int
     tokenizer: TokenizerConfig
     params: EncoderParams = field(repr=False, compare=False)
-    id_rank: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not len(self.ids) == self.vectors.shape[0] == len(self.id_rank):
-            raise ValueError("ids, vectors and id_rank disagree in length")
+        if len(self.ids) != self.vectors.shape[0]:
+            raise ValueError("ids and vectors disagree in length")
 
 
 def build_dense_index(
@@ -245,30 +244,30 @@ def build_dense_index(
         raise ValueError("cannot index an empty corpus")
     tc = corpus_token_rows(params, corpus, tok)
     vectors = _mean_pool(params.embedding, tc.ids, np.diff(tc.offsets))
-    return DenseIndex(corpus.ids, vectors, params.version, tok, params, corpus.id_rank)
+    return DenseIndex(corpus.ids, vectors, params.version, tok, params)
 
 
 DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
 TOP_K_GROUP = 16  # columns per group of ``_block_top_k``'s first stage
 
 
-def _block_top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` best entries of every row of the (b, n) ``scores`` by (score
-    desc, ``id_rank`` asc), in one pass: returns the picked flat positions
-    into ``scores``, row after row, each row's in rank order, and how many
-    each row picked.
+    desc, column asc), in one pass: returns the picked flat positions into
+    ``scores``, row after row, each row's in rank order, and how many each
+    row picked.
 
     Each row gets a threshold t at most its k-th best score, and every entry
-    at least t survives, so ties at the boundary compete on id. The columns
+    at least t survives, so ties at the boundary compete on column. The columns
     form G groups of s columns, s = ``TOP_K_GROUP`` when k < n // s and 1
     otherwise; group c holds the columns c, c + G, ..., c + (s - 1)G (the
     last n - sG columns join none), and t is the k-th largest of the group
     maxima: at least k entries are at least t. With s = 1 that is the row's
     k-th best score, or its least one when k >= n. The survivors are found
     on the flattened mask (``np.nonzero`` of a 2-D mask costs ten times
-    more) and sorted by one lexsort on (row, score desc, id rank); extra
-    survivors score below the k-th and are cut. A row with fewer than k
-    survivors (NaN scores, which sort last) sorts all its entries.
+    more) and sorted by one stable lexsort on (row, score desc), so ties keep
+    column order; extra survivors score below the k-th and are cut. A row
+    with fewer than k survivors (NaN scores, which sort last) sorts every entry.
     """
     b, n = scores.shape
     size = TOP_K_GROUP if k < n // TOP_K_GROUP else 1
@@ -282,8 +281,8 @@ def _block_top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.nd
     if short.any():
         mask[short] = True
         flat = np.flatnonzero(mask)
-    rows, cols = np.divmod(flat, n)
-    order = np.lexsort((id_rank[cols], -scores.ravel()[flat], rows))
+    rows = flat // n
+    order = np.lexsort((-scores.ravel()[flat], rows))
     survivors = np.bincount(rows, minlength=b)
     # a survivor's place in its row; rows are contiguous in ``order``
     place = np.arange(len(order)) - np.repeat(np.cumsum(survivors) - survivors, survivors)
@@ -314,7 +313,7 @@ def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int
     for lo in range(0, len(token_lists), DENSE_BLOCK):
         rows, sizes = _token_rows(params.vocab, token_lists[lo : lo + DENSE_BLOCK])
         scores = _mean_pool(params.embedding, rows, sizes) @ index.vectors.T
-        picked, counts = _block_top_k(scores, index.id_rank, k)
+        picked, counts = _block_top_k(scores, k)
         hits = list(zip(map(ids.__getitem__, (picked % n).tolist()), scores.ravel()[picked].tolist()))
         end = 0
         for count in counts.tolist():

@@ -56,8 +56,8 @@ def _report(
     value: Callable[[list[str], frozenset[str]], float],
 ) -> MetricsReport:
     """``value(top k passage ids, relevant ids)`` for every query with a
-    relevant judgment, with their mean and, per language of ``query_langs``,
-    their means.
+    relevant judgment, in ascending query id order, with their mean and, per
+    language of ``query_langs``, their means, summed in that order.
 
     Judged queries absent from the run rank nothing. Run queries without any
     judgment and judged queries whose judgments are all non-relevant are
@@ -66,7 +66,7 @@ def _report(
     if k < 1:
         raise ValueError("k must be >= 1")
     per_query: dict[str, float] = {}
-    for qid in qrels.by_query:
+    for qid in sorted(qrels.by_query):
         relevant = qrels.relevant(qid)
         if relevant:
             per_query[qid] = value([pid for pid, _ in run.get(qid, [])[:k]], relevant)

@@ -382,19 +382,19 @@ def mine(
 ) -> tuple[list[TrainingSample], list[tuple[Query, Passage]], int]:
     """Mine training samples for unlabeled queries from retriever agreement.
 
-    Queries are mined one at a time in language order (file order within a
-    language) from the iteration's mining stream, after all of them are
-    ranked: by the trained encoder in blocks, and by the fixed retriever from
-    ``_fixed_rankings``. A query with no token in the encoder's vocabulary is
-    skipped: its zero vector ranks passages by id, which the fuse modes would
-    mine as agreement. Hard negatives follow ``cfg.negative_mode``. Returns
-    the samples, the S=1 (query, passage) pairs the generator trains on, and
-    the number of queries with at least one positive.
+    Queries are mined one at a time in ascending id order from the iteration's
+    mining stream, after all of them are ranked: by the trained encoder in
+    blocks, and by the fixed retriever from ``_fixed_rankings``. A query with
+    no token in the encoder's vocabulary is skipped: its zero vector ranks
+    passages by id, which the fuse modes would mine as agreement. Hard
+    negatives follow ``cfg.negative_mode``. Returns the samples, the S=1
+    (query, passage) pairs the generator trains on, and the number of queries
+    with at least one positive.
     """
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
     vocab = state.dense_index.params.vocab
     tok = state.dense_index.tokenizer
-    qs = sorted((q for q in queries if any(t in vocab for t in q.tokens(tok))), key=lambda q: q.lang)
+    qs = [q for q in queries if any(t in vocab for t in q.tokens(tok))]
     fixed = _fixed_rankings(state, qs, cfg)
     dense = search_dense(state.dense_index, [q.tokens(tok) for q in qs], cfg.mining.L)
     # the other negative modes draw no random negatives

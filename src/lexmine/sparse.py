@@ -55,7 +55,7 @@ class Postings:
 
     ``row`` maps each term to its row: the postings of row i are
     ``indptr[i]:indptr[i + 1]`` of ``rank`` (the passage's position in
-    ascending id order, int32) and ``tf`` (int32).
+    ascending id order, its corpus position, int32) and ``tf`` (int32).
     """
 
     row: Mapping[str, int]
@@ -163,16 +163,14 @@ def build_index(
     n = len(ids)
     lens = np.diff(tc.offsets)
     # one key per (term, passage) occurrence, ordered by term, then passage id
-    keys, tfs = np.unique(tc.ids.astype(np.int64) * n + np.repeat(corpus.id_rank, lens), return_counts=True)
+    keys, tfs = np.unique(tc.ids.astype(np.int64) * n + np.repeat(np.arange(n), lens), return_counts=True)
     terms, ranks = np.divmod(keys, n)
-    by_rank = np.empty(n, dtype=object)
-    by_rank[corpus.id_rank] = ids
     postings = Postings(
         tc.index,
         np.searchsorted(terms, np.arange(len(tc.vocab) + 1)),
         ranks.astype(np.int32),
         tfs.astype(np.int32),
-        by_rank.tolist(),
+        ids,
     )
     doc_len = dict(zip(ids, lens.tolist()))
     avgdl = sum(doc_len.values()) / n
@@ -226,8 +224,8 @@ def top_k(scores: np.ndarray, k: int, candidates: np.ndarray) -> np.ndarray:
 
 
 def impact_scores(index: InvertedIndex, tokens: Sequence[str]) -> np.ndarray:
-    """Every passage's BM25 score for a query's ``tokens``, indexed by the
-    passage's position in ascending id order (``index.postings.ids``): the sum
+    """Every passage's BM25 score for a query's ``tokens``, indexed by its corpus
+    position, its place in ascending id order (``index.postings.ids``): the sum
     of the query terms' impact rows, added in query-term order."""
     p = index.postings
     scores = np.zeros(len(p.ids))

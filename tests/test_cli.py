@@ -536,6 +536,34 @@ def test_pipeline_rerun_same_seed_identical_reports(tmp_path, synth_dir):
     assert filecmp.cmp(out1 / "iter_2" / "run.trec", out2 / "iter_2" / "run.trec", shallow=False)
 
 
+def test_pipeline_outputs_do_not_depend_on_input_line_order(tmp_path, synth_dir):
+    split_synth_for_pipeline(synth_dir)
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    outs = tmp_path / "in_order", tmp_path / "shuffled"
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "5", "--out", str(outs[0])]) == EXIT_OK
+    rng = np.random.default_rng(0)
+    for name in ("passages.jsonl", "train_queries.jsonl", "qrels.tsv", "unlabeled_tgt.jsonl", "queries.jsonl"):
+        lines = (synth_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        shuffled = [lines[i] for i in rng.permutation(len(lines))]
+        assert shuffled != lines
+        (synth_dir / name).write_text("".join(shuffled), encoding="utf-8")
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "5", "--out", str(outs[1])]) == EXIT_OK
+
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+    assert files[0] == files[1] and len(files[0]) > 10
+    for rel in files[0]:
+        a, b = ((out / rel).read_bytes() for out in outs)
+        if rel.name == "report.json":
+            a, b = (dict(json.loads(x), wall_clock_sec=None) for x in (a, b))
+        elif rel.name == "manifest.json":
+            # the same records in another order are other bytes
+            a, b = json.loads(a), json.loads(b)
+            assert a["inputs"] != b["inputs"]
+            for key in a["inputs"]:
+                a["inputs"][key].pop("sha256"), b["inputs"][key].pop("sha256")
+        assert a == b, rel
+
+
 def test_pipeline_missing_data_keys_exit_2(tmp_path, synth_dir):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(PIPELINE_CFG)
@@ -789,6 +817,21 @@ def test_pipeline_query_id_with_whitespace_exit_3(tmp_path, synth_dir, capsys):
     lines = path.read_text(encoding="utf-8").splitlines()
     first = json.loads(lines[0])
     first["id"] = "u " + first["id"]
+    path.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+    cfg = pipeline_cfg_file(tmp_path, synth_dir)
+    out = tmp_path / "run"
+    assert dispatch(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {path}:1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_eval_query_id_starting_with_a_byte_order_mark_exit_3(tmp_path, synth_dir, capsys):
+    # the id would start run.trec, which load_run refuses as beginning with a byte order mark
+    split_synth_for_pipeline(synth_dir)
+    path = synth_dir / "queries.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["id"] = "\ufeff" + first["id"]
     path.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
     cfg = pipeline_cfg_file(tmp_path, synth_dir)
     out = tmp_path / "run"

@@ -302,9 +302,37 @@ def test_loaders_reject_non_string_lang(tmp_path, loader, lang):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("record", [Passage, Query])
+def test_ids_starting_with_a_byte_order_mark_are_rejected(record):
+    # first in a run file or qrels, such an id reads back as a byte order mark
+    with pytest.raises(ValueError, match="U\\+FEFF"):
+        record(id="\ufeffq1", text="x")
+    assert record(id="q\ufeff1", text="x").id == "q\ufeff1"
+
+
+@pytest.mark.parametrize("collection, record", [(Corpus, Passage), (QuerySet, Query)])
+@pytest.mark.parametrize("ids", [[], ["b"], ["p10", "p1", "p2", "p", "p1a", "東京", "東", "é", "e", "Z", "z", "_"]])
+def test_collections_hold_ascending_id_order_whatever_the_input_order(collection, record, ids):
+    for given in (ids, ids[::-1]):
+        held = collection([record(id=rid, text="x") for rid in given])
+        assert held.ids == sorted(ids)
+        assert [r.id for r in held] == sorted(ids)
+    if collection is Corpus:
+        # a passage's position is its rank in ascending id order
+        assert [held.position(pid) for pid in ids] == [sorted(ids).index(pid) for pid in ids]
+        assert [held.id_at(i) for i in range(len(ids))] == sorted(ids)
+
+
 def test_corpus_rejects_duplicate_ids():
     with pytest.raises(DataFormatError, match="p1"):
         Corpus([Passage(id="p1", text="a"), Passage(id="p1", text="b")])
+
+
+@pytest.mark.parametrize("collection, record", [(Corpus, Passage), (QuerySet, Query)])
+def test_duplicate_id_error_names_the_first_duplicate_in_input_order(collection, record):
+    # 'z' repeats before 'b' does, although 'b' sorts first
+    with pytest.raises(DataFormatError, match="id 'z'$"):
+        collection([record(id=rid, text="x") for rid in ("b", "z", "a", "z", "b")])
 
 
 def test_load_passages_two_lines(tmp_path):
@@ -398,7 +426,7 @@ def test_round_trip(tmp_path):
     assert load_passages(tmp_path / "p.jsonl") == corpus
     assert load_queries(tmp_path / "q.jsonl") == queries
     assert load_qrels(tmp_path / "j.tsv") == judgments
-    assert list(load_qrels(tmp_path / "j.tsv")) == list(judgments)  # file order, not grouped by query
+    assert list(load_qrels(tmp_path / "j.tsv")) == list(judgments)  # grouped by query, in first-given order
 
 
 def test_judgment_set_validtrain():

@@ -461,19 +461,18 @@ def test_block_top_k_equals_full_lexsort_row_by_row(seed, b, n, k, levels, n_nan
     scores.flat[rng.integers(b * n, size=n_nan)] = np.nan
     if nan_row:
         scores[rng.integers(b)] = np.nan
-    id_rank = rng.permutation(n)
-    assert_block_top_k_is_reference(scores, id_rank, k)
+    assert_block_top_k_is_reference(scores, k)
 
 
-def assert_block_top_k_is_reference(scores, id_rank, k):
+def assert_block_top_k_is_reference(scores, k):
     """``_block_top_k`` picks, row by row, ``reference_top_k``'s entries in its order."""
     b, n = scores.shape
-    picked, counts = _block_top_k(scores, id_rank, k)
+    picked, counts = _block_top_k(scores, k)
     assert counts.tolist() == [min(k, n)] * b
     rows, cols = np.divmod(picked, n)
     assert rows.tolist() == np.repeat(np.arange(b), counts).tolist()
     for r, got in enumerate(np.split(cols, np.cumsum(counts)[:-1])):
-        assert got.tolist() == reference_top_k(scores[r], id_rank, k).tolist()
+        assert got.tolist() == reference_top_k(scores[r], k).tolist()
 
 
 @pytest.mark.parametrize("k", [10, 20, 311, 312, 400])
@@ -486,7 +485,7 @@ def test_block_top_k_on_a_benchmark_sized_block(k):
     scores[2] = np.nan
     scores[3, : 16 * 312 : 312] = scores[3].max()  # all 16 columns of the first group tie for first
     assert 4995 // TOP_K_GROUP == 312
-    assert_block_top_k_is_reference(scores, rng.permutation(4995), k)
+    assert_block_top_k_is_reference(scores, k)
 
 
 def test_block_search_empty_input_and_bad_k(tiny_corpus):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from lexmine.corpus import DataFormatError, Judgment, JudgmentSet
+from lexmine.corpus import DataFormatError, Judgment, JudgmentSet, _check_id, load_qrels
 from lexmine.evaluation import (
     MetricsReport,
     format_lang_table,
@@ -188,6 +188,25 @@ def test_per_language_means():
     assert rep.per_lang == {"en": 0.5, "sw": 1.0}
 
 
+def test_mrr_is_bit_equal_on_a_line_permuted_qrels_file(tmp_path):
+    rng = np.random.default_rng(5)
+    qids = [f"q{i:03d}" for i in range(200)]
+    run = {qid: [(f"p{r}", float(10 - r)) for r in range(10)] for qid in qids}
+    lines = [f"{qid} 0 p{int(rng.integers(0, 12))} 1\n" for qid in qids]
+    permuted = [lines[i] for i in rng.permutation(len(lines))]
+    langs = {qid: ("en", "sw")[i % 2] for i, qid in enumerate(qids)}
+    reports = []
+    for name, text in (("a.tsv", lines), ("b.tsv", permuted)):
+        (tmp_path / name).write_text("".join(text))
+        reports.append(mrr_at_k(run, load_qrels(tmp_path / name), 10, query_langs=langs))
+    a, b = reports
+    # summed in each file's line order, the reciprocal ranks differ in the last bits
+    in_order = lambda text: sum(a.per_query[line.split()[0]] for line in text)
+    assert in_order(lines) != in_order(permuted)
+    assert a.mean == b.mean and a.per_lang == b.per_lang
+    assert list(a.per_query.items()) == list(b.per_query.items())
+
+
 def test_metrics_report_range_guard():
     with pytest.raises(ValueError):
         MetricsReport(k=10, per_query={"q": 1.5}, mean=1.5)
@@ -331,9 +350,17 @@ def test_load_run_reads_signed_ranks(tmp_path):
     assert load_run(path) == {"q1": [("p1", 2.0), ("p2", 1.0)]}
 
 
-_RUN_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
-    lambda s: not any(c.isspace() for c in s)
-)
+def _accepted_id(s: str) -> bool:
+    # run files split lines on whitespace and refuse a leading U+FEFF as a byte
+    # order mark, so only the ids a passage or query may have are drawn
+    try:
+        _check_id(s, "run")
+    except ValueError:
+        return False
+    return True
+
+
+_RUN_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(_accepted_id)
 _RUNS = st.dictionaries(
     _RUN_IDS,
     st.lists(
