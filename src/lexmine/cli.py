@@ -12,7 +12,6 @@ opened included).
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -428,13 +427,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         _guard_overwrite(out / "manifest.json", args.overwrite, "pipeline output")
     # recorded in the manifest, so that a resume refuses changed inputs
     inputs = {key: file_digest(data_path(mapping[key])) for key in _DATA_KEYS if key in mapping}
-    # the loaded inputs live for the whole run: freezing them keeps every later
-    # collection from scanning them again; unfrozen on return, for in-process callers
-    gc.freeze()
-    try:
-        reports = run_pipeline(cfg, data, workdir=out, resume=args.resume, inputs=inputs)
-    finally:
-        gc.unfreeze()
+    reports = run_pipeline(cfg, data, workdir=out, resume=args.resume, inputs=inputs)
     key = f"mrr@{cfg.eval_k}"
     target_langs = {q.lang for q in unlabeled}
     for rep in reports:

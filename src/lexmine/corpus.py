@@ -57,7 +57,7 @@ class DataFormatError(ValueError):
 
 
 def _check_id(id_: str, kind: str) -> None:
-    # run files and qrels split on whitespace and refuse a leading byte order mark: an id holds neither
+    # run files and qrels split on whitespace and refuse an id that starts with U+FEFF (_read_columns)
     if not id_:
         raise ValueError(f"{kind} id must be non-empty")
     if id_.split() != [id_]:  # str.split splits exactly where str.isspace is true
@@ -85,6 +85,8 @@ class Judgment:
     grade: int
 
     def __post_init__(self) -> None:
+        _check_id(self.query_id, "query")
+        _check_id(self.passage_id, "passage")
         _check_grade(self.grade)
 
 
@@ -462,17 +464,24 @@ def load_queries(path: str | Path) -> QuerySet:
 
 def _read_columns(path: str | Path, n: int) -> Iterator[tuple[int, list[str]]]:
     """``(line number, fields)`` for each non-blank line of the TREC-style
-    file at ``path``, split on whitespace; a UTF-8 BOM or a line of other than
-    ``n`` fields raises DataFormatError naming the file and line."""
+    file at ``path``, split on whitespace; a line of other than ``n`` fields,
+    or whose query id (field 1) or passage id (field 3) starts with U+FEFF,
+    raises DataFormatError naming the file and line."""
     for lineno, line in _text_lines(path):
-        if lineno == 1 and line.startswith("\ufeff"):
-            # read as text, the mark would start the first query id
-            raise DataFormatError("unexpected UTF-8 BOM", path, lineno)
         parts = line.split()
         if not parts:
             continue
         if len(parts) != n:
             raise DataFormatError(f"expected {n} whitespace-separated fields, got {len(parts)}", path, lineno)
+        # split leaves no id empty or holding whitespace: this is _check_id's one
+        # other rule, tested only on the rare line that holds the mark at all
+        if "\ufeff" in line:
+            for id_ in (parts[0], parts[2]):
+                if id_.startswith("\ufeff"):
+                    # read as text, a UTF-8 BOM would start the first query id
+                    bom = lineno == 1 and line.startswith("\ufeff")
+                    message = "unexpected UTF-8 BOM" if bom else f"id {id_!r} starts with U+FEFF"
+                    raise DataFormatError(message, path, lineno)
         yield lineno, parts
 
 

@@ -172,9 +172,10 @@ def load_run(path: str | Path) -> RunFile:
     """Read `query_id Q0 passage_id rank score tag` lines; each query's results
     come back ordered by the rank column, whatever the line order.
 
-    A UTF-8 BOM or a line of other than six fields (``corpus._read_columns``,
-    which reads qrels too), a passage listed twice for one query, a rank used
-    twice, or a rank or score that is not ASCII (or holds ``_``) is a data error.
+    A line of other than six fields or with an id that starts with U+FEFF
+    (``corpus._read_columns``, which reads qrels too), a passage listed twice
+    for one query, a rank used twice, or a rank or score that is not ASCII (or
+    holds ``_``) is a data error.
     """
     by_query: dict[str, dict[int, tuple[str, float]]] = {}
     pids_of: dict[str, set[str]] = {}

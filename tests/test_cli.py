@@ -419,6 +419,21 @@ def test_eval_run_with_byte_order_mark_exit_3(tmp_path, capsys):
     assert f"data error: {run}:1: unexpected UTF-8 BOM" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_file", ["run", "qrels"])
+@pytest.mark.parametrize("bad_id", ["q2", "p2"])
+def test_eval_id_starting_with_a_byte_order_mark_on_a_later_line_exit_3(tmp_path, capsys, bad_file, bad_id):
+    # only line 1 was checked, so such an id was read, though no id may start with the mark
+    lines = {"run": ["q1 Q0 p1 1 2.0 t", "q2 Q0 p2 1 1.0 t"], "qrels": ["q1 0 p1 1", "q2 0 p2 1"]}
+    lines[bad_file][1] = lines[bad_file][1].replace(bad_id, "\ufeff" + bad_id)
+    paths = {}
+    for name, file_lines in lines.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text("\n".join(file_lines) + "\n", encoding="utf-8")
+    assert dispatch(["eval", "--run", str(paths["run"]), "--qrels", str(paths["qrels"])]) == EXIT_DATA
+    bad = "\ufeff" + bad_id
+    assert f"data error: {paths[bad_file]}:2: id {bad!r} starts with U+FEFF" in capsys.readouterr().err
+
+
 def test_eval_k_below_one_exit_2(tmp_path, capsys):
     run = tmp_path / "run.trec"
     run.write_text("q1 Q0 p1 1 1.0 t\n")
@@ -785,30 +800,34 @@ def test_pipeline_loads_shared_qrels_once(tmp_path, monkeypatch, separate, loads
     assert given[0].eval_qrels == given[0].train_qrels
 
 
-def test_pipeline_freezes_the_collector_only_while_it_runs(tmp_path, monkeypatch):
+def test_pipeline_leaves_the_callers_frozen_objects_frozen(tmp_path, monkeypatch):
+    # an in-process caller's frozen objects stay frozen, whether the run returns or fails
     import gc
 
     import lexmine.cli as cli_mod
 
     cfg = pipeline_cfg_file(tmp_path, tiny_data(tmp_path))
-    frozen = []
-
-    def run(cfg, data, **kwargs):
-        frozen.append(gc.get_freeze_count())
-        if len(frozen) > 1:
-            raise PipelineError("stopped")
-        return []
-
-    monkeypatch.setattr(cli_mod, "run_pipeline", run)
     argv = ["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "run"), "--overwrite"]
-    assert gc.get_freeze_count() == 0
-    assert dispatch(argv) == EXIT_OK
-    assert gc.get_freeze_count() == 0
-    # a failed run unfreezes too
-    assert dispatch(argv) == 1
-    assert gc.get_freeze_count() == 0
-    # the loaded inputs were frozen while the pipeline ran
-    assert len(frozen) == 2 and min(frozen) > 0
+    held = [object()]
+
+    def held_is_frozen():
+        # gc.get_objects() lists the three generations, not the frozen objects
+        return not any(obj is held for obj in gc.get_objects())
+
+    gc.freeze()
+    try:
+        assert held_is_frozen()
+        assert dispatch(argv) == EXIT_OK
+        assert held_is_frozen()
+
+        def fail(cfg, data, **kwargs):
+            raise PipelineError("stopped")
+
+        monkeypatch.setattr(cli_mod, "run_pipeline", fail)
+        assert dispatch(argv) == 1
+        assert held_is_frozen()
+    finally:
+        gc.unfreeze()
 
 
 def test_pipeline_query_id_with_whitespace_exit_3(tmp_path, synth_dir, capsys):

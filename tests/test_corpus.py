@@ -310,6 +310,13 @@ def test_ids_starting_with_a_byte_order_mark_are_rejected(record):
     assert record(id="q\ufeff1", text="x").id == "q\ufeff1"
 
 
+@pytest.mark.parametrize("qid, pid", [("\ufeffq", "p"), ("q", "\ufeffp"), ("q 1", "p"), ("q", "")])
+def test_judgment_ids_follow_the_record_id_rules(qid, pid):
+    # save_qrels would write such an id into a file that load_qrels refuses
+    with pytest.raises(ValueError, match="id"):
+        Judgment(qid, pid, 1)
+
+
 @pytest.mark.parametrize("collection, record", [(Corpus, Passage), (QuerySet, Query)])
 @pytest.mark.parametrize("ids", [[], ["b"], ["p10", "p1", "p2", "p", "p1a", "東京", "東", "é", "e", "Z", "z", "_"]])
 def test_collections_hold_ascending_id_order_whatever_the_input_order(collection, record, ids):
