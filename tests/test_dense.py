@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1078,6 +1079,50 @@ def test_pipeline_checkpoints_match_golden_digests(tiny_pipeline_data, tmp_path)
         pytest.skip(f"golden digests were recorded on {golden['platform']}")
     run_pipeline(tiny_pipeline_cfg(), tiny_pipeline_data, workdir=tmp_path)
     assert checkpoint_digests(tmp_path) == golden["shared"]
+
+
+GOLDEN_ARTIFACTS = Path(__file__).parent / "data" / "pipeline_artifacts_golden.json"
+# every mining path the pipeline has: agreement, fusion, the auxiliary encoder
+# and the two negative modes other than mined
+MINING_VARIANTS = {
+    "agreement": {},
+    "fuse_sum": {"mining_mode": "fuse_sum"},
+    "fuse_product": {"mining_mode": "fuse_product"},
+    "double_dense": {"mining_mode": "double_dense"},
+    "negative_mode=none": {"negative_mode": "none"},
+    "negative_mode=sparse_top": {"negative_mode": "sparse_top"},
+}
+
+
+def artifact_digests(workdir):
+    """sha256 of every text artifact of a run directory: samples, run files,
+    generators and reports without their wall-clock field. The manifest
+    records the config and the package version, not an output."""
+    digests = {}
+    for path in sorted(workdir.rglob("*")):
+        if not path.is_file() or path.suffix == ".npz" or path.name == "manifest.json":
+            continue
+        data = path.read_bytes()
+        if path.name == "report.json":
+            report = json.loads(data)
+            report.pop("wall_clock_sec")
+            data = json.dumps(report, sort_keys=True).encode()
+        digests[path.relative_to(workdir).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("variant", MINING_VARIANTS)
+def test_pipeline_artifacts_match_golden_digests(tiny_pipeline_data, tmp_path, variant):
+    # The mined and generated samples, the run file, the generator and the
+    # reports of each mining variant, as recorded before the searches returned
+    # corpus positions: a change to any mining, generation or evaluation path
+    # shows here. Gated like the checkpoint digests, since the files carry
+    # the trained encoder's float results.
+    golden = json.loads(GOLDEN_ARTIFACTS.read_text())
+    if golden["platform"] != float_platform():
+        pytest.skip(f"golden digests were recorded on {golden['platform']}")
+    run_pipeline(replace(tiny_pipeline_cfg(), **MINING_VARIANTS[variant]), tiny_pipeline_data, workdir=tmp_path)
+    assert artifact_digests(tmp_path) == golden["variants"][variant]
 
 
 def test_training_sample_invariants():
