@@ -275,7 +275,7 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "warmup output")
     sparse_index = build_index(corpus, cfg.tokenizer, cfg.bm25)
-    labeled = assemble_warmup_samples(queries, qrels, sparse_index, cfg)
+    labeled = assemble_warmup_samples(queries, qrels, sparse_index, corpus, cfg)
     params, generator = warmup(labeled, corpus, cfg)
     save_checkpoint(out / "checkpoint.npz", params)
     save_generator(generator, out / "generator.json")
@@ -312,7 +312,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     _guard_overwrite(out, args.overwrite, "mined dataset")
     # the stage command is the pipeline's first iteration, mining stream included
     samples, _, queries_with = mine(state, queries, cfg, iteration=1)
-    save_samples(samples, out)
+    save_samples(samples, out, corpus)
     write_manifest(Path(str(out) + ".manifest.json"), "mine", asdict(cfg), args.seed)
     print(f"mined {len(samples)} samples from {len(queries)} queries ({queries_with} with positives)")
     return EXIT_OK
@@ -329,11 +329,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     # the log first: a --rejected path that cannot be made leaves no samples file
     if args.rejected:
         records = (
-            dict(query_id=p.query.id, query_text=p.query.text, passage_id=p.passage_id, reason="top1-mismatch")
-            for p in rejected
+            dict(query_id=p.query.id, query_text=p.query.text, passage_id=corpus.ids[p.position], reason=reason)
+            for p, reason in rejected
         )
         _save_jsonl_records(args.rejected, records)
-    save_samples(accepted, out)
+    save_samples(accepted, out, corpus)
     write_manifest(Path(str(out) + ".manifest.json"), "generate", asdict(cfg), args.seed)
     print(
         f"generated {len(accepted) + len(rejected)} candidates, accepted {len(accepted)}, "

@@ -224,11 +224,6 @@ class TokenizedCorpus:
     ids: np.ndarray
     offsets: np.ndarray
 
-    def tokens(self, position: int) -> list[str]:
-        """The tokens of the passage at ``position`` in corpus order, in text order."""
-        span = self.ids[self.offsets[position] : self.offsets[position + 1]]
-        return [self.vocab[i] for i in span.tolist()]
-
 
 def _tokenize_corpus(passages: Iterable[Passage], tok: TokenizerConfig) -> TokenizedCorpus:
     token_lists = [tokenize(p.text, tok) for p in passages]
@@ -259,10 +254,7 @@ class _IdCollection(Generic[_Record]):
                 raise DataFormatError(f"duplicate {self.kind} id {r.id!r}")
             self._by_id[r.id] = r
         self._by_id = dict(sorted(self._by_id.items()))
-
-    @property
-    def ids(self) -> list[str]:
-        return list(self._by_id)
+        self.ids: tuple[str, ...] = tuple(self._by_id)
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -292,16 +284,12 @@ class Corpus(_IdCollection[Passage]):
 
     def __init__(self, passages: Iterable[Passage]):
         super().__init__(passages)
-        self._order = list(self._by_id)
-        self._position = {pid: i for i, pid in enumerate(self._order)}
+        self._position = {pid: i for i, pid in enumerate(self.ids)}
         self._tokenized: TokenizedCorpus | None = None
 
     def position(self, passage_id: str) -> int:
-        """Index of the passage in corpus order, its rank in ascending id order."""
+        """Index of the passage in corpus order, its rank in ascending id order: ``ids[position]``."""
         return self._position[passage_id]
-
-    def id_at(self, position: int) -> str:
-        return self._order[position]
 
     def tokenized(self, tok: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenizedCorpus:
         """Every passage tokenized under ``tok``, memoized for the last config asked.

@@ -3,7 +3,8 @@
 The encoder is one mean-pooled token-embedding table that encodes both queries
 and passages, scored by dot product. Training minimizes InfoNCE over one
 positive and a set of hard/random/in-batch negatives with exact analytic
-gradients and an Adam update. The dense index is exact brute-force top-k.
+gradients and an Adam update. The dense index is exact brute-force top-k,
+returning corpus positions and scores; ``corpus.ids`` names the positions.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numpy as np
 from .corpus import (
     Corpus, DataFormatError, Query, TokenizedCorpus, TokenizerConfig, DEFAULT_TOKENIZER, _check_format, atomic_write,
 )
-from .sparse import RankedList
-
 __all__ = [
     "EncoderParams",
     "DenseIndex",
@@ -221,19 +220,14 @@ def corpus_token_rows(
 
 @dataclass
 class DenseIndex:
-    """Passage vectors in corpus order (ascending id), built by the encoder
-    ``params`` at version ``params_version`` under ``tokenizer``; searches take query
-    tokens under that tokenizer, encode them with ``params`` and break ties by position."""
+    """Passage vectors by corpus position, built by the encoder ``params`` at
+    version ``params_version`` under ``tokenizer``; searches take query tokens
+    under that tokenizer, encode them with ``params`` and break ties by position."""
 
-    ids: list[str]
     vectors: np.ndarray
     params_version: int
     tokenizer: TokenizerConfig
     params: EncoderParams = field(repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.ids) != self.vectors.shape[0]:
-            raise ValueError("ids and vectors disagree in length")
 
 
 def build_dense_index(
@@ -244,18 +238,17 @@ def build_dense_index(
         raise ValueError("cannot index an empty corpus")
     tc = corpus_token_rows(params, corpus, tok)
     vectors = _mean_pool(params.embedding, tc.ids, np.diff(tc.offsets))
-    return DenseIndex(corpus.ids, vectors, params.version, tok, params)
+    return DenseIndex(vectors, params.version, tok, params)
 
 
 DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
 TOP_K_GROUP = 16  # columns per group of ``_block_top_k``'s first stage
 
 
-def _block_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``k`` best entries of every row of the (b, n) ``scores`` by (score
-    desc, column asc), in one pass: returns the picked flat positions into
-    ``scores``, row after row, each row's in rank order, and how many each
-    row picked.
+def _block_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The ``min(k, n)`` best entries of every row of the (b, n) ``scores`` by
+    (score desc, column asc), in one pass: returns the picked flat positions
+    into ``scores``, row after row, each row's in rank order.
 
     Each row gets a threshold t at most its k-th best score, and every entry
     at least t survives, so ties at the boundary compete on column. The columns
@@ -286,12 +279,13 @@ def _block_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     survivors = np.bincount(rows, minlength=b)
     # a survivor's place in its row; rows are contiguous in ``order``
     place = np.arange(len(order)) - np.repeat(np.cumsum(survivors) - survivors, survivors)
-    return flat[order[place < k]], np.minimum(survivors, k)
+    return flat[order[place < k]]
 
 
-def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int) -> list[RankedList]:
+def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by dot product for each query's tokens under
-    ``index.tokenizer``; ties break by ascending passage id.
+    ``index.tokenizer``: int64 corpus positions and float64 scores, two
+    ``(len(token_lists), min(k, n))`` arrays; ties break by ascending position.
 
     Queries are encoded by ``index.params`` and pooled ``DENSE_BLOCK`` at a
     time into a matrix scored with one product against the index and ranked
@@ -308,18 +302,16 @@ def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int
             f"index built at params version {index.params_version}, "
             f"current is {params.version}; rebuild the index"
         )
-    ids, n = index.ids, len(index.ids)
-    ranked: list[RankedList] = []
+    n = len(index.vectors)
+    shape = (len(token_lists), min(k, n))
+    positions, top_scores = np.empty(shape, dtype=np.int64), np.empty(shape)
     for lo in range(0, len(token_lists), DENSE_BLOCK):
         rows, sizes = _token_rows(params.vocab, token_lists[lo : lo + DENSE_BLOCK])
         scores = _mean_pool(params.embedding, rows, sizes) @ index.vectors.T
-        picked, counts = _block_top_k(scores, k)
-        hits = list(zip(map(ids.__getitem__, (picked % n).tolist()), scores.ravel()[picked].tolist()))
-        end = 0
-        for count in counts.tolist():
-            ranked.append(hits[end : end + count])
-            end += count
-    return ranked
+        picked = _block_top_k(scores, k)
+        positions[lo : lo + DENSE_BLOCK] = (picked % n).reshape(-1, shape[1])
+        top_scores[lo : lo + DENSE_BLOCK] = scores.ravel()[picked].reshape(-1, shape[1])
+    return positions, top_scores
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +321,12 @@ def search_dense(index: DenseIndex, token_lists: Sequence[Sequence[str]], k: int
 
 @dataclass(frozen=True)
 class TrainingSample:
-    """One query, one positive passage, ordered hard and random negatives."""
+    """One query, one positive passage, ordered hard and random negatives, as corpus positions."""
 
     query: Query
-    positive: str
-    hard_negatives: tuple[str, ...] = ()
-    random_negatives: tuple[str, ...] = ()
+    positive: int
+    hard_negatives: tuple[int, ...] = ()
+    random_negatives: tuple[int, ...] = ()
     source: str = "mined"
 
     def __post_init__(self) -> None:
@@ -365,13 +357,13 @@ def infonce_batch(
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    # Unique passages touched by the batch, encoded once.
-    uniq: dict[str, int] = {}
+    # Unique passages touched by the batch, by position, encoded once.
+    uniq: dict[int, int] = {}
     for s in batch:
-        for pid in (s.positive, *s.hard_negatives, *s.random_negatives):
-            uniq.setdefault(pid, len(uniq))
+        for p in (s.positive, *s.hard_negatives, *s.random_negatives):
+            uniq.setdefault(p, len(uniq))
     tc = corpus_token_rows(params, corpus, tok)
-    spans = [tc.ids[tc.offsets[i] : tc.offsets[i + 1]] for i in map(corpus.position, uniq)]
+    spans = [tc.ids[tc.offsets[p] : tc.offsets[p + 1]] for p in uniq]
     q_rows, q_sizes = _token_rows(params.vocab, [s.query.tokens(tok) for s in batch])
     rows = np.concatenate([*spans, q_rows])
     sizes = np.concatenate([np.array([span.size for span in spans], dtype=np.int64), q_sizes])
@@ -386,7 +378,7 @@ def infonce_batch(
     counts = np.tile(np.bincount(pos, minlength=len(uniq)).astype(np.float64), (n, 1))
     counts[samples, pos] = 1.0
     for i, s in enumerate(batch):
-        counts[i, [uniq[pid] for pid in (*s.hard_negatives, *s.random_negatives)]] += 1.0
+        counts[i, [uniq[p] for p in (*s.hard_negatives, *s.random_negatives)]] += 1.0
 
     S = np.where(counts > 0, Q @ P.T, -np.inf)
     # the loss and the softmax from one max-shifted exp

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .corpus import DataFormatError, JudgmentSet, _ascii_float, _ascii_int, _read_columns, atomic_write
-from .sparse import RankedList
 
 __all__ = [
     "RunFile",
@@ -29,8 +28,8 @@ __all__ = [
     "format_lang_table",
 ]
 
-# query_id -> ranked results
-RunFile = dict[str, RankedList]
+# query_id -> (passage_id, score) pairs by score descending, then passage id ascending
+RunFile = dict[str, list[tuple[str, float]]]
 
 
 @dataclass

@@ -3,6 +3,7 @@
 A passage both retrievers rank within their top-S is a positive; a passage one
 retriever ranks within top-S while the other leaves it outside top-L entirely
 is a hard negative. Requiring L >= S makes the two sets provably disjoint.
+Passages are corpus positions; the sample files name them by passage id.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .corpus import Corpus, Query, _load_jsonl_records, _require_str, _save_jsonl_records
 from .dense import TrainingSample
-from .sparse import RankedList
 
 __all__ = [
     "MiningConfig",
@@ -46,59 +46,61 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class MinedSets:
-    """Mined positive and negative ids for one query, each in a deterministic
-    order (``mine_pairs``: best rank across the two input rankings, then id),
-    so downstream sample assembly is reproducible.
+    """Mined positive and negative corpus positions for one query, each in a
+    deterministic order (``mine_pairs``: best rank across the two input
+    rankings, then position), so downstream sample assembly is reproducible.
     """
 
-    positives: tuple[str, ...]
-    negatives: tuple[str, ...]
+    positives: tuple[int, ...]
+    negatives: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not set(self.positives).isdisjoint(self.negatives):
             raise ValueError("positives and negatives must be disjoint")
 
 
-def mine_pairs(sparse_topL: RankedList, dense_topL: RankedList, cfg: MiningConfig) -> MinedSets:
-    """Derive positive and hard-negative sets from two top-L rankings.
+def mine_pairs(sparse_pos: np.ndarray, dense_pos: np.ndarray, cfg: MiningConfig) -> list[MinedSets]:
+    """Positive and hard-negative sets for a block of queries from two top-L
+    rankings: row i of each 2-D array holds query i's corpus positions in rank
+    order, a row shorter than its array padded with -1.
 
-    positives = S_s & S_d and negatives = (S_s - L_d) | (S_d - L_s), where S_x
-    is the first min(S, len) entries and L_x all entries of each input list.
+    Per query, positives = S_s & S_d and negatives = (S_s - L_d) | (S_d - L_s),
+    where S_x is the first min(S, len) entries of its row and L_x all of them,
+    found by broadcast compares. Every mined position lies in a top-S prefix,
+    so its best rank is its rank there; sets are ordered by (best rank, position).
     """
-    sparse_ids = [pid for pid, _ in sparse_topL]
-    dense_ids = [pid for pid, _ in dense_topL]
-    s_s = set(sparse_ids[: cfg.S])
-    s_d = set(dense_ids[: cfg.S])
-    l_s = set(sparse_ids)
-    l_d = set(dense_ids)
-    positives = s_s & s_d
-    negatives = (s_s - l_d) | (s_d - l_s)
-
-    # every mined id lies in a top-S prefix, so its best rank is its rank there
-    best_rank: dict[str, int] = {}
-    for rank, pid in (*enumerate(sparse_ids[: cfg.S], 1), *enumerate(dense_ids[: cfg.S], 1)):
-        best_rank[pid] = min(best_rank.get(pid, rank), rank)
-    order_key = lambda pid: (best_rank[pid], pid)
-    return MinedSets(
-        positives=tuple(sorted(positives, key=order_key)),
-        negatives=tuple(sorted(negatives, key=order_key)),
-    )
+    top_s, top_d = sparse_pos[:, : cfg.S], dense_pos[:, : cfg.S]
+    rank_s, rank_d = np.arange(1, top_s.shape[1] + 1), np.arange(1, top_d.shape[1] + 1)
+    # a sparse top-S entry's rank in the dense top-S, 0 when it is not there
+    in_top_d = (top_s[:, :, None] == top_d[:, None, :]) @ rank_d
+    positive = (top_s >= 0) & (in_top_d > 0)
+    neg_s = (top_s >= 0) & ~(top_s[:, :, None] == dense_pos[:, None, :]).any(axis=2)
+    neg_d = (top_d >= 0) & ~(top_d[:, :, None] == sparse_pos[:, None, :]).any(axis=2)
+    # both top-S prefixes side by side, each row sorted by (set, best rank,
+    # position): its positives (0), then its negatives (1), then the rest (2)
+    kind = np.concatenate((np.where(positive, 0, 2 - neg_s), 2 - neg_d), axis=1)
+    best_s = np.where(positive, np.minimum(rank_s, in_top_d), rank_s)
+    best = np.concatenate((best_s, np.broadcast_to(rank_d, top_d.shape)), axis=1)
+    both = np.concatenate((top_s, top_d), axis=1)
+    ranked = np.take_along_axis(both, np.lexsort((both, best, kind)), axis=1).tolist()
+    n_pos, n_neg = positive.sum(axis=1).tolist(), (neg_s.sum(axis=1) + neg_d.sum(axis=1)).tolist()
+    return [MinedSets(tuple(row[:p]), tuple(row[p : p + n])) for row, p, n in zip(ranked, n_pos, n_neg)]
 
 
 def sample_random_negatives(
     corpus: Corpus,
-    exclude: set[str],
+    exclude: set[int],
     n: int,
     rng: np.random.Generator,
-) -> tuple[str, ...]:
-    """Uniform draws without replacement from the corpus, skipping ``exclude``.
+) -> tuple[int, ...]:
+    """Uniform draws without replacement from the corpus positions not in ``exclude``.
 
     The draw picks indices into the remaining passages in corpus order; each is
-    mapped past the excluded passages' positions, so no candidate list is built.
+    mapped past the excluded positions, so no candidate list is built.
     """
     if n <= 0:
         return ()
-    skipped = np.array(sorted(corpus.position(pid) for pid in exclude if pid in corpus), dtype=np.int64)
+    skipped = np.array(sorted(exclude), dtype=np.int64)
     count = len(corpus) - len(skipped)
     if count == 0:
         return ()
@@ -106,7 +108,7 @@ def sample_random_negatives(
     # skipped[j] has skipped[j] - j remaining passages before it, so remaining
     # passage c lies past every skipped[j] with skipped[j] - j <= c
     shift = np.searchsorted(skipped - np.arange(len(skipped)), picked, side="right")
-    return tuple(corpus.id_at(p) for p in (picked + shift).tolist())
+    return tuple((picked + shift).tolist())
 
 
 def assemble_mined_sample(
@@ -126,12 +128,12 @@ def assemble_mined_sample(
     hard = sets.negatives[: cfg.max_hard_negatives]
     exclude = {*sets.positives, *sets.negatives}
     samples = []
-    for pid in sets.positives:
+    for p in sets.positives:
         randoms = sample_random_negatives(corpus, exclude, cfg.n_random_negatives, rng)
         samples.append(
             TrainingSample(
                 query=query,
-                positive=pid,
+                positive=p,
                 hard_negatives=hard,
                 random_negatives=randoms,
                 source=source,
@@ -140,33 +142,36 @@ def assemble_mined_sample(
     return samples
 
 
-def _minmax_normalize(ranked: RankedList) -> dict[str, float]:
+def _minmax_normalize(positions: np.ndarray, scores: np.ndarray) -> dict[int, float]:
+    ranked = [(p, s) for p, s in zip(positions.tolist(), scores.tolist()) if p >= 0]
     if not ranked:
         return {}
-    scores = [s for _, s in ranked]
-    lo, hi = min(scores), max(scores)
+    values = [s for _, s in ranked]
+    lo, hi = min(values), max(values)
     if hi == lo:
-        return {pid: 1.0 for pid, _ in ranked}
-    return {pid: (s - lo) / (hi - lo) for pid, s in ranked}
+        return {p: 1.0 for p, _ in ranked}
+    return {p: (s - lo) / (hi - lo) for p, s in ranked}
 
 
-def hybrid_fuse(sparse: RankedList, dense: RankedList, mode: str, k: int) -> RankedList:
-    """Fuse two rankings by sum or product of min-max normalized scores.
+def hybrid_fuse(sparse: tuple, dense: tuple, mode: str, k: int) -> list[tuple[int, float]]:
+    """Fuse two rankings, each a row of corpus positions (-1 pads a short one)
+    and their scores, by sum or product of min-max normalized scores.
 
-    Each list is normalized to [0, 1] over its own scores (all-equal scores
-    normalize to 1.0); ids missing from a list contribute 0. The fused list is
-    the top-k of the union under the usual (score desc, id asc) order.
+    Each ranking is normalized to [0, 1] over its own scores (all-equal scores
+    normalize to 1.0); positions missing from a ranking contribute 0. Returns
+    the top-k of the union as (position, fused score) pairs under the usual
+    (score desc, position asc) order.
     """
     if mode not in ("sum", "product"):
         raise ValueError(f"mode must be 'sum' or 'product', got {mode!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ns = _minmax_normalize(sparse)
-    nd = _minmax_normalize(dense)
+    ns = _minmax_normalize(*sparse)
+    nd = _minmax_normalize(*dense)
     fused = []
-    for pid in set(ns) | set(nd):
-        a, b = ns.get(pid, 0.0), nd.get(pid, 0.0)
-        fused.append((pid, a + b if mode == "sum" else a * b))
+    for p in ns.keys() | nd.keys():
+        a, b = ns.get(p, 0.0), nd.get(p, 0.0)
+        fused.append((p, a + b if mode == "sum" else a * b))
     fused.sort(key=lambda kv: (-kv[1], kv[0]))
     return fused[:k]
 
@@ -176,15 +181,17 @@ def hybrid_fuse(sparse: RankedList, dense: RankedList, mode: str, k: int) -> Ran
 # ---------------------------------------------------------------------------
 
 
-def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
-    """Write training samples as JSONL (one object per sample)."""
+def save_samples(samples: list[TrainingSample], path: str | Path, corpus: Corpus) -> None:
+    """Write training samples as JSONL (one object per sample), each passage
+    as the id of its position in ``corpus``."""
+    ids = corpus.ids
     records = (
         {
             "query_id": s.query.id,
             "query_text": s.query.text,
-            "positive": s.positive,
-            "hard_negatives": list(s.hard_negatives),
-            "random_negatives": list(s.random_negatives),
+            "positive": ids[s.positive],
+            "hard_negatives": [ids[p] for p in s.hard_negatives],
+            "random_negatives": [ids[p] for p in s.random_negatives],
             "source": s.source,
             "lang": s.query.lang,
         }
@@ -193,31 +200,34 @@ def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
     _save_jsonl_records(path, records)
 
 
-def _id_list(obj: dict, key: str) -> tuple[str, ...]:
+def _position(corpus: Corpus, pid: str) -> int:
+    if pid not in corpus:
+        raise ValueError(f"unknown passage id {pid!r}")
+    return corpus.position(pid)
+
+
+def _positions(obj: dict, key: str, corpus: Corpus) -> tuple[int, ...]:
     val = obj.get(key, [])
     if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
         raise ValueError(f"field {key!r} must be a list of strings")
-    return tuple(val)
+    return tuple(_position(corpus, pid) for pid in val)
 
 
 def load_samples(path: str | Path, corpus: Corpus) -> list[TrainingSample]:
-    """Read a samples JSONL file whose every passage id is in ``corpus``."""
+    """Read a samples JSONL file whose every passage id is in ``corpus``, each
+    passage as its position there."""
 
     def parse(obj: dict) -> TrainingSample:
-        sample = TrainingSample(
+        return TrainingSample(
             query=Query(
                 id=_require_str(obj, "query_id"),
                 text=_require_str(obj, "query_text"),
                 lang=_require_str(obj, "lang", "en"),
             ),
-            positive=_require_str(obj, "positive"),
-            hard_negatives=_id_list(obj, "hard_negatives"),
-            random_negatives=_id_list(obj, "random_negatives"),
+            positive=_position(corpus, _require_str(obj, "positive")),
+            hard_negatives=_positions(obj, "hard_negatives", corpus),
+            random_negatives=_positions(obj, "random_negatives", corpus),
             source=_require_str(obj, "source", "mined"),
         )
-        for pid in (sample.positive, *sample.hard_negatives, *sample.random_negatives):
-            if pid not in corpus:
-                raise ValueError(f"unknown passage id {pid!r}")
-        return sample
 
     return _load_jsonl_records(path, parse)

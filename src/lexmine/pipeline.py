@@ -56,6 +56,7 @@ from .mining import (
     save_samples,
 )
 from .querygen import (
+    UNSEEN_SALIENCE,
     GeneratedPair,
     GeneratorModel,
     assemble_generated_sample,
@@ -65,7 +66,7 @@ from .querygen import (
     save_generator,
     train_generator,
 )
-from .sparse import BM25Params, InvertedIndex, RankedList, build_index, search_sparse
+from .sparse import BM25Params, InvertedIndex, build_index, search_sparse
 
 __all__ = [
     "PipelineConfig",
@@ -205,10 +206,10 @@ class PipelineState:
     """Everything the stages read: the corpus, the generator, and the indexes
     built from that corpus; ``dense_index.params`` is the encoder that trains.
 
-    ``fixed_rankings`` holds the top-L ranking of each query mined so far by
-    the retriever mining compares against, BM25 or under ``double_dense`` the
-    auxiliary encoder's ``aux_index``. Neither ever trains, so a query is
-    ranked once per run. All three indexes share one tokenizer.
+    ``fixed_rankings`` holds the top-L positions and scores of each query mined
+    so far by the retriever mining compares against, BM25 or under
+    ``double_dense`` the auxiliary encoder's ``aux_index``. Neither ever
+    trains, so a query is ranked once per run. All three indexes share one tokenizer.
     """
 
     generator: GeneratorModel
@@ -217,7 +218,7 @@ class PipelineState:
     dense_index: DenseIndex
     iteration: int = 0
     aux_index: DenseIndex | None = None
-    fixed_rankings: dict[Query, RankedList] = field(default_factory=dict)
+    fixed_rankings: dict[Query, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def start_state(
@@ -250,6 +251,7 @@ def assemble_warmup_samples(
     queries: QuerySet,
     qrels: JudgmentSet,
     sparse_index: InvertedIndex,
+    corpus: Corpus,
     cfg: PipelineConfig,
 ) -> list[TrainingSample]:
     """DPR-style labeled samples: the best sparse-ranked relevant passage is the
@@ -257,14 +259,12 @@ def assemble_warmup_samples(
     samples = []
     depth = cfg.mining.L + cfg.mining.max_hard_negatives
     for q in queries:
-        relevant = qrels.relevant(q.id)
+        relevant = set(map(corpus.position, qrels.relevant(q.id)))
         if not relevant:
             continue
-        ranked = search_sparse(sparse_index, q.tokens(sparse_index.tokenizer), depth)
-        positive = next((pid for pid, _ in ranked if pid in relevant), min(relevant))
-        hard = tuple(
-            pid for pid, _ in ranked if pid not in relevant
-        )[: cfg.mining.max_hard_negatives]
+        ranked = search_sparse(sparse_index, q.tokens(sparse_index.tokenizer), depth)[0].tolist()
+        positive = next((p for p in ranked if p in relevant), min(relevant))
+        hard = tuple(p for p in ranked if p not in relevant)[: cfg.mining.max_hard_negatives]
         samples.append(
             TrainingSample(query=q, positive=positive, hard_negatives=hard, source="labeled")
         )
@@ -303,7 +303,7 @@ def warmup(
 
     generator = train_generator(
         GeneratorModel(),
-        [(s.query, corpus[s.positive]) for s in source_labeled],
+        [(s.query, corpus[corpus.ids[s.positive]]) for s in source_labeled],
         corpus,
         cfg.tokenizer,
     )
@@ -316,9 +316,11 @@ def warmup(
 
 
 def dense_run(state: PipelineState, queries: QuerySet, k: int) -> RunFile:
-    """Dense retrieval run over a query set (order-deterministic)."""
+    """Dense retrieval run over a query set (order-deterministic), positions named by their ids."""
     index = state.dense_index
-    return dict(zip(queries.ids, search_dense(index, [q.tokens(index.tokenizer) for q in queries], k)))
+    positions, scores = search_dense(index, [q.tokens(index.tokenizer) for q in queries], k)
+    names = np.array(state.corpus.ids, dtype=object)[positions].tolist()
+    return {qid: list(zip(row, row_scores)) for qid, row, row_scores in zip(queries.ids, names, scores.tolist())}
 
 
 def _evaluate(
@@ -344,34 +346,39 @@ def _evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _fixed_rankings(state: PipelineState, qs: list[Query], cfg: PipelineConfig) -> list[RankedList]:
-    """Each query's top-L by the retriever that never trains, from
-    ``state.fixed_rankings``; queries not ranked yet are ranked from their
-    tokens and kept."""
+def _fixed_rankings(state: PipelineState, qs: list[Query], cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The queries' top-L positions and scores by the retriever that never
+    trains, a row each padded with -1 and 0.0, from ``state.fixed_rankings``;
+    queries not ranked yet are ranked from their tokens and kept."""
     known = state.fixed_rankings
     todo = [q for q in qs if q not in known]
+    L = cfg.mining.L
     if cfg.mining_mode == "double_dense":
         aux = state.aux_index
-        assert aux is not None
-        ranked = search_dense(aux, [q.tokens(aux.tokenizer) for q in todo], cfg.mining.L)
+        known.update(zip(todo, zip(*search_dense(aux, [q.tokens(aux.tokenizer) for q in todo], L))))
     else:
         sparse = state.sparse_index
-        ranked = [search_sparse(sparse, q.tokens(sparse.tokenizer), cfg.mining.L) for q in todo]
-    known.update(zip(todo, ranked))
-    return [known[q] for q in qs]
+        known.update((q, search_sparse(sparse, q.tokens(sparse.tokenizer), L)) for q in todo)
+    positions, scores = np.full((len(qs), L), -1), np.zeros((len(qs), L))
+    for row, q in enumerate(qs):
+        ranked, ranked_scores = known[q]
+        positions[row, : len(ranked)], scores[row, : len(ranked)] = ranked, ranked_scores
+    return positions, scores
 
 
-def _mined_sets(list_a, list_b, cfg: PipelineConfig) -> tuple[MinedSets, tuple[str, ...]]:
-    """The sets mined at S and the generator's S=1 positive: agreement mining
-    and the two rankings' shared top-1, or a prefix split of the fused ranking
-    and its top-1 in fuse modes."""
+def _mined_sets(
+    fixed: tuple[np.ndarray, np.ndarray], dense: tuple[np.ndarray, np.ndarray], cfg: PipelineConfig
+) -> tuple[list[MinedSets], np.ndarray]:
+    """Each query's sets mined at S and its S=1 positive for the generator (-1
+    for none) from (positions, scores) rows: agreement mining and the shared
+    top-1, or in fuse modes a prefix split of the fused ranking and its top-1."""
     if cfg.mining_mode in ("fuse_sum", "fuse_product"):
-        fused = hybrid_fuse(list_a, list_b, cfg.mining_mode.removeprefix("fuse_"), cfg.mining.L)
-        ids = [pid for pid, _ in fused]
-        s = cfg.mining.S
-        return MinedSets(positives=tuple(ids[:s]), negatives=tuple(ids[s:])), tuple(ids[:1])
-    top1 = tuple(a for (a, _), (b, _) in zip(list_a[:1], list_b[:1]) if a == b)
-    return mine_pairs(list_a, list_b, cfg.mining), top1
+        mode, s = cfg.mining_mode.removeprefix("fuse_"), cfg.mining.S
+        fused = [[p for p, _ in hybrid_fuse(r[:2], r[2:], mode, cfg.mining.L)] for r in zip(*fixed, *dense)]
+        sets = [MinedSets(positives=tuple(f[:s]), negatives=tuple(f[s:])) for f in fused]
+        return sets, np.array([f[0] if f else -1 for f in fused], dtype=np.int64)
+    a, b = fixed[0][:, 0], dense[0][:, 0]
+    return mine_pairs(fixed[0], dense[0], cfg.mining), np.where((a == b) & (a >= 0), a, -1)
 
 
 def mine(
@@ -382,14 +389,14 @@ def mine(
 ) -> tuple[list[TrainingSample], list[tuple[Query, Passage]], int]:
     """Mine training samples for unlabeled queries from retriever agreement.
 
-    Queries are mined one at a time in ascending id order from the iteration's
-    mining stream, after all of them are ranked: by the trained encoder in
-    blocks, and by the fixed retriever from ``_fixed_rankings``. A query with
-    no token in the encoder's vocabulary is skipped: its zero vector ranks
-    passages by id, which the fuse modes would mine as agreement. Hard
-    negatives follow ``cfg.negative_mode``. Returns the samples, the S=1
-    (query, passage) pairs the generator trains on, and the number of queries
-    with at least one positive.
+    All queries are ranked first, by the trained encoder in blocks and by the
+    fixed retriever from ``_fixed_rankings``, and mined as one block; those
+    with positives then yield their samples one at a time, in ascending id
+    order, from the iteration's mining stream. A query with no token in the
+    encoder's vocabulary is skipped: its zero vector ranks passages by id,
+    which the fuse modes would mine as agreement. Hard negatives follow
+    ``cfg.negative_mode``. Returns the samples, the S=1 (query, passage) pairs
+    the generator trains on, and the number of queries with at least one positive.
     """
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
     vocab = state.dense_index.params.vocab
@@ -397,27 +404,25 @@ def mine(
     qs = [q for q in queries if any(t in vocab for t in q.tokens(tok))]
     fixed = _fixed_rankings(state, qs, cfg)
     dense = search_dense(state.dense_index, [q.tokens(tok) for q in qs], cfg.mining.L)
+    all_sets, top1 = _mined_sets(fixed, dense, cfg)
     # the other negative modes draw no random negatives
     no_randoms = replace(cfg.mining, n_random_negatives=0)
     mined: list[TrainingSample] = []
     gen_pairs: list[tuple[Query, Passage]] = []
-    queries_with_positives = 0
-    for q, fixed_topL, dense_topL in zip(qs, fixed, dense):
-        sets, top1 = _mined_sets(fixed_topL, dense_topL, cfg)
-        if sets.positives:
-            queries_with_positives += 1
+    # a query without positives yields no sample, draws nothing and has no S=1 positive
+    with_positives = [(q, sets, p) for q, sets, p in zip(qs, all_sets, top1.tolist()) if sets.positives]
+    for q, sets, p in with_positives:
         mining_cfg = cfg.mining
         if cfg.negative_mode != "mined":
-            hard: tuple[str, ...] = ()
+            hard: tuple[int, ...] = ()
             if cfg.negative_mode == "sparse_top":
-                sparse_ranked = search_sparse(
-                    state.sparse_index, q.tokens(tok), cfg.mining.max_hard_negatives + cfg.mining.S
-                )
-                hard = tuple(pid for pid, _ in sparse_ranked if pid not in sets.positives)
+                ranked = search_sparse(state.sparse_index, q.tokens(tok), cfg.mining.max_hard_negatives + cfg.mining.S)
+                hard = tuple(r for r in ranked[0].tolist() if r not in sets.positives)
             sets, mining_cfg = MinedSets(sets.positives, hard), no_randoms
         mined.extend(assemble_mined_sample(q, sets, state.corpus, rng, mining_cfg))
-        gen_pairs.extend((q, state.corpus[pid]) for pid in top1)
-    return mined, gen_pairs, queries_with_positives
+        if p >= 0:
+            gen_pairs.append((q, state.corpus[state.corpus.ids[p]]))
+    return mined, gen_pairs, len(with_positives)
 
 
 def generate(
@@ -425,7 +430,7 @@ def generate(
     langs: Iterable[str],
     cfg: PipelineConfig,
     iteration: int,
-) -> tuple[list[TrainingSample], list[GeneratedPair]]:
+) -> tuple[list[TrainingSample], list[tuple[GeneratedPair, str]]]:
     """Generate queries for sampled passages and keep those both retrievers confirm.
 
     Up to ``cfg.n_generate`` passages per language are drawn from the
@@ -435,33 +440,37 @@ def generate(
     pair is accepted when the sparse and the dense retriever both return its
     passage as top-1. The accepted pairs' samples are built in order from
     those same rankings, with random negatives from the iteration's assembly
-    stream, so no pair's verdict shifts another's draws. Returns the training
-    samples of the accepted pairs and the rejected pairs; passages without
-    tokens give neither.
+    stream, so no pair's verdict shifts another's draws. Each language weighs
+    the corpus token ids once. Returns the training samples of the accepted
+    pairs and the rejected pairs with their reasons; passages without tokens
+    give neither.
     """
     rng_select = np.random.default_rng([cfg.seed, _GEN_SELECT, iteration])
     rng_sample = np.random.default_rng([cfg.seed, _GEN_SAMPLE, iteration])
     rng_assemble = np.random.default_rng([cfg.seed, _GEN_ASSEMBLE, iteration])
     corpus, generator = state.corpus, state.generator
-    tokenized = corpus.tokenized(cfg.tokenizer)
+    tc = corpus.tokenized(cfg.tokenizer)
     accepted: list[TrainingSample] = []
-    rejected: list[GeneratedPair] = []
+    rejected: list[tuple[GeneratedPair, str]] = []
     for lang in langs:
+        weights = np.array([generator.term_salience.get((lang, t), UNSEEN_SALIENCE) for t in tc.vocab])
         lang_passages = corpus.by_lang(lang)
         n = min(cfg.n_generate, len(lang_passages))
         pairs = []
         for idx in rng_select.choice(len(lang_passages), size=n, replace=False):
             passage = lang_passages[int(idx)]
-            tokens = tokenized.tokens(corpus.position(passage.id))
-            if tokens:
-                query = generate_query(generator, passage, tokens, rng_sample, f"gen{iteration}-{passage.id}")
-                pairs.append(GeneratedPair(query=query, passage_id=passage.id))
+            p = corpus.position(passage.id)
+            span = tc.ids[tc.offsets[p] : tc.offsets[p + 1]]
+            if span.size:
+                qid = f"gen{iteration}-{passage.id}"
+                query = generate_query(generator, passage, span, weights, tc.vocab, rng_sample, qid)
+                pairs.append(GeneratedPair(query=query, position=p))
         verdicts = filter_generated(pairs, state.sparse_index, state.dense_index, cfg.mining)
-        for pair, rankings in zip(pairs, verdicts):
-            if rankings is None:
-                rejected.append(pair)
+        for pair, verdict in zip(pairs, verdicts):
+            if isinstance(verdict, str):
+                rejected.append((pair, verdict))
             else:
-                accepted.append(assemble_generated_sample(pair, rankings, corpus, rng_assemble, cfg.mining))
+                accepted.append(assemble_generated_sample(pair, verdict, corpus, rng_assemble, cfg.mining))
     return accepted, rejected
 
 
@@ -530,7 +539,7 @@ def run_iteration(
         )
 
     generated: list[TrainingSample] = []
-    rejected: list[GeneratedPair] = []
+    rejected: list[tuple[GeneratedPair, str]] = []
     if cfg.n_generate > 0 and iteration > 1:
         if gen_pairs:
             train_generator(state.generator, gen_pairs, state.corpus, cfg.tokenizer)
@@ -609,8 +618,8 @@ def _write_stage(
     # report.json goes first and comes back last: a directory without it is never loaded
     (outdir / "report.json").unlink(missing_ok=True)
     if artifacts is not None:
-        save_samples(artifacts["mined"], outdir / "mined.jsonl")
-        save_samples(artifacts["generated"], outdir / "generated.jsonl")
+        save_samples(artifacts["mined"], outdir / "mined.jsonl", state.corpus)
+        save_samples(artifacts["generated"], outdir / "generated.jsonl", state.corpus)
     save_checkpoint(outdir / "checkpoint.npz", state.dense_index.params)
     save_generator(state.generator, outdir / "generator.json")
     if artifacts is None and state.aux_index is not None:
@@ -746,7 +755,7 @@ def run_pipeline(
             params, generator, sparse_index, data.corpus, cfg, len(reports) - 1, aux_params=aux_params
         )
     else:
-        labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse_index, cfg)
+        labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse_index, data.corpus, cfg)
         t0 = time.perf_counter()
         params, generator = warmup(labeled, data.corpus, cfg)
         if cfg.mining_mode == "double_dense":

@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .dense import DenseIndex, TrainingSample, search_dense
 from .mining import MinedSets, MiningConfig, assemble_mined_sample
-from .sparse import InvertedIndex, RankedList, impact_scores, search_sparse
+from .sparse import InvertedIndex, impact_scores, search_sparse
 
 __all__ = [
     "GeneratorModel",
@@ -44,6 +44,8 @@ __all__ = [
 SALIENCE_PSEUDO_COUNT = 8.0
 UNSEEN_SALIENCE = 0.5
 
+SPARSE_MISS, DENSE_MISS = "sparse-top1-miss", "dense-top1-miss"  # filter_generated's rejection reasons
+
 
 @dataclass
 class GeneratorModel:
@@ -55,7 +57,7 @@ class GeneratorModel:
 @dataclass(frozen=True)
 class GeneratedPair:
     query: Query
-    passage_id: str
+    position: int  # the source passage's corpus position
 
 
 def train_generator(
@@ -85,7 +87,8 @@ def train_generator(
         q_tokens = set(q_list)
         if q_list:
             lengths[len(q_list)] = lengths.get(len(q_list), 0) + 1
-        for t in set(tc.tokens(corpus.position(passage.id))):
+        p = corpus.position(passage.id)
+        for t in map(tc.vocab.__getitem__, set(tc.ids[tc.offsets[p] : tc.offsets[p + 1]].tolist())):
             key = (passage.lang, t)
             in_passage[key] = in_passage.get(key, 0) + 1
             if t in q_tokens:
@@ -109,24 +112,28 @@ def train_generator(
 def generate_query(
     model: GeneratorModel,
     passage: Passage,
-    tokens: Sequence[str],
+    token_ids: np.ndarray,
+    weights: np.ndarray,
+    vocab: Sequence[str],
     rng: np.random.Generator,
     query_id: str,
 ) -> Query:
-    """Sample a query with id ``query_id`` from the passage's ``tokens``,
+    """Sample a query with id ``query_id`` from the passage's ``token_ids``,
     weighted by salience.
 
-    ``tokens`` are the passage's tokens in text order (a pipeline passes
-    ``Corpus.tokenized(tok).tokens``). The length is drawn from the trained
-    length distribution, then that many distinct passage tokens are drawn
-    without replacement with probability proportional to salience, and
-    uniformly once only zero weights remain. The draws are one Gumbel-top-k
-    sample (Kool et al., ICML 2019): the top keys log(weight) + Gumbel noise,
-    zero weights last in noise order. The query inherits the passage's language.
+    ``token_ids`` is the passage's span of ``Corpus.tokenized(tok).ids``;
+    ``weights`` holds each token id's salience in the passage's language and
+    ``vocab`` its token. The length is drawn from the trained length
+    distribution, then that many distinct token ids, in first-occurrence
+    order, are drawn without replacement with probability proportional to
+    salience, and uniformly once only zero weights remain. The draws are one
+    Gumbel-top-k sample (Kool et al., ICML 2019): the top keys log(weight) +
+    Gumbel noise, zero weights last in noise order. The query joins the drawn
+    tokens and inherits the passage's language.
     """
     if model.version < 1:
         raise ValueError("generator must be trained before generating")
-    candidates = list(dict.fromkeys(tokens))
+    candidates = list(dict.fromkeys(token_ids.tolist()))
     if not candidates:
         raise ValueError(f"passage {passage.id!r} has no tokens to sample from")
     lens = list(model.query_len_dist.keys())
@@ -137,54 +144,53 @@ def generate_query(
     cdf /= cdf[-1]
     length = lens[int(cdf.searchsorted(rng.random(), side="right"))]
 
-    salience, lang = model.term_salience, passage.lang
-    weights = np.array([salience.get((lang, t), UNSEEN_SALIENCE) for t in candidates], dtype=float)
     noise = rng.gumbel(size=len(candidates))
     with np.errstate(divide="ignore"):
-        keys = np.log(weights) + noise
+        keys = np.log(weights[candidates]) + noise
     picked = np.lexsort((-noise, -keys))[:length]
-    return Query(id=query_id, text=" ".join(candidates[i] for i in picked), lang=passage.lang)
+    return Query(id=query_id, text=" ".join(vocab[candidates[i]] for i in picked.tolist()), lang=passage.lang)
 
 
 def filter_generated(
     pairs: Sequence[GeneratedPair], sparse_index: InvertedIndex, dense_index: DenseIndex, cfg: MiningConfig
-) -> list[tuple[RankedList, RankedList] | None]:
-    """Per pair, its BM25 and dense top-(max_hard_negatives + 1) rankings when
-    both rank its passage first, else None.
+) -> list[tuple[np.ndarray, np.ndarray] | str]:
+    """Per pair, the positions of its BM25 and dense top-(max_hard_negatives
+    + 1) rankings when both rank its passage first, else why not:
+    ``SPARSE_MISS`` or ``DENSE_MISS``.
 
     Every pair is scored once by ``impact_scores``; it is a BM25 hit when its
     passage holds the first maximum and that score is positive. Scores are
-    indexed in ascending id order, so the first maximum is the lowest id among
-    the top scores: ``search_sparse``'s top-1. The hits are ranked by one
-    ``search_dense`` call, and only the pairs both retrievers accept are
-    ranked by ``search_sparse``. Both search with the query's tokens under the
-    sparse index's tokenizer, so the two indexes must share a tokenizer, as
-    every ``PipelineState``'s do."""
+    indexed by corpus position, so the first maximum is the lowest position
+    among the top scores: ``search_sparse``'s top-1. The hits are ranked by
+    one ``search_dense`` call, and only the pairs both retrievers accept are
+    ranked by ``search_sparse``; a BM25 miss is never searched densely. Both
+    search with the query's tokens under the sparse index's tokenizer, so the
+    two indexes must share a tokenizer, as every ``PipelineState``'s do."""
     k = cfg.max_hard_negatives + 1
-    ids = sparse_index.postings.ids
     token_lists = [pair.query.tokens(sparse_index.tokenizer) for pair in pairs]
     hits = []
     for i, tokens in enumerate(token_lists):
         scores = impact_scores(sparse_index, tokens)
         top = int(scores.argmax())
-        if scores[top] > 0.0 and ids[top] == pairs[i].passage_id:
+        if scores[top] > 0.0 and top == pairs[i].position:
             hits.append(i)
-    verdicts: list[tuple[RankedList, RankedList] | None] = [None] * len(pairs)
-    for i, dense_top in zip(hits, search_dense(dense_index, [token_lists[i] for i in hits], k)):
-        if dense_top[0][0] == pairs[i].passage_id:
-            verdicts[i] = (search_sparse(sparse_index, token_lists[i], k), dense_top)
+    verdicts: list[tuple[np.ndarray, np.ndarray] | str] = [SPARSE_MISS] * len(pairs)
+    dense_top, _ = search_dense(dense_index, [token_lists[i] for i in hits], k)
+    for i, row in zip(hits, dense_top):
+        accepted = row[0] == pairs[i].position
+        verdicts[i] = (search_sparse(sparse_index, token_lists[i], k)[0], row) if accepted else DENSE_MISS
     return verdicts
 
 
 def assemble_generated_sample(
     pair: GeneratedPair,
-    rankings: tuple[RankedList, RankedList],
+    rankings: tuple[np.ndarray, np.ndarray],
     corpus: Corpus,
     rng: np.random.Generator,
     cfg: MiningConfig,
 ) -> TrainingSample:
-    """Build a training sample for a generated pair from the (sparse, dense)
-    rankings ``filter_generated`` accepted it with.
+    """Build a training sample for a generated pair from the positions of the
+    (sparse, dense) rankings ``filter_generated`` accepted it with.
 
     Hard negatives are the retrievers' top passages excluding the positive,
     dense results first then sparse, deduplicated and capped; the sample is
@@ -192,10 +198,10 @@ def assemble_generated_sample(
     In-batch negatives are applied at training time.
     """
     sparse_top, dense_top = rankings
-    ranked = (pid for pid, _ in dense_top + sparse_top if pid != pair.passage_id)
+    ranked = (p for p in [*dense_top.tolist(), *sparse_top.tolist()] if p != pair.position)
     hard = tuple(dict.fromkeys(ranked))[: cfg.max_hard_negatives]
     (sample,) = assemble_mined_sample(
-        pair.query, MinedSets((pair.passage_id,), hard), corpus, rng, cfg, source="generated"
+        pair.query, MinedSets((pair.position,), hard), corpus, rng, cfg, source="generated"
     )
     return sample
 

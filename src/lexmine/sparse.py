@@ -3,9 +3,10 @@
 Lucene-style scoring: idf = ln(1 + (N - df + 0.5) / (df + 0.5)), which is
 always non-negative, with k1 = 0.9 and b = 0.4 defaults. Query terms are
 deduplicated before scoring, passages with score 0 are never returned, and
-ties break by ascending passage id so rankings are fully reproducible. Every
-posting's BM25 weight is precomputed on the index's first search (the impact
-form of BM25), so a query sums its terms' impact rows.
+ties break by ascending corpus position, the passage id order, so rankings
+are fully reproducible. Every posting's BM25 weight is precomputed on the
+index's first search (the impact form of BM25), so a query sums its terms'
+impact rows.
 """
 
 from __future__ import annotations
@@ -24,17 +25,12 @@ __all__ = [
     "BM25Params",
     "InvertedIndex",
     "Postings",
-    "RankedList",
     "build_index",
     "bm25_score",
     "impact_scores",
     "search_sparse",
     "top_k",
 ]
-
-# (passage_id, score) pairs sorted by score descending, then id ascending.
-RankedList = list[tuple[str, float]]
-
 
 @dataclass(frozen=True)
 class BM25Params:
@@ -235,17 +231,16 @@ def impact_scores(index: InvertedIndex, tokens: Sequence[str]) -> np.ndarray:
     return scores
 
 
-def search_sparse(index: InvertedIndex, tokens: Sequence[str], k: int) -> RankedList:
+def search_sparse(index: InvertedIndex, tokens: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k passages by BM25 for a query's ``tokens`` under ``index.tokenizer``,
-    excluding zero-score passages.
+    excluding zero-score passages: at most k int64 positions and float64 scores.
 
-    Equivalent to scoring every passage and sorting by (score desc, id asc);
-    only passages containing at least one query term can appear. Scores are
-    ``impact_scores``.
+    Equivalent to scoring every passage and sorting by (score desc, position
+    asc); only passages containing at least one query term can appear. Scores
+    are ``impact_scores``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = impact_scores(index, tokens)
     best = top_k(scores, k, np.flatnonzero(scores > 0.0))
-    ids = index.postings.ids
-    return [(ids[r], float(scores[r])) for r in best.tolist()]
+    return best, scores[best]

@@ -19,7 +19,7 @@ from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
 from lexmine.corpus import Corpus, Judgment, JudgmentSet, Passage, Query, SynthSpec, synth_benchmark, tokenize
 from lexmine.dense import TrainingSample, infonce_batch, init_params, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k, paired_t_test, recall_at_k
-from lexmine.mining import MiningConfig, mine_pairs
+from lexmine.mining import MinedSets, MiningConfig, mine_pairs
 from lexmine.pipeline import (
     assemble_warmup_samples,
     generate,
@@ -96,9 +96,13 @@ def test_acceptance_1_mining_oracle():
         dense_ids = list(rng.choice(ids, size=n2, replace=False))
         L = int(rng.integers(1, 51))
         S = int(rng.integers(1, L + 1))
-        sparse = [(pid, float(n1 - i)) for i, pid in enumerate(sparse_ids)]
-        dense = [(pid, float(n2 - i)) for i, pid in enumerate(dense_ids)]
-        sets = mine_pairs(sparse, dense, MiningConfig(S=S, L=L))
+        # passage p{i:03d} is at position i; the sparse row is padded to L with -1
+        sparse = [int(pid[1:]) for pid in sparse_ids] + [-1] * max(L - n1, 0)
+        dense = [int(pid[1:]) for pid in dense_ids]
+        (found,) = mine_pairs(
+            np.array([sparse], dtype=np.int64), np.array([dense], dtype=np.int64).reshape(1, n2), MiningConfig(S=S, L=L)
+        )
+        sets = MinedSets(tuple(ids[p] for p in found.positives), tuple(ids[p] for p in found.negatives))
         ss, sd = set(sparse_ids[:S]), set(dense_ids[:S])
         ls, ld = set(sparse_ids), set(dense_ids)
         want_pos = {p for p in ls | ld if p in ss and p in sd}
@@ -137,10 +141,11 @@ def _gradient_case(seed):
     queries = [
         Query(id=f"q{i}", text=" ".join(vocab[int(rng.integers(12))] for _ in range(3))) for i in range(3)
     ]
+    pos = corpus.position
     batch = [
-        TrainingSample(query=queries[0], positive="p0", hard_negatives=("p1", "p2"), random_negatives=("p3",)),
-        TrainingSample(query=queries[1], positive="p4", hard_negatives=("p5",)),
-        TrainingSample(query=queries[2], positive="p0", random_negatives=("p6",)),
+        TrainingSample(queries[0], pos("p0"), hard_negatives=(pos("p1"), pos("p2")), random_negatives=(pos("p3"),)),
+        TrainingSample(queries[1], pos("p4"), hard_negatives=(pos("p5"),)),
+        TrainingSample(queries[2], pos("p0"), random_negatives=(pos("p6"),)),
     ]
     return params, batch, corpus
 
@@ -196,7 +201,8 @@ def test_acceptance_3_bm25_oracle():
         index = build_index(corpus)
         q_text = " ".join(f"w{int(rng.integers(70))}" for _ in range(int(rng.integers(1, 5))))
         tokens = tokenize(q_text)
-        got = search_sparse(index, tokens, k=n_docs)
+        positions, scores = search_sparse(index, tokens, k=n_docs)
+        got = [(corpus.ids[p], score) for p, score in zip(positions.tolist(), scores.tolist())]
         want = [
             (pid, s)
             for pid, s in ((pid, bm25_score(index, tokens, pid)) for pid in corpus.ids)
@@ -341,7 +347,7 @@ def test_acceptance_7_double_dense(ablation_runs):
 def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
     cfg = pipeline_config_from_mapping(cfg_mapping, seed=PIPELINE_SEEDS[0])
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     params, generator = warmup(labeled, data.corpus, cfg)
     state = start_state(params, generator, sparse, data.corpus, cfg)
     # two iterations so the generator has been retrained on mined target pairs
@@ -354,8 +360,9 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
 
     # the pipeline's own generate stage, as a third iteration would run it
     accepted, rejected = generate(state, bench.target_langs, cfg, iteration=3)
-    accepted_flags = [topical(s.query, s.positive) for s in accepted]
-    all_flags = accepted_flags + [topical(pair.query, pair.passage_id) for pair in rejected]
+    ids = data.corpus.ids
+    accepted_flags = [topical(s.query, ids[s.positive]) for s in accepted]
+    all_flags = accepted_flags + [topical(pair.query, ids[pair.position]) for pair, _ in rejected]
     prec_all = float(np.mean(all_flags))
     prec_acc = float(np.mean(accepted_flags)) if accepted_flags else 0.0
     _report(

@@ -54,16 +54,21 @@ def _raise(*args, **kwargs):
     raise Interrupted
 
 
+# the passages the samples name, by id
+SAMPLE_CORPUS = Corpus([Passage(id=pid, text="x") for pid in ("p0", "p1", "h0", "h1")])
+
+
 def _samples(v):
+    pos = SAMPLE_CORPUS.position
     return [
-        TrainingSample(query=Query(id=f"q{i}", text=f"v{v}"), positive=f"p{i}", hard_negatives=(f"h{i}",))
+        TrainingSample(query=Query(id=f"q{i}", text=f"v{v}"), positive=pos(f"p{i}"), hard_negatives=(pos(f"h{i}"),))
         for i in range(2)
     ]
 
 
 # writer name -> (write(path, version), patch target, replacement factory)
 WRITERS = {
-    "samples": (lambda path, v: save_samples(_samples(v), path), (json, "dumps"), _dumps_once),
+    "samples": (lambda path, v: save_samples(_samples(v), path, SAMPLE_CORPUS), (json, "dumps"), _dumps_once),
     "passages": (
         lambda path, v: save_passages(Corpus([Passage(id=f"p{i}", text=f"v{v}") for i in range(2)]), path),
         (json, "dumps"),

@@ -23,8 +23,8 @@ from lexmine.cli import (
     parse_kv_config,
     pipeline_config_from_mapping,
 )
-from lexmine.corpus import load_passages, load_qrels, load_queries
-from lexmine.dense import init_params, load_checkpoint, save_checkpoint
+from lexmine.corpus import load_passages, load_qrels, load_queries, tokenize
+from lexmine.dense import init_params, load_checkpoint, save_checkpoint, search_dense
 from lexmine.evaluation import load_run, mrr_at_k
 from lexmine.mining import load_samples, save_samples
 from lexmine.pipeline import (
@@ -38,7 +38,7 @@ from lexmine.pipeline import (
     target_mean,
 )
 from lexmine.querygen import GeneratorModel, load_generator, save_generator
-from lexmine.sparse import build_index
+from lexmine.sparse import build_index, search_sparse
 
 SYNTH_CFG = """
 languages = src,tgta
@@ -1198,9 +1198,9 @@ def test_generate_writes_pipeline_generate_stage(tmp_path, synth_dir, warm_ckpt)
     sparse = build_index(corpus, cfg.tokenizer, cfg.bm25)
     state = start_state(params, load_generator(generator), sparse, corpus, cfg)
     accepted, _ = generate(state, sorted({p.lang for p in corpus}), cfg, iteration=1)
-    assert accepted and all(s.query.id == f"gen1-{s.positive}" for s in accepted)
+    assert accepted and all(s.query.id == f"gen1-{corpus.ids[s.positive]}" for s in accepted)
     want = tmp_path / "want.jsonl"
-    save_samples(accepted, want)
+    save_samples(accepted, want, corpus)
     assert out.read_bytes() == want.read_bytes()
 
 
@@ -1211,8 +1211,35 @@ def test_generate_makes_the_rejected_log_directory(tmp_path, synth_dir, warm_ckp
     assert code == EXIT_OK
     assert out.stat().st_size > 0
     records = [json.loads(line) for line in rejected.read_text(encoding="utf-8").splitlines()]
-    assert records and all(r["reason"] == "top1-mismatch" for r in records)
+    assert records and {r["reason"] for r in records} <= {"sparse-top1-miss", "dense-top1-miss"}
     assert json.loads(Path(str(out) + ".manifest.json").read_text())["command"] == "generate"
+
+
+def test_generate_logs_why_each_pair_was_rejected(tmp_path, synth_dir, warm_ckpt, capsys):
+    # each logged reason, recomputed from the two searches: BM25's top-1 is
+    # another passage or none, else the dense top-1 is another passage
+    out, rejected = tmp_path / "generated.jsonl", tmp_path / "rejected.jsonl"
+    generator = warm_ckpt.parent / "generator.json"
+    cfg_path = tmp_path / "c.cfg"
+    assert generate_cmd(cfg_path, synth_dir, warm_ckpt, generator, out, 3, "--rejected", str(rejected)) == EXIT_OK
+    cfg = pipeline_config_from_mapping(parse_kv_config(cfg_path), seed=3)
+    corpus = load_passages(synth_dir / "passages.jsonl")
+    state = start_state(load_checkpoint(warm_ckpt)[0], GeneratorModel(), build_index(corpus, cfg.tokenizer), corpus, cfg)
+    records = [json.loads(line) for line in rejected.read_text(encoding="utf-8").splitlines()]
+    for r in records:
+        tokens = tokenize(r["query_text"], cfg.tokenizer)
+        position = corpus.position(r["passage_id"])
+        if search_sparse(state.sparse_index, tokens, 1)[0].tolist() != [position]:
+            want = "sparse-top1-miss"
+        else:
+            assert search_dense(state.dense_index, [tokens], 1)[0][0, 0] != position
+            want = "dense-top1-miss"
+        assert r["reason"] == want, r
+    assert {r["reason"] for r in records} == {"sparse-top1-miss", "dense-top1-miss"}
+    # the printed counts are the log's and the samples file's
+    accepted = load_samples(out, corpus)
+    counts = f"generated {len(records) + len(accepted)} candidates, accepted {len(accepted)}, rejected {len(records)}"
+    assert accepted and counts in capsys.readouterr().out
 
 
 def test_generate_rejected_log_path_that_cannot_be_made_writes_nothing(tmp_path, synth_dir, warm_ckpt, capsys):

@@ -322,12 +322,14 @@ def test_judgment_ids_follow_the_record_id_rules(qid, pid):
 def test_collections_hold_ascending_id_order_whatever_the_input_order(collection, record, ids):
     for given in (ids, ids[::-1]):
         held = collection([record(id=rid, text="x") for rid in given])
-        assert held.ids == sorted(ids)
+        assert held.ids == tuple(sorted(ids))
         assert [r.id for r in held] == sorted(ids)
+        # built once, not copied on each access
+        assert held.ids is held.ids
     if collection is Corpus:
-        # a passage's position is its rank in ascending id order
+        # a passage's position is its rank in ascending id order, and ids names it
         assert [held.position(pid) for pid in ids] == [sorted(ids).index(pid) for pid in ids]
-        assert [held.id_at(i) for i in range(len(ids))] == sorted(ids)
+        assert [held.ids[held.position(pid)] for pid in ids] == ids
 
 
 def test_corpus_rejects_duplicate_ids():

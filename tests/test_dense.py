@@ -52,7 +52,7 @@ from lexmine.dense import (
 )
 from lexmine.mining import MiningConfig
 from lexmine.pipeline import PipelineConfig, pipeline_data_from_benchmark, run_pipeline
-from test_sparse import reference_top_k
+from test_sparse import named, reference_top_k
 
 # Frozen with an arbitrary-precision oracle (mpmath, 40 digits):
 # ln(1 + e^-1 + e^-1.5) for positive score 2.0 against negatives {1.0, 0.5}.
@@ -76,12 +76,21 @@ def encode(params, tokens):
     return params.embedding[rows].mean(axis=0) if rows else np.zeros(params.dim)
 
 
-def brute_force_dense(index, qv):
-    """Oracle: same score vector, independent python sort/tie-break/truncation."""
+def brute_force_dense(index, qv, corpus):
+    """Oracle: same score vector, independent python sort/tie-break/truncation
+    on the passage ids of ``corpus``, which the index rows follow."""
     scores = index.vectors @ qv
-    scored = [(pid, float(scores[i])) for i, pid in enumerate(index.ids)]
+    scored = [(pid, float(scores[i])) for i, pid in enumerate(corpus.ids)]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return scored
+
+
+def ranked_lists(corpus, result):
+    """``search_dense``'s (positions, scores) arrays as one list of (passage
+    id, score) pairs per query, each position named through ``corpus.ids``."""
+    positions, scores = result
+    assert positions.shape == scores.shape and positions.ndim == 2
+    return [named(corpus, row) for row in zip(positions, scores)]
 
 
 def infonce_from_scores(positive_score, negative_scores):
@@ -123,10 +132,11 @@ def random_case(seed):
     def query(i):
         return Query(id=f"q{i}", text=" ".join(vocab[int(rng.integers(len(vocab)))] for _ in range(3)))
 
+    pos = corpus.position
     batch = [
-        TrainingSample(query=query(0), positive="p0", hard_negatives=("p1", "p2"), random_negatives=("p3",)),
-        TrainingSample(query=query(1), positive="p4", hard_negatives=("p0",)),
-        TrainingSample(query=Query(id="q2", text=query(2).text + " zzz"), positive="p0", random_negatives=("p5", "p6")),
+        TrainingSample(query(0), pos("p0"), hard_negatives=(pos("p1"), pos("p2")), random_negatives=(pos("p3"),)),
+        TrainingSample(query(1), pos("p4"), hard_negatives=(pos("p0"),)),
+        TrainingSample(Query(id="q2", text=query(2).text + " zzz"), pos("p0"), random_negatives=(pos("p5"), pos("p6"))),
     ]
     return params, batch, corpus
 
@@ -184,8 +194,8 @@ def test_init_params_scale_and_determinism():
 def test_index_rows_match_encode(tiny_corpus):
     params = toy_params(tiny_corpus)
     index = build_dense_index(params, tiny_corpus)
-    assert index.ids == tiny_corpus.ids
-    for i, pid in enumerate(index.ids):
+    assert len(index.vectors) == len(tiny_corpus)
+    for i, pid in enumerate(tiny_corpus.ids):
         want = encode(params, tokenize(tiny_corpus[pid].text))
         assert np.allclose(index.vectors[i], want)
 
@@ -304,9 +314,9 @@ def test_search_matches_brute_force():
     index = build_dense_index(params, corpus)
     for trial in range(10):
         q = Query(id="q", text=f"t{trial % 9} t{(trial + 3) % 9}")
-        got = search_dense(index, [tokenize(q.text)], k=len(corpus))[0]
+        got = ranked_lists(corpus, search_dense(index, [tokenize(q.text)], k=len(corpus)))[0]
         qv = encode(params, tokenize(q.text))
-        assert got == brute_force_dense(index, qv)
+        assert got == brute_force_dense(index, qv, corpus)
         # the arithmetic itself: per-row dot products, up to BLAS summation order
         np.testing.assert_allclose(
             [s for _, s in got],
@@ -326,9 +336,9 @@ def test_search_matches_brute_force_at_500_passages():
     index = build_dense_index(params, corpus)
     for trial in range(5):
         q = Query(id="q", text=f"t{trial} t{(trial * 7) % 40} t{(trial * 13) % 40}")
-        got = search_dense(index, [tokenize(q.text)], k=500)[0]
+        got = ranked_lists(corpus, search_dense(index, [tokenize(q.text)], k=500))[0]
         qv = encode(params, tokenize(q.text))
-        assert got == brute_force_dense(index, qv)
+        assert got == brute_force_dense(index, qv, corpus)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 29, 30, 31, 100])
@@ -344,8 +354,8 @@ def test_search_top_k_with_ties_matches_brute_force(k):
     qvs = [np.array([1.0, 0.0, 0.0]), np.array([1.0, -1.0, 2.0]), np.zeros(3)]
     params.embedding[params.vocab["t0"]] = qvs[0]
     params.embedding[params.vocab["t1"]] = qvs[1]
-    got = search_dense(index, [["t0"], ["t1"], []], k)
-    assert got == [brute_force_dense(index, qv)[:k] for qv in qvs]
+    got = ranked_lists(corpus, search_dense(index, [["t0"], ["t1"], []], k))
+    assert got == [brute_force_dense(index, qv, corpus)[:k] for qv in qvs]
 
 
 def test_search_nan_scores_rank_last():
@@ -354,7 +364,7 @@ def test_search_nan_scores_rank_last():
     index = build_dense_index(params, corpus)
     index.vectors[:] = [[1.0, 0.0], [np.nan, 0.0], [3.0, 0.0], [np.nan, 0.0], [2.0, 0.0], [2.0, 0.0]]
     params.embedding[params.vocab["t0"]] = [1.0, 0.0]
-    got = search_dense(index, [["t0"]], 5)[0]
+    got = ranked_lists(corpus, search_dense(index, [["t0"]], 5))[0]
     assert [pid for pid, _ in got] == ["p2", "p4", "p5", "p0", "p1"]
 
 
@@ -362,7 +372,7 @@ def integer_case(seed, n_passages=40, dim=3):
     """An index of small-integer passage vectors and a query table of small
     integers, so that every score of a query of 1, 2 or 4 tokens is exact."""
     rng = np.random.default_rng(seed)
-    # ids out of corpus order, so that ties must break on id, not on position
+    # ids out of input order, so that ties must break on id, not on input order
     corpus = Corpus([Passage(id=f"p{int(i):02d}", text=f"t{i % 9}") for i in rng.permutation(n_passages)])
     params = init_params([f"t{i}" for i in range(9)], dim=dim, seed=seed)
     params.embedding[:] = rng.integers(-2, 3, size=params.embedding.shape)
@@ -370,7 +380,7 @@ def integer_case(seed, n_passages=40, dim=3):
     index.vectors[:] = rng.integers(-2, 3, size=index.vectors.shape)
     sizes = rng.choice([0, 1, 1, 2, 4], size=3 * DENSE_BLOCK + 5)
     token_lists = [[f"t{int(t)}" for t in rng.integers(0, 10, size=n)] for n in sizes]  # t9 is OOV
-    return params, index, token_lists
+    return params, index, token_lists, corpus
 
 
 def assert_same_ranking(got, want):
@@ -383,31 +393,35 @@ def assert_same_ranking(got, want):
 def test_block_search_equals_per_query_search_on_integer_vectors(k):
     # exact arithmetic: block rows equal the per-query products bit for bit,
     # so whole rankings are equal, ties at the k-th place included
-    params, index, token_lists = integer_case(seed=k)
+    params, index, token_lists, corpus = integer_case(seed=k)
     params.embedding[params.vocab["t8"], 1] = np.nan  # queries holding t8 score NaN
-    got = search_dense(index, token_lists, k)
+    got = ranked_lists(corpus, search_dense(index, token_lists, k))
     assert len(got) == len(token_lists)
     tie_at_k = False
     for tokens, ranked in zip(token_lists, got):
-        assert_same_ranking(ranked, search_dense(index, [tokens], k)[0])
+        assert_same_ranking(ranked, ranked_lists(corpus, search_dense(index, [tokens], k))[0])
         if "t8" not in tokens:
-            full = brute_force_dense(index, encode(params, tokens))
+            full = brute_force_dense(index, encode(params, tokens), corpus)
             assert ranked == full[:k]
             tie_at_k |= k < len(full) and full[k - 1][1] == full[k][1]
     assert any("t8" in tokens for tokens in token_lists)
-    assert tie_at_k or k >= len(index.ids)
+    assert tie_at_k or k >= len(corpus)
 
 
 def test_block_search_nan_row_ranks_by_id():
-    params, index, _ = integer_case(seed=0)
+    params, index, _, corpus = integer_case(seed=0)
     params.embedding[params.vocab["t8"]] = np.nan
-    got = search_dense(index, [["t1"], ["t8"], ["t2", "t3"]], 5)
+
+    def search(token_lists):
+        return ranked_lists(corpus, search_dense(index, token_lists, 5))
+
+    got = search([["t1"], ["t8"], ["t2", "t3"]])
     # every score of the NaN query is NaN: it ranks by id, as top_k sorts NaN last
-    assert [pid for pid, _ in got[1]] == sorted(index.ids)[:5]
+    assert [pid for pid, _ in got[1]] == sorted(corpus.ids)[:5]
     assert all(math.isnan(s) for _, s in got[1])
-    assert_same_ranking(got[1], search_dense(index, [["t8"]], 5)[0])
-    assert got[0] == search_dense(index, [["t1"]], 5)[0]
-    assert got[2] == search_dense(index, [["t2", "t3"]], 5)[0]
+    assert_same_ranking(got[1], search([["t8"]])[0])
+    assert got[0] == search([["t1"]])[0]
+    assert got[2] == search([["t2", "t3"]])[0]
 
 
 def test_block_search_matches_per_query_search_on_random_floats():
@@ -420,9 +434,9 @@ def test_block_search_matches_per_query_search_on_random_floats():
     params = toy_params(corpus, dim=24, seed=5)
     index = build_dense_index(params, corpus)
     token_lists = [[f"t{int(t)}" for t in rng.integers(0, 60, size=int(rng.integers(1, 6)))] for _ in range(200)]
-    got = search_dense(index, token_lists, 20)
+    got = ranked_lists(corpus, search_dense(index, token_lists, 20))
     for tokens, ranked in zip(token_lists, got):
-        want = search_dense(index, [tokens], 20)[0]
+        want = ranked_lists(corpus, search_dense(index, [tokens], 20))[0]
         assert [pid for pid, _ in ranked] == [pid for pid, _ in want]
         np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want], rtol=0, atol=1e-12)
 
@@ -468,11 +482,12 @@ def test_block_top_k_equals_full_lexsort_row_by_row(seed, b, n, k, levels, n_nan
 def assert_block_top_k_is_reference(scores, k):
     """``_block_top_k`` picks, row by row, ``reference_top_k``'s entries in its order."""
     b, n = scores.shape
-    picked, counts = _block_top_k(scores, k)
-    assert counts.tolist() == [min(k, n)] * b
+    picked = _block_top_k(scores, k)
+    # every row picks min(k, n) entries
+    assert len(picked) == b * min(k, n)
     rows, cols = np.divmod(picked, n)
-    assert rows.tolist() == np.repeat(np.arange(b), counts).tolist()
-    for r, got in enumerate(np.split(cols, np.cumsum(counts)[:-1])):
+    assert rows.tolist() == np.repeat(np.arange(b), min(k, n)).tolist()
+    for r, got in enumerate(np.split(cols, b)):
         assert got.tolist() == reference_top_k(scores[r], k).tolist()
 
 
@@ -492,7 +507,8 @@ def test_block_top_k_on_a_benchmark_sized_block(k):
 def test_block_search_empty_input_and_bad_k(tiny_corpus):
     params = toy_params(tiny_corpus)
     index = build_dense_index(params, tiny_corpus)
-    assert search_dense(index, [], 3) == []
+    positions, scores = search_dense(index, [], 3)
+    assert positions.shape == scores.shape == (0, 3) and positions.dtype == np.int64
     with pytest.raises(ValueError):
         search_dense(index, [["apple"]], 0)
 
@@ -500,7 +516,7 @@ def test_block_search_empty_input_and_bad_k(tiny_corpus):
 def test_search_all_oov_ranks_by_id(tiny_corpus):
     params = toy_params(tiny_corpus)
     index = build_dense_index(params, tiny_corpus)
-    got = search_dense(index, [tokenize("zzz")], k=4)[0]
+    got = ranked_lists(tiny_corpus, search_dense(index, [tokenize("zzz")], k=4))[0]
     assert [pid for pid, _ in got] == sorted(tiny_corpus.ids)
     assert all(s == 0.0 for _, s in got)
 
@@ -509,7 +525,8 @@ def test_search_prefix_property(tiny_corpus):
     params = toy_params(tiny_corpus)
     index = build_dense_index(params, tiny_corpus)
     q = tokenize("apple cherry")
-    assert search_dense(index, [q], 5)[0][:2] == search_dense(index, [q], 2)[0]
+    five, two = (ranked_lists(tiny_corpus, search_dense(index, [q], k))[0] for k in (5, 2))
+    assert five[:2] == two
 
 
 def test_search_stale_index(tiny_corpus, rng):
@@ -517,7 +534,7 @@ def test_search_stale_index(tiny_corpus, rng):
     index = build_dense_index(params, tiny_corpus)
     opt = init_optimizer(params, lr=0.1)
     sample = TrainingSample(
-        query=Query(id="q", text="apple"), positive="p1", hard_negatives=("p2",)
+        query=Query(id="q", text="apple"), positive=tiny_corpus.position("p1"), hard_negatives=(tiny_corpus.position("p2"),)
     )
     train_step(params, opt, [sample], tiny_corpus)
     with pytest.raises(StaleIndexError):
@@ -541,8 +558,8 @@ def test_loss_uniform_case_ln4(tiny_corpus):
     params = toy_params(corpus)
     sample = TrainingSample(
         query=Query(id="q", text="same"),
-        positive="p0",
-        hard_negatives=("p1", "p2", "p3"),
+        positive=corpus.position("p0"),
+        hard_negatives=tuple(map(corpus.position, ("p1", "p2", "p3"))),
     )
     loss, _ = infonce_batch(params, [sample], corpus)
     assert loss == pytest.approx(math.log(4.0), rel=1e-12)
@@ -565,7 +582,7 @@ def test_loss_frozen_oracle_value():
     params.embedding[v["b"], 0] = 1.0
     params.embedding[v["c"], 0] = 0.5
     sample = TrainingSample(
-        query=Query(id="q", text="q"), positive="pos", hard_negatives=("n1", "n2")
+        query=Query(id="q", text="q"), positive=corpus.position("pos"), hard_negatives=tuple(map(corpus.position, ("n1", "n2")))
     )
     loss, _ = infonce_batch(params, [sample], corpus)
     assert loss == pytest.approx(INFONCE_2_1_05, rel=1e-12)
@@ -582,8 +599,8 @@ def test_batch_loss_is_mean_of_per_sample_losses():
         in_batch = [p for j, p in enumerate(positives) if j != i and p != s.positive]
         qv = encode(params, tokenize(s.query.text))
         scores = [
-            float(np.dot(qv, encode(params, tokenize(corpus[pid].text))))
-            for pid in (s.positive, *s.hard_negatives, *s.random_negatives, *in_batch)
+            float(np.dot(qv, encode(params, tokenize(corpus[corpus.ids[p]].text))))
+            for p in (s.positive, *s.hard_negatives, *s.random_negatives, *in_batch)
         ]
         want.append(infonce_from_scores(scores[0], scores[1:]))
     loss, _ = infonce_batch(params, batch, corpus)
@@ -634,7 +651,7 @@ def test_gradient_covers_all_touched_rows():
         return {params.vocab[t] for text in texts for t in tokenize(text) if t in params.vocab}
 
     p_touched = rows_of(
-        corpus[pid].text for s in batch for pid in (s.positive, *s.hard_negatives, *s.random_negatives)
+        corpus[corpus.ids[p]].text for s in batch for p in (s.positive, *s.hard_negatives, *s.random_negatives)
     )
     q_touched = rows_of(s.query.text for s in batch)
     assert nonzero_rows(g_emb) == p_touched | q_touched
@@ -708,7 +725,7 @@ def reference_infonce_batch(params, batch, corpus, tok=DEFAULT_TOKENIZER):
     for s in batch:
         for pid in (s.positive, *s.hard_negatives, *s.random_negatives):
             uniq.setdefault(pid, len(uniq))
-    p_rows, p_sizes = _token_rows(params.vocab, [tokenize(corpus[pid].text, tok) for pid in uniq])
+    p_rows, p_sizes = _token_rows(params.vocab, [tokenize(corpus[corpus.ids[p]].text, tok) for p in uniq])
     q_rows, q_sizes = _token_rows(params.vocab, [tokenize(s.query.text, tok) for s in batch])
     P = reference_mean_pool(params.embedding, p_rows, p_sizes)
     Q = reference_mean_pool(params.embedding, q_rows, q_sizes)
@@ -794,9 +811,9 @@ def oracle_inputs(case, seed):
     batch = [
         TrainingSample(
             query=Query(id=f"q{i}", text=text(query, "zz")),
-            positive=f"p{pos}",
-            hard_negatives=tuple(f"p{j}" for j in hard),
-            random_negatives=tuple(f"p{j}" for j in rand),
+            positive=corpus.position(f"p{pos}"),
+            hard_negatives=tuple(corpus.position(f"p{j}") for j in hard),
+            random_negatives=tuple(corpus.position(f"p{j}") for j in rand),
         )
         for i, (query, pos, hard, rand) in enumerate(samples)
     ]
@@ -1128,9 +1145,9 @@ def test_pipeline_artifacts_match_golden_digests(tiny_pipeline_data, tmp_path, v
 def test_training_sample_invariants():
     q = Query(id="q", text="x")
     with pytest.raises(ValueError):
-        TrainingSample(query=q, positive="p1", hard_negatives=("p1",))
+        TrainingSample(query=q, positive=1, hard_negatives=(1,))
     with pytest.raises(ValueError):
-        TrainingSample(query=q, positive="p1", hard_negatives=("p2",), random_negatives=("p2",))
+        TrainingSample(query=q, positive=1, hard_negatives=(2,), random_negatives=(2,))
 
 
 # ---------------------------------------------------------------------------
@@ -1139,10 +1156,11 @@ def test_training_sample_invariants():
 
 
 def batch_for(corpus):
+    pos = corpus.position
     return [
-        TrainingSample(query=Query(id="q1", text="apple"), positive="p1", hard_negatives=("p3",)),
-        TrainingSample(query=Query(id="q2", text="cherry"), positive="p3", random_negatives=("p4",)),
-        TrainingSample(query=Query(id="q3", text="banana"), positive="p2"),
+        TrainingSample(query=Query(id="q1", text="apple"), positive=pos("p1"), hard_negatives=(pos("p3"),)),
+        TrainingSample(query=Query(id="q2", text="cherry"), positive=pos("p3"), random_negatives=(pos("p4"),)),
+        TrainingSample(query=Query(id="q3", text="banana"), positive=pos("p2")),
     ]
 
 

@@ -148,19 +148,20 @@ def test_report_from_dict_rejects_malformed_metrics(metrics):
 def test_warmup_samples_are_labeled_consistent(bench, data):
     cfg = small_cfg()
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     assert samples
+    ids = data.corpus.ids
     for s in samples:
         relevant = data.train_qrels.relevant(s.query.id)
-        assert s.positive in relevant
-        assert not (set(s.hard_negatives) & relevant)
+        assert ids[s.positive] in relevant
+        assert not ({ids[p] for p in s.hard_negatives} & relevant)
         assert len(s.hard_negatives) <= cfg.mining.max_hard_negatives
 
 
 def test_warmup_beats_untrained_baseline_on_source(bench, data):
     cfg = small_cfg()
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     params, generator = warmup(samples, data.corpus, cfg)
     assert generator.version == 1
 
@@ -181,7 +182,7 @@ def test_warmup_beats_untrained_baseline_on_source(bench, data):
 def test_warmup_zero_epochs_keeps_params_trains_generator(data):
     cfg = small_cfg(warmup_epochs=0)
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     params, generator = warmup(samples, data.corpus, cfg)
     fresh = init_params(vocab_from_corpus(data.corpus, cfg.tokenizer), dim=cfg.embedding_dim, seed=[cfg.seed, 0, 0])
     assert params.version == 0
@@ -193,7 +194,7 @@ def test_warmup_encoder_is_bound_to_the_corpus(data):
     # bound before any training step, so no later read rebinds it
     cfg = small_cfg(warmup_epochs=0)
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     params, _ = warmup(samples, data.corpus, cfg)
     assert params.vocab is data.corpus.tokenized(cfg.tokenizer).index
 
@@ -203,7 +204,7 @@ def test_warmup_samples_keep_their_source_and_draw_random_negatives(data, monkey
 
     cfg = small_cfg()
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     samples[1] = replace(samples[1], source="generated")
     trained = []
     monkeypatch.setattr(pipeline_mod, "_minibatch_steps", lambda params, dataset, *args: trained.append(dataset))
@@ -225,7 +226,7 @@ def test_warmup_samples_keep_their_source_and_draw_random_negatives(data, monkey
 def test_warmup_deterministic(data):
     cfg = small_cfg()
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     p1, g1 = warmup(samples, data.corpus, cfg)
     p2, g2 = warmup(samples, data.corpus, cfg)
     assert np.array_equal(p1.embedding, p2.embedding)
@@ -238,7 +239,7 @@ def test_warmup_batches_match_per_epoch_permutations(data, monkeypatch, epochs, 
 
     cfg = small_cfg(warmup_epochs=epochs, batch_size=batch_size)
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     assert len(samples) % 16 != 0 and len(samples) % 10 == 0
     seen = []
 
@@ -272,7 +273,7 @@ def test_warmup_empty_rejected(data):
 
 def make_state(data, cfg):
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
-    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, cfg)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     params, generator = warmup(samples, data.corpus, cfg)
     return start_state(params, generator, sparse, data.corpus, cfg)
 
@@ -308,12 +309,12 @@ def test_generation_draws_do_not_depend_on_verdicts(data, monkeypatch):
     state = make_state(data, cfg)
     accepted, rejected = pipeline_mod.generate(state, ["src", "tgta"], cfg, iteration=2)
     assert accepted and rejected
-    drawn = {s.query.id: s.query for s in accepted} | {pair.query.id: pair.query for pair in rejected}
+    drawn = {s.query.id: s.query for s in accepted} | {pair.query.id: pair.query for pair, _ in rejected}
     # with every pair rejected, assembly draws nothing: the queries must not change
-    monkeypatch.setattr(pipeline_mod, "filter_generated", lambda pairs, *args: [None] * len(pairs))
+    monkeypatch.setattr(pipeline_mod, "filter_generated", lambda pairs, *args: ["sparse-top1-miss"] * len(pairs))
     none_accepted, all_rejected = pipeline_mod.generate(state, ["src", "tgta"], cfg, iteration=2)
     assert none_accepted == []
-    assert {pair.query.id: pair.query for pair in all_rejected} == drawn
+    assert {pair.query.id: pair.query for pair, _ in all_rejected} == drawn
     assert len(all_rejected) == len(drawn)
 
 
@@ -323,8 +324,8 @@ def test_iteration_refreshes_index(data):
     run_iteration(state, data, cfg)
     assert state.dense_index.params_version == state.dense_index.params.version
     index = state.dense_index
-    for i in range(0, len(index.ids), 37):
-        want = encode(state.dense_index.params, tokenize(data.corpus[index.ids[i]].text, cfg.tokenizer))
+    for i in range(0, len(data.corpus), 37):
+        want = encode(state.dense_index.params, tokenize(data.corpus[data.corpus.ids[i]].text, cfg.tokenizer))
         assert np.allclose(index.vectors[i], want)
 
 
@@ -391,8 +392,10 @@ def test_dense_search_uses_the_index_tokenizer():
     state = start_state(params, GeneratorModel(), build_index(corpus, tok), corpus, cfg)
     query = Query(id="q", text="Apple b")
     assert state.dense_index.tokenizer == tok
-    assert search_dense(state.dense_index, [tokenize(query.text, state.dense_index.tokenizer)], 1)[0][0][0] == "p1"
-    assert filter_generated([GeneratedPair(query, "p1")], state.sparse_index, state.dense_index, cfg.mining)[0]
+    p1 = corpus.position("p1")
+    assert search_dense(state.dense_index, [tokenize(query.text, state.dense_index.tokenizer)], 1)[0][0, 0] == p1
+    (verdict,) = filter_generated([GeneratedPair(query, p1)], state.sparse_index, state.dense_index, cfg.mining)
+    assert not isinstance(verdict, str)
     assert dense_run(state, QuerySet([query]), 1) == {"q": [("p1", 0.5)]}
 
 
@@ -408,15 +411,16 @@ def test_iteration_sample_count_matches_recount(data, tmp_path):
     # recount positives per unlabeled query against pre-iteration retrievers
     fresh_state = make_state(data, cfg)
     assert fresh_state.dense_index.params.version == version_before
-    want = 0
+    want, L = 0, cfg.mining.L
     for q in data.unlabeled:
-        a = search_sparse(fresh_state.sparse_index, q.tokens(cfg.tokenizer), cfg.mining.L)
-        b = search_dense(fresh_state.dense_index, [q.tokens(cfg.tokenizer)], cfg.mining.L)[0]
-        want += len(mine_pairs(a, b, cfg.mining).positives)
+        a = search_sparse(fresh_state.sparse_index, q.tokens(cfg.tokenizer), L)[0]
+        b = search_dense(fresh_state.dense_index, [q.tokens(cfg.tokenizer)], L)[0]
+        (sets,) = mine_pairs(np.pad(a, (0, L - len(a)), constant_values=-1)[None], b, cfg.mining)
+        want += len(sets.positives)
     assert report.mined_samples == want
 
     # and the persisted mined.jsonl round-trips to the same count
-    save_samples(artifacts["mined"], tmp_path / "mined.jsonl")
+    save_samples(artifacts["mined"], tmp_path / "mined.jsonl", data.corpus)
     assert len(load_samples(tmp_path / "mined.jsonl", corpus=data.corpus)) == want
 
 
@@ -476,14 +480,23 @@ def test_mined_sets_top1_is_the_s1_positive(data, mode):
     a, b = ranking(), ranking()
     L = data.draw(st.integers(1, len(ids)))
     cfg = PipelineConfig(mining=MiningConfig(S=data.draw(st.integers(1, L)), L=L), mining_mode=mode)
-    sets, top1 = _mined_sets(a, b, cfg)
+
+    def block(ranked):
+        # one query's row of positions (ranks among the sorted ids) and scores, -1 padded
+        pad = max(L, len(ranked)) - len(ranked)
+        positions = [sorted(ids).index(pid) for pid, _ in ranked] + [-1] * pad
+        return np.array([positions], dtype=np.int64), np.array([[s for _, s in ranked] + [0.0] * pad])
+
+    (pa, sa), (pb, sb) = block(a), block(b)
+    (sets,), top1 = _mined_sets((pa, sa), (pb, sb), cfg)
     if mode.startswith("fuse_"):
-        fused = [pid for pid, _ in hybrid_fuse(a, b, mode.removeprefix("fuse_"), L)]
-        assert top1 == tuple(fused[:1])
+        fused = [p for p, _ in hybrid_fuse((pa[0], sa[0]), (pb[0], sb[0]), mode.removeprefix("fuse_"), L)]
+        assert top1.tolist() == (fused[:1] or [-1])
         assert sets.positives == tuple(fused[: cfg.mining.S])
     else:
-        assert top1 == mine_pairs(a, b, replace(cfg.mining, S=1)).positives
-        assert sets == mine_pairs(a, b, cfg.mining)
+        (s1,) = mine_pairs(pa, pb, replace(cfg.mining, S=1))
+        assert top1.tolist() == (list(s1.positives) or [-1])
+        assert [sets] == mine_pairs(pa, pb, cfg.mining)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from lexmine.corpus import Corpus, Passage, Query, tokenize
 from lexmine.dense import DENSE_BLOCK, build_dense_index, init_params, search_dense, vocab_from_corpus
 from lexmine.mining import MiningConfig, sample_random_negatives
 from lexmine.querygen import (
+    DENSE_MISS,
     SALIENCE_PSEUDO_COUNT,
+    SPARSE_MISS,
     UNSEEN_SALIENCE,
     GeneratedPair,
     GeneratorModel,
@@ -29,8 +31,46 @@ def train(pairs, model=None):
     return train_generator(model or GeneratorModel(), pairs, corpus)
 
 
+def salience_weights(model, lang, vocab):
+    """Each token id's salience in ``lang``, as ``pipeline.generate`` weighs the corpus tokens."""
+    return np.array([model.term_salience.get((lang, t), UNSEEN_SALIENCE) for t in vocab])
+
+
 def generate(model, passage, rng):
-    return generate_query(model, passage, tokenize(passage.text), rng, f"g-{passage.id}")
+    """``generate_query`` as a pipeline calls it, on the passage's token ids
+    in a corpus of that passage alone."""
+    tc = Corpus([passage]).tokenized()
+    weights = salience_weights(model, passage.lang, tc.vocab)
+    return generate_query(model, passage, tc.ids, weights, tc.vocab, rng, f"g-{passage.id}")
+
+
+def reference_generate_query(model, passage, tokens, rng, query_id):
+    """The string form that the token-id ``generate_query`` replaced: the
+    candidates are the distinct token strings, each weighed by a lookup of
+    (language, token) in the salience table."""
+    if model.version < 1:
+        raise ValueError("generator must be trained before generating")
+    candidates = list(dict.fromkeys(tokens))
+    if not candidates:
+        raise ValueError(f"passage {passage.id!r} has no tokens to sample from")
+    lens = list(model.query_len_dist.keys())
+    probs = np.array([model.query_len_dist[n] for n in lens])
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    length = lens[int(cdf.searchsorted(rng.random(), side="right"))]
+    sal, lang = model.term_salience, passage.lang
+    weights = np.array([sal.get((lang, t), UNSEEN_SALIENCE) for t in candidates], dtype=float)
+    noise = rng.gumbel(size=len(candidates))
+    with np.errstate(divide="ignore"):
+        keys = np.log(weights) + noise
+    picked = np.lexsort((-noise, -keys))[:length]
+    return Query(id=query_id, text=" ".join(candidates[i] for i in picked), lang=passage.lang)
+
+
+def verdict(v):
+    """A ``filter_generated`` verdict as plain data: the reason of a
+    rejection, or the accepted rankings' positions as lists."""
+    return v if isinstance(v, str) else tuple(ranking.tolist() for ranking in v)
 
 
 def salience(model, token):
@@ -143,11 +183,48 @@ def test_generate_deterministic_under_seed():
     a = generate(model, passage, np.random.default_rng(42))
     b = generate(model, passage, np.random.default_rng(42))
     assert a == b
-    # the memoized token ids give the same candidates, in first-occurrence order
+    # the passage's span of a larger corpus's token ids gives the same candidates, in first-occurrence order
     corpus = Corpus([Passage(id="x", text="a b"), passage])
-    tokens = corpus.tokenized().tokens(corpus.position("p"))
-    assert tokens == tokenize(passage.text)
-    assert generate_query(model, passage, tokens, np.random.default_rng(42), "g-p") == a
+    tc, p = corpus.tokenized(), corpus.position("p")
+    span = tc.ids[tc.offsets[p] : tc.offsets[p + 1]]
+    assert [tc.vocab[i] for i in span.tolist()] == tokenize(passage.text)
+    weights = salience_weights(model, "en", tc.vocab)
+    assert generate_query(model, passage, span, weights, tc.vocab, np.random.default_rng(42), "g-p") == a
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_token_id_generate_query_equals_the_string_form(seed):
+    # random passages over a small vocabulary, salience tables of two
+    # languages that hold zero weights and leave tokens unseen, random lengths
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(12)]
+    passages = [
+        Passage(
+            id=f"p{i:02d}",
+            text=" ".join(vocab[int(t)] for t in rng.integers(len(vocab), size=int(rng.integers(1, 9)))),
+            lang=("xx", "yy")[i % 2],
+        )
+        for i in range(30)
+    ]
+    corpus = Corpus(passages)
+    table = {
+        (lang, t): float(rng.choice([0.0, rng.random()]))
+        for lang in ("xx", "yy") for t in vocab if rng.random() < 0.7
+    }
+    assert 0.0 in table.values() and len(table) < 2 * len(vocab)
+    lengths = rng.random(4) * (rng.random(4) < 0.8)
+    lengths[0] += 0.1
+    model = GeneratorModel(table, {n: float(w) for n, w in enumerate(lengths, 1)}, version=1)
+    tc = corpus.tokenized()
+    weights = {lang: salience_weights(model, lang, tc.vocab) for lang in ("xx", "yy")}
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for round_ in range(3):
+        for p, passage in enumerate(corpus):
+            span = tc.ids[tc.offsets[p] : tc.offsets[p + 1]]
+            qid = f"g{round_}-{passage.id}"
+            got = generate_query(model, passage, span, weights[passage.lang], tc.vocab, ours, qid)
+            assert got == reference_generate_query(model, passage, tokenize(passage.text), theirs, qid)
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class _NoChoice:
@@ -168,15 +245,16 @@ def test_generate_length_draw_is_choice_without_its_call():
     model = trained_model()
     model.query_len_dist = {1: 0.1, 2: 0.0, 3: 0.45, 4: 0.3, 5: 0.15, 6: 0.0}
     passage = Passage(id="p", text="alpha beta gamma delta epsilon zeta")
-    tokens = tokenize(passage.text)
+    tc = Corpus([passage]).tokenized()
+    weights = salience_weights(model, "en", tc.vocab)
     lens = list(model.query_len_dist)
     probs = np.array(list(model.query_len_dist.values()))
     ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
     drawn = []
     for i in range(1000):
-        q = generate_query(model, passage, tokens, _NoChoice(ours), f"g{i}")
+        q = generate_query(model, passage, tc.ids, weights, tc.vocab, _NoChoice(ours), f"g{i}")
         want = int(theirs.choice(lens, p=probs / probs.sum()))
-        theirs.gumbel(size=len(tokens))
+        theirs.gumbel(size=len(tc.vocab))
         assert len(tokenize(q.text)) == want
         drawn.append(want)
     assert ours.bit_generator.state == theirs.bit_generator.state
@@ -268,8 +346,8 @@ def build_retrievers(corpus, dim=4, seed=0):
 def test_filter_single_passage_corpus_accepts():
     corpus = Corpus([Passage(id="only", text="alpha beta gamma")])
     sparse, dense = build_retrievers(corpus)
-    pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="only")
-    assert filter_generated([pair], sparse, dense, MiningConfig())[0]
+    pair = GeneratedPair(query=Query(id="g", text="alpha"), position=0)
+    assert verdict(filter_generated([pair], sparse, dense, MiningConfig())[0]) == ([0], [0])
 
 
 def test_filter_rejects_when_bm25_prefers_shorter_passage():
@@ -282,10 +360,10 @@ def test_filter_rejects_when_bm25_prefers_shorter_passage():
         ]
     )
     sparse, dense = build_retrievers(corpus)
-    pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="src")
-    top = search_sparse(sparse, ["alpha"], 1)
-    assert top[0][0] == "short"
-    assert filter_generated([pair], sparse, dense, MiningConfig()) == [None]
+    pair = GeneratedPair(query=Query(id="g", text="alpha"), position=corpus.position("src"))
+    top, _ = search_sparse(sparse, ["alpha"], 1)
+    assert corpus.ids[top[0]] == "short"
+    assert filter_generated([pair], sparse, dense, MiningConfig()) == [SPARSE_MISS]
 
 
 def test_filter_conjunction_requires_dense_too():
@@ -297,9 +375,9 @@ def test_filter_conjunction_requires_dense_too():
     params.embedding[params.vocab["alpha"], 0] = 1.0
     params.embedding[params.vocab["beta"], 0] = 5.0
     dense = build_dense_index(params, corpus)
-    pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="src")
-    assert search_sparse(sparse, ["alpha"], 1)[0][0] == "src"
-    assert filter_generated([pair], sparse, dense, MiningConfig()) == [None]
+    pair = GeneratedPair(query=Query(id="g", text="alpha"), position=corpus.position("src"))
+    assert corpus.ids[search_sparse(sparse, ["alpha"], 1)[0][0]] == "src"
+    assert filter_generated([pair], sparse, dense, MiningConfig()) == [DENSE_MISS]
 
 
 def test_filter_deterministic_on_unchanged_indexes():
@@ -309,9 +387,9 @@ def test_filter_deterministic_on_unchanged_indexes():
     sparse, dense = build_retrievers(corpus, seed=3)
     model = train([(Query(id="q", text="tok1"), Passage(id="p", text="tok1 shared"))])
     rng = np.random.default_rng(0)
-    pairs = [GeneratedPair(query=generate(model, p, rng), passage_id=p.id) for p in corpus]
-    first = filter_generated(pairs, sparse, dense, MiningConfig())
-    assert filter_generated(pairs, sparse, dense, MiningConfig()) == first
+    pairs = [GeneratedPair(query=generate(model, p, rng), position=corpus.position(p.id)) for p in corpus]
+    first = list(map(verdict, filter_generated(pairs, sparse, dense, MiningConfig())))
+    assert list(map(verdict, filter_generated(pairs, sparse, dense, MiningConfig()))) == first
 
 
 def test_filter_nested_corpora_monotone():
@@ -324,24 +402,27 @@ def test_filter_nested_corpora_monotone():
     sp_small, de_small = build_retrievers(small, seed=1)
     sp_big, de_big = build_retrievers(big, seed=1)
     rng = np.random.default_rng(2)
-    pairs = [GeneratedPair(query=generate(model, p, rng), passage_id=p.id) for p in small]
-    acc_big = filter_generated(pairs, sp_big, de_big, MiningConfig())
-    acc_small = filter_generated(pairs, sp_small, de_small, MiningConfig())
-    for big, small_verdict in zip(acc_big, acc_small):
-        if big:
+    queries = [(generate(model, p, rng), p.id) for p in small]
+
+    def accepted(corpus, sparse, dense):
+        pairs = [GeneratedPair(query=q, position=corpus.position(pid)) for q, pid in queries]
+        return [not isinstance(v, str) for v in filter_generated(pairs, sparse, dense, MiningConfig())]
+
+    for big_verdict, small_verdict in zip(accepted(big, sp_big, de_big), accepted(small, sp_small, de_small)):
+        if big_verdict:
             assert small_verdict
 
 
 def reference_filter(pair, sparse_index, dense_index, cfg):
     """The per-pair filter: BM25 first, then a dense search of the pair's
-    query alone for a BM25 hit."""
+    query alone for a BM25 hit; ``verdict``'s form of the result."""
     tokens = pair.query.tokens(sparse_index.tokenizer)
     k = cfg.max_hard_negatives + 1
-    sparse_top = search_sparse(sparse_index, tokens, k)
-    if not sparse_top or sparse_top[0][0] != pair.passage_id:
-        return None
-    dense_top = search_dense(dense_index, [tokens], k)[0]
-    return (sparse_top, dense_top) if dense_top[0][0] == pair.passage_id else None
+    sparse_top = search_sparse(sparse_index, tokens, k)[0].tolist()
+    if sparse_top[:1] != [pair.position]:
+        return SPARSE_MISS
+    dense_top = search_dense(dense_index, [tokens], k)[0][0].tolist()
+    return (sparse_top, dense_top) if dense_top[0] == pair.position else DENSE_MISS
 
 
 def test_block_filter_equals_per_pair_filter():
@@ -351,24 +432,18 @@ def test_block_filter_equals_per_pair_filter():
     )
     sparse, dense = build_retrievers(corpus, dim=8, seed=2)
     model = train([(Query(id="q", text="t1 t2"), Passage(id="p", text="t1 t2 t3"))])
-    pairs = [GeneratedPair(query=generate(model, p, rng), passage_id=p.id) for p in corpus]
-    pairs.append(GeneratedPair(query=Query(id="oov", text="zzz"), passage_id="p000"))  # no BM25 hit at all
+    pairs = [GeneratedPair(query=generate(model, p, rng), position=corpus.position(p.id)) for p in corpus]
+    pairs.append(GeneratedPair(query=Query(id="oov", text="zzz"), position=0))  # no BM25 hit at all
     cfg = MiningConfig(max_hard_negatives=3)
     want = [reference_filter(pair, sparse, dense, cfg) for pair in pairs]
-    got = filter_generated(pairs, sparse, dense, cfg)
-    assert [g is None for g in got] == [w is None for w in want]
-    for g, w in zip(got, want):
-        if w is not None:
-            assert g[0] == w[0]
-            # a block is one matrix product, a single query a matrix-vector product: the last bits may differ
-            assert [pid for pid, _ in g[1]] == [pid for pid, _ in w[1]]
-            np.testing.assert_allclose([s for _, s in g[1]], [s for _, s in w[1]], rtol=0, atol=1e-12)
+    # a block is one matrix product, a single query a matrix-vector product:
+    # the scores' last bits may differ, the rankings do not
+    assert [verdict(g) for g in filter_generated(pairs, sparse, dense, cfg)] == want
     assert filter_generated([], sparse, dense, cfg) == []
-    # the case covers more than two dense blocks, acceptances, and BM25-only hits
-    assert len(pairs) > 2 * DENSE_BLOCK and want[-1] is None
-    bm25_hits = [search_sparse(sparse, pair.query.tokens(), 1)[0][0] == pair.passage_id for pair in pairs[:-1]]
-    assert any(w is not None for w in want)
-    assert any(hit and w is None for hit, w in zip(bm25_hits, want))
+    # the case covers more than two dense blocks, acceptances, and both kinds of rejection
+    assert len(pairs) > 2 * DENSE_BLOCK and want[-1] == SPARSE_MISS
+    assert any(not isinstance(w, str) for w in want)
+    assert DENSE_MISS in want and SPARSE_MISS in want[:-1]
 
 
 def test_filter_top1_first_equals_full_ranking_filter(monkeypatch):
@@ -379,26 +454,25 @@ def test_filter_top1_first_equals_full_ranking_filter(monkeypatch):
         [Passage(id="pb", text="alpha beta"), Passage(id="pa", text="alpha beta"), Passage(id="pc", text="gamma")]
     )
     sparse, dense = build_retrievers(corpus, dim=8, seed=1)
+    pa, pb, pc = map(corpus.position, ("pa", "pb", "pc"))
     pairs = [
-        GeneratedPair(query=Query(id="g1", text="alpha"), passage_id="pa"),  # BM25 tie at the top: pa has the lower id
-        GeneratedPair(query=Query(id="g2", text="alpha"), passage_id="pb"),  # the same tie, lost to pa
-        GeneratedPair(query=Query(id="g3", text="zzz"), passage_id="pa"),  # no positive BM25 score at all
-        GeneratedPair(query=Query(id="g4", text="gamma"), passage_id="pc"),
+        GeneratedPair(query=Query(id="g1", text="alpha"), position=pa),  # BM25 tie at the top: pa has the lower id
+        GeneratedPair(query=Query(id="g2", text="alpha"), position=pb),  # the same tie, lost to pa
+        GeneratedPair(query=Query(id="g3", text="zzz"), position=pa),  # no positive BM25 score at all
+        GeneratedPair(query=Query(id="g4", text="gamma"), position=pc),
     ]
     cfg = MiningConfig(max_hard_negatives=1)
     want = [reference_filter(pair, sparse, dense, cfg) for pair in pairs]
-    assert [w is not None for w in want] == [True, False, False, True]
-    assert want[0][0] == [("pa", want[0][0][0][1]), ("pb", want[0][0][0][1])]
+    assert [not isinstance(w, str) for w in want] == [True, False, False, True]
+    assert want[0][0] == [pa, pb]
+    tied = search_sparse(sparse, ["alpha"], 2)[1]
+    assert tied[0] == tied[1]
     searched = []
     real = querygen_mod.search_sparse
     monkeypatch.setattr(querygen_mod, "search_sparse", lambda index, tokens, k: searched.append(tokens) or real(index, tokens, k))
-    got = filter_generated(pairs, sparse, dense, cfg)
-    assert [g is None for g in got] == [w is None for w in want]
-    for g, w in ((g, w) for g, w in zip(got, want) if w is not None):
-        assert g[0] == w[0]
-        # a block of two is a matrix product, a single query a matrix-vector product: the last bits may differ
-        assert [pid for pid, _ in g[1]] == [pid for pid, _ in w[1]]
-        np.testing.assert_allclose([s for _, s in g[1]], [s for _, s in w[1]], rtol=0, atol=1e-12)
+    # a block of two is a matrix product, a single query a matrix-vector
+    # product: the scores' last bits may differ, the rankings do not
+    assert [verdict(g) for g in filter_generated(pairs, sparse, dense, cfg)] == want
     # only the accepted pairs get a full BM25 ranking
     assert searched == [["alpha"], ["gamma"]]
 
@@ -411,10 +485,10 @@ def test_filter_top1_first_equals_full_ranking_filter(monkeypatch):
 def test_assemble_single_passage_corpus(rng):
     corpus = Corpus([Passage(id="only", text="alpha beta")])
     sparse, dense = build_retrievers(corpus)
-    pair = GeneratedPair(query=Query(id="g", text="alpha"), passage_id="only")
+    pair = GeneratedPair(query=Query(id="g", text="alpha"), position=0)
     [rankings] = filter_generated([pair], sparse, dense, MiningConfig())
     sample = assemble_generated_sample(pair, rankings, corpus, rng, MiningConfig())
-    assert sample.positive == "only"
+    assert sample.positive == 0
     assert sample.hard_negatives == ()
     assert sample.random_negatives == ()
     assert sample.source == "generated"
@@ -437,31 +511,28 @@ def test_assemble_dense_first_then_sparse_dedup(rng):
     dense = build_dense_index(params, corpus)
     query = Query(id="g", text="q")
 
-    sparse_top = search_sparse(sparse, ["q"], 3)
-    assert [pid for pid, _ in sparse_top] == ["pos", "c", "a"]
-    dense_top = search_dense(dense, [["q"]], 3)[0]
-    assert [pid for pid, _ in dense_top] == ["pos", "a", "b"]
+    sparse_top = search_sparse(sparse, ["q"], 3)[0]
+    assert [corpus.ids[p] for p in sparse_top] == ["pos", "c", "a"]
+    dense_top = search_dense(dense, [["q"]], 3)[0][0]
+    assert [corpus.ids[p] for p in dense_top] == ["pos", "a", "b"]
 
-    pair = GeneratedPair(query=query, passage_id="pos")
+    pair = GeneratedPair(query=query, position=corpus.position("pos"))
     cfg = MiningConfig(S=1, L=3, n_random_negatives=0, max_hard_negatives=3)
     sample = assemble_generated_sample(pair, (sparse_top, dense_top), corpus, rng, cfg)
-    assert sample.hard_negatives == ("a", "b", "c")
-
-
-def ranked_ids(ids):
-    return [(pid, float(len(ids) - i)) for i, pid in enumerate(ids)]
+    assert [corpus.ids[p] for p in sample.hard_negatives] == ["a", "b", "c"]
 
 
 def test_assemble_draws_random_negatives_as_mining_does():
     # random negatives come from the given stream, excluding the positive and
     # the capped hard negatives, and the sample keeps the source "generated"
+    # passage p{i} is at position i
     corpus = Corpus([Passage(id=f"p{i}", text=f"t{i} t{(i + 1) % 9}") for i in range(9)])
-    pair = GeneratedPair(query=Query(id="g", text="t0"), passage_id="p0")
-    rankings = (ranked_ids(["p0", "p3", "p1"]), ranked_ids(["p0", "p1", "p5", "p7"]))
+    pair = GeneratedPair(query=Query(id="g", text="t0"), position=0)
+    rankings = (np.array([0, 3, 1]), np.array([0, 1, 5, 7]))
     cfg = MiningConfig(S=1, L=4, n_random_negatives=3, max_hard_negatives=2)
     sample = assemble_generated_sample(pair, rankings, corpus, np.random.default_rng(8), cfg)
-    want = sample_random_negatives(corpus, {"p0", "p1", "p5"}, 3, np.random.default_rng(8))
-    assert (sample.positive, sample.hard_negatives, sample.source) == ("p0", ("p1", "p5"), "generated")
+    want = sample_random_negatives(corpus, {0, 1, 5}, 3, np.random.default_rng(8))
+    assert (sample.positive, sample.hard_negatives, sample.source) == (0, (1, 5), "generated")
     assert sample.random_negatives == want
 
 
@@ -472,9 +543,9 @@ def test_assemble_satisfies_sample_invariants(rng):
     sparse, dense = build_retrievers(corpus, seed=4)
     model = train([(Query(id="q", text="t0 t3"), Passage(id="p", text="t0 t3 t5"))])
     cfg = MiningConfig(S=1, L=3, n_random_negatives=2, max_hard_negatives=3)
-    pairs = [GeneratedPair(query=generate(model, p, rng), passage_id=p.id) for p in corpus]
+    pairs = [GeneratedPair(query=generate(model, p, rng), position=corpus.position(p.id)) for p in corpus]
     for pair, rankings in zip(pairs, filter_generated(pairs, sparse, dense, cfg)):
-        if rankings:
+        if not isinstance(rankings, str):
             sample = assemble_generated_sample(pair, rankings, corpus, rng, cfg)
             union = (sample.positive, *sample.hard_negatives, *sample.random_negatives)
             assert len(set(union)) == len(union)

@@ -28,6 +28,14 @@ MIXED_PASSAGES = [
 ]
 
 
+def named(corpus, result):
+    """A search's (positions, scores) arrays as (passage id, score) pairs,
+    each position named through ``corpus.ids``."""
+    positions, scores = result
+    assert positions.dtype == np.int64 and scores.dtype == np.float64
+    return [(corpus.ids[p], s) for p, s in zip(positions.tolist(), scores.tolist())]
+
+
 def brute_force_search(index, corpus, query_text, k):
     """Oracle: score every passage, drop zeros, sort by (score desc, id asc)."""
     tokens = tokenize(query_text, index.tokenizer)
@@ -209,20 +217,20 @@ def test_search_equals_brute_force_small():
         corpus = random_corpus(rng, n_docs=int(rng.integers(2, 40)))
         index = build_index(corpus)
         q_text = " ".join(f"w{int(rng.integers(50))}" for _ in range(int(rng.integers(1, 5))))
-        got = search_sparse(index, tokenize(q_text), k=len(corpus))
+        got = named(corpus, search_sparse(index, tokenize(q_text), k=len(corpus)))
         want = brute_force_search(index, corpus, q_text, k=len(corpus))
         assert got == want
 
 
 def test_search_unseen_terms_empty(tiny_corpus):
     index = build_index(tiny_corpus)
-    assert search_sparse(index, tokenize("zebra yak"), 10) == []
+    assert named(tiny_corpus, search_sparse(index, tokenize("zebra yak"), 10)) == []
 
 
 def test_search_tie_broken_by_id():
     corpus = Corpus([Passage(id="b", text="x"), Passage(id="a", text="x")])
     index = build_index(corpus)
-    result = search_sparse(index, tokenize("x"), 2)
+    result = named(corpus, search_sparse(index, tokenize("x"), 2))
     assert [pid for pid, _ in result] == ["a", "b"]
     assert result[0][1] == result[1][1]
 
@@ -230,8 +238,8 @@ def test_search_tie_broken_by_id():
 def test_search_k_is_prefix_of_larger_k(tiny_corpus):
     index = build_index(tiny_corpus)
     q = tokenize("apple banana cherry fig")
-    small = search_sparse(index, q, 2)
-    large = search_sparse(index, q, 4)
+    small = named(tiny_corpus, search_sparse(index, q, 2))
+    large = named(tiny_corpus, search_sparse(index, q, 4))
     assert large[: len(small)] == small
 
 
@@ -243,7 +251,7 @@ def test_search_k_validated(tiny_corpus):
 
 def test_search_excludes_zero_scores(tiny_corpus):
     index = build_index(tiny_corpus)
-    result = search_sparse(index, tokenize("apple"), 10)
+    result = named(tiny_corpus, search_sparse(index, tokenize("apple"), 10))
     assert {pid for pid, _ in result} == {"p1", "p4"}
     assert all(score > 0 for _, score in result)
 
@@ -298,9 +306,9 @@ def test_impacts_built_on_first_search_only(tiny_corpus):
     index = build_index(tiny_corpus)
     assert bm25_score(index, ["apple"], "p1") > 0.0
     assert "impact" not in vars(index)
-    first = search_sparse(index, ["apple"], 3)
+    first = named(tiny_corpus, search_sparse(index, ["apple"], 3))
     impact = vars(index)["impact"]
-    assert search_sparse(index, ["apple"], 3) == first
+    assert named(tiny_corpus, search_sparse(index, ["apple"], 3)) == first
     assert vars(index)["impact"] is impact
 
 
@@ -318,7 +326,7 @@ def test_listed_index_equals_build_index(which):
         text = " ".join(terms[int(i)] for i in rng.integers(len(terms), size=int(rng.integers(1, 5))))
         text += " never-seen-term"
         qtok = tokenize(text, tok)
-        assert search_sparse(listed, qtok, 20) == search_sparse(built, qtok, 20)
+        assert named(corpus, search_sparse(listed, qtok, 20)) == named(corpus, search_sparse(built, qtok, 20))
         for pid in corpus.ids[:40]:
             assert bm25_score(listed, qtok, pid) == bm25_score(built, qtok, pid)
     for term in [*terms, "never-seen-term"]:

@@ -153,6 +153,6 @@ def test_benchmark_oracle_ranks_bm25_as_search_sparse_does(tmp_path):
     texts = [q.text for q in queries] + ["fig", "apple banana fig 日本語", "date 日 zzz"]
     for text in texts:
         for k in (1, 2, cfg.mining.L):
-            want = [pid for pid, _ in search_sparse(index, tokenize(text, cfg.tokenizer), k)]
+            want = [corpus.ids[p] for p in search_sparse(index, tokenize(text, cfg.tokenizer), k)[0].tolist()]
             assert oracle.sparse_top(text, k) == want, (text, k)
     assert any(oracle.sparse_top(text, 2) for text in texts)
