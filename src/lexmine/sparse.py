@@ -4,9 +4,9 @@ Lucene-style scoring: idf = ln(1 + (N - df + 0.5) / (df + 0.5)), which is
 always non-negative, with k1 = 0.9 and b = 0.4 defaults. Query terms are
 deduplicated before scoring, passages with score 0 are never returned, and
 ties break by ascending corpus position, the passage id order, so rankings
-are fully reproducible. Every posting's BM25 weight is precomputed on the
-index's first search (the impact form of BM25), so a query sums its terms'
-impact rows.
+are fully reproducible. A search returns (position, score) arrays, not ids.
+Every posting's BM25 weight is precomputed on the index's first search (the
+impact form of BM25), so a query sums its terms' impact rows.
 """
 
 from __future__ import annotations
