@@ -1224,7 +1224,8 @@ def test_generate_logs_why_each_pair_was_rejected(tmp_path, synth_dir, warm_ckpt
     assert generate_cmd(cfg_path, synth_dir, warm_ckpt, generator, out, 3, "--rejected", str(rejected)) == EXIT_OK
     cfg = pipeline_config_from_mapping(parse_kv_config(cfg_path), seed=3)
     corpus = load_passages(synth_dir / "passages.jsonl")
-    state = start_state(load_checkpoint(warm_ckpt)[0], GeneratorModel(), build_index(corpus, cfg.tokenizer), corpus, cfg)
+    sparse = build_index(corpus, cfg.tokenizer)
+    state = start_state(load_checkpoint(warm_ckpt)[0], GeneratorModel(), sparse, corpus, cfg)
     records = [json.loads(line) for line in rejected.read_text(encoding="utf-8").splitlines()]
     for r in records:
         tokens = tokenize(r["query_text"], cfg.tokenizer)

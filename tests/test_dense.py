@@ -533,9 +533,8 @@ def test_search_stale_index(tiny_corpus, rng):
     params = toy_params(tiny_corpus)
     index = build_dense_index(params, tiny_corpus)
     opt = init_optimizer(params, lr=0.1)
-    sample = TrainingSample(
-        query=Query(id="q", text="apple"), positive=tiny_corpus.position("p1"), hard_negatives=(tiny_corpus.position("p2"),)
-    )
+    pos = tiny_corpus.position
+    sample = TrainingSample(query=Query(id="q", text="apple"), positive=pos("p1"), hard_negatives=(pos("p2"),))
     train_step(params, opt, [sample], tiny_corpus)
     with pytest.raises(StaleIndexError):
         search_dense(index, [tokenize("apple")], 2)
@@ -581,9 +580,8 @@ def test_loss_frozen_oracle_value():
     params.embedding[v["a"], 0] = 2.0
     params.embedding[v["b"], 0] = 1.0
     params.embedding[v["c"], 0] = 0.5
-    sample = TrainingSample(
-        query=Query(id="q", text="q"), positive=corpus.position("pos"), hard_negatives=tuple(map(corpus.position, ("n1", "n2")))
-    )
+    pos = corpus.position
+    sample = TrainingSample(query=Query(id="q", text="q"), positive=pos("pos"), hard_negatives=(pos("n1"), pos("n2")))
     loss, _ = infonce_batch(params, [sample], corpus)
     assert loss == pytest.approx(INFONCE_2_1_05, rel=1e-12)
 
