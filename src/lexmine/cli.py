@@ -295,7 +295,7 @@ def _checkpoint_state(
     args: argparse.Namespace, corpus: Corpus, cfg: PipelineConfig, generator: GeneratorModel
 ) -> PipelineState:
     params = _load_encoder(args, corpus, cfg)
-    return start_state(params, generator, build_index(corpus, cfg.tokenizer, cfg.bm25), corpus, cfg)
+    return start_state(params, generator, build_index(corpus, cfg.tokenizer, cfg.bm25), corpus)
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
@@ -353,7 +353,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _guard_overwrite(out / "manifest.json", args.overwrite, "train output")
     # the pipeline's first-iteration train stage, training stream included
-    losses = train(params, dataset, corpus, cfg, iteration=1)
+    losses = train(params, dataset, cfg, iteration=1)
     save_checkpoint(out / "checkpoint.npz", params)
     write_manifest(out / "manifest.json", "train", asdict(cfg), args.seed)
     print(

@@ -53,11 +53,14 @@ class EncoderParams:
     ``embedding`` is the one table that encodes queries and passages, and
     ``vocab`` maps each token to its row. ``version`` increments on every
     training step and ties indexes to the parameters that produced them.
+    ``tokenized``, set by ``bind_encoder``, is the tokenized corpus whose
+    token ids are the rows and whose passages the encoder indexes and trains on.
     """
 
     vocab: dict[str, int]
     embedding: np.ndarray
     version: int = 0
+    tokenized: TokenizedCorpus | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.embedding.ndim != 2:
@@ -184,11 +187,12 @@ def _scatter_pooled(rows: np.ndarray, sizes: np.ndarray, g_pooled: np.ndarray, n
 def bind_encoder(
     params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER, path: str | Path | None = None
 ) -> EncoderParams:
-    """``params``, fresh or read from the checkpoint ``path``, with its rows
-    permuted into the token-id order of ``corpus.tokenized(tok)`` that
-    ``corpus_token_rows`` requires. Raises DataFormatError naming ``path``
-    unless its tokens are exactly the corpus's."""
-    index = corpus.tokenized(tok).index
+    """``params``, fresh or read from the checkpoint ``path``, bound to
+    ``corpus.tokenized(tok)``: its rows permuted into that token-id order and
+    the tokenized corpus kept as its ``tokenized``. Raises DataFormatError
+    naming ``path`` unless its tokens are exactly the corpus's."""
+    tc = corpus.tokenized(tok)
+    index = tc.index
     missing, extra = len(index.keys() - params.vocab.keys()), len(params.vocab.keys() - index.keys())
     if missing or extra:
         raise DataFormatError(
@@ -197,20 +201,15 @@ def bind_encoder(
             path,
         )
     rows = np.fromiter(map(params.vocab.__getitem__, index), np.int64, len(index))
-    return EncoderParams(vocab=index, embedding=params.embedding[rows], version=params.version)
+    return EncoderParams(vocab=index, embedding=params.embedding[rows], version=params.version, tokenized=tc)
 
 
-def corpus_token_rows(
-    params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER
-) -> TokenizedCorpus:
-    """``corpus.tokenized(tok)``, whose token ids are ``params``'s rows; raises
-    ValueError unless ``params.vocab`` is or equals its ``index``. An encoder
-    of ``bind_encoder`` holds that ``index`` itself, so its check is one
-    identity test; the check never changes ``params``."""
-    tc = corpus.tokenized(tok)
-    if params.vocab is not tc.index and params.vocab != tc.index:
-        raise ValueError("the encoder's rows are not the corpus's token ids under this tokenizer config")
-    return tc
+def corpus_token_rows(params: EncoderParams) -> TokenizedCorpus:
+    """The tokenized corpus ``params`` is bound to, whose token ids are its
+    rows; raises ValueError for an encoder that ``bind_encoder`` never bound."""
+    if params.tokenized is None:
+        raise ValueError("the encoder is bound to no corpus; bind it with bind_encoder first")
+    return params.tokenized
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +220,9 @@ def corpus_token_rows(
 @dataclass
 class DenseIndex:
     """Passage vectors by corpus position, built by the encoder ``params`` at
-    version ``params_version`` under ``tokenizer``; searches take query tokens
-    under that tokenizer, encode them with ``params`` and break ties by position."""
+    version ``params_version`` over its bound corpus, tokenized under
+    ``tokenizer``; searches take query tokens under that tokenizer, encode
+    them with ``params`` and break ties by position."""
 
     vectors: np.ndarray
     params_version: int
@@ -230,15 +230,14 @@ class DenseIndex:
     params: EncoderParams = field(repr=False, compare=False)
 
 
-def build_dense_index(
-    params: EncoderParams, corpus: Corpus, tok: TokenizerConfig = DEFAULT_TOKENIZER
-) -> DenseIndex:
-    """Encode every passage under the current parameters (exact, corpus order)."""
-    if len(corpus) == 0:
+def build_dense_index(params: EncoderParams) -> DenseIndex:
+    """Encode every passage of the corpus ``params`` is bound to
+    (``corpus_token_rows``) under the current parameters: exact, in corpus order."""
+    tc = corpus_token_rows(params)
+    if len(tc.offsets) == 1:
         raise ValueError("cannot index an empty corpus")
-    tc = corpus_token_rows(params, corpus, tok)
     vectors = _mean_pool(params.embedding, tc.ids, np.diff(tc.offsets))
-    return DenseIndex(vectors, params.version, tok, params)
+    return DenseIndex(vectors, params.version, tc.tokenizer, params)
 
 
 DENSE_BLOCK = 64  # queries scored per matrix product; larger blocks raise peak memory
@@ -338,22 +337,17 @@ class TrainingSample:
             )
 
 
-def infonce_batch(
-    params: EncoderParams,
-    batch: Sequence[TrainingSample],
-    corpus: Corpus,
-    tok: TokenizerConfig = DEFAULT_TOKENIZER,
-) -> tuple[float, np.ndarray]:
+def infonce_batch(params: EncoderParams, batch: Sequence[TrainingSample]) -> tuple[float, np.ndarray]:
     """Mean InfoNCE loss over the batch and its exact gradient wrt the table.
 
     Each sample's candidates are its positive, its hard and random negatives,
     and the other samples' positives (once per other sample, skipping any that
     equal its own positive). The batch is scored as one query x passage matrix
     over the unique passages, each candidate weighted by how often it occurs.
-    Passages of ``corpus`` and queries are tokenized under ``tok``; the
-    passages pool their token ids (``corpus_token_rows``). Returns
-    ``(loss, g_emb)``. Inputs are not modified, apart from the tokens
-    ``Query.tokens`` memoizes on each query.
+    Passages are positions in the corpus ``params`` is bound to and pool its
+    token ids (``corpus_token_rows``); queries are tokenized under its
+    tokenizer. Returns ``(loss, g_emb)``. Inputs are not modified, apart from
+    the tokens ``Query.tokens`` memoizes on each query.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -362,9 +356,9 @@ def infonce_batch(
     for s in batch:
         for p in (s.positive, *s.hard_negatives, *s.random_negatives):
             uniq.setdefault(p, len(uniq))
-    tc = corpus_token_rows(params, corpus, tok)
+    tc = corpus_token_rows(params)
     spans = [tc.ids[tc.offsets[p] : tc.offsets[p + 1]] for p in uniq]
-    q_rows, q_sizes = _token_rows(params.vocab, [s.query.tokens(tok) for s in batch])
+    q_rows, q_sizes = _token_rows(params.vocab, [s.query.tokens(tc.tokenizer) for s in batch])
     rows = np.concatenate([*spans, q_rows])
     sizes = np.concatenate([np.array([span.size for span in spans], dtype=np.int64), q_sizes])
     pooled = _mean_pool(params.embedding, rows, sizes)
@@ -447,19 +441,14 @@ def _adam_update(table: np.ndarray, g: np.ndarray, opt: OptimizerState) -> None:
         table[rows] -= bb
 
 
-def train_step(
-    params: EncoderParams,
-    opt: OptimizerState,
-    batch: Sequence[TrainingSample],
-    corpus: Corpus,
-    tok: TokenizerConfig = DEFAULT_TOKENIZER,
-) -> float:
-    """One Adam update from ``infonce_batch``'s gradient; returns its mean loss.
+def train_step(params: EncoderParams, opt: OptimizerState, batch: Sequence[TrainingSample]) -> float:
+    """One Adam update from ``infonce_batch``'s gradient over the corpus
+    ``params`` is bound to; returns its mean loss.
 
     Parameters and optimizer state are updated in place; the parameter
     version increments. Deterministic given batch order.
     """
-    loss, g_emb = infonce_batch(params, batch, corpus, tok)
+    loss, g_emb = infonce_batch(params, batch)
     opt.step += 1
     _adam_update(params.embedding, g_emb, opt)
     params.version += 1

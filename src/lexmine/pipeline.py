@@ -63,6 +63,7 @@ from .querygen import (
     filter_generated,
     generate_query,
     load_generator,
+    query_length_cdf,
     save_generator,
     train_generator,
 )
@@ -226,17 +227,17 @@ def start_state(
     generator: GeneratorModel,
     sparse_index: InvertedIndex,
     corpus: Corpus,
-    cfg: PipelineConfig,
     iteration: int = 0,
     aux_params: EncoderParams | None = None,
 ) -> PipelineState:
-    """The state that continues from ``params``, with its dense indexes built."""
-    aux_index = None if aux_params is None else build_dense_index(aux_params, corpus, cfg.tokenizer)
+    """The state that continues from ``params``, with its dense indexes built;
+    the encoders must be bound to ``corpus`` (``bind_encoder``)."""
+    aux_index = None if aux_params is None else build_dense_index(aux_params)
     return PipelineState(
         generator=generator,
         corpus=corpus,
         sparse_index=sparse_index,
-        dense_index=build_dense_index(params, corpus, cfg.tokenizer),
+        dense_index=build_dense_index(params),
         iteration=iteration,
         aux_index=aux_index,
     )
@@ -299,7 +300,7 @@ def warmup(
 
     rng_shuffle = np.random.default_rng([cfg.seed, _WARMUP_SHUFFLE, seed_offset])
     steps = cfg.warmup_epochs * math.ceil(len(filled) / cfg.batch_size)
-    _minibatch_steps(params, filled, corpus, cfg, cfg.warmup_lr, rng_shuffle, steps, "warm-up")
+    _minibatch_steps(params, filled, cfg, cfg.warmup_lr, rng_shuffle, steps, "warm-up")
 
     generator = train_generator(
         GeneratorModel(),
@@ -346,21 +347,21 @@ def _evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _fixed_rankings(state: PipelineState, qs: list[Query], cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The queries' top-L positions and scores by the retriever that never
-    trains, a row each padded with -1 and 0.0, from ``state.fixed_rankings``;
-    queries not ranked yet are ranked from their tokens and kept."""
+def _fixed_rankings(
+    state: PipelineState, queries: list[tuple[Query, list[str]]], cfg: PipelineConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top-L positions and scores of ``queries``, (query, tokens) pairs, by
+    the retriever that never trains, a row each padded with -1 and 0.0, from
+    ``state.fixed_rankings``; queries not ranked yet are ranked and kept."""
     known = state.fixed_rankings
-    todo = [q for q in qs if q not in known]
+    todo = [(q, tokens) for q, tokens in queries if q not in known]
     L = cfg.mining.L
     if cfg.mining_mode == "double_dense":
-        aux = state.aux_index
-        known.update(zip(todo, zip(*search_dense(aux, [q.tokens(aux.tokenizer) for q in todo], L))))
+        known.update(zip([q for q, _ in todo], zip(*search_dense(state.aux_index, [t for _, t in todo], L))))
     else:
-        sparse = state.sparse_index
-        known.update((q, search_sparse(sparse, q.tokens(sparse.tokenizer), L)) for q in todo)
-    positions, scores = np.full((len(qs), L), -1), np.zeros((len(qs), L))
-    for row, q in enumerate(qs):
+        known.update((q, search_sparse(state.sparse_index, tokens, L)) for q, tokens in todo)
+    positions, scores = np.full((len(queries), L), -1), np.zeros((len(queries), L))
+    for row, (q, _) in enumerate(queries):
         ranked, ranked_scores = known[q]
         positions[row, : len(ranked)], scores[row, : len(ranked)] = ranked, ranked_scores
     return positions, scores
@@ -392,7 +393,8 @@ def mine(
     All queries are ranked first, by the trained encoder in blocks and by the
     fixed retriever from ``_fixed_rankings``, and mined as one block; those
     with positives then yield their samples one at a time, in ascending id
-    order, from the iteration's mining stream. A query with no token in the
+    order, from the iteration's mining stream. Each query's tokens are read
+    once, under the indexes' one tokenizer. A query with no token in the
     encoder's vocabulary is skipped: its zero vector ranks passages by id,
     which the fuse modes would mine as agreement. Hard negatives follow
     ``cfg.negative_mode``. Returns the samples, the S=1 (query, passage) pairs
@@ -401,22 +403,22 @@ def mine(
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
     vocab = state.dense_index.params.vocab
     tok = state.dense_index.tokenizer
-    qs = [q for q in queries if any(t in vocab for t in q.tokens(tok))]
-    fixed = _fixed_rankings(state, qs, cfg)
-    dense = search_dense(state.dense_index, [q.tokens(tok) for q in qs], cfg.mining.L)
+    kept = [(q, tokens) for q in queries for tokens in [q.tokens(tok)] if any(t in vocab for t in tokens)]
+    fixed = _fixed_rankings(state, kept, cfg)
+    dense = search_dense(state.dense_index, [tokens for _, tokens in kept], cfg.mining.L)
     all_sets, top1 = _mined_sets(fixed, dense, cfg)
     # the other negative modes draw no random negatives
     no_randoms = replace(cfg.mining, n_random_negatives=0)
     mined: list[TrainingSample] = []
     gen_pairs: list[tuple[Query, Passage]] = []
     # a query without positives yields no sample, draws nothing and has no S=1 positive
-    with_positives = [(q, sets, p) for q, sets, p in zip(qs, all_sets, top1.tolist()) if sets.positives]
-    for q, sets, p in with_positives:
+    with_positives = [(qt, sets, p) for qt, sets, p in zip(kept, all_sets, top1.tolist()) if sets.positives]
+    for (q, tokens), sets, p in with_positives:
         mining_cfg = cfg.mining
         if cfg.negative_mode != "mined":
             hard: tuple[int, ...] = ()
             if cfg.negative_mode == "sparse_top":
-                ranked = search_sparse(state.sparse_index, q.tokens(tok), cfg.mining.max_hard_negatives + cfg.mining.S)
+                ranked = search_sparse(state.sparse_index, tokens, cfg.mining.max_hard_negatives + cfg.mining.S)
                 hard = tuple(r for r in ranked[0].tolist() if r not in sets.positives)
             sets, mining_cfg = MinedSets(sets.positives, hard), no_randoms
         mined.extend(assemble_mined_sample(q, sets, state.corpus, rng, mining_cfg))
@@ -440,16 +442,17 @@ def generate(
     pair is accepted when the sparse and the dense retriever both return its
     passage as top-1. The accepted pairs' samples are built in order from
     those same rankings, with random negatives from the iteration's assembly
-    stream, so no pair's verdict shifts another's draws. Each language weighs
-    the corpus token ids once. Returns the training samples of the accepted
-    pairs and the rejected pairs with their reasons; passages without tokens
-    give neither.
+    stream, so no pair's verdict shifts another's draws. The query-length
+    distribution is read once and each language weighs the corpus token ids
+    once. Returns the training samples of the accepted pairs and the rejected
+    pairs with their reasons; passages without tokens give neither.
     """
     rng_select = np.random.default_rng([cfg.seed, _GEN_SELECT, iteration])
     rng_sample = np.random.default_rng([cfg.seed, _GEN_SAMPLE, iteration])
     rng_assemble = np.random.default_rng([cfg.seed, _GEN_ASSEMBLE, iteration])
     corpus, generator = state.corpus, state.generator
     tc = corpus.tokenized(cfg.tokenizer)
+    lengths = query_length_cdf(generator)
     accepted: list[TrainingSample] = []
     rejected: list[tuple[GeneratedPair, str]] = []
     for lang in langs:
@@ -463,7 +466,7 @@ def generate(
             span = tc.ids[tc.offsets[p] : tc.offsets[p + 1]]
             if span.size:
                 qid = f"gen{iteration}-{passage.id}"
-                query = generate_query(generator, passage, span, weights, tc.vocab, rng_sample, qid)
+                query = generate_query(lengths, passage, span, weights, tc.vocab, rng_sample, qid)
                 pairs.append(GeneratedPair(query=query, position=p))
         verdicts = filter_generated(pairs, state.sparse_index, state.dense_index, cfg.mining)
         for pair, verdict in zip(pairs, verdicts):
@@ -475,11 +478,11 @@ def generate(
 
 
 def _minibatch_steps(
-    params: EncoderParams, dataset: Sequence[TrainingSample], corpus: Corpus, cfg: PipelineConfig,
+    params: EncoderParams, dataset: Sequence[TrainingSample], cfg: PipelineConfig,
     lr: float, rng: np.random.Generator, steps: int, label: str,
 ) -> list[float]:
     """Run ``steps`` Adam steps at ``lr`` from fresh moments on ``dataset``
-    over the passages of ``corpus``; returns the step losses.
+    over the passages of the corpus ``params`` is bound to; returns the step losses.
 
     Minibatches walk a shuffled order of ``dataset`` drawn from ``rng`` and
     reshuffle when it runs out, so every ``ceil(len(dataset) / batch_size)``
@@ -496,23 +499,20 @@ def _minibatch_steps(
             pos = 0
         batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
         pos += cfg.batch_size
-        loss = train_step(params, opt, batch, corpus, cfg.tokenizer)
+        loss = train_step(params, opt, batch)
         if not math.isfinite(loss):
             raise PipelineError(f"{label} step {step}: training loss is {loss}")
         losses.append(loss)
     return losses
 
 
-def train(
-    params: EncoderParams, dataset: Sequence[TrainingSample], corpus: Corpus, cfg: PipelineConfig, iteration: int
-) -> list[float]:
-    """Fine-tune ``params`` in place on ``dataset``: ``minibatches_per_iter``
-    steps at ``train_lr`` on the iteration's shuffle stream, from fresh Adam
-    moments, as a checkpoint holds the encoder alone. Returns the step losses."""
+def train(params: EncoderParams, dataset: Sequence[TrainingSample], cfg: PipelineConfig, iteration: int) -> list[float]:
+    """Fine-tune ``params`` in place on ``dataset`` over the corpus it is
+    bound to: ``minibatches_per_iter`` steps at ``train_lr`` on the
+    iteration's shuffle stream, from fresh Adam moments, as a checkpoint holds
+    the encoder alone. Returns the step losses."""
     rng = np.random.default_rng([cfg.seed, _TRAIN_SHUFFLE, iteration])
-    return _minibatch_steps(
-        params, dataset, corpus, cfg, cfg.train_lr, rng, cfg.minibatches_per_iter, f"iteration {iteration}"
-    )
+    return _minibatch_steps(params, dataset, cfg, cfg.train_lr, rng, cfg.minibatches_per_iter, f"iteration {iteration}")
 
 
 def run_iteration(
@@ -547,9 +547,9 @@ def run_iteration(
         generated, rejected = generate(state, langs, cfg, iteration)
 
     dataset = mined + generated
-    losses = train(state.dense_index.params, dataset, state.corpus, cfg, iteration)
+    losses = train(state.dense_index.params, dataset, cfg, iteration)
 
-    state.dense_index = build_dense_index(state.dense_index.params, state.corpus, cfg.tokenizer)
+    state.dense_index = build_dense_index(state.dense_index.params)
     state.iteration = iteration
     run, metrics = _evaluate(state, data, cfg)
 
@@ -751,9 +751,7 @@ def run_pipeline(
 
     sparse_index = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     if reports:
-        state = start_state(
-            params, generator, sparse_index, data.corpus, cfg, len(reports) - 1, aux_params=aux_params
-        )
+        state = start_state(params, generator, sparse_index, data.corpus, len(reports) - 1, aux_params=aux_params)
     else:
         labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse_index, data.corpus, cfg)
         t0 = time.perf_counter()
@@ -763,7 +761,7 @@ def run_pipeline(
             # half of the labeled data with a different seed, then frozen
             aux_params, _ = warmup(labeled[1::2] or labeled, data.corpus, cfg, seed_offset=1)
         warm_sec = time.perf_counter() - t0
-        state = start_state(params, generator, sparse_index, data.corpus, cfg, aux_params=aux_params)
+        state = start_state(params, generator, sparse_index, data.corpus, aux_params=aux_params)
         _, metrics = _evaluate(state, data, cfg)
         warm_report = IterationReport(iteration=0, metrics=metrics, wall_clock_sec=warm_sec)
         reports.append(warm_report)

@@ -30,6 +30,7 @@ __all__ = [
     "GeneratorModel",
     "GeneratedPair",
     "train_generator",
+    "query_length_cdf",
     "generate_query",
     "filter_generated",
     "assemble_generated_sample",
@@ -109,8 +110,22 @@ def train_generator(
     return model
 
 
+def query_length_cdf(model: GeneratorModel) -> tuple[list[int], np.ndarray]:
+    """The ``lengths`` ``generate_query`` draws from: the trained model's
+    query lengths and their cumulative distribution."""
+    if model.version < 1:
+        raise ValueError("generator must be trained before generating")
+    lens = list(model.query_len_dist.keys())
+    probs = np.array([model.query_len_dist[n] for n in lens])
+    # rng.choice(lens, p=probs / probs.sum())'s own rule and its one double,
+    # without the validation of p that choice repeats on every call
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return lens, cdf
+
+
 def generate_query(
-    model: GeneratorModel,
+    lengths: tuple[list[int], np.ndarray],
     passage: Passage,
     token_ids: np.ndarray,
     weights: np.ndarray,
@@ -121,27 +136,21 @@ def generate_query(
     """Sample a query with id ``query_id`` from the passage's ``token_ids``,
     weighted by salience.
 
-    ``token_ids`` is the passage's span of ``Corpus.tokenized(tok).ids``;
-    ``weights`` holds each token id's salience in the passage's language and
-    ``vocab`` its token. The length is drawn from the trained length
-    distribution, then that many distinct token ids, in first-occurrence
-    order, are drawn without replacement with probability proportional to
-    salience, and uniformly once only zero weights remain. The draws are one
-    Gumbel-top-k sample (Kool et al., ICML 2019): the top keys log(weight) +
-    Gumbel noise, zero weights last in noise order. The query joins the drawn
-    tokens and inherits the passage's language.
+    ``lengths`` is the generator's ``query_length_cdf``; ``token_ids`` is the
+    passage's span of ``Corpus.tokenized(tok).ids``; ``weights`` holds each
+    token id's salience in the passage's language and ``vocab`` its token.
+    The length is drawn from the trained length distribution, then that many
+    distinct token ids, in first-occurrence order, are drawn without
+    replacement with probability proportional to salience, and uniformly once
+    only zero weights remain. The draws are one Gumbel-top-k sample (Kool et
+    al., ICML 2019): the top keys log(weight) + Gumbel noise, zero weights
+    last in noise order. The query joins the drawn tokens and inherits the
+    passage's language.
     """
-    if model.version < 1:
-        raise ValueError("generator must be trained before generating")
     candidates = list(dict.fromkeys(token_ids.tolist()))
     if not candidates:
         raise ValueError(f"passage {passage.id!r} has no tokens to sample from")
-    lens = list(model.query_len_dist.keys())
-    probs = np.array([model.query_len_dist[n] for n in lens])
-    # rng.choice(lens, p=probs / probs.sum())'s own rule and its one double,
-    # without the validation of p that choice repeats on every call
-    cdf = (probs / probs.sum()).cumsum()
-    cdf /= cdf[-1]
+    lens, cdf = lengths
     length = lens[int(cdf.searchsorted(rng.random(), side="right"))]
 
     noise = rng.gumbel(size=len(candidates))

@@ -17,7 +17,7 @@ from scipy import stats
 
 from lexmine.cli import parse_kv_config, pipeline_config_from_mapping
 from lexmine.corpus import Corpus, Judgment, JudgmentSet, Passage, Query, SynthSpec, synth_benchmark, tokenize
-from lexmine.dense import TrainingSample, infonce_batch, init_params, vocab_from_corpus
+from lexmine.dense import TrainingSample, bind_encoder, infonce_batch, init_params, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k, paired_t_test, recall_at_k
 from lexmine.mining import MinedSets, MiningConfig, mine_pairs
 from lexmine.pipeline import (
@@ -136,7 +136,7 @@ def _gradient_case(seed):
     ]
     # a passage in no sample holds every token, so the encoder's vocabulary is the corpus's
     corpus = Corpus([*passages, Passage(id="all", text=" ".join(vocab))])
-    params = init_params(vocab_from_corpus(corpus), dim=5, seed=seed)
+    params = bind_encoder(init_params(vocab_from_corpus(corpus), dim=5, seed=seed), corpus)
     params.embedding[:] = rng.normal(0, 0.6, size=params.embedding.shape)
     queries = [
         Query(id=f"q{i}", text=" ".join(vocab[int(rng.integers(12))] for _ in range(3))) for i in range(3)
@@ -158,16 +158,16 @@ def test_acceptance_2_gradient_check():
     worst = 0.0
     for seed in range(20):
         params, batch, corpus = _gradient_case(seed)
-        _, analytic = infonce_batch(params, batch, corpus)
+        _, analytic = infonce_batch(params, batch)
         table = params.embedding
         for row in range(table.shape[0]):
             numeric = np.zeros(params.dim)
             for j in range(params.dim):
                 orig = table[row, j]
                 table[row, j] = orig + h
-                up = infonce_batch(params, batch, corpus)[0]
+                up = infonce_batch(params, batch)[0]
                 table[row, j] = orig - h
-                down = infonce_batch(params, batch, corpus)[0]
+                down = infonce_batch(params, batch)[0]
                 table[row, j] = orig
                 numeric[j] = (up - down) / (2 * h)
             denom = max(float(np.max(np.abs(numeric))), 1e-8)
@@ -349,7 +349,7 @@ def test_acceptance_8_filter_precision(bench, data, cfg_mapping):
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     labeled = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     params, generator = warmup(labeled, data.corpus, cfg)
-    state = start_state(params, generator, sparse, data.corpus, cfg)
+    state = start_state(params, generator, sparse, data.corpus)
     # two iterations so the generator has been retrained on mined target pairs
     run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)
     run_iteration(state, replace(data, eval_queries=None, eval_qrels=None), cfg)

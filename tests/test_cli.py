@@ -24,7 +24,7 @@ from lexmine.cli import (
     pipeline_config_from_mapping,
 )
 from lexmine.corpus import load_passages, load_qrels, load_queries, tokenize
-from lexmine.dense import init_params, load_checkpoint, save_checkpoint, search_dense
+from lexmine.dense import bind_encoder, init_params, load_checkpoint, save_checkpoint, search_dense
 from lexmine.evaluation import load_run, mrr_at_k
 from lexmine.mining import load_samples, save_samples
 from lexmine.pipeline import (
@@ -1194,9 +1194,9 @@ def test_generate_writes_pipeline_generate_stage(tmp_path, synth_dir, warm_ckpt)
 
     cfg = pipeline_config_from_mapping(parse_kv_config(cfg_path), seed=3)
     corpus = load_passages(synth_dir / "passages.jsonl")
-    params, _ = load_checkpoint(warm_ckpt)
+    params = bind_encoder(load_checkpoint(warm_ckpt)[0], corpus, cfg.tokenizer)
     sparse = build_index(corpus, cfg.tokenizer, cfg.bm25)
-    state = start_state(params, load_generator(generator), sparse, corpus, cfg)
+    state = start_state(params, load_generator(generator), sparse, corpus)
     accepted, _ = generate(state, sorted({p.lang for p in corpus}), cfg, iteration=1)
     assert accepted and all(s.query.id == f"gen1-{corpus.ids[s.positive]}" for s in accepted)
     want = tmp_path / "want.jsonl"
@@ -1225,7 +1225,8 @@ def test_generate_logs_why_each_pair_was_rejected(tmp_path, synth_dir, warm_ckpt
     cfg = pipeline_config_from_mapping(parse_kv_config(cfg_path), seed=3)
     corpus = load_passages(synth_dir / "passages.jsonl")
     sparse = build_index(corpus, cfg.tokenizer)
-    state = start_state(load_checkpoint(warm_ckpt)[0], GeneratorModel(), sparse, corpus, cfg)
+    params = bind_encoder(load_checkpoint(warm_ckpt)[0], corpus, cfg.tokenizer)
+    state = start_state(params, GeneratorModel(), sparse, corpus)
     records = [json.loads(line) for line in rejected.read_text(encoding="utf-8").splitlines()]
     for r in records:
         tokens = tokenize(r["query_text"], cfg.tokenizer)

@@ -217,7 +217,7 @@ def test_tokenized_corpus_derivations_match_per_passage_construction(which, cfg)
     assert vocab_from_corpus(corpus, cfg) == tuple(vocab)
     # an encoder of the corpus's tokens in reverse row order, bound to the corpus
     params = bind_encoder(init_params(vocab[::-1], dim=2), corpus, cfg)
-    tc = corpus_token_rows(params, corpus, cfg)
+    tc = corpus_token_rows(params)
     for i, p in enumerate(corpus):
         want = [params.vocab[t] for t in _reference_tokenize(p.text, cfg)]
         assert tc.ids[tc.offsets[i] : tc.offsets[i + 1]].tolist() == want
@@ -226,7 +226,7 @@ def test_tokenized_corpus_derivations_match_per_passage_construction(which, cfg)
     with pytest.raises(DataFormatError):
         bind_encoder(other, corpus, cfg)
     with pytest.raises(ValueError):
-        corpus_token_rows(other, corpus, cfg)
+        corpus_token_rows(other)
 
 
 def test_corpus_tokenized_memo_follows_config():

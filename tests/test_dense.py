@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lexmine.corpus as corpus_mod
 import lexmine.dense as dense_mod
 from lexmine.corpus import (
     DEFAULT_TOKENIZER,
@@ -66,7 +67,8 @@ shared_case_id = pytest.mark.parametrize((), [pytest.param(id="True")])
 
 
 def toy_params(corpus, dim=4, seed=0):
-    return init_params(vocab_from_corpus(corpus), dim=dim, seed=seed)
+    """A fresh encoder of ``corpus``'s tokens, bound to it."""
+    return bind_encoder(init_params(vocab_from_corpus(corpus), dim=dim, seed=seed), corpus)
 
 
 def encode(params, tokens):
@@ -101,15 +103,15 @@ def infonce_from_scores(positive_score, negative_scores):
     return float(m + np.log(np.exp(z - m).sum()) - positive_score)
 
 
-def numeric_gradient(params, batch, corpus, table, h=1e-5):
+def numeric_gradient(params, batch, table, h=1e-5):
     """Central finite differences of the batch mean loss wrt every entry of ``table``."""
     grad = np.zeros_like(table)
     for idx in np.ndindex(*table.shape):
         orig = table[idx]
         table[idx] = orig + h
-        lo_plus = infonce_batch(params, batch, corpus)[0]
+        lo_plus = infonce_batch(params, batch)[0]
         table[idx] = orig - h
-        lo_minus = infonce_batch(params, batch, corpus)[0]
+        lo_minus = infonce_batch(params, batch)[0]
         table[idx] = orig
         grad[idx] = (lo_plus - lo_minus) / (2 * h)
     return grad
@@ -193,17 +195,16 @@ def test_init_params_scale_and_determinism():
 
 def test_index_rows_match_encode(tiny_corpus):
     params = toy_params(tiny_corpus)
-    index = build_dense_index(params, tiny_corpus)
+    index = build_dense_index(params)
     assert len(index.vectors) == len(tiny_corpus)
     for i, pid in enumerate(tiny_corpus.ids):
         want = encode(params, tokenize(tiny_corpus[pid].text))
         assert np.allclose(index.vectors[i], want)
 
 
-def test_index_empty_corpus_rejected(tiny_corpus):
-    params = toy_params(tiny_corpus)
-    with pytest.raises(ValueError):
-        build_dense_index(params, Corpus([]))
+def test_index_empty_corpus_rejected():
+    with pytest.raises(ValueError, match="empty corpus"):
+        build_dense_index(toy_params(Corpus([])))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def permuted(params, seed=0):
 
 def test_corpus_token_rows_are_the_corpus_token_ids(tiny_corpus):
     params = toy_params(tiny_corpus)
-    tc = corpus_token_rows(params, tiny_corpus)
+    tc = corpus_token_rows(params)
     assert tc is tiny_corpus.tokenized()
     for i, p in enumerate(tiny_corpus):
         rows = tc.ids[tc.offsets[i] : tc.offsets[i + 1]].tolist()
@@ -235,10 +236,11 @@ def test_bind_encoder_permutes_rows_into_corpus_order(tiny_corpus):
     assert shuffled.vocab != params.vocab
     bound = bind_encoder(shuffled, tiny_corpus)
     assert bound.vocab is tiny_corpus.tokenized().index
+    assert corpus_token_rows(bound) is tiny_corpus.tokenized()
     assert bound.version == 4
     assert bound.embedding.tobytes() == params.embedding.tobytes()
-    want = build_dense_index(params, tiny_corpus).vectors
-    assert build_dense_index(bound, tiny_corpus).vectors.tobytes() == want.tobytes()
+    want = build_dense_index(params).vectors
+    assert build_dense_index(bound).vectors.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("change", ["missing", "extra", "other_tokenizer"])
@@ -255,52 +257,39 @@ def test_bind_encoder_rejects_other_tokens(tiny_corpus, change):
         bind_encoder(init_params(tokens, dim=2), tiny_corpus, tok)
 
 
-def encoder_of(which, corpus):
-    """An encoder whose rows are not ``corpus``'s default token ids, and the tokenizer to use it under."""
-    if which == "another_corpus":
-        other = Corpus([Passage(id=p.id, text=p.text.replace("apple", "ab cherry")) for p in corpus])
-        return toy_params(other), DEFAULT_TOKENIZER
-    if which == "another_tokenizer_config":
-        return toy_params(corpus), TokenizerConfig(min_token_len=5)
-    return permuted(toy_params(corpus)), DEFAULT_TOKENIZER
-
-
-@pytest.mark.parametrize("which", ["another_corpus", "another_tokenizer_config", "another_row_order"])
-def test_unbound_encoder_raises_before_pooling_passages(tiny_corpus, which):
-    params, tok = encoder_of(which, tiny_corpus)
+def test_unbound_encoder_raises_before_pooling_passages(tiny_corpus):
+    # another corpus, tokenizer config or row order is bind_encoder's to
+    # reject or permute (the two tests above); an encoder never bound pools nothing
+    params = init_params(vocab_from_corpus(tiny_corpus), dim=4)
     before = params.embedding.copy()
     opt = init_optimizer(params)
     for call in (
-        lambda: corpus_token_rows(params, tiny_corpus, tok),
-        lambda: build_dense_index(params, tiny_corpus, tok),
-        lambda: train_step(params, opt, batch_for(tiny_corpus), tiny_corpus, tok),
+        lambda: corpus_token_rows(params),
+        lambda: build_dense_index(params),
+        lambda: train_step(params, opt, batch_for(tiny_corpus)),
     ):
-        with pytest.raises(ValueError, match="not the corpus's token ids"):
+        with pytest.raises(ValueError, match="bind_encoder"):
             call()
     assert params.version == 0 and opt.step == 0
     assert np.array_equal(params.embedding, before)
-    if which == "another_row_order":
-        # bound to the corpus, the same encoder pools it
-        assert corpus_token_rows(bind_encoder(params, tiny_corpus), tiny_corpus) is tiny_corpus.tokenized()
 
 
-def test_encoder_follows_the_corpus_tokenized_again(tiny_corpus):
-    # the corpus memoizes one tokenizer config: another one and back makes a
-    # new, equal token index, and the encoder still pools the corpus
-    params = toy_params(tiny_corpus)
-    first = corpus_token_rows(params, tiny_corpus)
+def test_encoder_follows_the_corpus_tokenized_again(tiny_corpus, monkeypatch):
+    # the corpus memoizes one tokenizer config, so after another one it would
+    # tokenize every passage again; a bound encoder pools the corpus it holds
+    trained, params = toy_params(tiny_corpus), toy_params(tiny_corpus)
+    batch = batch_for(tiny_corpus)
+    want_loss = train_step(trained, init_optimizer(trained), batch)
+    want = build_dense_index(params).vectors
     tiny_corpus.tokenized(TokenizerConfig(min_token_len=4))
-    again = corpus_token_rows(params, tiny_corpus)
-    assert again is not first and again.index == first.index
-
-
-def test_corpus_token_rows_only_reads_an_equal_unbound_vocabulary(tiny_corpus):
-    params = toy_params(tiny_corpus)
-    vocab = params.vocab
-    assert vocab == tiny_corpus.tokenized().index and vocab is not tiny_corpus.tokenized().index
-    corpus_token_rows(params, tiny_corpus)
-    build_dense_index(params, tiny_corpus)
-    assert params.vocab is vocab
+    calls = []
+    real_tokenize = corpus_mod.tokenize
+    monkeypatch.setattr(corpus_mod, "tokenize", lambda *a, **k: calls.append(a) or real_tokenize(*a, **k))
+    assert build_dense_index(params).vectors.tobytes() == want.tobytes()
+    # the batch's queries memoized their tokens in the first step
+    assert train_step(params, init_optimizer(params), batch) == want_loss
+    assert calls == []
+    assert params.embedding.tobytes() == trained.embedding.tobytes()
 
 
 def test_search_matches_brute_force():
@@ -311,7 +300,7 @@ def test_search_matches_brute_force():
     ]
     corpus = Corpus(passages)
     params = toy_params(corpus, dim=8, seed=1)
-    index = build_dense_index(params, corpus)
+    index = build_dense_index(params)
     for trial in range(10):
         q = Query(id="q", text=f"t{trial % 9} t{(trial + 3) % 9}")
         got = ranked_lists(corpus, search_dense(index, [tokenize(q.text)], k=len(corpus)))[0]
@@ -333,7 +322,7 @@ def test_search_matches_brute_force_at_500_passages():
     ]
     corpus = Corpus(passages)
     params = toy_params(corpus, dim=16, seed=2)
-    index = build_dense_index(params, corpus)
+    index = build_dense_index(params)
     for trial in range(5):
         q = Query(id="q", text=f"t{trial} t{(trial * 7) % 40} t{(trial * 13) % 40}")
         got = ranked_lists(corpus, search_dense(index, [tokenize(q.text)], k=500))[0]
@@ -348,7 +337,7 @@ def test_search_top_k_with_ties_matches_brute_force(k):
     passages = [Passage(id=f"p{int(i):02d}", text=f"t{int(i) % 5}") for i in rng.permutation(30)]
     corpus = Corpus(passages)
     params = toy_params(corpus, dim=3, seed=4)
-    index = build_dense_index(params, corpus)
+    index = build_dense_index(params)
     index.vectors[:] = np.round(rng.normal(size=index.vectors.shape))
     # one-token queries whose vectors are the table rows set here; no token gives the zero vector
     qvs = [np.array([1.0, 0.0, 0.0]), np.array([1.0, -1.0, 2.0]), np.zeros(3)]
@@ -361,7 +350,7 @@ def test_search_top_k_with_ties_matches_brute_force(k):
 def test_search_nan_scores_rank_last():
     corpus = Corpus([Passage(id=f"p{i}", text=f"t{i}") for i in range(6)])
     params = toy_params(corpus, dim=2)
-    index = build_dense_index(params, corpus)
+    index = build_dense_index(params)
     index.vectors[:] = [[1.0, 0.0], [np.nan, 0.0], [3.0, 0.0], [np.nan, 0.0], [2.0, 0.0], [2.0, 0.0]]
     params.embedding[params.vocab["t0"]] = [1.0, 0.0]
     got = ranked_lists(corpus, search_dense(index, [["t0"]], 5))[0]
@@ -374,9 +363,9 @@ def integer_case(seed, n_passages=40, dim=3):
     rng = np.random.default_rng(seed)
     # ids out of input order, so that ties must break on id, not on input order
     corpus = Corpus([Passage(id=f"p{int(i):02d}", text=f"t{i % 9}") for i in rng.permutation(n_passages)])
-    params = init_params([f"t{i}" for i in range(9)], dim=dim, seed=seed)
+    params = bind_encoder(init_params([f"t{i}" for i in range(9)], dim=dim, seed=seed), corpus)
     params.embedding[:] = rng.integers(-2, 3, size=params.embedding.shape)
-    index = build_dense_index(params, corpus)
+    index = build_dense_index(params)
     index.vectors[:] = rng.integers(-2, 3, size=index.vectors.shape)
     sizes = rng.choice([0, 1, 1, 2, 4], size=3 * DENSE_BLOCK + 5)
     token_lists = [[f"t{int(t)}" for t in rng.integers(0, 10, size=n)] for n in sizes]  # t9 is OOV
@@ -432,7 +421,7 @@ def test_block_search_matches_per_query_search_on_random_floats():
     ]
     corpus = Corpus(passages)
     params = toy_params(corpus, dim=24, seed=5)
-    index = build_dense_index(params, corpus)
+    index = build_dense_index(params)
     token_lists = [[f"t{int(t)}" for t in rng.integers(0, 60, size=int(rng.integers(1, 6)))] for _ in range(200)]
     got = ranked_lists(corpus, search_dense(index, token_lists, 20))
     for tokens, ranked in zip(token_lists, got):
@@ -506,7 +495,7 @@ def test_block_top_k_on_a_benchmark_sized_block(k):
 
 def test_block_search_empty_input_and_bad_k(tiny_corpus):
     params = toy_params(tiny_corpus)
-    index = build_dense_index(params, tiny_corpus)
+    index = build_dense_index(params)
     positions, scores = search_dense(index, [], 3)
     assert positions.shape == scores.shape == (0, 3) and positions.dtype == np.int64
     with pytest.raises(ValueError):
@@ -515,7 +504,7 @@ def test_block_search_empty_input_and_bad_k(tiny_corpus):
 
 def test_search_all_oov_ranks_by_id(tiny_corpus):
     params = toy_params(tiny_corpus)
-    index = build_dense_index(params, tiny_corpus)
+    index = build_dense_index(params)
     got = ranked_lists(tiny_corpus, search_dense(index, [tokenize("zzz")], k=4))[0]
     assert [pid for pid, _ in got] == sorted(tiny_corpus.ids)
     assert all(s == 0.0 for _, s in got)
@@ -523,7 +512,7 @@ def test_search_all_oov_ranks_by_id(tiny_corpus):
 
 def test_search_prefix_property(tiny_corpus):
     params = toy_params(tiny_corpus)
-    index = build_dense_index(params, tiny_corpus)
+    index = build_dense_index(params)
     q = tokenize("apple cherry")
     five, two = (ranked_lists(tiny_corpus, search_dense(index, [q], k))[0] for k in (5, 2))
     assert five[:2] == two
@@ -531,14 +520,14 @@ def test_search_prefix_property(tiny_corpus):
 
 def test_search_stale_index(tiny_corpus, rng):
     params = toy_params(tiny_corpus)
-    index = build_dense_index(params, tiny_corpus)
+    index = build_dense_index(params)
     opt = init_optimizer(params, lr=0.1)
     pos = tiny_corpus.position
     sample = TrainingSample(query=Query(id="q", text="apple"), positive=pos("p1"), hard_negatives=(pos("p2"),))
-    train_step(params, opt, [sample], tiny_corpus)
+    train_step(params, opt, [sample])
     with pytest.raises(StaleIndexError):
         search_dense(index, [tokenize("apple")], 2)
-    fresh = build_dense_index(params, tiny_corpus)
+    fresh = build_dense_index(params)
     assert fresh.params_version == params.version
     # a trained token's passage vector must have moved
     assert any(
@@ -560,7 +549,7 @@ def test_loss_uniform_case_ln4(tiny_corpus):
         positive=corpus.position("p0"),
         hard_negatives=tuple(map(corpus.position, ("p1", "p2", "p3"))),
     )
-    loss, _ = infonce_batch(params, [sample], corpus)
+    loss, _ = infonce_batch(params, [sample])
     assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
 
@@ -574,7 +563,7 @@ def test_loss_frozen_oracle_value():
             Passage(id="other", text="q"),
         ]
     )
-    params = init_params(["a", "b", "c", "q"], dim=1, seed=0)
+    params = bind_encoder(init_params(["a", "b", "c", "q"], dim=1, seed=0), corpus)
     v = params.vocab
     params.embedding[v["q"], 0] = 1.0
     params.embedding[v["a"], 0] = 2.0
@@ -582,7 +571,7 @@ def test_loss_frozen_oracle_value():
     params.embedding[v["c"], 0] = 0.5
     pos = corpus.position
     sample = TrainingSample(query=Query(id="q", text="q"), positive=pos("pos"), hard_negatives=(pos("n1"), pos("n2")))
-    loss, _ = infonce_batch(params, [sample], corpus)
+    loss, _ = infonce_batch(params, [sample])
     assert loss == pytest.approx(INFONCE_2_1_05, rel=1e-12)
 
 
@@ -601,7 +590,7 @@ def test_batch_loss_is_mean_of_per_sample_losses():
             for p in (s.positive, *s.hard_negatives, *s.random_negatives, *in_batch)
         ]
         want.append(infonce_from_scores(scores[0], scores[1:]))
-    loss, _ = infonce_batch(params, batch, corpus)
+    loss, _ = infonce_batch(params, batch)
     assert loss == pytest.approx(float(np.mean(want)), rel=1e-12)
 
 
@@ -630,8 +619,8 @@ def test_loss_shift_invariance(pos, negs, c):
 @shared_case_id
 def test_gradient_matches_finite_differences(seed):
     params, batch, corpus = random_case(seed)
-    _, analytic = infonce_batch(params, batch, corpus)
-    numeric = numeric_gradient(params, batch, corpus, params.embedding)
+    _, analytic = infonce_batch(params, batch)
+    numeric = numeric_gradient(params, batch, params.embedding)
     for row in range(params.embedding.shape[0]):
         denom = max(np.max(np.abs(numeric[row])), 1e-8)
         assert np.max(np.abs(analytic[row] - numeric[row])) / denom < 1e-4
@@ -643,7 +632,7 @@ def test_gradient_covers_all_touched_rows():
         return set(np.flatnonzero(np.any(g != 0.0, axis=1)).tolist())
 
     params, batch, corpus = random_case(7)
-    _, g_emb = infonce_batch(params, batch, corpus)
+    _, g_emb = infonce_batch(params, batch)
 
     def rows_of(texts):
         return {params.vocab[t] for text in texts for t in tokenize(text) if t in params.vocab}
@@ -658,13 +647,13 @@ def test_gradient_covers_all_touched_rows():
 def test_infonce_batch_leaves_inputs_unchanged():
     params, batch, corpus = random_case(5)
     emb = params.embedding.copy()
-    tc = corpus_token_rows(params, corpus)
+    tc = corpus_token_rows(params)
     ids, offsets = tc.ids.copy(), tc.offsets.copy()
-    infonce_batch(params, batch, corpus)
+    infonce_batch(params, batch)
     assert np.array_equal(params.embedding, emb)
     assert params.version == 0
     # the tokenized corpus the batch pooled is the same object, unchanged
-    assert corpus_token_rows(params, corpus) is tc
+    assert corpus_token_rows(params) is tc
     assert np.array_equal(tc.ids, ids) and np.array_equal(tc.offsets, offsets)
 
 
@@ -803,7 +792,7 @@ def oracle_inputs(case, seed):
         [Passage(id=f"p{i}", text=text(toks, ".")) for i, toks in enumerate(passages)]
         + [Passage(id="all", text=" ".join(ORACLE_VOCAB))]
     )
-    params = init_params(ORACLE_VOCAB, dim=3, seed=seed)
+    params = bind_encoder(init_params(ORACLE_VOCAB, dim=3, seed=seed), corpus)
     rng = np.random.default_rng(seed)
     params.embedding[:] = rng.normal(0, 0.8, size=params.embedding.shape)
     batch = [
@@ -844,7 +833,7 @@ def test_infonce_batch_matches_per_sample_reference(case, seed):
     # within max|embedding|, so each table-gradient cell sums terms of at most
     # 4 * max|embedding| in all; the rounding of that sum bounds the difference.
     params, batch, corpus = oracle_inputs(case, seed)
-    loss, g_emb = infonce_batch(params, batch, corpus)
+    loss, g_emb = infonce_batch(params, batch)
     want_loss, want_emb = reference_infonce_batch(params, batch, corpus)
     assert loss == pytest.approx(want_loss, rel=1e-12)
     np.testing.assert_allclose(g_emb, want_emb, rtol=0, atol=1e-12 * np.abs(params.embedding).max())
@@ -1029,7 +1018,8 @@ def test_pipeline_checkpoints_equal_reference_training(tiny_pipeline_data, tmp_p
     cfg = tiny_pipeline_cfg()
     new, ref = tmp_path / "new", tmp_path / "reference"
     run_pipeline(cfg, tiny_pipeline_data, workdir=new)
-    monkeypatch.setattr(dense_mod, "infonce_batch", reference_infonce_batch)
+    corpus = tiny_pipeline_data.corpus
+    monkeypatch.setattr(dense_mod, "infonce_batch", lambda params, batch: reference_infonce_batch(params, batch, corpus))
     monkeypatch.setattr(dense_mod, "_adam_update", reference_adam_update)
     run_pipeline(cfg, tiny_pipeline_data, workdir=ref)
     files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
@@ -1166,7 +1156,7 @@ def test_train_step_zero_lr_keeps_params(tiny_corpus):
     params = toy_params(tiny_corpus)
     before = params.embedding.copy()
     opt = init_optimizer(params, lr=0.0)
-    loss = train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
+    loss = train_step(params, opt, batch_for(tiny_corpus))
     assert np.array_equal(params.embedding, before)
     assert type(loss) is float and loss > 0
     assert params.version == 1
@@ -1179,7 +1169,7 @@ def test_train_step_deterministic(tiny_corpus):
         params = toy_params(tiny_corpus, seed=3)
         opt = init_optimizer(params, lr=0.05)
         for _ in range(5):
-            train_step(params, opt, batch_for(tiny_corpus), tiny_corpus)
+            train_step(params, opt, batch_for(tiny_corpus))
         results.append(params.embedding.copy())
     assert np.array_equal(results[0], results[1])
 
@@ -1190,7 +1180,7 @@ def test_train_step_descends_on_fixed_batch(tiny_corpus):
     batch = batch_for(tiny_corpus)
     losses = []
     for _ in range(50):
-        loss = train_step(params, opt, batch, tiny_corpus)
+        loss = train_step(params, opt, batch)
         losses.append(loss)
     window = 10
     means = [np.mean(losses[i : i + window]) for i in range(0, len(losses) - window + 1)]
@@ -1202,7 +1192,7 @@ def test_train_step_descends_on_fixed_batch(tiny_corpus):
 def test_train_step_is_adam_on_infonce_batch(tiny_corpus):
     params = toy_params(tiny_corpus, seed=2)
     batch = batch_for(tiny_corpus)
-    want_loss, g_emb = infonce_batch(params, batch, tiny_corpus)
+    want_loss, g_emb = infonce_batch(params, batch)
 
     def first_adam_step(table, g, opt):
         m_hat = (1 - ADAM_BETA1) * g / (1 - ADAM_BETA1)
@@ -1211,7 +1201,7 @@ def test_train_step_is_adam_on_infonce_batch(tiny_corpus):
 
     opt = init_optimizer(params, lr=0.01)
     want_emb = first_adam_step(params.embedding, g_emb, opt)
-    loss = train_step(params, opt, batch, tiny_corpus)
+    loss = train_step(params, opt, batch)
     assert loss == want_loss
     np.testing.assert_allclose(params.embedding, want_emb, rtol=1e-12, atol=1e-15)
     assert opt.step == 1 and params.version == 1
@@ -1221,7 +1211,7 @@ def test_train_step_empty_batch_rejected(tiny_corpus):
     params = toy_params(tiny_corpus)
     opt = init_optimizer(params)
     with pytest.raises(ValueError):
-        train_step(params, opt, [], tiny_corpus)
+        train_step(params, opt, [])
     assert opt.step == 0 and params.version == 0
 
 
@@ -1233,7 +1223,7 @@ def test_train_step_empty_batch_rejected(tiny_corpus):
 @shared_case_id
 def test_checkpoint_round_trip(tmp_path, tiny_corpus):
     params = toy_params(tiny_corpus)
-    train_step(params, init_optimizer(params, lr=0.07), batch_for(tiny_corpus), tiny_corpus)
+    train_step(params, init_optimizer(params, lr=0.07), batch_for(tiny_corpus))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params)
     loaded, _ = load_checkpoint(path)

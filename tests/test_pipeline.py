@@ -11,7 +11,7 @@ from lexmine.corpus import (
     Corpus, DataFormatError, JudgmentSet, Passage, Query, QuerySet, SynthSpec, TokenizerConfig, synth_benchmark,
     tokenize,
 )
-from lexmine.dense import EncoderParams, init_params, load_checkpoint, search_dense, vocab_from_corpus
+from lexmine.dense import EncoderParams, bind_encoder, init_params, load_checkpoint, search_dense, vocab_from_corpus
 from lexmine.evaluation import mrr_at_k
 from lexmine.mining import MiningConfig, hybrid_fuse, load_samples, mine_pairs, sample_random_negatives
 from lexmine.pipeline import (
@@ -23,6 +23,7 @@ from lexmine.pipeline import (
     assemble_warmup_samples,
     config_hash,
     dense_run,
+    generate,
     pipeline_data_from_benchmark,
     run_iteration,
     run_pipeline,
@@ -165,14 +166,14 @@ def test_warmup_beats_untrained_baseline_on_source(bench, data):
     params, generator = warmup(samples, data.corpus, cfg)
     assert generator.version == 1
 
-    fresh = init_params(
-        vocab_from_corpus(data.corpus), dim=cfg.embedding_dim, seed=[cfg.seed, 0, 0]
+    fresh = bind_encoder(
+        init_params(vocab_from_corpus(data.corpus), dim=cfg.embedding_dim, seed=[cfg.seed, 0, 0]), data.corpus
     )
     src_queries = QuerySet(q for q in bench.queries if q.lang == "src")
     langs = {q.id: q.lang for q in src_queries}
 
     def src_mrr(p):
-        state = start_state(p, generator, sparse, data.corpus, cfg)
+        state = start_state(p, generator, sparse, data.corpus)
         run = dense_run(state, src_queries, 10)
         return mrr_at_k(run, bench.judgments, 10, query_langs=langs).mean
 
@@ -196,7 +197,8 @@ def test_warmup_encoder_is_bound_to_the_corpus(data):
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     params, _ = warmup(samples, data.corpus, cfg)
-    assert params.vocab is data.corpus.tokenized(cfg.tokenizer).index
+    assert params.tokenized is data.corpus.tokenized(cfg.tokenizer)
+    assert params.vocab is params.tokenized.index
 
 
 def test_warmup_samples_keep_their_source_and_draw_random_negatives(data, monkeypatch):
@@ -275,7 +277,7 @@ def make_state(data, cfg):
     sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
     samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
     params, generator = warmup(samples, data.corpus, cfg)
-    return start_state(params, generator, sparse, data.corpus, cfg)
+    return start_state(params, generator, sparse, data.corpus)
 
 
 def test_iteration_one_skips_generation(data):
@@ -300,6 +302,20 @@ def test_iteration_two_generates(data):
     assert state.generator.version == gen_version_before + 1
     assert report.generated_accepted == len(artifacts["generated"])
     assert report.generated_accepted + report.generated_rejected == report.generated_candidates
+
+
+def test_generate_reads_the_length_distribution_once(data, monkeypatch):
+    import lexmine.pipeline as pipeline_mod
+
+    cfg = small_cfg()
+    state = make_state(data, cfg)
+    calls = Counter()
+    for name in ("query_length_cdf", "generate_query"):
+        real = getattr(pipeline_mod, name)
+        monkeypatch.setattr(pipeline_mod, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    accepted, rejected = generate(state, sorted({q.lang for q in data.unlabeled}), cfg, iteration=2)
+    assert calls["query_length_cdf"] == 1
+    assert calls["generate_query"] == len(accepted) + len(rejected) > 1
 
 
 def test_generation_draws_do_not_depend_on_verdicts(data, monkeypatch):
@@ -389,7 +405,7 @@ def test_dense_search_uses_the_index_tokenizer():
     tokens = vocab_from_corpus(corpus, tok)
     params = EncoderParams(vocab={t: i for i, t in enumerate(tokens)}, embedding=np.eye(len(tokens)))
     cfg = small_cfg(tokenizer=tok)
-    state = start_state(params, GeneratorModel(), build_index(corpus, tok), corpus, cfg)
+    state = start_state(bind_encoder(params, corpus, tok), GeneratorModel(), build_index(corpus, tok), corpus)
     query = Query(id="q", text="Apple b")
     assert state.dense_index.tokenizer == tok
     p1 = corpus.position("p1")
@@ -454,8 +470,8 @@ def test_mine_skips_queries_without_vocabulary_tokens(mode):
     cfg = small_cfg(mining=MiningConfig(S=2, L=10), mining_mode=mode)
     vocab = vocab_from_corpus(corpus)
     state = start_state(
-        init_params(vocab, dim=8, seed=0), GeneratorModel(), build_index(corpus), corpus, cfg,
-        aux_params=init_params(vocab, dim=8, seed=1),
+        bind_encoder(init_params(vocab, dim=8, seed=0), corpus), GeneratorModel(), build_index(corpus), corpus,
+        aux_params=bind_encoder(init_params(vocab, dim=8, seed=1), corpus),
     )
     oov = Query(id="oov", text="zzz unknownword", lang="en")
     known = Query(id="known", text="w1 v2", lang="en")
@@ -463,6 +479,30 @@ def test_mine_skips_queries_without_vocabulary_tokens(mode):
     assert all(s.query.id == "known" for s in samples)
     assert all(q.id == "known" for q, _ in gen_pairs)
     assert (samples, gen_pairs, with_positives) == mine(state, QuerySet([known]), cfg, iteration=1)
+
+
+@pytest.mark.parametrize(
+    "mode, negatives", [("sparse_dense", "mined"), ("double_dense", "mined"), ("fuse_sum", "sparse_top")]
+)
+def test_mine_reads_each_query_tokens_once(mode, negatives, monkeypatch):
+    # the vocabulary filter, the fixed retriever's first ranking, the dense
+    # search and the sparse_top negatives share one read per query
+    corpus = Corpus(
+        [Passage(id=f"p{i:02d}", text=f"w{i % 7} w{i % 5} v{i % 3}", lang="en") for i in range(30)]
+    )
+    cfg = small_cfg(mining=MiningConfig(S=2, L=10), mining_mode=mode, negative_mode=negatives)
+    vocab = vocab_from_corpus(corpus)
+    state = start_state(
+        bind_encoder(init_params(vocab, dim=8, seed=0), corpus), GeneratorModel(), build_index(corpus), corpus,
+        aux_params=bind_encoder(init_params(vocab, dim=8, seed=1), corpus),
+    )
+    queries = QuerySet([Query(id=f"q{i}", text=f"w{i % 7} v{i % 3}") for i in range(12)] + [Query("oov", "zzz")])
+    reads = Counter()
+    real = Query.tokens
+    monkeypatch.setattr(Query, "tokens", lambda self, *a: reads.update([self.id]) or real(self, *a))
+    samples, _, with_positives = mine(state, queries, cfg, iteration=1)
+    assert samples and with_positives > 0
+    assert reads == Counter(queries.ids)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lexmine.corpus import Corpus, Passage, Query, tokenize
-from lexmine.dense import DENSE_BLOCK, build_dense_index, init_params, search_dense, vocab_from_corpus
+from lexmine.dense import DENSE_BLOCK, bind_encoder, build_dense_index, init_params, search_dense, vocab_from_corpus
 from lexmine.mining import MiningConfig, sample_random_negatives
 from lexmine.querygen import (
     DENSE_MISS,
@@ -19,6 +19,7 @@ from lexmine.querygen import (
     filter_generated,
     generate_query,
     load_generator,
+    query_length_cdf,
     save_generator,
     train_generator,
 )
@@ -41,7 +42,7 @@ def generate(model, passage, rng):
     in a corpus of that passage alone."""
     tc = Corpus([passage]).tokenized()
     weights = salience_weights(model, passage.lang, tc.vocab)
-    return generate_query(model, passage, tc.ids, weights, tc.vocab, rng, f"g-{passage.id}")
+    return generate_query(query_length_cdf(model), passage, tc.ids, weights, tc.vocab, rng, f"g-{passage.id}")
 
 
 def reference_generate_query(model, passage, tokens, rng, query_id):
@@ -189,7 +190,8 @@ def test_generate_deterministic_under_seed():
     span = tc.ids[tc.offsets[p] : tc.offsets[p + 1]]
     assert [tc.vocab[i] for i in span.tolist()] == tokenize(passage.text)
     weights = salience_weights(model, "en", tc.vocab)
-    assert generate_query(model, passage, span, weights, tc.vocab, np.random.default_rng(42), "g-p") == a
+    lengths = query_length_cdf(model)
+    assert generate_query(lengths, passage, span, weights, tc.vocab, np.random.default_rng(42), "g-p") == a
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -217,12 +219,13 @@ def test_token_id_generate_query_equals_the_string_form(seed):
     model = GeneratorModel(table, {n: float(w) for n, w in enumerate(lengths, 1)}, version=1)
     tc = corpus.tokenized()
     weights = {lang: salience_weights(model, lang, tc.vocab) for lang in ("xx", "yy")}
+    lengths = query_length_cdf(model)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for round_ in range(3):
         for p, passage in enumerate(corpus):
             span = tc.ids[tc.offsets[p] : tc.offsets[p + 1]]
             qid = f"g{round_}-{passage.id}"
-            got = generate_query(model, passage, span, weights[passage.lang], tc.vocab, ours, qid)
+            got = generate_query(lengths, passage, span, weights[passage.lang], tc.vocab, ours, qid)
             assert got == reference_generate_query(model, passage, tokenize(passage.text), theirs, qid)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -249,10 +252,11 @@ def test_generate_length_draw_is_choice_without_its_call():
     weights = salience_weights(model, "en", tc.vocab)
     lens = list(model.query_len_dist)
     probs = np.array(list(model.query_len_dist.values()))
+    lengths = query_length_cdf(model)
     ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
     drawn = []
     for i in range(1000):
-        q = generate_query(model, passage, tc.ids, weights, tc.vocab, _NoChoice(ours), f"g{i}")
+        q = generate_query(lengths, passage, tc.ids, weights, tc.vocab, _NoChoice(ours), f"g{i}")
         want = int(theirs.choice(lens, p=probs / probs.sum()))
         theirs.gumbel(size=len(tc.vocab))
         assert len(tokenize(q.text)) == want
@@ -340,7 +344,7 @@ def test_generate_draws_follow_successive_draws_law():
 
 def build_retrievers(corpus, dim=4, seed=0):
     params = init_params(sorted({t for p in corpus for t in tokenize(p.text)}), dim=dim, seed=seed)
-    return build_index(corpus), build_dense_index(params, corpus)
+    return build_index(corpus), build_dense_index(bind_encoder(params, corpus))
 
 
 def test_filter_single_passage_corpus_accepts():
@@ -371,10 +375,10 @@ def test_filter_conjunction_requires_dense_too():
     # side is rigged so another passage scores higher.
     corpus = Corpus([Passage(id="src", text="alpha"), Passage(id="other", text="beta")])
     sparse = build_index(corpus)
-    params = init_params(["alpha", "beta"], dim=1, seed=0)
+    params = bind_encoder(init_params(["alpha", "beta"], dim=1, seed=0), corpus)
     params.embedding[params.vocab["alpha"], 0] = 1.0
     params.embedding[params.vocab["beta"], 0] = 5.0
-    dense = build_dense_index(params, corpus)
+    dense = build_dense_index(params)
     pair = GeneratedPair(query=Query(id="g", text="alpha"), position=corpus.position("src"))
     assert corpus.ids[search_sparse(sparse, ["alpha"], 1)[0][0]] == "src"
     assert filter_generated([pair], sparse, dense, MiningConfig()) == [DENSE_MISS]
@@ -505,10 +509,10 @@ def test_assemble_dense_first_then_sparse_dedup(rng):
         ]
     )
     sparse = build_index(corpus)
-    params = init_params(vocab_from_corpus(corpus), dim=1, seed=0)
+    params = bind_encoder(init_params(vocab_from_corpus(corpus), dim=1, seed=0), corpus)
     for tok, val in (("q", 10.0), ("a1", 5.0), ("b1", 6.0), ("c1", -6.0)):
         params.embedding[params.vocab[tok], 0] = val
-    dense = build_dense_index(params, corpus)
+    dense = build_dense_index(params)
     query = Query(id="g", text="q")
 
     sparse_top = search_sparse(sparse, ["q"], 3)[0]

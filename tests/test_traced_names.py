@@ -26,7 +26,7 @@ from lexmine.corpus import (
     tokenize,
 )
 from lexmine.dense import (
-    _mean_pool, _token_rows, build_dense_index, init_params, load_checkpoint, save_checkpoint, train_step,
+    _mean_pool, _token_rows, bind_encoder, build_dense_index, init_params, load_checkpoint, save_checkpoint, train_step,
     vocab_from_corpus,
 )
 from lexmine.pipeline import PipelineConfig, pipeline_data_from_benchmark
@@ -139,7 +139,7 @@ def test_benchmark_oracle_encodes_as_the_encoder_does(tmp_path):
     save_checkpoint(tmp_path / "checkpoint.npz", init_params(vocab_from_corpus(corpus, cfg.tokenizer), dim=4, seed=3))
     params, _ = load_checkpoint(tmp_path / "checkpoint.npz")
 
-    want = build_dense_index(params, corpus, cfg.tokenizer).vectors
+    want = build_dense_index(bind_encoder(params, corpus, cfg.tokenizer)).vectors
     np.testing.assert_allclose(oracle.passage_matrix(params), want, rtol=0, atol=1e-12)
     for q in queries:
         pooled = _mean_pool(params.embedding, *_token_rows(params.vocab, [tokenize(q.text, cfg.tokenizer)]))[0]
