@@ -261,7 +261,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             fh,
             ensure_ascii=False,
         )
-    write_manifest(out / "manifest.json", "synth", mapping, args.seed)
+    write_manifest(out / "manifest.json", "synth", asdict(spec), args.seed)
     print(
         f"wrote {len(bench.corpus)} passages, {len(bench.queries)} judged queries, "
         f"{len(bench.judgments)} judgments, {len(bench.unlabeled)} unlabeled queries to {out}"
@@ -325,7 +325,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _guard_overwrite(out, args.overwrite, "generated dataset")
     # the pipeline's first-iteration generate stage, over every corpus language
-    accepted, rejected = generate(state, sorted({p.lang for p in corpus}), cfg, iteration=1)
+    accepted, rejected = generate(state, sorted(set(corpus.langs)), cfg, iteration=1)
     # the log first: a --rejected path that cannot be made leaves no samples file
     if args.rejected:
         records = (

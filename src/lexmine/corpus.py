@@ -273,9 +273,6 @@ class _IdCollection(Generic[_Record]):
             return NotImplemented
         return self._by_id == other._by_id
 
-    def by_lang(self, lang: str) -> list[_Record]:
-        return [r for r in self if r.lang == lang]
-
 
 class Corpus(_IdCollection[Passage]):
     """Id-indexed passages in ascending id order: the indexes break score ties by position."""
@@ -285,6 +282,7 @@ class Corpus(_IdCollection[Passage]):
     def __init__(self, passages: Iterable[Passage]):
         super().__init__(passages)
         self._position = {pid: i for i, pid in enumerate(self.ids)}
+        self.langs: tuple[str, ...] = tuple(p.lang for p in self)  # each position's language
         self._tokenized: TokenizedCorpus | None = None
 
     def position(self, passage_id: str) -> int:
@@ -510,8 +508,10 @@ class SynthSpec:
     """Shape of the generated benchmark.
 
     The first language is the labeled source; the rest are targets whose judged
-    queries are meant for evaluation only. Per-language vocabularies are disjoint
-    by construction, emulating distributional shift between languages.
+    queries are meant for evaluation only. Per-language vocabularies must be
+    disjoint, emulating distributional shift between languages: a token is its
+    language tag and a number of at least four digits, so the tags "a" and "a1"
+    collide once ``vocab_size`` exceeds 10000.
     """
 
     languages: tuple[str, ...] = ("src", "tgta", "tgtb")
@@ -548,12 +548,20 @@ class SynthSpec:
             )
         if self.query_len < 1:
             raise ValueError("query_len must be >= 1")
-        if not 0.0 <= self.labeled_frac <= 1.0:
-            raise ValueError("labeled_frac must be in [0, 1]")
+        for name in ("labeled_frac", "topic_token_frac", "query_topic_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if self.queries_per_lang < 1:
             raise ValueError("queries_per_lang must be >= 1")
         if self.passage_len < self.core_terms_per_topic + 1:
             raise ValueError("passage_len too small for core terms")
+        seen: set[str] = set()
+        for lang in self.languages:
+            vocab = _lang_vocab(lang, self.vocab_size)
+            overlap = seen.intersection(vocab)
+            if overlap:
+                raise ValueError(f"language vocabularies overlap: {sorted(overlap)[:3]}")
+            seen.update(vocab)
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SynthSpec":
@@ -610,14 +618,6 @@ def synth_benchmark(spec: SynthSpec, seed: int) -> SynthBenchmark:
     language are training data; judged queries of target languages are held-out
     evaluation sets; unlabeled queries (all languages) carry no judgments.
     """
-    vocabs = {lang: _lang_vocab(lang, spec.vocab_size) for lang in spec.languages}
-    seen: set[str] = set()
-    for lang, vocab in vocabs.items():
-        overlap = seen.intersection(vocab)
-        if overlap:
-            raise ValueError(f"language vocabularies overlap: {sorted(overlap)[:3]}")
-        seen.update(vocab)
-
     rng = np.random.default_rng(seed)
     passages: list[Passage] = []
     queries: list[Query] = []
@@ -628,7 +628,7 @@ def synth_benchmark(spec: SynthSpec, seed: int) -> SynthBenchmark:
     topic_terms: dict[tuple[str, int], tuple[str, ...]] = {}
 
     for lang in spec.languages:
-        vocab = vocabs[lang]
+        vocab = _lang_vocab(lang, spec.vocab_size)
         n_topic_terms = spec.topics_per_lang * spec.terms_per_topic
         background = vocab[n_topic_terms:]
 

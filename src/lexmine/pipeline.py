@@ -25,7 +25,6 @@ from .corpus import (
     Corpus,
     DataFormatError,
     JudgmentSet,
-    Passage,
     Query,
     QuerySet,
     SynthBenchmark,
@@ -284,7 +283,7 @@ def warmup(
     Each sample is rebuilt by ``assemble_mined_sample``, with random negatives;
     in-batch negatives come from the other samples of each minibatch. Training
     runs ``warmup_epochs`` epochs at ``warmup_lr`` on the warm-up's own shuffle
-    stream. The generator is trained on (positive passage -> query) pairs even
+    stream. The generator is trained on (query, positive position) pairs even
     when warmup_epochs is 0.
     """
     if not source_labeled:
@@ -302,12 +301,7 @@ def warmup(
     steps = cfg.warmup_epochs * math.ceil(len(filled) / cfg.batch_size)
     _minibatch_steps(params, filled, cfg, cfg.warmup_lr, rng_shuffle, steps, "warm-up")
 
-    generator = train_generator(
-        GeneratorModel(),
-        [(s.query, corpus[corpus.ids[s.positive]]) for s in source_labeled],
-        corpus,
-        cfg.tokenizer,
-    )
+    generator = train_generator(GeneratorModel(), [(s.query, s.positive) for s in source_labeled], corpus, cfg.tokenizer)
     return params, generator
 
 
@@ -387,7 +381,7 @@ def mine(
     queries: QuerySet,
     cfg: PipelineConfig,
     iteration: int,
-) -> tuple[list[TrainingSample], list[tuple[Query, Passage]], int]:
+) -> tuple[list[TrainingSample], list[tuple[Query, int]], int]:
     """Mine training samples for unlabeled queries from retriever agreement.
 
     All queries are ranked first, by the trained encoder in blocks and by the
@@ -397,8 +391,9 @@ def mine(
     once, under the indexes' one tokenizer. A query with no token in the
     encoder's vocabulary is skipped: its zero vector ranks passages by id,
     which the fuse modes would mine as agreement. Hard negatives follow
-    ``cfg.negative_mode``. Returns the samples, the S=1 (query, passage) pairs
-    the generator trains on, and the number of queries with at least one positive.
+    ``cfg.negative_mode``. Returns the samples, the S=1 (query, passage
+    position) pairs the generator trains on, and the number of queries with at
+    least one positive.
     """
     rng = np.random.default_rng([cfg.seed, _MINE, iteration])
     vocab = state.dense_index.params.vocab
@@ -410,7 +405,7 @@ def mine(
     # the other negative modes draw no random negatives
     no_randoms = replace(cfg.mining, n_random_negatives=0)
     mined: list[TrainingSample] = []
-    gen_pairs: list[tuple[Query, Passage]] = []
+    gen_pairs: list[tuple[Query, int]] = []
     # a query without positives yields no sample, draws nothing and has no S=1 positive
     with_positives = [(qt, sets, p) for qt, sets, p in zip(kept, all_sets, top1.tolist()) if sets.positives]
     for (q, tokens), sets, p in with_positives:
@@ -423,7 +418,7 @@ def mine(
             sets, mining_cfg = MinedSets(sets.positives, hard), no_randoms
         mined.extend(assemble_mined_sample(q, sets, state.corpus, rng, mining_cfg))
         if p >= 0:
-            gen_pairs.append((q, state.corpus[state.corpus.ids[p]]))
+            gen_pairs.append((q, p))
     return mined, gen_pairs, len(with_positives)
 
 
@@ -436,7 +431,8 @@ def generate(
     """Generate queries for sampled passages and keep those both retrievers confirm.
 
     Up to ``cfg.n_generate`` passages per language are drawn from the
-    iteration's selection stream; each gets one query, sampled from the
+    iteration's selection stream, among the positions ``corpus.langs`` gives
+    that language, in corpus order; each gets one query, sampled from the
     iteration's sampling stream, with id ``gen{iteration}-`` + passage id.
     Each language's pairs are filtered in one ``filter_generated`` call: a
     pair is accepted when the sparse and the dense retriever both return its
@@ -457,16 +453,15 @@ def generate(
     rejected: list[tuple[GeneratedPair, str]] = []
     for lang in langs:
         weights = np.array([generator.term_salience.get((lang, t), UNSEEN_SALIENCE) for t in tc.vocab])
-        lang_passages = corpus.by_lang(lang)
-        n = min(cfg.n_generate, len(lang_passages))
+        positions = [p for p, passage_lang in enumerate(corpus.langs) if passage_lang == lang]
+        n = min(cfg.n_generate, len(positions))
         pairs = []
-        for idx in rng_select.choice(len(lang_passages), size=n, replace=False):
-            passage = lang_passages[int(idx)]
-            p = corpus.position(passage.id)
+        for idx in rng_select.choice(len(positions), size=n, replace=False):
+            p = positions[int(idx)]
             span = tc.ids[tc.offsets[p] : tc.offsets[p + 1]]
             if span.size:
-                qid = f"gen{iteration}-{passage.id}"
-                query = generate_query(lengths, passage, span, weights, tc.vocab, rng_sample, qid)
+                qid = f"gen{iteration}-{corpus.ids[p]}"
+                query = generate_query(lengths, lang, span, weights, tc.vocab, rng_sample, qid)
                 pairs.append(GeneratedPair(query=query, position=p))
         verdicts = filter_generated(pairs, state.sparse_index, state.dense_index, cfg.mining)
         for pair, verdict in zip(pairs, verdicts):
@@ -622,10 +617,15 @@ def _write_stage(
         save_samples(artifacts["generated"], outdir / "generated.jsonl", state.corpus)
     save_checkpoint(outdir / "checkpoint.npz", state.dense_index.params)
     save_generator(state.generator, outdir / "generator.json")
+    # an optional file this stage does not write must not survive from an earlier run
     if artifacts is None and state.aux_index is not None:
         save_checkpoint(outdir / "aux_checkpoint.npz", state.aux_index.params)
+    else:
+        (outdir / "aux_checkpoint.npz").unlink(missing_ok=True)
     if artifacts is not None and artifacts["run"]:
         save_run(artifacts["run"], outdir / "run.trec")
+    else:
+        (outdir / "run.trec").unlink(missing_ok=True)
     _write_json(outdir / "report.json", asdict(report))
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
-    Corpus, DataFormatError, Passage, Query, TokenizerConfig, DEFAULT_TOKENIZER, _ascii_int, _check_format,
+    Corpus, DataFormatError, Query, TokenizerConfig, DEFAULT_TOKENIZER, _ascii_int, _check_format,
     atomic_write,
 )
 from .dense import DenseIndex, TrainingSample, search_dense
@@ -63,14 +63,15 @@ class GeneratedPair:
 
 def train_generator(
     model: GeneratorModel,
-    pairs: Sequence[tuple[Query, Passage]],
+    pairs: Sequence[tuple[Query, int]],
     corpus: Corpus,
     tok: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> GeneratorModel:
-    """Fit per-language term salience and the query-length distribution.
+    """Fit per-language term salience and the query-length distribution on
+    (query, passage position in ``corpus``) pairs.
 
-    Passage tokens come from ``corpus.tokenized(tok)``, so every passage in
-    ``pairs`` must be in ``corpus``, and query tokens from ``Query.tokens(tok)``.
+    Each passage's tokens are its span of ``corpus.tokenized(tok)`` and its
+    language is ``corpus.langs``'s; query tokens come from ``Query.tokens(tok)``.
     Languages present in ``pairs`` get their salience tables recomputed from
     scratch; other languages keep their existing entries. Returns the mutated
     model with its version incremented.
@@ -82,15 +83,15 @@ def train_generator(
     lengths: dict[int, int] = {}
     langs = set()
     tc = corpus.tokenized(tok)
-    for query, passage in pairs:
-        langs.add(passage.lang)
+    for query, p in pairs:
+        lang = corpus.langs[p]
+        langs.add(lang)
         q_list = query.tokens(tok)
         q_tokens = set(q_list)
         if q_list:
             lengths[len(q_list)] = lengths.get(len(q_list), 0) + 1
-        p = corpus.position(passage.id)
         for t in map(tc.vocab.__getitem__, set(tc.ids[tc.offsets[p] : tc.offsets[p + 1]].tolist())):
-            key = (passage.lang, t)
+            key = (lang, t)
             in_passage[key] = in_passage.get(key, 0) + 1
             if t in q_tokens:
                 in_both[key] = in_both.get(key, 0) + 1
@@ -126,30 +127,29 @@ def query_length_cdf(model: GeneratorModel) -> tuple[list[int], np.ndarray]:
 
 def generate_query(
     lengths: tuple[list[int], np.ndarray],
-    passage: Passage,
+    lang: str,
     token_ids: np.ndarray,
     weights: np.ndarray,
     vocab: Sequence[str],
     rng: np.random.Generator,
     query_id: str,
 ) -> Query:
-    """Sample a query with id ``query_id`` from the passage's ``token_ids``,
-    weighted by salience.
+    """Sample a query with id ``query_id`` and language ``lang`` from a
+    passage's ``token_ids``, weighted by salience.
 
     ``lengths`` is the generator's ``query_length_cdf``; ``token_ids`` is the
     passage's span of ``Corpus.tokenized(tok).ids``; ``weights`` holds each
-    token id's salience in the passage's language and ``vocab`` its token.
+    token id's salience in ``lang``, the passage's language, and ``vocab`` its token.
     The length is drawn from the trained length distribution, then that many
     distinct token ids, in first-occurrence order, are drawn without
     replacement with probability proportional to salience, and uniformly once
     only zero weights remain. The draws are one Gumbel-top-k sample (Kool et
     al., ICML 2019): the top keys log(weight) + Gumbel noise, zero weights
-    last in noise order. The query joins the drawn tokens and inherits the
-    passage's language.
+    last in noise order. The query joins the drawn tokens.
     """
     candidates = list(dict.fromkeys(token_ids.tolist()))
     if not candidates:
-        raise ValueError(f"passage {passage.id!r} has no tokens to sample from")
+        raise ValueError(f"query {query_id!r}: its passage has no tokens to sample from")
     lens, cdf = lengths
     length = lens[int(cdf.searchsorted(rng.random(), side="right"))]
 
@@ -157,7 +157,7 @@ def generate_query(
     with np.errstate(divide="ignore"):
         keys = np.log(weights[candidates]) + noise
     picked = np.lexsort((-noise, -keys))[:length]
-    return Query(id=query_id, text=" ".join(vocab[candidates[i]] for i in picked.tolist()), lang=passage.lang)
+    return Query(id=query_id, text=" ".join(vocab[candidates[i]] for i in picked.tolist()), lang=lang)
 
 
 def filter_generated(

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from lexmine.cli import (
     parse_kv_config,
     pipeline_config_from_mapping,
 )
-from lexmine.corpus import load_passages, load_qrels, load_queries, tokenize
+from lexmine.corpus import SynthSpec, load_passages, load_qrels, load_queries, tokenize
 from lexmine.dense import bind_encoder, init_params, load_checkpoint, save_checkpoint, search_dense
 from lexmine.evaluation import load_run, mrr_at_k
 from lexmine.mining import load_samples, save_samples
@@ -231,8 +231,42 @@ def test_synth_set_override_changes_output(tmp_path, synth_cfg):
     )
     assert code == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["topics_per_lang"] == "3"
+    assert manifest["config"]["topics_per_lang"] == 3
     assert manifest["seed"] == 7
+
+
+def test_synth_manifest_records_the_resolved_spec(tmp_path):
+    # two spellings of one spec, the second naming a default: one spec, one hash, every field listed
+    manifests = []
+    for name, settings in (("a", ["topics_per_lang=2"]), ("b", ["topics_per_lang=02", "query_len=3"])):
+        argv = ["synth", "--set", "queries_per_lang=10", "--seed", "7", "--out", str(tmp_path / name)]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert dispatch(argv) == EXIT_OK
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    a, b = manifests
+    assert (tmp_path / "a" / "passages.jsonl").read_bytes() == (tmp_path / "b" / "passages.jsonl").read_bytes()
+    assert a["config"] == b["config"] == json.loads(json.dumps(asdict(SynthSpec(topics_per_lang=2, queries_per_lang=10))))
+    assert list(a["config"]) == [f.name for f in fields(SynthSpec)] and len(a["config"]) == 12
+    assert a["config_hash"] == b["config_hash"]
+
+
+_UNHONOURED_SPECS = [
+    (["languages=a,a1", "vocab_size=10001"], "language vocabularies overlap"),
+    *(([f"{key}={value}"], f"{key} must be in [0, 1]")
+      for key in ("topic_token_frac", "query_topic_frac") for value in ("2.0", "-1", "nan")),
+]
+
+
+@pytest.mark.parametrize("settings, message", _UNHONOURED_SPECS, ids=[" ".join(s) for s, _ in _UNHONOURED_SPECS])
+def test_synth_spec_it_cannot_honour_exit_2(tmp_path, synth_cfg, capsys, settings, message):
+    out = tmp_path / "o"
+    argv = ["synth", "--config", str(synth_cfg), "--seed", "7", "--out", str(out)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert dispatch(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_is_mandatory_for_stochastic_commands(tmp_path, synth_cfg, capsys):

@@ -332,6 +332,13 @@ def test_collections_hold_ascending_id_order_whatever_the_input_order(collection
         assert [held.ids[held.position(pid)] for pid in ids] == ids
 
 
+def test_corpus_langs_give_each_position_its_language():
+    given = [Passage(id="p2", text="x", lang="fr"), Passage(id="p10", text="x", lang="de"), Passage(id="p1", text="x")]
+    corpus = Corpus(given)
+    assert corpus.langs == tuple(p.lang for p in corpus) == ("en", "de", "fr")
+    assert [corpus.langs[corpus.position(p.id)] for p in given] == ["fr", "de", "en"]
+
+
 def test_corpus_rejects_duplicate_ids():
     with pytest.raises(DataFormatError, match="p1"):
         Corpus([Passage(id="p1", text="a"), Passage(id="p1", text="b")])
@@ -502,12 +509,21 @@ def test_synth_vocabularies_disjoint():
     assert not (tokens_by_lang[langs[0]] & tokens_by_lang[langs[1]])
 
 
-def test_synth_overlap_guard(monkeypatch):
-    import lexmine.corpus as corpus_mod
+def test_synth_overlap_guard():
+    # tokens are the tag and a number of at least four digits: "a" reaches "a10000", which is "a1" + "0000"
+    with pytest.raises(ValueError, match=r"language vocabularies overlap: \['a10000'\]"):
+        SynthSpec(languages=("a", "a1"), vocab_size=10001)
+    bench = synth_benchmark(SynthSpec(languages=("a", "a1"), vocab_size=10000, queries_per_lang=2), seed=1)
+    assert {p.lang for p in bench.corpus} == {"a", "a1"}
 
-    monkeypatch.setattr(corpus_mod, "_lang_vocab", lambda lang, size: [f"w{i}" for i in range(size)])
-    with pytest.raises(ValueError, match="overlap"):
-        synth_benchmark(SMALL_SPEC, seed=1)
+
+@pytest.mark.parametrize("key", ["topic_token_frac", "query_topic_frac"])
+@pytest.mark.parametrize("value", [2.0, -1.0, 1.0000001, float("nan")])
+def test_synth_spec_topic_fractions_lie_in_the_unit_interval(key, value):
+    with pytest.raises(ValueError, match=rf"{key} must be in \[0, 1\]"):
+        SynthSpec(**{key: value})
+    assert getattr(SynthSpec(**{key: 0.0}), key) == 0.0
+    assert getattr(SynthSpec(**{key: 1.0}), key) == 1.0
 
 
 def test_synth_judged_queries_topic_consistent():

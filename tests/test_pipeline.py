@@ -334,6 +334,24 @@ def test_generation_draws_do_not_depend_on_verdicts(data, monkeypatch):
     assert len(all_rejected) == len(drawn)
 
 
+def test_warmup_mining_and_generation_look_no_passage_up_by_id(data, monkeypatch):
+    # ids become positions where qrels are read, in assemble_warmup_samples; past
+    # that, warm-up, mining, the generator's training and its picks go by position
+    cfg = small_cfg()
+    sparse = build_index(data.corpus, cfg.tokenizer, cfg.bm25)
+    samples = assemble_warmup_samples(data.train_queries, data.train_qrels, sparse, data.corpus, cfg)
+
+    def by_id(self, passage_id):
+        raise AssertionError(f"passage {passage_id!r} looked up by id")
+
+    monkeypatch.setattr(Corpus, "position", by_id)
+    monkeypatch.setattr(Corpus, "__getitem__", by_id)
+    params, generator = warmup(samples, data.corpus, cfg)
+    state = start_state(params, generator, sparse, data.corpus)
+    reports = [run_iteration(state, data, cfg)[0] for _ in range(2)]
+    assert reports[1].generator_training_pairs > 0 and reports[1].generated_candidates > 0
+
+
 def test_iteration_refreshes_index(data):
     cfg = small_cfg()
     state = make_state(data, cfg)
@@ -590,6 +608,23 @@ def test_pipeline_artifacts_layout(data, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config_hash"] == config_hash(asdict(cfg))
     assert manifest["seed"] == cfg.seed
+
+
+def test_a_run_without_eval_leaves_no_run_file_of_an_earlier_run(data, tmp_path):
+    cfg = small_cfg(iterations=1, minibatches_per_iter=5)
+    run_pipeline(cfg, data, workdir=tmp_path)
+    assert (tmp_path / "iter_1" / "run.trec").exists()
+    [_, report] = run_pipeline(cfg, replace(data, eval_queries=None, eval_qrels=None), workdir=tmp_path)
+    assert report.metrics == {}
+    assert not (tmp_path / "iter_1" / "run.trec").exists()
+
+
+def test_a_run_without_an_auxiliary_encoder_leaves_none_of_an_earlier_run(data, tmp_path):
+    cfg = small_cfg(iterations=1, minibatches_per_iter=5)
+    run_pipeline(replace(cfg, mining_mode="double_dense"), data, workdir=tmp_path)
+    assert (tmp_path / "warmup" / "aux_checkpoint.npz").exists()
+    run_pipeline(cfg, data, workdir=tmp_path)
+    assert not (tmp_path / "warmup" / "aux_checkpoint.npz").exists()
 
 
 def test_eval_only_token_does_not_change_the_run(data, tmp_path):
