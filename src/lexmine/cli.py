@@ -90,6 +90,8 @@ def parse_kv_config(path: str | Path) -> dict[str, str]:
     """Flat key=value UTF-8 file; blank lines and '#' comments ignored."""
     mapping: dict[str, str] = {}
     for lineno, raw in _text_lines(path):
+        if lineno == 1 and raw.startswith("\ufeff"):
+            raise ConfigError(f"{path}:1: unexpected UTF-8 BOM")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

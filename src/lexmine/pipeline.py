@@ -13,7 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import shutil
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -143,7 +146,7 @@ class PipelineConfig:
 @dataclass
 class PipelineData:
     """Input bundle: corpus, labeled source queries, unlabeled target queries,
-    and optional held-out judged queries for per-iteration evaluation. No
+    and optional held-out eval queries with their judgments alone (narrowed once). No
     unlabeled or eval query may have the language "overall", the reports'
     all-language key: the unlabeled queries' languages are the target languages."""
 
@@ -159,6 +162,9 @@ class PipelineData:
             for q in queries:
                 if q.lang == "overall":
                     raise ValueError(f"{kind} query {q.id!r} has the reserved language 'overall'")
+        if self.eval_queries is not None and self.eval_qrels is not None:
+            if any(qid not in self.eval_queries for qid in self.eval_qrels.by_query):
+                self.eval_qrels = JudgmentSet(j for j in self.eval_qrels if j.query_id in self.eval_queries)
 
 
 def pipeline_data_from_benchmark(bench: SynthBenchmark) -> PipelineData:
@@ -322,16 +328,13 @@ def _evaluate(
     state: PipelineState, data: PipelineData, cfg: PipelineConfig
 ) -> tuple[RunFile, dict[str, dict[str, float]]]:
     """The eval queries' dense run and its MRR@k and Recall@k, overall and per
-    language, against their judgments alone: qrels shared with training judge more."""
+    language, against their judgments (``PipelineData`` keeps theirs alone)."""
     if data.eval_queries is None or data.eval_qrels is None:
         return {}, {}
     run = dense_run(state, data.eval_queries, cfg.eval_k)
     langs = {q.id: q.lang for q in data.eval_queries}
-    qrels = data.eval_qrels
-    if not qrels.by_query.keys() <= run.keys():
-        qrels = JudgmentSet(j for j in qrels if j.query_id in run)
-    mrr = mrr_at_k(run, qrels, cfg.eval_k, query_langs=langs)
-    rec = recall_at_k(run, qrels, cfg.eval_k, query_langs=langs)
+    mrr = mrr_at_k(run, data.eval_qrels, cfg.eval_k, query_langs=langs)
+    rec = recall_at_k(run, data.eval_qrels, cfg.eval_k, query_langs=langs)
     overall = {f"mrr@{cfg.eval_k}": mrr.mean, f"recall@{cfg.eval_k}": rec.mean}
     return run, {"overall": overall, **per_lang_metrics(mrr, rec)}
 
@@ -609,23 +612,16 @@ def write_manifest(path: Path, command: str, config: dict, seed: int, inputs: di
 def _write_stage(
     outdir: Path, state: PipelineState, report: IterationReport, artifacts: dict | None = None
 ) -> None:
-    """Persist a stage for ``_load_stage``: the warm-up (no ``artifacts``) or an iteration."""
-    # report.json goes first and comes back last: a directory without it is never loaded
-    (outdir / "report.json").unlink(missing_ok=True)
+    """Persist a stage for ``_load_stage`` (the warm-up: no ``artifacts``) in a new directory, report.json last."""
     if artifacts is not None:
         save_samples(artifacts["mined"], outdir / "mined.jsonl", state.corpus)
         save_samples(artifacts["generated"], outdir / "generated.jsonl", state.corpus)
     save_checkpoint(outdir / "checkpoint.npz", state.dense_index.params)
     save_generator(state.generator, outdir / "generator.json")
-    # an optional file this stage does not write must not survive from an earlier run
     if artifacts is None and state.aux_index is not None:
         save_checkpoint(outdir / "aux_checkpoint.npz", state.aux_index.params)
-    else:
-        (outdir / "aux_checkpoint.npz").unlink(missing_ok=True)
     if artifacts is not None and artifacts["run"]:
         save_run(artifacts["run"], outdir / "run.trec")
-    else:
-        (outdir / "run.trec").unlink(missing_ok=True)
     _write_json(outdir / "report.json", asdict(report))
 
 
@@ -686,18 +682,18 @@ def run_pipeline(
 
     The report list starts with the post-warm-up zero-shot evaluation (as
     iteration 0) followed by one report per iteration. With a workdir, a
-    manifest binds the config hash and seed, and ``_write_stage`` persists the
-    warm-up under warmup/ and every iteration under iter_N/. A start without a
-    manifest to resume first removes the report.json of every stage directory
-    already there. ``inputs``, each data key's ``file_digest``, is recorded in
-    the manifest. ``resume=True`` fails on a manifest that is not a JSON
-    object (DataFormatError), a config-hash mismatch, a checkpoint of other
-    tokens than the corpus's, or (DataFormatError) ``inputs`` that are not the
-    manifest's record: the first data key whose digest differs or that one
-    side lacks, a manifest without the record, or a record with no ``inputs``
-    given to check it. Otherwise it continues from the last directory that
-    ``_load_stage`` loads in the unbroken run warmup/, iter_1/, ...
-    Without ``inputs`` on either side nothing binds the run to its data.
+    manifest binds the config hash, the seed and ``inputs`` (each data key's
+    ``file_digest``), and ``_write_stage`` persists the warm-up under warmup/
+    and every iteration under iter_N/. ``resume=True`` fails, removing
+    nothing, on a manifest that is not a JSON object (DataFormatError), a
+    config-hash mismatch, a checkpoint of other tokens than the corpus's, or
+    (DataFormatError) ``inputs`` that are not the manifest's record: the first
+    data key whose digest differs or that one side lacks, a manifest without
+    the record, or a record with no ``inputs`` given to check it. Otherwise it
+    continues from the last directory that ``_load_stage`` loads in the
+    unbroken run warmup/, iter_1/, ... Then every other warmup/ and
+    iter_<digits>/ directory is removed, before a run that continues from no
+    stage writes the manifest. Without ``inputs`` nothing binds the run to its data.
     """
     out = Path(workdir) if workdir is not None else None
     # the reports of the stages loaded on resume; the last one's models continue
@@ -705,6 +701,7 @@ def run_pipeline(
     aux_params = None
     if out is not None:
         manifest_path = out / "manifest.json"
+        stages = ["warmup"] + [f"iter_{i}" for i in range(1, cfg.iterations + 1)]
         if resume and manifest_path.exists():
             try:
                 with open(manifest_path, encoding="utf-8") as fh:
@@ -716,7 +713,7 @@ def run_pipeline(
             want = config_hash(asdict(cfg))
             if existing.get("config_hash") != want:
                 raise PipelineError(f"resume config hash mismatch: {existing.get('config_hash')} != {want}")
-            for name in ["warmup"] + [f"iter_{i}" for i in range(1, cfg.iterations + 1)]:
+            for name in stages:
                 with_aux = name == "warmup" and cfg.mining_mode == "double_dense"
                 stage = _load_stage(out / name, with_aux, data.corpus, cfg.tokenizer)
                 if stage is None:
@@ -743,10 +740,12 @@ def run_pipeline(
                     f"given {inputs.get(key)}, recorded {recorded.get(key)}",
                     manifest_path,
                 )
-        else:
-            # a fresh start trusts no stage an earlier run left here
-            for stale in [*out.glob("warmup/report.json"), *out.glob("iter_*/report.json")]:
-                stale.unlink()
+        # every stage not continued from goes, before a new manifest and warmup/ first (see the README)
+        for d in [*out.glob("warmup"), *out.glob("iter_*")]:
+            if re.fullmatch(r"warmup|iter_[0-9]+", d.name) and d.is_dir() and d.name not in stages[: len(reports)]:
+                with suppress(FileNotFoundError):  # already gone
+                    shutil.rmtree(d)
+        if not reports:
             write_manifest(manifest_path, "pipeline", asdict(cfg), cfg.seed, inputs)
 
     sparse_index = build_index(data.corpus, cfg.tokenizer, cfg.bm25)

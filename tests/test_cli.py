@@ -136,8 +136,21 @@ def test_parse_kv_config(tmp_path):
     assert parse_kv_config(path) == {"a": "1", "b": "two"}
 
 
+@pytest.mark.parametrize("first_line", ["iterations = 1", "# comment", ""])
+def test_config_file_with_a_byte_order_mark_exit_2(tmp_path, capsys, first_line):
+    # the mark would start the first key, which then exited 2 as an unknown key
+    path = tmp_path / "c.cfg"
+    path.write_bytes(f"\ufeff{first_line}\n".encode("utf-8"))
+    out = tmp_path / "run"
+    assert dispatch(["pipeline", "--config", str(path), "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {path}:1: unexpected UTF-8 BOM" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _kv_text(exclude):
-    return st.text(st.characters(blacklist_characters=exclude + "#\r\n", blacklist_categories=("Cs",)), max_size=10)
+    # no U+FEFF: a line that starts with it is a BOM error on line 1, where these tests may put any line
+    chars = st.characters(blacklist_characters=exclude + "#\r\n\ufeff", blacklist_categories=("Cs",))
+    return st.text(chars, max_size=10)
 
 
 _KV_KEYS = _kv_text("=").map(str.strip).filter(bool)
@@ -1682,6 +1695,38 @@ def test_pipeline_resume_reads_a_moved_data_directory(tmp_path, synth_dir):
     for report in (got, want):
         report.pop("wall_clock_sec")
     assert got == want
+
+
+def test_pipeline_overwrite_with_fewer_iterations_leaves_no_later_stage(tmp_path):
+    # the shorter run's manifest describes warmup/ and iter_1/ alone
+    out = tmp_path / "run"
+    cfg = pipeline_cfg_file(tmp_path, tiny_data(tmp_path))
+    argv = ["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    assert dispatch([*argv, "--set", "iterations=3"]) == EXIT_OK
+    assert sorted(p.name for p in (out / "iter_3").iterdir()) == [
+        "checkpoint.npz", "generated.jsonl", "generator.json", "mined.jsonl", "report.json", "run.trec"
+    ]
+    assert dispatch([*argv, "--set", "iterations=1", "--overwrite"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["iter_1", "manifest.json", "warmup"]
+
+
+def test_pipeline_stage_directory_that_cannot_be_removed_exit_3(tmp_path, monkeypatch, capsys):
+    import shutil
+
+    out = tmp_path / "run"
+    cfg = pipeline_cfg_file(tmp_path, tiny_data(tmp_path))
+    argv = ["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    assert dispatch(argv) == EXIT_OK
+    manifest = (out / "manifest.json").read_bytes()
+
+    def refused(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(shutil, "rmtree", refused)
+    assert dispatch([*argv, "--set", "iterations=1", "--overwrite"]) == EXIT_DATA
+    assert f"data error: [Errno 13] Permission denied: '{out / 'warmup'}'" in capsys.readouterr().err
+    # the new run's manifest is never written over stages it could not remove
+    assert (out / "manifest.json").read_bytes() == manifest
 
 
 def _assert_same_checkpoint(got: Path, want: Path) -> None:

@@ -985,6 +985,115 @@ def test_resume_of_a_fresh_run_trusts_no_stage_of_the_run_it_replaced(data, tmp_
     _assert_same_run(out, tmp_path / "fresh")
 
 
+def test_a_shorter_fresh_run_leaves_no_later_stage_of_the_run_it_replaced(data, tmp_path):
+    # the new manifest describes warmup/ and iter_1/ alone, so iter_2/ and iter_3/ must go
+    from test_cli import _assert_same_run
+
+    cfg = small_cfg(iterations=1, minibatches_per_iter=3)
+    run_pipeline(cfg, data, workdir=tmp_path / "fresh")
+    out = tmp_path / "out"
+    run_pipeline(replace(cfg, iterations=3), data, workdir=out)
+    assert (out / "iter_3" / "run.trec").exists()
+    run_pipeline(cfg, data, workdir=out)
+    assert sorted(p.name for p in out.iterdir()) == ["iter_1", "manifest.json", "warmup"]
+    _assert_same_run(out, tmp_path / "fresh")
+
+
+def test_a_fresh_start_removes_the_earlier_stages_before_it_writes_its_manifest(data, tmp_path, monkeypatch):
+    # a new manifest must never name a config under which a stage of the earlier run loads
+    import lexmine.pipeline as pipeline_mod
+
+    cfg = small_cfg(iterations=1, minibatches_per_iter=3)
+    run_pipeline(replace(cfg, iterations=2), data, workdir=tmp_path)
+    manifest = (tmp_path / "manifest.json").read_bytes()
+
+    def killed(*args, **kwargs):
+        raise _Killed
+
+    monkeypatch.setattr(pipeline_mod, "write_manifest", killed)
+    with pytest.raises(_Killed):
+        run_pipeline(cfg, data, workdir=tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert (tmp_path / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("refusal", ["config_hash", "inputs", "manifest"])
+def test_a_refused_resume_removes_no_stage(data, tmp_path, refusal):
+    cfg = small_cfg(minibatches_per_iter=3)
+    inputs = {"passages": {"sha256": "p" * 64, "bytes": 8}}
+    run_pipeline(cfg, data, workdir=tmp_path, inputs=inputs)
+    # iter_2/ no longer loads, so a resume that went ahead would remove it
+    (tmp_path / "iter_2" / "report.json").unlink()
+    if refusal == "manifest":
+        (tmp_path / "manifest.json").write_text("[]")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    if refusal == "config_hash":
+        cfg = replace(cfg, train_lr=1e-4)
+    if refusal == "inputs":
+        inputs = {"passages": {**inputs["passages"], "bytes": 9}}
+    with pytest.raises(PipelineError if refusal == "config_hash" else DataFormatError):
+        run_pipeline(cfg, data, workdir=tmp_path, resume=True, inputs=inputs)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_a_fresh_start_removes_stage_directories_alone(data, tmp_path):
+    # warmup/ and iter_<digits>/ are the stage directories; a file of that name is not one
+    others = ["notes.txt", "iter_3", "iter_2.bak", "iter_x/a", "iter_/a", "warmup.old/a", "runs/iter_2/a"]
+    for rel in others:
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(rel)
+    (tmp_path / "iter_04").mkdir()
+    (tmp_path / "iter_04" / "checkpoint.npz").write_text("an earlier run's")
+    run_pipeline(small_cfg(iterations=1, minibatches_per_iter=3), data, workdir=tmp_path)
+    assert all((tmp_path / rel).read_text() == rel for rel in others)
+    assert not (tmp_path / "iter_04").exists()
+
+
+def test_a_stage_directory_already_gone_is_not_an_error(data, tmp_path, monkeypatch):
+    import shutil
+
+    cfg = small_cfg(iterations=1, minibatches_per_iter=3)
+    out = tmp_path / "out"
+    run_pipeline(replace(cfg, iterations=2), data, workdir=out)
+    real_rmtree = shutil.rmtree
+
+    def removed_meanwhile(path, *args, **kwargs):
+        real_rmtree(path)  # by another process, between the listing and the removal
+        real_rmtree(path, *args, **kwargs)
+
+    (tmp_path / "probe").mkdir()
+    with pytest.raises(FileNotFoundError):
+        removed_meanwhile(tmp_path / "probe")
+    monkeypatch.setattr(shutil, "rmtree", removed_meanwhile)
+    run_pipeline(cfg, data, workdir=out)
+    assert sorted(p.name for p in out.iterdir()) == ["iter_1", "manifest.json", "warmup"]
+
+
+def test_eval_judgments_are_narrowed_once_to_the_eval_queries(data, tmp_path, monkeypatch):
+    # target-only eval queries with the qrels shared with training, which judge the source queries too
+    import lexmine.pipeline as pipeline_mod
+
+    target = QuerySet(q for q in data.eval_queries if q.lang == "tgta")
+    theirs = JudgmentSet(j for j in data.eval_qrels if j.query_id in target)
+    assert len(theirs) < len(data.eval_qrels)
+    shared = replace(data, eval_queries=target)
+    assert shared.eval_qrels == theirs
+    cfg = small_cfg(iterations=1, minibatches_per_iter=3)
+    want = run_pipeline(cfg, replace(data, eval_queries=target, eval_qrels=theirs))
+    built = []
+
+    class CountedJudgmentSet(JudgmentSet):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "JudgmentSet", CountedJudgmentSet)
+    got = run_pipeline(cfg, shared)
+    assert built == []
+    assert [r.metrics for r in got] == [r.metrics for r in want]
+    assert set(got[-1].metrics) == {"overall", "tgta"}
+
+
 def test_pipeline_plateau_stop(data, tmp_path):
     cfg = small_cfg(iterations=3, plateau_eps=10.0)  # always triggers
     reports = run_pipeline(cfg, data)
